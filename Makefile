@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench fuzz ci
+.PHONY: all build test vet race bench fuzz cavbench ci
 
 all: build
 
@@ -31,12 +31,11 @@ race:
 	$(GO) test -race -short . ./internal/obsv/... ./internal/sat/... ./internal/maxsat/... ./internal/core/... ./internal/cq/... ./internal/bench/... ./internal/server/... ./internal/planner/... ./internal/conquer/... ./internal/db/...
 
 # Micro-benchmarks: the clone-vs-rebuild and shared-base suites in
-# sat/maxsat/core (the PR 3 incremental-solving win), the compiled-vs-
-# interpreted evaluation and key-fast-path constraint suites in
-# cq/constraints (the PR 4 front-end win), the memoized-vs-fresh
-# rewriting index suite in conquer (the PR 8 planner fast path), plus
-# the end-to-end harness benchmarks. Pipe two runs through benchstat to
-# compare.
+# sat/maxsat/core (incremental solving), the compiled evaluation and
+# key-fast-path-vs-generic constraint suites in cq/constraints, the
+# memoized-vs-fresh rewriting index suite in conquer (the planner fast
+# path), plus the end-to-end harness benchmarks. Pipe two runs through
+# benchstat to compare.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/sat/ ./internal/maxsat/ ./internal/core/ ./internal/cq/ ./internal/constraints/ ./internal/conquer/ ./internal/bench/
 
@@ -48,4 +47,11 @@ FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPlannerEquivalence -fuzztime=$(FUZZTIME) ./internal/planner/
 
-ci: build vet test race
+# The benchmark harness is its own module (cavbench/go.mod), so the
+# root-module build and tests never compile it: vet and test it here so
+# a change to an API it imports fails before the benchmark does.
+cavbench:
+	$(GO) -C cavbench vet .
+	$(GO) -C cavbench test .
+
+ci: build vet test race cavbench

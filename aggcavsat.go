@@ -201,7 +201,7 @@ type Options struct {
 	// constraints (the default, taken from the schema) to an explicit
 	// denial-constraint set (Reduction V.1).
 	DenialConstraints []DenialConstraint
-	// Solver selects the MaxSAT algorithm; SolverRC2 by default.
+	// Solver selects the MaxSAT algorithm; the zero value is SolverMaxHS.
 	Solver SolverAlgorithm
 	// ExternalSolverPath is the MaxHS-compatible binary for
 	// SolverExternal.
@@ -236,13 +236,6 @@ type Options struct {
 	// FlightEvents bounds the flight-recorder ring; 0 means
 	// obsv.DefaultFlightEvents.
 	FlightEvents int
-	// DisableIncremental forces the legacy solve path: one fresh SAT
-	// solver per MaxSAT run, with an explicit negated formula for the
-	// upper-bound direction, instead of cloning a shared per-component
-	// hard-clause base. Answers are identical either way; this is the
-	// escape hatch behind the CLI -incremental flag. External solvers
-	// always take the legacy path.
-	DisableIncremental bool
 	// Explain attaches a per-solve Explain report (code paths, cache
 	// outcomes, per-component breakdown) to every query result.
 	Explain bool
@@ -277,16 +270,15 @@ func Open(in *Instance, opts Options) (*System, error) {
 			Progress:      opts.Progress,
 			ProgressEvery: opts.ProgressEvery,
 		},
-		Parallelism:        opts.Parallelism,
-		Timeout:            opts.Timeout,
-		Metrics:            opts.Metrics,
-		SlowQuery:          opts.SlowQuery,
-		OnAnomaly:          opts.OnAnomaly,
-		FlightEvents:       opts.FlightEvents,
-		DisableIncremental: opts.DisableIncremental,
-		Explain:            opts.Explain,
-		Journal:            opts.Journal,
-		Planner:            opts.Planner,
+		Parallelism:  opts.Parallelism,
+		Timeout:      opts.Timeout,
+		Metrics:      opts.Metrics,
+		SlowQuery:    opts.SlowQuery,
+		OnAnomaly:    opts.OnAnomaly,
+		FlightEvents: opts.FlightEvents,
+		Explain:      opts.Explain,
+		Journal:      opts.Journal,
+		Planner:      opts.Planner,
 	}
 	if len(opts.DenialConstraints) > 0 {
 		engOpts.Mode = core.DCMode

@@ -199,6 +199,42 @@ func TestSolverSelection(t *testing.T) {
 	}
 }
 
+// TestDefaultSolverIsMaxHS: the zero Options value solves with MaxHS,
+// as the explain report's solver names show.
+func TestDefaultSolverIsMaxHS(t *testing.T) {
+	var opts Options // Solver left at its zero value
+	opts.Explain = true
+	sys, err := Open(bank(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Query(`SELECT COUNT(*) FROM Cust, Acc, CustAcc
+		WHERE Cust.CID = CustAcc.CID AND Acc.ACCID = CustAcc.ACCID
+		AND Cust.CITY = Acc.CITY`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Explains) != 1 {
+		t.Fatalf("explains = %d, want 1", len(res.Explains))
+	}
+	ex := res.Explains[0]
+	if ex.Algorithm != "maxhs" {
+		t.Errorf("default solver = %q, want maxhs", ex.Algorithm)
+	}
+	passes := 0
+	for _, c := range ex.Components {
+		for _, d := range c.Directions {
+			passes++
+			if d.Algorithm != "maxhs" {
+				t.Errorf("component %d %s pass solved with %q, want maxhs", c.Index, d.Direction, d.Algorithm)
+			}
+		}
+	}
+	if passes == 0 {
+		t.Error("no solver pass recorded; the query never reached the solver")
+	}
+}
+
 func TestConsistentAnswersAPI(t *testing.T) {
 	sys, _ := Open(bank(t), Options{})
 	u := cq.Single(cq.CQ{

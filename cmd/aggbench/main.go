@@ -64,12 +64,6 @@
 //	                  force-sat (default — the paper tables measure the
 //	                  WPMaxSAT pipeline), auto, force-rewrite; the pr8
 //	                  experiment measures auto vs force-sat regardless
-//	-incremental=false  run every experiment on the legacy
-//	                  one-solver-per-run path (the pr3 experiment
-//	                  measures both paths regardless)
-//	-frontend=false   run every experiment on the legacy interpreted
-//	                  relational front end (the pr4 experiment measures
-//	                  both front ends regardless)
 //	-parallel N, -p N worker-pool size inside each measured query
 //	                  (0 = GOMAXPROCS, 1 = sequential); parallel runs
 //	                  produce identical answers but per-phase times sum
@@ -113,8 +107,6 @@ func main() {
 	flag.IntVar(&cfg.Parallelism, "parallel", cfg.Parallelism, "worker-pool size per query (0 = GOMAXPROCS, 1 = sequential)")
 	flag.IntVar(&cfg.Parallelism, "p", cfg.Parallelism, "shorthand for -parallel")
 	plannerMode := flag.String("planner", "force-sat", "planner mode for every engine the suite builds: force-sat (default; the paper tables measure the WPMaxSAT pipeline), auto, force-rewrite (the pr8 experiment measures auto vs force-sat regardless)")
-	incremental := flag.Bool("incremental", true, "share per-component hard-clause solver bases inside each engine (false = legacy one-solver-per-run path; the pr3 experiment measures both regardless)")
-	frontend := flag.Bool("frontend", true, "use the compiled relational front end (false = legacy interpreted evaluation and grouping; the pr4 experiment measures both regardless)")
 	flag.DurationVar(&cfg.Timeout, "timeout", cfg.Timeout, "wall-clock bound per query, e.g. 30s (0 = none)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
@@ -133,8 +125,6 @@ func main() {
 	target := flag.String("target", "", "replay against a running cavsatd at this base URL instead of in-process; answers are digest-checked against a local execution and the run fails on drift or zero answered queries")
 	replayInstance := flag.String("replay-instance", "", "server tenant to query in -target mode (default: the server's sole instance)")
 	flag.Parse()
-	cfg.DisableIncremental = !*incremental
-	cfg.DisableFrontendOpt = !*frontend
 	pm, perr := planner.ParseMode(*plannerMode)
 	if perr != nil {
 		fmt.Fprintln(os.Stderr, "aggbench:", perr)

@@ -25,8 +25,8 @@
 //
 //	-stats            per-phase breakdown table on stderr
 //	-explain          per-solve explain report on stderr: code paths
-//	                  taken (mode, front end, solver route), cache
-//	                  outcomes, per-component CNF/solve breakdown; its
+//	                  taken (constraint mode, planner route, solver),
+//	                  cache outcomes, per-component CNF/solve breakdown; its
 //	                  phase totals are the same counters -stats prints
 //	-explain-json     the explain report as JSON instead of a table
 //	-journal f.jsonl  append one wide-event JSON line per solve (bounded
@@ -59,9 +59,6 @@
 //
 //	-parallel N       worker-pool size for independent groups/components
 //	                  (0 = GOMAXPROCS, 1 = sequential; answers identical)
-//	-incremental=false  disable the shared per-component hard-clause
-//	                  solver base and run the legacy one-solver-per-run
-//	                  path (answers identical; for comparison/debugging)
 //	-timeout D        wall-clock bound for the whole query (e.g. 30s);
 //	                  on expiry the solve is interrupted and the command
 //	                  exits with a timeout error
@@ -101,7 +98,6 @@ func main() {
 	flightDir := flag.String("flight-dir", "", "write flight-recorder bundles for anomalous queries into this directory")
 	slowQuery := flag.Duration("slow-query", 0, "queries slower than this dump a flight bundle even on success (0 = only errors/timeouts)")
 	parallel := flag.Int("parallel", 0, "solver worker-pool size (0 = GOMAXPROCS, 1 = sequential)")
-	incremental := flag.Bool("incremental", true, "share a per-component hard-clause solver base across solve directions (false = legacy one-solver-per-run path)")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound for the query, e.g. 30s (0 = none)")
 	verbose := flag.Bool("v", false, "debug logging")
 	flag.Parse()
@@ -143,7 +139,6 @@ func main() {
 		ExternalSolverPath: *external,
 		Parallelism:        *parallel,
 		Timeout:            *timeout,
-		DisableIncremental: !*incremental,
 		Planner:            pm,
 	}
 	switch *solver {

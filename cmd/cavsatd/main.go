@@ -17,8 +17,9 @@
 //	POST /admin/instances  {"name": ..., "dir": ...} hot-attach a
 //	                        schema.txt + CSV directory
 //	GET  /metrics          Prometheus exposition: engine counters plus
-//	                        cavsatd_* service metrics (requests, sheds,
-//	                        timeouts, queue depth, cache hits/misses)
+//	                        cavsatd_* service metrics (requests and
+//	                        latency by tenant/route/outcome, queue depth,
+//	                        cache hits/misses)
 //	GET  /healthz          liveness, uptime, attached-instance count,
 //	                        journal write/drop counters
 //	GET  /debug/slo        availability and latency SLO attainment with
@@ -129,7 +130,6 @@ func main() {
 	solver := flag.String("solver", "maxhs", "MaxSAT algorithm: maxhs, rc2, lsu, external")
 	external := flag.String("external-solver", "", "path to a MaxHS-compatible binary (solver=external)")
 	parallel := flag.Int("parallel", 0, "solver worker-pool size per query (0 = GOMAXPROCS, 1 = sequential)")
-	incremental := flag.Bool("incremental", true, "share a per-component hard-clause solver base across solve directions")
 	verbose := flag.Bool("v", false, "debug logging")
 	flag.Parse()
 
@@ -150,7 +150,6 @@ func main() {
 		ExternalSolverPath: *external,
 		Parallelism:        *parallel,
 		SlowQuery:          *slowQuery,
-		DisableIncremental: !*incremental,
 		Planner:            pm,
 	}
 	switch *solver {

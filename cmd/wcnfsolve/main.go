@@ -4,10 +4,8 @@
 //
 //	wcnfsolve [-alg maxhs|rc2|lsu] [-timeout 30s] problem.wcnf
 //
-// With -incremental (the default) the hard clauses are loaded into one
-// solver base and every algorithm run — including the MaxHS→RC2
-// fallback — starts from a clone of it; -incremental=false restores the
-// legacy rebuild-per-run path.
+// The hard clauses are loaded into one solver base and every algorithm
+// run — including the MaxHS→RC2 fallback — starts from a clone of it.
 //
 // It doubles as a drop-in "external solver" for aggcavsat itself
 // (Options.ExternalSolverPath), which closes the loop on the paper's
@@ -29,7 +27,6 @@ import (
 
 func main() {
 	alg := flag.String("alg", "maxhs", "algorithm: maxhs, rc2, lsu")
-	incremental := flag.Bool("incremental", true, "load the hard clauses once and serve every run (including the MaxHS fallback) from clones (false = legacy rebuild-per-run path)")
 	progress := flag.Bool("progress", false, "print periodic progress lines (stderr)")
 	progressEvery := flag.Int64("progress-every", maxsat.DefaultProgressEvery, "conflicts between progress lines")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound for the solve, e.g. 30s (0 = none)")
@@ -65,15 +62,9 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	var res maxsat.Result
-	if *incremental {
-		// One shared solver base: the MaxHS→RC2 fallback (and any other
-		// repeated run) forks a clone instead of re-adding every hard
-		// clause. Identical optimum either way.
-		res, err = maxsat.NewInstance(formula, nil, opts).SolveMin(ctx)
-	} else {
-		res, err = maxsat.SolveContext(ctx, formula, opts)
-	}
+	// One shared solver base: the MaxHS→RC2 fallback forks a clone
+	// instead of re-adding every hard clause.
+	res, err := maxsat.NewInstance(formula, nil, opts).SolveMin(ctx)
 	fatalIf(err)
 
 	if !res.Satisfiable {

@@ -67,15 +67,6 @@ type Config struct {
 	// workload query's paper name, so a captured journal doubles as a
 	// replay spec.
 	Journal *obsv.Journal
-	// DisableIncremental runs every engine on the legacy solve path
-	// (fresh solver per MaxSAT run, no shared hard-clause bases); the
-	// pr3 experiment ignores it and always measures both paths.
-	DisableIncremental bool
-	// DisableFrontendOpt runs every engine on the legacy relational
-	// front end (interpreted evaluation, string-keyed grouping, generic
-	// violations); the pr4 experiment ignores it and always measures
-	// both front ends.
-	DisableFrontendOpt bool
 	// Planner is the routing policy for every engine the suite builds.
 	// The default (force-sat, the zero value) keeps the paper tables
 	// measuring the WPMaxSAT pipeline; the pr8 experiment measures auto
@@ -283,17 +274,15 @@ func ms(d time.Duration) string {
 
 func (r *Runner) engine(in *db.Instance) (*core.Engine, error) {
 	return core.New(in, core.Options{
-		Mode:               core.KeysMode,
-		MaxSAT:             r.cfg.Solver,
-		Parallelism:        r.cfg.Parallelism,
-		Timeout:            r.cfg.Timeout,
-		Metrics:            r.cfg.Metrics,
-		SlowQuery:          r.cfg.SlowQuery,
-		OnAnomaly:          r.cfg.OnAnomaly,
-		Journal:            r.cfg.Journal,
-		DisableIncremental: r.cfg.DisableIncremental,
-		DisableFrontendOpt: r.cfg.DisableFrontendOpt,
-		Planner:            r.cfg.Planner,
+		Mode:        core.KeysMode,
+		MaxSAT:      r.cfg.Solver,
+		Parallelism: r.cfg.Parallelism,
+		Timeout:     r.cfg.Timeout,
+		Metrics:     r.cfg.Metrics,
+		SlowQuery:   r.cfg.SlowQuery,
+		OnAnomaly:   r.cfg.OnAnomaly,
+		Journal:     r.cfg.Journal,
+		Planner:     r.cfg.Planner,
 	})
 }
 
@@ -714,15 +703,14 @@ func (r *Runner) Figure9() (*Table, error) {
 		return nil, err
 	}
 	eng, err := core.New(in, core.Options{
-		Mode:               core.DCMode,
-		DCs:                dcs,
-		MaxSAT:             r.cfg.Solver,
-		Parallelism:        r.cfg.Parallelism,
-		Timeout:            r.cfg.Timeout,
-		Metrics:            r.cfg.Metrics,
-		SlowQuery:          r.cfg.SlowQuery,
-		OnAnomaly:          r.cfg.OnAnomaly,
-		DisableIncremental: r.cfg.DisableIncremental,
+		Mode:        core.DCMode,
+		DCs:         dcs,
+		MaxSAT:      r.cfg.Solver,
+		Parallelism: r.cfg.Parallelism,
+		Timeout:     r.cfg.Timeout,
+		Metrics:     r.cfg.Metrics,
+		SlowQuery:   r.cfg.SlowQuery,
+		OnAnomaly:   r.cfg.OnAnomaly,
 	})
 	if err != nil {
 		return nil, err
@@ -779,10 +767,8 @@ func (r *Runner) All(w io.Writer) error {
 		{"table4", r.TableIV},
 		{"fig9", r.Figure9},
 		{"ablation", r.Ablation},
-		{"pr3", r.IncrementalCompare},
-		{"pr4", r.FrontendCompare},
 		{"pr8", r.PlannerCompare},
-		{"pr9", r.ColumnarCompare},
+		{"pr9", r.ColumnarStore},
 	}
 	for _, e := range experiments {
 		r.setExperiment(e.name)
@@ -839,14 +825,10 @@ func (r *Runner) experimentByName(name string) (*Table, error) {
 		return r.TableIV()
 	case "ablation":
 		return r.Ablation()
-	case "pr3", "incremental":
-		return r.IncrementalCompare()
-	case "pr4", "frontend":
-		return r.FrontendCompare()
 	case "pr8", "planner":
 		return r.PlannerCompare()
 	case "pr9", "columnar":
-		return r.ColumnarCompare()
+		return r.ColumnarStore()
 	default:
 		return nil, fmt.Errorf("bench: unknown experiment %q", name)
 	}
@@ -856,7 +838,7 @@ func (r *Runner) experimentByName(name string) (*Table, error) {
 func Names() []string {
 	return []string{
 		"fig1", "fig2", "table2", "fig3", "table3ab", "fig4", "table3cd",
-		"fig5", "fig6", "fig7", "fig8", "table4", "fig9", "ablation", "pr3",
-		"pr4", "pr8", "pr9",
+		"fig5", "fig6", "fig7", "fig8", "table4", "fig9", "ablation", "pr8",
+		"pr9",
 	}
 }

@@ -175,7 +175,7 @@ func TestExperimentDispatch(t *testing.T) {
 	if err := r.Experiment("nope", &buf); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	if len(Names()) != 18 {
+	if len(Names()) != 16 {
 		t.Errorf("Names() = %d entries", len(Names()))
 	}
 }
@@ -297,26 +297,5 @@ func TestAllRunsEveryExperiment(t *testing.T) {
 		if !strings.Contains(out, "("+name+" finished in") {
 			t.Errorf("experiment %s missing from All output", name)
 		}
-	}
-}
-
-func TestFrontendCompareShapeAndParity(t *testing.T) {
-	r := NewRunner(tinyConfig())
-	table, err := r.FrontendCompare() // errors if the front ends disagree
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table.Rows) != 15 || len(table.Header) != 6 {
-		t.Fatalf("pr4 shape: %d×%d", len(table.Rows), len(table.Header))
-	}
-	// Both modes' records must be captured for every query.
-	modes := map[string]int{}
-	for _, rec := range r.Records() {
-		if rec.Experiment == "PR4" {
-			modes[rec.Setting]++
-		}
-	}
-	if modes["mode=legacy"] != 15 || modes["mode=optimized"] != 15 {
-		t.Fatalf("pr4 records per mode: %v", modes)
 	}
 }

@@ -6,19 +6,12 @@ import (
 	"time"
 
 	"aggcavsat/internal/core"
-	"aggcavsat/internal/db"
 	"aggcavsat/internal/tpch"
 )
 
-// ColumnarCompare (experiment "pr9") measures the columnar
-// dictionary-encoded fact store against the legacy row store on the
-// DBGen suite: the same facts with the same IDs are materialized under
-// each physical layout in turn — never both at once, so the heap
-// numbers of one layout are not polluted by the other — and every
-// query's answers and CNF sizes are verified byte-identical across
-// layouts before any number is reported.
-//
-// Three measurements per (scale, layout):
+// ColumnarStore (experiment "pr9") measures the memory footprint and
+// query times of the columnar dictionary-encoded fact store on the
+// DBGen suite. Three measurements per scale:
 //
 //   - instance_bytes: the GC-settled live-heap delta of materializing
 //     the instance (the storage footprint itself);
@@ -29,15 +22,16 @@ import (
 //     between samples can be missed);
 //   - peak_live: the peak GC-settled live heap above the same baseline,
 //     sampled after the build and after each query — what the process
-//     actually has to retain: the store plus the engine's caches. This
-//     is the column the storage layout moves;
+//     actually has to retain: the store plus the engine's caches;
 //   - per-query timings, recorded like every other experiment.
 //
-// Records land in BENCH_PR9.json under Setting "layout=<l> sf=<sf>";
-// the synthetic instance_bytes/peak_heap rows carry the byte counts in
+// Records land in BENCH_PR9.json under Setting "layout=columnar sf=<sf>"
+// (the setting string predates the removal of the row store, and is
+// kept so fresh runs match the committed baseline); the synthetic
+// instance_bytes/peak_heap/peak_live rows carry the byte counts in
 // heap_bytes, where `aggbench -compare` applies its allocation
 // regression guard.
-func (r *Runner) ColumnarCompare() (*Table, error) {
+func (r *Runner) ColumnarStore() (*Table, error) {
 	r.setExperiment("PR9") // records land in BENCH_PR9.json
 	scales := []struct {
 		sf      float64
@@ -45,97 +39,59 @@ func (r *Runner) ColumnarCompare() (*Table, error) {
 		queries []tpch.Query
 	}{
 		// The paper-calibrated small scale runs the full suite; the 10×
-		// scale leg (the ISSUE's digest-verified big run) keeps to the
-		// scalar queries to bound solver time.
+		// scale leg keeps to the scalar queries to bound solver time.
 		{r.cfg.SFSmall, 10, append(append([]tpch.Query{}, tpch.ScalarQueries()...), tpch.GroupedQueries()...)},
 		{0.01, 10, tpch.ScalarQueries()},
 	}
 	t := &Table{
-		Title:  fmt.Sprintf("PR9 — columnar vs row fact store, DBGen 10%%, sf=%g and sf=0.01", r.cfg.SFSmall),
-		Header: []string{"scale/metric", "row", "columnar", "delta"},
+		Title:  fmt.Sprintf("PR9 — columnar fact store, DBGen 10%%, sf=%g and sf=0.01", r.cfg.SFSmall),
+		Header: []string{"scale/metric", "columnar"},
 	}
 	for _, sc := range scales {
-		row, err := r.measureLayout(db.LayoutRow, sc.sf, sc.pct, sc.queries)
-		if err != nil {
-			return nil, err
-		}
-		col, err := r.measureLayout(db.LayoutColumnar, sc.sf, sc.pct, sc.queries)
+		m, err := r.measureStore(sc.sf, sc.pct, sc.queries)
 		if err != nil {
 			return nil, err
 		}
 		for _, q := range sc.queries {
-			rm, cm := row.queries[q.Name], col.queries[q.Name]
-			if rm.timeout != cm.timeout {
-				return nil, fmt.Errorf("bench: pr9: %s at sf=%g: one layout timed out (row=%v, columnar=%v) — the layouts must drive the solver identically",
-					q.Name, sc.sf, rm.timeout, cm.timeout)
+			cell := "t/o"
+			if sm := m.queries[q.Name]; !sm.timeout {
+				cell = ms(sm.total)
 			}
-			if rm.timeout {
-				t.Rows = append(t.Rows, []string{
-					fmt.Sprintf("sf=%g %s", sc.sf, q.Name), "t/o", "t/o", "n/a",
-				})
-				continue
-			}
-			if rm.key != cm.key {
-				return nil, fmt.Errorf("bench: pr9: %s at sf=%g: answers differ between layouts:\nrow:      %s\ncolumnar: %s",
-					q.Name, sc.sf, rm.key, cm.key)
-			}
-			if rm.stats.Vars != cm.stats.Vars || rm.stats.Clauses != cm.stats.Clauses {
-				return nil, fmt.Errorf("bench: pr9: %s at sf=%g: CNF size differs between layouts: row %d vars / %d clauses, columnar %d / %d",
-					q.Name, sc.sf, rm.stats.Vars, rm.stats.Clauses, cm.stats.Vars, cm.stats.Clauses)
-			}
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("sf=%g %s", sc.sf, q.Name),
-				ms(rm.total), ms(cm.total),
-				deltaCell(float64(rm.total), float64(cm.total)),
-			})
+			t.Rows = append(t.Rows, []string{fmt.Sprintf("sf=%g %s", sc.sf, q.Name), cell})
 		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("sf=%g instance_bytes", sc.sf),
-			mibCell(row.resident), mibCell(col.resident),
-			deltaCell(float64(row.resident), float64(col.resident)),
-		})
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("sf=%g peak_heap", sc.sf),
-			mibCell(row.peak), mibCell(col.peak),
-			deltaCell(float64(row.peak), float64(col.peak)),
-		})
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("sf=%g peak_live", sc.sf),
-			mibCell(row.peakLive), mibCell(col.peakLive),
-			deltaCell(float64(row.peakLive), float64(col.peakLive)),
-		})
+		t.Rows = append(t.Rows,
+			[]string{fmt.Sprintf("sf=%g instance_bytes", sc.sf), mibCell(m.resident)},
+			[]string{fmt.Sprintf("sf=%g peak_heap", sc.sf), mibCell(m.peak)},
+			[]string{fmt.Sprintf("sf=%g peak_live", sc.sf), mibCell(m.peakLive)},
+		)
 	}
 	return t, nil
 }
 
-// layoutMeas is one layout's sequential measurement at one scale.
-type layoutMeas struct {
+// storeMeas is the store's measurement at one scale.
+type storeMeas struct {
 	resident int64 // GC-settled live-heap delta of the instance
 	peak     int64 // sampled peak HeapAlloc above the pre-build baseline
 	peakLive int64 // peak GC-settled live heap above the same baseline
-	queries  map[string]layoutQuery
+	queries  map[string]storeQuery
 }
 
-type layoutQuery struct {
-	stats   core.Stats
+type storeQuery struct {
 	total   time.Duration
-	answers int
 	timeout bool
-	key     string
 }
 
-// measureLayout builds the demo instance under the layout, runs the
-// queries, and tears everything down before returning, so the next
-// layout starts from the same heap baseline. Instances are built
-// directly (not via the runner's dbgen cache) precisely so nothing
-// outlives the measurement.
-func (r *Runner) measureLayout(layout db.Layout, sf, pct float64, queries []tpch.Query) (*layoutMeas, error) {
-	r.curSetting = fmt.Sprintf("layout=%s sf=%g", layout, sf)
+// measureStore builds the demo instance, runs the queries, and tears
+// everything down before returning, so the next scale starts from the
+// same heap baseline. Instances are built directly (not via the
+// runner's dbgen cache) precisely so nothing outlives the measurement.
+func (r *Runner) measureStore(sf, pct float64, queries []tpch.Query) (*storeMeas, error) {
+	r.curSetting = fmt.Sprintf("layout=columnar sf=%g", sf)
 	runtime.GC()
 	base := liveHeap()
 
 	sampler := startPeakSampler(2 * time.Millisecond)
-	in, err := tpch.DemoInstanceLayout(sf, pct, r.cfg.Seed, layout)
+	in, err := tpch.DemoInstance(sf, pct, r.cfg.Seed)
 	if err != nil {
 		sampler.Stop()
 		return nil, err
@@ -148,7 +104,7 @@ func (r *Runner) measureLayout(layout db.Layout, sf, pct float64, queries []tpch
 		sampler.Stop()
 		return nil, err
 	}
-	m := &layoutMeas{resident: resident, peakLive: resident, queries: map[string]layoutQuery{}}
+	m := &storeMeas{resident: resident, peakLive: resident, queries: map[string]storeQuery{}}
 	for _, q := range queries {
 		tr, err := q.Translate()
 		if err != nil {
@@ -158,26 +114,20 @@ func (r *Runner) measureLayout(layout db.Layout, sf, pct float64, queries []tpch
 		start := time.Now()
 		rep, err := eng.RangeAnswersContext(r.ctx(), tr.Aggs[0].Query)
 		if timedOut(err) {
-			lq := layoutQuery{total: time.Since(start), timeout: true}
-			m.queries[q.Name] = lq
-			r.record(q.Name, queryResult{total: lq.total, timeout: true})
+			sq := storeQuery{total: time.Since(start), timeout: true}
+			m.queries[q.Name] = sq
+			r.record(q.Name, queryResult{total: sq.total, timeout: true})
 			continue
 		}
 		if err != nil {
 			sampler.Stop()
-			return nil, fmt.Errorf("bench: pr9: %s (%s, sf=%g): %w", q.Name, layout, sf, err)
+			return nil, fmt.Errorf("bench: pr9: %s (sf=%g): %w", q.Name, sf, err)
 		}
-		lq := layoutQuery{
-			stats:   rep.Stats,
-			total:   time.Since(start),
-			answers: len(rep.Answers),
-			key:     answersKey(rep),
-		}
-		m.queries[q.Name] = lq
-		r.recordStats(q.Name, lq.stats, lq.total, lq.answers)
+		sq := storeQuery{total: time.Since(start)}
+		m.queries[q.Name] = sq
+		r.recordStats(q.Name, rep.Stats, sq.total, len(rep.Answers))
 		// Settle the heap: what survives a GC here is the store plus the
-		// engine's caches (plans, hash indexes, solver bases) — the live
-		// set the layout is responsible for.
+		// engine's caches (plans, hash indexes, solver bases).
 		runtime.GC()
 		if live := int64(liveHeap()) - int64(base); live > m.peakLive {
 			m.peakLive = live
@@ -191,7 +141,7 @@ func (r *Runner) measureLayout(layout db.Layout, sf, pct float64, queries []tpch
 	r.record("peak_heap", queryResult{stats: core.Stats{HeapBytes: m.peak}})
 	r.record("peak_live", queryResult{stats: core.Stats{HeapBytes: m.peakLive}})
 
-	// Drop the instance and engine before the next layout is measured.
+	// Drop the instance and engine before the next scale is measured.
 	runtime.GC()
 	return m, nil
 }
@@ -244,13 +194,4 @@ func (p *peakSampler) Stop() uint64 {
 // mibCell renders a byte count for the table.
 func mibCell(b int64) string {
 	return fmt.Sprintf("%.2f MiB", float64(b)/(1<<20))
-}
-
-// deltaCell renders the columnar-vs-row change as a signed percentage
-// (negative = columnar smaller/faster).
-func deltaCell(row, col float64) string {
-	if row <= 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%+.1f%%", 100*(col/row-1))
 }

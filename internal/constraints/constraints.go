@@ -155,42 +155,30 @@ type Violation []db.FactID
 // DCs evaluate generically, and both streams merge through one
 // dedup + minimality filter.
 func MinimalViolations(e *cq.Evaluator, dcs []DC) []Violation {
-	return minimalViolations(e, dcs, false)
-}
-
-// MinimalViolationsGeneric is MinimalViolations with the key fast path
-// disabled: every DC body is instantiated by the evaluator. It is the
-// semantic reference for the fast path (equivalence property tests) and
-// the legacy-front-end benchmark baseline.
-func MinimalViolationsGeneric(e *cq.Evaluator, dcs []DC) []Violation {
-	return minimalViolations(e, dcs, true)
-}
-
-func minimalViolations(e *cq.Evaluator, dcs []DC, forceGeneric bool) []Violation {
 	in := e.Instance()
 	dedup := newVioDedup()
-	gen := dcs
-	if !forceGeneric {
-		fastRels, generic := splitKeyDCs(in.Schema(), dcs)
-		if len(fastRels) > 0 {
-			keyGroupViolations(in, fastRels, dedup.add)
-			gen = generic
-		}
+	fastRels, generic := splitKeyDCs(in.Schema(), dcs)
+	if len(fastRels) > 0 {
+		keyGroupViolations(in, fastRels, dedup.add)
 	}
-	for _, dc := range gen {
+	for _, dc := range generic {
 		for _, r := range e.Eval(dc.Body()) {
 			dedup.add(r.Facts)
 		}
 	}
-	all := dedup.all
+	return sortedMinimal(dedup.all)
+}
+
+// sortedMinimal orders deduplicated candidate violations by size, then
+// lexicographically, and keeps only the minimal sets: any superset
+// comes after its subsets in that order.
+func sortedMinimal(all []Violation) []Violation {
 	sort.Slice(all, func(i, j int) bool {
 		if len(all[i]) != len(all[j]) {
 			return len(all[i]) < len(all[j])
 		}
 		return compareIDs(all[i], all[j]) < 0
 	})
-	// Keep only minimal sets. Candidates are sorted by size, so any
-	// superset comes after its subsets.
 	return minimalFilter(all)
 }
 

@@ -50,6 +50,19 @@ func randomConsInstance(rng *xrand.Rand, n int) *db.Instance {
 	return in
 }
 
+// MinimalViolationsGeneric is MinimalViolations with the key fast path
+// disabled: every DC body is instantiated by the evaluator. It is the
+// semantic reference the fast path is checked against.
+func MinimalViolationsGeneric(e *cq.Evaluator, dcs []DC) []Violation {
+	dedup := newVioDedup()
+	for _, dc := range dcs {
+		for _, r := range e.Eval(dc.Body()) {
+			dedup.add(r.Facts)
+		}
+	}
+	return sortedMinimal(dedup.all)
+}
+
 func violationsEqual(a, b []Violation) bool {
 	if len(a) != len(b) {
 		return false

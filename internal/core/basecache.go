@@ -11,10 +11,11 @@ import (
 // path: hard clauses loaded into a solver once per component and cloned
 // per MaxSAT run, with both optimization directions (and the MaxHS→RC2
 // fallback) served from the same base. External solvers cannot share a
-// base — each invocation consumes a standalone WCNF file — so they
-// always run legacy regardless of the option.
+// base — each invocation consumes a standalone WCNF file — so they run
+// the formula path: one WCNF per MaxSAT run, with an explicit
+// NegateSoft copy for the lub direction.
 func (e *Engine) incremental() bool {
-	return !e.opts.DisableIncremental && e.opts.MaxSAT.Algorithm != maxsat.AlgExternal
+	return e.opts.MaxSAT.Algorithm != maxsat.AlgExternal
 }
 
 // baseEntry is one cached component: built at most once under once,

@@ -79,13 +79,6 @@ type Options struct {
 	// metrics into this session-wide registry (e.g. for a Prometheus
 	// scrape endpoint). Per-call Stats are unaffected.
 	Metrics *obsv.Registry
-	// DisableIncremental forces the legacy solve path: one fresh solver
-	// per MaxSAT run and an explicit NegateSoft formula for the lub
-	// direction, with no sharing of hard-clause bases across directions,
-	// components, or queries. The escape hatch for the incremental path,
-	// which is on by default (external solvers always run legacy: they
-	// consume a WCNF file per invocation).
-	DisableIncremental bool
 	// SlowQuery, when positive, classifies any engine call that takes
 	// longer than this threshold as an anomaly even though it succeeded:
 	// its flight-recorder bundle is handed to OnAnomaly, so persistently
@@ -126,14 +119,6 @@ type Options struct {
 	// cannot answer. Answers are identical across modes — only the
 	// executor changes.
 	Planner planner.Mode
-	// DisableFrontendOpt forces the legacy relational front end: the
-	// recursive interpreted CQ evaluator with string-keyed indexes and
-	// sequential enumeration, uncached string-keyed key-equal grouping,
-	// and generic uncached minimal-violation computation. The escape
-	// hatch and benchmark baseline for the compiled front end (query
-	// plans, hash indexes, key-aware constraint fast path, parallel
-	// witness enumeration), which is on by default.
-	DisableFrontendOpt bool
 }
 
 // Engine computes range consistent answers over one instance. The
@@ -174,11 +159,7 @@ func New(in *db.Instance, opts Options) (*Engine, error) {
 	}
 	e := &Engine{in: in, eval: cq.NewEvaluator(in), opts: opts}
 	e.planner = planner.New(in, opts.Planner, opts.Mode == DCMode)
-	if opts.DisableFrontendOpt {
-		e.eval.SetInterpreted(true)
-	} else {
-		e.eval.SetParallelism(e.parallelism())
-	}
+	e.eval.SetParallelism(e.parallelism())
 	return e, nil
 }
 
@@ -407,11 +388,7 @@ func (e *Engine) buildContext() *constraintContext {
 	n := e.in.NumFacts()
 	switch e.opts.Mode {
 	case KeysMode:
-		if e.opts.DisableFrontendOpt {
-			ctx.groups = e.in.KeyEqualGroupsUncached()
-		} else {
-			ctx.groups = e.in.KeyEqualGroups()
-		}
+		ctx.groups = e.in.KeyEqualGroups()
 		ctx.groupOf = make([]int, n)
 		ctx.groupSafe = make([]bool, len(ctx.groups))
 		for gi, g := range ctx.groups {
@@ -421,14 +398,8 @@ func (e *Engine) buildContext() *constraintContext {
 			}
 		}
 	case DCMode:
-		if e.opts.DisableFrontendOpt {
-			ctx.violations = constraints.MinimalViolationsGeneric(e.eval, e.opts.DCs)
-			ctx.nearIdx = constraints.BuildNearViolations(ctx.violations, n)
-			ctx.genericDCs = len(e.opts.DCs)
-		} else {
-			ctx.violations, ctx.nearIdx, ctx.consCacheHit = constraints.CachedConstraintsInfo(e.eval, e.opts.DCs)
-			ctx.fastRels, ctx.genericDCs = constraints.FastPathInfo(e.in.Schema(), e.opts.DCs)
-		}
+		ctx.violations, ctx.nearIdx, ctx.consCacheHit = constraints.CachedConstraintsInfo(e.eval, e.opts.DCs)
+		ctx.fastRels, ctx.genericDCs = constraints.FastPathInfo(e.in.Schema(), e.opts.DCs)
 		ctx.adj = make([][]db.FactID, n)
 		for _, v := range ctx.violations {
 			for _, f := range v {

@@ -42,7 +42,7 @@ type ComponentExplain struct {
 	Clauses   int `json:"clauses"`
 	// BaseHit reports whether the component's hard-clause encoding and
 	// loaded solver base came from the Engine.bases memo (false: built
-	// here; meaningless on the legacy non-incremental path).
+	// here; meaningless for the external solver, which shares no base).
 	BaseHit  bool  `json:"base_hit"`
 	EncodeNS int64 `json:"encode_ns"`
 
@@ -67,7 +67,7 @@ func (ce *ComponentExplain) addDirection(dir, alg string, res maxsat.Result, d t
 }
 
 // Explain is the per-solve report assembled when Options.Explain is set:
-// which code paths answered the call (mode, front end, solver route),
+// which code paths answered the call (mode, planner route, solver),
 // the cache outcomes, the per-component breakdown, and the same Stats
 // projection the Report carries — both views are built from the one
 // call-local metric snapshot, so their phase totals reconcile exactly.
@@ -78,9 +78,9 @@ type Explain struct {
 	// lowercase hex digits), when the context carried one — the same id
 	// the journal line, flight bundle, and cavsatd response carry.
 	TraceID string `json:"trace_id,omitempty"`
-	// Mode is "keys" or "dc"; Frontend is "compiled" or "interpreted".
+	// Mode is "keys" or "dc". Incremental is false only for the
+	// external solver, which runs one WCNF file per MaxSAT run.
 	Mode        string `json:"mode"`
-	Frontend    string `json:"frontend"`
 	Algorithm   string `json:"algorithm"`
 	Incremental bool   `json:"incremental"`
 	Parallelism int    `json:"parallelism"`
@@ -159,7 +159,6 @@ func (e *Engine) buildExplain(query, op, traceID string, rc *recorder, stats Sta
 		Op:          op,
 		TraceID:     traceID,
 		Mode:        e.modeString(),
-		Frontend:    e.frontendString(),
 		Algorithm:   e.opts.MaxSAT.Algorithm.String(),
 		Incremental: e.incremental(),
 		Parallelism: e.parallelism(),
@@ -197,13 +196,6 @@ func (e *Engine) modeString() string {
 	return "keys"
 }
 
-func (e *Engine) frontendString() string {
-	if e.opts.DisableFrontendOpt {
-		return "interpreted"
-	}
-	return "compiled"
-}
-
 // WriteTable renders the explain report as an aligned text table: the
 // solve configuration and cache outcomes, the per-phase time/alloc
 // breakdown (the same numbers as `-stats`), and one row per component
@@ -216,7 +208,6 @@ func (ex *Explain) WriteTable(w io.Writer) error {
 		fmt.Fprintf(tw, "trace\t%s\n", ex.TraceID)
 	}
 	fmt.Fprintf(tw, "mode\t%s\n", ex.Mode)
-	fmt.Fprintf(tw, "frontend\t%s\n", ex.Frontend)
 	route := ex.Route
 	if ex.RouteReason != "" {
 		route += " (" + ex.RouteReason + ")"
@@ -229,7 +220,7 @@ func (ex *Explain) WriteTable(w io.Writer) error {
 	if ex.Incremental {
 		solver += " (incremental)"
 	} else {
-		solver += " (legacy)"
+		solver += " (per-run formula)"
 	}
 	fmt.Fprintf(tw, "solver\t%s\n", solver)
 	fmt.Fprintf(tw, "parallelism\t%d\n", ex.Parallelism)

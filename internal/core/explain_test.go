@@ -30,8 +30,8 @@ func TestExplainReconcilesWithStats(t *testing.T) {
 	if !reflect.DeepEqual(ex.Stats, rep.Stats) {
 		t.Errorf("explain stats diverge from report stats:\nexplain: %+v\nreport:  %+v", ex.Stats, rep.Stats)
 	}
-	if ex.Op != "SUM" || ex.Mode != "keys" || ex.Frontend == "" || ex.Algorithm == "" {
-		t.Errorf("explain identity = op %q mode %q frontend %q alg %q", ex.Op, ex.Mode, ex.Frontend, ex.Algorithm)
+	if ex.Op != "SUM" || ex.Mode != "keys" || ex.Algorithm == "" {
+		t.Errorf("explain identity = op %q mode %q alg %q", ex.Op, ex.Mode, ex.Algorithm)
 	}
 	if len(ex.Components) == 0 {
 		t.Fatal("no component breakdown recorded")
@@ -130,7 +130,7 @@ func TestExplainWriteTableAndJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"mode":"keys"`, `"components"`, `"stats"`, `"base_hits"`, `"frontend"`} {
+	for _, key := range []string{`"mode":"keys"`, `"components"`, `"stats"`, `"base_hits"`, `"route"`} {
 		if !strings.Contains(string(b), key) {
 			t.Errorf("JSON missing %s:\n%s", key, b)
 		}

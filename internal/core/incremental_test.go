@@ -6,15 +6,17 @@ import (
 
 	"aggcavsat/internal/cq"
 	"aggcavsat/internal/db"
+	"aggcavsat/internal/exhaustive"
 	"aggcavsat/internal/maxsat"
 )
 
-// TestIncrementalMatchesLegacy is the PR's identity property test: the
-// incremental shared-base path and the legacy one-solver-per-run path
-// must return byte-identical answers on random inconsistent instances,
+// TestIncrementalMatchesExhaustive pins the shared-base solve path —
+// hard clauses loaded once per component, both optimization directions
+// and the MaxHS→RC2 fallback served from clones — to brute-force repair
+// enumeration (internal/exhaustive) on random inconsistent instances,
 // for every operator, scalar and grouped, all three built-in MaxSAT
 // algorithms, and both a sequential and a parallel worker pool.
-func TestIncrementalMatchesLegacy(t *testing.T) {
+func TestIncrementalMatchesExhaustive(t *testing.T) {
 	ops := []cq.AggOp{cq.CountStar, cq.Count, cq.Sum, cq.CountDistinct, cq.SumDistinct, cq.Min, cq.Max}
 	algs := []maxsat.Algorithm{maxsat.AlgMaxHS, maxsat.AlgRC2, maxsat.AlgLSU}
 	trials := 25
@@ -24,41 +26,34 @@ func TestIncrementalMatchesLegacy(t *testing.T) {
 	for seed := 1; seed <= trials; seed++ {
 		r := rng(seed*15485863 + 9)
 		in := randomInstance(&r)
+		want := map[string][]exhaustive.GroupRange{}
+		for _, op := range ops {
+			for _, grouped := range []bool{false, true} {
+				w, err := exhaustive.RangeAnswers(in, joinQuery(op, grouped), exhaustive.Options{Mode: exhaustive.ModeKeys})
+				if err != nil {
+					t.Fatalf("seed %d op %v grouped %v: exhaustive: %v", seed, op, grouped, err)
+				}
+				want[fmt.Sprint(op, grouped)] = w
+			}
+		}
 		for _, alg := range algs {
 			for _, par := range []int{1, 4} {
-				inc, err := New(in, Options{Mode: KeysMode, Parallelism: par,
+				eng, err := New(in, Options{Mode: KeysMode, Parallelism: par,
 					MaxSAT: maxsat.Options{Algorithm: alg}})
 				if err != nil {
 					t.Fatal(err)
 				}
-				leg, err := New(in, Options{Mode: KeysMode, Parallelism: par,
-					MaxSAT: maxsat.Options{Algorithm: alg}, DisableIncremental: true})
-				if err != nil {
-					t.Fatal(err)
+				if !eng.incremental() {
+					t.Fatalf("alg %v: engine not on the shared-base path", alg)
 				}
 				for _, op := range ops {
 					for _, grouped := range []bool{false, true} {
-						q := joinQuery(op, grouped)
 						label := fmt.Sprintf("seed %d alg %v par %d op %v grouped %v", seed, alg, par, op, grouped)
-						a, err := inc.RangeAnswers(q)
+						got, err := eng.RangeAnswers(joinQuery(op, grouped))
 						if err != nil {
-							t.Fatalf("%s: incremental: %v", label, err)
+							t.Fatalf("%s: %v", label, err)
 						}
-						b, err := leg.RangeAnswers(q)
-						if err != nil {
-							t.Fatalf("%s: legacy: %v", label, err)
-						}
-						if len(a.Answers) != len(b.Answers) {
-							t.Fatalf("%s: %d vs %d answers", label, len(a.Answers), len(b.Answers))
-						}
-						for i := range a.Answers {
-							ga, gb := a.Answers[i], b.Answers[i]
-							if ga.Key.Compare(gb.Key) != 0 ||
-								!valuesMatch(ga.GLB, gb.GLB) || !valuesMatch(ga.LUB, gb.LUB) ||
-								ga.EmptyPossible != gb.EmptyPossible {
-								t.Fatalf("%s: answer %d incremental %+v vs legacy %+v", label, i, ga, gb)
-							}
-						}
+						compareReports(t, label, got, want[fmt.Sprint(op, grouped)])
 					}
 				}
 			}
@@ -67,38 +62,22 @@ func TestIncrementalMatchesLegacy(t *testing.T) {
 }
 
 // TestIncrementalConsistentAnswersMatch covers the Algorithm-2 path: the
-// candidate consistency checks fork from a cached hard base when
-// incremental, and must accept exactly the same answers either way.
+// candidate consistency checks fork from a cached hard base and must
+// accept exactly the answers repair enumeration does, sequentially and
+// in parallel.
 func TestIncrementalConsistentAnswersMatch(t *testing.T) {
-	u := cq.Single(cq.CQ{
-		Head: []string{"g"},
-		Atoms: []cq.Atom{
-			{Rel: "R", Args: []cq.Term{cq.V("k"), cq.V("g"), cq.V("v")}},
-			{Rel: "S", Args: []cq.Term{cq.V("k"), cq.V("w")}},
-		},
-	})
+	u := consQuery()
 	for seed := 1; seed <= 20; seed++ {
 		r := rng(seed*32452843 + 13)
 		in := randomInstance(&r)
+		want := exhaustiveCons(t, in, u)
 		for _, par := range []int{1, 4} {
-			inc, _ := New(in, Options{Mode: KeysMode, Parallelism: par})
-			leg, _ := New(in, Options{Mode: KeysMode, Parallelism: par, DisableIncremental: true})
-			a, _, err := inc.ConsistentAnswers(u)
+			eng, _ := New(in, Options{Mode: KeysMode, Parallelism: par})
+			got, _, err := eng.ConsistentAnswers(u)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, _, err := leg.ConsistentAnswers(u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(a) != len(b) {
-				t.Fatalf("seed %d par %d: %d vs %d consistent answers", seed, par, len(a), len(b))
-			}
-			for i := range a {
-				if a[i].Compare(b[i]) != 0 {
-					t.Fatalf("seed %d par %d: answer %d %v vs %v", seed, par, i, a[i], b[i])
-				}
-			}
+			requireConsMatches(t, fmt.Sprintf("seed %d par %d", seed, par), got, want)
 		}
 	}
 }
@@ -166,25 +145,18 @@ func benchInstance(nKeys int) *db.Instance {
 
 // BenchmarkGroupedSumIncremental measures the end-to-end grouped SUM
 // pipeline — Algorithm 2 grouping plus one WPMaxSAT component per
-// key-equal group per direction — with the shared-base path on and off.
+// key-equal group per direction — on the shared-base path.
 func BenchmarkGroupedSumIncremental(b *testing.B) {
 	in := benchInstance(150)
 	q := singleRelQuery(cq.Sum, true)
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"incremental", false}, {"legacy", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e, err := New(in, Options{Mode: KeysMode, Parallelism: 1, DisableIncremental: mode.disable})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := e.RangeAnswers(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e, err := New(in, Options{Mode: KeysMode, Parallelism: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.RangeAnswers(q); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -63,7 +63,6 @@ func (e *Engine) appendJournal(ctx context.Context, op, query string, answers []
 			Mode:        e.modeString(),
 			Parallelism: e.parallelism(),
 			Incremental: e.incremental(),
-			Frontend:    e.frontendString(),
 			Planner:     e.opts.Planner.String(),
 		},
 

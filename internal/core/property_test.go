@@ -303,70 +303,81 @@ func TestSolversAgree(t *testing.T) {
 // TestConsistentAnswersAgainstExhaustive verifies CONS(q) against repair
 // enumeration for the underlying (non-aggregate) query.
 func TestConsistentAnswersAgainstExhaustive(t *testing.T) {
+	u := consQuery()
 	for seed := 1; seed <= 40; seed++ {
 		r := rng(seed*6700417 + 5)
 		in := randomInstance(&r)
-		u := cq.Single(cq.CQ{
-			Head: []string{"g"},
-			Atoms: []cq.Atom{
-				{Rel: "R", Args: []cq.Term{cq.V("k"), cq.V("g"), cq.V("v")}},
-				{Rel: "S", Args: []cq.Term{cq.V("k"), cq.V("w")}},
-			},
-		})
 		eng, _ := New(in, Options{Mode: KeysMode})
 		got, _, err := eng.ConsistentAnswers(u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Exhaustive: intersect answers across repairs.
-		var want []db.Tuple
-		first := true
-		inter := map[string]db.Tuple{}
-		e := cq.NewEvaluator(in)
-		rows := e.EvalUCQ(u)
-		err = exhaustive.RepairsKeys(in, func(keep []bool) bool {
-			local := map[string]db.Tuple{}
-			for _, row := range rows {
-				alive := true
-				for _, f := range row.Facts {
-					if !keep[f] {
-						alive = false
-						break
-					}
-				}
-				if alive {
-					local[row.Head.Key([]int{0})] = row.Head
+		requireConsMatches(t, fmt.Sprintf("seed %d", seed), got, exhaustiveCons(t, in, u))
+	}
+}
+
+// consQuery is the single-head join whose CONS the consistency tests
+// check.
+func consQuery() cq.UCQ {
+	return cq.Single(cq.CQ{
+		Head: []string{"g"},
+		Atoms: []cq.Atom{
+			{Rel: "R", Args: []cq.Term{cq.V("k"), cq.V("g"), cq.V("v")}},
+			{Rel: "S", Args: []cq.Term{cq.V("k"), cq.V("w")}},
+		},
+	})
+}
+
+// exhaustiveCons computes CONS(u) for a single-head query by
+// intersecting its answers across every key repair, keyed by the
+// answer's Tuple.Key.
+func exhaustiveCons(t *testing.T, in *db.Instance, u cq.UCQ) map[string]db.Tuple {
+	t.Helper()
+	first := true
+	inter := map[string]db.Tuple{}
+	rows := cq.NewEvaluator(in).EvalUCQ(u)
+	err := exhaustive.RepairsKeys(in, func(keep []bool) bool {
+		local := map[string]db.Tuple{}
+		for _, row := range rows {
+			alive := true
+			for _, f := range row.Facts {
+				if !keep[f] {
+					alive = false
+					break
 				}
 			}
-			if first {
-				inter = local
-				first = false
-				return true
+			if alive {
+				local[row.Head.Key([]int{0})] = row.Head
 			}
-			for k := range inter {
-				if _, ok := local[k]; !ok {
-					delete(inter, k)
-				}
-			}
+		}
+		if first {
+			inter = local
+			first = false
 			return true
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
-		for _, v := range inter {
-			want = append(want, v)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: CONS size %d, exhaustive %d (%v vs %v)", seed, len(got), len(want), got, want)
-		}
-		wantSet := map[string]bool{}
-		for _, w := range want {
-			wantSet[w.Key([]int{0})] = true
-		}
-		for _, g := range got {
-			if !wantSet[g.Key([]int{0})] {
-				t.Fatalf("seed %d: spurious consistent answer %v", seed, g)
+		for k := range inter {
+			if _, ok := local[k]; !ok {
+				delete(inter, k)
 			}
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inter
+}
+
+// requireConsMatches asserts that the engine's consistent answers are
+// exactly the exhaustive set.
+func requireConsMatches(t *testing.T, label string, got []db.Tuple, want map[string]db.Tuple) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: CONS size %d, exhaustive %d (%v vs %v)", label, len(got), len(want), got, want)
+	}
+	for _, g := range got {
+		if _, ok := want[g.Key([]int{0})]; !ok {
+			t.Fatalf("%s: spurious consistent answer %v", label, g)
 		}
 	}
 }

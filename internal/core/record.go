@@ -74,7 +74,6 @@ func (e *Engine) newRecorder() (*recorder, *obsv.Registry) {
 	if e.opts.Explain {
 		rc.exp = &explainCollector{}
 	}
-	rc.gaugeSet(obsv.MetricFrontendMode, b2i(!e.opts.DisableFrontendOpt))
 	rc.gaugeSet(obsv.MetricIncrementalMode, b2i(e.incremental()))
 	// "Cached" until the constraint build proves otherwise (see
 	// constraintCtx).

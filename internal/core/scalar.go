@@ -378,8 +378,9 @@ func distinctContribution(op cq.AggOp, v db.Value) int64 {
 // On the incremental path both directions run over one maxsat.Instance
 // sharing a single solver base (cloned per algorithm run), seeded from
 // the component's cached HardBase when the caller has one; the negation
-// is a weight view, so no negated formula is materialized. The legacy
-// path builds a fresh solver per run and an explicit NegateSoft copy.
+// is a weight view, so no negated formula is materialized. The external
+// solver cannot share a base: it gets one WCNF file per run, with an
+// explicit NegateSoft copy for the lub direction.
 func (e *Engine) solveBothDirections(ctx context.Context, f *cnf.Formula, base *maxsat.HardBase, rc *recorder, ce *ComponentExplain) (minF, maxF int64, err error) {
 	total := f.TotalSoftWeight()
 

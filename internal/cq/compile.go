@@ -15,13 +15,13 @@ import (
 // (no per-recursion map allocations), conditions become closures over
 // slots, and index probes fold uint64 composite keys (FNV over value
 // kind+payload) instead of materializing Tuple.Key strings. The plan —
-// atom order and condition attachment — is exactly planCQ's, and
-// candidates are visited in the same order as the interpreter, so the
-// compiled path reproduces the interpreter's rows row for row; the
-// equivalence is enforced by property tests in compile_test.go.
+// atom order and condition attachment — is planCQ's, and candidates are
+// visited in insertion order, so the row order is deterministic; the
+// row bag is checked against a brute-force reference evaluator by the
+// property tests in compile_test.go.
 //
-// Semantics note: like the interpreter, a position whose variable is
-// bound by an earlier atom (or a constant) is an index probe and
+// Semantics note: a position whose variable is bound by an earlier
+// atom in plan order (or a constant) is an index probe and
 // matches with Tuple.Key equality, i.e. kind-exact (Int(1) does not
 // probe-match Float(1)); a variable repeated within one atom is checked
 // with Value.Equal (Compare-based, so Int(1) matches Float(1)). The
@@ -171,7 +171,7 @@ func writeTermKey(b *strings.Builder, t Term) {
 }
 
 // program returns (compiling and caching on demand) the compiled plan
-// for q, and panics on an invalid query exactly like the interpreter.
+// for q, and panics on an invalid query.
 func (e *Evaluator) program(q CQ) *program {
 	k := shapeKey(q)
 	e.planMu.RLock()
@@ -234,11 +234,11 @@ const (
 // runProgram executes a compiled program, fanning the first atom's
 // candidate list across e.par workers when it is large enough. Chunks
 // are merged by index, so the parallel row order equals the sequential
-// (and interpreter) order.
+// order.
 func (e *Evaluator) runProgram(ctx context.Context, p *program) ([]Row, error) {
 	if len(p.steps) == 0 {
 		// A query with no atoms has exactly one (empty) witnessing
-		// assignment, matching the interpreter's base case.
+		// assignment.
 		return []Row{{Head: db.Tuple{}}}, nil
 	}
 	st0 := &p.steps[0]
@@ -425,7 +425,7 @@ func (r *progRun) candidate(st *pstep, step int, id db.FactID, probe []db.Value)
 }
 
 // emit materializes the current frame and fact stack as a Row, with the
-// same sorted-deduplicated fact set the interpreter produces.
+// fact set sorted and deduplicated.
 func (r *progRun) emit() {
 	head := make(db.Tuple, len(r.p.headSlots))
 	for i, s := range r.p.headSlots {

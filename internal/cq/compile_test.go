@@ -11,8 +11,8 @@ import (
 )
 
 // rowsEqual compares two row lists exactly: same order, kind-exact head
-// values, identical fact sets. This is the "row for row" equivalence the
-// compiled path promises against the interpreter.
+// values, identical fact sets — the row-order determinism the parallel
+// runner promises against the sequential one.
 func rowsEqual(a, b []Row) bool {
 	if len(a) != len(b) {
 		return false
@@ -130,68 +130,6 @@ func randomCQ(rng *xrand.Rand) CQ {
 	return q
 }
 
-// TestCompiledMatchesInterpreterFixtures checks the paper fixtures.
-func TestCompiledMatchesInterpreterFixtures(t *testing.T) {
-	in := bank()
-	compiled := NewEvaluator(in)
-	interp := NewEvaluator(in)
-	interp.SetInterpreted(true)
-	queries := []CQ{
-		maryBalances(),
-		sameCity(),
-		{Head: []string{"cid", "name"}, Atoms: []Atom{{Rel: "Cust", Args: []Term{V("cid"), V("name"), V("city")}}}},
-		{
-			Head: []string{"n1", "n2"},
-			Atoms: []Atom{
-				{Rel: "Cust", Args: []Term{V("c1"), V("n1"), V("city")}},
-				{Rel: "Cust", Args: []Term{V("c2"), V("n2"), V("city")}},
-			},
-			Conds: []Condition{{Left: V("c1"), Op: OpLT, Right: V("c2")}},
-		},
-	}
-	for i, q := range queries {
-		want := interp.Eval(q)
-		got := compiled.Eval(q)
-		if !rowsEqual(got, want) {
-			t.Errorf("query %d (%s): compiled rows differ\n got: %v\nwant: %v", i, q, got, want)
-		}
-	}
-}
-
-// TestCompiledMatchesInterpreterRandom is the row-for-row property test
-// across randomized instances and query shapes.
-func TestCompiledMatchesInterpreterRandom(t *testing.T) {
-	for trial := 0; trial < 60; trial++ {
-		rng := xrand.New(uint64(trial)*2654435761 + 1)
-		in := randomEvalInstance(rng, 20+rng.Intn(30))
-		compiled := NewEvaluator(in)
-		interp := NewEvaluator(in)
-		interp.SetInterpreted(true)
-		for qi := 0; qi < 8; qi++ {
-			q := randomCQ(rng)
-			want := interp.Eval(q)
-			got := compiled.Eval(q)
-			if !rowsEqual(got, want) {
-				t.Fatalf("trial %d query %d (%s): compiled rows differ (%d vs %d)\n got: %v\nwant: %v",
-					trial, qi, q, len(got), len(want), got, want)
-			}
-			// Witness bags built from either row stream must agree too.
-			wantBag := CollectWitnesses(want)
-			gotBag := CollectWitnesses(got)
-			if len(wantBag) != len(gotBag) {
-				t.Fatalf("trial %d query %d: witness bags differ", trial, qi)
-			}
-			for i := range wantBag {
-				if wantBag[i].Mult != gotBag[i].Mult ||
-					compareFactSets(wantBag[i].Facts, gotBag[i].Facts) != 0 ||
-					!wantBag[i].Answer.EqualExact(gotBag[i].Answer) {
-					t.Fatalf("trial %d query %d: witness %d differs", trial, qi, i)
-				}
-			}
-		}
-	}
-}
-
 // TestParallelEvalMatchesSequential checks that partitioned first-atom
 // enumeration preserves the sequential row order exactly.
 func TestParallelEvalMatchesSequential(t *testing.T) {
@@ -278,21 +216,6 @@ func TestEvalCtxCancel(t *testing.T) {
 	}
 }
 
-// TestTriviallyTrueQuery pins the zero-atom base case to the
-// interpreter's behavior: one empty witnessing assignment.
-func TestTriviallyTrueQuery(t *testing.T) {
-	in := bank()
-	compiled := NewEvaluator(in)
-	interp := NewEvaluator(in)
-	interp.SetInterpreted(true)
-	q := CQ{}
-	want := interp.Eval(q)
-	got := compiled.Eval(q)
-	if len(want) != 1 || !rowsEqual(got, want) {
-		t.Fatalf("zero-atom query: got %v, want %v", got, want)
-	}
-}
-
 func benchEvalInstance() (*db.Instance, CQ) {
 	rng := xrand.New(42)
 	in := randomEvalInstance(rng, 2000)
@@ -307,17 +230,6 @@ func BenchmarkEvalCompiled(b *testing.B) {
 	in, q := benchEvalInstance()
 	e := NewEvaluator(in)
 	e.Eval(q) // warm plan + index caches
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Eval(q)
-	}
-}
-
-func BenchmarkEvalInterpreted(b *testing.B) {
-	in, q := benchEvalInstance()
-	e := NewEvaluator(in)
-	e.SetInterpreted(true)
-	e.Eval(q)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Eval(q)

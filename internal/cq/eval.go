@@ -3,7 +3,6 @@ package cq
 import (
 	"context"
 	"sort"
-	"strings"
 	"sync"
 
 	"aggcavsat/internal/db"
@@ -22,22 +21,17 @@ type Row struct {
 // (double-checked), and a built index or plan is immutable thereafter,
 // so engine worker pools may evaluate queries on one shared evaluator.
 //
-// Queries run through a compiled slot-based program by default (see
-// compile.go); SetInterpreted switches back to the recursive
-// map-bindings interpreter, which is kept as the semantic reference and
-// legacy-benchmark baseline.
+// Queries run through a compiled slot-based program (see compile.go).
 type Evaluator struct {
 	in *db.Instance
 
 	mu      sync.RWMutex
-	indexes map[indexKey]map[string][]db.FactID // interpreter: Tuple.Key strings
-	hashIdx map[indexKey]map[uint64][]db.FactID // compiled: uint64 composite keys
+	hashIdx map[indexKey]map[uint64][]db.FactID // uint64 composite keys
 
 	planMu sync.RWMutex
 	plans  map[string]*program
 
-	par       int  // worker budget for parallel first-atom enumeration
-	interpret bool // force the legacy recursive interpreter
+	par int // worker budget for parallel first-atom enumeration
 }
 
 type indexKey struct {
@@ -49,7 +43,6 @@ type indexKey struct {
 func NewEvaluator(in *db.Instance) *Evaluator {
 	return &Evaluator{
 		in:      in,
-		indexes: make(map[indexKey]map[string][]db.FactID),
 		hashIdx: make(map[indexKey]map[uint64][]db.FactID),
 		plans:   make(map[string]*program),
 	}
@@ -63,41 +56,6 @@ func (e *Evaluator) Instance() *db.Instance { return e.in }
 // must be called before the evaluator is shared across goroutines.
 func (e *Evaluator) SetParallelism(n int) { e.par = n }
 
-// SetInterpreted forces the legacy recursive interpreter instead of
-// compiled programs. It must be called before the evaluator is shared
-// across goroutines. The interpreter is the semantic reference for the
-// compiled path and the baseline for the legacy-front-end benchmarks.
-func (e *Evaluator) SetInterpreted(on bool) { e.interpret = on }
-
-// index returns (building on demand) a hash index of rel on the given
-// positions.
-func (e *Evaluator) index(rel string, positions []int) map[string][]db.FactID {
-	var mask uint64
-	for _, p := range positions {
-		mask |= 1 << uint(p)
-	}
-	key := indexKey{rel: rel, mask: mask}
-	e.mu.RLock()
-	idx, ok := e.indexes[key]
-	e.mu.RUnlock()
-	if ok {
-		return idx
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	// Double-check: another goroutine may have built it while we waited.
-	if idx, ok := e.indexes[key]; ok {
-		return idx
-	}
-	idx = make(map[string][]db.FactID)
-	for _, id := range e.in.RelFacts(rel) {
-		k := e.in.Fact(id).Tuple.Key(positions)
-		idx[k] = append(idx[k], id)
-	}
-	e.indexes[key] = idx
-	return idx
-}
-
 // Eval returns all witnessing assignments of q on the instance, one Row
 // per assignment (a bag: rows may repeat with identical head values and
 // even identical fact sets).
@@ -109,32 +67,12 @@ func (e *Evaluator) Eval(q CQ) []Row {
 // EvalCtx is Eval with cooperative cancellation: the parallel and
 // sequential compiled runners poll ctx between first-atom candidates
 // and return ctx.Err() when it fires. The row order is deterministic
-// and identical to the interpreter's, row for row.
+// and independent of the parallelism setting.
 func (e *Evaluator) EvalCtx(ctx context.Context, q CQ) ([]Row, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if e.interpret {
-		return e.evalInterpreted(q), nil
-	}
 	return e.runProgram(ctx, e.program(q))
-}
-
-// evalInterpreted is the legacy recursive evaluator with per-recursion
-// map bindings and string-keyed indexes.
-func (e *Evaluator) evalInterpreted(q CQ) []Row {
-	if err := q.Validate(e.in.Schema()); err != nil {
-		panic("cq: Eval on invalid query: " + err.Error())
-	}
-	plan := planCQ(e.in, q)
-	st := &evalState{
-		e:        e,
-		q:        q,
-		plan:     plan,
-		bindings: make(map[string]db.Value, 8),
-	}
-	st.run(0)
-	return st.rows
 }
 
 // EvalUCQ evaluates a union of conjunctive queries, concatenating the
@@ -237,112 +175,6 @@ func planCQ(in *db.Instance, q CQ) plan {
 		}
 	}
 	return plan{order: order, condsAfter: condsAfter}
-}
-
-type evalState struct {
-	e        *Evaluator
-	q        CQ
-	plan     plan
-	bindings map[string]db.Value
-	facts    []db.FactID
-	rows     []Row
-}
-
-func (st *evalState) run(step int) {
-	if step == len(st.plan.order) {
-		head := make(db.Tuple, len(st.q.Head))
-		for i, h := range st.q.Head {
-			head[i] = st.bindings[h]
-		}
-		facts := append([]db.FactID(nil), st.facts...)
-		sort.Slice(facts, func(i, j int) bool { return facts[i] < facts[j] })
-		dedup := facts[:0]
-		for i, f := range facts {
-			if i == 0 || f != facts[i-1] {
-				dedup = append(dedup, f)
-			}
-		}
-		st.rows = append(st.rows, Row{Head: head, Facts: dedup})
-		return
-	}
-	atom := st.q.Atoms[st.plan.order[step]]
-	rel := strings.ToLower(atom.Rel)
-
-	// Split positions into bound (lookup) and free.
-	var lookupPos []int
-	var lookupVals db.Tuple
-	for i, t := range atom.Args {
-		switch {
-		case t.IsConst:
-			lookupPos = append(lookupPos, i)
-			lookupVals = append(lookupVals, t.Const)
-		default:
-			if v, ok := st.bindings[t.Var]; ok {
-				lookupPos = append(lookupPos, i)
-				lookupVals = append(lookupVals, v)
-			}
-		}
-	}
-
-	var candidates []db.FactID
-	if len(lookupPos) > 0 {
-		idx := st.e.index(rel, lookupPos)
-		// Build the lookup key using the same encoding as Tuple.Key.
-		probe := make(db.Tuple, len(lookupVals))
-		copy(probe, lookupVals)
-		positions := make([]int, len(lookupPos))
-		for i := range positions {
-			positions[i] = i
-		}
-		candidates = idx[probe.Key(positions)]
-	} else {
-		candidates = st.e.in.RelFacts(rel)
-	}
-
-	for _, id := range candidates {
-		tuple := st.e.in.Fact(id).Tuple
-		// Bind free variables, checking repeated-variable consistency.
-		var newVars []string
-		ok := true
-		for i, t := range atom.Args {
-			if t.IsConst {
-				continue
-			}
-			if v, boundAlready := st.bindings[t.Var]; boundAlready {
-				if !v.Equal(tuple[i]) {
-					ok = false
-					break
-				}
-				continue
-			}
-			st.bindings[t.Var] = tuple[i]
-			newVars = append(newVars, t.Var)
-		}
-		if ok {
-			for _, ci := range st.plan.condsAfter[step] {
-				c := st.q.Conds[ci]
-				if !c.Op.Apply(st.termValue(c.Left), st.termValue(c.Right)) {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
-			st.facts = append(st.facts, id)
-			st.run(step + 1)
-			st.facts = st.facts[:len(st.facts)-1]
-		}
-		for _, v := range newVars {
-			delete(st.bindings, v)
-		}
-	}
-}
-
-func (st *evalState) termValue(t Term) db.Value {
-	if t.IsConst {
-		return t.Const
-	}
-	return st.bindings[t.Var]
 }
 
 // DistinctAnswers deduplicates the head tuples of rows, returning them in

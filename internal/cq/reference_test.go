@@ -6,35 +6,49 @@ import (
 	"testing"
 
 	"aggcavsat/internal/db"
+	"aggcavsat/internal/xrand"
 )
 
 // naiveEval is a brute-force reference evaluator: it enumerates every
 // combination of one fact per atom and checks bindings and conditions
-// directly, with none of the planner's index machinery. The optimized
+// directly, with none of the evaluator's index or compiled-program
+// machinery. It applies the matching semantics documented in
+// compile.go: walking the atoms in planCQ's order, a constant or a
+// variable bound by an earlier atom matches kind-exactly (EqualExact),
+// while a variable repeated within one atom matches with Value.Equal
+// (the two differ only where a FLOAT column stores INT values). The
 // evaluator must produce exactly the same bag of rows.
 func naiveEval(in *db.Instance, q CQ) []Row {
+	order := planCQ(in, q).order
 	var rows []Row
 	choice := make([]db.FactID, len(q.Atoms))
 	var rec func(i int)
 	rec = func(i int) {
 		if i == len(q.Atoms) {
 			bindings := map[string]db.Value{}
-			for ai, atom := range q.Atoms {
-				tuple := in.Fact(choice[ai]).Tuple
+			for _, ai := range order {
+				atom := q.Atoms[ai]
+				tuple := in.TupleAt(choice[ai])
+				own := map[string]bool{} // variables first bound by this atom
 				for pos, term := range atom.Args {
 					if term.IsConst {
-						if !term.Const.Equal(tuple[pos]) {
+						if !term.Const.EqualExact(tuple[pos]) {
 							return
 						}
 						continue
 					}
 					if v, ok := bindings[term.Var]; ok {
-						if !v.Equal(tuple[pos]) {
+						match := v.EqualExact(tuple[pos])
+						if own[term.Var] {
+							match = v.Equal(tuple[pos])
+						}
+						if !match {
 							return
 						}
 						continue
 					}
 					bindings[term.Var] = tuple[pos]
+					own[term.Var] = true
 				}
 			}
 			for _, c := range q.Conds {
@@ -79,6 +93,51 @@ func rowKey(r Row) string {
 		positions[i] = i
 	}
 	return fmt.Sprintf("%s|%v", r.Head.Key(positions), r.Facts)
+}
+
+// bagDiff compares two row lists as multisets (order-insensitive,
+// kind-exact on head values) and returns the first row key whose
+// multiplicity differs, or "" when the bags are equal.
+func bagDiff(got, want []Row) string {
+	key := func(rows []Row) []string {
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = rowKey(r)
+		}
+		return out
+	}
+	return multisetDiff(key(got), key(want))
+}
+
+// witnessBagDiff compares two witness bags as multisets of (fact set,
+// answer, multiplicity); "" means equal.
+func witnessBagDiff(got, want []Witness) string {
+	key := func(ws []Witness) []string {
+		out := make([]string, len(ws))
+		for i, w := range ws {
+			out[i] = fmt.Sprintf("%s|%d", rowKey(Row{Head: w.Answer, Facts: w.Facts}), w.Mult)
+		}
+		return out
+	}
+	return multisetDiff(key(got), key(want))
+}
+
+// multisetDiff returns the first key whose count differs between got
+// and want, with the signed surplus, or "" when they are equal.
+func multisetDiff(got, want []string) string {
+	count := map[string]int{}
+	for _, k := range got {
+		count[k]++
+	}
+	for _, k := range want {
+		count[k]--
+	}
+	for k, v := range count {
+		if v != 0 {
+			return fmt.Sprintf("%s (%+d)", k, v)
+		}
+	}
+	return ""
 }
 
 // TestEvalAgainstNaive cross-checks the hash-join evaluator against the
@@ -185,17 +244,80 @@ func TestEvalAgainstNaive(t *testing.T) {
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: %d rows vs naive %d\nquery: %s", seed, len(got), len(want), q)
 		}
-		gotBag := map[string]int{}
-		for _, r := range got {
-			gotBag[rowKey(r)]++
+		if d := bagDiff(got, want); d != "" {
+			t.Fatalf("seed %d: row multiset mismatch at %s\nquery: %s", seed, d, q)
 		}
-		for _, r := range want {
-			gotBag[rowKey(r)]--
+	}
+}
+
+// TestCompiledMatchesInterpreterFixtures checks the compiled evaluator
+// against the naiveEval reference interpreter on the paper fixtures.
+func TestCompiledMatchesInterpreterFixtures(t *testing.T) {
+	in := bank()
+	compiled := NewEvaluator(in)
+	queries := []CQ{
+		maryBalances(),
+		sameCity(),
+		{Head: []string{"cid", "name"}, Atoms: []Atom{{Rel: "Cust", Args: []Term{V("cid"), V("name"), V("city")}}}},
+		{
+			Head: []string{"n1", "n2"},
+			Atoms: []Atom{
+				{Rel: "Cust", Args: []Term{V("c1"), V("n1"), V("city")}},
+				{Rel: "Cust", Args: []Term{V("c2"), V("n2"), V("city")}},
+			},
+			Conds: []Condition{{Left: V("c1"), Op: OpLT, Right: V("c2")}},
+		},
+	}
+	for i, q := range queries {
+		want := naiveEval(in, q)
+		got := compiled.Eval(q)
+		if len(got) != len(want) {
+			t.Errorf("query %d (%s): %d rows, naive %d", i, q, len(got), len(want))
+			continue
 		}
-		for k, v := range gotBag {
-			if v != 0 {
-				t.Fatalf("seed %d: row multiset mismatch at %s (%+d)\nquery: %s", seed, k, v, q)
+		if d := bagDiff(got, want); d != "" {
+			t.Errorf("query %d (%s): compiled rows differ at %s\n got: %v\nwant: %v", i, q, d, got, want)
+		}
+	}
+}
+
+// TestCompiledMatchesInterpreterRandom is the bag-equality property
+// test against the naiveEval reference interpreter across randomized
+// instances (INT values in FLOAT columns, repeated join keys) and query
+// shapes (constants, within- and cross-atom repeated variables,
+// comparisons).
+func TestCompiledMatchesInterpreterRandom(t *testing.T) {
+	for trial := 0; trial < 60; trial++ {
+		rng := xrand.New(uint64(trial)*2654435761 + 1)
+		in := randomEvalInstance(rng, 20+rng.Intn(30))
+		compiled := NewEvaluator(in)
+		for qi := 0; qi < 8; qi++ {
+			q := randomCQ(rng)
+			want := naiveEval(in, q)
+			got := compiled.Eval(q)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d query %d (%s): %d rows, naive %d", trial, qi, q, len(got), len(want))
+			}
+			if d := bagDiff(got, want); d != "" {
+				t.Fatalf("trial %d query %d (%s): compiled rows differ at %s\n got: %v\nwant: %v",
+					trial, qi, q, d, got, want)
+			}
+			// Witness bags built from either row stream must agree too.
+			if d := witnessBagDiff(CollectWitnesses(got), CollectWitnesses(want)); d != "" {
+				t.Fatalf("trial %d query %d: witness bags differ at %s", trial, qi, d)
 			}
 		}
+	}
+}
+
+// TestTriviallyTrueQuery pins the zero-atom base case to the
+// reference: exactly one empty witnessing assignment.
+func TestTriviallyTrueQuery(t *testing.T) {
+	in := bank()
+	q := CQ{}
+	want := naiveEval(in, q)
+	got := NewEvaluator(in).Eval(q)
+	if len(want) != 1 || len(got) != 1 || bagDiff(got, want) != "" {
+		t.Fatalf("zero-atom query: got %v, want %v", got, want)
 	}
 }

@@ -15,8 +15,8 @@ import "math"
 // Float(1) are different keys). The raw word holds math.Float64bits for
 // FLOAT rows and the int64 bit pattern for INT rows, with the intRows
 // bitmap recording which is which, so round-tripping through the column
-// is exact — same kinds, same payload bits, same hashes as the row
-// store.
+// is exact — same kinds, same payload bits as the Value that was
+// inserted.
 //
 // The arenas are append-only and 8-byte-pure (no pointers except the
 // dict strings), which is what makes them serializable as flat snapshot
@@ -230,29 +230,21 @@ func newRelColumns(rs *RelationSchema) *relColumns {
 	return rc
 }
 
-// RowView is an allocation-free window onto one fact, valid for either
-// backend. It replaces `in.Fact(id).Tuple` at hot call sites: values
+// RowView is an allocation-free window onto one fact. It replaces `in.Fact(id).Tuple` at hot call sites: values
 // are materialized one position at a time, on demand.
 type RowView struct {
-	t    Tuple       // row backend
-	dict *Dict       // columnar backend
-	rc   *relColumns // columnar backend
+	dict *Dict
+	rc   *relColumns
 	row  int
 }
 
 // Value returns the value at attribute position pos.
 func (r RowView) Value(pos int) Value {
-	if r.t != nil {
-		return r.t[pos]
-	}
 	return r.rc.cols[pos].value(r.dict, r.row)
 }
 
 // Match reports EqualExact between position pos and v without
 // materializing the stored value.
 func (r RowView) Match(pos int, v Value) bool {
-	if r.t != nil {
-		return r.t[pos].EqualExact(v)
-	}
 	return r.rc.cols[pos].matchValue(r.dict, r.row, v)
 }

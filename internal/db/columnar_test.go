@@ -62,12 +62,20 @@ func randomMixedValue(r *xrand.Rand, kind Kind) Value {
 	}
 }
 
-// buildMixedPair inserts the same random facts into a columnar and a
-// row instance, returning both.
-func buildMixedPair(seed uint64, n int) (*Instance, *Instance) {
+// refFact is one inserted fact as the test itself holds it. A plain
+// slice of them, indexed by FactID, is the reference every column
+// accessor is checked against: it never touches the column encoding.
+type refFact struct {
+	rel string // canonical relation name
+	t   Tuple
+}
+
+// buildMixed inserts n random facts into a fresh instance and returns
+// it together with the test-side copy of every inserted tuple.
+func buildMixed(seed uint64, n int) (*Instance, []refFact) {
 	s := mixedSchema()
-	col := NewInstance(s)
-	row := NewInstanceLayout(s, LayoutRow)
+	in := NewInstance(s)
+	var ref []refFact
 	r := xrand.New(seed)
 	for i := 0; i < n; i++ {
 		rs := s.Relations()[r.Intn(s.NumRelations())]
@@ -75,137 +83,168 @@ func buildMixedPair(seed uint64, n int) (*Instance, *Instance) {
 		for p, a := range rs.Attrs {
 			t[p] = randomMixedValue(r, a.Kind)
 		}
-		if _, err := col.Insert(rs.Name, t); err != nil {
+		if _, err := in.Insert(rs.Name, t); err != nil {
 			panic(err)
 		}
-		if _, err := row.Insert(rs.Name, t.Clone()); err != nil {
-			panic(err)
-		}
+		ref = append(ref, refFact{rel: rs.canon, t: t.Clone()})
 	}
-	return col, row
+	return in, ref
 }
 
-// requireSameInstances asserts fact-for-fact, accessor-for-accessor
-// equivalence of two instances that should hold identical data.
+// refOf materializes an instance's facts into the reference form, for
+// comparing two instances (e.g. a snapshot against its source).
+func refOf(in *Instance) []refFact {
+	ref := make([]refFact, in.NumFacts())
+	for id := range ref {
+		f := in.Fact(FactID(id))
+		ref[id] = refFact{rel: f.Rel, t: f.Tuple}
+	}
+	return ref
+}
+
+// requireSameInstances asserts that a holds exactly b's facts, checked
+// accessor by accessor against b's materialized tuples.
 func requireSameInstances(t *testing.T, a, b *Instance) {
 	t.Helper()
-	if a.NumFacts() != b.NumFacts() {
-		t.Fatalf("fact counts differ: %d vs %d", a.NumFacts(), b.NumFacts())
+	requireMatchesRef(t, a, refOf(b))
+}
+
+// requireMatchesRef asserts that every accessor of the instance agrees
+// with the Tuple/Value methods applied to the reference tuples: Fact,
+// TupleAt, RelOf, RelFacts, ValueAt, MatchAt, Row, the Hash* family,
+// EqualRowsOn, CompareAt and KeyEqualGroups.
+func requireMatchesRef(t *testing.T, in *Instance, ref []refFact) {
+	t.Helper()
+	if in.NumFacts() != len(ref) {
+		t.Fatalf("fact counts differ: %d vs %d", in.NumFacts(), len(ref))
 	}
-	for id := FactID(0); int(id) < a.NumFacts(); id++ {
-		fa, fb := a.Fact(id), b.Fact(id)
-		if fa.Rel != fb.Rel {
-			t.Fatalf("fact %d: relation %q vs %q", id, fa.Rel, fb.Rel)
+	byRel := map[string][]FactID{}
+	for i, rf := range ref {
+		id := FactID(i)
+		byRel[rf.rel] = append(byRel[rf.rel], id)
+		f := in.Fact(id)
+		if f.ID != id || f.Rel != rf.rel {
+			t.Fatalf("fact %d: Fact() = id %d rel %q, want rel %q", id, f.ID, f.Rel, rf.rel)
 		}
-		if !fa.Tuple.EqualExact(fb.Tuple) {
-			t.Fatalf("fact %d: tuple %v vs %v", id, fa.Tuple, fb.Tuple)
+		if !f.Tuple.EqualExact(rf.t) || !in.TupleAt(id).EqualExact(rf.t) {
+			t.Fatalf("fact %d: tuple %v, want %v", id, f.Tuple, rf.t)
 		}
-		for p := range fa.Tuple {
-			if !a.ValueAt(id, p).EqualExact(fb.Tuple[p]) {
-				t.Fatalf("fact %d pos %d: ValueAt %v vs %v", id, p, a.ValueAt(id, p), fb.Tuple[p])
+		if rs := in.Schema().RelationByID(in.RelOf(id)); rs.canon != rf.rel {
+			t.Fatalf("fact %d: RelOf = %q, want %q", id, rs.canon, rf.rel)
+		}
+		all := make([]int, len(rf.t))
+		h := HashSeed
+		for p, v := range rf.t {
+			all[p] = p
+			if got := in.ValueAt(id, p); !got.EqualExact(v) {
+				t.Fatalf("fact %d pos %d: ValueAt %v, want %v", id, p, got, v)
 			}
-			if !a.MatchAt(id, p, fb.Tuple[p]) || !b.MatchAt(id, p, fa.Tuple[p]) {
-				t.Fatalf("fact %d pos %d: MatchAt disagrees", id, p)
+			if got := in.Row(id).Value(p); !got.EqualExact(v) {
+				t.Fatalf("fact %d pos %d: RowView.Value %v, want %v", id, p, got, v)
 			}
-			if !a.Row(id).Match(p, fb.Tuple[p]) {
-				t.Fatalf("fact %d pos %d: RowView.Match disagrees", id, p)
+			if !in.MatchAt(id, p, v) || !in.Row(id).Match(p, v) {
+				t.Fatalf("fact %d pos %d: MatchAt/RowView.Match reject the stored value %v", id, p, v)
+			}
+			var ok bool
+			if h, ok = in.HashProbeValue(h, v); !ok {
+				t.Fatalf("fact %d pos %d: probe hash missing for stored value %v", id, p, v)
+			}
+		}
+		// Probe hashes of the reference values must meet the stored
+		// row's hash, so index builds and probes agree.
+		want := in.HashRowOn(id, all, HashSeed)
+		if h != want {
+			t.Fatalf("fact %d: probe hash %x != row hash %x", id, h, want)
+		}
+		if got := in.HashRowAll(id, HashSeed); got != want {
+			t.Fatalf("fact %d: HashRowAll %x != HashRowOn(all) %x", id, got, want)
+		}
+	}
+	for _, rs := range in.Schema().Relations() {
+		got, want := in.RelFacts(rs.Name), byRel[rs.canon]
+		if len(got) != len(want) {
+			t.Fatalf("RelFacts(%s): %d facts, want %d", rs.Name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("RelFacts(%s)[%d] = %d, want %d", rs.Name, i, got[i], want[i])
+			}
+		}
+		// Pairwise predicates within the relation, per position and
+		// over the key, against Value.EqualExact and Value.Compare.
+		ids := want
+		if len(ids) > 40 {
+			ids = ids[:40]
+		}
+		for _, x := range ids {
+			for _, y := range ids {
+				tx, ty := ref[x].t, ref[y].t
+				for p := 0; p < rs.Arity(); p++ {
+					if got, want := in.CompareAt(x, y, p), tx[p].Compare(ty[p]); got != want {
+						t.Fatalf("CompareAt(%d,%d,%d) = %d, want %d", x, y, p, got, want)
+					}
+					if got, want := in.EqualRowsOn(x, y, []int{p}), tx[p].EqualExact(ty[p]); got != want {
+						t.Fatalf("EqualRowsOn(%d,%d,[%d]) = %v, want %v", x, y, p, got, want)
+					}
+				}
+				keyEq := tx.Key(rs.Key) == ty.Key(rs.Key)
+				if got := in.EqualRowsOn(x, y, rs.Key); got != keyEq {
+					t.Fatalf("EqualRowsOn(%d,%d,key) = %v, Key equality %v", x, y, got, keyEq)
+				}
+				if keyEq && in.HashRowOn(x, rs.Key, HashSeed) != in.HashRowOn(y, rs.Key, HashSeed) {
+					t.Fatalf("key-equal facts %d,%d hash differently", x, y)
+				}
 			}
 		}
 	}
-	ga, gb := a.KeyEqualGroups(), b.KeyEqualGroups()
-	if len(ga) != len(gb) {
-		t.Fatalf("group counts differ: %d vs %d", len(ga), len(gb))
-	}
-	for i := range ga {
-		if ga[i].Rel != gb[i].Rel || len(ga[i].Facts) != len(gb[i].Facts) {
-			t.Fatalf("group %d differs: %+v vs %+v", i, ga[i], gb[i])
-		}
-		for j := range ga[i].Facts {
-			if ga[i].Facts[j] != gb[i].Facts[j] {
-				t.Fatalf("group %d member %d differs", i, j)
-			}
-		}
+	if got, want := in.KeyEqualGroups(), refKeyEqualGroups(in.Schema(), ref); !groupsEqual(got, want) {
+		t.Fatalf("KeyEqualGroups differ from the reference partition\n got: %v\nwant: %v", got, want)
 	}
 }
 
-// TestColumnarRowStoreEquivalent: every logical accessor of the
-// columnar store agrees with the row store on identical inserts — the
-// package-level half of the columnar≡row property (the engine-level
-// half lives in internal/planner).
+// refKeyEqualGroups partitions the reference facts by their Tuple.Key
+// strings, in the KeyEqualGroups order (by smallest member).
+func refKeyEqualGroups(s *Schema, ref []refFact) []KeyEqualGroup {
+	var groups []KeyEqualGroup
+	index := map[string]int{}
+	for i, rf := range ref {
+		rs := s.Relation(rf.rel)
+		if !rs.HasKey() {
+			groups = append(groups, KeyEqualGroup{Rel: rf.rel, Facts: []FactID{FactID(i)}})
+			continue
+		}
+		k := rf.rel + "\x00" + rf.t.Key(rs.Key)
+		gi, ok := index[k]
+		if !ok {
+			gi = len(groups)
+			index[k] = gi
+			groups = append(groups, KeyEqualGroup{Rel: rf.rel})
+		}
+		groups[gi].Facts = append(groups[gi].Facts, FactID(i))
+	}
+	return groups
+}
+
+// TestColumnarRowStoreEquivalent: every accessor of the columnar store
+// agrees with a plain row store — the test's own slice of inserted
+// tuples — under the Tuple/Value methods. Route-level equivalence of
+// the engine over this store is covered by the planner equivalence
+// tests.
 func TestColumnarRowStoreEquivalent(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
-		col, row := buildMixedPair(seed, 300)
-		if col.Layout() != LayoutColumnar || row.Layout() != LayoutRow {
-			t.Fatal("layout labels wrong")
-		}
-		requireSameInstances(t, col, row)
-
-		// Hash self-consistency per backend: probe hashes must meet row
-		// hashes, and EqualRows pairs must collide.
-		for _, in := range []*Instance{col, row} {
-			for id := FactID(0); int(id) < in.NumFacts(); id++ {
-				rid := in.RelOf(id)
-				rs := in.Schema().RelationByID(rid)
-				all := make([]int, rs.Arity())
-				for p := range all {
-					all[p] = p
-				}
-				want := in.HashRowOn(id, all, HashSeed)
-				h, ok := HashSeed, true
-				for _, p := range all {
-					h, ok = in.HashProbeValue(h, in.ValueAt(id, p))
-					if !ok {
-						t.Fatalf("probe hash missing for stored value (fact %d pos %d)", id, p)
-					}
-				}
-				if h != want {
-					t.Fatalf("fact %d: probe hash %x != row hash %x (%s)", id, h, want, in.Layout())
-				}
-				if got := in.HashRowAll(id, HashSeed); got != want {
-					t.Fatalf("fact %d: HashRowAll %x != HashRowOn(all) %x", id, got, want)
-				}
-			}
-		}
-
-		// CompareAt agrees with materialized Value.Compare across all
-		// pairs within each relation (both backends).
-		for _, rs := range col.Schema().Relations() {
-			ids := col.RelFactsByID(rs.ID())
-			if len(ids) > 40 {
-				ids = ids[:40]
-			}
-			for _, x := range ids {
-				for _, y := range ids {
-					for p := 0; p < rs.Arity(); p++ {
-						want := row.ValueAt(x, p).Compare(row.ValueAt(y, p))
-						if got := col.CompareAt(x, y, p); got != want {
-							t.Fatalf("CompareAt(%d,%d,%d) = %d, want %d", x, y, p, got, want)
-						}
-						if got := row.CompareAt(x, y, p); got != want {
-							t.Fatalf("row CompareAt(%d,%d,%d) = %d, want %d", x, y, p, got, want)
-						}
-					}
-				}
-			}
-		}
-
-		// Conversion in both directions preserves everything.
-		requireSameInstances(t, col.ConvertLayout(LayoutRow), row)
-		requireSameInstances(t, row.ConvertLayout(LayoutColumnar), col)
+		in, ref := buildMixed(seed, 300)
+		requireMatchesRef(t, in, ref)
 	}
 }
 
 // TestHashProbeValueMiss: a string absent from the dictionary reports
-// ok=false (no fact can match), while the row store always hashes.
+// ok=false (no fact can match), while numeric probes always hash.
 func TestHashProbeValueMiss(t *testing.T) {
-	col, row := buildMixedPair(3, 50)
-	if _, ok := col.HashProbeValue(HashSeed, Str("never-inserted-string")); ok {
-		t.Fatal("columnar probe for unseen string should miss")
+	in, _ := buildMixed(3, 50)
+	if _, ok := in.HashProbeValue(HashSeed, Str("never-inserted-string")); ok {
+		t.Fatal("probe for unseen string should miss")
 	}
-	if _, ok := row.HashProbeValue(HashSeed, Str("never-inserted-string")); !ok {
-		t.Fatal("row probe should always hash")
-	}
-	if _, ok := col.HashProbeValue(HashSeed, Int(1234567)); !ok {
+	if _, ok := in.HashProbeValue(HashSeed, Int(1234567)); !ok {
 		t.Fatal("numeric probes never miss")
 	}
 }
@@ -213,7 +252,7 @@ func TestHashProbeValueMiss(t *testing.T) {
 // TestRelFactsCaseInsensitive: RelFacts resolves any spelling without
 // rebuilding strings, and RelFactsByID matches.
 func TestRelFactsCaseInsensitive(t *testing.T) {
-	col, _ := buildMixedPair(7, 60)
+	col, _ := buildMixed(7, 60)
 	id, ok := col.Schema().RelID("MIX")
 	if !ok {
 		t.Fatal("RelID(MIX) failed")
@@ -228,14 +267,21 @@ func TestRelFactsCaseInsensitive(t *testing.T) {
 	}
 }
 
-// TestSubsetPreservesLayout: Subset keeps the receiver's layout and the
-// kept facts' tuples.
+// TestSubsetPreservesLayout: Subset builds a fresh columnar instance
+// (its own dictionary) holding exactly the kept tuples, renumbered
+// densely in their original order.
 func TestSubsetPreservesLayout(t *testing.T) {
-	col, row := buildMixedPair(11, 80)
+	in, ref := buildMixed(11, 80)
 	keep := func(id FactID) bool { return id%2 == 0 }
-	sc, sr := col.Subset(keep), row.Subset(keep)
-	if sc.Layout() != LayoutColumnar || sr.Layout() != LayoutRow {
-		t.Fatal("Subset changed layout")
+	sub := in.Subset(keep)
+	if sub.Dict() == nil || sub.Dict() == in.Dict() {
+		t.Fatal("Subset must build its own dictionary")
 	}
-	requireSameInstances(t, sc, sr)
+	var kept []refFact
+	for i, rf := range ref {
+		if keep(FactID(i)) {
+			kept = append(kept, rf)
+		}
+	}
+	requireMatchesRef(t, sub, kept)
 }

@@ -104,23 +104,3 @@ func (t Tuple) EqualExact(o Tuple) bool {
 	}
 	return true
 }
-
-// HashKey folds the projection of t onto the given positions into h:
-// the hash twin of Tuple.Key.
-func (t Tuple) HashKey(positions []int, h uint64) uint64 {
-	for _, p := range positions {
-		h = t[p].HashExact(h)
-	}
-	return h
-}
-
-// EqualExactOn reports EqualExact of the projections of t and o onto
-// the given positions.
-func (t Tuple) EqualExactOn(positions []int, o Tuple) bool {
-	for _, p := range positions {
-		if !t[p].EqualExact(o[p]) {
-			return false
-		}
-	}
-	return true
-}

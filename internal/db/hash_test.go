@@ -31,28 +31,41 @@ func TestValueEqualExact(t *testing.T) {
 	}
 }
 
+// TestTupleHashKeyMatchesKey: the instance's projection hash and
+// equality (HashRowOn, EqualRowsOn) are the hash twin of Tuple.Key —
+// facts whose tuples have equal Key strings must compare equal and
+// hash equally; facts with different Key strings must be told apart.
 func TestTupleHashKeyMatchesKey(t *testing.T) {
-	// Tuples with equal Key strings must have equal HashKey values and
-	// be EqualExactOn; tuples with different Key strings must be
-	// distinguishable by EqualExactOn (hashes may collide in theory,
-	// but not for these small fixtures).
+	s := NewSchema()
+	s.MustAddRelation(&RelationSchema{
+		Name:  "T",
+		Attrs: []Attribute{{Name: "a", Kind: KindFloat}, {Name: "b", Kind: KindString}},
+	})
+	in := NewInstance(s)
 	tuples := []Tuple{
 		{Int(1), Str("a")},
 		{Int(1), Str("b")},
-		{Float(1), Str("a")},
+		{Float(1), Str("a")}, // Compare-equal to Int(1) but not key-equal
 		{Null(), Str("a")},
 		{Int(2), Str("a")},
-		{Str("1"), Str("a")},
+		{Float(0), Str("a")},
+		{Float(-0.0), Str("a")}, // bit-distinct from +0.0
+		{Int(1), Str("a")},      // duplicate of the first
 	}
-	pos := []int{0, 1}
-	for i, a := range tuples {
-		for j, b := range tuples {
-			keyEq := a.Key(pos) == b.Key(pos)
-			if got := a.EqualExactOn(pos, b); got != keyEq {
-				t.Errorf("EqualExactOn(%d,%d) = %v, Key equality = %v", i, j, got, keyEq)
-			}
-			if keyEq && a.HashKey(pos, HashSeed) != b.HashKey(pos, HashSeed) {
-				t.Errorf("key-equal tuples %d,%d hash differently", i, j)
+	ids := make([]FactID, len(tuples))
+	for i, tu := range tuples {
+		ids[i] = in.MustInsert("T", tu...)
+	}
+	for _, pos := range [][]int{{0}, {1}, {0, 1}} {
+		for i, a := range tuples {
+			for j, b := range tuples {
+				keyEq := a.Key(pos) == b.Key(pos)
+				if got := in.EqualRowsOn(ids[i], ids[j], pos); got != keyEq {
+					t.Errorf("pos %v: EqualRowsOn(%d,%d) = %v, Key equality = %v", pos, i, j, got, keyEq)
+				}
+				if keyEq && in.HashRowOn(ids[i], pos, HashSeed) != in.HashRowOn(ids[j], pos, HashSeed) {
+					t.Errorf("pos %v: key-equal tuples %d,%d hash differently", pos, i, j)
+				}
 			}
 		}
 	}
@@ -147,11 +160,14 @@ func groupsEqual(a, b []KeyEqualGroup) bool {
 	return true
 }
 
+// TestKeyEqualGroupsHashMatchesLegacy: the hash-grouped partition
+// equals the legacy string-keyed grouping by Tuple.Key
+// (refKeyEqualGroups).
 func TestKeyEqualGroupsHashMatchesLegacy(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		in := randomKeyedInstance(uint64(trial)+7, 40+trial)
 		got := in.KeyEqualGroups()
-		want := in.KeyEqualGroupsUncached()
+		want := refKeyEqualGroups(in.Schema(), refOf(in))
 		if !groupsEqual(got, want) {
 			t.Fatalf("trial %d: hash-grouped partition differs from legacy\n got: %v\nwant: %v", trial, got, want)
 		}
@@ -171,7 +187,7 @@ func TestKeyEqualGroupsMemo(t *testing.T) {
 	if groupsEqual(first, third) {
 		t.Error("memo not invalidated by Insert")
 	}
-	if !groupsEqual(third, in.KeyEqualGroupsUncached()) {
+	if !groupsEqual(third, refKeyEqualGroups(in.Schema(), refOf(in))) {
 		t.Error("post-insert partition differs from legacy")
 	}
 }

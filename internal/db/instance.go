@@ -19,51 +19,25 @@ type Fact struct {
 	Tuple Tuple
 }
 
-// Layout selects the physical representation of an Instance.
-type Layout uint8
-
-const (
-	// LayoutColumnar stores facts in per-relation column arenas with
-	// dictionary-interned strings (columnar.go) — the default, and the
-	// only layout snapshots serialize.
-	LayoutColumnar Layout = iota
-	// LayoutRow stores facts as []Value tuples, one boxed Fact per row —
-	// the pre-PR9 representation, kept as the equivalence baseline for
-	// the property tests and the pr9 benchmark.
-	LayoutRow
-)
-
-func (l Layout) String() string {
-	if l == LayoutRow {
-		return "row"
-	}
-	return "columnar"
-}
-
 // Instance is a (possibly inconsistent) database instance: a set of facts
 // over a schema. Facts are append-only; deletion is expressed by building
 // sub-instances (see Subset), which preserves fact identity — essential
 // for the repair/assignment correspondence of the reductions.
 //
-// Two physical layouts exist behind one logical API (see Layout). All
-// read accessors are equivalent across layouts; the Row/ValueAt/Hash*
-// family reads columns and dictionary codes directly under
-// LayoutColumnar and is the form the hot paths use.
+// Facts live in per-relation column arenas with dictionary-interned
+// strings (columnar.go). The Row/ValueAt/Hash* family reads columns and
+// dictionary codes directly and is the form the hot paths use; Fact,
+// Facts and TupleAt materialize tuples for cold paths.
 type Instance struct {
 	schema *Schema
-	layout Layout
 
-	// Row backend.
-	facts []Fact
-
-	// Columnar backend.
 	dict    *Dict
 	rels    []*relColumns // dense by RelID
 	factRel []uint32      // FactID → RelID
 	factRow []uint32      // FactID → row within its relation
 	nFacts  int
 
-	byRel [][]FactID // dense by RelID; aliases rels[i].ids when columnar
+	byRel [][]FactID // dense by RelID; aliases rels[i].ids
 
 	// dataVersion is the content fingerprint of a snapshot-loaded
 	// instance (0 otherwise); frozen marks instances whose arenas alias
@@ -81,35 +55,23 @@ type Instance struct {
 	groupCacheN int // fact count the cache was built at; -1 = no cache
 }
 
-// NewInstance creates an empty columnar instance over the given schema.
+// NewInstance creates an empty instance over the given schema.
 func NewInstance(schema *Schema) *Instance {
-	return NewInstanceLayout(schema, LayoutColumnar)
-}
-
-// NewInstanceLayout creates an empty instance with an explicit physical
-// layout.
-func NewInstanceLayout(schema *Schema, layout Layout) *Instance {
 	in := &Instance{
 		schema:      schema,
-		layout:      layout,
+		dict:        NewDict(),
+		rels:        make([]*relColumns, schema.NumRelations()),
 		byRel:       make([][]FactID, schema.NumRelations()),
 		groupCacheN: -1,
 	}
-	if layout == LayoutColumnar {
-		in.dict = NewDict()
-		in.rels = make([]*relColumns, schema.NumRelations())
-		for _, rs := range schema.Relations() {
-			in.rels[rs.ID()] = newRelColumns(rs)
-		}
+	for _, rs := range schema.Relations() {
+		in.rels[rs.ID()] = newRelColumns(rs)
 	}
 	return in
 }
 
 // Schema returns the instance's schema.
 func (in *Instance) Schema() *Schema { return in.schema }
-
-// Layout reports the instance's physical layout.
-func (in *Instance) Layout() Layout { return in.layout }
 
 // DataVersion returns the snapshot content fingerprint for instances
 // loaded from a snapshot, and 0 for instances built in memory. Serving
@@ -118,31 +80,19 @@ func (in *Instance) Layout() Layout { return in.layout }
 func (in *Instance) DataVersion() uint64 { return in.dataVersion }
 
 // NumFacts returns the total number of facts.
-func (in *Instance) NumFacts() int {
-	if in.layout == LayoutRow {
-		return len(in.facts)
-	}
-	return in.nFacts
-}
+func (in *Instance) NumFacts() int { return in.nFacts }
 
-// Fact returns the fact with the given ID. Under LayoutColumnar this
-// materializes the tuple (one allocation); hot paths should use Row,
-// ValueAt, or the Hash*/Equal* accessors instead.
+// Fact returns the fact with the given ID. This materializes the tuple
+// (one allocation); hot paths should use Row, ValueAt, or the
+// Hash*/Equal* accessors instead.
 func (in *Instance) Fact(id FactID) Fact {
-	if in.layout == LayoutRow {
-		return in.facts[id]
-	}
 	rs := in.schema.RelationByID(RelID(in.factRel[id]))
 	return Fact{ID: id, Rel: rs.canon, Tuple: in.TupleAt(id)}
 }
 
-// Facts returns all facts. Under LayoutRow this is the underlying slice
-// (callers must not mutate it); under LayoutColumnar it materializes
-// every tuple and is intended for cold paths and tests only.
+// Facts materializes every fact; it is intended for cold paths and
+// tests only.
 func (in *Instance) Facts() []Fact {
-	if in.layout == LayoutRow {
-		return in.facts
-	}
 	out := make([]Fact, in.nFacts)
 	for id := 0; id < in.nFacts; id++ {
 		out[id] = in.Fact(FactID(id))
@@ -152,9 +102,6 @@ func (in *Instance) Facts() []Fact {
 
 // TupleAt materializes the tuple of one fact.
 func (in *Instance) TupleAt(id FactID) Tuple {
-	if in.layout == LayoutRow {
-		return in.facts[id].Tuple
-	}
 	rc := in.rels[in.factRel[id]]
 	row := int(in.factRow[id])
 	t := make(Tuple, len(rc.cols))
@@ -166,27 +113,17 @@ func (in *Instance) TupleAt(id FactID) Tuple {
 
 // Row returns an allocation-free view of one fact.
 func (in *Instance) Row(id FactID) RowView {
-	if in.layout == LayoutRow {
-		return RowView{t: in.facts[id].Tuple}
-	}
 	return RowView{dict: in.dict, rc: in.rels[in.factRel[id]], row: int(in.factRow[id])}
 }
 
 // ValueAt returns the value at attribute position pos of one fact.
 func (in *Instance) ValueAt(id FactID, pos int) Value {
-	if in.layout == LayoutRow {
-		return in.facts[id].Tuple[pos]
-	}
 	rc := in.rels[in.factRel[id]]
 	return rc.cols[pos].value(in.dict, int(in.factRow[id]))
 }
 
 // RelOf returns the dense RelID of the fact's relation.
 func (in *Instance) RelOf(id FactID) RelID {
-	if in.layout == LayoutRow {
-		rid, _ := in.schema.RelID(in.facts[id].Rel)
-		return rid
-	}
 	return RelID(in.factRel[id])
 }
 
@@ -208,15 +145,11 @@ func (in *Instance) RelSize(rel string) int { return len(in.RelFacts(rel)) }
 
 // HashRowOn folds the projection of one fact onto the given attribute
 // positions into h. Within one instance it hashes exactly what
-// EqualRowsOn compares: under LayoutRow this is Tuple.HashKey; under
-// LayoutColumnar strings fold their dictionary code instead of their
-// bytes (cheaper, and still collision-verified by every consumer).
-// Hashes are therefore NOT comparable across instances or layouts —
+// EqualRowsOn compares: strings fold their dictionary code instead of
+// their bytes (cheaper, and still collision-verified by every
+// consumer). Hashes are therefore NOT comparable across instances —
 // pair them with HashProbeValue on the probe side.
 func (in *Instance) HashRowOn(id FactID, positions []int, h uint64) uint64 {
-	if in.layout == LayoutRow {
-		return in.facts[id].Tuple.HashKey(positions, h)
-	}
 	rc := in.rels[in.factRel[id]]
 	row := int(in.factRow[id])
 	for _, p := range positions {
@@ -227,9 +160,6 @@ func (in *Instance) HashRowOn(id FactID, positions []int, h uint64) uint64 {
 
 // HashRowAll is HashRowOn over every attribute position.
 func (in *Instance) HashRowAll(id FactID, h uint64) uint64 {
-	if in.layout == LayoutRow {
-		return in.facts[id].Tuple.HashExact(h)
-	}
 	rc := in.rels[in.factRel[id]]
 	row := int(in.factRow[id])
 	for i := range rc.cols {
@@ -243,9 +173,6 @@ func (in *Instance) HashRowAll(id FactID, h uint64) uint64 {
 // instance can EqualExact v (its string is not in the dictionary), so
 // the caller can skip the index lookup outright.
 func (in *Instance) HashProbeValue(h uint64, v Value) (uint64, bool) {
-	if in.layout == LayoutRow {
-		return v.HashExact(h), true
-	}
 	if v.kind == KindString {
 		code, ok := in.dict.Lookup(v.s)
 		if !ok {
@@ -257,14 +184,10 @@ func (in *Instance) HashProbeValue(h uint64, v Value) (uint64, bool) {
 }
 
 // EqualRowsOn reports EqualExact of two facts' projections onto the
-// given positions. The facts may belong to different relations under
-// LayoutRow; under LayoutColumnar both must live in relations whose
-// columns at those positions exist (the engine only compares facts of
-// one relation, which always holds).
+// given positions. Both facts must live in relations whose columns at
+// those positions exist (the engine only compares facts of one
+// relation, which always holds).
 func (in *Instance) EqualRowsOn(a, b FactID, positions []int) bool {
-	if in.layout == LayoutRow {
-		return in.facts[a].Tuple.EqualExactOn(positions, in.facts[b].Tuple)
-	}
 	ra, rb := in.rels[in.factRel[a]], in.rels[in.factRel[b]]
 	rowA, rowB := int(in.factRow[a]), int(in.factRow[b])
 	if ra == rb {
@@ -286,9 +209,6 @@ func (in *Instance) EqualRowsOn(a, b FactID, positions []int) bool {
 // MatchAt reports EqualExact between one stored position and a probe
 // value without materializing the stored side.
 func (in *Instance) MatchAt(id FactID, pos int, v Value) bool {
-	if in.layout == LayoutRow {
-		return in.facts[id].Tuple[pos].EqualExact(v)
-	}
 	rc := in.rels[in.factRel[id]]
 	return rc.cols[pos].matchValue(in.dict, int(in.factRow[id]), v)
 }
@@ -297,9 +217,6 @@ func (in *Instance) MatchAt(id FactID, pos int, v Value) bool {
 // facts of one relation, reading columns directly (equal string codes
 // short-circuit before any byte comparison).
 func (in *Instance) CompareAt(a, b FactID, pos int) int {
-	if in.layout == LayoutRow {
-		return in.facts[a].Tuple[pos].Compare(in.facts[b].Tuple[pos])
-	}
 	ra, rb := in.rels[in.factRel[a]], in.rels[in.factRel[b]]
 	if ra == rb {
 		return ra.cols[pos].compareRows(in.dict, int(in.factRow[a]), int(in.factRow[b]))
@@ -308,7 +225,7 @@ func (in *Instance) CompareAt(a, b FactID, pos int) int {
 		Compare(rb.cols[pos].value(in.dict, int(in.factRow[b])))
 }
 
-// Dict returns the instance's string pool (nil under LayoutRow).
+// Dict returns the instance's string pool.
 func (in *Instance) Dict() *Dict { return in.dict }
 
 // Insert appends a fact to the named relation and returns its ID.
@@ -334,12 +251,6 @@ func (in *Instance) Insert(rel string, t Tuple) (FactID, error) {
 			return 0, fmt.Errorf("db: insert into %s.%s: got %s, want %s",
 				rs.Name, rs.Attrs[i].Name, v.Kind(), want)
 		}
-	}
-	if in.layout == LayoutRow {
-		id := FactID(len(in.facts))
-		in.facts = append(in.facts, Fact{ID: id, Rel: rs.canon, Tuple: t})
-		in.byRel[rs.ID()] = append(in.byRel[rs.ID()], id)
-		return id, nil
 	}
 	id := FactID(in.nFacts)
 	rc := in.rels[rs.ID()]
@@ -383,7 +294,7 @@ func (g KeyEqualGroup) Violating() bool { return len(g.Facts) > 1 }
 // The partition is memoized on the instance (facts are append-only, so
 // it only changes when the fact count does) and computed by uint64 key
 // hashing with exact-equality bucket verification — dictionary-code
-// hashes under LayoutColumnar, so no string byte is touched. Callers
+// hashes, so no string byte is touched. Callers
 // must treat the returned slice as read-only.
 func (in *Instance) KeyEqualGroups() []KeyEqualGroup {
 	in.groupMu.Lock()
@@ -447,35 +358,6 @@ func (in *Instance) computeKeyEqualGroups() []KeyEqualGroup {
 	return groups
 }
 
-// KeyEqualGroupsUncached recomputes the partition with the pre-PR4
-// string-keyed grouping, bypassing the instance memo. It exists for the
-// benchmark harness (the "legacy front end" baseline) and for the
-// equivalence tests of the hash-grouped path; engine code should call
-// KeyEqualGroups.
-func (in *Instance) KeyEqualGroupsUncached() []KeyEqualGroup {
-	var groups []KeyEqualGroup
-	for _, rs := range in.schema.Relations() {
-		ids := in.RelFactsByID(rs.ID())
-		if !rs.HasKey() {
-			for _, id := range ids {
-				groups = append(groups, KeyEqualGroup{Rel: rs.canon, Facts: []FactID{id}})
-			}
-			continue
-		}
-		byKey := make(map[string][]FactID)
-		for _, id := range ids {
-			k := in.TupleAt(id).Key(rs.Key)
-			byKey[k] = append(byKey[k], id)
-		}
-		for _, members := range byKey {
-			sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-			groups = append(groups, KeyEqualGroup{Rel: rs.canon, Facts: members})
-		}
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].Facts[0] < groups[j].Facts[0] })
-	return groups
-}
-
 // InconsistencyStats summarizes how inconsistent a relation is w.r.t. its
 // key constraint.
 type InconsistencyStats struct {
@@ -523,12 +405,12 @@ func (in *Instance) KeyInconsistency() []InconsistencyStats {
 }
 
 // Subset materializes the sub-instance containing exactly the facts whose
-// IDs satisfy keep, preserving the receiver's layout. Fact IDs are
+// IDs satisfy keep. Fact IDs are
 // reassigned densely in the new instance, so Subset is intended for
 // baselines (exhaustive repairs) rather than for the SAT pipeline, which
 // works with the original IDs throughout.
 func (in *Instance) Subset(keep func(FactID) bool) *Instance {
-	out := NewInstanceLayout(in.schema, in.layout)
+	out := NewInstance(in.schema)
 	n := in.NumFacts()
 	for id := FactID(0); int(id) < n; id++ {
 		if keep(id) {
@@ -536,24 +418,6 @@ func (in *Instance) Subset(keep func(FactID) bool) *Instance {
 			if _, err := out.Insert(rs.Name, in.TupleAt(id)); err != nil {
 				panic(err) // same schema: cannot happen
 			}
-		}
-	}
-	return out
-}
-
-// ConvertLayout returns an instance with the same facts (same IDs, same
-// insertion order) in the requested layout; the receiver is returned
-// unchanged if it already has it.
-func (in *Instance) ConvertLayout(layout Layout) *Instance {
-	if in.layout == layout {
-		return in
-	}
-	out := NewInstanceLayout(in.schema, layout)
-	n := in.NumFacts()
-	for id := FactID(0); int(id) < n; id++ {
-		rs := in.schema.RelationByID(in.RelOf(id))
-		if _, err := out.Insert(rs.Name, in.TupleAt(id)); err != nil {
-			panic(err) // same schema: cannot happen
 		}
 	}
 	return out

@@ -134,11 +134,8 @@ func (w *snapWriter) bitmapWords(b bitset, n int) {
 	}
 }
 
-// EncodeSnapshot serializes the instance in the snapshot format. A
-// LayoutRow instance is converted to columnar first (snapshots only
-// store column arenas).
+// EncodeSnapshot serializes the instance in the snapshot format.
 func EncodeSnapshot(in *Instance) ([]byte, error) {
-	in = in.ConvertLayout(LayoutColumnar)
 	var rels []snapRelJSON
 	for _, rs := range in.schema.Relations() {
 		sr := snapRelJSON{Name: rs.Name, Key: rs.Key}
@@ -394,7 +391,7 @@ func LoadSnapshotBytes(b []byte) (*Instance, error) {
 		}
 	}
 
-	in := NewInstanceLayout(schema, LayoutColumnar)
+	in := NewInstance(schema)
 	in.frozen = true
 	in.dataVersion = dataVersion
 

@@ -15,7 +15,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.sn
 // empty strings, -0.0, and INT values stored in FLOAT columns.
 func TestSnapshotRoundTrip(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
-		col, _ := buildMixedPair(seed, 250)
+		col, _ := buildMixed(seed, 250)
 		data, err := EncodeSnapshot(col)
 		if err != nil {
 			t.Fatal(err)
@@ -27,9 +27,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		requireSameInstances(t, loaded, col)
 		if loaded.DataVersion() == 0 {
 			t.Fatal("loaded snapshot has zero data version")
-		}
-		if loaded.Layout() != LayoutColumnar {
-			t.Fatal("snapshot loads as columnar")
 		}
 
 		path := filepath.Join(t.TempDir(), "snap.bin")
@@ -57,11 +54,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripRowSource: a row-layout instance encodes by
-// conversion and round-trips identically.
+// TestSnapshotRoundTripRowSource: a loaded snapshot holds exactly the
+// row source — the tuples the test inserted, kept on the test side —
+// independently of the encoder's own view of the instance.
 func TestSnapshotRoundTripRowSource(t *testing.T) {
-	_, row := buildMixedPair(5, 120)
-	data, err := EncodeSnapshot(row)
+	in, ref := buildMixed(5, 120)
+	data, err := EncodeSnapshot(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,14 +67,14 @@ func TestSnapshotRoundTripRowSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameInstances(t, loaded, row)
+	requireMatchesRef(t, loaded, ref)
 }
 
 // TestSnapshotDeterministic: encoding is byte-stable — the same facts
 // produce the same bytes and the same data version.
 func TestSnapshotDeterministic(t *testing.T) {
-	a, _ := buildMixedPair(9, 200)
-	b, _ := buildMixedPair(9, 200)
+	a, _ := buildMixed(9, 200)
+	b, _ := buildMixed(9, 200)
 	da, err := EncodeSnapshot(a)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +86,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 	if string(da) != string(db) {
 		t.Fatal("identical instances encode to different bytes")
 	}
-	c, _ := buildMixedPair(10, 200)
+	c, _ := buildMixed(10, 200)
 	dc, err := EncodeSnapshot(c)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +101,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 // TestSnapshotFrozen: snapshot-backed instances refuse Insert with a
 // clear error instead of scribbling on (potentially mapped) memory.
 func TestSnapshotFrozen(t *testing.T) {
-	col, _ := buildMixedPair(2, 60)
+	col, _ := buildMixed(2, 60)
 	data, err := EncodeSnapshot(col)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +123,7 @@ func TestSnapshotFrozen(t *testing.T) {
 // TestSnapshotTypedErrors: magic, version, and truncation failures are
 // the exported sentinel errors.
 func TestSnapshotTypedErrors(t *testing.T) {
-	col, _ := buildMixedPair(4, 100)
+	col, _ := buildMixed(4, 100)
 	data, err := EncodeSnapshot(col)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +167,7 @@ func TestSnapshotTypedErrors(t *testing.T) {
 // TestSnapshotUnalignedBuffer: a deliberately misaligned byte slice
 // still decodes (via the internal aligned copy).
 func TestSnapshotUnalignedBuffer(t *testing.T) {
-	col, _ := buildMixedPair(6, 90)
+	col, _ := buildMixed(6, 90)
 	data, err := EncodeSnapshot(col)
 	if err != nil {
 		t.Fatal(err)

@@ -13,8 +13,8 @@ import (
 
 // problem is one optimization direction of a WPMaxSAT instance prepared
 // for the built-in algorithms. It decouples the algorithms from how the
-// underlying solver is produced: the legacy path rebuilds a solver from
-// the formula per run (formulaProblem), while the incremental path
+// underlying solver is produced: the one-shot Solve path rebuilds a
+// solver from the formula per run (formulaProblem), while the incremental path
 // clones a shared hard-clause base (Instance). Either way the algorithm
 // sees selector weights and a scoring function and never touches the
 // formula itself.
@@ -83,7 +83,7 @@ func scoreFormula(f *cnf.Formula, model []bool, falsified bool) int64 {
 	return satW
 }
 
-// formulaProblem prepares the legacy one-solver-per-run path: each fork
+// formulaProblem prepares the one-shot one-solver-per-run path: each fork
 // rebuilds the solver from the formula. The first build runs eagerly so
 // the selector weights are known up front and is then served to the
 // first fork; selector variables are allocated deterministically (in
@@ -261,11 +261,11 @@ type Instance struct {
 	// resets the solver's AddedSinceClone counter, so a run solver
 	// adopted back into base reports 0 even when the instance's own
 	// suffix or selector clauses are baked into it.
-	clean  bool
-	total  int64
-	nVars  int
-	minW   map[cnf.Lit]int64 // minimize direction: selector → weight
-	maxW   map[cnf.Lit]int64 // maximize direction (negation view)
+	clean bool
+	total int64
+	nVars int
+	minW  map[cnf.Lit]int64 // minimize direction: selector → weight
+	maxW  map[cnf.Lit]int64 // maximize direction (negation view)
 }
 
 // NewInstance builds the shared base for f. base may be nil (the hard

@@ -31,7 +31,7 @@ import (
 // reductions, most cores are disjoint and the clusters stay small.
 // MaxHS proper delegates this to an ILP solver (CPLEX).
 //
-// The solver comes from p.fork() — a fresh build on the legacy path, a
+// The solver comes from p.fork() — a fresh build on the one-shot path, a
 // clone of the shared base under an Instance. MaxHS only ever solves
 // under assumptions and never adds clauses, so the solver is offered
 // back via p.adopt on every exit: its learnt clauses are implied by the

@@ -36,10 +36,9 @@ type JournalOptions struct {
 	Mode string `json:"mode"`
 	// Parallelism is the resolved worker-pool size.
 	Parallelism int `json:"parallel"`
-	// Incremental reports the shared hard-clause base path (vs legacy).
+	// Incremental reports the shared hard-clause base path; false only
+	// for the external solver, which runs one WCNF file per MaxSAT run.
 	Incremental bool `json:"incremental"`
-	// Frontend is "compiled" or "interpreted".
-	Frontend string `json:"frontend"`
 	// Planner is the configured planner mode ("auto", "force-sat",
 	// "force-rewrite"); empty on lines written before the planner
 	// existed.

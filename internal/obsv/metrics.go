@@ -40,7 +40,6 @@ const (
 	MetricConsCacheHit    = "aggcavsat_constraint_cache_hit"    // gauge 0/1
 	MetricVioFastRels     = "aggcavsat_violation_fastpath_rels" // gauge: relations on the key fast path
 	MetricVioGenericDCs   = "aggcavsat_violation_generic_dcs"   // gauge: DCs on the generic path
-	MetricFrontendMode    = "aggcavsat_frontend_compiled"       // gauge 0/1
 	MetricIncrementalMode = "aggcavsat_solver_incremental"      // gauge 0/1
 	MetricQuerySeconds    = "aggcavsat_query_seconds"           // summary: whole engine calls
 	MetricJournalWritten  = "aggcavsat_journal_written_total"   // journal lines persisted

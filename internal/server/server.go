@@ -35,16 +35,12 @@ const (
 	// attainment reconciles exactly with the bucket counts.
 	MetricRequestDuration = "cavsatd_request_duration_seconds"
 
-	MetricShed      = "cavsatd_shed_total"     // 429s: queue full or queue wait expired
-	MetricTimeouts  = "cavsatd_timeouts_total" // per-request deadline or solver budget expiries
-	MetricErrors    = "cavsatd_errors_total"   // every non-200 that is not a shed
-	MetricInflight  = "cavsatd_inflight"       // gauge: admitted solves currently running
-	MetricQueued    = "cavsatd_queue_depth"    // gauge: requests waiting for a slot
+	MetricInflight  = "cavsatd_inflight"    // gauge: admitted solves currently running
+	MetricQueued    = "cavsatd_queue_depth" // gauge: requests waiting for a slot
 	MetricCacheHit  = "cavsatd_cache_hits_total"
 	MetricCacheMiss = "cavsatd_cache_misses_total"
 	MetricCoalesced = "cavsatd_coalesced_total" // joined an identical in-flight solve
 	MetricTenants   = "cavsatd_instances"       // gauge: attached tenants
-	MetricReqSecs   = "cavsatd_request_seconds" // summary: whole requests, queueing included
 
 	// Per-route counters: every 200 /query response increments exactly
 	// one, cached answers under the route that originally computed them,
@@ -167,11 +163,7 @@ type Server struct {
 
 	requests *obsv.LabeledCounter
 	duration *obsv.LabeledHistogram
-	shed     *obsv.Counter
-	timeouts *obsv.Counter
-	errors   *obsv.Counter
 	tenantsG *obsv.Gauge
-	latency  *obsv.Summary
 
 	routeRewrite *obsv.Counter
 	routeSAT     *obsv.Counter
@@ -200,11 +192,7 @@ func New(cfg Config) *Server {
 
 		requests: reg.LabeledCounter(MetricRequests, obsv.RequestLabels, requestSeriesCap),
 		duration: reg.LabeledHistogram(MetricRequestDuration, obsv.RequestLabels, buckets, requestSeriesCap),
-		shed:     reg.Counter(MetricShed),
-		timeouts: reg.Counter(MetricTimeouts),
-		errors:   reg.Counter(MetricErrors),
 		tenantsG: reg.Gauge(MetricTenants),
-		latency:  reg.Summary(MetricReqSecs, 0, nil),
 
 		routeRewrite: reg.Counter(MetricRouteRewrite),
 		routeSAT:     reg.Counter(MetricRouteSAT),
@@ -327,7 +315,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	req, err := decodeQueryRequest(r)
 	if err != nil {
-		s.errors.Inc()
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
@@ -337,7 +324,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	t, err := s.tenants.get(req.Instance)
 	if err != nil {
-		s.errors.Inc()
 		writeError(w, http.StatusNotFound, CodeUnknownInstance, "%v", err)
 		return
 	}
@@ -411,7 +397,6 @@ func traceContextFor(r *http.Request) obsv.TraceContext {
 func (s *Server) finishRequest(rt *obsv.Tracer, tenant, route, outcome, query string, start time.Time, elapsed time.Duration) {
 	s.requests.With(tenant, route, outcome).Inc()
 	s.duration.With(tenant, route, outcome).Observe(elapsed.Seconds())
-	s.latency.Observe(elapsed.Seconds())
 	s.slo.Observe()
 
 	reason := ""
@@ -495,12 +480,12 @@ func (s *Server) countRoute(route string) {
 	}
 }
 
-// writeQueryError maps solve/admission failures onto the typed JSON
-// envelope and the service counters.
+// writeQueryError maps solve/admission failures onto an HTTP status and
+// the typed JSON envelope. Metrics classify the same errors through
+// outcomeOf.
 func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrShed) || errors.Is(err, ErrQueueTimeout):
-		s.shed.Inc()
 		retry := s.cfg.RetryAfter
 		w.Header().Set("Retry-After", strconv.Itoa(int((retry+time.Second-1)/time.Second)))
 		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
@@ -509,17 +494,13 @@ func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 			RetryAfterMS: retry.Milliseconds(),
 		})
 	case errors.Is(err, aggcavsat.ErrTimeout) || errors.Is(err, context.DeadlineExceeded):
-		s.timeouts.Inc()
 		writeError(w, http.StatusGatewayTimeout, CodeTimeout, "query deadline expired: %v", err)
 	case errors.Is(err, aggcavsat.ErrBudget):
-		s.timeouts.Inc()
 		writeError(w, http.StatusGatewayTimeout, CodeBudget, "solver budget exhausted: %v", err)
 	case errors.Is(err, context.Canceled):
 		// The client went away; nobody reads this response.
-		s.errors.Inc()
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "request canceled")
 	default:
-		s.errors.Inc()
 		writeError(w, http.StatusBadRequest, CodeBadQuery, "%v", err)
 	}
 }

@@ -162,12 +162,18 @@ func TestShedReturns429(t *testing.T) {
 	if env.Code != CodeOverloaded || env.RetryAfterMS != 2000 {
 		t.Errorf("envelope = %+v", env)
 	}
-	if v := srv.cfg.Metrics.Counter(MetricShed).Value(); v != 1 {
-		t.Errorf("shed counter = %d, want 1", v)
+	if v := outcomeCount(srv, "shed"); v != 1 {
+		t.Errorf(`outcome="shed" requests = %d, want 1`, v)
 	}
 
 	close(release)
 	wg.Wait()
+}
+
+// outcomeCount sums the labeled request counter over every series with
+// the given outcome label.
+func outcomeCount(srv *Server, outcome string) int64 {
+	return srv.requests.Sum(func(values []string) bool { return values[2] == outcome })
 }
 
 func TestQueueWaitExpiresInto429(t *testing.T) {
@@ -219,8 +225,8 @@ func TestDeadlineReturnsTypedTimeout(t *testing.T) {
 	if env.Code != CodeTimeout {
 		t.Errorf("code = %q, want %q", env.Code, CodeTimeout)
 	}
-	if v := srv.cfg.Metrics.Counter(MetricTimeouts).Value(); v != 1 {
-		t.Errorf("timeout counter = %d, want 1", v)
+	if v := outcomeCount(srv, "timeout"); v != 1 {
+		t.Errorf(`outcome="timeout" requests = %d, want 1`, v)
 	}
 	// Timeouts are never cached: the next request solves again.
 	srv.exec = srv.runQuery
@@ -371,7 +377,7 @@ func TestGetQueryAndDebugPlane(t *testing.T) {
 	defer metrics.Body.Close()
 	var buf bytes.Buffer
 	buf.ReadFrom(metrics.Body)
-	for _, want := range []string{MetricRequests, MetricShed, MetricInflight, MetricCacheHit} {
+	for _, want := range []string{MetricRequests, MetricRequestDuration, MetricInflight, MetricCacheHit} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("/metrics missing %s", want)
 		}

@@ -71,16 +71,9 @@ func SizesAt(sf float64) Sizes {
 // deterministically from the seed. Monetary values are integer cents;
 // dates are ISO strings between 1992-01-01 and 1998-12-31.
 func Generate(sf float64, seed uint64) *db.Instance {
-	return GenerateLayout(sf, seed, db.LayoutColumnar)
-}
-
-// GenerateLayout is Generate with an explicit physical layout — the
-// same facts with the same IDs either way (the pr9 benchmark compares
-// the layouts on bit-identical data).
-func GenerateLayout(sf float64, seed uint64, layout db.Layout) *db.Instance {
 	r := xrand.New(seed)
 	sz := SizesAt(sf)
-	in := db.NewInstanceLayout(Schema(), layout)
+	in := db.NewInstance(Schema())
 
 	for i, name := range regionNames {
 		in.MustInsert("region", db.Int(int64(i)), db.Str(name))
@@ -198,15 +191,7 @@ func addDays(r *xrand.Rand, base string, maxDelta int) string {
 // constructor so a load replay against a server started with the same
 // (sf, pct, seed) triple compares answers over the identical instance.
 func DemoInstance(sf, pct float64, seed uint64) (*db.Instance, error) {
-	return DemoInstanceLayout(sf, pct, seed, db.LayoutColumnar)
-}
-
-// DemoInstanceLayout is DemoInstance with an explicit physical layout;
-// Inject preserves the base instance's layout, so fact IDs and contents
-// are identical across layouts.
-func DemoInstanceLayout(sf, pct float64, seed uint64, layout db.Layout) (*db.Instance, error) {
-	base := GenerateLayout(sf, seed, layout)
-	return Inject(base, InjectOptions{
+	return Inject(Generate(sf, seed), InjectOptions{
 		Percent:  pct,
 		MinGroup: 2,
 		MaxGroup: 7,

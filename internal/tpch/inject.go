@@ -42,8 +42,8 @@ func Inject(in *db.Instance, opts InjectOptions) (*db.Instance, error) {
 	r := xrand.New(opts.Seed)
 
 	// Copy fact by fact (never materializing the whole instance at
-	// once), preserving the input's physical layout and fact IDs.
-	out := db.NewInstanceLayout(in.Schema(), in.Layout())
+	// once), preserving the input's fact IDs.
+	out := db.NewInstance(in.Schema())
 	nIn := in.NumFacts()
 	for id := db.FactID(0); int(id) < nIn; id++ {
 		rs := in.Schema().RelationByID(in.RelOf(id))
