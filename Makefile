@@ -16,19 +16,19 @@ vet:
 # Race-hammers the concurrency-sensitive packages: the metrics registry
 # and the debug HTTP server (live /metrics + /debug/trace scrapes racing
 # the instrumentation writers), the SAT solver (progress callbacks and
-# cooperative interrupts fire from inside the search), the MaxSAT
-# algorithms under cancellation, the core worker pool (parallel groups/
-# components/candidate shards) with the flight recorder fed from worker
-# goroutines, the parallel witness enumerator (shared evaluator,
-# plan/index caches), the bench harness, the facade (one System hammered
-# by concurrent QueryContext callers), the query service (admission
-# gate handoffs, singleflight coalescing, hot tenant re-attach), and the
-# fact store (frozen columnar instances and mmap-backed snapshots read
-# by concurrent query workers while the dictionary and arenas must stay
-# immutable). -short skips the slowest property-test sweeps so the run
-# stays usable on small CI boxes.
+# cooperative interrupts fire from inside the search), MaxHS and its RC2
+# fallback under cancellation, the shared worker pool and the engine
+# running on it (parallel groups/components/candidate shards) with the
+# flight recorder fed from worker goroutines, the parallel witness
+# enumerator (shared evaluator, plan/index caches), the bench harness,
+# the facade (one System hammered by concurrent QueryContext callers),
+# the query service (admission gate handoffs, singleflight coalescing,
+# hot tenant re-attach), and the fact store (frozen columnar instances
+# and mmap-backed snapshots read by concurrent query workers while the
+# dictionary and arenas must stay immutable). -short skips the slowest
+# property-test sweeps so the run stays usable on small CI boxes.
 race:
-	$(GO) test -race -short . ./internal/obsv/... ./internal/sat/... ./internal/maxsat/... ./internal/core/... ./internal/cq/... ./internal/bench/... ./internal/server/... ./internal/planner/... ./internal/conquer/... ./internal/db/...
+	$(GO) test -race -short . ./internal/obsv/... ./internal/sat/... ./internal/maxsat/... ./internal/core/... ./internal/cq/... ./internal/bench/... ./internal/server/... ./internal/planner/... ./internal/conquer/... ./internal/db/... ./internal/workpool/...
 
 # Micro-benchmarks: the clone-vs-rebuild and shared-base suites in
 # sat/maxsat/core (incremental solving), the compiled evaluation and

@@ -157,9 +157,6 @@ func FD(rs *RelationSchema, lhs []string, rhs ...string) ([]DenialConstraint, er
 	return constraints.FD(rs, lhs, rhs...)
 }
 
-// SolverAlgorithm selects the MaxSAT strategy.
-type SolverAlgorithm = maxsat.Algorithm
-
 // PlannerMode selects the query planner's routing policy between the
 // WPMaxSAT reduction and the SAT-free rewriting fast path.
 type PlannerMode = planner.Mode
@@ -182,29 +179,16 @@ const (
 // "force-rewrite"; "sat" and "rewrite" are accepted shorthands).
 func ParsePlannerMode(s string) (PlannerMode, error) { return planner.ParseMode(s) }
 
-// MaxSAT solving strategies.
-const (
-	// SolverMaxHS is implicit-hitting-set MaxSAT, as in the MaxHS solver
-	// the paper deploys (default).
-	SolverMaxHS = maxsat.AlgMaxHS
-	// SolverRC2 is core-guided MaxSAT.
-	SolverRC2 = maxsat.AlgRC2
-	// SolverLSU is linear solution-improving search.
-	SolverLSU = maxsat.AlgLSU
-	// SolverExternal shells out to a MaxHS-compatible binary.
-	SolverExternal = maxsat.AlgExternal
-)
-
 // Options configures a System.
 type Options struct {
 	// DenialConstraints switches the system from per-relation key
 	// constraints (the default, taken from the schema) to an explicit
 	// denial-constraint set (Reduction V.1).
 	DenialConstraints []DenialConstraint
-	// Solver selects the MaxSAT algorithm; the zero value is SolverMaxHS.
-	Solver SolverAlgorithm
-	// ExternalSolverPath is the MaxHS-compatible binary for
-	// SolverExternal.
+	// ExternalSolverPath, when non-empty, selects an external
+	// MaxHS-compatible MaxSAT binary in place of the built-in MaxHS
+	// (which degrades to core-guided RC2 search on its own when an exact
+	// hitting-set search exhausts its node budget).
 	ExternalSolverPath string
 	// Parallelism bounds the worker pool that solves independent
 	// groups/components concurrently; 0 means GOMAXPROCS, 1 forces
@@ -265,7 +249,6 @@ func Open(in *Instance, opts Options) (*System, error) {
 	engOpts := core.Options{
 		Mode: core.KeysMode,
 		MaxSAT: maxsat.Options{
-			Algorithm:     opts.Solver,
 			SolverPath:    opts.ExternalSolverPath,
 			Progress:      opts.Progress,
 			ProgressEvery: opts.ProgressEvery,

@@ -180,31 +180,10 @@ func TestDenialConstraintMode(t *testing.T) {
 	}
 }
 
-func TestSolverSelection(t *testing.T) {
-	for _, alg := range []SolverAlgorithm{SolverRC2, SolverLSU} {
-		sys, err := Open(bank(t), Options{Solver: alg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sys.Query(`SELECT COUNT(*) FROM Cust, Acc, CustAcc
-			WHERE Cust.CID = CustAcc.CID AND Acc.ACCID = CustAcc.ACCID
-			AND Cust.CITY = Acc.CITY`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := res.Rows[0].Ranges[0]
-		if r.GLB.AsInt() != 1 || r.LUB.AsInt() != 2 {
-			t.Errorf("%v: range = %s, want [1, 2]", alg, FormatRange(r))
-		}
-	}
-}
-
 // TestDefaultSolverIsMaxHS: the zero Options value solves with MaxHS,
 // as the explain report's solver names show.
 func TestDefaultSolverIsMaxHS(t *testing.T) {
-	var opts Options // Solver left at its zero value
-	opts.Explain = true
-	sys, err := Open(bank(t), opts)
+	sys, err := Open(bank(t), Options{Explain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,10 +382,8 @@ func TestExternalSolverLoop(t *testing.T) {
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Skipf("cannot build wcnfsolve: %v (%s)", err, out)
 	}
-	sys, err := Open(bank(t), Options{
-		Solver:             SolverExternal,
-		ExternalSolverPath: bin,
-	})
+	// The path alone selects the external solver.
+	sys, err := Open(bank(t), Options{ExternalSolverPath: bin, Explain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,6 +394,17 @@ func TestExternalSolverLoop(t *testing.T) {
 	}
 	if FormatRange(res.Rows[0].Ranges[0]) != "[900, 2200]" {
 		t.Errorf("external-solver range = %s", FormatRange(res.Rows[0].Ranges[0]))
+	}
+	ex := res.Explains[0]
+	if ex.Algorithm != "external" {
+		t.Errorf("solver = %q, want external", ex.Algorithm)
+	}
+	for _, c := range ex.Components {
+		for _, d := range c.Directions {
+			if d.Algorithm != "external" {
+				t.Errorf("component %d %s pass solved with %q, want external", c.Index, d.Direction, d.Algorithm)
+			}
+		}
 	}
 }
 

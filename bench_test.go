@@ -15,7 +15,6 @@ import (
 	"aggcavsat/internal/cq"
 	"aggcavsat/internal/db"
 	"aggcavsat/internal/exhaustive"
-	"aggcavsat/internal/maxsat"
 	"aggcavsat/internal/medigap"
 	"aggcavsat/internal/tpch"
 )
@@ -151,10 +150,9 @@ func BenchmarkReductionV1Medigap(b *testing.B) {
 	}
 }
 
-// Ablation benchmarks: the MaxSAT back ends on the same reduction
-// (DESIGN.md's design-choice ablation — MaxHS-style hitting sets vs
-// core-guided RC2 vs linear search).
-func benchSolver(b *testing.B, alg maxsat.Algorithm) {
+// BenchmarkSolverMaxHS times the engine's WPMaxSAT path (MaxHS with its
+// RC2 fallback) end to end on one scalar query.
+func BenchmarkSolverMaxHS(b *testing.B) {
 	in := benchInstance(b)
 	q, err := tpch.QueryByName("Q12'")
 	if err != nil {
@@ -166,7 +164,7 @@ func benchSolver(b *testing.B, alg maxsat.Algorithm) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng, err := core.New(in, core.Options{MaxSAT: maxsat.Options{Algorithm: alg}})
+		eng, err := core.New(in, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -175,10 +173,6 @@ func benchSolver(b *testing.B, alg maxsat.Algorithm) {
 		}
 	}
 }
-
-func BenchmarkSolverMaxHS(b *testing.B) { benchSolver(b, maxsat.AlgMaxHS) }
-func BenchmarkSolverRC2(b *testing.B)   { benchSolver(b, maxsat.AlgRC2) }
-func BenchmarkSolverLSU(b *testing.B)   { benchSolver(b, maxsat.AlgLSU) }
 
 // BenchmarkExhaustiveBaseline sizes the brute-force alternative the SAT
 // pipeline replaces (tiny instance: repair enumeration is exponential).

@@ -62,9 +62,8 @@
 //
 //	-planner M        planner mode for every engine the suite builds:
 //	                  force-sat (default — the paper tables measure the
-//	                  WPMaxSAT pipeline), auto, force-rewrite; the pr8
-//	                  experiment measures auto vs force-sat regardless
-//	-parallel N, -p N worker-pool size inside each measured query
+//	                  WPMaxSAT pipeline), auto, force-rewrite
+//	-parallel N       worker-pool size inside each measured query
 //	                  (0 = GOMAXPROCS, 1 = sequential); parallel runs
 //	                  produce identical answers but per-phase times sum
 //	                  worker durations and can exceed wall clock
@@ -105,8 +104,7 @@ func main() {
 	flag.Float64Var(&cfg.MedigapScale, "medigap-scale", cfg.MedigapScale, "Medigap dataset scale (1.0 = 61K tuples)")
 	flag.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "generator seed")
 	flag.IntVar(&cfg.Parallelism, "parallel", cfg.Parallelism, "worker-pool size per query (0 = GOMAXPROCS, 1 = sequential)")
-	flag.IntVar(&cfg.Parallelism, "p", cfg.Parallelism, "shorthand for -parallel")
-	plannerMode := flag.String("planner", "force-sat", "planner mode for every engine the suite builds: force-sat (default; the paper tables measure the WPMaxSAT pipeline), auto, force-rewrite (the pr8 experiment measures auto vs force-sat regardless)")
+	plannerMode := flag.String("planner", "force-sat", "planner mode for every engine the suite builds: force-sat (default; the paper tables measure the WPMaxSAT pipeline), auto, force-rewrite")
 	flag.DurationVar(&cfg.Timeout, "timeout", cfg.Timeout, "wall-clock bound per query, e.g. 30s (0 = none)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")

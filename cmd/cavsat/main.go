@@ -55,6 +55,13 @@
 //	                  identical on every route; -explain shows which
 //	                  route answered and why.
 //
+// Solver:
+//
+//	-external-solver P  hand each WPMaxSAT instance to the
+//	                  MaxHS-compatible binary P (one WCNF file per run)
+//	                  instead of the built-in MaxHS-style solver, which
+//	                  falls back to core-guided RC2 search on its own
+//
 // Concurrency and timeouts:
 //
 //	-parallel N       worker-pool size for independent groups/components
@@ -84,8 +91,7 @@ import (
 func main() {
 	dataDir := flag.String("data", ".", "directory with schema.txt and <relation>.csv files")
 	plannerMode := flag.String("planner", "auto", "query planner mode: auto (rewrite when possible, solver otherwise), force-sat, force-rewrite")
-	solver := flag.String("solver", "maxhs", "MaxSAT algorithm: maxhs, rc2, lsu, external")
-	external := flag.String("external-solver", "", "path to a MaxHS-compatible binary (solver=external)")
+	external := flag.String("external-solver", "", "path to a MaxHS-compatible MaxSAT binary to use instead of the built-in MaxHS")
 	stats := flag.Bool("stats", false, "print a per-phase statistics table")
 	explain := flag.Bool("explain", false, "print a per-solve explain report (code paths, caches, components)")
 	explainJSON := flag.Bool("explain-json", false, "print the explain report as JSON")
@@ -140,18 +146,6 @@ func main() {
 		Parallelism:        *parallel,
 		Timeout:            *timeout,
 		Planner:            pm,
-	}
-	switch *solver {
-	case "maxhs":
-		opts.Solver = aggcavsat.SolverMaxHS
-	case "rc2":
-		opts.Solver = aggcavsat.SolverRC2
-	case "lsu":
-		opts.Solver = aggcavsat.SolverLSU
-	case "external":
-		opts.Solver = aggcavsat.SolverExternal
-	default:
-		fatalIf(fmt.Errorf("unknown solver %q", *solver))
 	}
 	if *progress || *verbose {
 		opts.ProgressEvery = *progressEvery

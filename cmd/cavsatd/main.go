@@ -64,6 +64,10 @@
 // counters that sum to the queries served (cached answers count under
 // the route that originally computed them).
 //
+// Every SAT-route query runs the built-in MaxHS-style solver (with its
+// RC2 fallback); -external-solver path hands the WPMaxSAT instances to
+// a MaxHS-compatible binary instead.
+//
 // The -dbgen tenant is the aggbench replay instance: -sf,
 // -inconsistency and -seed default to the bench settings, so
 // `aggbench -replay -target http://addr` verifies byte-identical
@@ -127,8 +131,7 @@ func main() {
 	flightDir := flag.String("flight-dir", "", "write flight-recorder bundles for anomalous queries into this directory")
 	slowQuery := flag.Duration("slow-query", 0, "queries slower than this dump a flight bundle even on success (0 = only errors/timeouts)")
 	plannerMode := flag.String("planner", "auto", "query planner mode for every attached instance: auto (rewrite when possible, solver otherwise), force-sat, force-rewrite")
-	solver := flag.String("solver", "maxhs", "MaxSAT algorithm: maxhs, rc2, lsu, external")
-	external := flag.String("external-solver", "", "path to a MaxHS-compatible binary (solver=external)")
+	external := flag.String("external-solver", "", "path to a MaxHS-compatible MaxSAT binary to use instead of the built-in MaxHS")
 	parallel := flag.Int("parallel", 0, "solver worker-pool size per query (0 = GOMAXPROCS, 1 = sequential)")
 	verbose := flag.Bool("v", false, "debug logging")
 	flag.Parse()
@@ -151,18 +154,6 @@ func main() {
 		Parallelism:        *parallel,
 		SlowQuery:          *slowQuery,
 		Planner:            pm,
-	}
-	switch *solver {
-	case "maxhs":
-		opts.Solver = aggcavsat.SolverMaxHS
-	case "rc2":
-		opts.Solver = aggcavsat.SolverRC2
-	case "lsu":
-		opts.Solver = aggcavsat.SolverLSU
-	case "external":
-		opts.Solver = aggcavsat.SolverExternal
-	default:
-		fatalIf(fmt.Errorf("unknown solver %q", *solver))
 	}
 	if *flightDir != "" {
 		opts.OnAnomaly = obsv.DumpDir(*flightDir)

@@ -2,10 +2,12 @@
 // DIMACS WCNF files, speaking the MaxSAT-evaluation output convention
 // ("o <cost>", "s OPTIMUM FOUND" / "s UNSATISFIABLE", "v <literals>").
 //
-//	wcnfsolve [-alg maxhs|rc2|lsu] [-timeout 30s] problem.wcnf
+//	wcnfsolve [-progress] [-timeout 30s] problem.wcnf
 //
-// The hard clauses are loaded into one solver base and every algorithm
-// run — including the MaxHS→RC2 fallback — starts from a clone of it.
+// It runs the built-in MaxHS-style solver. The hard clauses are loaded
+// into one solver base, and the MaxHS run and its RC2 fallback (taken
+// when an exact hitting-set search exhausts its node budget) each start
+// from a clone of it.
 //
 // It doubles as a drop-in "external solver" for aggcavsat itself
 // (Options.ExternalSolverPath), which closes the loop on the paper's
@@ -26,13 +28,12 @@ import (
 )
 
 func main() {
-	alg := flag.String("alg", "maxhs", "algorithm: maxhs, rc2, lsu")
 	progress := flag.Bool("progress", false, "print periodic progress lines (stderr)")
 	progressEvery := flag.Int64("progress-every", maxsat.DefaultProgressEvery, "conflicts between progress lines")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound for the solve, e.g. 30s (0 = none)")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: wcnfsolve [-alg maxhs|rc2|lsu] [-progress] [-timeout 30s] problem.wcnf")
+		fmt.Fprintln(os.Stderr, "usage: wcnfsolve [-progress] [-timeout 30s] problem.wcnf")
 		os.Exit(2)
 	}
 	f, err := os.Open(flag.Arg(0))
@@ -42,16 +43,6 @@ func main() {
 	fatalIf(err)
 
 	opts := maxsat.Options{}
-	switch *alg {
-	case "maxhs":
-		opts.Algorithm = maxsat.AlgMaxHS
-	case "rc2":
-		opts.Algorithm = maxsat.AlgRC2
-	case "lsu":
-		opts.Algorithm = maxsat.AlgLSU
-	default:
-		fatalIf(fmt.Errorf("unknown algorithm %q", *alg))
-	}
 	if *progress {
 		opts.ProgressEvery = *progressEvery
 		opts.Progress = progressPrinter()
@@ -71,7 +62,7 @@ func main() {
 		fmt.Println("s UNSATISFIABLE")
 		os.Exit(20)
 	}
-	fmt.Printf("c sat calls: %d, conflicts: %d\n", res.SATCalls, res.Conflicts)
+	fmt.Printf("c solver: %v, sat calls: %d, conflicts: %d\n", res.Algorithm, res.SATCalls, res.Conflicts)
 	fmt.Printf("o %d\n", res.FalsifiedWeight)
 	fmt.Println("s OPTIMUM FOUND")
 	var sb strings.Builder

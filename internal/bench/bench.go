@@ -69,8 +69,7 @@ type Config struct {
 	Journal *obsv.Journal
 	// Planner is the routing policy for every engine the suite builds.
 	// The default (force-sat, the zero value) keeps the paper tables
-	// measuring the WPMaxSAT pipeline; the pr8 experiment measures auto
-	// vs force-sat regardless of this setting.
+	// measuring the WPMaxSAT pipeline.
 	Planner planner.Mode
 }
 
@@ -766,8 +765,6 @@ func (r *Runner) All(w io.Writer) error {
 		{"fig8", r.Figure8},
 		{"table4", r.TableIV},
 		{"fig9", r.Figure9},
-		{"ablation", r.Ablation},
-		{"pr8", r.PlannerCompare},
 		{"pr9", r.ColumnarStore},
 	}
 	for _, e := range experiments {
@@ -823,10 +820,6 @@ func (r *Runner) experimentByName(name string) (*Table, error) {
 		return r.TableIIIcd()
 	case "table4":
 		return r.TableIV()
-	case "ablation":
-		return r.Ablation()
-	case "pr8", "planner":
-		return r.PlannerCompare()
 	case "pr9", "columnar":
 		return r.ColumnarStore()
 	default:
@@ -838,7 +831,6 @@ func (r *Runner) experimentByName(name string) (*Table, error) {
 func Names() []string {
 	return []string{
 		"fig1", "fig2", "table2", "fig3", "table3ab", "fig4", "table3cd",
-		"fig5", "fig6", "fig7", "fig8", "table4", "fig9", "ablation", "pr8",
-		"pr9",
+		"fig5", "fig6", "fig7", "fig8", "table4", "fig9", "pr9",
 	}
 }

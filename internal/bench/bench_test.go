@@ -152,17 +152,6 @@ func TestFigure9Shape(t *testing.T) {
 	}
 }
 
-func TestAblationShape(t *testing.T) {
-	r := NewRunner(tinyConfig())
-	table, err := r.Ablation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table.Rows) != 4 || len(table.Header) != 4 {
-		t.Fatalf("table shape: %d rows, %d cols", len(table.Rows), len(table.Header))
-	}
-}
-
 func TestExperimentDispatch(t *testing.T) {
 	r := NewRunner(tinyConfig())
 	var buf bytes.Buffer
@@ -175,7 +164,7 @@ func TestExperimentDispatch(t *testing.T) {
 	if err := r.Experiment("nope", &buf); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	if len(Names()) != 16 {
+	if len(Names()) != 14 {
 		t.Errorf("Names() = %d entries", len(Names()))
 	}
 }

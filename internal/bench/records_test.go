@@ -83,7 +83,7 @@ func TestRecordsSweepSettings(t *testing.T) {
 func TestRunnerTraceCapture(t *testing.T) {
 	tr := obsv.NewTracer()
 	r := NewRunner(tinyConfig()).WithContext(obsv.WithTracer(context.Background(), tr))
-	if _, err := r.Ablation(); err != nil {
+	if _, err := r.Figure1(); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Len() == 0 {

@@ -43,6 +43,7 @@ import (
 
 	"aggcavsat/internal/cq"
 	"aggcavsat/internal/db"
+	"aggcavsat/internal/workpool"
 )
 
 // ErrNotInClass is returned for queries the rewriting cannot handle.
@@ -636,7 +637,7 @@ func (x *executor) run(ctx context.Context, parallelism int) ([]GroupRange, erro
 	}
 
 	results := make([]*GroupRange, len(groupKeys))
-	err := forEach(ctx, parallelism, len(groupKeys), func(ctx context.Context, gi int) error {
+	err := workpool.ForEach(ctx, parallelism, len(groupKeys), func(ctx context.Context, gi int) error {
 		g := groupKeys[gi]
 		rgs := activeGroups
 		if x.grouped {

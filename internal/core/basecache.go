@@ -15,7 +15,7 @@ import (
 // the formula path: one WCNF per MaxSAT run, with an explicit
 // NegateSoft copy for the lub direction.
 func (e *Engine) incremental() bool {
-	return e.opts.MaxSAT.Algorithm != maxsat.AlgExternal
+	return e.opts.MaxSAT.SolverPath == ""
 }
 
 // baseEntry is one cached component: built at most once under once,

@@ -78,11 +78,12 @@ type Explain struct {
 	// lowercase hex digits), when the context carried one — the same id
 	// the journal line, flight bundle, and cavsatd response carry.
 	TraceID string `json:"trace_id,omitempty"`
-	// Mode is "keys" or "dc". Incremental is false only for the
-	// external solver, which runs one WCNF file per MaxSAT run.
+	// Mode is "keys" or "dc". Algorithm is the configured solver:
+	// "maxhs" (incremental, over a shared hard-clause base) or
+	// "external" (one WCNF file per MaxSAT run); the direction rows of
+	// Components name the strategy that actually answered each pass.
 	Mode        string `json:"mode"`
 	Algorithm   string `json:"algorithm"`
-	Incremental bool   `json:"incremental"`
 	Parallelism int    `json:"parallelism"`
 
 	// Route is the executor the planner picked: "rewrite" (ConQuer-style
@@ -159,8 +160,7 @@ func (e *Engine) buildExplain(query, op, traceID string, rc *recorder, stats Sta
 		Op:          op,
 		TraceID:     traceID,
 		Mode:        e.modeString(),
-		Algorithm:   e.opts.MaxSAT.Algorithm.String(),
-		Incremental: e.incremental(),
+		Algorithm:   e.opts.MaxSAT.Algorithm().String(),
 		Parallelism: e.parallelism(),
 
 		Route:       rc.route.String(),
@@ -216,11 +216,9 @@ func (ex *Explain) WriteTable(w io.Writer) error {
 		route += " (plan cached)"
 	}
 	fmt.Fprintf(tw, "route\t%s\n", route)
-	solver := ex.Algorithm
-	if ex.Incremental {
-		solver += " (incremental)"
-	} else {
-		solver += " (per-run formula)"
+	solver := ex.Algorithm + " (incremental)"
+	if ex.Algorithm == maxsat.AlgExternal.String() {
+		solver = ex.Algorithm + " (per-run formula)"
 	}
 	fmt.Fprintf(tw, "solver\t%s\n", solver)
 	fmt.Fprintf(tw, "parallelism\t%d\n", ex.Parallelism)

@@ -30,7 +30,7 @@ func TestExplainReconcilesWithStats(t *testing.T) {
 	if !reflect.DeepEqual(ex.Stats, rep.Stats) {
 		t.Errorf("explain stats diverge from report stats:\nexplain: %+v\nreport:  %+v", ex.Stats, rep.Stats)
 	}
-	if ex.Op != "SUM" || ex.Mode != "keys" || ex.Algorithm == "" {
+	if ex.Op != "SUM" || ex.Mode != "keys" || ex.Algorithm != "maxhs" {
 		t.Errorf("explain identity = op %q mode %q alg %q", ex.Op, ex.Mode, ex.Algorithm)
 	}
 	if len(ex.Components) == 0 {
@@ -48,6 +48,10 @@ func TestExplainReconcilesWithStats(t *testing.T) {
 		for _, d := range ce.Directions {
 			dirs[d.Direction] = true
 			satCalls += d.SATCalls
+			// Default budgets: MaxHS answers without its RC2 fallback.
+			if d.Algorithm != "maxhs" {
+				t.Errorf("component %d %s pass answered by %q, want maxhs", ce.Index, d.Direction, d.Algorithm)
+			}
 		}
 	}
 	if !dirs["glb"] || !dirs["lub"] {

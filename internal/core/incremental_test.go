@@ -14,11 +14,18 @@ import (
 // hard clauses loaded once per component, both optimization directions
 // and the MaxHS→RC2 fallback served from clones — to brute-force repair
 // enumeration (internal/exhaustive) on random inconsistent instances,
-// for every operator, scalar and grouped, all three built-in MaxSAT
-// algorithms, and both a sequential and a parallel worker pool.
+// for every operator, scalar and grouped, MaxHS with default budgets and
+// with the RC2 fallback forced (a hitting-set node budget of 1), and
+// both a sequential and a parallel worker pool.
 func TestIncrementalMatchesExhaustive(t *testing.T) {
 	ops := []cq.AggOp{cq.CountStar, cq.Count, cq.Sum, cq.CountDistinct, cq.SumDistinct, cq.Min, cq.Max}
-	algs := []maxsat.Algorithm{maxsat.AlgMaxHS, maxsat.AlgRC2, maxsat.AlgLSU}
+	legs := []struct {
+		name string
+		opts maxsat.Options
+	}{
+		{"maxhs", maxsat.Options{}},
+		{"maxhs→rc2", maxsat.Options{HSNodeBudget: 1}},
+	}
 	trials := 25
 	if testing.Short() {
 		trials = 6
@@ -36,19 +43,18 @@ func TestIncrementalMatchesExhaustive(t *testing.T) {
 				want[fmt.Sprint(op, grouped)] = w
 			}
 		}
-		for _, alg := range algs {
+		for _, leg := range legs {
 			for _, par := range []int{1, 4} {
-				eng, err := New(in, Options{Mode: KeysMode, Parallelism: par,
-					MaxSAT: maxsat.Options{Algorithm: alg}})
+				eng, err := New(in, Options{Mode: KeysMode, Parallelism: par, MaxSAT: leg.opts})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !eng.incremental() {
-					t.Fatalf("alg %v: engine not on the shared-base path", alg)
+					t.Fatalf("%s: engine not on the shared-base path", leg.name)
 				}
 				for _, op := range ops {
 					for _, grouped := range []bool{false, true} {
-						label := fmt.Sprintf("seed %d alg %v par %d op %v grouped %v", seed, alg, par, op, grouped)
+						label := fmt.Sprintf("seed %d %s par %d op %v grouped %v", seed, leg.name, par, op, grouped)
 						got, err := eng.RangeAnswers(joinQuery(op, grouped))
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)

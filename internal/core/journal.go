@@ -59,10 +59,9 @@ func (e *Engine) appendJournal(ctx context.Context, op, query string, answers []
 		Op:          op,
 		TraceID:     obsv.TraceIDFromContext(ctx),
 		Options: obsv.JournalOptions{
-			Algorithm:   e.opts.MaxSAT.Algorithm.String(),
+			Algorithm:   e.opts.MaxSAT.Algorithm().String(),
 			Mode:        e.modeString(),
 			Parallelism: e.parallelism(),
-			Incremental: e.incremental(),
 			Planner:     e.opts.Planner.String(),
 		},
 

@@ -5,10 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"aggcavsat/internal/maxsat"
+	"aggcavsat/internal/workpool"
 )
 
 // ErrTimeout is returned when an engine call is cut short by its context
@@ -57,67 +56,15 @@ func (e *Engine) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forEach runs fn(i) for every i in [0, n) on at most workers
-// goroutines. Work items are claimed from a shared atomic counter, so
-// callers must make fn(i) write its result into slot i of a
-// caller-owned slice — that is what keeps the merged output
-// deterministic regardless of scheduling.
-//
-// The first error cancels the context handed to the remaining fn calls
-// and is returned after all workers drain; when the parent context
-// itself is dead, the (typed) cancellation error wins over whichever
-// per-item error happened to be recorded first, so callers see
-// ErrTimeout rather than an arbitrary casualty of the cancellation.
-// With workers <= 1 the loop degenerates to a plain sequential for loop
-// on the caller's goroutine.
+// forEach is workpool.ForEach with the package's error mapping: when
+// the parent context is dead, the typed ErrTimeout (via stopCause) wins
+// over the bare context error or whichever per-item error happened to
+// be recorded first, so callers see ErrTimeout rather than an arbitrary
+// casualty of the cancellation.
 func forEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
-	if n == 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return stopCause(ctx)
-			}
-			if err := fn(ctx, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		once     sync.Once
-		firstErr error
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || wctx.Err() != nil {
-					return
-				}
-				if err := fn(wctx, i); err != nil {
-					once.Do(func() {
-						firstErr = err
-						cancel()
-					})
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if ctx.Err() != nil {
+	err := workpool.ForEach(ctx, workers, n, fn)
+	if err != nil && ctx.Err() != nil {
 		return stopCause(ctx)
 	}
-	return firstErr
+	return err
 }

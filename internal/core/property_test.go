@@ -271,32 +271,39 @@ func TestKeysAsDCsAgree(t *testing.T) {
 	}
 }
 
-// TestSolversAgree cross-checks the RC2 and LSU MaxSAT back ends through
-// the full reduction pipeline.
+// TestSolversAgree pins MaxHS's RC2 fallback through the full reduction
+// pipeline: with a hitting-set node budget of 1 every exact hitting-set
+// search aborts, so RC2 answers the passes that need one, and the
+// ranges must still equal repair enumeration (internal/exhaustive).
 func TestSolversAgree(t *testing.T) {
+	fallbacks := 0
 	for seed := 1; seed <= 15; seed++ {
 		r := rng(seed*104729 + 11)
 		in := randomInstance(&r)
-		rc2, _ := New(in, Options{Mode: KeysMode, MaxSAT: maxsat.Options{Algorithm: maxsat.AlgRC2}})
-		lsu, _ := New(in, Options{Mode: KeysMode, MaxSAT: maxsat.Options{Algorithm: maxsat.AlgLSU}})
+		eng, err := New(in, Options{Mode: KeysMode, Explain: true, MaxSAT: maxsat.Options{HSNodeBudget: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
 		q := joinQuery(cq.Sum, true)
-		a, err := rc2.RangeAnswers(q)
+		got, err := eng.RangeAnswers(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := lsu.RangeAnswers(q)
+		want, err := exhaustive.RangeAnswers(in, q, exhaustive.Options{Mode: exhaustive.ModeKeys})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(a.Answers) != len(b.Answers) {
-			t.Fatalf("seed %d: answer counts differ", seed)
-		}
-		for i := range a.Answers {
-			if !valuesMatch(a.Answers[i].GLB, b.Answers[i].GLB) ||
-				!valuesMatch(a.Answers[i].LUB, b.Answers[i].LUB) {
-				t.Fatalf("seed %d: rc2 vs lsu mismatch at %d", seed, i)
+		compareReports(t, fmt.Sprintf("seed %d", seed), got, want)
+		for _, ce := range got.Explain.Components {
+			for _, d := range ce.Directions {
+				if d.Algorithm == maxsat.AlgRC2.String() {
+					fallbacks++
+				}
 			}
 		}
+	}
+	if fallbacks == 0 {
+		t.Error("no solver pass fell back to RC2; the test does not exercise the fallback")
 	}
 }
 

@@ -57,8 +57,6 @@ func (rc *recorder) routed(r planner.Route, reason string, planCached bool) {
 }
 
 // newRecorder creates the call-local registry and links the session one.
-// The route gauges (front end, solver path) are stamped up front: they
-// describe the engine configuration, not something measured.
 func (e *Engine) newRecorder() (*recorder, *obsv.Registry) {
 	local := obsv.NewRegistry()
 	rc := &recorder{}
@@ -74,7 +72,6 @@ func (e *Engine) newRecorder() (*recorder, *obsv.Registry) {
 	if e.opts.Explain {
 		rc.exp = &explainCollector{}
 	}
-	rc.gaugeSet(obsv.MetricIncrementalMode, b2i(e.incremental()))
 	// "Cached" until the constraint build proves otherwise (see
 	// constraintCtx).
 	rc.constraintHit.Store(true)

@@ -424,7 +424,7 @@ func (e *Engine) runInstance(ctx context.Context, solve func(context.Context) (m
 	res, err := solve(ctx)
 	d := rc.endSolve(pm)
 	rc.satCalls(res.SATCalls)
-	ce.addDirection(dir, e.opts.MaxSAT.Algorithm.String(), res, d)
+	ce.addDirection(dir, res.Algorithm.String(), res, d)
 	if err != nil {
 		return res, mapSolveErr(err)
 	}
@@ -440,7 +440,7 @@ func (e *Engine) runMaxSAT(ctx context.Context, f *cnf.Formula, rc *recorder, ce
 	res, err := maxsat.SolveContext(ctx, f, e.opts.MaxSAT)
 	d := rc.endSolve(pm)
 	rc.satCalls(res.SATCalls)
-	ce.addDirection(dir, e.opts.MaxSAT.Algorithm.String(), res, d)
+	ce.addDirection(dir, res.Algorithm.String(), res, d)
 	if err != nil {
 		return res, mapSolveErr(err)
 	}

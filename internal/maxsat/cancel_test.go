@@ -40,7 +40,7 @@ func TestPreCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, alg := range algorithms() {
-		_, err := SolveContext(ctx, hardPigeonhole(5), Options{Algorithm: alg})
+		_, err := solveWith(ctx, alg, hardPigeonhole(5), Options{})
 		if err == nil {
 			t.Errorf("%v: pre-canceled context should error", alg)
 			continue
@@ -59,12 +59,11 @@ func TestCancelMidSolve(t *testing.T) {
 	for _, alg := range algorithms() {
 		ctx, cancel := context.WithCancel(context.Background())
 		opts := Options{
-			Algorithm:     alg,
 			ProgressEvery: 1,
 			Progress:      func(ProgressInfo) { cancel() },
 		}
 		start := time.Now()
-		_, err := SolveContext(ctx, hardPigeonhole(10), opts)
+		_, err := solveWith(ctx, alg, hardPigeonhole(10), opts)
 		elapsed := time.Since(start)
 		cancel()
 		if err == nil {
@@ -83,7 +82,7 @@ func TestCancelMidSolve(t *testing.T) {
 func TestBudgetErrorIsTyped(t *testing.T) {
 	// Conflict-budget exhaustion must match ErrBudget — and must not be
 	// conflated with a context cancellation.
-	_, err := Solve(hardPigeonhole(8), Options{Algorithm: AlgRC2, ConflictBudget: 3})
+	_, err := solveWith(context.Background(), rc2Alone, hardPigeonhole(8), Options{ConflictBudget: 3})
 	if err == nil {
 		t.Fatal("budget exhaustion should error")
 	}
@@ -99,8 +98,9 @@ func TestMaxHSFallbackAccumulatesStats(t *testing.T) {
 	// Three pairwise-conflicting softs force at least one core and a
 	// hitting-set search; HSNodeBudget=1 aborts that search immediately,
 	// so MaxHS degrades to the RC2 fallback. The result must still be
-	// the true optimum, and the stats must cover BOTH attempts: strictly
-	// more SAT calls than RC2 alone on the same formula.
+	// the true optimum, name RC2 as the strategy that produced it, and
+	// its stats must cover BOTH attempts: strictly more SAT calls than
+	// RC2 alone on the same formula.
 	f := cnf.New(3)
 	f.AddHard(-1, -2)
 	f.AddHard(-2, -3)
@@ -109,16 +109,19 @@ func TestMaxHSFallbackAccumulatesStats(t *testing.T) {
 	f.AddSoft(5, 2)
 	f.AddSoft(4, 3)
 
-	rc2, err := Solve(f, Options{Algorithm: AlgRC2})
+	rc2, err := solveWith(context.Background(), rc2Alone, f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(f, Options{Algorithm: AlgMaxHS, HSNodeBudget: 1})
+	res, err := Solve(f, Options{HSNodeBudget: 1})
 	if err != nil {
 		t.Fatalf("fallback should succeed, got %v", err)
 	}
 	if !res.Satisfiable || res.Optimum != 5 || res.FalsifiedWeight != 7 {
 		t.Errorf("fallback result %+v, want optimum 5 / falsified 7", res)
+	}
+	if res.Algorithm != AlgRC2 {
+		t.Errorf("fallback answered by %v, want rc2", res.Algorithm)
 	}
 	if res.SATCalls <= rc2.SATCalls {
 		t.Errorf("fallback SATCalls = %d, want > RC2-alone %d (MaxHS attempt must be counted)",
@@ -137,7 +140,7 @@ func TestMaxHSBudgetWithConflictBudgetErrors(t *testing.T) {
 	f.AddSoft(3, 1)
 	f.AddSoft(5, 2)
 	f.AddSoft(4, 3)
-	_, err := Solve(f, Options{Algorithm: AlgMaxHS, HSNodeBudget: 1, ConflictBudget: 1 << 40})
+	_, err := Solve(f, Options{HSNodeBudget: 1, ConflictBudget: 1 << 40})
 	if err == nil {
 		t.Fatal("hitting-set budget with ConflictBudget set should error")
 	}
@@ -160,7 +163,7 @@ func TestExternalHangingSolverKilled(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := SolveContext(ctx, f, Options{Algorithm: AlgExternal, SolverPath: script})
+	_, err := SolveContext(ctx, f, Options{SolverPath: script})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("hanging external solver should error once the context expires")
@@ -188,7 +191,7 @@ func TestExternalInvalidModelError(t *testing.T) {
 	f := cnf.New(1)
 	f.AddHard(-1)
 	f.AddSoft(2, 1)
-	_, err := Solve(f, Options{Algorithm: AlgExternal, SolverPath: script})
+	_, err := Solve(f, Options{SolverPath: script})
 	if err == nil {
 		t.Fatal("invalid external model should error")
 	}

@@ -23,9 +23,6 @@ import (
 // This mirrors the paper's architecture, where AggCAvSAT invokes MaxHS
 // v3.2 as a separate process.
 func solveExternal(ctx context.Context, f *cnf.Formula, opts Options) (Result, error) {
-	if opts.SolverPath == "" {
-		return Result{}, fmt.Errorf("maxsat: external algorithm requires Options.SolverPath")
-	}
 	_, sp := obsv.StartSpan(ctx, "maxsat.external", obsv.String("solver", opts.SolverPath))
 	defer sp.End()
 	tmp, err := os.CreateTemp("", "aggcavsat-*.wcnf")

@@ -3,7 +3,6 @@ package maxsat
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 
 	"aggcavsat/internal/cnf"
@@ -116,41 +115,30 @@ func formulaProblem(f *cnf.Formula) *problem {
 	return p
 }
 
-// solveProblem runs the selected built-in algorithm on a prepared
-// problem, including the MaxHS→RC2 degradation when an exact
-// hitting-set search blows its node budget. It is the common back end
+// solveProblem runs MaxHS on a prepared problem, degrading to RC2 when
+// an exact hitting-set search blows its node budget, and names the
+// strategy that answered in Result.Algorithm. It is the common back end
 // of SolveContext (via formulaProblem) and Instance.SolveMin/SolveMax.
 func solveProblem(ctx context.Context, p *problem, opts Options) (Result, error) {
-	switch opts.Algorithm {
-	case AlgMaxHS:
-		res, err := solveMaxHS(ctx, p, opts)
-		if errors.Is(err, errHSBudget) {
-			if opts.ConflictBudget > 0 {
-				// The caller runs with explicit budgets (benchmark
-				// timeouts): surface the budget error immediately
-				// instead of grinding through the fallback.
-				return res, err
-			}
-			// A pathological hitting-set cluster: degrade gracefully to
-			// core-guided search, which has no comparable blow-up mode.
-			// The fallback forks from the same problem, so under an
-			// Instance it starts from the shared base — including any
-			// learnt clauses the failed MaxHS attempt contributed. Its
-			// SAT calls and conflicts still happened: fold them into
-			// whatever the fallback reports.
-			rres, rerr := solveRC2(ctx, p, opts)
-			rres.SATCalls += res.SATCalls
-			rres.Conflicts += res.Conflicts
-			return rres, rerr
-		}
+	res, err := solveMaxHS(ctx, p, opts)
+	res.Algorithm = AlgMaxHS
+	if !errors.Is(err, errHSBudget) || opts.ConflictBudget > 0 {
+		// Only a blown hitting-set budget falls back, and not when the
+		// caller set explicit budgets (benchmark timeouts): then the
+		// budget error surfaces instead of grinding through RC2.
 		return res, err
-	case AlgRC2:
-		return solveRC2(ctx, p, opts)
-	case AlgLSU:
-		return solveLSU(ctx, p, opts)
-	default:
-		return Result{}, fmt.Errorf("maxsat: algorithm %v has no incremental problem back end", opts.Algorithm)
 	}
+	// A pathological hitting-set cluster: degrade gracefully to
+	// core-guided search, which has no comparable blow-up mode. The
+	// fallback forks from the same problem, so under an Instance it
+	// starts from the shared base — including any learnt clauses the
+	// failed MaxHS attempt contributed. Its SAT calls and conflicts still
+	// happened: fold them into whatever the fallback reports.
+	rres, rerr := solveRC2(ctx, p, opts)
+	rres.Algorithm = AlgRC2
+	rres.SATCalls += res.SATCalls
+	rres.Conflicts += res.Conflicts
+	return rres, rerr
 }
 
 // HardBase is a snapshot of a SAT solver loaded with a formula's
@@ -239,10 +227,10 @@ func (b *HardBase) Fork(f *cnf.Formula) *sat.Solver {
 //     selector y, a unit soft (l, w) becomes selector ¬l — no negated
 //     formula is ever materialized (this kills the Formula.NegateSoft
 //     deep copy);
-//   - every algorithm run — min, max, and any MaxHS→RC2 fallback —
-//     forks a clone of the base, and runs that add no clauses of their
-//     own are adopted back, so learnt clauses implied by the shared
-//     clause set accumulate across directions and algorithms.
+//   - every run — min, max, and any MaxHS→RC2 fallback — forks a clone
+//     of the base, and runs that add no clauses of their own are
+//     adopted back, so learnt clauses implied by the shared clause set
+//     accumulate across directions and the fallback.
 //
 // Both directions' auxiliary clauses coexist soundly in the base: a
 // relaxation clause (C ∨ r) is satisfiable by r alone and a negation
@@ -346,10 +334,10 @@ func (inst *Instance) Release() {
 // added no clauses of its own and was never interrupted: everything
 // such a solver holds beyond the base — learnt clauses and their
 // level-0 consequences — is implied by the shared clause set alone, so
-// it is sound for every later direction, algorithm, and fallback.
-// Runs that extended the clause set (RC2 hardening and totalizers, LSU
-// counters and bans) are rejected by the AddedSinceClone counter, since
-// those additions are only valid relative to one direction's objective.
+// it is sound for every later direction and the fallback. Runs that
+// extended the clause set (RC2 hardening and totalizers) are rejected
+// by the AddedSinceClone counter, since those additions are only valid
+// relative to one direction's objective.
 func (inst *Instance) adopt(s *sat.Solver) {
 	if s.AddedSinceClone() == 0 && !s.Interrupted() {
 		inst.base = s
@@ -374,7 +362,7 @@ func (inst *Instance) problem(maximize bool) *problem {
 		// two equal, so the two objectives have the same optimum and
 		// the same optimal models — the score is exact at termination
 		// and a sound bound wherever the algorithms use intermediate
-		// models (RC2 hardening, LSU banning).
+		// models (RC2 hardening).
 		score: func(model []bool) int64 { return scoreFormula(inst.f, model, maximize) },
 	}
 }
@@ -394,10 +382,10 @@ func (inst *Instance) SolveMax(ctx context.Context) (Result, error) {
 }
 
 func (inst *Instance) solve(ctx context.Context, p *problem, dir string) (Result, error) {
-	ctx, sp := obsv.StartSpan(ctx, "maxsat.solve",
-		obsv.String("alg", inst.opts.Algorithm.String()), obsv.String("dir", dir))
+	ctx, sp := obsv.StartSpan(ctx, "maxsat.solve", obsv.String("dir", dir))
 	res, err := solveProblem(ctx, p, inst.opts)
 	if sp != nil {
+		sp.SetStr("alg", res.Algorithm.String())
 		sp.SetInt("sat_calls", res.SATCalls)
 		sp.SetInt("conflicts", res.Conflicts)
 		if err == nil && res.Satisfiable {

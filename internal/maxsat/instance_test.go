@@ -45,10 +45,13 @@ func randomWCNF(seed uint64) *cnf.Formula {
 	return f
 }
 
-// checkInstanceAgainstLegacy runs both Instance directions with and
-// without a HardBase prefix and compares them to the legacy
-// two-formula path (Solve on f, Solve on f.NegateSoft()).
-func checkInstanceAgainstLegacy(t *testing.T, seed uint64, opts Options) bool {
+// solveFunc is the signature shared by the built-ins and solveProblem.
+type solveFunc = func(context.Context, *problem, Options) (Result, error)
+
+// checkInstanceAgainstLegacy runs both Instance directions through
+// solve, with and without a HardBase prefix, and compares them to the
+// legacy two-formula path (ref on f, ref on f.NegateSoft()).
+func checkInstanceAgainstLegacy(t *testing.T, seed uint64, ref, solve solveFunc, opts Options) bool {
 	t.Helper()
 	// Rebuild the formula twice so the hard prefix can be snapshotted
 	// before the soft clauses exist.
@@ -68,12 +71,12 @@ func checkInstanceAgainstLegacy(t *testing.T, seed uint64, opts Options) bool {
 		}
 		base = NewHardBase(prefix)
 	}
-	legacyMin, errMin := Solve(f, opts)
-	legacyMax, errMax := Solve(f.NegateSoft(), opts)
+	ctx := context.Background()
+	legacyMin, errMin := ref(ctx, formulaProblem(f), opts)
+	legacyMax, errMax := ref(ctx, formulaProblem(f.NegateSoft()), opts)
 	if errMin != nil || errMax != nil {
 		t.Fatalf("legacy solve failed: %v / %v", errMin, errMax)
 	}
-	ctx := context.Background()
 	for _, b := range []*HardBase{nil, base} {
 		// NewInstance(f, base, ...) requires base to snapshot a prefix
 		// of f's clause list; prefix holds exactly f's hard clauses
@@ -91,13 +94,13 @@ func checkInstanceAgainstLegacy(t *testing.T, seed uint64, opts Options) bool {
 			}
 			inst = NewInstance(ff, b, opts)
 		}
-		gotMin, err := inst.SolveMin(ctx)
+		gotMin, err := solve(ctx, inst.problem(false), opts)
 		if err != nil {
-			t.Fatalf("seed %#x: SolveMin: %v", seed, err)
+			t.Fatalf("seed %#x: min: %v", seed, err)
 		}
-		gotMax, err := inst.SolveMax(ctx)
+		gotMax, err := solve(ctx, inst.problem(true), opts)
 		if err != nil {
-			t.Fatalf("seed %#x: SolveMax: %v", seed, err)
+			t.Fatalf("seed %#x: max: %v", seed, err)
 		}
 		if gotMin.Satisfiable != legacyMin.Satisfiable ||
 			(gotMin.Satisfiable && gotMin.Optimum != legacyMin.Optimum) {
@@ -131,14 +134,14 @@ func checkInstanceAgainstLegacy(t *testing.T, seed uint64, opts Options) bool {
 
 // TestInstanceMatchesLegacyRandom is the satellite property test: the
 // incremental Instance path must report the same min/max optima as the
-// legacy two-formula path over the randomized corpus, for all three
-// built-in algorithms.
+// legacy two-formula path over the randomized corpus, for MaxHS and RC2
+// each run directly.
 func TestInstanceMatchesLegacyRandom(t *testing.T) {
 	for _, alg := range algorithms() {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			fn := func(seed uint64) bool {
-				return checkInstanceAgainstLegacy(t, seed, Options{Algorithm: alg})
+				return checkInstanceAgainstLegacy(t, seed, alg.solve, alg.solve, Options{})
 			}
 			if err := quick.Check(fn, &quick.Config{MaxCount: 120}); err != nil {
 				t.Error(err)
@@ -149,11 +152,11 @@ func TestInstanceMatchesLegacyRandom(t *testing.T) {
 
 // TestInstanceFallbackMatchesLegacy drives the MaxHS→RC2 fallback (node
 // budget 1 aborts every exact hitting-set solve) through the Instance
-// path and checks it still agrees with the legacy fallback path.
+// path and checks it agrees with RC2 alone on the legacy path.
 func TestInstanceFallbackMatchesLegacy(t *testing.T) {
-	opts := Options{Algorithm: AlgMaxHS, HSNodeBudget: 1}
+	opts := Options{HSNodeBudget: 1}
 	fn := func(seed uint64) bool {
-		return checkInstanceAgainstLegacy(t, seed, opts)
+		return checkInstanceAgainstLegacy(t, seed, solveRC2, solveProblem, opts)
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -283,8 +286,8 @@ func TestInstanceKuegelNegation(t *testing.T) {
 		}
 	}
 	for _, alg := range algorithms() {
-		inst := NewInstance(f, nil, Options{Algorithm: alg})
-		res, err := inst.SolveMax(context.Background())
+		inst := NewInstance(f, nil, Options{})
+		res, err := alg.solve(context.Background(), inst.problem(true), Options{})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -316,22 +319,16 @@ func benchComponent(nGroups int) *cnf.Formula {
 // solver per direction plus the NegateSoft deep copy) against the
 // shared-base Instance path, per algorithm.
 func BenchmarkBothDirections(b *testing.B) {
+	ctx := context.Background()
+	f := benchComponent(60)
 	for _, alg := range algorithms() {
-		// LSU's generalized totalizer is quadratic in the weighted
-		// inputs; a smaller component keeps its runs comparable.
-		groups := 60
-		if alg == AlgLSU {
-			groups = 10
-		}
-		f := benchComponent(groups)
-		opts := Options{Algorithm: alg}
 		b.Run("legacy/"+alg.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Solve(f, opts); err != nil {
+				if _, err := solveWith(ctx, alg, f, Options{}); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := Solve(f.NegateSoft(), opts); err != nil {
+				if _, err := solveWith(ctx, alg, f.NegateSoft(), Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -340,11 +337,11 @@ func BenchmarkBothDirections(b *testing.B) {
 			b.ReportAllocs()
 			base := NewHardBase(hardPrefix(f))
 			for i := 0; i < b.N; i++ {
-				inst := NewInstance(f, base, opts)
-				if _, err := inst.SolveMin(context.Background()); err != nil {
+				inst := NewInstance(f, base, Options{})
+				if _, err := alg.solve(ctx, inst.problem(false), Options{}); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := inst.SolveMax(context.Background()); err != nil {
+				if _, err := alg.solve(ctx, inst.problem(true), Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,23 +2,18 @@
 // find an assignment satisfying all hard clauses that maximizes the total
 // weight of satisfied soft clauses.
 //
-// Three complete built-in algorithms are provided, plus an external
-// driver:
+// The built-in solver is implicit-hitting-set search in the style of
+// the MaxHS solver the paper runs: SAT cores accumulate and an exact
+// minimum-weight hitting set of them drives the next SAT call; weights
+// are never split. When one exact hitting-set search exhausts its node
+// budget, the solve degrades to core-guided search (OLL/RC2 family, on
+// the assumption interface of internal/sat, with totalizer encodings
+// of discovered cores, stratification and hardening). A non-empty
+// Options.SolverPath replaces both with an external MaxSAT binary (e.g.
+// MaxHS itself): the formula is written as DIMACS WCNF and the standard
+// o/s/v output is parsed back.
 //
-//   - AlgMaxHS (default): implicit-hitting-set search in the style of
-//     the MaxHS solver the paper runs — SAT cores accumulate and an
-//     exact minimum-weight hitting set of them drives the next SAT
-//     call; weights are never split.
-//   - AlgRC2: core-guided search (OLL/RC2 family) on top of the
-//     assumption interface of internal/sat, with totalizer cardinality
-//     encodings of discovered cores, stratification and hardening.
-//   - AlgLSU: linear SAT-UNSAT (solution-improving) search using a
-//     generalized totalizer over the soft-clause violation indicators.
-//   - AlgExternal: writes DIMACS WCNF and runs a MaxSAT solver binary
-//     (e.g. MaxHS itself), parsing the standard o/s/v output.
-//
-// All built-ins return the same optimum; they are cross-checked against
-// brute force and each other in tests.
+// MaxHS and RC2 are each cross-checked against brute force in tests.
 package maxsat
 
 import (
@@ -58,19 +53,19 @@ func statsOf(s *sat.Solver) Result {
 	return Result{SATCalls: s.Stats.Solves, Conflicts: s.Stats.Conflicts}
 }
 
-// Algorithm selects the solving strategy.
+// Algorithm names a solving strategy in reports (Result, progress,
+// spans); it is never an input.
 type Algorithm int
 
 const (
 	// AlgMaxHS is implicit-hitting-set MaxSAT in the style of the MaxHS
-	// solver the paper deploys (default). Its weights are never split,
-	// which makes it robust on SUM instances with price-like weights.
+	// solver the paper deploys. Its weights are never split, which makes
+	// it robust on SUM instances with price-like weights.
 	AlgMaxHS Algorithm = iota
-	// AlgRC2 is core-guided MaxSAT (OLL/RC2 family).
+	// AlgRC2 is core-guided MaxSAT (OLL/RC2 family), run when a MaxHS
+	// hitting-set search exhausts its node budget.
 	AlgRC2
-	// AlgLSU is linear solution-improving search.
-	AlgLSU
-	// AlgExternal shells out to Options.SolverPath.
+	// AlgExternal is the binary at Options.SolverPath.
 	AlgExternal
 )
 
@@ -80,8 +75,6 @@ func (a Algorithm) String() string {
 		return "maxhs"
 	case AlgRC2:
 		return "rc2"
-	case AlgLSU:
-		return "lsu"
 	case AlgExternal:
 		return "external"
 	default:
@@ -91,16 +84,16 @@ func (a Algorithm) String() string {
 
 // Options configures Solve.
 type Options struct {
-	Algorithm Algorithm
-	// SolverPath is the external MaxSAT solver binary (AlgExternal).
+	// SolverPath, when non-empty, selects an external MaxSAT solver
+	// binary instead of the built-in MaxHS.
 	SolverPath string
 	// SolverArgs are extra arguments placed before the WCNF path.
 	SolverArgs []string
 	// ConflictBudget bounds total SAT conflicts (built-in algorithms);
 	// 0 means unlimited.
 	ConflictBudget int64
-	// HSNodeBudget bounds one exact hitting-set search in AlgMaxHS
-	// before it degrades to the RC2 fallback; 0 means the built-in
+	// HSNodeBudget bounds one exact hitting-set search in MaxHS before
+	// it degrades to the RC2 fallback; 0 means the built-in
 	// default (hsNodeBudget).
 	HSNodeBudget int64
 	// Progress, when non-nil, receives periodic and milestone progress
@@ -127,6 +120,19 @@ type Result struct {
 	SATCalls int64
 	// Conflicts is the total number of CDCL conflicts.
 	Conflicts int64
+	// Algorithm is the strategy that produced the answer: AlgRC2 when
+	// MaxHS fell back to it, AlgExternal for an external binary.
+	Algorithm Algorithm
+}
+
+// Algorithm names the configured strategy: AlgExternal when a solver
+// path is set, AlgMaxHS otherwise. Result.Algorithm says which one
+// actually answered.
+func (o Options) Algorithm() Algorithm {
+	if o.SolverPath != "" {
+		return AlgExternal
+	}
+	return AlgMaxHS
 }
 
 // Solve computes the WPMaxSAT optimum of f.
@@ -138,9 +144,20 @@ func Solve(f *cnf.Formula, opts Options) (Result, error) {
 // each SAT call becomes a "sat.solve" span under the caller's current
 // span, and the whole solve is wrapped in a "maxsat.solve" span.
 func SolveContext(ctx context.Context, f *cnf.Formula, opts Options) (Result, error) {
-	ctx, sp := obsv.StartSpan(ctx, "maxsat.solve", obsv.String("alg", opts.Algorithm.String()))
-	res, err := solveDispatch(ctx, f, opts)
+	ctx, sp := obsv.StartSpan(ctx, "maxsat.solve")
+	var res Result
+	var err error
+	if opts.SolverPath != "" {
+		res, err = solveExternal(ctx, f, opts)
+		res.Algorithm = AlgExternal
+	} else {
+		// One-shot path: each run rebuilds its solver from the formula.
+		// Incremental callers use NewInstance instead and share one
+		// hard-clause base.
+		res, err = solveProblem(ctx, formulaProblem(f), opts)
+	}
 	if sp != nil {
+		sp.SetStr("alg", res.Algorithm.String())
 		sp.SetInt("sat_calls", res.SATCalls)
 		sp.SetInt("conflicts", res.Conflicts)
 		if err == nil && res.Satisfiable {
@@ -149,21 +166,6 @@ func SolveContext(ctx context.Context, f *cnf.Formula, opts Options) (Result, er
 		sp.End()
 	}
 	return res, err
-}
-
-func solveDispatch(ctx context.Context, f *cnf.Formula, opts Options) (Result, error) {
-	switch opts.Algorithm {
-	case AlgMaxHS, AlgRC2, AlgLSU:
-		// The built-ins run through the problem abstraction; on this
-		// one-shot path each fork rebuilds from the formula (the MaxHS→
-		// RC2 fallback lives inside solveProblem). Incremental callers
-		// use NewInstance instead and share one hard-clause base.
-		return solveProblem(ctx, formulaProblem(f), opts)
-	case AlgExternal:
-		return solveExternal(ctx, f, opts)
-	default:
-		return Result{}, fmt.Errorf("maxsat: unknown algorithm %v", opts.Algorithm)
-	}
 }
 
 // selectors sets up the standard soft-clause relaxation on a solver:

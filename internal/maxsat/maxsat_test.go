@@ -1,6 +1,7 @@
 package maxsat
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -33,7 +34,24 @@ func bruteForceOptimum(f *cnf.Formula) (opt int64, ok bool) {
 	return opt, true
 }
 
-func algorithms() []Algorithm { return []Algorithm{AlgMaxHS, AlgRC2, AlgLSU} }
+// builtin is one in-tree strategy, called directly: the table tests
+// pin RC2 against brute force on its own, not only behind a MaxHS
+// hitting-set budget fallback.
+type builtin struct {
+	alg   Algorithm
+	solve func(context.Context, *problem, Options) (Result, error)
+}
+
+func (b builtin) String() string { return b.alg.String() }
+
+var rc2Alone = builtin{AlgRC2, solveRC2}
+
+func algorithms() []builtin { return []builtin{{AlgMaxHS, solveMaxHS}, rc2Alone} }
+
+// solveWith runs one built-in on the one-shot formula path.
+func solveWith(ctx context.Context, b builtin, f *cnf.Formula, opts Options) (Result, error) {
+	return b.solve(ctx, formulaProblem(f), opts)
+}
 
 func TestSimpleWeighted(t *testing.T) {
 	// (x1, 3) and (¬x1, 5) conflict: optimum keeps the heavier one.
@@ -41,7 +59,7 @@ func TestSimpleWeighted(t *testing.T) {
 	f.AddSoft(3, 1)
 	f.AddSoft(5, -1)
 	for _, alg := range algorithms() {
-		res, err := Solve(f, Options{Algorithm: alg})
+		res, err := solveWith(context.Background(), alg, f, Options{})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -60,7 +78,7 @@ func TestAllSoftSatisfiable(t *testing.T) {
 	f.AddSoft(2, 1)
 	f.AddSoft(2, 3)
 	for _, alg := range algorithms() {
-		res, err := Solve(f, Options{Algorithm: alg})
+		res, err := solveWith(context.Background(), alg, f, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +94,7 @@ func TestHardUnsat(t *testing.T) {
 	f.AddHard(-1)
 	f.AddSoft(9, 1)
 	for _, alg := range algorithms() {
-		res, err := Solve(f, Options{Algorithm: alg})
+		res, err := solveWith(context.Background(), alg, f, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +108,7 @@ func TestNoSoftClauses(t *testing.T) {
 	f := cnf.New(2)
 	f.AddHard(1, 2)
 	for _, alg := range algorithms() {
-		res, err := Solve(f, Options{Algorithm: alg})
+		res, err := solveWith(context.Background(), alg, f, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +130,7 @@ func TestNonUnitSoftClauses(t *testing.T) {
 	f.AddSoft(2, -2)   // falsified iff x2 chosen
 	want, _ := bruteForceOptimum(f)
 	for _, alg := range algorithms() {
-		res, err := Solve(f, Options{Algorithm: alg})
+		res, err := solveWith(context.Background(), alg, f, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +147,7 @@ func TestDuplicateSoftMerge(t *testing.T) {
 	f.AddSoft(2, 1)
 	f.AddSoft(3, -1)
 	for _, alg := range algorithms() {
-		res, err := Solve(f, Options{Algorithm: alg})
+		res, err := solveWith(context.Background(), alg, f, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +171,7 @@ func TestCardinalityChain(t *testing.T) {
 	}
 	want, _ := bruteForceOptimum(f)
 	for _, alg := range algorithms() {
-		res, err := Solve(f, Options{Algorithm: alg})
+		res, err := solveWith(context.Background(), alg, f, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +190,7 @@ func TestModelAchievesOptimum(t *testing.T) {
 	f.AddSoft(3, 3)
 	f.AddSoft(2, -4)
 	for _, alg := range algorithms() {
-		res, err := Solve(f, Options{Algorithm: alg})
+		res, err := solveWith(context.Background(), alg, f, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +247,7 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 		}
 		want, wantOK := bruteForceOptimum(f)
 		for _, alg := range algorithms() {
-			res, err := Solve(f, Options{Algorithm: alg})
+			res, err := solveWith(context.Background(), alg, f, Options{})
 			if err != nil {
 				return false
 			}
@@ -267,7 +285,7 @@ func TestKuegelNegationMinSAT(t *testing.T) {
 	}
 	neg := f.NegateSoft()
 	for _, alg := range algorithms() {
-		res, err := Solve(neg, Options{Algorithm: alg})
+		res, err := solveWith(context.Background(), alg, neg, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,45 +329,6 @@ func TestTotalizerSemantics(t *testing.T) {
 		if st := s.Solve(assumptions...); st != sat.Sat {
 			t.Errorf("bound %d: %d inputs true should satisfy cap, got %v", bound, bound, st)
 		}
-	}
-}
-
-func TestGTESemantics(t *testing.T) {
-	s := sat.New()
-	weights := []int64{3, 5, 7}
-	inputs := make([]wlit, len(weights))
-	for i, w := range weights {
-		inputs[i] = wlit{w: w, lit: cnf.Lit(s.NewVar())}
-	}
-	outs := buildGTE(s, inputs)
-	// Attainable sums: 3,5,7,8,10,12,15.
-	want := []int64{3, 5, 7, 8, 10, 12, 15}
-	if len(outs) != len(want) {
-		t.Fatalf("GTE outputs = %d, want %d", len(outs), len(want))
-	}
-	for i, w := range want {
-		if outs[i].w != w {
-			t.Fatalf("output %d weight = %d, want %d", i, outs[i].w, w)
-		}
-	}
-	// Setting inputs {3,7} true and banning ≥ 10 must be UNSAT;
-	// banning ≥ 12 must be SAT.
-	ban := func(minW int64) []cnf.Lit {
-		var a []cnf.Lit
-		for _, o := range outs {
-			if o.w >= minW {
-				a = append(a, o.lit.Neg())
-			}
-		}
-		return a
-	}
-	asm := append([]cnf.Lit{inputs[0].lit, inputs[1].lit.Neg(), inputs[2].lit}, ban(10)...)
-	if st := s.Solve(asm...); st != sat.Unsat {
-		t.Errorf("sum 10 with ban ≥10: %v, want UNSAT", st)
-	}
-	asm = append([]cnf.Lit{inputs[0].lit, inputs[1].lit.Neg(), inputs[2].lit}, ban(12)...)
-	if st := s.Solve(asm...); st != sat.Sat {
-		t.Errorf("sum 10 with ban ≥12: %v, want SAT", st)
 	}
 }
 
@@ -423,7 +402,7 @@ func TestExternalViaFakeSolver(t *testing.T) {
 	f := cnf.New(1)
 	f.AddSoft(3, 1)
 	f.AddSoft(5, -1)
-	res, err := Solve(f, Options{Algorithm: AlgExternal, SolverPath: script})
+	res, err := Solve(f, Options{SolverPath: script})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,16 +412,12 @@ func TestExternalViaFakeSolver(t *testing.T) {
 }
 
 func TestExternalMissingPath(t *testing.T) {
+	// A solver path that names no binary must fail the solve, not fall
+	// back to the built-in solver.
 	f := cnf.New(1)
-	if _, err := Solve(f, Options{Algorithm: AlgExternal}); err == nil {
-		t.Error("missing SolverPath should error")
-	}
-}
-
-func TestUnknownAlgorithm(t *testing.T) {
-	f := cnf.New(1)
-	if _, err := Solve(f, Options{Algorithm: Algorithm(99)}); err == nil {
-		t.Error("unknown algorithm should error")
+	f.AddSoft(1, 1)
+	if _, err := Solve(f, Options{SolverPath: filepath.Join(t.TempDir(), "no-such-solver")}); err == nil {
+		t.Error("missing solver binary should error")
 	}
 }
 
@@ -467,7 +442,7 @@ func TestConflictBudgetExhaustion(t *testing.T) {
 		}
 	}
 	f.AddSoft(1, 1)
-	if _, err := Solve(f, Options{Algorithm: AlgRC2, ConflictBudget: 3}); err == nil {
+	if _, err := solveWith(context.Background(), rc2Alone, f, Options{ConflictBudget: 3}); err == nil {
 		t.Error("budget exhaustion should surface as an error")
 	}
 }

@@ -26,8 +26,7 @@ func progressFormula() *cnf.Formula {
 func TestProgressBoundsBracketOptimum(t *testing.T) {
 	for _, alg := range algorithms() {
 		var reports []ProgressInfo
-		res, err := Solve(progressFormula(), Options{
-			Algorithm:     alg,
+		res, err := solveWith(context.Background(), alg, progressFormula(), Options{
 			ProgressEvery: 1,
 			Progress:      func(p ProgressInfo) { reports = append(reports, p) },
 		})
@@ -44,7 +43,7 @@ func TestProgressBoundsBracketOptimum(t *testing.T) {
 		var prevLB, prevUB int64 = -1, -1
 		sawMilestone := false
 		for i, p := range reports {
-			if p.Algorithm != alg {
+			if p.Algorithm != alg.alg {
 				t.Fatalf("%v: report %d labeled %v", alg, i, p.Algorithm)
 			}
 			switch p.Phase {
@@ -87,7 +86,7 @@ func TestProgressBoundsBracketOptimum(t *testing.T) {
 func TestSolveContextRecordsSpans(t *testing.T) {
 	tr := obsv.NewTracer()
 	ctx := obsv.WithTracer(context.Background(), tr)
-	res, err := SolveContext(ctx, progressFormula(), Options{Algorithm: AlgRC2})
+	res, err := SolveContext(ctx, progressFormula(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +97,17 @@ func TestSolveContextRecordsSpans(t *testing.T) {
 		t.Fatalf("unbalanced trace: %d spans still open", tr.Open())
 	}
 	names := map[string]int{}
+	alg := ""
 	for _, sp := range tr.Spans() {
 		names[sp.Name]++
+		for _, a := range sp.Attrs {
+			if sp.Name == "maxsat.solve" && a.Key == "alg" {
+				alg = a.Str
+			}
+		}
+	}
+	if alg != "maxhs" {
+		t.Errorf("maxsat.solve alg = %q, want maxhs", alg)
 	}
 	if names["maxsat.solve"] != 1 {
 		t.Fatalf("maxsat.solve spans = %d, want 1", names["maxsat.solve"])

@@ -1,6 +1,7 @@
 package maxsat
 
 import (
+	"context"
 	"testing"
 )
 import "aggcavsat/internal/cnf"
@@ -50,7 +51,7 @@ func TestWideWeightsAgainstBruteForce(t *testing.T) {
 			f.AddSoft(int64(1+next(1000)), lits...) // wide weights
 		}
 		want, wantOK := bruteForceOptimum(f)
-		res, err := Solve(f, Options{Algorithm: AlgRC2})
+		res, err := solveWith(context.Background(), rc2Alone, f, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

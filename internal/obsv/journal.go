@@ -29,16 +29,13 @@ const defaultJournalTail = 256
 // configuration that answered the query — the knobs that change which
 // code path ran, so a slow line can be attributed without rerunning.
 type JournalOptions struct {
-	// Algorithm is the MaxSAT strategy ("maxhs", "rc2", "lsu",
-	// "external").
+	// Algorithm is the configured MaxSAT solver: "maxhs" (built-in,
+	// shared hard-clause base) or "external" (one WCNF file per run).
 	Algorithm string `json:"alg"`
 	// Mode is the constraint mode: "keys" or "dc".
 	Mode string `json:"mode"`
 	// Parallelism is the resolved worker-pool size.
 	Parallelism int `json:"parallel"`
-	// Incremental reports the shared hard-clause base path; false only
-	// for the external solver, which runs one WCNF file per MaxSAT run.
-	Incremental bool `json:"incremental"`
 	// Planner is the configured planner mode ("auto", "force-sat",
 	// "force-rewrite"); empty on lines written before the planner
 	// existed.

@@ -35,15 +35,14 @@ const (
 	// which code path answered the call (values documented at the
 	// recording sites in internal/core); the latency summary surfaces
 	// p50/p90/p99/max over whole engine calls.
-	MetricBaseHits        = "aggcavsat_base_cache_hits_total"
-	MetricBaseMisses      = "aggcavsat_base_cache_misses_total"
-	MetricConsCacheHit    = "aggcavsat_constraint_cache_hit"    // gauge 0/1
-	MetricVioFastRels     = "aggcavsat_violation_fastpath_rels" // gauge: relations on the key fast path
-	MetricVioGenericDCs   = "aggcavsat_violation_generic_dcs"   // gauge: DCs on the generic path
-	MetricIncrementalMode = "aggcavsat_solver_incremental"      // gauge 0/1
-	MetricQuerySeconds    = "aggcavsat_query_seconds"           // summary: whole engine calls
-	MetricJournalWritten  = "aggcavsat_journal_written_total"   // journal lines persisted
-	MetricJournalDropped  = "aggcavsat_journal_dropped_total"   // journal lines shed by the bounded writer
+	MetricBaseHits       = "aggcavsat_base_cache_hits_total"
+	MetricBaseMisses     = "aggcavsat_base_cache_misses_total"
+	MetricConsCacheHit   = "aggcavsat_constraint_cache_hit"    // gauge 0/1
+	MetricVioFastRels    = "aggcavsat_violation_fastpath_rels" // gauge: relations on the key fast path
+	MetricVioGenericDCs  = "aggcavsat_violation_generic_dcs"   // gauge: DCs on the generic path
+	MetricQuerySeconds   = "aggcavsat_query_seconds"           // summary: whole engine calls
+	MetricJournalWritten = "aggcavsat_journal_written_total"   // journal lines persisted
+	MetricJournalDropped = "aggcavsat_journal_dropped_total"   // journal lines shed by the bounded writer
 
 	// Planner observability (PR 8). The route counters are one labelled
 	// family — a call increments exactly one of them after its route
