@@ -12,6 +12,7 @@ test:
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 # Race-hammers the concurrency-sensitive packages: the metrics registry
 # and the debug HTTP server (live /metrics + /debug/trace scrapes racing

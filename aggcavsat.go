@@ -69,8 +69,9 @@ type (
 	// Range is a range consistent answer interval.
 	Range = core.Range
 	// Stats instruments a computation (encode/solve split, CNF sizes,
-	// SAT calls). It is a typed view over the obsv metric snapshot of
-	// the call (core.StatsFromSnapshot).
+	// SAT calls). It is taken once at the end of each engine call from
+	// the call's one typed record, which also feeds the journal line,
+	// the flight bundle and the session metrics.
 	Stats = core.Stats
 	// Tracer records hierarchical spans; install one on a context with
 	// WithTracer and pass the context to QueryContext.
@@ -78,14 +79,15 @@ type (
 	// SolverProgress is one progress report from the MaxSAT solver.
 	SolverProgress = maxsat.ProgressInfo
 	// FlightBundle is the self-contained anomaly dump delivered to
-	// Options.OnAnomaly: the flight-recorder event ring, the call's
-	// metric snapshot, and the resource delta of the solve.
+	// Options.OnAnomaly: the call's journal entry (identity, error,
+	// timings and counters), the flight-recorder event ring, and the
+	// resource delta of the solve.
 	FlightBundle = obsv.Bundle
 	// Explain is the per-solve report assembled under Options.Explain:
 	// the code paths taken (mode, front end, solver route), cache
 	// outcomes, and the per-component CNF/solve breakdown. Its Stats
-	// field is the same snapshot projection as Result.Stats, so the two
-	// views reconcile exactly.
+	// field is the engine call's Stats value, so the two views reconcile
+	// exactly: Result.Stats is the Add of the per-aggregate Stats.
 	Explain = core.Explain
 	// Journal is the bounded, non-blocking wide-event writer: install
 	// one via Options.Journal and every engine call appends one JSON
@@ -205,8 +207,9 @@ type Options struct {
 	// ProgressEvery is the conflict interval between periodic reports;
 	// 0 means the solver default.
 	ProgressEvery int64
-	// Metrics, when non-nil, accumulates every query's metrics into a
-	// session-wide registry (obsv Prometheus exposition).
+	// Metrics, when non-nil, accumulates every engine call into a
+	// session-wide registry (obsv Prometheus exposition) once, at the
+	// end of the call.
 	Metrics *obsv.Registry
 	// SlowQuery, when positive, marks any query slower than this as an
 	// anomaly: its flight-recorder bundle is delivered to OnAnomaly even
@@ -217,9 +220,6 @@ type Options struct {
 	// budget, fails, or exceeds SlowQuery. Called synchronously at the
 	// end of the query; obsv.DumpDir builds a ready-made file sink.
 	OnAnomaly func(*FlightBundle)
-	// FlightEvents bounds the flight-recorder ring; 0 means
-	// obsv.DefaultFlightEvents.
-	FlightEvents int
 	// Explain attaches a per-solve Explain report (code paths, cache
 	// outcomes, per-component breakdown) to every query result.
 	Explain bool
@@ -253,15 +253,14 @@ func Open(in *Instance, opts Options) (*System, error) {
 			Progress:      opts.Progress,
 			ProgressEvery: opts.ProgressEvery,
 		},
-		Parallelism:  opts.Parallelism,
-		Timeout:      opts.Timeout,
-		Metrics:      opts.Metrics,
-		SlowQuery:    opts.SlowQuery,
-		OnAnomaly:    opts.OnAnomaly,
-		FlightEvents: opts.FlightEvents,
-		Explain:      opts.Explain,
-		Journal:      opts.Journal,
-		Planner:      opts.Planner,
+		Parallelism: opts.Parallelism,
+		Timeout:     opts.Timeout,
+		Metrics:     opts.Metrics,
+		SlowQuery:   opts.SlowQuery,
+		OnAnomaly:   opts.OnAnomaly,
+		Explain:     opts.Explain,
+		Journal:     opts.Journal,
+		Planner:     opts.Planner,
 	}
 	if len(opts.DenialConstraints) > 0 {
 		engOpts.Mode = core.DCMode
@@ -352,7 +351,7 @@ func (s *System) run(ctx context.Context, tr *sqlparse.Translation) (*Result, er
 		if err != nil {
 			return nil, err
 		}
-		res.Stats = accumulate(res.Stats, rep.Stats)
+		res.Stats.Add(rep.Stats)
 		if rep.Explain != nil {
 			res.Explains = append(res.Explains, rep.Explain)
 		}
@@ -464,31 +463,4 @@ func FormatRange(r Range) string {
 		lub = "+∞"
 	}
 	return fmt.Sprintf("[%s, %s]", glb, lub)
-}
-
-func accumulate(a, b Stats) Stats {
-	a.RewriteTime += b.RewriteTime
-	a.WitnessTime += b.WitnessTime
-	a.ConstraintTime += b.ConstraintTime
-	a.EncodeTime += b.EncodeTime
-	a.SolveTime += b.SolveTime
-	a.SATCalls += b.SATCalls
-	a.MaxSATRuns += b.MaxSATRuns
-	a.Vars += b.Vars
-	a.Clauses += b.Clauses
-	if b.MaxVars > a.MaxVars {
-		a.MaxVars = b.MaxVars
-	}
-	if b.MaxClauses > a.MaxClauses {
-		a.MaxClauses = b.MaxClauses
-	}
-	a.ConsistentPartSkips += b.ConsistentPartSkips
-	a.WitnessAllocBytes += b.WitnessAllocBytes
-	a.EncodeAllocBytes += b.EncodeAllocBytes
-	a.SolveAllocBytes += b.SolveAllocBytes
-	if b.HeapBytes > a.HeapBytes {
-		a.HeapBytes = b.HeapBytes
-	}
-	a.GCCycles += b.GCCycles
-	return a
 }

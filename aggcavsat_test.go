@@ -451,6 +451,32 @@ func TestExplainAndJournalThroughFacade(t *testing.T) {
 	}
 }
 
+// TestMultiAggregateStatsAdd: a statement's Stats is the Stats.Add of
+// its per-aggregate engine calls, each of which its Explain reports.
+func TestMultiAggregateStatsAdd(t *testing.T) {
+	sys, err := Open(bank(t), Options{Explain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Query(`SELECT CITY, COUNT(*), SUM(BAL), MAX(BAL) FROM Acc GROUP BY CITY`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Explains) != 3 {
+		t.Fatalf("explains = %d, want one per aggregate", len(res.Explains))
+	}
+	var want Stats
+	for _, ex := range res.Explains {
+		want.Add(ex.Stats)
+	}
+	if res.Stats != want {
+		t.Errorf("Result.Stats = %+v\nAdd of Explain.Stats = %+v", res.Stats, want)
+	}
+	if res.Stats.MaxSATRuns == 0 || res.Stats.SATCalls == 0 {
+		t.Errorf("Result.Stats = %+v: no solver work recorded", res.Stats)
+	}
+}
+
 // TestMultiAggregateDivergentGroups is the regression test for the
 // multi-aggregate merge bug: a group present in one aggregate's answer
 // set but absent from another's used to be emitted with a zero-valued

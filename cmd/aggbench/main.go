@@ -18,7 +18,7 @@
 //	                  /healthz on addr while the suite runs (curl it for
 //	                  live progress)
 //	-flight-dir dir   write flight-recorder bundles (recent solver
-//	                  events + metrics) for queries that time out or
+//	                  events + journal line) for queries that time out or
 //	                  exceed -slow-query
 //	-slow-query D     queries slower than D dump a flight bundle even on
 //	                  success (0 = only timeouts/errors)

@@ -39,7 +39,7 @@
 //	                  /healthz on addr (e.g. localhost:9090) while the
 //	                  query runs
 //	-flight-dir dir   write a flight-recorder bundle (recent solver
-//	                  events + metrics) into dir when the query times
+//	                  events + journal line) into dir when the query times
 //	                  out, fails, or exceeds -slow-query
 //	-slow-query D     treat queries slower than D as anomalies worth a
 //	                  flight dump (e.g. 5s; 0 = only errors/timeouts)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"aggcavsat/internal/cnf"
 	"aggcavsat/internal/cq"
@@ -32,41 +31,23 @@ func (e *Engine) ConsistentAnswersContext(ctx context.Context, u cq.UCQ) ([]db.T
 		ctx, cancel = context.WithTimeout(ctx, e.opts.Timeout)
 		defer cancel()
 	}
-	ctx, sp := obsv.StartSpan(ctx, "query.consistent_answers")
-	start := time.Now()
-	rc, local := e.newRecorder()
-	ctx, fl := e.startFlight(ctx, "consistent_answers", rc.flight)
+	ctx, rc := e.begin(ctx, "consistent_answers", u.String(), "query.consistent_answers")
 	out, err := e.consistentAnswers(ctx, u, rc)
-	dur := time.Since(start)
-	anomaly := e.classifyAnomaly(err, dur)
-	e.observeCall(ctx, rc, anomaly, dur)
-	bundle := fl.finish(anomaly, err, local)
-	snap := local.Snapshot()
-	stats := StatsFromSnapshot(snap)
-	if e.opts.Journal != nil {
-		answers := make([]GroupAnswer, len(out))
+	var answers []GroupAnswer
+	if err == nil {
+		answers = make([]GroupAnswer, len(out))
 		for i, t := range out {
 			answers[i] = GroupAnswer{Key: t}
 		}
-		if err != nil {
-			answers = nil
-		}
-		e.appendJournal(ctx, "consistent_answers", u.String(), answers, snap, err, start, dur, anomaly, bundle, rc)
 	}
-	if sp != nil {
-		sp.SetInt("answers", int64(len(out)))
-		sp.SetInt("sat_calls", stats.SATCalls)
-		sp.End()
-	}
-	return out, stats, err
+	return out, e.end(ctx, rc, answers, err), err
 }
 
 func (e *Engine) consistentAnswers(ctx context.Context, u cq.UCQ, rc *recorder) ([]db.Tuple, error) {
 	_, wsp := obsv.StartSpan(ctx, "cq.witness")
 	pm := startPhase()
 	bag, err := e.eval.WitnessBagCtx(ctx, u)
-	rc.endWitness(pm)
-	rc.witnesses(len(bag))
+	rc.evaluated(pm, len(bag))
 	if wsp != nil {
 		wsp.SetInt("witnesses", int64(len(bag)))
 		wsp.End()
@@ -80,7 +61,7 @@ func (e *Engine) consistentAnswers(ctx context.Context, u cq.UCQ, rc *recorder) 
 		arity = len(bag[0].Answer)
 	}
 	groups := cq.GroupWitnesses(bag, arity)
-	rc.groups(len(groups))
+	rc.grouped(len(groups))
 	consistent, err := e.consistentGroups(ctx, groups, rc)
 	if err != nil {
 		return nil, err
@@ -132,7 +113,7 @@ func (e *Engine) consistentGroups(ctx context.Context, groups []cq.WitnessGroup,
 		}
 	}
 	if len(todo) == 0 {
-		rc.endEncode(encodeMark)
+		rc.endPhase(phaseEncode, encodeMark)
 		return out, nil
 	}
 
@@ -145,15 +126,10 @@ func (e *Engine) consistentGroups(ctx context.Context, groups []cq.WitnessGroup,
 		// the shared formula clause by clause; repeated calls over the
 		// same closure (Algorithm 2 on similar queries) skip the encode.
 		enc, base, baseHit = e.componentBase(cc, closure)
-		rc.baseHit(baseHit)
 	} else {
 		enc = newEncoder(cc, closure)
 	}
-	ed := rc.endEncode(encodeMark)
-	rc.absorbFormula(enc.formula)
-	ce := rc.exp.component(len(closure), len(todo))
-	st := enc.formula.Stats()
-	ce.setEncode(st.Vars, st.Clauses, baseHit, ed)
+	ce := rc.component(encodeMark, nil, enc.formula, len(closure), len(todo), baseHit)
 	if csp != nil {
 		csp.SetInt("groups", int64(len(groups)))
 		csp.SetInt("sat_checked", int64(len(todo)))
@@ -180,7 +156,7 @@ func (e *Engine) consistentGroups(ctx context.Context, groups []cq.WitnessGroup,
 		}
 		return e.checkCandidates(ctx, enc, base, todo[lo:hi], out, rc)
 	})
-	sd := rc.endSolve(solveMark)
+	sd := rc.endPhase(phaseSolve, solveMark)
 	// Each candidate costs exactly one incremental Solve call.
 	ce.addDirection("consistency", "sat", maxsat.Result{SATCalls: int64(len(todo))}, sd)
 	if err != nil {
@@ -236,7 +212,7 @@ func (e *Engine) checkCandidates(ctx context.Context, enc *encoder, base *maxsat
 	}
 	for ti, p := range todo {
 		st := solver.Solve(acts[ti])
-		rc.satCalls(1)
+		rc.solved(1, false)
 		switch st {
 		case sat.Unsat:
 			// No repair breaks all witnesses: b is consistent.

@@ -32,7 +32,6 @@ import (
 	"sync"
 	"time"
 
-	"aggcavsat/internal/cnf"
 	"aggcavsat/internal/conquer"
 	"aggcavsat/internal/constraints"
 	"aggcavsat/internal/cq"
@@ -75,9 +74,9 @@ type Options struct {
 	// an exhausted conflict budget. A deadline or cancellation on the
 	// caller's context has the same effect.
 	Timeout time.Duration
-	// Metrics, when non-nil, additionally accumulates every call's
-	// metrics into this session-wide registry (e.g. for a Prometheus
-	// scrape endpoint). Per-call Stats are unaffected.
+	// Metrics, when non-nil, accumulates every call into this
+	// session-wide registry (e.g. for a Prometheus scrape endpoint),
+	// once per call at its end. Per-call Stats are unaffected.
 	Metrics *obsv.Registry
 	// SlowQuery, when positive, classifies any engine call that takes
 	// longer than this threshold as an anomaly even though it succeeded:
@@ -92,9 +91,6 @@ type Options struct {
 	// obsv.DumpDir provides a ready-made sink writing each bundle to a
 	// JSON file. The hook runs synchronously at the end of the call.
 	OnAnomaly func(*obsv.Bundle)
-	// FlightEvents bounds the flight-recorder ring; 0 means
-	// obsv.DefaultFlightEvents.
-	FlightEvents int
 	// Explain, when true, assembles a per-component Explain report on
 	// every Report: which code paths answered the call, the cache
 	// outcomes, and one entry per independent solver instance. The
@@ -216,26 +212,34 @@ type Stats struct {
 	GCCycles          int64 // GC cycles completed during measured phases
 }
 
-func (s *Stats) absorbFormula(f *cnf.Formula) {
-	st := f.Stats()
-	s.Vars += st.Vars
-	s.Clauses += st.Clauses
-	if st.Vars > s.MaxVars {
-		s.MaxVars = st.Vars
-	}
-	if st.Clauses > s.MaxClauses {
-		s.MaxClauses = st.Clauses
-	}
+// Add merges another call's Stats into s: times, counts and allocations
+// sum; the largest-formula sizes and the live heap take the maximum.
+func (s *Stats) Add(o Stats) {
+	s.WitnessTime += o.WitnessTime
+	s.ConstraintTime += o.ConstraintTime
+	s.EncodeTime += o.EncodeTime
+	s.SolveTime += o.SolveTime
+	s.RewriteTime += o.RewriteTime
+	s.SATCalls += o.SATCalls
+	s.MaxSATRuns += o.MaxSATRuns
+	s.Vars += o.Vars
+	s.Clauses += o.Clauses
+	s.MaxVars = max(s.MaxVars, o.MaxVars)
+	s.MaxClauses = max(s.MaxClauses, o.MaxClauses)
+	s.ConsistentPartSkips += o.ConsistentPartSkips
+	s.WitnessAllocBytes += o.WitnessAllocBytes
+	s.EncodeAllocBytes += o.EncodeAllocBytes
+	s.SolveAllocBytes += o.SolveAllocBytes
+	s.HeapBytes = max(s.HeapBytes, o.HeapBytes)
+	s.GCCycles += o.GCCycles
 }
 
-// Report is the result of RangeAnswers. Stats is a typed view over
-// Metrics (see StatsFromSnapshot); Metrics carries the full per-call
-// metric snapshot, including the phase-duration histograms. Explain is
-// present only under Options.Explain.
+// Report is the result of RangeAnswers. Stats, Explain (present only
+// under Options.Explain) and the call's journal line are projections of
+// the one per-call record, so their figures agree exactly.
 type Report struct {
 	Answers []GroupAnswer
 	Stats   Stats
-	Metrics obsv.Snapshot
 	Explain *Explain
 	// Route records which executor answered the call: "rewrite" (the
 	// planner's SAT-free fast path) or "sat" (the WPMaxSAT reduction).
@@ -273,39 +277,24 @@ func (e *Engine) RangeAnswersContext(ctx context.Context, q cq.AggQuery) (*Repor
 		ctx, cancel = context.WithTimeout(ctx, e.opts.Timeout)
 		defer cancel()
 	}
-	ctx, sp := obsv.StartSpan(ctx, "query.range_answers", obsv.String("op", q.Op.String()))
-	op := "range_answers/" + q.Op.String()
-	start := time.Now()
-	rc, local := e.newRecorder()
-	ctx, fl := e.startFlight(ctx, op, rc.flight)
+	ctx, rc := e.begin(ctx, "range_answers/"+q.Op.String(), q.String(),
+		"query.range_answers", obsv.String("op", q.Op.String()))
 	rep, err := e.rangeAnswers(ctx, q, rc)
-	dur := time.Since(start)
-	anomaly := e.classifyAnomaly(err, dur)
-	e.observeCall(ctx, rc, anomaly, dur)
-	bundle := fl.finish(anomaly, err, local)
 	if err != nil {
-		e.appendJournal(ctx, op, q.String(), nil, local.Snapshot(), err, start, dur, anomaly, bundle, rc)
-		sp.End()
+		e.end(ctx, rc, nil, err)
 		return nil, err
 	}
-	rep.Metrics = local.Snapshot()
-	rep.Stats = StatsFromSnapshot(rep.Metrics)
-	rep.Route = rc.route.String()
+	rep.Stats = e.end(ctx, rc, rep.Answers, nil)
+	rep.Route = rc.route
 	rep.RouteReason = rc.routeReason
 	if e.opts.Explain {
-		rep.Explain = e.buildExplain(q.String(), q.Op.String(), obsv.TraceIDFromContext(ctx), rc, rep.Stats)
-	}
-	e.appendJournal(ctx, op, q.String(), rep.Answers, rep.Metrics, nil, start, dur, anomaly, bundle, rc)
-	if sp != nil {
-		sp.SetInt("answers", int64(len(rep.Answers)))
-		sp.SetInt("sat_calls", rep.Stats.SATCalls)
-		sp.End()
+		rep.Explain = e.buildExplain(ctx, rc, q.Op.String(), rep.Stats)
 	}
 	return rep, nil
 }
 
 // rangeAnswers routes one call: the planner picks the executor, the
-// route is stamped on the recorder exactly once (so the per-route
+// route is stamped on the record exactly once (so the per-route
 // counters sum to the calls served), and a rewrite that rejects itself
 // mid-execution on a data-dependent property falls back to the solver
 // in auto mode.

@@ -1,13 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
-	"sync"
 	"text/tabwriter"
 	"time"
 
 	"aggcavsat/internal/maxsat"
+	"aggcavsat/internal/obsv"
 )
 
 // DirectionExplain describes one solver pass within a component solve:
@@ -51,8 +52,8 @@ type ComponentExplain struct {
 
 // addDirection appends one solver pass (nil-receiver-safe so the solve
 // path records unconditionally). No locking: each component entry is
-// owned by the one worker goroutine solving that component, and the
-// collector publishes entries under its own mutex.
+// owned by the one worker goroutine solving that component until the
+// call ends.
 func (ce *ComponentExplain) addDirection(dir, alg string, res maxsat.Result, d time.Duration) {
 	if ce == nil {
 		return
@@ -69,8 +70,8 @@ func (ce *ComponentExplain) addDirection(dir, alg string, res maxsat.Result, d t
 // Explain is the per-solve report assembled when Options.Explain is set:
 // which code paths answered the call (mode, planner route, solver),
 // the cache outcomes, the per-component breakdown, and the same Stats
-// projection the Report carries — both views are built from the one
-// call-local metric snapshot, so their phase totals reconcile exactly.
+// the Report carries — both views are projections of the one per-call
+// record, so their phase totals reconcile exactly.
 type Explain struct {
 	Query string `json:"query"`
 	Op    string `json:"op"`
@@ -111,80 +112,38 @@ type Explain struct {
 
 	Components []ComponentExplain `json:"components"`
 
-	// Stats is the call's typed metric projection — identical to
-	// Report.Stats (same snapshot), which is the reconciliation contract
-	// of `cavsat -explain` vs `-stats`.
+	// Stats is identical to Report.Stats (the same value), which is the
+	// reconciliation contract of `cavsat -explain` vs `-stats`.
 	Stats Stats `json:"stats"`
 }
 
-// explainCollector accumulates component breakdowns across the
-// concurrent solve fan-out of one engine call.
-type explainCollector struct {
-	mu    sync.Mutex
-	comps []*ComponentExplain
-}
-
-// component registers a new component entry (nil-receiver-safe: returns
-// nil when explain is off, and every ComponentExplain method accepts a
-// nil receiver).
-func (c *explainCollector) component(facts, witnesses int) *ComponentExplain {
-	if c == nil {
-		return nil
-	}
-	ce := &ComponentExplain{Facts: facts, Witnesses: witnesses}
-	c.mu.Lock()
-	ce.Index = len(c.comps)
-	c.comps = append(c.comps, ce)
-	c.mu.Unlock()
-	return ce
-}
-
-// setEncode stamps the encode outcome on a component entry
-// (nil-receiver-safe).
-func (ce *ComponentExplain) setEncode(vars, clauses int, baseHit bool, d time.Duration) {
-	if ce == nil {
-		return
-	}
-	ce.Vars = vars
-	ce.Clauses = clauses
-	ce.BaseHit = baseHit
-	ce.EncodeNS += int64(d)
-}
-
-// buildExplain assembles the Explain report from the call-local metric
-// snapshot and the collected component entries.
-func (e *Engine) buildExplain(query, op, traceID string, rc *recorder, stats Stats) *Explain {
-	cc := e.context()
+// buildExplain projects the Explain report from the call's record and
+// its Stats.
+func (e *Engine) buildExplain(ctx context.Context, rc *recorder, op string, st Stats) *Explain {
 	ex := &Explain{
-		Query:       query,
+		Query:       rc.query,
 		Op:          op,
-		TraceID:     traceID,
+		TraceID:     obsv.TraceIDFromContext(ctx),
 		Mode:        e.modeString(),
 		Algorithm:   e.opts.MaxSAT.Algorithm().String(),
 		Parallelism: e.parallelism(),
 
-		Route:       rc.route.String(),
+		Route:       rc.route,
 		RouteReason: rc.routeReason,
 		PlanCached:  rc.planCached,
 
-		ConstraintCached: rc.constraintHit.Load(),
-		FastPathRels:     cc.fastRels,
-		GenericDCs:       cc.genericDCs,
-		ConsistentSkips:  stats.ConsistentPartSkips,
-		Stats:            stats,
+		ConstraintCached: rc.constraintCached(),
+		BaseHits:         rc.baseHits,
+		BaseMisses:       rc.baseMisses,
+		ConsistentSkips:  st.ConsistentPartSkips,
+		Components:       make([]ComponentExplain, len(rc.comps)),
+		Stats:            st,
 	}
-	if rc.exp != nil {
-		rc.exp.mu.Lock()
-		ex.Components = make([]ComponentExplain, len(rc.exp.comps))
-		for i, ce := range rc.exp.comps {
-			ex.Components[i] = *ce
-			if ce.BaseHit {
-				ex.BaseHits++
-			} else if e.incremental() {
-				ex.BaseMisses++
-			}
-		}
-		rc.exp.mu.Unlock()
+	if rc.cc != nil {
+		ex.FastPathRels, ex.GenericDCs = rc.cc.fastRels, rc.cc.genericDCs
+	}
+	for i, ce := range rc.comps {
+		ex.Components[i] = *ce
 	}
 	return ex
 }

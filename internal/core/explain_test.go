@@ -11,9 +11,9 @@ import (
 )
 
 // TestExplainReconcilesWithStats is the `-explain` vs `-stats` contract:
-// both views of a solve are projections of the one call-local metric
-// snapshot, so the explain report's Stats must equal the Report's Stats
-// field for field.
+// both views of a solve are projections of the one per-call record, so
+// the explain report's Stats must equal the Report's Stats field for
+// field.
 func TestExplainReconcilesWithStats(t *testing.T) {
 	e, err := New(bank(), Options{Mode: KeysMode, Explain: true})
 	if err != nil {
@@ -63,7 +63,7 @@ func TestExplainReconcilesWithStats(t *testing.T) {
 }
 
 // TestExplainPerCall checks that explain reports do not leak across
-// calls: each solve gets its own snapshot, and a grouped query breaks
+// calls: each solve gets its own record, and a grouped query breaks
 // into at least as many solve units as answer groups.
 func TestExplainPerCall(t *testing.T) {
 	e, err := New(bank(), Options{Mode: KeysMode, Explain: true})

@@ -73,11 +73,11 @@ func TestFlightBundleOnSlowQuery(t *testing.T) {
 		t.Fatalf("OnAnomaly fired %d times, want 1", len(bundles))
 	}
 	b := bundles[0]
-	if b.Reason != "slow" || b.Err != "" {
-		t.Errorf("bundle = reason %q err %q, want slow/\"\"", b.Reason, b.Err)
+	if b.Reason != "slow" || b.Journal.Error != "" {
+		t.Errorf("bundle = reason %q err %q, want slow/\"\"", b.Reason, b.Journal.Error)
 	}
-	if b.Query != "range_answers/SUM" {
-		t.Errorf("bundle query = %q", b.Query)
+	if b.Journal.Op != "range_answers/SUM" {
+		t.Errorf("bundle op = %q", b.Journal.Op)
 	}
 	if len(b.Events) == 0 {
 		t.Fatal("bundle has no flight events")
@@ -107,10 +107,10 @@ func TestFlightBundleOnSlowQuery(t *testing.T) {
 	if got := lastProgress.Attrs["sat_calls"].(int64); got != want.SATCalls {
 		t.Errorf("last progress event sat_calls = %d, want %d (last callback)", got, want.SATCalls)
 	}
-	// The bundle's metric snapshot is the call-local registry of the
-	// solve that was dumped.
-	if b.Metrics.Counters[obsv.MetricSATCalls] == 0 {
-		t.Error("bundle metric snapshot has no SAT calls")
+	// The bundle's journal entry is the typed record of the solve that
+	// was dumped: its counters are the call's Stats.
+	if b.Journal.SATCalls == 0 || b.Journal.SATCalls != rep.Stats.SATCalls {
+		t.Errorf("bundle SAT calls = %d, want Stats.SATCalls = %d (> 0)", b.Journal.SATCalls, rep.Stats.SATCalls)
 	}
 	if b.Resources.AllocBytes < 0 {
 		t.Errorf("bundle AllocBytes = %d, want >= 0 (monotone counter)", b.Resources.AllocBytes)
@@ -140,7 +140,7 @@ func TestFlightBundleOnTimeout(t *testing.T) {
 	if b.Reason != "timeout" {
 		t.Errorf("bundle reason = %q, want timeout", b.Reason)
 	}
-	if b.Err == "" {
+	if b.Journal.Error == "" {
 		t.Error("timeout bundle carries no error text")
 	}
 }
@@ -149,18 +149,14 @@ func TestFlightDisabledWithoutHook(t *testing.T) {
 	// Without OnAnomaly no recorder is allocated: the hot path must pay
 	// only nil checks (the no-regression acceptance criterion).
 	e := mustEngine(t, bank())
-	rc, _ := e.newRecorder()
+	ctx, rc := e.begin(context.Background(), "q", "q", "q")
 	if rc.flight != nil {
 		t.Fatal("flight recorder allocated without an OnAnomaly hook")
-	}
-	ctx, fl := e.startFlight(context.Background(), "q", rc.flight)
-	if fl != nil {
-		t.Fatal("startFlight returned a flight without a recorder")
 	}
 	if obsv.FlightRecorderFrom(ctx) != nil {
 		t.Fatal("context carries a flight recorder while disabled")
 	}
-	fl.finish("error", errors.New("boom"), obsv.NewRegistry()) // nil-safe no-op
+	e.end(ctx, rc, nil, errors.New("boom")) // anomaly without a hook: no dump
 }
 
 func TestStatsResourceAccounting(t *testing.T) {
@@ -195,15 +191,15 @@ func TestPhaseResourcePlumbing(t *testing.T) {
 	// runtime's consistent heap stats immediately) must land its bytes in
 	// the phase counter and Stats field.
 	e := mustEngine(t, bank())
-	rc, local := e.newRecorder()
+	_, rc := e.begin(context.Background(), "q", "q", "q")
 	pm := startPhase()
 	hold := make([][]byte, 0, 64)
 	for i := 0; i < 64; i++ {
 		hold = append(hold, make([]byte, 128<<10))
 	}
-	rc.endEncode(pm)
+	rc.endPhase(phaseEncode, pm)
 	runtime.KeepAlive(hold)
-	st := StatsFromSnapshot(local.Snapshot())
+	st := rc.stats
 	if st.EncodeAllocBytes < 4<<20 {
 		t.Errorf("EncodeAllocBytes = %d after ~8 MiB allocated in the phase, want >= 4 MiB", st.EncodeAllocBytes)
 	}

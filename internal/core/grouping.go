@@ -16,7 +16,7 @@ import (
 // restricted query T(U, Z, A) ∧ Z = b are exactly the bag entries whose
 // answer prefix is b, so no per-group re-evaluation is needed.
 //
-// All groups share the caller's recorder, so the Report's Stats
+// All groups share the caller's record, so the Report's Stats
 // aggregate the per-group scalar solves (SAT calls, encode/solve time)
 // on top of the shared witness evaluation and consistency filtering.
 func (e *Engine) groupedRange(ctx context.Context, q cq.AggQuery, rc *recorder) (*Report, error) {
@@ -25,8 +25,7 @@ func (e *Engine) groupedRange(ctx context.Context, q cq.AggQuery, rc *recorder) 
 	_, wsp := obsv.StartSpan(ctx, "cq.witness")
 	pm := startPhase()
 	bag, err := e.eval.WitnessBagCtx(ctx, q.Underlying)
-	rc.endWitness(pm)
-	rc.witnesses(len(bag))
+	rc.evaluated(pm, len(bag))
 	if wsp != nil {
 		wsp.SetInt("witnesses", int64(len(bag)))
 		wsp.End()
@@ -36,7 +35,7 @@ func (e *Engine) groupedRange(ctx context.Context, q cq.AggQuery, rc *recorder) 
 	}
 
 	groups := cq.GroupWitnesses(bag, len(q.GroupBy))
-	rc.groups(len(groups))
+	rc.grouped(len(groups))
 	consistent, err := e.consistentGroups(ctx, groups, rc)
 	if err != nil {
 		return nil, err

@@ -38,25 +38,21 @@ func answersDigest(answers []GroupAnswer) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// appendJournal emits the call's wide-event line. No-op without a
-// journal; the append itself is non-blocking (the journal sheds entries
-// when its writer lags), so this sits on the hot path of every engine
-// call without perturbing it. answers is nil on an error exit — the
-// line then carries the anomaly classification instead of a digest.
-func (e *Engine) appendJournal(ctx context.Context, op, query string, answers []GroupAnswer, snap obsv.Snapshot, err error, start time.Time, dur time.Duration, anomaly, bundle string, rc *recorder) {
-	j := e.opts.Journal
-	if j == nil {
-		return
-	}
+// journalEntry projects the call's wide-event line from its record and
+// Stats: the journal appends it, and an anomaly's flight bundle embeds
+// it. answers is nil on an error exit — the line then carries the
+// anomaly classification instead of a digest.
+func (e *Engine) journalEntry(ctx context.Context, rc *recorder, st Stats, answers []GroupAnswer, err error, dur time.Duration, anomaly string) obsv.JournalEntry {
 	label := obsv.QueryLabelFrom(ctx)
 	if label == "" {
-		label = query
+		label = rc.query
 	}
 	entry := obsv.JournalEntry{
-		Time:        start,
+		Version:     obsv.JournalVersion,
+		Time:        rc.start,
 		Query:       label,
-		Fingerprint: Fingerprint64(query),
-		Op:          op,
+		Fingerprint: Fingerprint64(rc.query),
+		Op:          rc.op,
 		TraceID:     obsv.TraceIDFromContext(ctx),
 		Options: obsv.JournalOptions{
 			Algorithm:   e.opts.MaxSAT.Algorithm().String(),
@@ -64,31 +60,41 @@ func (e *Engine) appendJournal(ctx context.Context, op, query string, answers []
 			Parallelism: e.parallelism(),
 			Planner:     e.opts.Planner.String(),
 		},
+		Route:       rc.route,
+		RouteReason: rc.routeReason,
 
-		TotalMS:      float64(dur) / float64(time.Millisecond),
-		WitnessMS:    float64(snap.Counters[obsv.MetricWitnessNS]) / float64(time.Millisecond),
-		ConstraintMS: float64(snap.Gauges[obsv.MetricConstraintNS]) / float64(time.Millisecond),
-		EncodeMS:     float64(snap.Counters[obsv.MetricEncodeNS]) / float64(time.Millisecond),
-		SolveMS:      float64(snap.Counters[obsv.MetricSolveNS]) / float64(time.Millisecond),
+		TotalMS:      ms(dur),
+		RewriteMS:    ms(st.RewriteTime),
+		WitnessMS:    ms(st.WitnessTime),
+		ConstraintMS: ms(st.ConstraintTime),
+		EncodeMS:     ms(st.EncodeTime),
+		SolveMS:      ms(st.SolveTime),
 
-		Witnesses:  snap.Counters[obsv.MetricWitnesses],
-		SATCalls:   snap.Counters[obsv.MetricSATCalls],
-		MaxSATRuns: int(snap.Counters[obsv.MetricMaxSATRuns]),
-		Vars:       int(snap.Counters[obsv.MetricCNFVars]),
-		Clauses:    int(snap.Counters[obsv.MetricCNFClauses]),
+		Witnesses:       rc.witnesses,
+		Groups:          rc.groups,
+		SATCalls:        st.SATCalls,
+		MaxSATRuns:      st.MaxSATRuns,
+		Vars:            st.Vars,
+		Clauses:         st.Clauses,
+		MaxVars:         st.MaxVars,
+		MaxClauses:      st.MaxClauses,
+		ConsistentSkips: st.ConsistentPartSkips,
 
-		BaseHits:          snap.Counters[obsv.MetricBaseHits],
-		BaseMisses:        snap.Counters[obsv.MetricBaseMisses],
-		ConstraintCached:  snap.Gauges[obsv.MetricConsCacheHit] != 0,
-		FastPathRelations: snap.Gauges[obsv.MetricVioFastRels],
+		WitnessAllocBytes: st.WitnessAllocBytes,
+		EncodeAllocBytes:  st.EncodeAllocBytes,
+		SolveAllocBytes:   st.SolveAllocBytes,
+		HeapBytes:         st.HeapBytes,
+		GCCycles:          st.GCCycles,
 
-		Anomaly:      anomaly,
-		FlightBundle: bundle,
+		BaseHits:         rc.baseHits,
+		BaseMisses:       rc.baseMisses,
+		ConstraintCached: rc.constraintCached(),
+
+		Anomaly: anomaly,
 	}
-	if rc != nil && rc.routeStamped {
-		entry.Route = rc.route.String()
-		entry.RouteReason = rc.routeReason
-		entry.RewriteMS = float64(snap.Counters[obsv.MetricRewriteNS]) / float64(time.Millisecond)
+	if rc.cc != nil {
+		entry.FastPathRelations = int64(rc.cc.fastRels)
+		entry.GenericDCs = int64(rc.cc.genericDCs)
 	}
 	if err != nil {
 		entry.Error = err.Error()
@@ -96,5 +102,8 @@ func (e *Engine) appendJournal(ctx context.Context, op, query string, answers []
 		entry.Answers = len(answers)
 		entry.AnswerDigest = answersDigest(answers)
 	}
-	j.Append(entry)
+	return entry
 }
+
+// ms renders a duration in fractional milliseconds.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

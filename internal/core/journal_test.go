@@ -165,7 +165,7 @@ func TestJournalConcurrentSolves(t *testing.T) {
 
 // TestJournalFlightLinkage checks both halves of the journal↔bundle
 // cross-reference on an injected timeout: the journal line names the
-// bundle file, and the bundle on disk names the journal.
+// bundle file, and the bundle on disk carries the journal line.
 func TestJournalFlightLinkage(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "journal.jsonl")
@@ -208,9 +208,9 @@ func TestJournalFlightLinkage(t *testing.T) {
 		t.Fatalf("bundle file from journal line: %v", err)
 	}
 	var bundle struct {
-		Reason  string `json:"reason"`
-		Journal string `json:"journal"`
-		File    string `json:"file"`
+		Reason  string            `json:"reason"`
+		Journal obsv.JournalEntry `json:"journal"`
+		File    string            `json:"file"`
 	}
 	if err := json.Unmarshal(raw, &bundle); err != nil {
 		t.Fatalf("bundle is not JSON: %v", err)
@@ -218,8 +218,12 @@ func TestJournalFlightLinkage(t *testing.T) {
 	if bundle.Reason != "timeout" {
 		t.Errorf("bundle reason = %q", bundle.Reason)
 	}
-	if bundle.Journal != jpath {
-		t.Errorf("bundle journal = %q, want %q (reverse link)", bundle.Journal, jpath)
+	// Reverse link: the bundle embeds the journal line itself, which
+	// differs only in the bundle path written after the dump.
+	want := line
+	want.FlightBundle = ""
+	if !reflect.DeepEqual(bundle.Journal, want) {
+		t.Errorf("bundle journal entry = %+v, want the journal line %+v", bundle.Journal, want)
 	}
 	if bundle.File != line.FlightBundle {
 		t.Errorf("bundle file = %q, journal line says %q", bundle.File, line.FlightBundle)

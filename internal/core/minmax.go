@@ -60,7 +60,7 @@ func (e *Engine) minMaxFromBag(ctx context.Context, op cq.AggOp, bag []cq.Witnes
 		g.factSets = append(g.factSets, w.Facts)
 	}
 	if len(byValue) == 0 {
-		rc.endEncode(encodeMark)
+		rc.endPhase(phaseEncode, encodeMark)
 		esp.End()
 		return Range{GLB: db.Null(), LUB: db.Null(), EmptyPossible: true}, nil
 	}
@@ -89,7 +89,6 @@ func (e *Engine) minMaxFromBag(ctx context.Context, op cq.AggOp, bag []cq.Witnes
 		// grouped MIN/MAX queries whose groups share a closure skip the
 		// re-encode and clause re-load entirely.
 		enc, base, baseHit = e.componentBase(cc, closure)
-		rc.baseHit(baseHit)
 	} else {
 		enc = newEncoder(cc, closure)
 	}
@@ -145,18 +144,14 @@ func (e *Engine) minMaxFromBag(ctx context.Context, op cq.AggOp, bag []cq.Witnes
 		disj = append(disj, presentLits[i]...)
 		solver.AddClause(disj...)
 	}
-	ed := rc.endEncode(encodeMark)
-	rc.absorbFormula(enc.formula)
-	endEncodeSpan(esp, enc.formula)
-	ce := rc.exp.component(len(closure), len(values))
-	st := enc.formula.Stats()
-	ce.setEncode(st.Vars, st.Clauses, baseHit, ed)
+	ce := rc.component(encodeMark, esp, enc.formula, len(closure), len(values), baseHit)
 
 	_, ssp := obsv.StartSpan(ctx, "core.minmax_probes")
 	probes := 0
 	solveMark := startPhase()
 	defer func() {
-		sd := rc.endSolve(solveMark)
+		sd := rc.endPhase(phaseSolve, solveMark)
+		rc.solved(int64(probes), false)
 		ce.addDirection("probe", "sat", maxsat.Result{SATCalls: int64(probes)}, sd)
 		if ssp != nil {
 			ssp.SetInt("probes", int64(probes))
@@ -166,7 +161,6 @@ func (e *Engine) minMaxFromBag(ctx context.Context, op cq.AggOp, bag []cq.Witnes
 
 	solve := func(assumptions ...cnf.Lit) (bool, error) {
 		st := solver.Solve(assumptions...)
-		rc.satCalls(1)
 		probes++
 		switch st {
 		case sat.Sat:

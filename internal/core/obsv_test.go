@@ -72,7 +72,12 @@ func TestGroupedSumTraceBalanced(t *testing.T) {
 
 func TestGroupedSumStatsMerged(t *testing.T) {
 	// Satellite: groupedRange merges per-group stats into Report.Stats.
-	e := mustEngine(t, bank())
+	var buf bytes.Buffer
+	j := obsv.NewJournal(&buf, 0)
+	e, err := New(bank(), Options{Mode: KeysMode, Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rep, err := e.RangeAnswers(groupedSumQuery())
 	if err != nil {
 		t.Fatal(err)
@@ -93,12 +98,17 @@ func TestGroupedSumStatsMerged(t *testing.T) {
 	if st.MaxSATRuns < 2 {
 		t.Errorf("MaxSATRuns = %d, want >= 2 (glb+lub of an uncertain group)", st.MaxSATRuns)
 	}
-	// The snapshot is the source of truth for the typed view.
-	if got := StatsFromSnapshot(rep.Metrics); got != st {
-		t.Errorf("StatsFromSnapshot(rep.Metrics) = %+v, want %+v", got, st)
+	// The typed record is the source of truth: the journal line is
+	// projected from the same Stats, and counts the grouped path's
+	// groups.
+	j.Close()
+	lines, err := obsv.ReadJournal(&buf)
+	if err != nil || len(lines) != 1 {
+		t.Fatalf("journal: %d lines, err %v", len(lines), err)
 	}
-	if rep.Metrics.Counters[obsv.MetricGroups] == 0 {
-		t.Error("groups metric not recorded")
+	checkLineStats(t, "grouped sum", lines[0], st)
+	if lines[0].Groups == 0 {
+		t.Error("groups not recorded")
 	}
 }
 

@@ -2,7 +2,8 @@ package core
 
 import (
 	"context"
-	"sync/atomic"
+	"errors"
+	"sync"
 	"time"
 
 	"aggcavsat/internal/cnf"
@@ -10,73 +11,139 @@ import (
 	"aggcavsat/internal/planner"
 )
 
-// recorder funnels the instrumentation of one engine call into obsv
-// registries: a call-local registry (from which the call's Stats view is
-// built) and, when Options.Metrics is set, a session-wide registry that
-// accumulates across calls. Durations land in *_ns counters (exact
-// per-call diffs) and in phase-duration histograms.
+// recorder is the one typed record of an engine call (RangeAnswers /
+// ConsistentAnswers): the instrumentation accumulates straight into its
+// Stats and the few facts Stats does not carry (route verdict, cache
+// outcomes, witness/group counts, the component list). At call end, end
+// takes the Stats once and projects every view from that one value —
+// the Report and Explain, the journal line, the flight bundle and the
+// session registry — so they reconcile by construction.
 type recorder struct {
-	regs [2]*obsv.Registry
-	n    int
+	op, query string
+	start     time.Time
+	span      *obsv.Span
 
 	// flight, when non-nil (Options.OnAnomaly set), receives structured
 	// events from the phase instrumentation; all Record calls are
-	// nil-safe, so the disabled path costs one nil check.
+	// nil-safe, so the disabled path costs one nil check. res is the
+	// whole-call resource baseline of the bundle.
 	flight *obsv.FlightRecorder
+	res    obsv.ResourceSample
 
-	// exp, when non-nil (Options.Explain set), collects the per-component
-	// breakdown for the call's Explain report; its methods and those of
-	// the ComponentExplain entries it hands out are nil-safe.
-	exp *explainCollector
+	explain     bool // collect comps (Options.Explain)
+	incremental bool // count base-cache misses (shared-base solve path)
 
-	// constraintHit records whether this call's constraint context came
-	// from a cache (engine-level reuse or the package-wide DC memo).
-	constraintHit atomic.Bool
+	// mu guards everything below: component workers record in parallel.
+	// end reads the record without it, after every worker has joined.
+	mu    sync.Mutex
+	stats Stats
+	ran   [numPhases]bool
 
-	// Route verdict of the call, stamped exactly once by rangeAnswers
-	// (single writer: the goroutine running the call; read after it
-	// returns). routeReason explains a SAT route; planCached reports a
-	// plan-cache hit in the planner.
-	route        planner.Route
-	routeReason  string
-	planCached   bool
-	routeStamped bool
+	witnesses, groups    int64
+	baseHits, baseMisses int64
+	rewriteAllocBytes    int64
+
+	// cc is the constraint context the call consulted (nil on the
+	// rewrite route); constraintBuilt reports that this call ran its
+	// build.
+	cc              *constraintContext
+	constraintBuilt bool
+
+	comps []*ComponentExplain
+
+	// Route verdict of the call ("rewrite"/"sat"; "" until stamped),
+	// stamped exactly once by rangeAnswers (single writer: the goroutine
+	// running the call). routeReason explains a SAT route; planCached
+	// reports a plan-cache hit.
+	route       string
+	routeReason string
+	planCached  bool
 }
 
-// routed stamps the final route on the recorder and bumps the
-// per-route counter — exactly once per engine call, after any fallback
-// has settled, so the route counters sum to the calls served.
-func (rc *recorder) routed(r planner.Route, reason string, planCached bool) {
-	rc.route, rc.routeReason, rc.planCached = r, reason, planCached
-	rc.routeStamped = true
-	if r == planner.RouteRewrite {
-		rc.counter(obsv.MetricRouteRewrite, 1)
-	} else {
-		rc.counter(obsv.MetricRouteSAT, 1)
-	}
-}
+// phase indexes the timed phases of a call.
+type phase int
 
-// newRecorder creates the call-local registry and links the session one.
-func (e *Engine) newRecorder() (*recorder, *obsv.Registry) {
-	local := obsv.NewRegistry()
-	rc := &recorder{}
-	rc.regs[0] = local
-	rc.n = 1
-	if e.opts.Metrics != nil {
-		rc.regs[1] = e.opts.Metrics
-		rc.n = 2
+const (
+	phaseWitness phase = iota
+	phaseEncode
+	phaseSolve
+	phaseRewrite
+	numPhases
+)
+
+var phaseNames = [numPhases]string{"witness", "encode", "solve", "rewrite"}
+
+// begin opens one engine call: its root span, the wall-clock start and
+// the typed record, plus — under OnAnomaly — the flight recorder,
+// installed in the context so maxsat progress feeds it too.
+func (e *Engine) begin(ctx context.Context, op, query, span string, attrs ...obsv.Attr) (context.Context, *recorder) {
+	ctx, sp := obsv.StartSpan(ctx, span, attrs...)
+	rc := &recorder{
+		op: op, query: query, start: time.Now(), span: sp,
+		explain:     e.opts.Explain,
+		incremental: e.incremental(),
 	}
 	if e.opts.OnAnomaly != nil {
-		rc.flight = obsv.NewFlightRecorder(e.opts.FlightEvents)
+		rc.flight = obsv.NewFlightRecorder(0)
+		rc.res = obsv.SampleResources()
+		ctx = obsv.WithFlightRecorder(ctx, rc.flight)
 	}
-	if e.opts.Explain {
-		rc.exp = &explainCollector{}
+	return ctx, rc
+}
+
+// end closes one engine call on every exit path, error exits included:
+// it classifies the anomaly, takes the call's Stats once, and projects
+// the session metrics, the flight bundle and the journal line from
+// them. answers is nil on an error exit.
+func (e *Engine) end(ctx context.Context, rc *recorder, answers []GroupAnswer, err error) Stats {
+	dur := time.Since(rc.start)
+	anomaly := e.classifyAnomaly(err, dur)
+	st := rc.stats
+	e.publish(ctx, rc, st, anomaly, dur)
+	dump := rc.flight != nil && anomaly != ""
+	if e.opts.Journal != nil || dump {
+		entry := e.journalEntry(ctx, rc, st, answers, err, dur, anomaly)
+		if dump {
+			b := obsv.NewBundle(entry, rc.flight, obsv.SampleResources().Since(rc.res))
+			// The hook (obsv.DumpDir in particular) stamps the file it
+			// wrote, so the journal line can reference the bundle.
+			e.opts.OnAnomaly(b)
+			entry.FlightBundle = b.File
+		}
+		e.opts.Journal.Append(entry)
 	}
-	// "Cached" until the constraint build proves otherwise (see
-	// constraintCtx).
-	rc.constraintHit.Store(true)
-	rc.gaugeSet(obsv.MetricConsCacheHit, 1)
-	return rc, local
+	if rc.span != nil {
+		rc.span.SetInt("answers", int64(len(answers)))
+		rc.span.SetInt("sat_calls", st.SATCalls)
+		rc.span.End()
+	}
+	return st
+}
+
+// classifyAnomaly classifies how a call ended: "" on a clean solve, else
+// a typed timeout or budget stop, any other error, or a successful call
+// slower than Options.SlowQuery. The classification drives both the
+// flight-recorder dump and the journal line's anomaly flag, so it is
+// computed once by the caller and shared.
+func (e *Engine) classifyAnomaly(err error, dur time.Duration) string {
+	switch {
+	case errors.Is(err, ErrTimeout):
+		return "timeout"
+	case errors.Is(err, ErrBudget):
+		return "budget"
+	case err != nil:
+		return "error"
+	case e.opts.SlowQuery > 0 && dur > e.opts.SlowQuery:
+		return "slow"
+	}
+	return ""
+}
+
+// routed stamps the final route on the record — exactly once per engine
+// call, after any fallback has settled, so the route counters sum to
+// the calls served.
+func (rc *recorder) routed(r planner.Route, reason string, planCached bool) {
+	rc.route, rc.routeReason, rc.planCached = r.String(), reason, planCached
 }
 
 func b2i(b bool) int64 {
@@ -86,48 +153,84 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-func (rc *recorder) counter(name string, n int64) {
-	for i := 0; i < rc.n; i++ {
-		rc.regs[i].Counter(name).Add(n)
-	}
-}
-
-func (rc *recorder) gaugeSet(name string, v int64) {
-	for i := 0; i < rc.n; i++ {
-		rc.regs[i].Gauge(name).Set(v)
-	}
-}
-
-func (rc *recorder) gaugeMax(name string, v int64) {
-	for i := 0; i < rc.n; i++ {
-		rc.regs[i].Gauge(name).SetMax(v)
-	}
-}
-
-func (rc *recorder) observe(name string, d time.Duration) {
-	for i := 0; i < rc.n; i++ {
-		rc.regs[i].Histogram(name, nil).Observe(d.Seconds())
-	}
-}
-
-// observeCall feeds one whole-call latency into the session registry:
-// the query-duration summary (the p50/p90/p99 source of the /metrics
-// exposition and the replay percentile tables) plus the labeled
-// request-correlation families keyed by tenant/route/outcome.
-// Call-local registries skip it: a single observation has no quantiles
-// worth keeping.
-func (e *Engine) observeCall(ctx context.Context, rc *recorder, anomaly string, d time.Duration) {
-	if e.opts.Metrics == nil {
+// publish accumulates the call into the session registry
+// (Options.Metrics) once, at call end. Every exit path publishes the
+// same names; phase histograms get one observation per phase that ran.
+func (e *Engine) publish(ctx context.Context, rc *recorder, st Stats, anomaly string, d time.Duration) {
+	reg := e.opts.Metrics
+	if reg == nil {
 		return
 	}
-	e.opts.Metrics.Summary(obsv.MetricQuerySeconds, 0, nil).Observe(d.Seconds())
+	for _, p := range [...]struct {
+		p     phase
+		ns    string
+		d     time.Duration
+		alloc int64
+	}{
+		{phaseWitness, obsv.MetricWitnessNS, st.WitnessTime, st.WitnessAllocBytes},
+		{phaseEncode, obsv.MetricEncodeNS, st.EncodeTime, st.EncodeAllocBytes},
+		{phaseSolve, obsv.MetricSolveNS, st.SolveTime, st.SolveAllocBytes},
+		{phaseRewrite, obsv.MetricRewriteNS, st.RewriteTime, rc.rewriteAllocBytes},
+	} {
+		name := phaseNames[p.p]
+		reg.Counter(p.ns).Add(int64(p.d))
+		reg.Counter(obsv.MetricPhaseAllocPrefix + name).Add(p.alloc)
+		h := reg.Histogram(obsv.MetricPhaseSecondsPrefix+name, nil)
+		if rc.ran[p.p] {
+			h.Observe(p.d.Seconds())
+		}
+	}
+	h := reg.Histogram(obsv.MetricPhaseSecondsPrefix+"constraint", nil)
+	if rc.constraintBuilt {
+		h.Observe(st.ConstraintTime.Seconds())
+	}
+	for _, c := range [...]struct {
+		name string
+		n    int64
+	}{
+		{obsv.MetricSATCalls, st.SATCalls},
+		{obsv.MetricMaxSATRuns, int64(st.MaxSATRuns)},
+		{obsv.MetricCNFVars, int64(st.Vars)},
+		{obsv.MetricCNFClauses, int64(st.Clauses)},
+		{obsv.MetricConsistentSkips, int64(st.ConsistentPartSkips)},
+		{obsv.MetricGCCycles, st.GCCycles},
+		{obsv.MetricWitnesses, rc.witnesses},
+		{obsv.MetricGroups, rc.groups},
+		{obsv.MetricBaseHits, rc.baseHits},
+		{obsv.MetricBaseMisses, rc.baseMisses},
+		{obsv.MetricRouteRewrite, b2i(rc.route == planner.RouteRewrite.String())},
+		{obsv.MetricRouteSAT, b2i(rc.route == planner.RouteSAT.String())},
+	} {
+		reg.Counter(c.name).Add(c.n)
+	}
+	reg.Gauge(obsv.MetricCNFVarsMax).SetMax(int64(st.MaxVars))
+	reg.Gauge(obsv.MetricCNFClausesMax).SetMax(int64(st.MaxClauses))
+	reg.Gauge(obsv.MetricConsCacheHit).Set(b2i(rc.constraintCached()))
+	// Gauges a call did not measure keep the previous call's value.
+	heap, cons := reg.Gauge(obsv.MetricHeapBytes), reg.Gauge(obsv.MetricConstraintNS)
+	fast, generic := reg.Gauge(obsv.MetricVioFastRels), reg.Gauge(obsv.MetricVioGenericDCs)
+	if rc.ran != [numPhases]bool{} {
+		heap.Set(st.HeapBytes)
+	}
+	if rc.cc != nil {
+		cons.Set(int64(st.ConstraintTime))
+		if rc.cc.mode == DCMode {
+			fast.Set(int64(rc.cc.fastRels))
+			generic.Set(int64(rc.cc.genericDCs))
+		}
+	}
+
+	// The whole-call latency: the query-duration summary (the p50/p90/
+	// p99 source of the /metrics exposition and the replay percentile
+	// tables) plus the labeled request-correlation families.
+	reg.Summary(obsv.MetricQuerySeconds, 0, nil).Observe(d.Seconds())
 	tenant := obsv.TenantFrom(ctx)
 	if tenant == "" {
 		tenant = "none"
 	}
-	route := "none"
-	if rc != nil && rc.routeStamped {
-		route = rc.route.String()
+	route := rc.route
+	if route == "" {
+		route = "none"
 	}
 	// "slow" is an anomaly for the flight recorder but a success for the
 	// SLO plane: the call answered.
@@ -135,9 +238,9 @@ func (e *Engine) observeCall(ctx context.Context, rc *recorder, anomaly string, 
 	if outcome == "" || outcome == "slow" {
 		outcome = "ok"
 	}
-	e.opts.Metrics.LabeledCounter(obsv.MetricEngineCalls, obsv.RequestLabels, 0).
+	reg.LabeledCounter(obsv.MetricEngineCalls, obsv.RequestLabels, 0).
 		With(tenant, route, outcome).Inc()
-	e.opts.Metrics.LabeledHistogram(obsv.MetricEngineCallSeconds, obsv.RequestLabels, nil, 0).
+	reg.LabeledHistogram(obsv.MetricEngineCallSeconds, obsv.RequestLabels, nil, 0).
 		With(tenant, route, outcome).Observe(d.Seconds())
 }
 
@@ -155,127 +258,123 @@ func startPhase() phaseMark {
 	return phaseMark{start: time.Now(), res: obsv.SampleResources()}
 }
 
-// endPhase records the resource delta of one finished phase (alloc
-// counter per phase, live-heap gauge, GC-cycle counter), emits the
-// flight-recorder event, and returns the phase's wall time for the
-// duration metrics.
-func (rc *recorder) endPhase(phase string, pm phaseMark) time.Duration {
+// endPhase records one finished phase — its wall time and resource
+// delta (alloc bytes per phase, live heap, GC cycles) — and emits the
+// flight-recorder event. It returns the phase's wall time.
+func (rc *recorder) endPhase(p phase, pm phaseMark) time.Duration {
 	d := time.Since(pm.start)
 	delta := obsv.SampleResources().Since(pm.res)
-	rc.counter(obsv.MetricPhaseAllocPrefix+phase, delta.AllocBytes)
-	rc.gaugeSet(obsv.MetricHeapBytes, delta.HeapBytes)
-	rc.counter(obsv.MetricGCCycles, delta.GCCycles)
-	rc.flight.Record("phase", phase,
+	rc.mu.Lock()
+	s := &rc.stats
+	switch p {
+	case phaseWitness:
+		s.WitnessTime += d
+		s.WitnessAllocBytes += delta.AllocBytes
+	case phaseEncode:
+		s.EncodeTime += d
+		s.EncodeAllocBytes += delta.AllocBytes
+	case phaseSolve:
+		s.SolveTime += d
+		s.SolveAllocBytes += delta.AllocBytes
+	case phaseRewrite:
+		s.RewriteTime += d
+		rc.rewriteAllocBytes += delta.AllocBytes
+	}
+	s.HeapBytes = delta.HeapBytes
+	s.GCCycles += delta.GCCycles
+	rc.ran[p] = true
+	rc.mu.Unlock()
+	rc.flight.Record("phase", phaseNames[p],
 		obsv.Int64("ns", int64(d)),
 		obsv.Int64("alloc_bytes", delta.AllocBytes),
 		obsv.Int64("heap_bytes", delta.HeapBytes))
 	return d
 }
 
-func (rc *recorder) endWitness(pm phaseMark) {
-	d := rc.endPhase("witness", pm)
-	rc.counter(obsv.MetricWitnessNS, int64(d))
-	rc.observe(obsv.MetricPhaseSecondsPrefix+"witness", d)
-}
-
-// constraint records the (cached) constraint-context build time. It is a
-// gauge, not a counter: the grouped path re-records the same cached
-// build time once per group and the value must stay idempotent.
-func (rc *recorder) constraint(d time.Duration) {
-	rc.gaugeSet(obsv.MetricConstraintNS, int64(d))
-}
-
-func (rc *recorder) endEncode(pm phaseMark) time.Duration {
-	d := rc.endPhase("encode", pm)
-	rc.counter(obsv.MetricEncodeNS, int64(d))
-	rc.observe(obsv.MetricPhaseSecondsPrefix+"encode", d)
-	return d
-}
-
-func (rc *recorder) endSolve(pm phaseMark) time.Duration {
-	d := rc.endPhase("solve", pm)
-	rc.counter(obsv.MetricSolveNS, int64(d))
-	rc.observe(obsv.MetricPhaseSecondsPrefix+"solve", d)
-	return d
-}
-
-func (rc *recorder) endRewrite(pm phaseMark) time.Duration {
-	d := rc.endPhase("rewrite", pm)
-	rc.counter(obsv.MetricRewriteNS, int64(d))
-	rc.observe(obsv.MetricPhaseSecondsPrefix+"rewrite", d)
-	return d
-}
-
-// baseHit counts one Engine.bases outcome: a component's hard-clause
-// encoding and solver base served from the memo (hit) or built (miss).
-func (rc *recorder) baseHit(hit bool) {
-	if hit {
-		rc.counter(obsv.MetricBaseHits, 1)
-	} else {
-		rc.counter(obsv.MetricBaseMisses, 1)
+// component closes the encode phase of one independent solver instance
+// (a hard-clause component over facts closure facts, with units solve
+// units encoded against it): it records the phase, the base-cache
+// outcome and the formula size, ends the "core.encode" span (nil-safe),
+// and returns the component's Explain entry (nil unless
+// Options.Explain; every ComponentExplain method accepts nil).
+func (rc *recorder) component(pm phaseMark, sp *obsv.Span, f *cnf.Formula, facts, units int, baseHit bool) *ComponentExplain {
+	d := rc.endPhase(phaseEncode, pm)
+	st := rc.absorbFormula(f)
+	if sp != nil {
+		sp.SetInt("vars", int64(st.Vars))
+		sp.SetInt("clauses", int64(st.Clauses))
+		sp.End()
 	}
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if baseHit {
+		rc.baseHits++
+	} else if rc.incremental {
+		rc.baseMisses++
+	}
+	if !rc.explain {
+		return nil
+	}
+	ce := &ComponentExplain{Index: len(rc.comps), Facts: facts, Witnesses: units,
+		Vars: st.Vars, Clauses: st.Clauses, BaseHit: baseHit, EncodeNS: int64(d)}
+	rc.comps = append(rc.comps, ce)
+	return ce
 }
 
-func (rc *recorder) satCalls(n int64) { rc.counter(obsv.MetricSATCalls, n) }
-func (rc *recorder) maxsatRun()       { rc.counter(obsv.MetricMaxSATRuns, 1) }
-func (rc *recorder) skip()            { rc.counter(obsv.MetricConsistentSkips, 1) }
-func (rc *recorder) witnesses(n int)  { rc.counter(obsv.MetricWitnesses, int64(n)) }
-func (rc *recorder) groups(n int)     { rc.counter(obsv.MetricGroups, int64(n)) }
-
-func (rc *recorder) absorbFormula(f *cnf.Formula) {
+// absorbFormula adds one constructed formula to the CNF-size totals.
+func (rc *recorder) absorbFormula(f *cnf.Formula) cnf.Stats {
 	st := f.Stats()
-	rc.counter(obsv.MetricCNFVars, int64(st.Vars))
-	rc.counter(obsv.MetricCNFClauses, int64(st.Clauses))
-	rc.gaugeMax(obsv.MetricCNFVarsMax, int64(st.Vars))
-	rc.gaugeMax(obsv.MetricCNFClausesMax, int64(st.Clauses))
+	rc.mu.Lock()
+	s := &rc.stats
+	s.Vars += st.Vars
+	s.Clauses += st.Clauses
+	s.MaxVars = max(s.MaxVars, st.Vars)
+	s.MaxClauses = max(s.MaxClauses, st.Clauses)
+	rc.mu.Unlock()
 	rc.flight.Record("cnf", "formula",
 		obsv.Int64("vars", int64(st.Vars)),
 		obsv.Int64("clauses", int64(st.Clauses)))
+	return st
 }
 
-// endEncodeSpan stamps a "core.encode" span with the formula size and
-// ends it (nil-safe).
-func endEncodeSpan(sp *obsv.Span, f *cnf.Formula) {
-	if sp == nil {
-		return
+// solved records one finished solver pass: its SAT calls and, for a
+// completed MaxSAT run, the run itself.
+func (rc *recorder) solved(satCalls int64, maxsatRun bool) {
+	rc.mu.Lock()
+	rc.stats.SATCalls += satCalls
+	if maxsatRun {
+		rc.stats.MaxSATRuns++
 	}
-	st := f.Stats()
-	sp.SetInt("vars", int64(st.Vars))
-	sp.SetInt("clauses", int64(st.Clauses))
-	sp.End()
+	rc.mu.Unlock()
 }
 
-// StatsFromSnapshot builds the typed Stats view from an obsv metrics
-// snapshot. Stats is a projection: every field is defined as the value
-// of one metric from the vocabulary in internal/obsv.
-func StatsFromSnapshot(s obsv.Snapshot) Stats {
-	return Stats{
-		WitnessTime:         time.Duration(s.Counters[obsv.MetricWitnessNS]),
-		ConstraintTime:      time.Duration(s.Gauges[obsv.MetricConstraintNS]),
-		EncodeTime:          time.Duration(s.Counters[obsv.MetricEncodeNS]),
-		SolveTime:           time.Duration(s.Counters[obsv.MetricSolveNS]),
-		RewriteTime:         time.Duration(s.Counters[obsv.MetricRewriteNS]),
-		SATCalls:            s.Counters[obsv.MetricSATCalls],
-		MaxSATRuns:          int(s.Counters[obsv.MetricMaxSATRuns]),
-		Vars:                int(s.Counters[obsv.MetricCNFVars]),
-		Clauses:             int(s.Counters[obsv.MetricCNFClauses]),
-		MaxVars:             int(s.Gauges[obsv.MetricCNFVarsMax]),
-		MaxClauses:          int(s.Gauges[obsv.MetricCNFClausesMax]),
-		ConsistentPartSkips: int(s.Counters[obsv.MetricConsistentSkips]),
-		WitnessAllocBytes:   s.Counters[obsv.MetricPhaseAllocPrefix+"witness"],
-		EncodeAllocBytes:    s.Counters[obsv.MetricPhaseAllocPrefix+"encode"],
-		SolveAllocBytes:     s.Counters[obsv.MetricPhaseAllocPrefix+"solve"],
-		HeapBytes:           s.Gauges[obsv.MetricHeapBytes],
-		GCCycles:            s.Counters[obsv.MetricGCCycles],
-	}
+func (rc *recorder) skip() {
+	rc.mu.Lock()
+	rc.stats.ConsistentPartSkips++
+	rc.mu.Unlock()
+}
+
+// evaluated closes the witness phase of a call that evaluated n
+// witnesses.
+func (rc *recorder) evaluated(pm phaseMark, n int) {
+	rc.endPhase(phaseWitness, pm)
+	rc.mu.Lock()
+	rc.witnesses += int64(n)
+	rc.mu.Unlock()
+}
+
+// grouped counts the candidate answer groups the witnesses fall into.
+func (rc *recorder) grouped(n int) {
+	rc.mu.Lock()
+	rc.groups += int64(n)
+	rc.mu.Unlock()
 }
 
 // constraintCtx returns the lazily-built constraint context, wrapping
 // the first (real) build in a "core.constraints" span and recording the
-// cached build time into the call's metrics. Safe for concurrent use:
+// cached build time into the call's record. Safe for concurrent use:
 // parallel workers race into the sync.Once, exactly one performs the
-// build (and the one-time span/histogram record), the rest block until
-// it finishes.
+// build, the rest block until it finishes.
 func (e *Engine) constraintCtx(ctx context.Context, rc *recorder) *constraintContext {
 	built := false
 	e.ctxOnce.Do(func() {
@@ -294,20 +393,23 @@ func (e *Engine) constraintCtx(ctx context.Context, rc *recorder) *constraintCon
 		}
 	})
 	cc := e.ctx
+	rc.mu.Lock()
+	// ConstraintTime is the cached build time, re-reported per call (and
+	// per group on the grouped path): set, not summed.
+	rc.stats.ConstraintTime = cc.buildTime
+	rc.cc = cc
+	// Grouped queries call here once per group: only the invocation
+	// that ran the build marks it, later reuse must not clear the mark.
 	if built {
-		rc.observe(obsv.MetricPhaseSecondsPrefix+"constraint", cc.buildTime)
-		// The recorder starts from "cached" (engine-level reuse); only
-		// the invocation that actually built the context can downgrade
-		// the call's verdict to the memo's outcome. Grouped queries call
-		// here once per group — later reuse invocations must not
-		// overwrite the builder's miss.
-		rc.constraintHit.Store(cc.consCacheHit)
-		rc.gaugeSet(obsv.MetricConsCacheHit, b2i(cc.consCacheHit))
+		rc.constraintBuilt = true
 	}
-	rc.constraint(cc.buildTime)
-	if cc.mode == DCMode {
-		rc.gaugeSet(obsv.MetricVioFastRels, int64(cc.fastRels))
-		rc.gaugeSet(obsv.MetricVioGenericDCs, int64(cc.genericDCs))
-	}
+	rc.mu.Unlock()
 	return cc
+}
+
+// constraintCached reports whether the call's constraint context came
+// from a cache: engine-level reuse, or the package-wide DC memo when
+// this call ran the build.
+func (rc *recorder) constraintCached() bool {
+	return !rc.constraintBuilt || rc.cc.consCacheHit
 }

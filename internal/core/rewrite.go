@@ -26,7 +26,7 @@ func (e *Engine) rewriteRange(ctx context.Context, q cq.AggQuery, plan *conquer.
 	ctx, sp := obsv.StartSpan(ctx, "core.rewrite", obsv.String("op", q.Op.String()))
 	pm := startPhase()
 	ans, err := plan.Execute(ctx, e.in, e.planner.Indexes(), e.parallelism())
-	rc.endRewrite(pm)
+	rc.endPhase(phaseRewrite, pm)
 	if sp != nil {
 		sp.SetInt("answers", int64(len(ans)))
 		sp.End()

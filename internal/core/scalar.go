@@ -20,8 +20,7 @@ func (e *Engine) scalarRange(ctx context.Context, q cq.AggQuery, bag []cq.Witnes
 		pm := startPhase()
 		var err error
 		bag, err = e.eval.WitnessBagCtx(ctx, q.Underlying)
-		rc.endWitness(pm)
-		rc.witnesses(len(bag))
+		rc.evaluated(pm, len(bag))
 		if sp != nil {
 			sp.SetInt("witnesses", int64(len(bag)))
 			sp.End()
@@ -123,7 +122,7 @@ func (e *Engine) sumCountFromBag(ctx context.Context, op cq.AggOp, bag []cq.Witn
 		unsafe = append(unsafe, w)
 	}
 	if len(unsafe) == 0 {
-		rc.endEncode(encodeMark)
+		rc.endPhase(phaseEncode, encodeMark)
 		rc.skip()
 		return Range{GLB: db.Int(base), LUB: db.Int(base), FromConsistentPart: true}, nil
 	}
@@ -136,7 +135,7 @@ func (e *Engine) sumCountFromBag(ctx context.Context, op cq.AggOp, bag []cq.Witn
 		witnessFacts[i] = w.facts
 	}
 	split := splitComponents(cc, witnessFacts)
-	rc.endEncode(encodeMark)
+	rc.endPhase(phaseEncode, encodeMark)
 
 	// Components are independent WPMaxSAT instances: encode and solve
 	// each on the worker pool, then sum the per-component results (the
@@ -152,7 +151,6 @@ func (e *Engine) sumCountFromBag(ctx context.Context, op cq.AggOp, bag []cq.Witn
 		var baseHit bool
 		if e.incremental() {
 			enc, base, baseHit = e.componentBase(cc, split.facts[ci])
-			rc.baseHit(baseHit)
 		} else {
 			enc = newEncoder(cc, split.facts[ci])
 		}
@@ -176,12 +174,7 @@ func (e *Engine) sumCountFromBag(ctx context.Context, op cq.AggOp, bag []cq.Witn
 			enc.formula.AddSoft(w.weight, y)
 			negOffset += w.weight
 		}
-		ed := rc.endEncode(encodeMark)
-		rc.absorbFormula(enc.formula)
-		endEncodeSpan(esp, enc.formula)
-		ce := rc.exp.component(len(split.facts[ci]), len(split.groups[ci]))
-		st := enc.formula.Stats()
-		ce.setEncode(st.Vars, st.Clauses, baseHit, ed)
+		ce := rc.component(encodeMark, esp, enc.formula, len(split.facts[ci]), len(split.groups[ci]), baseHit)
 
 		minF, maxF, err := e.solveBothDirections(ctx, enc.formula, base, rc, ce)
 		if err != nil {
@@ -268,7 +261,7 @@ func (e *Engine) distinctFromBag(ctx context.Context, op cq.AggOp, bag []cq.Witn
 		uncertain = append(uncertain, g)
 	}
 	if len(uncertain) == 0 {
-		rc.endEncode(encodeMark)
+		rc.endPhase(phaseEncode, encodeMark)
 		rc.skip()
 		return Range{GLB: db.Int(base), LUB: db.Int(base), FromConsistentPart: true}, nil
 	}
@@ -282,7 +275,7 @@ func (e *Engine) distinctFromBag(ctx context.Context, op cq.AggOp, bag []cq.Witn
 		}
 	}
 	split := splitComponents(cc, answerFacts)
-	rc.endEncode(encodeMark)
+	rc.endPhase(phaseEncode, encodeMark)
 
 	// As in sumCountFromBag: one independent WPMaxSAT instance per
 	// component, fanned out and merged by component index.
@@ -296,7 +289,6 @@ func (e *Engine) distinctFromBag(ctx context.Context, op cq.AggOp, bag []cq.Witn
 		var baseHit bool
 		if e.incremental() {
 			enc, base, baseHit = e.componentBase(cc, split.facts[ci])
-			rc.baseHit(baseHit)
 		} else {
 			enc = newEncoder(cc, split.facts[ci])
 		}
@@ -334,12 +326,7 @@ func (e *Engine) distinctFromBag(ctx context.Context, op cq.AggOp, bag []cq.Witn
 				negOffset += w
 			}
 		}
-		ed := rc.endEncode(encodeMark)
-		rc.absorbFormula(enc.formula)
-		endEncodeSpan(esp, enc.formula)
-		ce := rc.exp.component(len(split.facts[ci]), len(split.groups[ci]))
-		st := enc.formula.Stats()
-		ce.setEncode(st.Vars, st.Clauses, baseHit, ed)
+		ce := rc.component(encodeMark, esp, enc.formula, len(split.facts[ci]), len(split.groups[ci]), baseHit)
 
 		minF, maxF, err := e.solveBothDirections(ctx, enc.formula, base, rc, ce)
 		if err != nil {
@@ -422,13 +409,12 @@ func (e *Engine) solveBothDirections(ctx context.Context, f *cnf.Formula, base *
 func (e *Engine) runInstance(ctx context.Context, solve func(context.Context) (maxsat.Result, error), rc *recorder, ce *ComponentExplain, dir string) (maxsat.Result, error) {
 	pm := startPhase()
 	res, err := solve(ctx)
-	d := rc.endSolve(pm)
-	rc.satCalls(res.SATCalls)
+	d := rc.endPhase(phaseSolve, pm)
+	rc.solved(res.SATCalls, err == nil)
 	ce.addDirection(dir, res.Algorithm.String(), res, d)
 	if err != nil {
 		return res, mapSolveErr(err)
 	}
-	rc.maxsatRun()
 	if !res.Satisfiable {
 		return res, fmt.Errorf("core: hard clauses unsatisfiable; every instance must have a repair (internal bug)")
 	}
@@ -438,13 +424,12 @@ func (e *Engine) runInstance(ctx context.Context, solve func(context.Context) (m
 func (e *Engine) runMaxSAT(ctx context.Context, f *cnf.Formula, rc *recorder, ce *ComponentExplain, dir string) (maxsat.Result, error) {
 	pm := startPhase()
 	res, err := maxsat.SolveContext(ctx, f, e.opts.MaxSAT)
-	d := rc.endSolve(pm)
-	rc.satCalls(res.SATCalls)
+	d := rc.endPhase(phaseSolve, pm)
+	rc.solved(res.SATCalls, err == nil)
 	ce.addDirection(dir, res.Algorithm.String(), res, d)
 	if err != nil {
 		return res, mapSolveErr(err)
 	}
-	rc.maxsatRun()
 	if !res.Satisfiable {
 		return res, fmt.Errorf("core: hard clauses unsatisfiable; every instance must have a repair (internal bug)")
 	}

@@ -38,7 +38,7 @@ import (
 //	         nulls bitmap              ⌈rowCount/64⌉×uint64
 //	     tail "CAVSEND1"               [8]byte
 //
-// Lifetime rules (see DESIGN.md §12): an instance returned by
+// Lifetime rules (see DESIGN.md §11): an instance returned by
 // OpenSnapshot aliases the mapping until Snapshot.Close; it is frozen —
 // Insert returns an error — and Close must not be called while any
 // query over the instance is still running. LoadSnapshotBytes aliases

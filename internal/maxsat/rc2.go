@@ -24,6 +24,7 @@ import (
 //   - *lazy totalizer bounds*: a new totalizer contributes a single soft
 //     selector "¬(≥2 violated)"; the next bound's selector is added only
 //     when the current one exhausts its weight.
+//
 // The solver comes from p.fork(); RC2 consumes the selector weights
 // destructively, so it works on a private copy. It normally extends the
 // clause set (totalizers, hardening), in which case p.adopt rejects the

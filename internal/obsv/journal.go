@@ -45,8 +45,9 @@ type JournalOptions struct {
 // JournalEntry is one wide event: everything the system knows about one
 // engine call (solve), flattened onto a single JSON line. The journal is
 // the query-level counterpart of the flight recorder — every solve gets
-// a line, not just anomalies — and the replay input format: aggbench
-// -replay can re-issue a recorded stream.
+// a line, not just anomalies, and an anomaly's bundle embeds the same
+// entry — and the replay input format: aggbench -replay can re-issue a
+// recorded stream.
 type JournalEntry struct {
 	Version int       `json:"v"`
 	Time    time.Time `json:"time"`
@@ -88,18 +89,34 @@ type JournalEntry struct {
 	EncodeMS     float64 `json:"encode_ms"`
 	SolveMS      float64 `json:"solve_ms"`
 
-	Witnesses  int64 `json:"witnesses"`
-	SATCalls   int64 `json:"sat_calls"`
-	MaxSATRuns int   `json:"maxsat_runs"`
-	Vars       int   `json:"cnf_vars"`
-	Clauses    int   `json:"cnf_clauses"`
+	Witnesses       int64 `json:"witnesses"`
+	Groups          int64 `json:"groups,omitempty"`
+	SATCalls        int64 `json:"sat_calls"`
+	MaxSATRuns      int   `json:"maxsat_runs"`
+	Vars            int   `json:"cnf_vars"`
+	Clauses         int   `json:"cnf_clauses"`
+	MaxVars         int   `json:"cnf_vars_max,omitempty"`
+	MaxClauses      int   `json:"cnf_clauses_max,omitempty"`
+	ConsistentSkips int   `json:"consistent_skips,omitempty"`
+
+	// Per-phase resource accounting (the Stats fields of the same
+	// names): heap bytes allocated per phase, the live heap at the last
+	// phase boundary, and GC cycles during measured phases.
+	WitnessAllocBytes int64 `json:"witness_alloc_bytes,omitempty"`
+	EncodeAllocBytes  int64 `json:"encode_alloc_bytes,omitempty"`
+	SolveAllocBytes   int64 `json:"solve_alloc_bytes,omitempty"`
+	HeapBytes         int64 `json:"heap_bytes,omitempty"`
+	GCCycles          int64 `json:"gc_cycles,omitempty"`
 
 	// Cache outcomes: per-component hard-base memo hits/misses for this
 	// call, and whether the constraint context came from a cache.
+	// FastPathRelations/GenericDCs split the DC set between the
+	// key-aware violation fast path and the generic route (DC mode).
 	BaseHits          int64 `json:"base_hits"`
 	BaseMisses        int64 `json:"base_misses"`
 	ConstraintCached  bool  `json:"constraint_cached"`
 	FastPathRelations int64 `json:"fastpath_rels,omitempty"`
+	GenericDCs        int64 `json:"generic_dcs,omitempty"`
 
 	// Anomaly is empty on a clean solve, else the flight-recorder
 	// classification: "timeout", "budget", "error", or "slow".

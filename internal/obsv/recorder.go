@@ -123,38 +123,27 @@ type BundleEvent struct {
 }
 
 // Bundle is the self-contained JSON dump of one anomalous solve: why it
-// was dumped, what the solver was doing (the flight-recorder ring), the
-// call's full metric snapshot, and the resource deltas. It is the
-// post-mortem counterpart of the live /debug/trace endpoint: everything
-// needed to diagnose the anomaly without rerunning the query.
+// was dumped, the call's wide event (its journal line: identity, error,
+// timings and counters), what the solver was doing (the flight-recorder
+// ring), and the resource deltas. It is the post-mortem counterpart of
+// the live /debug/trace endpoint: everything needed to diagnose the
+// anomaly without rerunning the query.
 type Bundle struct {
 	Version int `json:"version"`
-	// Reason is "timeout", "budget", "error", or "slow".
+	// Reason is "timeout", "budget", "error", or "slow" (the journal
+	// line's anomaly).
 	Reason string `json:"reason"`
-	// Query labels the solve (operation + aggregate, as reported by the
-	// engine).
-	Query string `json:"query,omitempty"`
-	// TraceID is the W3C trace id of the request that died (32 lowercase
-	// hex digits), when the solve's context carried one — the same id the
-	// journal line, explain report, and cavsatd response carry.
-	TraceID string `json:"trace_id,omitempty"`
-	// Err is the error text for reasons other than "slow".
-	Err        string    `json:"error,omitempty"`
-	Start      time.Time `json:"start"`
-	DurationMS float64   `json:"duration_ms"`
-	// Events is the flight-recorder ring in chronological order;
-	// DroppedEvents counts earlier events evicted from the ring.
+	// Journal is the call's journal entry — the same wide event the
+	// journal appends, apart from its FlightBundle path, which only
+	// exists once the bundle is written.
+	Journal JournalEntry `json:"journal"`
+	// Events is the flight-recorder ring in chronological order, with
+	// times relative to Journal.Time; DroppedEvents counts earlier events
+	// evicted from the ring.
 	Events        []BundleEvent `json:"events"`
 	DroppedEvents int64         `json:"dropped_events"`
-	// Metrics is the call-local metric snapshot (counters/gauges/
-	// histograms of the solve that died).
-	Metrics Snapshot `json:"metrics"`
 	// Resources is the whole-call resource delta.
 	Resources ResourceDelta `json:"resources"`
-	// Journal is the path of the query journal that carries this solve's
-	// wide-event line, when journaling was enabled — the reverse half of
-	// the journal↔bundle linkage (the journal line records File).
-	Journal string `json:"journal,omitempty"`
 	// File is the path this bundle was dumped to; DumpDir fills it in
 	// before writing so the journal line (and the hook's caller) can
 	// reference the bundle on disk.
@@ -162,28 +151,23 @@ type Bundle struct {
 }
 
 // BundleVersion is the schema version stamped on produced bundles.
-const BundleVersion = 1
+const BundleVersion = 2
 
-// NewBundle assembles a dump bundle from the recorder's current ring.
-// The recorder may be nil (the bundle then carries no events).
-func NewBundle(reason, query string, err error, start time.Time, dur time.Duration, rec *FlightRecorder, metrics Snapshot, res ResourceDelta) *Bundle {
+// NewBundle assembles the dump bundle of the call the journal entry
+// describes, from the recorder's current ring. The recorder may be nil
+// (the bundle then carries no events).
+func NewBundle(entry JournalEntry, rec *FlightRecorder, res ResourceDelta) *Bundle {
 	b := &Bundle{
-		Version:    BundleVersion,
-		Reason:     reason,
-		Query:      query,
-		Start:      start,
-		DurationMS: float64(dur.Microseconds()) / 1000,
-		Metrics:    metrics,
-		Resources:  res,
-	}
-	if err != nil {
-		b.Err = err.Error()
+		Version:   BundleVersion,
+		Reason:    entry.Anomaly,
+		Journal:   entry,
+		Resources: res,
 	}
 	events := rec.Events()
 	b.Events = make([]BundleEvent, len(events))
 	for i, ev := range events {
 		be := BundleEvent{
-			TimeUS: float64(ev.Time.Sub(start)) / float64(time.Microsecond),
+			TimeUS: float64(ev.Time.Sub(entry.Time)) / float64(time.Microsecond),
 			Kind:   ev.Kind,
 			Name:   ev.Name,
 		}

@@ -3,7 +3,6 @@ package obsv
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -67,12 +66,12 @@ func TestBundleRoundTrip(t *testing.T) {
 	rec.Record("progress", "maxhs", Int64("conflicts", 7), String("phase", "model"))
 	rec.Record("bound", "maxhs", Int64("lb", 0), Int64("ub", 3))
 
-	reg := NewRegistry()
-	reg.Counter("aggcavsat_sat_calls_total").Add(5)
-	start := time.Now().Add(-time.Second)
-	b := NewBundle("budget", "range_answers/SUM", errors.New("conflict budget exhausted"),
-		start, time.Second, rec, reg.Snapshot(),
-		ResourceDelta{AllocBytes: 4096, HeapBytes: 1 << 20, GCCycles: 1})
+	entry := JournalEntry{
+		Version: JournalVersion, Time: time.Now().Add(-time.Second),
+		Query: "range_answers/SUM", Op: "range_answers/SUM", TotalMS: 1000,
+		SATCalls: 5, Anomaly: "budget", Error: "conflict budget exhausted",
+	}
+	b := NewBundle(entry, rec, ResourceDelta{AllocBytes: 4096, HeapBytes: 1 << 20, GCCycles: 1})
 
 	if b.DroppedEvents != 1 {
 		t.Errorf("DroppedEvents = %d, want 1 (capacity 2, 3 recorded)", b.DroppedEvents)
@@ -85,11 +84,11 @@ func TestBundleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Reason != "budget" || got.Query != "range_answers/SUM" || got.Err == "" {
-		t.Errorf("decoded header = %q/%q/%q", got.Reason, got.Query, got.Err)
+	if got.Reason != "budget" || got.Journal.Query != "range_answers/SUM" || got.Journal.Error == "" {
+		t.Errorf("decoded header = %q/%q/%q", got.Reason, got.Journal.Query, got.Journal.Error)
 	}
-	if got.DurationMS != 1000 {
-		t.Errorf("DurationMS = %v, want 1000", got.DurationMS)
+	if got.Journal.TotalMS != 1000 {
+		t.Errorf("TotalMS = %v, want 1000", got.Journal.TotalMS)
 	}
 	if len(got.Events) != 2 {
 		t.Fatalf("decoded %d events, want 2", len(got.Events))
@@ -102,8 +101,8 @@ func TestBundleRoundTrip(t *testing.T) {
 	if ub, ok := last.Attrs["ub"].(float64); !ok || ub != 3 {
 		t.Errorf("last event ub = %v, want 3", last.Attrs["ub"])
 	}
-	if got.Metrics.Counters["aggcavsat_sat_calls_total"] != 5 {
-		t.Errorf("metric snapshot not preserved: %+v", got.Metrics.Counters)
+	if got.Journal.SATCalls != 5 || !got.Journal.Time.Equal(entry.Time) {
+		t.Errorf("journal entry not preserved: %+v", got.Journal)
 	}
 	if got.Resources.AllocBytes != 4096 {
 		t.Errorf("resources not preserved: %+v", got.Resources)
@@ -111,8 +110,12 @@ func TestBundleRoundTrip(t *testing.T) {
 }
 
 func TestReadBundleRejectsWrongVersion(t *testing.T) {
-	if _, err := ReadBundle(strings.NewReader(`{"version": 99}`)); err == nil {
-		t.Fatal("ReadBundle accepted an unknown version")
+	// 1 is the pre-journal-entry layout (a metric snapshot and a journal
+	// path); 99 is from the future.
+	for _, v := range []string{`{"version": 1}`, `{"version": 99}`} {
+		if _, err := ReadBundle(strings.NewReader(v)); err == nil {
+			t.Fatalf("ReadBundle accepted %s", v)
+		}
 	}
 }
 
@@ -121,8 +124,8 @@ func TestDumpDir(t *testing.T) {
 	sink := DumpDir(dir)
 	rec := NewFlightRecorder(8)
 	rec.Record("phase", "solve", Int64("ns", 42))
-	b := NewBundle("timeout", "q", errors.New("deadline"), time.Now(), time.Millisecond,
-		rec, NewRegistry().Snapshot(), ResourceDelta{})
+	b := NewBundle(JournalEntry{Time: time.Now(), Query: "q", Anomaly: "timeout", Error: "deadline"},
+		rec, ResourceDelta{})
 	sink(b)
 
 	entries, err := os.ReadDir(dir)

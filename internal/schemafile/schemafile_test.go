@@ -63,18 +63,18 @@ func TestReadCompositeAndUnorderedKey(t *testing.T) {
 
 func TestReadErrors(t *testing.T) {
 	bad := []string{
-		"relation R a:int\n",                      // missing parens
-		"relation (a:int)\n",                      // missing name
-		"relation R (aint)\n",                     // missing type separator
-		"relation R (a:blob)\n",                   // unknown type
-		"relation R (a:int) key b\n",              // undeclared key attr
-		"relation R (a:int) nonsense\n",           // trailing junk
+		"relation R a:int\n",                       // missing parens
+		"relation (a:int)\n",                       // missing name
+		"relation R (aint)\n",                      // missing type separator
+		"relation R (a:blob)\n",                    // unknown type
+		"relation R (a:int) key b\n",               // undeclared key attr
+		"relation R (a:int) nonsense\n",            // trailing junk
 		"relation R (a:int)\nrelation R (b:int)\n", // duplicate relation
-		"fd R a -> b\n",                           // fd before/without relation
-		"relation R (a:int b:int)\nfd R a b\n",    // fd missing arrow
-		"relation R (a:int b:int)\nfd R a ->\n",   // fd missing rhs
-		"relation R (a:int b:int)\nfd R a -> z\n", // fd unknown attr
-		"teleport R (a:int)\n",                    // unknown directive
+		"fd R a -> b\n",                            // fd before/without relation
+		"relation R (a:int b:int)\nfd R a b\n",     // fd missing arrow
+		"relation R (a:int b:int)\nfd R a ->\n",    // fd missing rhs
+		"relation R (a:int b:int)\nfd R a -> z\n",  // fd unknown attr
+		"teleport R (a:int)\n",                     // unknown directive
 	}
 	for _, src := range bad {
 		if _, err := Read(strings.NewReader(src)); err == nil {

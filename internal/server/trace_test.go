@@ -113,8 +113,8 @@ func TestTraceIdentityEndToEnd(t *testing.T) {
 	if len(bundles) != 1 {
 		t.Fatalf("OnAnomaly fired %d times, want 1", len(bundles))
 	}
-	if bundles[0].TraceID != wantTrace {
-		t.Errorf("bundle trace_id = %q, want %s", bundles[0].TraceID, wantTrace)
+	if bundles[0].Journal.TraceID != wantTrace {
+		t.Errorf("bundle trace_id = %q, want %s", bundles[0].Journal.TraceID, wantTrace)
 	}
 
 	// 6. The per-request trace was retained ("slow" SLO breach is
