@@ -7,6 +7,9 @@ all: build
 build:
 	$(GO) build ./...
 
+# Includes the bench gate (internal/bench TestGoldenCounters), which
+# checks the DBGen suite's work counters and answer digests against a
+# golden file; see internal/bench/gate_test.go.
 test:
 	$(GO) test ./...
 
@@ -27,7 +30,8 @@ vet:
 # hot tenant re-attach), and the fact store (frozen columnar instances
 # and mmap-backed snapshots read by concurrent query workers while the
 # dictionary and arenas must stay immutable). -short skips the slowest
-# property-test sweeps so the run stays usable on small CI boxes.
+# property-test sweeps and the bench gate's sf=0.01 leg so the run stays
+# usable on small CI boxes.
 race:
 	$(GO) test -race -short . ./internal/obsv/... ./internal/sat/... ./internal/maxsat/... ./internal/core/... ./internal/cq/... ./internal/bench/... ./internal/server/... ./internal/planner/... ./internal/conquer/... ./internal/db/... ./internal/workpool/...
 

@@ -10,9 +10,6 @@
 //
 // Observability:
 //
-//	-json dir         write BENCH_<experiment>.json record files (one
-//	                  RunRecord per measurement: witness/constraint/
-//	                  encode/solve ms, SAT calls, CNF size, timeouts)
 //	-trace out.json   Chrome trace-event file covering the whole run
 //	-listen addr      serve /metrics, /debug/trace, /debug/pprof and
 //	                  /healthz on addr while the suite runs (curl it for
@@ -22,12 +19,6 @@
 //	                  exceed -slow-query
 //	-slow-query D     queries slower than D dump a flight bundle even on
 //	                  success (0 = only timeouts/errors)
-//	-compare old.json diff this run's records against a BENCH_*.json
-//	                  baseline and report slowdowns plus allocation and
-//	                  live-heap growth (informational unless
-//	                  -compare-strict, which exits non-zero on a
-//	                  deterministic flag: memory growth, answers drift,
-//	                  or a new timeout — never wall-clock alone)
 //	-journal f.jsonl  append one wide-event JSON line per engine call
 //	                  (bounded, non-blocking writer; -listen exposes the
 //	                  tail at /debug/journal)
@@ -95,7 +86,6 @@ func main() {
 	cfg := bench.DefaultConfig()
 	exp := flag.String("exp", "all", "experiment to run ('all' or one of -list)")
 	list := flag.Bool("list", false, "list experiment names and exit")
-	jsonDir := flag.String("json", "", "directory for BENCH_<experiment>.json record files")
 	trace := flag.String("trace", "", "write a Chrome trace-event JSON file of the run")
 	verbose := flag.Bool("v", false, "debug logging")
 	flag.Float64Var(&cfg.SFSmall, "sf-small", cfg.SFSmall, "scale factor standing in for the paper's 1 GB repairs")
@@ -111,8 +101,6 @@ func main() {
 	listen := flag.String("listen", "", "serve /metrics, /debug/trace, /debug/pprof and /healthz on this address while the suite runs")
 	flightDir := flag.String("flight-dir", "", "write flight-recorder bundles for anomalous queries into this directory")
 	flag.DurationVar(&cfg.SlowQuery, "slow-query", cfg.SlowQuery, "queries slower than this dump a flight bundle even on success (0 = only timeouts/errors)")
-	compare := flag.String("compare", "", "diff this run's records against a BENCH_*.json baseline (time, allocation, and live-heap columns; informational unless -compare-strict)")
-	compareStrict := flag.Bool("compare-strict", false, "exit non-zero when -compare flags a deterministic regression (memory growth, answers drift, new timeout; wall-clock stays informational)")
 	journalPath := flag.String("journal", "", "append one wide-event JSON line per engine call to this file")
 	journalRead := flag.String("journal-read", "", "decode a journal file, print a per-query summary, and exit")
 	replay := flag.Bool("replay", false, "replay a query stream against one engine and print a latency percentile table")
@@ -248,13 +236,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "aggbench:", err)
 		os.Exit(1)
 	}
-	if *jsonDir != "" {
-		if err := r.WriteRecords(*jsonDir); err != nil {
-			fmt.Fprintln(os.Stderr, "aggbench:", err)
-			os.Exit(1)
-		}
-		logger.Debug("records written", "dir", *jsonDir, "records", len(r.Records()))
-	}
 	if tracer != nil && *trace != "" {
 		out, err := os.Create(*trace)
 		if err == nil {
@@ -268,19 +249,6 @@ func main() {
 			os.Exit(1)
 		}
 		logger.Debug("trace written", "path", *trace, "spans", tracer.Len(), "dropped", tracer.Dropped())
-	}
-	if *compare != "" {
-		baseline, err := bench.LoadRecords(*compare)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "aggbench:", err)
-			os.Exit(1)
-		}
-		rep := bench.CompareRecords(baseline, r.Records(), bench.CompareOptions{})
-		rep.Fprint(os.Stderr)
-		if *compareStrict && len(rep.GatingRegressions()) > 0 {
-			fmt.Fprintln(os.Stderr, "aggbench: -compare-strict: deterministic regressions flagged")
-			os.Exit(1)
-		}
 	}
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)

@@ -140,8 +140,7 @@ func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// Runner memoizes generated instances across experiments and captures
-// a RunRecord per measurement (WriteRecords).
+// Runner memoizes generated instances across experiments.
 type Runner struct {
 	cfg Config
 
@@ -154,12 +153,6 @@ type Runner struct {
 	// runCtx, when set via WithContext, carries an obsv.Tracer into
 	// every engine call.
 	runCtx context.Context
-
-	// curExp/curSetting label the records appended by runQuery; the
-	// experiment drivers keep them current.
-	curExp     string
-	curSetting string
-	records    []RunRecord
 }
 
 // NewRunner creates a runner for the configuration.
@@ -170,6 +163,21 @@ func NewRunner(cfg Config) *Runner {
 		pdbenchCache: map[int]*db.Instance{},
 		pdbenchProf:  map[int]pdbench.Profile{},
 	}
+}
+
+// WithContext sets the context used for every engine call, so a caller
+// can install an obsv.Tracer and capture a Chrome trace of a whole
+// benchmark run. Returns r for chaining.
+func (r *Runner) WithContext(ctx context.Context) *Runner {
+	r.runCtx = ctx
+	return r
+}
+
+func (r *Runner) ctx() context.Context {
+	if r.runCtx != nil {
+		return r.runCtx
+	}
+	return context.Background()
 }
 
 // dbgen returns the DBGen-style instance at the scale factor and target
@@ -225,8 +233,7 @@ type queryResult struct {
 	timeout bool
 }
 
-// runQuery executes one workload query on an engine and appends a
-// RunRecord under the runner's current experiment labels. timedOut=true
+// runQuery executes one workload query on an engine. timeout=true
 // means a solver budget ran out (reported as "t/o" in the tables).
 func (r *Runner) runQuery(eng *core.Engine, q tpch.Query) (queryResult, error) {
 	tr, err := q.Translate()
@@ -236,16 +243,12 @@ func (r *Runner) runQuery(eng *core.Engine, q tpch.Query) (queryResult, error) {
 	start := time.Now()
 	rep, err := eng.RangeAnswersContext(obsv.WithQueryLabel(r.ctx(), q.Name), tr.Aggs[0].Query)
 	if timedOut(err) {
-		res := queryResult{timeout: true, total: time.Since(start)}
-		r.record(q.Name, res)
-		return res, nil
+		return queryResult{timeout: true, total: time.Since(start)}, nil
 	}
 	if err != nil {
 		return queryResult{}, err
 	}
-	res := queryResult{stats: rep.Stats, total: time.Since(start), answers: len(rep.Answers)}
-	r.record(q.Name, res)
-	return res, nil
+	return queryResult{stats: rep.Stats, total: time.Since(start), answers: len(rep.Answers)}, nil
 }
 
 // runConquer times the rewriting baseline; supported=false mirrors the
@@ -384,7 +387,6 @@ func (r *Runner) pdbenchVersus(title string, queries []tpch.Query) (*Table, erro
 		if err != nil {
 			return nil, err
 		}
-		r.curSetting = fmt.Sprintf("inst=%d", inst)
 		for _, q := range queries {
 			c, ok := cells[q.Name]
 			if !ok {
@@ -490,7 +492,6 @@ func (r *Runner) inconsistencySweep(title string, queries []tpch.Query, withCall
 		if err != nil {
 			return nil, err
 		}
-		r.curSetting = fmt.Sprintf("pct=%g", pct)
 		for _, q := range queries {
 			res, err := r.runQuery(eng, q)
 			if err != nil {
@@ -560,7 +561,6 @@ func (r *Runner) sizeSweep(title string, queries []tpch.Query, withCalls bool) (
 		if err != nil {
 			return nil, err
 		}
-		r.curSetting = fmt.Sprintf("sf=%g", size.sf)
 		for _, q := range queries {
 			res, err := r.runQuery(eng, q)
 			if err != nil {
@@ -619,7 +619,6 @@ func (r *Runner) TableIIIab() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.curSetting = fmt.Sprintf("pct=%g", pct)
 		for _, name := range cnfQueries {
 			q, err := tpch.QueryByName(name)
 			if err != nil {
@@ -656,7 +655,6 @@ func (r *Runner) TableIIIcd() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.curSetting = fmt.Sprintf("sf=%g", sf)
 		for _, name := range cnfQueries {
 			q, err := tpch.QueryByName(name)
 			if err != nil {
@@ -730,7 +728,6 @@ func (r *Runner) Figure9() (*Table, error) {
 		}
 		total := time.Since(start)
 		st := rep.Stats
-		r.recordStats(q.Name, st, total, len(rep.Answers))
 		t.Rows = append(t.Rows, []string{
 			q.Name,
 			ms(st.ConstraintTime),
@@ -745,32 +742,33 @@ func (r *Runner) Figure9() (*Table, error) {
 	return t, nil
 }
 
+// experiments is the one ordered list of experiments: All runs them in
+// this (paper) order, Experiment dispatches on the name, and Names
+// lists them.
+var experiments = []struct {
+	name string
+	run  func(*Runner) (*Table, error)
+}{
+	{"fig1", (*Runner).Figure1},
+	{"fig2", (*Runner).Figure2},
+	{"table2", (*Runner).TableII},
+	{"fig3", (*Runner).Figure3},
+	{"table3ab", (*Runner).TableIIIab},
+	{"fig4", (*Runner).Figure4},
+	{"table3cd", (*Runner).TableIIIcd},
+	{"fig5", (*Runner).Figure5},
+	{"fig6", (*Runner).Figure6},
+	{"fig7", (*Runner).Figure7},
+	{"fig8", (*Runner).Figure8},
+	{"table4", (*Runner).TableIV},
+	{"fig9", (*Runner).Figure9},
+}
+
 // All runs every experiment in paper order.
 func (r *Runner) All(w io.Writer) error {
-	type exp struct {
-		name string
-		run  func() (*Table, error)
-	}
-	experiments := []exp{
-		{"fig1", r.Figure1},
-		{"fig2", r.Figure2},
-		{"table2", r.TableII},
-		{"fig3", r.Figure3},
-		{"table3ab", r.TableIIIab},
-		{"fig4", r.Figure4},
-		{"table3cd", r.TableIIIcd},
-		{"fig5", r.Figure5},
-		{"fig6", r.Figure6},
-		{"fig7", r.Figure7},
-		{"fig8", r.Figure8},
-		{"table4", r.TableIV},
-		{"fig9", r.Figure9},
-		{"pr9", r.ColumnarStore},
-	}
 	for _, e := range experiments {
-		r.setExperiment(e.name)
 		start := time.Now()
-		table, err := e.run()
+		table, err := e.run(r)
 		if err != nil {
 			return fmt.Errorf("bench: %s: %w", e.name, err)
 		}
@@ -780,57 +778,27 @@ func (r *Runner) All(w io.Writer) error {
 	return nil
 }
 
-// Experiment dispatches one experiment by name.
+// Experiment runs one experiment by name (case-insensitive).
 func (r *Runner) Experiment(name string, w io.Writer) error {
-	table, err := r.experimentByName(name)
-	if err != nil {
-		return err
-	}
-	table.Fprint(w)
-	return nil
-}
-
-func (r *Runner) experimentByName(name string) (*Table, error) {
 	name = strings.ToLower(name)
-	r.setExperiment(name)
-	switch name {
-	case "fig1":
-		return r.Figure1()
-	case "fig2":
-		return r.Figure2()
-	case "fig3":
-		return r.Figure3()
-	case "fig4":
-		return r.Figure4()
-	case "fig5":
-		return r.Figure5()
-	case "fig6":
-		return r.Figure6()
-	case "fig7":
-		return r.Figure7()
-	case "fig8":
-		return r.Figure8()
-	case "fig9":
-		return r.Figure9()
-	case "table2":
-		return r.TableII()
-	case "table3ab":
-		return r.TableIIIab()
-	case "table3cd":
-		return r.TableIIIcd()
-	case "table4":
-		return r.TableIV()
-	case "pr9", "columnar":
-		return r.ColumnarStore()
-	default:
-		return nil, fmt.Errorf("bench: unknown experiment %q", name)
+	for _, e := range experiments {
+		if e.name == name {
+			table, err := e.run(r)
+			if err != nil {
+				return err
+			}
+			table.Fprint(w)
+			return nil
+		}
 	}
+	return fmt.Errorf("bench: unknown experiment %q", name)
 }
 
-// Names lists the experiment identifiers.
+// Names lists the experiment identifiers in paper order.
 func Names() []string {
-	return []string{
-		"fig1", "fig2", "table2", "fig3", "table3ab", "fig4", "table3cd",
-		"fig5", "fig6", "fig7", "fig8", "table4", "fig9", "pr9",
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
 	}
+	return names
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"aggcavsat"
-	"aggcavsat/internal/core"
 	"aggcavsat/internal/obsv"
 	"aggcavsat/internal/server"
 	"aggcavsat/internal/sqlparse"
@@ -130,11 +129,6 @@ type replayOutcome struct {
 	// recorded for drifted answers so the divergent solve can be pulled
 	// from the server's journal and retained traces by id.
 	traceID string
-	// local marks in-process outcomes that carry engine stats worth a
-	// RunRecord.
-	local   bool
-	stats   core.Stats
-	answers int
 }
 
 // Replay issues the configured query stream against one engine over the
@@ -195,14 +189,8 @@ func (r *Runner) Replay(opts ReplayOptions, w io.Writer) (*ReplayReport, error) 
 		}
 		exec = func(p *plan) replayOutcome {
 			ctx := obsv.WithQueryLabel(r.ctx(), p.name)
-			res, qerr := eng.RangeAnswersContext(ctx, p.tr.Aggs[0].Query)
-			switch {
-			case timedOut(qerr):
-				return replayOutcome{err: qerr, timeout: true}
-			case qerr != nil:
-				return replayOutcome{err: qerr}
-			}
-			return replayOutcome{local: true, stats: res.Stats, answers: len(res.Answers)}
+			_, qerr := eng.RangeAnswersContext(ctx, p.tr.Aggs[0].Query)
+			return replayOutcome{err: qerr, timeout: timedOut(qerr)}
 		}
 	} else {
 		// The server must have attached the byte-identical instance
@@ -243,7 +231,6 @@ func (r *Runner) Replay(opts ReplayOptions, w io.Writer) (*ReplayReport, error) 
 				return replayOutcome{err: qerr}
 			}
 			return replayOutcome{
-				answers: len(resp.Rows),
 				drift:   resp.Digest != expected[p.name],
 				traceID: resp.TraceID,
 			}
@@ -264,7 +251,6 @@ func (r *Runner) Replay(opts ReplayOptions, w io.Writer) (*ReplayReport, error) 
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, conc)
-	r.setExperiment("replay")
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		p := plans[resolved[i%len(resolved)]]
@@ -301,7 +287,6 @@ func (r *Runner) Replay(opts ReplayOptions, w io.Writer) (*ReplayReport, error) 
 			case out.timeout:
 				agg.timeouts++
 				rep.Timeouts++
-				r.record(p.name, queryResult{timeout: true, total: lat})
 			case out.err != nil:
 				agg.errors++
 				rep.Errors++
@@ -315,9 +300,6 @@ func (r *Runner) Replay(opts ReplayOptions, w io.Writer) (*ReplayReport, error) 
 					if out.traceID != "" && len(rep.DriftTraces) < 2*driftTraceCap {
 						rep.DriftTraces = append(rep.DriftTraces, out.traceID)
 					}
-				}
-				if out.local {
-					r.record(p.name, queryResult{stats: out.stats, total: lat, answers: out.answers})
 				}
 			}
 		}(p, sched)

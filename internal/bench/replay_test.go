@@ -65,18 +65,6 @@ func TestReplayJournalsEveryQuery(t *testing.T) {
 			t.Errorf("table missing %q:\n%s", col, out.String())
 		}
 	}
-	// The replay results land in the records store under "replay".
-	found := false
-	for _, rec := range r.Records() {
-		if rec.Experiment == "replay" {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Error("no replay records captured")
-	}
-
 	// Round trip: the journal captured above is itself a valid replay
 	// source (labels are workload names).
 	r2 := NewRunner(tinyConfig())

@@ -20,14 +20,14 @@ func Fingerprint64(s string) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// answersDigest hashes the rendered answers (group keys and range
-// endpoints in order), so two journals can be diffed for answer drift
-// without storing the answers themselves. FromConsistentPart is
-// deliberately excluded: it is provenance (did the SAT path skip the
-// solver), not part of the answer, and the rewriting route never sets
-// it — hashing it would make identical answers from different routes
-// look like drift.
-func answersDigest(answers []GroupAnswer) string {
+// AnswersDigest hashes the rendered answers (group keys and range
+// endpoints in order), so two journals — or a run and the bench gate's
+// golden file — can be diffed for answer drift without storing the
+// answers themselves. FromConsistentPart is deliberately excluded: it
+// is provenance (did the SAT path skip the solver), not part of the
+// answer, and the rewriting route never sets it — hashing it would make
+// identical answers from different routes look like drift.
+func AnswersDigest(answers []GroupAnswer) string {
 	h := fnv.New64a()
 	for _, a := range answers {
 		for _, v := range a.Key {
@@ -100,7 +100,7 @@ func (e *Engine) journalEntry(ctx context.Context, rc *recorder, st Stats, answe
 		entry.Error = err.Error()
 	} else {
 		entry.Answers = len(answers)
-		entry.AnswerDigest = answersDigest(answers)
+		entry.AnswerDigest = AnswersDigest(answers)
 	}
 	return entry
 }

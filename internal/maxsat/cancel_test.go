@@ -3,6 +3,7 @@ package maxsat
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -194,5 +195,82 @@ func TestExternalInvalidModelError(t *testing.T) {
 	_, err := Solve(f, Options{SolverPath: script})
 	if err == nil {
 		t.Fatal("invalid external model should error")
+	}
+}
+
+// overlappingCores builds a hitting-set instance the exact branch and
+// bound cannot finish quickly: 300 random cores of 3–5 selectors over
+// 80 selectors with distinct price-like weights, so clusters merge into
+// one and the packing bound prunes little (well over 10⁵ nodes). The
+// generator is seeded, so the instance is fixed.
+func overlappingCores() ([][]cnf.Lit, map[cnf.Lit]int64) {
+	const nSel, nCores = 80, 300
+	rng := rand.New(rand.NewSource(1))
+	weights := make(map[cnf.Lit]int64, nSel)
+	for v := 1; v <= nSel; v++ {
+		weights[cnf.Lit(v)] = int64(1000 + rng.Intn(9000))
+	}
+	cores := make([][]cnf.Lit, 0, nCores)
+	for len(cores) < nCores {
+		k := 3 + rng.Intn(3)
+		seen := map[int]bool{}
+		var core []cnf.Lit
+		for len(core) < k {
+			if v := 1 + rng.Intn(nSel); !seen[v] {
+				seen[v] = true
+				core = append(core, cnf.Lit(v))
+			}
+		}
+		cores = append(cores, core)
+	}
+	return cores, weights
+}
+
+// TestHittingSetSearchPollsContext pins the exact hitting-set search's
+// cancellation: it checks its context every hsPollEvery nodes and
+// reports a dead context as an interruption — never as errHSBudget,
+// which would start the RC2 fallback instead of stopping.
+func TestHittingSetSearchPollsContext(t *testing.T) {
+	cores, weights := overlappingCores()
+	// The instance is hard enough to matter: 10⁵ nodes do not finish it.
+	if _, _, err := solveClusterHS(context.Background(), cores, weights, nil, 100_000); !errors.Is(err, errHSBudget) {
+		t.Fatalf("search finished within 10⁵ nodes (err %v); the instance is too easy", err)
+	}
+
+	// A cancelled search stops at its first poll: with one node of budget
+	// past the poll interval, the cancellation must be seen before the
+	// budget runs out.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, _, err := solveClusterHS(ctx, cores, weights, nil, hsPollEvery+1)
+	if !errors.Is(err, context.Canceled) || errors.Is(err, ErrBudget) {
+		t.Fatalf("cancelled search returned %v, want a context.Canceled interruption", err)
+	}
+
+	// End to end: each core becomes a hard clause over unit softs, so
+	// MaxHS finds the cores by SAT and then grinds in the exact search.
+	// A 50 ms deadline must stop the solve promptly and surface as a
+	// deadline, not as a budget stop that would fall back to RC2.
+	f := cnf.New(len(weights))
+	for _, c := range cores {
+		neg := make([]cnf.Lit, len(c))
+		for i, l := range c {
+			neg[i] = l.Neg()
+		}
+		f.AddHard(neg...)
+	}
+	for v := 1; v <= len(weights); v++ {
+		f.AddSoft(weights[cnf.Lit(v)], cnf.Lit(v))
+	}
+	dctx, dcancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer dcancel()
+	start := time.Now()
+	_, err = SolveContext(dctx, f, Options{})
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrBudget) {
+		t.Fatalf("deadline-bound solve returned %v, want a context.DeadlineExceeded interruption", err)
+	}
+	if elapsed > 150*time.Millisecond {
+		t.Errorf("solve returned %v after a 50 ms deadline, want < 150 ms", elapsed)
 	}
 }

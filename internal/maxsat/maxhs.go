@@ -75,7 +75,7 @@ func solveMaxHS(ctx context.Context, p *problem, opts Options) (Result, error) {
 		// cores.
 		exact := needExact
 		tr.step()
-		H, err := hs.hittingSet(exact)
+		H, err := hs.hittingSet(ctx, exact)
 		if err != nil {
 			return statsOf(s), err
 		}
@@ -290,8 +290,9 @@ func isSubsetLits(a, b []cnf.Lit) bool {
 // hittingSet returns a hitting set over all cores: greedy (feasible,
 // usually near-optimal) or exact (minimum weight), per cluster. Exact
 // solutions are cached; greedy ones leave the cluster dirty so a later
-// exact pass re-solves it.
-func (h *hittingSets) hittingSet(exact bool) (map[cnf.Lit]bool, error) {
+// exact pass re-solves it. The exact search polls ctx (see
+// solveClusterHS).
+func (h *hittingSets) hittingSet(ctx context.Context, exact bool) (map[cnf.Lit]bool, error) {
 	out := map[cnf.Lit]bool{}
 	for _, cl := range h.clusters {
 		if len(cl.cores) == 0 {
@@ -300,7 +301,7 @@ func (h *hittingSets) hittingSet(exact bool) (map[cnf.Lit]bool, error) {
 		if cl.dirty {
 			if exact {
 				start := time.Now()
-				sol, weight, err := solveClusterHS(cl.cores, h.weights, cl.warm, h.nodeBudget)
+				sol, weight, err := solveClusterHS(ctx, cl.cores, h.weights, cl.warm, h.nodeBudget)
 				if err != nil {
 					return nil, err
 				}
@@ -394,12 +395,19 @@ var errHSBudget = fmt.Errorf("%w: exact hitting-set node budget (maxhs)", ErrBud
 // the RC2 fallback instead of an unbounded search.
 const hsNodeBudget = 30_000_000
 
+// hsPollEvery is the node interval at which the exact hitting-set
+// search checks its context, so a cancelled or expired solve stops
+// within a few milliseconds instead of finishing the branch and bound.
+const hsPollEvery = 4096
+
 // solveClusterHS solves minimum-weight hitting set for one cluster by
 // in-place branch and bound: unit propagation, inclusion-exclusion
 // branching on the most constrained core, and an expensive-first
 // disjoint-core packing bound, warm-started from the greedy solution.
-// The error is errHSBudget when the node budget ran out.
-func solveClusterHS(cores [][]cnf.Lit, weights map[cnf.Lit]int64, warm map[cnf.Lit]bool, nodeBudget int64) (map[cnf.Lit]bool, int64, error) {
+// The error is errHSBudget when the node budget ran out, and the
+// interrupted(ctx) error when ctx died first (polled every hsPollEvery
+// nodes) — a cancellation, so it must not trigger the RC2 fallback.
+func solveClusterHS(ctx context.Context, cores [][]cnf.Lit, weights map[cnf.Lit]int64, warm map[cnf.Lit]bool, nodeBudget int64) (map[cnf.Lit]bool, int64, error) {
 	// Dense selector ids.
 	id := map[cnf.Lit]int{}
 	var lits []cnf.Lit
@@ -436,6 +444,7 @@ func solveClusterHS(cores [][]cnf.Lit, weights map[cnf.Lit]int64, warm map[cnf.L
 		}
 	}
 	hv := &hsSolver{
+		ctx:        ctx,
 		w:          w,
 		idxCores:   idxCores,
 		occur:      occur,
@@ -465,8 +474,8 @@ func solveClusterHS(cores [][]cnf.Lit, weights map[cnf.Lit]int64, warm map[cnf.L
 	}
 
 	hv.rec(0)
-	if hv.aborted {
-		return nil, 0, errHSBudget
+	if hv.err != nil {
+		return nil, 0, hv.err
 	}
 	if hv.bestW >= warmW {
 		return warmSol, warmW, nil
@@ -481,6 +490,7 @@ func solveClusterHS(cores [][]cnf.Lit, weights map[cnf.Lit]int64, warm map[cnf.L
 }
 
 type hsSolver struct {
+	ctx        context.Context
 	nodeBudget int64
 	w          []int64
 	idxCores   [][]int
@@ -494,7 +504,7 @@ type hsSolver struct {
 	best       []bool
 	bestW      int64
 	nodes      int64
-	aborted    bool
+	err        error // errHSBudget or interrupted(ctx); ends the search
 }
 
 func (hv *hsSolver) choose(sel int) {
@@ -512,13 +522,18 @@ func (hv *hsSolver) unchoose(sel int) {
 }
 
 func (hv *hsSolver) rec(weight int64) {
-	if hv.aborted {
+	if hv.err != nil {
 		return
 	}
 	hv.nodes++
 	if hv.nodes > hv.nodeBudget {
-		hv.aborted = true
+		hv.err = errHSBudget
 		return
+	}
+	if hv.nodes%hsPollEvery == 0 {
+		if hv.err = interrupted(hv.ctx); hv.err != nil {
+			return
+		}
 	}
 	if hv.bestW >= 0 && weight >= hv.bestW {
 		return

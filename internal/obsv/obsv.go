@@ -249,17 +249,23 @@ func (t *Tracer) Absorb(src *Tracer) {
 	}
 }
 
-// End closes the span. Safe on a nil receiver and idempotent.
+// End closes the span. Safe on a nil receiver and idempotent. Span
+// fields change under the tracer's lock, so a live scrape (Spans) never
+// reads a half-written span.
 func (s *Span) End() {
-	if s == nil || s.done {
+	if s == nil {
+		return
+	}
+	end := time.Now()
+	t := s.tracer
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if s.done {
 		return
 	}
 	s.done = true
-	s.end = time.Now()
-	t := s.tracer
-	t.mu.Lock()
+	s.end = end
 	t.open--
-	t.mu.Unlock()
 }
 
 // SetInt attaches an integer attribute. Safe on a nil receiver; the
@@ -268,7 +274,9 @@ func (s *Span) SetInt(key string, value int64) {
 	if s == nil {
 		return
 	}
+	s.tracer.mu.Lock()
 	s.Attrs = append(s.Attrs, Int64(key, value))
+	s.tracer.mu.Unlock()
 }
 
 // SetStr attaches a string attribute. Safe on a nil receiver.
@@ -276,7 +284,9 @@ func (s *Span) SetStr(key, value string) {
 	if s == nil {
 		return
 	}
+	s.tracer.mu.Lock()
 	s.Attrs = append(s.Attrs, String(key, value))
+	s.tracer.mu.Unlock()
 }
 
 // Duration returns the span's wall time (0 if still open).
@@ -311,13 +321,16 @@ func (t *Tracer) Dropped() int64 {
 	return t.dropped
 }
 
-// Spans returns a snapshot of the retained spans in start order. The
-// *Span values are shared with any still-running instrumentation; treat
-// them as read-only.
+// Spans returns a snapshot of the retained spans in start order: copies
+// taken under the tracer's lock, so still-running instrumentation can
+// end spans and attach attributes while the snapshot is read.
 func (t *Tracer) Spans() []*Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]*Span, len(t.spans))
-	copy(out, t.spans)
+	for i, sp := range t.spans {
+		cp := *sp
+		out[i] = &cp
+	}
 	return out
 }
