@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"aggcavsat/internal/cnf"
 	"aggcavsat/internal/cq"
@@ -44,23 +45,14 @@ func (e *Engine) ConsistentAnswersContext(ctx context.Context, u cq.UCQ) ([]db.T
 }
 
 func (e *Engine) consistentAnswers(ctx context.Context, u cq.UCQ, rc *recorder) ([]db.Tuple, error) {
-	_, wsp := obsv.StartSpan(ctx, "cq.witness")
-	pm := startPhase()
-	bag, err := e.eval.WitnessBagCtx(ctx, u)
-	rc.evaluated(pm, len(bag))
-	if wsp != nil {
-		wsp.SetInt("witnesses", int64(len(bag)))
-		wsp.End()
-	}
+	// Only the existence of an all-safe witness matters here (it makes
+	// its answer consistent), so the consistent part is folded.
+	arity := len(u.Disjuncts[0].Head)
+	bag, folds, err := e.witnesses(ctx, u, true, arity, rc)
 	if err != nil {
-		return nil, stopCause(ctx)
+		return nil, err
 	}
-
-	arity := 0
-	if len(bag) > 0 {
-		arity = len(bag[0].Answer)
-	}
-	groups := cq.GroupWitnesses(bag, arity)
+	groups := cq.GroupFolded(bag, folds, arity)
 	rc.grouped(len(groups))
 	consistent, err := e.consistentGroups(ctx, groups, rc)
 	if err != nil {
@@ -77,8 +69,9 @@ func (e *Engine) consistentAnswers(ctx context.Context, u cq.UCQ, rc *recorder) 
 
 // consistentGroups reports, for each witness group (one candidate answer
 // of the underlying query), whether it is a consistent answer. Groups
-// with a fully safe witness are accepted without SAT; the rest share one
-// incremental SAT solver with a fresh activation literal per candidate.
+// with a fully safe witness (folded, or materialized when the bag was
+// not folded) are accepted without SAT; the rest share one incremental
+// SAT solver with a fresh activation literal per candidate.
 func (e *Engine) consistentGroups(ctx context.Context, groups []cq.WitnessGroup, rc *recorder) ([]bool, error) {
 	cc := e.constraintCtx(ctx, rc)
 	_, csp := obsv.StartSpan(ctx, "core.consistent_groups")
@@ -92,12 +85,15 @@ func (e *Engine) consistentGroups(ctx context.Context, groups []cq.WitnessGroup,
 	var todo []consCandidate
 	seed := map[db.FactID]bool{}
 	for i, g := range groups {
-		sets := dedupFactSets(g.Witnesses)
-		safe := false
-		for _, fs := range sets {
-			if cc.allSafe(fs) {
-				safe = true
-				break
+		safe := g.Fold.Rows > 0
+		var sets [][]db.FactID
+		if !safe {
+			sets = dedupFactSets(g.Witnesses)
+			for _, fs := range sets {
+				if cc.allSafe(fs) {
+					safe = true
+					break
+				}
 			}
 		}
 		if safe {
@@ -227,20 +223,24 @@ func (e *Engine) checkCandidates(ctx context.Context, enc *encoder, base *maxsat
 }
 
 // dedupFactSets drops witnesses repeating an already-seen fact set.
-// Sets are bucketed by factSetKey and verified element-wise inside each
-// bucket (on sorted copies), so a hash collision costs a comparison,
-// never a lost candidate clause.
+// Sets are bucketed by HashFactSet and verified element-wise inside each
+// bucket, so a hash collision costs a comparison, never a lost candidate
+// clause. The evaluator emits fact sets sorted, so they are hashed in
+// place; only an unsorted set is sorted, on a copy.
 func dedupFactSets(ws []cq.Witness) [][]db.FactID {
 	byHash := make(map[uint64][]int, len(ws)) // hash → indexes into sorted
 	var out [][]db.FactID
-	var sorted [][]db.FactID // sorted copies, aligned with out
+	var sorted [][]db.FactID // sorted views, aligned with out
 	for _, w := range ws {
-		s := append([]db.FactID(nil), w.Facts...)
-		sortFactIDs(s)
+		s := w.Facts
+		if !slices.IsSorted(s) {
+			s = slices.Clone(s)
+			slices.Sort(s)
+		}
 		h := db.HashFactSet(s)
 		dup := false
 		for _, i := range byHash[h] {
-			if factIDsEqual(sorted[i], s) {
+			if slices.Equal(sorted[i], s) {
 				dup = true
 				break
 			}
@@ -258,25 +258,12 @@ func dedupFactSets(ws []cq.Witness) [][]db.FactID {
 // factSetKey builds an order-insensitive hash key for a witness fact
 // set: the same facts can arrive in different orders from different
 // join orderings or union branches, so the IDs are sorted (on a copy)
-// before hashing — otherwise dedupFactSets would keep permuted
-// duplicates and the SAT check would carry redundant clauses. The key
-// is not injective; users must verify exact equality inside buckets.
+// before hashing. The key is not injective; users must verify exact
+// equality inside buckets.
 func factSetKey(facts []db.FactID) uint64 {
-	sorted := append([]db.FactID(nil), facts...)
-	sortFactIDs(sorted)
+	sorted := slices.Clone(facts)
+	slices.Sort(sorted)
 	return db.HashFactSet(sorted)
-}
-
-func factIDsEqual(a, b []db.FactID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func errInternalUnsat() error {

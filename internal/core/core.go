@@ -28,7 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -200,6 +200,10 @@ type Stats struct {
 	MaxVars             int   // largest single formula
 	MaxClauses          int
 	ConsistentPartSkips int // groups answered without any SAT instance
+	// FoldedAssignments counts the witnessing assignments made only of
+	// safe facts that were folded into the consistent part's constant
+	// instead of materialized as witnesses.
+	FoldedAssignments int64
 
 	// Per-phase resource accounting, sampled via runtime/metrics around
 	// each phase. The alloc counters are process-global: with
@@ -227,6 +231,7 @@ func (s *Stats) Add(o Stats) {
 	s.MaxVars = max(s.MaxVars, o.MaxVars)
 	s.MaxClauses = max(s.MaxClauses, o.MaxClauses)
 	s.ConsistentPartSkips += o.ConsistentPartSkips
+	s.FoldedAssignments += o.FoldedAssignments
 	s.WitnessAllocBytes += o.WitnessAllocBytes
 	s.EncodeAllocBytes += o.EncodeAllocBytes
 	s.SolveAllocBytes += o.SolveAllocBytes
@@ -327,7 +332,7 @@ func (e *Engine) rangeAnswers(ctx context.Context, q cq.AggQuery, rc *recorder) 
 	rc.routed(planner.RouteSAT, d.Reason, d.PlanCached)
 	if q.Scalar() {
 		rep := &Report{}
-		ans, err := e.scalarRange(ctx, q, nil, rc)
+		ans, err := e.scalarRange(ctx, q, rc)
 		if err != nil {
 			return nil, err
 		}
@@ -356,12 +361,10 @@ type constraintContext struct {
 	buildTime time.Duration
 
 	// Provenance of the build, surfaced in explain reports and journal
-	// lines: whether the DC violations came from the package-wide memo,
-	// and how the DC set split between the key-aware fast path and the
-	// generic route (zero values in keys mode).
-	consCacheHit bool
-	fastRels     int
-	genericDCs   int
+	// lines: how the DC set split between the key-aware fast path and
+	// the generic route (zero values in keys mode).
+	fastRels   int
+	genericDCs int
 }
 
 // context lazily builds the constraint context (concurrency-safe).
@@ -387,7 +390,8 @@ func (e *Engine) buildContext() *constraintContext {
 			}
 		}
 	case DCMode:
-		ctx.violations, ctx.nearIdx, ctx.consCacheHit = constraints.CachedConstraintsInfo(e.eval, e.opts.DCs)
+		ctx.violations = constraints.MinimalViolations(e.eval, e.opts.DCs)
+		ctx.nearIdx = constraints.BuildNearViolations(ctx.violations, n)
 		ctx.fastRels, ctx.genericDCs = constraints.FastPathInfo(e.in.Schema(), e.opts.DCs)
 		ctx.adj = make([][]db.FactID, n)
 		for _, v := range ctx.violations {
@@ -463,6 +467,4 @@ func (ctx *constraintContext) closure(seed map[db.FactID]bool) []db.FactID {
 	return out
 }
 
-func sortFactIDs(ids []db.FactID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
+func sortFactIDs(ids []db.FactID) { slices.Sort(ids) }

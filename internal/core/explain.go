@@ -189,6 +189,9 @@ func (ex *Explain) WriteTable(w io.Writer) error {
 	if ex.ConsistentSkips > 0 {
 		fmt.Fprintf(tw, "consistent-part skips\t%d\n", ex.ConsistentSkips)
 	}
+	if ex.Stats.FoldedAssignments > 0 {
+		fmt.Fprintf(tw, "folded assignments\t%d\n", ex.Stats.FoldedAssignments)
+	}
 	fmt.Fprintln(tw)
 
 	s := ex.Stats

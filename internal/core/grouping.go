@@ -14,7 +14,9 @@ import (
 // The implementation evaluates the underlying query once with head
 // Z ++ [A] and partitions the witness bag by Z: the witnesses of the
 // restricted query T(U, Z, A) ∧ Z = b are exactly the bag entries whose
-// answer prefix is b, so no per-group re-evaluation is needed.
+// answer prefix is b, so no per-group re-evaluation is needed. For
+// COUNT/SUM the all-safe witnesses arrive folded per group: they make
+// the group consistent and add a constant to its range.
 //
 // All groups share the caller's record, so the Report's Stats
 // aggregate the per-group scalar solves (SAT calls, encode/solve time)
@@ -22,19 +24,11 @@ import (
 func (e *Engine) groupedRange(ctx context.Context, q cq.AggQuery, rc *recorder) (*Report, error) {
 	rep := &Report{}
 
-	_, wsp := obsv.StartSpan(ctx, "cq.witness")
-	pm := startPhase()
-	bag, err := e.eval.WitnessBagCtx(ctx, q.Underlying)
-	rc.evaluated(pm, len(bag))
-	if wsp != nil {
-		wsp.SetInt("witnesses", int64(len(bag)))
-		wsp.End()
-	}
+	bag, folds, err := e.witnesses(ctx, q.Underlying, foldable(q.Op), len(q.GroupBy), rc)
 	if err != nil {
-		return nil, stopCause(ctx)
+		return nil, err
 	}
-
-	groups := cq.GroupWitnesses(bag, len(q.GroupBy))
+	groups := cq.GroupFolded(bag, folds, len(q.GroupBy))
 	rc.grouped(len(groups))
 	consistent, err := e.consistentGroups(ctx, groups, rc)
 	if err != nil {
@@ -57,7 +51,7 @@ func (e *Engine) groupedRange(ctx context.Context, q cq.AggQuery, rc *recorder) 
 	err = forEach(ctx, e.parallelism(), len(todo), func(ctx context.Context, ti int) error {
 		g := groups[todo[ti]]
 		gctx, gsp := obsv.StartSpan(ctx, "core.group")
-		ans, err := e.scalarRange(gctx, q, g.Witnesses, rc)
+		ans, err := e.groupRange(gctx, q.Op, g, rc)
 		if gsp != nil {
 			gsp.SetInt("witnesses", int64(len(g.Witnesses)))
 			gsp.End()

@@ -71,6 +71,7 @@ func (e *Engine) journalEntry(ctx context.Context, rc *recorder, st Stats, answe
 		SolveMS:      ms(st.SolveTime),
 
 		Witnesses:       rc.witnesses,
+		Folded:          st.FoldedAssignments,
 		Groups:          rc.groups,
 		SATCalls:        st.SATCalls,
 		MaxSATRuns:      st.MaxSATRuns,

@@ -37,6 +37,7 @@ func checkLineStats(t *testing.T, label string, line obsv.JournalEntry, st Stats
 		{"cnf_vars_max", float64(line.MaxVars), float64(st.MaxVars)},
 		{"cnf_clauses_max", float64(line.MaxClauses), float64(st.MaxClauses)},
 		{"consistent_skips", float64(line.ConsistentSkips), float64(st.ConsistentPartSkips)},
+		{"folded_assignments", float64(line.Folded), float64(st.FoldedAssignments)},
 		{"witness_alloc_bytes", float64(line.WitnessAllocBytes), float64(st.WitnessAllocBytes)},
 		{"encode_alloc_bytes", float64(line.EncodeAllocBytes), float64(st.EncodeAllocBytes)},
 		{"solve_alloc_bytes", float64(line.SolveAllocBytes), float64(st.SolveAllocBytes)},
@@ -67,6 +68,7 @@ func registryStats(reg *obsv.Registry) Stats {
 		MaxVars:             int(g(obsv.MetricCNFVarsMax)),
 		MaxClauses:          int(g(obsv.MetricCNFClausesMax)),
 		ConsistentPartSkips: int(c(obsv.MetricConsistentSkips)),
+		FoldedAssignments:   c(obsv.MetricFolded),
 		WitnessAllocBytes:   c(obsv.MetricPhaseAllocPrefix + "witness"),
 		EncodeAllocBytes:    c(obsv.MetricPhaseAllocPrefix + "encode"),
 		SolveAllocBytes:     c(obsv.MetricPhaseAllocPrefix + "solve"),
@@ -108,8 +110,9 @@ func metricNames(reg *obsv.Registry) string {
 // mode, rewrite and SAT route, success and timeout, plus a
 // ConsistentAnswers call — with every projection switched on, and checks
 // that Report.Stats, Explain.Stats, the journal line, the session
-// registry and the flight bundle all carry the same figures, and that
-// every exit path publishes the same metric names.
+// registry and the flight bundle all carry the same figures (the
+// folded-assignment count included, nonzero on the folding calls), and
+// that every exit path publishes the same metric names.
 func TestOneRecordReconciles(t *testing.T) {
 	r := rng(77)
 	rnd := randomInstance(&r)
@@ -132,14 +135,15 @@ func TestOneRecordReconciles(t *testing.T) {
 		cons    bool // ConsistentAnswers(u) instead of RangeAnswers(q)
 		route   string
 		anomaly string
+		folds   bool // the call folds some all-safe assignment
 	}{
-		{name: "keys/sat", in: bank(), q: groupedSumQuery(), route: "sat", anomaly: "slow"},
+		{name: "keys/sat", in: bank(), q: groupedSumQuery(), route: "sat", anomaly: "slow", folds: true},
 		{name: "keys/rewrite", in: rnd, opts: Options{Planner: planner.ModeAuto},
 			q: joinQuery(cq.CountStar, true), route: "rewrite", anomaly: "slow"},
 		{name: "dc/sat", in: rnd, opts: Options{Mode: DCMode, DCs: dcs, Planner: planner.ModeAuto},
-			q: joinQuery(cq.Sum, true), route: "sat", anomaly: "slow"},
+			q: joinQuery(cq.Sum, true), route: "sat", anomaly: "slow", folds: true},
 		{name: "keys/timeout", in: bank(), ctx: cancelled, q: paperSumQuery(), route: "sat", anomaly: "timeout"},
-		{name: "consistent", in: rnd, cons: true, anomaly: "slow"},
+		{name: "consistent", in: rnd, cons: true, anomaly: "slow", folds: true},
 	}
 	published := map[string]string{}
 	for _, tc := range cases {
@@ -189,6 +193,9 @@ func TestOneRecordReconciles(t *testing.T) {
 			}
 			if st.WitnessTime+st.RewriteTime <= 0 {
 				t.Errorf("Stats %+v: no witness or rewrite time (every case runs one)", st)
+			}
+			if (st.FoldedAssignments > 0) != tc.folds {
+				t.Errorf("folded assignments = %d, want folding %v", st.FoldedAssignments, tc.folds)
 			}
 
 			if got := registryStats(reg); got != st {

@@ -193,6 +193,7 @@ func (e *Engine) publish(ctx context.Context, rc *recorder, st Stats, anomaly st
 		{obsv.MetricCNFVars, int64(st.Vars)},
 		{obsv.MetricCNFClauses, int64(st.Clauses)},
 		{obsv.MetricConsistentSkips, int64(st.ConsistentPartSkips)},
+		{obsv.MetricFolded, st.FoldedAssignments},
 		{obsv.MetricGCCycles, st.GCCycles},
 		{obsv.MetricWitnesses, rc.witnesses},
 		{obsv.MetricGroups, rc.groups},
@@ -354,12 +355,13 @@ func (rc *recorder) skip() {
 	rc.mu.Unlock()
 }
 
-// evaluated closes the witness phase of a call that evaluated n
-// witnesses.
-func (rc *recorder) evaluated(pm phaseMark, n int) {
+// evaluated closes the witness phase of a call that materialized n
+// witnesses and folded the given number of all-safe assignments.
+func (rc *recorder) evaluated(pm phaseMark, n int, folded int64) {
 	rc.endPhase(phaseWitness, pm)
 	rc.mu.Lock()
 	rc.witnesses += int64(n)
+	rc.stats.FoldedAssignments += folded
 	rc.mu.Unlock()
 }
 
@@ -407,9 +409,8 @@ func (e *Engine) constraintCtx(ctx context.Context, rc *recorder) *constraintCon
 	return cc
 }
 
-// constraintCached reports whether the call's constraint context came
-// from a cache: engine-level reuse, or the package-wide DC memo when
-// this call ran the build.
+// constraintCached reports whether the call reused the engine's
+// constraint context instead of building it.
 func (rc *recorder) constraintCached() bool {
-	return !rc.constraintBuilt || rc.cc.consCacheHit
+	return !rc.constraintBuilt
 }

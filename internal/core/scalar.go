@@ -12,30 +12,70 @@ import (
 )
 
 // scalarRange computes the range consistent answer of a scalar
-// aggregation query. The witness bag is computed here; grouped queries
-// call scalarFromBag directly with per-group bags.
-func (e *Engine) scalarRange(ctx context.Context, q cq.AggQuery, bag []cq.Witness, rc *recorder) (Range, error) {
-	if bag == nil {
-		_, sp := obsv.StartSpan(ctx, "cq.witness")
-		pm := startPhase()
-		var err error
-		bag, err = e.eval.WitnessBagCtx(ctx, q.Underlying)
-		rc.evaluated(pm, len(bag))
-		if sp != nil {
-			sp.SetInt("witnesses", int64(len(bag)))
-			sp.End()
-		}
-		if err != nil {
-			return Range{}, stopCause(ctx)
-		}
+// aggregation query: its witnesses form one group, with the consistent
+// part folded where the reduction only needs its constant.
+func (e *Engine) scalarRange(ctx context.Context, q cq.AggQuery, rc *recorder) (Range, error) {
+	bag, folds, err := e.witnesses(ctx, q.Underlying, foldable(q.Op), 0, rc)
+	if err != nil {
+		return Range{}, err
 	}
-	switch q.Op {
+	g := cq.WitnessGroup{Witnesses: bag}
+	if len(folds) > 0 {
+		g.Fold = folds[0].Fold
+	}
+	return e.groupRange(ctx, q.Op, g, rc)
+}
+
+// witnesses evaluates the underlying query as the call's witness phase.
+// With fold, every witness made only of safe facts is folded into its
+// group (the first groupArity head values) instead of materialized.
+// The constraint context is built before the phase starts, so its
+// allocations are not counted as the witness phase's.
+func (e *Engine) witnesses(ctx context.Context, u cq.UCQ, fold bool, groupArity int, rc *recorder) ([]cq.Witness, []cq.GroupFold, error) {
+	var safe func(db.FactID) bool
+	if fold {
+		safe = e.constraintCtx(ctx, rc).safe
+	}
+	_, sp := obsv.StartSpan(ctx, "cq.witness")
+	pm := startPhase()
+	bag, folds, err := e.eval.FoldedBagCtx(ctx, u, safe, groupArity)
+	var folded int64
+	for _, gf := range folds {
+		folded += gf.Rows
+	}
+	rc.evaluated(pm, len(bag), folded)
+	if sp != nil {
+		sp.SetInt("witnesses", int64(len(bag)))
+		sp.SetInt("folded", folded)
+		sp.End()
+	}
+	if err != nil {
+		return nil, nil, stopCause(ctx)
+	}
+	return bag, folds, nil
+}
+
+// foldable reports whether op's reduction needs only the constant of
+// the consistent part (COUNT(*), COUNT(A), SUM(A)). MIN/MAX and the
+// DISTINCT operators encode every witness, so they get the full bag.
+func foldable(op cq.AggOp) bool {
+	switch op {
+	case cq.CountStar, cq.Count, cq.Sum:
+		return true
+	}
+	return false
+}
+
+// groupRange computes the range of one group's aggregate from its
+// witnesses (and fold).
+func (e *Engine) groupRange(ctx context.Context, op cq.AggOp, g cq.WitnessGroup, rc *recorder) (Range, error) {
+	switch op {
 	case cq.Min, cq.Max:
-		return e.minMaxFromBag(ctx, q.Op, bag, rc)
+		return e.minMaxFromBag(ctx, op, g.Witnesses, rc)
 	case cq.CountDistinct, cq.SumDistinct:
-		return e.distinctFromBag(ctx, q.Op, bag, rc)
+		return e.distinctFromBag(ctx, op, g.Witnesses, rc)
 	default:
-		return e.sumCountFromBag(ctx, q.Op, bag, rc)
+		return e.sumCountFromGroup(ctx, op, g, rc)
 	}
 }
 
@@ -73,7 +113,7 @@ func prepareWitnesses(op cq.AggOp, bag []cq.Witness) ([]weightedWitness, error) 
 				continue
 			}
 			if v.Kind() != db.KindInt {
-				return nil, fmt.Errorf("core: SUM over non-integer value %v; scale to integers (e.g. cents) first", v)
+				return nil, errNonIntSum(v)
 			}
 			a := v.AsInt()
 			if a == 0 {
@@ -95,32 +135,44 @@ func abs64(x int64) int64 {
 	return x
 }
 
-// sumCountFromBag implements Reduction IV.1 (steps 2a/2b) and the
-// Proposition IV.1 decoding for COUNT(*), COUNT(A) and SUM(A).
-func (e *Engine) sumCountFromBag(ctx context.Context, op cq.AggOp, bag []cq.Witness, rc *recorder) (Range, error) {
+// foldedBase is the constant the group's folded (all-safe)
+// assignments contribute to COUNT(*), COUNT(A) or SUM(A): they survive
+// in every repair.
+func foldedBase(op cq.AggOp, f cq.Fold) (int64, error) {
+	switch op {
+	case cq.CountStar:
+		return f.Rows, nil
+	case cq.Count:
+		return f.NonNull, nil
+	default:
+		if !f.NonInt.IsNull() {
+			return 0, errNonIntSum(f.NonInt)
+		}
+		return f.Sum, nil
+	}
+}
+
+func errNonIntSum(v db.Value) error {
+	return fmt.Errorf("core: SUM over non-integer value %v; scale to integers (e.g. cents) first", v)
+}
+
+// sumCountFromGroup implements Reduction IV.1 (steps 2a/2b) and the
+// Proposition IV.1 decoding for COUNT(*), COUNT(A) and SUM(A). The
+// group's consistent part arrives folded into g.Fold, a constant: every
+// materialized witness touches a conflicting fact.
+func (e *Engine) sumCountFromGroup(ctx context.Context, op cq.AggOp, g cq.WitnessGroup, rc *recorder) (Range, error) {
 	cc := e.constraintCtx(ctx, rc)
 
-	ws, err := prepareWitnesses(op, bag)
+	unsafe, err := prepareWitnesses(op, g.Witnesses)
+	if err != nil {
+		return Range{}, err
+	}
+	base, err := foldedBase(op, g.Fold)
 	if err != nil {
 		return Range{}, err
 	}
 
 	encodeMark := startPhase()
-	// Fold consistent-part witnesses into a constant: a witness made of
-	// safe facts survives in every repair, contributing ±w always.
-	var base int64
-	unsafe := ws[:0]
-	for _, w := range ws {
-		if cc.allSafe(w.facts) {
-			if w.negative {
-				base -= w.weight
-			} else {
-				base += w.weight
-			}
-			continue
-		}
-		unsafe = append(unsafe, w)
-	}
 	if len(unsafe) == 0 {
 		rc.endPhase(phaseEncode, encodeMark)
 		rc.skip()

@@ -197,7 +197,7 @@ func (e *Evaluator) program(q CQ) *program {
 // hashIndex returns (building on demand) the uint64-keyed index of rel
 // on the given positions. mask is the caller's precomputed position
 // mask (avoids recomputing it per probe).
-func (e *Evaluator) hashIndex(rel string, positions []int, mask uint64) map[uint64][]db.FactID {
+func (e *Evaluator) hashIndex(rel string, positions []int, mask uint64) *hashIndex {
 	key := indexKey{rel: rel, mask: mask}
 	e.mu.RLock()
 	idx, ok := e.hashIdx[key]
@@ -210,15 +210,74 @@ func (e *Evaluator) hashIndex(rel string, positions []int, mask uint64) map[uint
 	if idx, ok := e.hashIdx[key]; ok {
 		return idx
 	}
-	idx = make(map[uint64][]db.FactID, e.in.RelSize(rel))
-	for _, id := range e.in.RelFacts(rel) {
-		// Columnar instances hash dictionary codes here; the probe side
-		// uses HashProbeValue so both sides of the index agree.
-		h := e.in.HashRowOn(id, positions, db.HashSeed)
-		idx[h] = append(idx[h], id)
-	}
+	idx = buildHashIndex(e.in, rel, positions)
 	e.hashIdx[key] = idx
 	return idx
+}
+
+// hashIndex is a pointer-free index of one relation on a set of
+// positions: open-addressing slots keyed by the positions' 64-bit hash,
+// each naming a run of one shared fact array. Facts keep their
+// relation order inside a run. A table of flat words costs the garbage
+// collector nothing to scan, unlike a map of per-key slices.
+type hashIndex struct {
+	slots []idxSlot // power-of-two length, linear probing; n == 0 is empty
+	shift uint      // 64 − log2(len(slots))
+	facts []db.FactID
+}
+
+type idxSlot struct {
+	h     uint64
+	lo, n uint32 // the run facts[lo : lo+n]
+}
+
+func buildHashIndex(in *db.Instance, rel string, positions []int) *hashIndex {
+	ids := in.RelFacts(rel)
+	x := &hashIndex{shift: 64}
+	for 1<<(64-x.shift) < 2*len(ids) {
+		x.shift--
+	}
+	x.slots = make([]idxSlot, 1<<(64-x.shift))
+	// Columnar instances hash dictionary codes here; the probe side uses
+	// HashProbeValue so both sides of the index agree.
+	hs := make([]uint64, len(ids))
+	for i, id := range ids {
+		hs[i] = in.HashRowOn(id, positions, db.HashSeed)
+		s := &x.slots[x.find(hs[i])]
+		s.h = hs[i]
+		s.n++
+	}
+	// Each run's lo starts at its end and counts down as the facts are
+	// placed back to front, which keeps relation order within a run.
+	var end uint32
+	for i := range x.slots {
+		end += x.slots[i].n
+		x.slots[i].lo = end
+	}
+	x.facts = make([]db.FactID, len(ids))
+	for i := len(ids) - 1; i >= 0; i-- {
+		s := &x.slots[x.find(hs[i])]
+		s.lo--
+		x.facts[s.lo] = ids[i]
+	}
+	return x
+}
+
+// find returns the slot holding h, or the empty slot where h belongs.
+func (x *hashIndex) find(h uint64) int {
+	mask := len(x.slots) - 1
+	i := int((h * 0x9e3779b97f4a7c15) >> x.shift & uint64(mask))
+	for x.slots[i].n != 0 && x.slots[i].h != h {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// lookup returns the facts whose indexed positions hash to h (capped,
+// so an append by the caller cannot write into the next run).
+func (x *hashIndex) lookup(h uint64) []db.FactID {
+	s := x.slots[x.find(h)]
+	return x.facts[s.lo : s.lo+s.n : s.lo+s.n]
 }
 
 const (
@@ -229,17 +288,37 @@ const (
 	// evalCancelStride is how many first-step candidates are processed
 	// between ctx polls.
 	evalCancelStride = 256
+	// maxSlab caps the row slabs progRun carves heads and fact sets from;
+	// slabs start small and double up to it.
+	maxSlab = 4096
 )
+
+// foldSpec asks a run to fold, instead of emit, every assignment whose
+// facts all pass safe: such assignments are aggregated per group (the
+// first arity head values) into a Fold.
+type foldSpec struct {
+	safe  func(db.FactID) bool
+	arity int
+}
+
+// runResult is what a run, or one chunk of it, produced: the emitted
+// rows and the folds, each in enumeration order.
+type runResult struct {
+	rows  []Row
+	folds foldSet
+}
 
 // runProgram executes a compiled program, fanning the first atom's
 // candidate list across e.par workers when it is large enough. Chunks
-// are merged by index, so the parallel row order equals the sequential
-// order.
-func (e *Evaluator) runProgram(ctx context.Context, p *program) ([]Row, error) {
+// are merged by index, so the parallel row and fold order equals the
+// sequential order. fs, when non-nil, folds the all-safe assignments.
+func (e *Evaluator) runProgram(ctx context.Context, p *program, fs *foldSpec) (runResult, error) {
 	if len(p.steps) == 0 {
 		// A query with no atoms has exactly one (empty) witnessing
 		// assignment.
-		return []Row{{Head: db.Tuple{}}}, nil
+		r := newProgRun(e, p, fs)
+		r.emit()
+		return r.out, nil
 	}
 	st0 := &p.steps[0]
 	probe0 := make([]db.Value, len(st0.lookupPos))
@@ -254,22 +333,22 @@ func (e *Evaluator) runProgram(ctx context.Context, p *program) ([]Row, error) {
 			}
 		}
 		if ok {
-			cands = e.hashIndex(st0.rel, st0.lookupPos, st0.mask)[h]
+			cands = e.hashIndex(st0.rel, st0.lookupPos, st0.mask).lookup(h)
 		}
 	} else {
 		cands = e.in.RelFacts(st0.rel)
 	}
 	if e.par <= 1 || len(cands) < parallelEvalThreshold {
-		r := newProgRun(e, p)
+		r := newProgRun(e, p, fs)
 		if err := r.runChunk(ctx, st0, cands, probe0); err != nil {
-			return nil, err
+			return runResult{}, err
 		}
-		return r.rows, nil
+		return r.out, nil
 	}
-	return e.runParallel(ctx, p, st0, cands, probe0)
+	return e.runParallel(ctx, p, fs, st0, cands, probe0)
 }
 
-func (e *Evaluator) runParallel(ctx context.Context, p *program, st0 *pstep, cands []db.FactID, probe0 []db.Value) ([]Row, error) {
+func (e *Evaluator) runParallel(ctx context.Context, p *program, fs *foldSpec, st0 *pstep, cands []db.FactID, probe0 []db.Value) (runResult, error) {
 	workers := e.par
 	// Oversplit so one skewed chunk doesn't serialize the tail; the
 	// per-chunk result slots make the merge deterministic.
@@ -282,14 +361,14 @@ func (e *Evaluator) runParallel(ctx context.Context, p *program, st0 *pstep, can
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	results := make([][]Row, chunks)
+	results := make([]runResult, chunks)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r := newProgRun(e, p)
+			r := newProgRun(e, p, fs)
 			for {
 				ci := int(next.Add(1)) - 1
 				if ci >= chunks || cctx.Err() != nil {
@@ -297,28 +376,40 @@ func (e *Evaluator) runParallel(ctx context.Context, p *program, st0 *pstep, can
 				}
 				lo := ci * len(cands) / chunks
 				hi := (ci + 1) * len(cands) / chunks
-				r.rows = nil
+				r.out = runResult{}
 				// runChunk only fails when cctx fired; nothing to record.
 				if err := r.runChunk(cctx, st0, cands[lo:hi], probe0); err != nil {
 					return
 				}
-				results[ci] = r.rows
+				results[ci] = r.out
 			}
 		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return runResult{}, err
+	}
+	return mergeResults(results), nil
+}
+
+// mergeResults concatenates results in order: rows appended, folds of
+// one group summed.
+func mergeResults(results []runResult) runResult {
+	if len(results) == 1 {
+		return results[0]
 	}
 	total := 0
-	for _, rs := range results {
-		total += len(rs)
+	for _, res := range results {
+		total += len(res.rows)
 	}
-	out := make([]Row, 0, total)
-	for _, rs := range results {
-		out = append(out, rs...)
+	out := runResult{rows: make([]Row, 0, total)}
+	for _, res := range results {
+		out.rows = append(out.rows, res.rows...)
+		for _, gf := range res.folds.list {
+			out.folds.at(gf.Key).merge(gf.Fold)
+		}
 	}
-	return out, nil
+	return out
 }
 
 // progRun is the per-goroutine execution state of one program: the slot
@@ -330,20 +421,33 @@ type progRun struct {
 	p      *program
 	frame  []db.Value
 	facts  []db.FactID
-	rows   []Row
 	probes [][]db.Value
+	out    runResult
+
+	fold *foldSpec
+	key  db.Tuple // group-key scratch of a folded assignment
+
+	// Slabs the emitted heads and fact sets are carved from; a carved
+	// slice is capped at its own length, so appending to one row's
+	// slice never writes into the next row's.
+	vals []db.Value
+	ids  []db.FactID
 }
 
-func newProgRun(e *Evaluator, p *program) *progRun {
+func newProgRun(e *Evaluator, p *program, fs *foldSpec) *progRun {
 	r := &progRun{
 		e:      e,
 		p:      p,
 		frame:  make([]db.Value, p.numSlots),
 		facts:  make([]db.FactID, 0, len(p.steps)),
 		probes: make([][]db.Value, len(p.steps)),
+		fold:   fs,
 	}
 	for i := range p.steps {
 		r.probes[i] = make([]db.Value, len(p.steps[i].lookupPos))
+	}
+	if fs != nil {
+		r.key = make(db.Tuple, fs.arity)
 	}
 	return r
 }
@@ -385,7 +489,7 @@ func (r *progRun) run(step int) {
 			}
 		}
 		if ok {
-			cands = r.e.hashIndex(st.rel, st.lookupPos, st.mask)[h]
+			cands = r.e.hashIndex(st.rel, st.lookupPos, st.mask).lookup(h)
 		}
 	} else {
 		cands = r.e.in.RelFacts(st.rel)
@@ -424,14 +528,34 @@ func (r *progRun) candidate(st *pstep, step int, id db.FactID, probe []db.Value)
 	r.facts = r.facts[:len(r.facts)-1]
 }
 
-// emit materializes the current frame and fact stack as a Row, with the
-// fact set sorted and deduplicated.
+// emit records the current assignment: folded into its group when every
+// fact is safe under the run's foldSpec, else materialized as a Row
+// with the fact set sorted and deduplicated.
 func (r *progRun) emit() {
-	head := make(db.Tuple, len(r.p.headSlots))
-	for i, s := range r.p.headSlots {
-		head[i] = r.frame[s]
+	if r.fold != nil && r.allSafe() {
+		r.foldAssignment()
+		return
 	}
-	facts := append([]db.FactID(nil), r.facts...)
+	head := db.Tuple{}
+	if nh := len(r.p.headSlots); nh > 0 {
+		if len(r.vals)+nh > cap(r.vals) {
+			r.vals = make([]db.Value, 0, slabSize(cap(r.vals), nh))
+		}
+		head = r.vals[len(r.vals) : len(r.vals)+nh : len(r.vals)+nh]
+		r.vals = r.vals[:len(r.vals)+nh]
+		for i, s := range r.p.headSlots {
+			head[i] = r.frame[s]
+		}
+	}
+	var facts []db.FactID
+	if nf := len(r.facts); nf > 0 {
+		if len(r.ids)+nf > cap(r.ids) {
+			r.ids = make([]db.FactID, 0, slabSize(cap(r.ids), nf))
+		}
+		facts = r.ids[len(r.ids) : len(r.ids)+nf : len(r.ids)+nf]
+		r.ids = r.ids[:len(r.ids)+nf]
+		copy(facts, r.facts)
+	}
 	// Insertion sort: fact stacks are at most a handful of atoms deep.
 	for i := 1; i < len(facts); i++ {
 		for j := i; j > 0 && facts[j] < facts[j-1]; j-- {
@@ -444,5 +568,34 @@ func (r *progRun) emit() {
 			dedup = append(dedup, f)
 		}
 	}
-	r.rows = append(r.rows, Row{Head: head, Facts: dedup})
+	r.out.rows = append(r.out.rows, Row{Head: head, Facts: dedup})
+}
+
+// slabSize is the capacity of the slab following one of capacity prev
+// that must hold at least need elements.
+func slabSize(prev, need int) int {
+	return max(min(2*prev, maxSlab), 64, need)
+}
+
+func (r *progRun) allSafe() bool {
+	for _, f := range r.facts {
+		if !r.fold.safe(f) {
+			return false
+		}
+	}
+	return true
+}
+
+// foldAssignment adds the current (all-safe) assignment to its group's
+// fold; the aggregated value, when the head has one, follows the group
+// key.
+func (r *progRun) foldAssignment() {
+	for i := range r.key {
+		r.key[i] = r.frame[r.p.headSlots[i]]
+	}
+	f := r.out.folds.at(r.key)
+	f.Rows++
+	if len(r.p.headSlots) > len(r.key) {
+		f.addValue(r.frame[r.p.headSlots[len(r.key)]])
+	}
 }

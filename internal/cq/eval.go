@@ -26,7 +26,7 @@ type Evaluator struct {
 	in *db.Instance
 
 	mu      sync.RWMutex
-	hashIdx map[indexKey]map[uint64][]db.FactID // uint64 composite keys
+	hashIdx map[indexKey]*hashIndex
 
 	planMu sync.RWMutex
 	plans  map[string]*program
@@ -43,7 +43,7 @@ type indexKey struct {
 func NewEvaluator(in *db.Instance) *Evaluator {
 	return &Evaluator{
 		in:      in,
-		hashIdx: make(map[indexKey]map[uint64][]db.FactID),
+		hashIdx: make(map[indexKey]*hashIndex),
 		plans:   make(map[string]*program),
 	}
 }
@@ -69,10 +69,7 @@ func (e *Evaluator) Eval(q CQ) []Row {
 // and return ctx.Err() when it fires. The row order is deterministic
 // and independent of the parallelism setting.
 func (e *Evaluator) EvalCtx(ctx context.Context, q CQ) ([]Row, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return e.runProgram(ctx, e.program(q))
+	return e.EvalUCQCtx(ctx, Single(q))
 }
 
 // EvalUCQ evaluates a union of conjunctive queries, concatenating the
@@ -82,28 +79,27 @@ func (e *Evaluator) EvalUCQ(u UCQ) []Row {
 	return rows
 }
 
-// EvalUCQCtx is EvalUCQ with cooperative cancellation. The result is
-// pre-sized from the per-disjunct row counts, so the bag union does not
-// re-grow the slice per disjunct.
+// EvalUCQCtx is EvalUCQ with cooperative cancellation.
 func (e *Evaluator) EvalUCQCtx(ctx context.Context, u UCQ) ([]Row, error) {
-	if len(u.Disjuncts) == 1 {
-		return e.EvalCtx(ctx, u.Disjuncts[0])
-	}
-	per := make([][]Row, len(u.Disjuncts))
-	total := 0
+	res, err := e.runUCQ(ctx, u, nil)
+	return res.rows, err
+}
+
+// runUCQ runs every disjunct and merges their results in disjunct
+// order (bag union); fs, when non-nil, folds the all-safe assignments.
+func (e *Evaluator) runUCQ(ctx context.Context, u UCQ, fs *foldSpec) (runResult, error) {
+	per := make([]runResult, len(u.Disjuncts))
 	for i, q := range u.Disjuncts {
-		rows, err := e.EvalCtx(ctx, q)
-		if err != nil {
-			return nil, err
+		if err := ctx.Err(); err != nil {
+			return runResult{}, err
 		}
-		per[i] = rows
-		total += len(rows)
+		res, err := e.runProgram(ctx, e.program(q), fs)
+		if err != nil {
+			return runResult{}, err
+		}
+		per[i] = res
 	}
-	out := make([]Row, 0, total)
-	for _, rows := range per {
-		out = append(out, rows...)
-	}
-	return out, nil
+	return mergeResults(per), nil
 }
 
 // plan describes the atom evaluation order plus, for each step, the

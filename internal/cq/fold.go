@@ -1,0 +1,107 @@
+package cq
+
+import (
+	"context"
+
+	"aggcavsat/internal/db"
+)
+
+// Folding the consistent part. Reduction IV.1 turns every witness made
+// only of safe facts (facts present in every repair) into a constant,
+// so an evaluation that knows which facts are safe need not
+// materialize such witnesses at all: FoldedBagCtx aggregates them per
+// group while the evaluator enumerates, and only the witnesses that
+// touch a conflicting fact become Rows and Witnesses.
+
+// Fold aggregates the all-safe witnessing assignments of one group.
+// The aggregated value of an assignment is its head value right after
+// the group key, when the head has one (COUNT(A), SUM(A)).
+type Fold struct {
+	Rows    int64 // folded assignments
+	NonNull int64 // … whose aggregated value is non-NULL
+	Sum     int64 // sum of the integer aggregated values
+	// NonInt is the first non-NULL, non-integer aggregated value in
+	// enumeration order, NULL when there is none.
+	NonInt db.Value
+}
+
+func (f *Fold) addValue(v db.Value) {
+	if v.IsNull() {
+		return
+	}
+	f.NonNull++
+	if v.Kind() == db.KindInt {
+		f.Sum += v.AsInt()
+	} else if f.NonInt.IsNull() {
+		f.NonInt = v
+	}
+}
+
+func (f *Fold) merge(o Fold) {
+	f.Rows += o.Rows
+	f.NonNull += o.NonNull
+	f.Sum += o.Sum
+	if f.NonInt.IsNull() {
+		f.NonInt = o.NonInt
+	}
+}
+
+// GroupFold is the fold of one group, keyed by the group's head values.
+type GroupFold struct {
+	Key db.Tuple
+	Fold
+}
+
+// foldSet holds folds keyed by group under the exact equivalence of
+// CollectWitnesses and GroupWitnesses: HashExact buckets verified with
+// EqualExact, so Int(1) and Float(1) are distinct groups.
+type foldSet struct {
+	list   []GroupFold
+	byHash map[uint64]int32 // newest fold of each hash chain
+	next   []int32          // older fold of the same chain, -1 ends it
+}
+
+// at returns the fold of key, adding an empty one on first sight.
+func (s *foldSet) at(key db.Tuple) *Fold {
+	return &s.list[s.index(key)].Fold
+}
+
+// index returns the position of key's group in list, appending an
+// empty fold (with a copy of key) on first sight.
+func (s *foldSet) index(key db.Tuple) int {
+	h := key.HashExact(db.HashSeed)
+	head, ok := s.byHash[h]
+	if !ok {
+		head = -1
+	}
+	for i := head; i >= 0; i = s.next[i] {
+		if s.list[i].Key.EqualExact(key) {
+			return int(i)
+		}
+	}
+	if s.byHash == nil {
+		s.byHash = make(map[uint64]int32)
+	}
+	s.byHash[h] = int32(len(s.list))
+	s.next = append(s.next, head)
+	s.list = append(s.list, GroupFold{Key: key.Clone()})
+	return len(s.list) - 1
+}
+
+// FoldedBagCtx is WitnessBagCtx with the consistent part folded: every
+// witnessing assignment whose facts all pass safe is aggregated into
+// its group's fold (the group is the first groupArity head values)
+// instead of becoming a witness. It returns the bag of the remaining
+// witnesses and the folds in first-assignment order, both independent
+// of the parallelism setting. A nil safe folds nothing.
+func (e *Evaluator) FoldedBagCtx(ctx context.Context, u UCQ, safe func(db.FactID) bool, groupArity int) ([]Witness, []GroupFold, error) {
+	var fs *foldSpec
+	if safe != nil {
+		fs = &foldSpec{safe: safe, arity: groupArity}
+	}
+	res, err := e.runUCQ(ctx, u, fs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return CollectWitnesses(res.rows), res.folds.list, nil
+}

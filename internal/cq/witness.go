@@ -2,6 +2,7 @@ package cq
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"aggcavsat/internal/db"
@@ -42,35 +43,36 @@ func (e *Evaluator) WitnessBagCtx(ctx context.Context, u UCQ) ([]Witness, error)
 // on the answer (Int(1) and Float(1) are distinct answers), like the
 // Tuple.Key string grouping it replaces.
 func CollectWitnesses(rows []Row) []Witness {
-	byHash := make(map[uint64][]*Witness, len(rows))
-	order := make([]*Witness, 0, len(rows))
+	out := make([]Witness, 0, len(rows))
+	byHash := make(map[uint64]int32, len(rows)) // newest witness of each hash chain
+	next := make([]int32, 0, len(rows))         // older witness of the chain, -1 ends it
 	for i := range rows {
 		r := &rows[i]
 		h := r.Head.HashExact(db.HashFactSet(r.Facts))
-		var found *Witness
-		for _, w := range byHash[h] {
-			if w.Answer.EqualExact(r.Head) && compareFactSets(w.Facts, r.Facts) == 0 {
-				found = w
+		head, ok := byHash[h]
+		if !ok {
+			head = -1
+		}
+		found := int32(-1)
+		for j := head; j >= 0; j = next[j] {
+			if w := &out[j]; w.Answer.EqualExact(r.Head) && compareFactSets(w.Facts, r.Facts) == 0 {
+				found = j
 				break
 			}
 		}
-		if found != nil {
-			found.Mult++
+		if found >= 0 {
+			out[found].Mult++
 			continue
 		}
-		w := &Witness{Facts: r.Facts, Answer: r.Head, Mult: 1}
-		byHash[h] = append(byHash[h], w)
-		order = append(order, w)
+		byHash[h] = int32(len(out))
+		next = append(next, head)
+		out = append(out, Witness{Facts: r.Facts, Answer: r.Head, Mult: 1})
 	}
-	out := make([]Witness, len(order))
-	for i, w := range order {
-		out[i] = *w
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if c := compareFactSets(out[i].Facts, out[j].Facts); c != 0 {
-			return c < 0
+	slices.SortFunc(out, func(a, b Witness) int {
+		if c := compareFactSets(a.Facts, b.Facts); c != 0 {
+			return c
 		}
-		return out[i].Answer.Compare(out[j].Answer) < 0
+		return a.Answer.Compare(b.Answer)
 	})
 	return out
 }
@@ -171,39 +173,50 @@ func isSubset(a, b []db.FactID) bool {
 // The remaining answer suffix (e.g. the aggregation attribute) stays in
 // each witness's Answer. Groups come back sorted by group key.
 func GroupWitnesses(bag []Witness, groupArity int) []WitnessGroup {
-	byKey := map[string]*WitnessGroup{}
-	var order []string
-	positions := make([]int, groupArity)
-	for i := range positions {
-		positions[i] = i
+	return GroupFolded(bag, nil, groupArity)
+}
+
+// GroupFolded is GroupWitnesses over a folded bag (FoldedBagCtx): a
+// group exists for every key that has witnesses or a fold, and carries
+// both. Keys are matched under the exact equivalence of
+// CollectWitnesses (HashExact buckets, EqualExact), never by Compare:
+// Int(1) and Float(1) are different groups. Groups with Compare-equal
+// keys keep folds-then-witnesses first-appearance order.
+func GroupFolded(bag []Witness, folds []GroupFold, groupArity int) []WitnessGroup {
+	var keys foldSet
+	for _, gf := range folds {
+		keys.at(gf.Key).merge(gf.Fold)
 	}
-	for _, w := range bag {
-		groupKey := w.Answer[:groupArity]
-		k := groupKey.Key(positions)
-		g, ok := byKey[k]
-		if !ok {
-			g = &WitnessGroup{Key: groupKey.Clone()}
-			byKey[k] = g
-			order = append(order, k)
-		}
-		rest := Witness{
-			Facts:  w.Facts,
-			Answer: w.Answer[groupArity:],
-			Mult:   w.Mult,
-		}
-		g.Witnesses = append(g.Witnesses, rest)
+	of := make([]int32, len(bag))
+	for i, w := range bag {
+		of[i] = int32(keys.index(w.Answer[:groupArity]))
 	}
-	out := make([]WitnessGroup, 0, len(order))
-	for _, k := range order {
-		out = append(out, *byKey[k])
+	counts := make([]int, len(keys.list))
+	for _, gi := range of {
+		counts[gi]++
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.Compare(out[j].Key) < 0 })
+	// One backing array for every group's witnesses, carved in group
+	// order and capped per group.
+	backing := make([]Witness, len(bag))
+	out := make([]WitnessGroup, len(keys.list))
+	lo := 0
+	for gi, gf := range keys.list {
+		out[gi] = WitnessGroup{Key: gf.Key, Witnesses: backing[lo : lo : lo+counts[gi]], Fold: gf.Fold}
+		lo += counts[gi]
+	}
+	for i, w := range bag {
+		g := &out[of[i]]
+		g.Witnesses = append(g.Witnesses, Witness{Facts: w.Facts, Answer: w.Answer[groupArity:], Mult: w.Mult})
+	}
+	slices.SortStableFunc(out, func(a, b WitnessGroup) int { return a.Key.Compare(b.Key) })
 	return out
 }
 
 // WitnessGroup is the witness bag restricted to one value of the grouping
-// attributes.
+// attributes, plus the fold of its all-safe assignments when the bag
+// was folded (zero otherwise).
 type WitnessGroup struct {
 	Key       db.Tuple
 	Witnesses []Witness
+	Fold      Fold
 }

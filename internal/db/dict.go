@@ -1,5 +1,7 @@
 package db
 
+import "hash/maphash"
+
 // Dict is an append-only string interner: every distinct string stored
 // in a columnar instance is assigned a dense uint32 code, and string
 // columns hold codes instead of string headers. Two facts of one
@@ -7,29 +9,42 @@ package db
 // paths (key grouping, join probes, partition indexes) compare and hash
 // 4-byte codes instead of walking string bytes.
 //
+// The string → code direction is a flat open-addressing table of codes
+// over the string pool, not a map: it holds no pointers for the garbage
+// collector to scan, and a snapshot load rebuilds it with one pass of
+// hashing into a single allocation.
+//
 // A Dict is owned by exactly one Instance and shared by all of its
 // string columns. Like the instance itself it is built single-threaded
 // (Insert is not safe for concurrent use) and read-only thereafter;
 // concurrent reads after the build are safe without locking.
 type Dict struct {
-	byStr map[string]uint32
-	strs  []string
+	strs []string
+	// table has a power-of-two length and is at most half full; a slot
+	// holds code+1, 0 marks it empty. Collisions probe linearly.
+	table []uint32
 }
 
+// dictSeed seeds the table hash. Tables are never persisted, so a
+// per-process seed is enough.
+var dictSeed = maphash.MakeSeed()
+
 // NewDict creates an empty interner.
-func NewDict() *Dict {
-	return &Dict{byStr: make(map[string]uint32)}
-}
+func NewDict() *Dict { return &Dict{} }
 
 // Intern returns the code for s, assigning the next dense code on first
 // sight.
 func (d *Dict) Intern(s string) uint32 {
-	if c, ok := d.byStr[s]; ok {
-		return c
+	if 2*(len(d.strs)+1) > len(d.table) {
+		d.rebuildTable()
+	}
+	i, ok := d.slot(s)
+	if ok {
+		return d.table[i] - 1
 	}
 	c := uint32(len(d.strs))
 	d.strs = append(d.strs, s)
-	d.byStr[s] = c
+	d.table[i] = c + 1
 	return c
 }
 
@@ -37,8 +52,11 @@ func (d *Dict) Intern(s string) uint32 {
 // fact in the owning instance stores s, which probe sites use to skip
 // the hash index entirely.
 func (d *Dict) Lookup(s string) (uint32, bool) {
-	c, ok := d.byStr[s]
-	return c, ok
+	if len(d.table) == 0 {
+		return 0, false
+	}
+	i, ok := d.slot(s)
+	return d.table[i] - 1, ok
 }
 
 // String returns the string behind a code.
@@ -47,11 +65,41 @@ func (d *Dict) String(code uint32) string { return d.strs[code] }
 // Len returns the number of distinct interned strings.
 func (d *Dict) Len() int { return len(d.strs) }
 
-// rebuildMap reconstructs the byStr map from strs; used after a
-// snapshot load, where only the string pool is serialized.
-func (d *Dict) rebuildMap() {
-	d.byStr = make(map[string]uint32, len(d.strs))
-	for i, s := range d.strs {
-		d.byStr[s] = uint32(i)
+// slot returns the table slot holding s's code, or the empty slot where
+// it belongs.
+func (d *Dict) slot(s string) (int, bool) {
+	mask := len(d.table) - 1
+	i := int(maphash.String(dictSeed, s)) & mask
+	for {
+		c := d.table[i]
+		if c == 0 {
+			return i, false
+		}
+		if d.strs[c-1] == s {
+			return i, true
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// rebuildTable sizes the table for one more string than the pool holds
+// (a power of two, so a growing table at least doubles) and re-inserts
+// the pool. Intern calls it to grow; a snapshot load, which serializes
+// only the pool, calls it once.
+func (d *Dict) rebuildTable() {
+	n := 16
+	for n < 2*(len(d.strs)+1) {
+		n *= 2
+	}
+	d.table = make([]uint32, n)
+	// The pool holds distinct strings, so each one takes the first free
+	// slot of its probe sequence without a string comparison.
+	mask := n - 1
+	for c, s := range d.strs {
+		i := int(maphash.String(dictSeed, s)) & mask
+		for d.table[i] != 0 {
+			i = (i + 1) & mask
+		}
+		d.table[i] = uint32(c) + 1
 	}
 }

@@ -419,7 +419,7 @@ func LoadSnapshotBytes(b []byte) (*Instance, error) {
 		strs[i] = unsafe.String(&blob[lo], int(hi-lo))
 	}
 	in.dict.strs = strs
-	in.dict.rebuildMap()
+	in.dict.rebuildTable()
 
 	in.factRel = r.u32s(int(nFacts))
 	if r.err != nil {

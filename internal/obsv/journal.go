@@ -89,7 +89,10 @@ type JournalEntry struct {
 	EncodeMS     float64 `json:"encode_ms"`
 	SolveMS      float64 `json:"solve_ms"`
 
+	// Witnesses counts the materialized witnesses; Folded counts the
+	// all-safe assignments folded into the consistent part instead.
 	Witnesses       int64 `json:"witnesses"`
+	Folded          int64 `json:"folded_assignments,omitempty"`
 	Groups          int64 `json:"groups,omitempty"`
 	SATCalls        int64 `json:"sat_calls"`
 	MaxSATRuns      int   `json:"maxsat_runs"`

@@ -24,7 +24,8 @@ const (
 	MetricCNFVarsMax      = "aggcavsat_cnf_vars_max"
 	MetricCNFClausesMax   = "aggcavsat_cnf_clauses_max"
 	MetricConsistentSkips = "aggcavsat_consistent_part_skips_total"
-	MetricWitnesses       = "aggcavsat_witnesses_total"
+	MetricWitnesses       = "aggcavsat_witnesses_total" // materialized witnesses
+	MetricFolded          = "aggcavsat_folded_assignments_total"
 	MetricGroups          = "aggcavsat_groups_total"
 
 	MetricPhaseSecondsPrefix = "aggcavsat_phase_seconds_" // + witness|constraint|encode|solve|rewrite
