@@ -18,7 +18,7 @@ vet:
 	test -z "$$(gofmt -l .)"
 
 # Race-hammers the concurrency-sensitive packages: the metrics registry
-# and the debug HTTP server (live /metrics + /debug/trace scrapes racing
+# and the debug HTTP handler (live /metrics + /debug/trace scrapes racing
 # the instrumentation writers), the SAT solver (progress callbacks and
 # cooperative interrupts fire from inside the search), MaxHS and its RC2
 # fallback under cancellation, the shared worker pool and the engine
@@ -29,11 +29,12 @@ vet:
 # the query service (admission gate handoffs, singleflight coalescing,
 # hot tenant re-attach), and the fact store (frozen columnar instances
 # and mmap-backed snapshots read by concurrent query workers while the
-# dictionary and arenas must stay immutable). -short skips the slowest
+# dictionary and arenas must stay immutable), and the binaries (cavsatd's
+# run serves HTTP and shuts down on context cancel). -short skips the slowest
 # property-test sweeps and the bench gate's sf=0.01 leg so the run stays
 # usable on small CI boxes.
 race:
-	$(GO) test -race -short . ./internal/obsv/... ./internal/sat/... ./internal/maxsat/... ./internal/core/... ./internal/cq/... ./internal/bench/... ./internal/server/... ./internal/planner/... ./internal/conquer/... ./internal/db/... ./internal/workpool/...
+	$(GO) test -race -short . ./internal/obsv/... ./internal/sat/... ./internal/maxsat/... ./internal/core/... ./internal/cq/... ./internal/bench/... ./internal/server/... ./internal/planner/... ./internal/conquer/... ./internal/db/... ./internal/workpool/... ./cmd/...
 
 # Micro-benchmarks: the clone-vs-rebuild and shared-base suites in
 # sat/maxsat/core (incremental solving), the compiled evaluation and

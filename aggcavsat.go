@@ -266,7 +266,15 @@ func Open(in *Instance, opts Options) (*System, error) {
 		engOpts.Mode = core.DCMode
 		engOpts.DCs = opts.DenialConstraints
 	}
-	eng, err := core.New(in, engOpts)
+	return OpenEngine(in, engOpts)
+}
+
+// OpenEngine prepares a system from engine options directly. It serves
+// the module's own tools that set what Options does not carry (the
+// bench suite's solver budgets); core.Options cannot be named outside
+// the module, so Open is the public constructor.
+func OpenEngine(in *Instance, opts core.Options) (*System, error) {
+	eng, err := core.New(in, opts)
 	if err != nil {
 		return nil, err
 	}

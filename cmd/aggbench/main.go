@@ -11,20 +11,18 @@
 // Observability:
 //
 //	-trace out.json   Chrome trace-event file covering the whole run
-//	-listen addr      serve /metrics, /debug/trace, /debug/pprof and
-//	                  /healthz on addr while the suite runs (curl it for
-//	                  live progress)
 //	-flight-dir dir   write flight-recorder bundles (recent solver
 //	                  events + journal line) for queries that time out or
 //	                  exceed -slow-query
 //	-slow-query D     queries slower than D dump a flight bundle even on
 //	                  success (0 = only timeouts/errors)
 //	-journal f.jsonl  append one wide-event JSON line per engine call
-//	                  (bounded, non-blocking writer; -listen exposes the
-//	                  tail at /debug/journal)
+//	                  (bounded, non-blocking writer; `tail -f` it to
+//	                  follow a long run)
 //	-journal-read f   decode a journal file, print a per-query summary
 //	                  table, and exit (non-zero on malformed lines)
-//	-v                debug logging (per-experiment progress) on stderr
+//	-v                debug logging on stderr (where the journal and
+//	                  trace went, how many lines and spans they hold)
 //
 // Load replay:
 //
@@ -44,8 +42,9 @@
 //	                  locally and the server's answer digests must match
 //	                  (the run exits non-zero on drift or when nothing
 //	                  was answered). The server must serve the identical
-//	                  instance: cavsatd -dbgen with the same -sf-small,
-//	                  -seed and inconsistency settings.
+//	                  instance: a default cavsatd -dbgen matches a default
+//	                  aggbench (both use the demo sf, inconsistency and
+//	                  seed).
 //	-replay-instance  server tenant name for -target (default: the
 //	                  server's sole instance)
 //
@@ -62,11 +61,16 @@
 //	                  queries count in the experiment's timeout column
 //	-cpuprofile f     write a pprof CPU profile of the whole run to f
 //	-memprofile f     write a pprof heap profile at the end of the run
+//
+// Every output file is opened before the first experiment, and the
+// journal, trace and profiles are flushed and closed even when an
+// experiment fails or SIGINT/SIGTERM interrupts the run (the command
+// still exits non-zero).
 package main
 
 import (
 	"context"
-	"flag"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -78,194 +82,116 @@ import (
 	"text/tabwriter"
 
 	"aggcavsat/internal/bench"
+	"aggcavsat/internal/cli"
 	"aggcavsat/internal/obsv"
-	"aggcavsat/internal/planner"
 )
 
-func main() {
+func main() { cli.Main("aggbench", run) }
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
 	cfg := bench.DefaultConfig()
-	exp := flag.String("exp", "all", "experiment to run ('all' or one of -list)")
-	list := flag.Bool("list", false, "list experiment names and exit")
-	trace := flag.String("trace", "", "write a Chrome trace-event JSON file of the run")
-	verbose := flag.Bool("v", false, "debug logging")
-	flag.Float64Var(&cfg.SFSmall, "sf-small", cfg.SFSmall, "scale factor standing in for the paper's 1 GB repairs")
-	flag.Float64Var(&cfg.SFMedium, "sf-medium", cfg.SFMedium, "scale factor for 3 GB")
-	flag.Float64Var(&cfg.SFLarge, "sf-large", cfg.SFLarge, "scale factor for 5 GB")
-	flag.Float64Var(&cfg.MedigapScale, "medigap-scale", cfg.MedigapScale, "Medigap dataset scale (1.0 = 61K tuples)")
-	flag.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "generator seed")
-	flag.IntVar(&cfg.Parallelism, "parallel", cfg.Parallelism, "worker-pool size per query (0 = GOMAXPROCS, 1 = sequential)")
-	plannerMode := flag.String("planner", "force-sat", "planner mode for every engine the suite builds: force-sat (default; the paper tables measure the WPMaxSAT pipeline), auto, force-rewrite")
-	flag.DurationVar(&cfg.Timeout, "timeout", cfg.Timeout, "wall-clock bound per query, e.g. 30s (0 = none)")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
-	listen := flag.String("listen", "", "serve /metrics, /debug/trace, /debug/pprof and /healthz on this address while the suite runs")
-	flightDir := flag.String("flight-dir", "", "write flight-recorder bundles for anomalous queries into this directory")
-	flag.DurationVar(&cfg.SlowQuery, "slow-query", cfg.SlowQuery, "queries slower than this dump a flight bundle even on success (0 = only timeouts/errors)")
-	journalPath := flag.String("journal", "", "append one wide-event JSON line per engine call to this file")
-	journalRead := flag.String("journal-read", "", "decode a journal file, print a per-query summary, and exit")
-	replay := flag.Bool("replay", false, "replay a query stream against one engine and print a latency percentile table")
-	replayFrom := flag.String("replay-from", "", "replay stream source: a journal or a spec file of query names (default: built-in mix)")
-	replayN := flag.Int("replay-n", 0, "queries to issue during -replay (0 = one pass over the stream)")
-	qps := flag.Float64("qps", 0, "open-loop target arrival rate for -replay (0 = closed loop)")
-	replayConc := flag.Int("replay-concurrency", 0, "max in-flight queries during -replay (0 = default 4)")
-	target := flag.String("target", "", "replay against a running cavsatd at this base URL instead of in-process; answers are digest-checked against a local execution and the run fails on drift or zero answered queries")
-	replayInstance := flag.String("replay-instance", "", "server tenant to query in -target mode (default: the server's sole instance)")
-	flag.Parse()
-	pm, perr := planner.ParseMode(*plannerMode)
-	if perr != nil {
-		fmt.Fprintln(os.Stderr, "aggbench:", perr)
-		os.Exit(1)
+	fs := cli.NewFlagSet("aggbench", stderr)
+	exp := fs.String("exp", "all", "experiment to run ('all' or one of -list)")
+	list := fs.Bool("list", false, "list experiment names and exit")
+	fs.Float64Var(&cfg.SFSmall, "sf-small", cfg.SFSmall, "scale factor standing in for the paper's 1 GB repairs")
+	fs.Float64Var(&cfg.SFMedium, "sf-medium", cfg.SFMedium, "scale factor for 3 GB")
+	fs.Float64Var(&cfg.SFLarge, "sf-large", cfg.SFLarge, "scale factor for 5 GB")
+	fs.Float64Var(&cfg.MedigapScale, "medigap-scale", cfg.MedigapScale, "Medigap dataset scale (1.0 = 61K tuples)")
+	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memprofile := fs.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
+	journalRead := fs.String("journal-read", "", "decode a journal file, print a per-query summary, and exit")
+	replay := fs.Bool("replay", false, "replay a query stream against one engine and print a latency percentile table")
+	replayFrom := fs.String("replay-from", "", "replay stream source: a journal or a spec file of query names (default: built-in mix)")
+	replayN := fs.Int("replay-n", 0, "queries to issue during -replay (0 = one pass over the stream)")
+	qps := fs.Float64("qps", 0, "open-loop target arrival rate for -replay (0 = closed loop)")
+	replayConc := fs.Int("replay-concurrency", 0, "max in-flight queries during -replay (0 = default 4)")
+	target := fs.String("target", "", "replay against a running cavsatd at this base URL instead of in-process; answers are digest-checked against a local execution and the run fails on drift or zero answered queries")
+	replayInstance := fs.String("replay-instance", "", "server tenant to query in -target mode (default: the server's sole instance)")
+	// The paper tables measure the WPMaxSAT pipeline, so the suite's
+	// planner defaults to force-sat.
+	f := cli.Defaults()
+	f.Planner = "force-sat"
+	f.Register(fs, cli.Seed, cli.Parallel, cli.Planner, cli.Timeout,
+		cli.Trace, cli.FlightDir, cli.SlowQuery, cli.Journal, cli.Verbose)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
-	cfg.Planner = pm
-
-	level := slog.LevelWarn
-	if *verbose {
-		level = slog.LevelDebug
-	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
-	slog.SetDefault(logger)
-
 	if *list {
-		fmt.Println(strings.Join(bench.Names(), "\n"))
-		return
+		fmt.Fprintln(stdout, strings.Join(bench.Names(), "\n"))
+		return nil
 	}
 	if *journalRead != "" {
-		if err := printJournalSummary(*journalRead, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "aggbench:", err)
-			os.Exit(1)
-		}
-		return
+		return printJournalSummary(*journalRead, stdout)
 	}
-	var journal *obsv.Journal
-	if *journalPath != "" {
-		j, err := obsv.OpenJournal(*journalPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "aggbench:", err)
-			os.Exit(1)
-		}
-		journal = j
-		cfg.Journal = j
-		defer func() {
-			j.Close()
-			logger.Debug("journal closed", "path", j.Path(), "written", j.Written(), "dropped", j.Dropped())
-		}()
+
+	sess, err := f.Open(stderr, slog.LevelWarn)
+	if err != nil {
+		return err
 	}
+	defer func() { err = errors.Join(err, sess.Close()) }()
 	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+		pf, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "aggbench:", err)
-			os.Exit(1)
+			return err
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "aggbench:", err)
-			os.Exit(1)
+		if err := pprof.StartCPUProfile(pf); err != nil {
+			pf.Close()
+			return err
 		}
 		defer func() {
 			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "aggbench:", err)
-			}
+			err = errors.Join(err, pf.Close())
 		}()
 	}
-	if *flightDir != "" {
-		cfg.OnAnomaly = obsv.DumpDir(*flightDir)
-	}
-	var metrics *obsv.Registry
-	var tracer *obsv.Tracer
-	if *trace != "" || *listen != "" {
-		tracer = obsv.NewTracer()
-	}
-	if *listen != "" {
-		metrics = obsv.NewRegistry()
-		cfg.Metrics = metrics
-	}
-	r := bench.NewRunner(cfg)
-	if tracer != nil {
-		r.WithContext(obsv.WithTracer(context.Background(), tracer))
-	}
-	if *listen != "" {
-		srv, err := obsv.Serve(*listen, metrics, tracer, journal)
+	if *memprofile != "" {
+		mf, err := os.Create(*memprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "aggbench:", err)
-			os.Exit(1)
+			return err
 		}
-		defer srv.Close()
-		fmt.Fprintln(os.Stderr, "aggbench: debug server on http://"+srv.Addr())
+		defer func() {
+			runtime.GC() // settle the heap so the profile reflects live objects
+			err = errors.Join(err, pprof.WriteHeapProfile(mf), mf.Close())
+		}()
 	}
+	opts := sess.Options()
+	cfg.Seed = f.Seed
+	cfg.Parallelism, cfg.Timeout, cfg.Planner = opts.Parallelism, opts.Timeout, opts.Planner
+	cfg.SlowQuery, cfg.OnAnomaly, cfg.Journal = opts.SlowQuery, opts.OnAnomaly, opts.Journal
+	r := bench.NewRunner(cfg).WithContext(sess.Context(ctx))
 
-	var err error
 	switch {
 	case *replay:
-		var rep *bench.ReplayReport
-		rep, err = r.Replay(bench.ReplayOptions{
+		rep, err := r.Replay(bench.ReplayOptions{
 			Source:      *replayFrom,
 			N:           *replayN,
 			QPS:         *qps,
 			Concurrency: *replayConc,
 			Target:      *target,
 			Instance:    *replayInstance,
-		}, os.Stdout)
+		}, stdout)
+		if err != nil || *target == "" {
+			return err
+		}
 		// In target mode the replay doubles as a correctness gate: a
 		// server that answered nothing or answered differently from the
 		// local engine fails the run (CI relies on the exit code).
-		if err == nil && *target != "" {
-			switch {
-			case rep.Drift > 0:
-				// The server trace ids key the divergent solves in the
-				// server's journal and /debug/trace?trace=<id>.
-				if len(rep.DriftTraces) > 0 {
-					err = fmt.Errorf("replay: %d answers drifted from the local execution (server traces: %s)",
-						rep.Drift, strings.Join(rep.DriftTraces, ", "))
-				} else {
-					err = fmt.Errorf("replay: %d answers drifted from the local execution", rep.Drift)
-				}
-			case rep.Answered() == 0:
-				err = fmt.Errorf("replay: no queries answered (issued %d, errors %d, timeouts %d, shed %d)",
-					rep.Issued, rep.Errors, rep.Timeouts, rep.Shed)
-			}
+		switch {
+		case rep.Drift > 0 && len(rep.DriftTraces) > 0:
+			// The server trace ids key the divergent solves in the
+			// server's journal and /debug/trace?trace=<id>.
+			return fmt.Errorf("replay: %d answers drifted from the local execution (server traces: %s)",
+				rep.Drift, strings.Join(rep.DriftTraces, ", "))
+		case rep.Drift > 0:
+			return fmt.Errorf("replay: %d answers drifted from the local execution", rep.Drift)
+		case rep.Answered() == 0:
+			return fmt.Errorf("replay: no queries answered (issued %d, errors %d, timeouts %d, shed %d)",
+				rep.Issued, rep.Errors, rep.Timeouts, rep.Shed)
 		}
+		return nil
 	case *exp == "all":
-		err = r.All(os.Stdout)
+		return r.All(stdout)
 	default:
-		err = r.Experiment(*exp, os.Stdout)
-	}
-	if err != nil {
-		if journal != nil {
-			journal.Close()
-		}
-		fmt.Fprintln(os.Stderr, "aggbench:", err)
-		os.Exit(1)
-	}
-	if tracer != nil && *trace != "" {
-		out, err := os.Create(*trace)
-		if err == nil {
-			err = tracer.WriteChromeTrace(out)
-			if cerr := out.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "aggbench:", err)
-			os.Exit(1)
-		}
-		logger.Debug("trace written", "path", *trace, "spans", tracer.Len(), "dropped", tracer.Dropped())
-	}
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "aggbench:", err)
-			os.Exit(1)
-		}
-		runtime.GC() // settle the heap so the profile reflects live objects
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "aggbench:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "aggbench:", err)
-			os.Exit(1)
-		}
-		logger.Debug("heap profile written", "path", *memprofile)
+		return r.Experiment(*exp, stdout)
 	}
 }
 

@@ -33,17 +33,17 @@
 //	                  non-blocking writer; decode with
 //	                  `aggbench -journal-read`)
 //	-trace out.json   Chrome trace-event file (chrome://tracing, Perfetto)
-//	-progress         periodic solver progress on stderr
-//	-metrics out.prom Prometheus text exposition of the session metrics
-//	-listen addr      serve /metrics, /debug/trace, /debug/pprof and
-//	                  /healthz on addr (e.g. localhost:9090) while the
-//	                  query runs
 //	-flight-dir dir   write a flight-recorder bundle (recent solver
 //	                  events + journal line) into dir when the query times
 //	                  out, fails, or exceeds -slow-query
 //	-slow-query D     treat queries slower than D as anomalies worth a
 //	                  flight dump (e.g. 5s; 0 = only errors/timeouts)
-//	-v                debug logging (log/slog) on stderr
+//	-v                debug logging (log/slog) on stderr, including
+//	                  periodic solver progress
+//
+// Every output file is opened before the query runs, so a bad path fails
+// at once, and the journal and trace file are flushed and closed even
+// when the query fails or times out (the command still exits non-zero).
 //
 // Planner:
 //
@@ -67,137 +67,68 @@
 //	-parallel N       worker-pool size for independent groups/components
 //	                  (0 = GOMAXPROCS, 1 = sequential; answers identical)
 //	-timeout D        wall-clock bound for the whole query (e.g. 30s);
-//	                  on expiry the solve is interrupted and the command
-//	                  exits with a timeout error
+//	                  on expiry, or on SIGINT/SIGTERM, the solve is
+//	                  interrupted and the command exits with an error
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"flag"
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
-	"os"
-	"path/filepath"
 	"strings"
 	"text/tabwriter"
 	"time"
 
 	"aggcavsat"
-	"aggcavsat/internal/obsv"
-	"aggcavsat/internal/schemafile"
+	"aggcavsat/internal/cli"
+	"aggcavsat/internal/server"
 )
 
-func main() {
-	dataDir := flag.String("data", ".", "directory with schema.txt and <relation>.csv files")
-	plannerMode := flag.String("planner", "auto", "query planner mode: auto (rewrite when possible, solver otherwise), force-sat, force-rewrite")
-	external := flag.String("external-solver", "", "path to a MaxHS-compatible MaxSAT binary to use instead of the built-in MaxHS")
-	stats := flag.Bool("stats", false, "print a per-phase statistics table")
-	explain := flag.Bool("explain", false, "print a per-solve explain report (code paths, caches, components)")
-	explainJSON := flag.Bool("explain-json", false, "print the explain report as JSON")
-	journalPath := flag.String("journal", "", "append one wide-event JSON line per solve to this file")
-	trace := flag.String("trace", "", "write a Chrome trace-event JSON file of the query")
-	progress := flag.Bool("progress", false, "print periodic solver progress")
-	progressEvery := flag.Int64("progress-every", 0, "conflicts between progress reports (0 = solver default)")
-	metricsOut := flag.String("metrics", "", "write the Prometheus text exposition of the session metrics ('-' for stderr)")
-	listen := flag.String("listen", "", "serve /metrics, /debug/trace, /debug/pprof and /healthz on this address while the query runs")
-	flightDir := flag.String("flight-dir", "", "write flight-recorder bundles for anomalous queries into this directory")
-	slowQuery := flag.Duration("slow-query", 0, "queries slower than this dump a flight bundle even on success (0 = only errors/timeouts)")
-	parallel := flag.Int("parallel", 0, "solver worker-pool size (0 = GOMAXPROCS, 1 = sequential)")
-	timeout := flag.Duration("timeout", 0, "wall-clock bound for the query, e.g. 30s (0 = none)")
-	verbose := flag.Bool("v", false, "debug logging")
-	flag.Parse()
+func main() { cli.Main("cavsat", run) }
 
-	level := slog.LevelWarn
-	if *verbose {
-		level = slog.LevelDebug
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
+	fs := cli.NewFlagSet("cavsat", stderr)
+	dataDir := fs.String("data", ".", "directory with schema.txt and <relation>.csv files")
+	stats := fs.Bool("stats", false, "print a per-phase statistics table")
+	explain := fs.Bool("explain", false, "print a per-solve explain report (code paths, caches, components)")
+	explainJSON := fs.Bool("explain-json", false, "print the explain report as JSON")
+	f := cli.Defaults()
+	f.Register(fs, cli.Planner, cli.ExternalSolver, cli.Parallel, cli.Timeout,
+		cli.Journal, cli.Trace, cli.FlightDir, cli.SlowQuery, cli.Verbose)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
-	slog.SetDefault(logger)
-
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: cavsat [-data dir] \"SELECT ...\"")
-		os.Exit(2)
+	if fs.NArg() != 1 {
+		return cli.Usage(stderr, `cavsat [-data dir] "SELECT ..."`)
 	}
-	sql := flag.Arg(0)
 
-	sf, err := os.Open(filepath.Join(*dataDir, "schema.txt"))
-	fatalIf(err)
-	parsed, err := schemafile.Read(sf)
-	sf.Close()
-	fatalIf(err)
+	sess, err := f.Open(stderr, slog.LevelWarn)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, sess.Close()) }()
+	opts := sess.Options()
+	opts.Explain = *explain || *explainJSON
+
 	loadStart := time.Now()
-	in, snap, err := aggcavsat.OpenDir(parsed.Schema, *dataDir)
-	fatalIf(err)
+	sys, in, _, snap, err := server.LoadTenantDir(*dataDir, opts)
+	if err != nil {
+		return err
+	}
 	if snap != nil {
 		defer snap.Close()
-		logger.Debug("snapshot mapped", "path", snap.Path(),
-			"bytes", snap.SizeBytes(), "data_version", fmt.Sprintf("%016x", snap.DataVersion()),
-			"facts", in.NumFacts(), "elapsed", time.Since(loadStart))
-	} else {
-		logger.Debug("database loaded", "dir", *dataDir, "facts", in.NumFacts(), "elapsed", time.Since(loadStart))
 	}
+	sess.Logger.Debug("database loaded", "dir", *dataDir, "snapshot", snap != nil,
+		"facts", in.NumFacts(), "elapsed", time.Since(loadStart))
 
-	pm, err := aggcavsat.ParsePlannerMode(*plannerMode)
-	fatalIf(err)
-	opts := aggcavsat.Options{
-		DenialConstraints:  parsed.FDs,
-		ExternalSolverPath: *external,
-		Parallelism:        *parallel,
-		Timeout:            *timeout,
-		Planner:            pm,
+	res, err := sys.QueryContext(sess.Context(ctx), fs.Arg(0))
+	if err != nil {
+		return err
 	}
-	if *progress || *verbose {
-		opts.ProgressEvery = *progressEvery
-		opts.Progress = func(p aggcavsat.SolverProgress) {
-			logger.Info("solver progress",
-				"alg", p.Algorithm.String(), "phase", p.Phase, "iter", p.Iteration,
-				"sat_calls", p.SATCalls, "conflicts", p.Conflicts,
-				"learnt", p.LearntLive, "trail", p.TrailDepth,
-				"lb", bound(p.LowerBound), "ub", bound(p.UpperBound))
-		}
-	}
-	var metrics *obsv.Registry
-	if *metricsOut != "" || *listen != "" {
-		metrics = obsv.NewRegistry()
-		opts.Metrics = metrics
-	}
-	if *flightDir != "" {
-		opts.SlowQuery = *slowQuery
-		opts.OnAnomaly = obsv.DumpDir(*flightDir)
-	}
-	opts.Explain = *explain || *explainJSON
-	var journal *obsv.Journal
-	if *journalPath != "" {
-		journal, err = obsv.OpenJournal(*journalPath)
-		fatalIf(err)
-		opts.Journal = journal
-		defer func() {
-			journal.Close()
-			logger.Debug("journal closed", "path", journal.Path(),
-				"written", journal.Written(), "dropped", journal.Dropped())
-		}()
-	}
-	sys, err := aggcavsat.Open(in, opts)
-	fatalIf(err)
-
-	ctx := context.Background()
-	var tracer *obsv.Tracer
-	if *trace != "" || *listen != "" {
-		tracer = obsv.NewTracer()
-		ctx = obsv.WithTracer(ctx, tracer)
-	}
-	if *listen != "" {
-		srv, err := obsv.Serve(*listen, metrics, tracer, journal)
-		fatalIf(err)
-		defer srv.Close()
-		logger.Debug("debug server listening", "addr", srv.Addr())
-	}
-
-	res, err := sys.QueryContext(ctx, sql)
-	fatalIf(err)
-
-	fmt.Println(strings.Join(res.Columns, " | "))
+	fmt.Fprintln(stdout, strings.Join(res.Columns, " | "))
 	for _, row := range res.Rows {
 		var cells []string
 		for _, v := range row.Key {
@@ -206,46 +137,31 @@ func main() {
 		for _, rng := range row.Ranges {
 			cells = append(cells, aggcavsat.FormatRange(rng))
 		}
-		fmt.Println(strings.Join(cells, " | "))
+		fmt.Fprintln(stdout, strings.Join(cells, " | "))
 	}
 	if *stats {
-		printStats(res.Stats)
+		printStats(stderr, res.Stats)
 	}
 	for _, ex := range res.Explains {
 		if *explainJSON {
-			enc := json.NewEncoder(os.Stderr)
+			enc := json.NewEncoder(stderr)
 			enc.SetIndent("", "  ")
-			fatalIf(enc.Encode(ex))
+			if err := enc.Encode(ex); err != nil {
+				return err
+			}
 			continue
 		}
-		fmt.Fprintln(os.Stderr)
-		fatalIf(ex.WriteTable(os.Stderr))
-	}
-	if tracer != nil && *trace != "" {
-		out, err := os.Create(*trace)
-		fatalIf(err)
-		fatalIf(tracer.WriteChromeTrace(out))
-		fatalIf(out.Close())
-		logger.Debug("trace written", "path", *trace, "spans", tracer.Len(), "dropped", tracer.Dropped())
-	}
-	if metrics != nil && *metricsOut != "" {
-		w := os.Stderr
-		if *metricsOut != "-" {
-			f, err := os.Create(*metricsOut)
-			fatalIf(err)
-			defer f.Close()
-			w = f
-		}
-		fatalIf(metrics.WritePrometheus(w))
-		if tracer != nil {
-			fatalIf(tracer.WritePrometheus(w))
+		fmt.Fprintln(stderr)
+		if err := ex.WriteTable(stderr); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
-// printStats renders the per-phase breakdown table on stderr.
-func printStats(st aggcavsat.Stats) {
-	tw := tabwriter.NewWriter(os.Stderr, 2, 4, 2, ' ', 0)
+// printStats renders the per-phase breakdown table.
+func printStats(w io.Writer, st aggcavsat.Stats) {
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	total := st.RewriteTime + st.WitnessTime + st.ConstraintTime + st.EncodeTime + st.SolveTime
 	fmt.Fprintf(tw, "phase\ttime\t\n")
 	if st.RewriteTime > 0 {
@@ -271,18 +187,4 @@ func printStats(st aggcavsat.Stats) {
 // mib renders a byte count in MiB with two decimals.
 func mib(b int64) string {
 	return fmt.Sprintf("%.2f MiB", float64(b)/(1<<20))
-}
-
-func bound(v int64) string {
-	if v < 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%d", v)
-}
-
-func fatalIf(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cavsat:", err)
-		os.Exit(1)
-	}
 }

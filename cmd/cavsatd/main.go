@@ -2,7 +2,9 @@
 // HTTP: a long-running query service over one or more attached database
 // instances, with admission control, a result cache, and the full debug
 // plane (/metrics, /healthz, /debug/trace, /debug/journal, pprof) in
-// the same listener.
+// the same listener. It is the only binary with a live HTTP debug plane;
+// the one-shot binaries write journal lines, flight bundles and trace
+// files instead.
 //
 //	cavsatd -listen :7878 -data bank=testdata/bank
 //	cavsatd -listen :7878 -dbgen            # demo TPC-H tenant
@@ -68,157 +70,123 @@
 // RC2 fallback); -external-solver path hands the WPMaxSAT instances to
 // a MaxHS-compatible binary instead.
 //
+// Every tenant — -data directories, the -dbgen demo and hot attaches —
+// is built with the same engine options (-planner, -parallel,
+// -external-solver, -slow-query, -flight-dir, -journal).
+//
 // The -dbgen tenant is the aggbench replay instance: -sf,
-// -inconsistency and -seed default to the bench settings, so
-// `aggbench -replay -target http://addr` verifies byte-identical
-// answers against its own in-process run.
+// -inconsistency and -seed default to the demo settings that datagen
+// and aggbench also default to, so `aggbench -replay -target
+// http://addr` verifies byte-identical answers against its own
+// in-process run.
+//
+// SIGINT or SIGTERM shuts the listener down, draining in-flight
+// requests briefly, and flushes the journal.
 package main
 
 import (
-	"flag"
+	"context"
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"aggcavsat"
+	"aggcavsat/internal/cli"
 	"aggcavsat/internal/obsv"
 	"aggcavsat/internal/server"
 	"aggcavsat/internal/tpch"
 )
 
-// dataFlags collects repeatable -data name=dir attachments.
-type dataFlags []struct{ name, dir string }
+func main() { cli.Main("cavsatd", run) }
 
-func (d *dataFlags) String() string {
-	var parts []string
-	for _, e := range *d {
-		parts = append(parts, e.name+"="+e.dir)
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
+	fs := cli.NewFlagSet("cavsatd", stderr)
+	var data [][2]string // name, dir
+	listen := fs.String("listen", ":7878", "address to serve the query API and debug plane on")
+	fs.Func("data", "attach a schema.txt + CSV directory as a named instance, name=dir (repeatable)", func(v string) error {
+		name, dir, ok := strings.Cut(v, "=")
+		if !ok || name == "" || dir == "" {
+			return fmt.Errorf("want name=dir, got %q", v)
+		}
+		data = append(data, [2]string{name, dir})
+		return nil
+	})
+	dbgen := fs.Bool("dbgen", false, "attach a generated TPC-H demo instance named 'demo'")
+	maxInflight := fs.Int("max-inflight", 4, "max concurrently solving queries")
+	maxQueue := fs.Int("max-queue", 0, "max queries waiting for a solve slot (0 = 2×max-inflight, negative = no queue)")
+	queueWait := fs.Duration("queue-wait", 5*time.Second, "max time a query may wait for a solve slot before a 429")
+	requestTimeout := fs.Duration("request-timeout", 30*time.Second, "default per-request deadline (clients may lower it)")
+	cacheEntries := fs.Int("cache-entries", 1024, "result cache capacity in answers (negative disables caching)")
+	sloLatencyMS := fs.Int("slo-latency-ms", 250, "latency SLO target in milliseconds (requests answered within it count as good; drives /debug/slo and tail-based trace retention)")
+	sloAvailability := fs.Float64("slo-availability", 0.999, "availability/latency SLO objective fraction in (0,1)")
+	traceSample := fs.Float64("trace-sample", 0, "probability of retaining the trace of a healthy fast request (slow/errored/shed requests are always retained)")
+	traceRetain := fs.Int("trace-retain", 0, "retained request traces backing /debug/trace?trace=<id> (0 = default)")
+	f := cli.Defaults()
+	f.Register(fs, cli.SF, cli.Inconsistency, cli.Seed, cli.Journal, cli.FlightDir, cli.SlowQuery,
+		cli.Planner, cli.ExternalSolver, cli.Parallel, cli.Verbose)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
-	return strings.Join(parts, ",")
-}
-
-func (d *dataFlags) Set(v string) error {
-	name, dir, ok := strings.Cut(v, "=")
-	if !ok || name == "" || dir == "" {
-		return fmt.Errorf("want name=dir, got %q", v)
-	}
-	*d = append(*d, struct{ name, dir string }{name, dir})
-	return nil
-}
-
-func main() {
-	var data dataFlags
-	listen := flag.String("listen", ":7878", "address to serve the query API and debug plane on")
-	flag.Var(&data, "data", "attach a schema.txt + CSV directory as a named instance, name=dir (repeatable)")
-	dbgen := flag.Bool("dbgen", false, "attach a generated TPC-H demo instance named 'demo'")
-	sf := flag.Float64("sf", 0.001, "scale factor of the -dbgen instance (bench default)")
-	inconsistency := flag.Float64("inconsistency", 10, "injected inconsistency percent of the -dbgen instance")
-	seed := flag.Uint64("seed", 2022, "generator seed of the -dbgen instance")
-	maxInflight := flag.Int("max-inflight", 4, "max concurrently solving queries")
-	maxQueue := flag.Int("max-queue", 0, "max queries waiting for a solve slot (0 = 2×max-inflight, negative = no queue)")
-	queueWait := flag.Duration("queue-wait", 5*time.Second, "max time a query may wait for a solve slot before a 429")
-	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "default per-request deadline (clients may lower it)")
-	cacheEntries := flag.Int("cache-entries", 1024, "result cache capacity in answers (negative disables caching)")
-	sloLatencyMS := flag.Int("slo-latency-ms", 250, "latency SLO target in milliseconds (requests answered within it count as good; drives /debug/slo and tail-based trace retention)")
-	sloAvailability := flag.Float64("slo-availability", 0.999, "availability/latency SLO objective fraction in (0,1)")
-	traceSample := flag.Float64("trace-sample", 0, "probability of retaining the trace of a healthy fast request (slow/errored/shed requests are always retained)")
-	traceRetain := flag.Int("trace-retain", 0, "retained request traces backing /debug/trace?trace=<id> (0 = default)")
-	journalPath := flag.String("journal", "", "append one wide-event JSON line per solve to this file")
-	flightDir := flag.String("flight-dir", "", "write flight-recorder bundles for anomalous queries into this directory")
-	slowQuery := flag.Duration("slow-query", 0, "queries slower than this dump a flight bundle even on success (0 = only errors/timeouts)")
-	plannerMode := flag.String("planner", "auto", "query planner mode for every attached instance: auto (rewrite when possible, solver otherwise), force-sat, force-rewrite")
-	external := flag.String("external-solver", "", "path to a MaxHS-compatible MaxSAT binary to use instead of the built-in MaxHS")
-	parallel := flag.Int("parallel", 0, "solver worker-pool size per query (0 = GOMAXPROCS, 1 = sequential)")
-	verbose := flag.Bool("v", false, "debug logging")
-	flag.Parse()
-
-	level := slog.LevelInfo
-	if *verbose {
-		level = slog.LevelDebug
-	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
-	slog.SetDefault(logger)
-
 	if !*dbgen && len(data) == 0 {
-		fatalIf(fmt.Errorf("nothing to serve: pass -dbgen and/or -data name=dir"))
+		return errors.New("nothing to serve: pass -dbgen and/or -data name=dir")
 	}
 
-	pm, err := aggcavsat.ParsePlannerMode(*plannerMode)
-	fatalIf(err)
-	opts := aggcavsat.Options{
-		ExternalSolverPath: *external,
-		Parallelism:        *parallel,
-		SlowQuery:          *slowQuery,
-		Planner:            pm,
+	sess, err := f.Open(stderr, slog.LevelInfo)
+	if err != nil {
+		return err
 	}
-	if *flightDir != "" {
-		opts.OnAnomaly = obsv.DumpDir(*flightDir)
-	}
-
-	cfg := server.Config{
+	defer func() { err = errors.Join(err, sess.Close()) }()
+	opts := sess.Options()
+	srv := server.New(server.Config{
 		MaxInFlight:     *maxInflight,
 		MaxQueue:        *maxQueue,
 		QueueWait:       *queueWait,
 		RequestTimeout:  *requestTimeout,
 		CacheEntries:    *cacheEntries,
-		Planner:         pm,
+		Planner:         opts.Planner,
+		TenantOptions:   opts,
 		SLOLatency:      time.Duration(*sloLatencyMS) * time.Millisecond,
 		SLOAvailability: *sloAvailability,
 		TraceSample:     *traceSample,
 		TraceRetain:     *traceRetain,
 		Metrics:         obsv.NewRegistry(),
 		Tracer:          obsv.NewTracer(),
-	}
-	if *journalPath != "" {
-		j, err := obsv.OpenJournal(*journalPath)
-		fatalIf(err)
-		cfg.Journal = j
-		defer j.Close()
-	}
-	srv := server.New(cfg)
+		Journal:         sess.Journal,
+	})
 
 	if *dbgen {
-		in, err := tpch.DemoInstance(*sf, *inconsistency, *seed)
-		fatalIf(err)
-		genOpts := opts
-		genOpts.Metrics = cfg.Metrics
-		genOpts.Journal = cfg.Journal
-		sys, err := aggcavsat.Open(in, genOpts)
-		fatalIf(err)
+		in, err := tpch.DemoInstance(f.SF, f.Inconsistency, f.Seed)
+		if err != nil {
+			return err
+		}
+		sys, err := aggcavsat.Open(in, srv.TenantOptions())
+		if err != nil {
+			return err
+		}
 		t := srv.Attach("demo", "", sys, in, nil)
-		logger.Info("attached demo instance", "facts", t.Facts, "relations", t.Relations,
-			"sf", *sf, "inconsistency", *inconsistency, "seed", *seed)
+		sess.Logger.Info("attached demo instance", "facts", t.Facts, "relations", t.Relations,
+			"sf", f.SF, "inconsistency", f.Inconsistency, "seed", f.Seed)
 	}
 	for _, e := range data {
-		t, err := srv.AttachDir(e.name, e.dir, opts)
-		fatalIf(err)
-		logger.Info("attached instance", "name", t.Name, "dir", t.Dir,
+		t, err := srv.AttachDir(e[0], e[1])
+		if err != nil {
+			return err
+		}
+		sess.Logger.Info("attached instance", "name", t.Name, "dir", t.Dir,
 			"mode", t.Mode, "facts", t.Facts, "relations", t.Relations)
 	}
 
-	run, err := server.Start(*listen, srv)
-	fatalIf(err)
-	logger.Info("cavsatd serving", "addr", run.Addr(),
+	running, err := server.Start(*listen, srv)
+	if err != nil {
+		return err
+	}
+	sess.Logger.Info("cavsatd serving", "addr", running.Addr(),
 		"max_inflight", *maxInflight, "queue_wait", *queueWait,
 		"request_timeout", *requestTimeout, "cache_entries", *cacheEntries)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	s := <-sig
-	logger.Info("shutting down", "signal", s.String())
-	if err := run.Close(); err != nil {
-		logger.Error("shutdown", "err", err)
-		os.Exit(1)
-	}
-}
-
-func fatalIf(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cavsatd:", err)
-		os.Exit(1)
-	}
+	<-ctx.Done()
+	sess.Logger.Info("shutting down")
+	return running.Close()
 }

@@ -6,15 +6,20 @@
 //	datagen -kind medigap -scale 0.25                 -out ./medigap
 //
 // A matching schema.txt (relations, keys, functional dependencies) is
-// written next to the CSV files.
+// written next to the CSV files. The tpch kind writes the demo instance
+// (tpch.DemoInstance); -sf, -inconsistency and -seed default to the
+// values cavsatd -dbgen and aggbench default to, so a default directory
+// holds the instance a default cavsatd -dbgen serves.
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
+	"aggcavsat/internal/cli"
 	"aggcavsat/internal/db"
 	"aggcavsat/internal/medigap"
 	"aggcavsat/internal/pdbench"
@@ -22,16 +27,20 @@ import (
 	"aggcavsat/internal/tpch"
 )
 
-func main() {
-	kind := flag.String("kind", "tpch", "dataset: tpch, pdbench, medigap")
-	out := flag.String("out", "./data", "output directory")
-	sf := flag.Float64("sf", 0.001, "TPC-H scale factor (tpch, pdbench)")
-	pct := flag.Float64("inconsistency", 10, "percent of key-violating tuples (tpch)")
-	instance := flag.Int("instance", 1, "PDBench instance 1-4 (pdbench)")
-	scale := flag.Float64("scale", 0.25, "Medigap scale (medigap)")
-	seed := flag.Uint64("seed", 2022, "generator seed")
-	snapshot := flag.Bool("snapshot", true, "also write a columnar snapshot (snapshot.bin) that cavsat/cavsatd mmap instead of parsing CSV")
-	flag.Parse()
+func main() { cli.Main("datagen", run) }
+
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cli.NewFlagSet("datagen", stderr)
+	kind := fs.String("kind", "tpch", "dataset: tpch, pdbench, medigap")
+	out := fs.String("out", "./data", "output directory")
+	instance := fs.Int("instance", 1, "PDBench instance 1-4 (pdbench)")
+	scale := fs.Float64("scale", 0.25, "Medigap scale (medigap)")
+	snapshot := fs.Bool("snapshot", true, "also write a columnar snapshot (snapshot.bin) that cavsat/cavsatd mmap instead of parsing CSV")
+	f := cli.Defaults()
+	f.Register(fs, cli.SF, cli.Inconsistency, cli.Seed)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	var (
 		in  *db.Instance
@@ -40,14 +49,11 @@ func main() {
 	)
 	switch *kind {
 	case "tpch":
-		base := tpch.Generate(*sf, *seed)
-		in, err = tpch.Inject(base, tpch.InjectOptions{
-			Percent: *pct, MinGroup: 2, MaxGroup: 7, Seed: *seed + 1,
-		})
+		in, err = tpch.DemoInstance(f.SF, f.Inconsistency, f.Seed)
 	case "pdbench":
-		in, _, err = pdbench.Generate(*sf, *instance, *seed)
+		in, _, err = pdbench.Generate(f.SF, *instance, f.Seed)
 	case "medigap":
-		in, err = medigap.Generate(*scale, *seed)
+		in, err = medigap.Generate(*scale, f.Seed)
 		fds = []string{
 			"fd OBS orgID -> orgName",
 			"fd PBS addr city state_abbrev -> zip",
@@ -55,29 +61,34 @@ func main() {
 	default:
 		err = fmt.Errorf("unknown kind %q", *kind)
 	}
-	fatalIf(err)
+	if err != nil {
+		return err
+	}
 
-	fatalIf(in.SaveDir(*out))
-	fatalIf(writeSchema(in, filepath.Join(*out, "schema.txt"), fds))
+	if err := in.SaveDir(*out); err != nil {
+		return err
+	}
+	if err := writeSchema(in, filepath.Join(*out, "schema.txt"), fds); err != nil {
+		return err
+	}
 	if *snapshot {
 		snapPath := filepath.Join(*out, db.SnapshotFileName)
-		fatalIf(db.SaveSnapshot(in, snapPath))
+		if err := db.SaveSnapshot(in, snapPath); err != nil {
+			return err
+		}
 		if fi, err := os.Stat(snapPath); err == nil {
-			fmt.Printf("wrote columnar snapshot %s (%d bytes)\n", snapPath, fi.Size())
+			fmt.Fprintf(stdout, "wrote columnar snapshot %s (%d bytes)\n", snapPath, fi.Size())
 		}
 	}
 
-	var total int
-	for _, rs := range in.Schema().Relations() {
-		total += in.RelSize(rs.Name)
-	}
-	fmt.Printf("wrote %d tuples across %d relations to %s\n",
-		total, len(in.Schema().Relations()), *out)
+	fmt.Fprintf(stdout, "wrote %d tuples across %d relations to %s\n",
+		in.NumFacts(), len(in.Schema().Relations()), *out)
 	for _, st := range in.KeyInconsistency() {
 		if st.ViolatingFacts > 0 {
-			fmt.Printf("  %-10s %6d tuples, %5.2f%% violating keys\n", st.Rel, st.Facts, st.Percent())
+			fmt.Fprintf(stdout, "  %-10s %6d tuples, %5.2f%% violating keys\n", st.Rel, st.Facts, st.Percent())
 		}
 	}
+	return nil
 }
 
 func writeSchema(in *db.Instance, path string, fds []string) error {
@@ -85,13 +96,9 @@ func writeSchema(in *db.Instance, path string, fds []string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return schemafile.Write(f, in.Schema(), fds)
-}
-
-func fatalIf(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "datagen:", err)
-		os.Exit(1)
+	err = schemafile.Write(f, in.Schema(), fds)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
+	return err
 }

@@ -13,58 +13,80 @@
 // (Options.ExternalSolverPath), which closes the loop on the paper's
 // process-level MaxHS integration without shipping a binary. With
 // -timeout the search is interrupted cooperatively at the deadline and
-// the command exits with an error instead of an optimum.
+// the command exits with an error instead of an optimum; SIGINT and
+// SIGTERM interrupt it the same way.
+//
+// Exit status: 30 with "s OPTIMUM FOUND", 20 with "s UNSATISFIABLE"
+// (the MaxSAT-evaluation convention), 2 on a usage error, 1 on any
+// other failure.
 package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
+	"aggcavsat/internal/cli"
 	"aggcavsat/internal/cnf"
 	"aggcavsat/internal/maxsat"
 )
 
-func main() {
-	progress := flag.Bool("progress", false, "print periodic progress lines (stderr)")
-	progressEvery := flag.Int64("progress-every", maxsat.DefaultProgressEvery, "conflicts between progress lines")
-	timeout := flag.Duration("timeout", 0, "wall-clock bound for the solve, e.g. 30s (0 = none)")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: wcnfsolve [-progress] [-timeout 30s] problem.wcnf")
-		os.Exit(2)
+// The MaxSAT-evaluation exit statuses.
+const (
+	exitUnsat   = cli.ExitCode(20)
+	exitOptimum = cli.ExitCode(30)
+)
+
+func main() { cli.Main("wcnfsolve", run) }
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cli.NewFlagSet("wcnfsolve", stderr)
+	progress := fs.Bool("progress", false, "print periodic progress lines (stderr)")
+	progressEvery := fs.Int64("progress-every", maxsat.DefaultProgressEvery, "conflicts between progress lines")
+	var f cli.Flags
+	f.Register(fs, cli.Timeout)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
-	f, err := os.Open(flag.Arg(0))
-	fatalIf(err)
-	formula, err := cnf.ReadWCNF(f)
-	f.Close()
-	fatalIf(err)
+	if fs.NArg() != 1 {
+		return cli.Usage(stderr, "wcnfsolve [-progress] [-timeout 30s] problem.wcnf")
+	}
+	file, err := os.Open(fs.Arg(0))
+	if err != nil {
+		return err
+	}
+	formula, err := cnf.ReadWCNF(file)
+	file.Close()
+	if err != nil {
+		return err
+	}
 
 	opts := maxsat.Options{}
 	if *progress {
 		opts.ProgressEvery = *progressEvery
-		opts.Progress = progressPrinter()
+		opts.Progress = progressPrinter(stderr)
 	}
-	ctx := context.Background()
-	if *timeout > 0 {
+	if f.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, f.Timeout)
 		defer cancel()
 	}
 	// One shared solver base: the MaxHS→RC2 fallback forks a clone
 	// instead of re-adding every hard clause.
 	res, err := maxsat.NewInstance(formula, nil, opts).SolveMin(ctx)
-	fatalIf(err)
+	if err != nil {
+		return err
+	}
 
 	if !res.Satisfiable {
-		fmt.Println("s UNSATISFIABLE")
-		os.Exit(20)
+		fmt.Fprintln(stdout, "s UNSATISFIABLE")
+		return exitUnsat
 	}
-	fmt.Printf("c solver: %v, sat calls: %d, conflicts: %d\n", res.Algorithm, res.SATCalls, res.Conflicts)
-	fmt.Printf("o %d\n", res.FalsifiedWeight)
-	fmt.Println("s OPTIMUM FOUND")
+	fmt.Fprintf(stdout, "c solver: %v, sat calls: %d, conflicts: %d\n", res.Algorithm, res.SATCalls, res.Conflicts)
+	fmt.Fprintf(stdout, "o %d\n", res.FalsifiedWeight)
+	fmt.Fprintln(stdout, "s OPTIMUM FOUND")
 	var sb strings.Builder
 	sb.WriteString("v")
 	for v := 1; v <= formula.NumVars(); v++ {
@@ -75,19 +97,19 @@ func main() {
 		fmt.Fprintf(&sb, " %d", lit)
 	}
 	sb.WriteString(" 0")
-	fmt.Println(sb.String())
-	os.Exit(30)
+	fmt.Fprintln(stdout, sb.String())
+	return exitOptimum
 }
 
 // progressPrinter returns a callback rendering MiniSat-style periodic
-// progress lines on stderr: one row per report, with the bound bracket
+// progress lines on w: one row per report, with the bound bracket
 // [lb, ub] on the optimum falsified weight.
-func progressPrinter() maxsat.ProgressFunc {
-	fmt.Fprintln(os.Stderr, "c ============================[ search progress ]=============================")
-	fmt.Fprintln(os.Stderr, "c |     phase    | sat calls | conflicts |   learnt |  trail |      lb |      ub |")
-	fmt.Fprintln(os.Stderr, "c ============================================================================")
+func progressPrinter(w io.Writer) maxsat.ProgressFunc {
+	fmt.Fprintln(w, "c ============================[ search progress ]=============================")
+	fmt.Fprintln(w, "c |     phase    | sat calls | conflicts |   learnt |  trail |      lb |      ub |")
+	fmt.Fprintln(w, "c ============================================================================")
 	return func(p maxsat.ProgressInfo) {
-		fmt.Fprintf(os.Stderr, "c | %-12s | %9d | %9d | %8d | %6d | %7s | %7s |\n",
+		fmt.Fprintf(w, "c | %-12s | %9d | %9d | %8d | %6d | %7s | %7s |\n",
 			p.Phase, p.SATCalls, p.Conflicts, p.LearntLive, p.TrailDepth,
 			bound(p.LowerBound), bound(p.UpperBound))
 	}
@@ -98,11 +120,4 @@ func bound(v int64) string {
 		return "-"
 	}
 	return fmt.Sprintf("%d", v)
-}
-
-func fatalIf(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wcnfsolve:", err)
-		os.Exit(1)
-	}
 }

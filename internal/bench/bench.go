@@ -53,10 +53,6 @@ type Config struct {
 	// an expiry is reported as "t/o" rather than stalling the suite. The
 	// paper's own evaluation uses wall-clock timeouts. 0 means none.
 	Timeout time.Duration
-	// Metrics, when non-nil, accumulates every engine call's metrics into
-	// a session-wide registry, so a live debug endpoint (obsv.Serve) can
-	// expose the suite's progress while it runs.
-	Metrics *obsv.Registry
 	// SlowQuery and OnAnomaly enable the per-query flight recorder on
 	// every engine the suite builds: queries that time out, fail, or run
 	// longer than SlowQuery deliver a dump bundle to OnAnomaly.
@@ -81,11 +77,11 @@ type Config struct {
 // rather than stalling the suite.
 func DefaultConfig() Config {
 	return Config{
-		SFSmall:      0.001,
+		SFSmall:      tpch.DemoSF,
 		SFMedium:     0.003,
 		SFLarge:      0.005,
 		MedigapScale: 0.25,
-		Seed:         2022,
+		Seed:         tpch.DemoSeed,
 		Solver: maxsat.Options{
 			ConflictBudget: 400_000,
 			HSNodeBudget:   2_000_000,
@@ -150,9 +146,9 @@ type Runner struct {
 	medigapInst  *db.Instance
 	medigapDCs   []constraints.DC
 
-	// runCtx, when set via WithContext, carries an obsv.Tracer into
-	// every engine call.
-	runCtx context.Context
+	// ctx is the context of every engine call; WithContext replaces it
+	// (to carry an obsv.Tracer or a cancellation).
+	ctx context.Context
 }
 
 // NewRunner creates a runner for the configuration.
@@ -162,22 +158,16 @@ func NewRunner(cfg Config) *Runner {
 		dbgenCache:   map[string]*db.Instance{},
 		pdbenchCache: map[int]*db.Instance{},
 		pdbenchProf:  map[int]pdbench.Profile{},
+		ctx:          context.Background(),
 	}
 }
 
 // WithContext sets the context used for every engine call, so a caller
 // can install an obsv.Tracer and capture a Chrome trace of a whole
-// benchmark run. Returns r for chaining.
+// benchmark run, or interrupt it. Returns r for chaining.
 func (r *Runner) WithContext(ctx context.Context) *Runner {
-	r.runCtx = ctx
+	r.ctx = ctx
 	return r
-}
-
-func (r *Runner) ctx() context.Context {
-	if r.runCtx != nil {
-		return r.runCtx
-	}
-	return context.Background()
 }
 
 // dbgen returns the DBGen-style instance at the scale factor and target
@@ -241,7 +231,7 @@ func (r *Runner) runQuery(eng *core.Engine, q tpch.Query) (queryResult, error) {
 		return queryResult{}, err
 	}
 	start := time.Now()
-	rep, err := eng.RangeAnswersContext(obsv.WithQueryLabel(r.ctx(), q.Name), tr.Aggs[0].Query)
+	rep, err := eng.RangeAnswersContext(obsv.WithQueryLabel(r.ctx, q.Name), tr.Aggs[0].Query)
 	if timedOut(err) {
 		return queryResult{timeout: true, total: time.Since(start)}, nil
 	}
@@ -274,18 +264,29 @@ func ms(d time.Duration) string {
 	return fmt.Sprintf("%.1f", float64(d.Microseconds())/1000)
 }
 
-func (r *Runner) engine(in *db.Instance) (*core.Engine, error) {
-	return core.New(in, core.Options{
+// engineOptions is the one mapping from the configuration onto the
+// options of every engine the suite builds: the key-constraint engines
+// of the experiments and the replay, Figure 9's denial-constraint
+// engine (dcs non-empty), and the replay's reference system.
+func (c Config) engineOptions(dcs []constraints.DC) core.Options {
+	opts := core.Options{
 		Mode:        core.KeysMode,
-		MaxSAT:      r.cfg.Solver,
-		Parallelism: r.cfg.Parallelism,
-		Timeout:     r.cfg.Timeout,
-		Metrics:     r.cfg.Metrics,
-		SlowQuery:   r.cfg.SlowQuery,
-		OnAnomaly:   r.cfg.OnAnomaly,
-		Journal:     r.cfg.Journal,
-		Planner:     r.cfg.Planner,
-	})
+		MaxSAT:      c.Solver,
+		Parallelism: c.Parallelism,
+		Timeout:     c.Timeout,
+		SlowQuery:   c.SlowQuery,
+		OnAnomaly:   c.OnAnomaly,
+		Journal:     c.Journal,
+		Planner:     c.Planner,
+	}
+	if len(dcs) > 0 {
+		opts.Mode, opts.DCs = core.DCMode, dcs
+	}
+	return opts
+}
+
+func (r *Runner) engine(in *db.Instance) (*core.Engine, error) {
+	return core.New(in, r.cfg.engineOptions(nil))
 }
 
 // versusConQuer is the shared shape of Figures 1, 2, 5 and 6.
@@ -699,16 +700,7 @@ func (r *Runner) Figure9() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.New(in, core.Options{
-		Mode:        core.DCMode,
-		DCs:         dcs,
-		MaxSAT:      r.cfg.Solver,
-		Parallelism: r.cfg.Parallelism,
-		Timeout:     r.cfg.Timeout,
-		Metrics:     r.cfg.Metrics,
-		SlowQuery:   r.cfg.SlowQuery,
-		OnAnomaly:   r.cfg.OnAnomaly,
-	})
+	eng, err := core.New(in, r.cfg.engineOptions(dcs))
 	if err != nil {
 		return nil, err
 	}
@@ -722,7 +714,7 @@ func (r *Runner) Figure9() (*Table, error) {
 			return nil, err
 		}
 		start := time.Now()
-		rep, err := eng.RangeAnswersContext(r.ctx(), tr.Aggs[0].Query)
+		rep, err := eng.RangeAnswersContext(obsv.WithQueryLabel(r.ctx, q.Name), tr.Aggs[0].Query)
 		if err != nil {
 			return nil, err
 		}

@@ -155,6 +155,36 @@ func TestFigure9Shape(t *testing.T) {
 	}
 }
 
+// TestFigure9Journals pins that Figure 9's denial-constraint engine is
+// built from the same options as every other engine of the suite: with
+// a journal configured, each of its engine calls writes one line,
+// labeled with the Medigap query name.
+func TestFigure9Journals(t *testing.T) {
+	var buf bytes.Buffer
+	j := obsv.NewJournal(&buf, 64)
+	cfg := tinyConfig()
+	cfg.Journal = j
+	table, err := NewRunner(cfg).Figure9()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := obsv.ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(table.Rows) {
+		t.Fatalf("journal lines = %d, want one per engine call (%d)", len(entries), len(table.Rows))
+	}
+	for i, e := range entries {
+		if e.Query != table.Rows[i][0] {
+			t.Errorf("line %d query label = %q, want %q", i, e.Query, table.Rows[i][0])
+		}
+	}
+}
+
 func TestExperimentDispatch(t *testing.T) {
 	r := NewRunner(tinyConfig())
 	var buf bytes.Buffer

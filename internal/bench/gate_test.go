@@ -166,7 +166,7 @@ func runLeg(r *Runner, sf float64, queries []tpch.Query, base int64) (gateLeg, e
 		if err != nil {
 			return leg, err
 		}
-		rep, err := eng.RangeAnswersContext(r.ctx(), tr.Aggs[0].Query)
+		rep, err := eng.RangeAnswersContext(r.ctx, tr.Aggs[0].Query)
 		if timedOut(err) {
 			leg.Queries = append(leg.Queries, gateQuery{gateExact: gateExact{Query: q.Name, Timeout: true}})
 			continue

@@ -142,7 +142,7 @@ func (r *Runner) Replay(opts ReplayOptions, w io.Writer) (*ReplayReport, error) 
 	}
 	pct := opts.Percent
 	if pct <= 0 {
-		pct = 10
+		pct = tpch.DemoInconsistency
 	}
 	in, err := r.dbgen(r.cfg.SFSmall, pct)
 	if err != nil {
@@ -188,7 +188,7 @@ func (r *Runner) Replay(opts ReplayOptions, w io.Writer) (*ReplayReport, error) 
 			return nil, err
 		}
 		exec = func(p *plan) replayOutcome {
-			ctx := obsv.WithQueryLabel(r.ctx(), p.name)
+			ctx := obsv.WithQueryLabel(r.ctx, p.name)
 			_, qerr := eng.RangeAnswersContext(ctx, p.tr.Aggs[0].Query)
 			return replayOutcome{err: qerr, timeout: timedOut(qerr)}
 		}
@@ -196,16 +196,13 @@ func (r *Runner) Replay(opts ReplayOptions, w io.Writer) (*ReplayReport, error) 
 		// The server must have attached the byte-identical instance
 		// (cavsatd -dbgen with the same sf/inconsistency/seed); any
 		// divergence shows up as drift, never as silence.
-		sys, err := aggcavsat.Open(in, aggcavsat.Options{
-			Parallelism: r.cfg.Parallelism,
-			Timeout:     r.cfg.Timeout,
-		})
+		sys, err := aggcavsat.OpenEngine(in, r.cfg.engineOptions(nil))
 		if err != nil {
 			return nil, err
 		}
 		expected := make(map[string]string, len(plans))
 		for name, p := range plans {
-			res, err := sys.Query(p.sql)
+			res, err := sys.QueryContext(obsv.WithQueryLabel(r.ctx, name), p.sql)
 			if err != nil {
 				return nil, fmt.Errorf("bench: replay reference %s: %w", name, err)
 			}
@@ -213,7 +210,7 @@ func (r *Runner) Replay(opts ReplayOptions, w io.Writer) (*ReplayReport, error) 
 		}
 		client := server.NewClient(opts.Target)
 		exec = func(p *plan) replayOutcome {
-			resp, qerr := client.Query(r.ctx(), &server.QueryRequest{
+			resp, qerr := client.Query(r.ctx, &server.QueryRequest{
 				Instance: opts.Instance,
 				SQL:      p.sql,
 				Label:    p.name,

@@ -4,7 +4,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -50,30 +49,9 @@ func buildIdentity() (main, revision string, modified bool) {
 	return main, revision, modified
 }
 
-// Handler builds the debug HTTP handler over a live registry and tracer:
-//
-//	/metrics       Prometheus text exposition of the registry, plus the
-//	               tracer's own obsv_spans_* families when tr is non-nil
-//	               and the journal's written/dropped counters when j is
-//	               non-nil
-//	/healthz       liveness + build/runtime identity JSON
-//	/debug/trace   current tracer snapshot; ?format=tree (default) or
-//	               ?format=chrome for Chrome trace-event JSON
-//	/debug/journal the last n journal entries (?n=K, default 32) as a
-//	               JSON array, newest last
-//	/debug/pprof/  the standard net/http/pprof surface (profile, heap,
-//	               goroutine, trace, …)
-//
-// Every endpoint reads live state: scraping /metrics during a run
-// returns counters that move between scrapes. Any of reg, tr, j may be
-// nil; the corresponding endpoints degrade gracefully (an empty
-// exposition, a 404 trace/journal).
-func Handler(reg *Registry, tr *Tracer, j *Journal) http.Handler {
-	return NewHandler(HandlerConfig{Registry: reg, Tracer: tr, Journal: j})
-}
-
-// HandlerConfig configures the debug handler beyond the classic
-// (registry, tracer, journal) triple.
+// HandlerConfig names the live state the debug handler reads. Any field
+// may be nil; the endpoints that need it then degrade gracefully (an
+// empty exposition, a 404 trace/journal).
 type HandlerConfig struct {
 	Registry *Registry
 	Tracer   *Tracer
@@ -86,8 +64,23 @@ type HandlerConfig struct {
 	Extra func() map[string]any
 }
 
-// NewHandler builds the debug HTTP handler from a HandlerConfig; see
-// Handler for the endpoint surface.
+// NewHandler builds the debug HTTP handler (the cavsatd debug plane):
+//
+//	/metrics       Prometheus text exposition of the registry, plus the
+//	               tracer's own obsv_spans_* families and the journal's
+//	               written/dropped counters when those are set
+//	/healthz       liveness + build/runtime identity JSON
+//	/debug/trace   current tracer snapshot; ?format=tree (default) or
+//	               ?format=chrome for Chrome trace-event JSON; a retained
+//	               request trace with ?trace=<id>, the retention index
+//	               with ?list=1
+//	/debug/journal the last n journal entries (?n=K, default 32) as a
+//	               JSON array, newest last
+//	/debug/pprof/  the standard net/http/pprof surface (profile, heap,
+//	               goroutine, trace, …)
+//
+// Every endpoint reads live state: scraping /metrics during a run
+// returns counters that move between scrapes.
 func NewHandler(cfg HandlerConfig) http.Handler {
 	reg, tr, j := cfg.Registry, cfg.Tracer, cfg.Journal
 	start := time.Now()
@@ -230,32 +223,3 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
-
-// Server is a running debug HTTP server (Serve).
-type Server struct {
-	ln  net.Listener
-	srv *http.Server
-}
-
-// Serve starts the debug HTTP server on addr (e.g. "localhost:6060", or
-// ":0" to pick a free port — read the bound address back with Addr).
-// The server runs on a background goroutine until Close. j may be nil
-// when no journal is enabled.
-func Serve(addr string, reg *Registry, tr *Tracer, j *Journal) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("obsv: debug server: %w", err)
-	}
-	s := &Server{
-		ln:  ln,
-		srv: &http.Server{Handler: Handler(reg, tr, j)},
-	}
-	go s.srv.Serve(ln) //nolint:errcheck // ErrServerClosed after Close
-	return s, nil
-}
-
-// Addr returns the bound listen address (useful with ":0").
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close shuts the server down immediately.
-func (s *Server) Close() error { return s.srv.Close() }

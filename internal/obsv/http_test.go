@@ -35,7 +35,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	_, sp := StartSpan(ctx, "query")
 	sp.End()
 
-	srv := httptest.NewServer(Handler(reg, tr, nil))
+	srv := httptest.NewServer(NewHandler(HandlerConfig{Registry: reg, Tracer: tr}))
 	defer srv.Close()
 
 	code, ct, body := get(t, srv, "/healthz")
@@ -111,35 +111,13 @@ func TestDebugTraceBadID(t *testing.T) {
 }
 
 func TestHandlerNoTracer(t *testing.T) {
-	srv := httptest.NewServer(Handler(NewRegistry(), nil, nil))
+	srv := httptest.NewServer(NewHandler(HandlerConfig{Registry: NewRegistry()}))
 	defer srv.Close()
 	if code, _, _ := get(t, srv, "/debug/trace"); code != http.StatusNotFound {
 		t.Errorf("/debug/trace without a tracer = %d, want 404", code)
 	}
 	if code, _, _ := get(t, srv, "/metrics"); code != http.StatusOK {
 		t.Errorf("/metrics without a tracer = %d, want 200", code)
-	}
-}
-
-func TestServeLifecycle(t *testing.T) {
-	s, err := Serve("127.0.0.1:0", NewRegistry(), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get("http://" + s.Addr() + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/healthz on Serve = %d", resp.StatusCode)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := http.Get("http://" + s.Addr() + "/healthz"); err == nil {
-		t.Error("server still reachable after Close")
 	}
 }
 
@@ -150,7 +128,7 @@ func TestServeLifecycle(t *testing.T) {
 func TestConcurrentScrapes(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTracer()
-	srv := httptest.NewServer(Handler(reg, tr, nil))
+	srv := httptest.NewServer(NewHandler(HandlerConfig{Registry: reg, Tracer: tr}))
 	defer srv.Close()
 
 	// Mutation volume is bounded (not run-until-stopped): an unthrottled
@@ -195,7 +173,7 @@ func TestConcurrentScrapes(t *testing.T) {
 // TestHealthzFields decodes the /healthz payload and checks the
 // build/runtime identity a dashboard needs to tell binaries apart.
 func TestHealthzFields(t *testing.T) {
-	srv := httptest.NewServer(Handler(nil, nil, nil))
+	srv := httptest.NewServer(NewHandler(HandlerConfig{}))
 	defer srv.Close()
 	code, ct, body := get(t, srv, "/healthz")
 	if code != http.StatusOK || ct != "application/json" {
@@ -233,7 +211,7 @@ func TestDebugJournal(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		j.Append(JournalEntry{Query: fmt.Sprintf("q%d", i)})
 	}
-	srv := httptest.NewServer(Handler(NewRegistry(), nil, j))
+	srv := httptest.NewServer(NewHandler(HandlerConfig{Registry: NewRegistry(), Journal: j}))
 	defer srv.Close()
 
 	code, ct, body := get(t, srv, "/debug/journal")
@@ -267,7 +245,7 @@ func TestDebugJournal(t *testing.T) {
 		t.Errorf("/metrics missing %s:\n%s", MetricJournalWritten, body)
 	}
 
-	bare := httptest.NewServer(Handler(NewRegistry(), nil, nil))
+	bare := httptest.NewServer(NewHandler(HandlerConfig{Registry: NewRegistry()}))
 	defer bare.Close()
 	if code, _, _ := get(t, bare, "/debug/journal"); code != http.StatusNotFound {
 		t.Errorf("/debug/journal without a journal = %d, want 404", code)

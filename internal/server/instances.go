@@ -183,32 +183,36 @@ func constraintFingerprint(schema *db.Schema, dcs []constraints.DC) string {
 	return core.Fingerprint64(b.String())
 }
 
-// LoadTenantDir loads a schema.txt + CSV directory (the cavsat -data
-// layout) and prepares a System over it with the given base options
-// (the schema's FDs switch it to DC mode automatically). When the
+// LoadTenantDir is the one loader of a data directory: it reads
+// schema.txt, loads the facts, and prepares a System over them with the
+// given base options (the schema's FDs switch it to DC mode). When the
 // directory holds a columnar snapshot it is mmap'ed zero-copy instead
-// of parsing CSV; the mapping is kept open for the tenant's lifetime
+// of parsing CSV, and the returned Snapshot is non-nil. A one-shot
+// caller closes it after use; tenants keep it mapped for their lifetime
 // (tenants are never detached, only superseded, and replaced tenants
 // may still be serving in-flight queries, so the mapping is
 // intentionally left in place until process exit).
-func LoadTenantDir(dir string, opts aggcavsat.Options) (*aggcavsat.System, *db.Instance, []constraints.DC, error) {
+func LoadTenantDir(dir string, opts aggcavsat.Options) (*aggcavsat.System, *db.Instance, []constraints.DC, *db.Snapshot, error) {
 	f, err := os.Open(filepath.Join(dir, "schema.txt"))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	parsed, err := schemafile.Read(f)
 	f.Close()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
-	in, _, err := db.OpenDir(parsed.Schema, dir)
+	in, snap, err := db.OpenDir(parsed.Schema, dir)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	opts.DenialConstraints = parsed.FDs
 	sys, err := aggcavsat.Open(in, opts)
 	if err != nil {
-		return nil, nil, nil, err
+		if snap != nil {
+			snap.Close()
+		}
+		return nil, nil, nil, nil, err
 	}
-	return sys, in, parsed.FDs, nil
+	return sys, in, parsed.FDs, snap, nil
 }

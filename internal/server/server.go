@@ -82,6 +82,11 @@ type Config struct {
 	// server builds (AttachDir and hot attaches). The zero value is
 	// force-sat; cavsatd defaults its -planner flag to auto.
 	Planner aggcavsat.PlannerMode
+	// TenantOptions are the engine options of every tenant the server
+	// builds: -data directories, the -dbgen demo and hot attaches alike.
+	// Planner, Metrics and Journal above override its own fields; read
+	// the result back with Server.TenantOptions.
+	TenantOptions aggcavsat.Options
 
 	// SLOLatency is the latency objective target: a request answered
 	// within it counts toward the latency SLO. It is added to the
@@ -235,13 +240,21 @@ func (s *Server) Attach(name, dir string, sys *aggcavsat.System, in *db.Instance
 	return t
 }
 
-// AttachDir loads a schema.txt + CSV directory and attaches it, sharing
-// the server's metrics/journal wiring with the tenant's engine.
-func (s *Server) AttachDir(name, dir string, opts aggcavsat.Options) (*Tenant, error) {
+// TenantOptions returns the engine options every tenant is built with:
+// Config.TenantOptions under the server's planner mode, metrics and
+// journal.
+func (s *Server) TenantOptions() aggcavsat.Options {
+	opts := s.cfg.TenantOptions
 	opts.Metrics = s.cfg.Metrics
 	opts.Journal = s.cfg.Journal
 	opts.Planner = s.cfg.Planner
-	sys, in, dcs, err := LoadTenantDir(dir, opts)
+	return opts
+}
+
+// AttachDir loads a schema.txt + CSV directory and attaches it, built
+// with the server's TenantOptions.
+func (s *Server) AttachDir(name, dir string) (*Tenant, error) {
+	sys, in, dcs, _, err := LoadTenantDir(dir, s.TenantOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -524,7 +537,7 @@ func (s *Server) handleInstances(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, CodeBadRequest, "attach wants both name and dir")
 			return
 		}
-		t, err := s.AttachDir(req.Name, req.Dir, aggcavsat.Options{})
+		t, err := s.AttachDir(req.Name, req.Dir)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, CodeBadRequest, "attaching %s: %v", req.Name, err)
 			return

@@ -42,7 +42,7 @@ func writeFixture(t *testing.T) string {
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := New(cfg)
-	if _, err := srv.AttachDir("bank", writeFixture(t), aggcavsat.Options{}); err != nil {
+	if _, err := srv.AttachDir("bank", writeFixture(t)); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
@@ -239,7 +239,7 @@ func TestDeadlineReturnsTypedTimeout(t *testing.T) {
 func TestServedAnswersMatchDirectExecution(t *testing.T) {
 	dir := writeFixture(t)
 	srv := New(Config{})
-	if _, err := srv.AttachDir("bank", dir, aggcavsat.Options{}); err != nil {
+	if _, err := srv.AttachDir("bank", dir); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
@@ -247,7 +247,7 @@ func TestServedAnswersMatchDirectExecution(t *testing.T) {
 
 	// An independent in-process load of the same directory must produce
 	// byte-identical digests for every statement the server answers.
-	sys, _, _, err := LoadTenantDir(dir, aggcavsat.Options{})
+	sys, _, _, _, err := LoadTenantDir(dir, aggcavsat.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,6 +327,36 @@ func TestAdminInstancesAndCacheInvalidation(t *testing.T) {
 	}
 	if v := srv.cfg.Metrics.Gauge(MetricTenants).Value(); v != 1 {
 		t.Errorf("instances gauge = %d, want 1", v)
+	}
+}
+
+// TestHotAttachUsesTenantOptions pins that a tenant attached through
+// POST /admin/instances is built with the server's tenant options: with
+// an OnAnomaly hook and a 1 ns SlowQuery every solve is an anomaly, so
+// a query on the hot-attached tenant must deliver a flight bundle.
+func TestHotAttachUsesTenantOptions(t *testing.T) {
+	var bundles atomic.Int64
+	srv := New(Config{TenantOptions: aggcavsat.Options{
+		SlowQuery: time.Nanosecond,
+		OnAnomaly: func(*aggcavsat.FlightBundle) { bundles.Add(1) },
+	}})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	attach, _ := json.Marshal(map[string]string{"name": "hot", "dir": writeFixture(t)})
+	resp, err := http.Post(ts.URL+"/admin/instances", "application/json", bytes.NewReader(attach))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("attach status = %d", resp.StatusCode)
+	}
+	if resp, body := postQuery(t, ts.URL, &QueryRequest{Instance: "hot", SQL: sumQuery}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query: %d %s", resp.StatusCode, body)
+	}
+	if n := bundles.Load(); n != 1 {
+		t.Errorf("flight bundles from the hot-attached tenant = %d, want 1", n)
 	}
 }
 
@@ -592,10 +622,10 @@ func TestSnapshotTenantServing(t *testing.T) {
 	}
 
 	srv := New(Config{})
-	if _, err := srv.AttachDir("csv", csvDir, aggcavsat.Options{}); err != nil {
+	if _, err := srv.AttachDir("csv", csvDir); err != nil {
 		t.Fatal(err)
 	}
-	tn, err := srv.AttachDir("snap", snapDir, aggcavsat.Options{})
+	tn, err := srv.AttachDir("snap", snapDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -659,7 +689,7 @@ func TestSnapshotTenantServing(t *testing.T) {
 		mustReadFile(t, filepath.Join(snapDir, db.SnapshotFileName)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.AttachDir("bad", bad, aggcavsat.Options{}); err == nil {
+	if _, err := srv.AttachDir("bad", bad); err == nil {
 		t.Fatal("attach with mismatched snapshot schema must fail")
 	}
 }

@@ -28,8 +28,7 @@ func TestTraceIdentityEndToEnd(t *testing.T) {
 	var mu sync.Mutex
 	var bundles []*aggcavsat.FlightBundle
 
-	srv := New(Config{Metrics: obsv.NewRegistry(), Journal: j, Tracer: tracer})
-	if _, err := srv.AttachDir("bank", writeFixture(t), aggcavsat.Options{
+	srv := New(Config{Metrics: obsv.NewRegistry(), Journal: j, Tracer: tracer, TenantOptions: aggcavsat.Options{
 		Explain:   true,
 		SlowQuery: time.Nanosecond, // every solve is "slow" → bundle dumped
 		OnAnomaly: func(b *aggcavsat.FlightBundle) {
@@ -37,7 +36,8 @@ func TestTraceIdentityEndToEnd(t *testing.T) {
 			bundles = append(bundles, b)
 			mu.Unlock()
 		},
-	}); err != nil {
+	}})
+	if _, err := srv.AttachDir("bank", writeFixture(t)); err != nil {
 		t.Fatal(err)
 	}
 	var results []*aggcavsat.Result

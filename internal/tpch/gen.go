@@ -184,6 +184,16 @@ func addDays(r *xrand.Rand, base string, maxDelta int) string {
 	return fmt.Sprintf("%04d-%02d-%02d", mm/12, mm%12+1, d)
 }
 
+// The demo instance's defaults, shared by datagen -kind tpch, the
+// cavsatd -dbgen tenant and the bench suite's small scale, so a replay
+// against a default server and a default datagen directory all see the
+// same instance.
+const (
+	DemoSF            = 0.001
+	DemoInconsistency = 10
+	DemoSeed          = 2022
+)
+
 // DemoInstance builds the standard inconsistent DBGen instance used by
 // the bench replay harness and the cavsatd -dbgen demo tenant: Generate
 // at sf, then Inject with the Figure-1 group-size calibration ([2, 7])
