@@ -37,7 +37,8 @@ race:
 	$(GO) test -race -short . ./internal/obsv/... ./internal/sat/... ./internal/maxsat/... ./internal/core/... ./internal/cq/... ./internal/bench/... ./internal/server/... ./internal/planner/... ./internal/conquer/... ./internal/db/... ./internal/workpool/... ./cmd/...
 
 # Micro-benchmarks: the clone-vs-rebuild and shared-base suites in
-# sat/maxsat/core (incremental solving), the compiled evaluation and
+# sat/maxsat/core (incremental solving), core's closed-form vs
+# encode + MaxHS component solve (BenchmarkComponentSolve), the compiled evaluation and
 # key-fast-path-vs-generic constraint suites in cq/constraints, the
 # memoized-vs-fresh rewriting index suite in conquer (the planner fast
 # path), plus the end-to-end harness benchmarks. Pipe two runs through
@@ -47,11 +48,14 @@ bench:
 
 # Fuzz smoke: a bounded run of the planner equivalence fuzzer
 # (planner-auto ≡ forced-SAT ≡ exhaustive repair enumeration on random
-# instances). The committed seed corpus always runs as part of `make
-# test`; this target additionally mutates for FUZZTIME.
+# instances) and of the closed-form kernel fuzzer (closed form ≡
+# encode + MaxHS ≡ exhaustive repair enumeration on random keys-mode
+# components). The seed corpora always run as part of `make test`;
+# this target additionally mutates each for FUZZTIME.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPlannerEquivalence -fuzztime=$(FUZZTIME) ./internal/planner/
+	$(GO) test -run='^$$' -fuzz=FuzzClosedForm -fuzztime=$(FUZZTIME) ./internal/core/
 
 # The benchmark harness is its own module (cavbench/go.mod), so the
 # root-module build and tests never compile it: vet and test it here so

@@ -108,10 +108,13 @@ func ReadJournalFile(path string) ([]JournalEntry, error) { return obsv.ReadJour
 
 // Typed failure modes, re-exported for errors.Is matching:
 // ErrTimeout reports a cancelled or expired context (Options.Timeout or
-// a caller deadline); ErrBudget reports an exhausted solver budget.
+// a caller deadline); ErrBudget reports an exhausted solver budget;
+// ErrOverflow reports a SUM whose range computation leaves the int64
+// range.
 var (
-	ErrTimeout = core.ErrTimeout
-	ErrBudget  = core.ErrBudget
+	ErrTimeout  = core.ErrTimeout
+	ErrBudget   = core.ErrBudget
+	ErrOverflow = core.ErrOverflow
 )
 
 // NewTracer creates an empty span tracer.

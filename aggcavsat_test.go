@@ -2,7 +2,9 @@ package aggcavsat
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -85,10 +87,31 @@ func TestQueryScalarSQL(t *testing.T) {
 	if r.GLB.AsInt() != 900 || r.LUB.AsInt() != 2200 {
 		t.Fatalf("range = %s, want [900, 2200]", FormatRange(r))
 	}
-	if res.Stats.SATCalls == 0 {
-		t.Error("stats not accumulated")
+	// C2's accounts touch one violating key-equal group (A3's): the one
+	// component is answered in closed form, with no SAT call.
+	if st := res.Stats; st.SATCalls != 0 || st.ClosedFormComponents != 1 || st.Vars != 4 || st.Clauses != 8 {
+		t.Errorf("closed-form stats = %d SAT calls, %d closed-form components, %d/%d vars/clauses; want 0, 1, 4/8",
+			st.SATCalls, st.ClosedFormComponents, st.Vars, st.Clauses)
+	}
+	// Reached through Mary's two Cust facts, the same accounts couple two
+	// violating groups, and the solver's work is accumulated.
+	res, err = sys.Query(coupledSumSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := FormatRange(res.Rows[0].Ranges[0]); got != "[900, 2200]" {
+		t.Fatalf("coupled range = %s, want [900, 2200]", got)
+	}
+	if res.Stats.SATCalls == 0 || res.Stats.ClosedFormComponents != 0 {
+		t.Errorf("stats not accumulated: %+v", res.Stats)
 	}
 }
+
+// coupledSumSQL sums Mary's account balances through her Cust facts:
+// its witnesses couple Mary's key-equal group with account A3's, so its
+// component is solved rather than answered in closed form.
+const coupledSumSQL = `SELECT SUM(Acc.BAL) FROM Cust, CustAcc, Acc
+	WHERE Cust.CID = CustAcc.CID AND CustAcc.ACCID = Acc.ACCID AND Cust.NAME = 'Mary'`
 
 func TestQueryGroupedSQL(t *testing.T) {
 	sys, _ := Open(bank(t), Options{})
@@ -387,8 +410,7 @@ func TestExternalSolverLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Query(`SELECT SUM(Acc.BAL) FROM Acc, CustAcc
-		WHERE Acc.ACCID = CustAcc.ACCID AND CustAcc.CID = 'C2'`)
+	res, err := sys.Query(coupledSumSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,12 +421,30 @@ func TestExternalSolverLoop(t *testing.T) {
 	if ex.Algorithm != "external" {
 		t.Errorf("solver = %q, want external", ex.Algorithm)
 	}
+	if len(ex.Components) == 0 {
+		t.Error("no solved component")
+	}
 	for _, c := range ex.Components {
 		for _, d := range c.Directions {
 			if d.Algorithm != "external" {
 				t.Errorf("component %d %s pass solved with %q, want external", c.Index, d.Direction, d.Algorithm)
 			}
 		}
+	}
+	// A component with one violating group needs no solver, external or
+	// not; its counted size includes the negated lub formula the
+	// per-run-formula path builds (4/8 plus 5/10).
+	res, err = sys.Query(`SELECT SUM(Acc.BAL) FROM Acc, CustAcc
+		WHERE Acc.ACCID = CustAcc.ACCID AND CustAcc.CID = 'C2'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if FormatRange(res.Rows[0].Ranges[0]) != "[900, 2200]" {
+		t.Errorf("closed-form range = %s", FormatRange(res.Rows[0].Ranges[0]))
+	}
+	if st := res.Stats; st.SATCalls != 0 || st.ClosedFormComponents != 1 || st.Vars != 9 || st.Clauses != 18 ||
+		st.MaxVars != 5 || st.MaxClauses != 10 {
+		t.Errorf("closed-form stats = %+v", st)
 	}
 }
 
@@ -458,22 +498,35 @@ func TestMultiAggregateStatsAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Query(`SELECT CITY, COUNT(*), SUM(BAL), MAX(BAL) FROM Acc GROUP BY CITY`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Explains) != 3 {
-		t.Fatalf("explains = %d, want one per aggregate", len(res.Explains))
-	}
-	var want Stats
-	for _, ex := range res.Explains {
-		want.Add(ex.Stats)
-	}
-	if res.Stats != want {
-		t.Errorf("Result.Stats = %+v\nAdd of Explain.Stats = %+v", res.Stats, want)
-	}
-	if res.Stats.MaxSATRuns == 0 || res.Stats.SATCalls == 0 {
-		t.Errorf("Result.Stats = %+v: no solver work recorded", res.Stats)
+	for _, tc := range []struct {
+		sql string
+		// maxsatRuns and closedForm are the statement's exact counts:
+		// Acc alone has one violating group per witness, the join
+		// through Cust couples Mary's group with A3's.
+		maxsatRuns, closedForm int
+	}{
+		{`SELECT CITY, COUNT(*), SUM(BAL), MAX(BAL) FROM Acc GROUP BY CITY`, 0, 2},
+		{`SELECT Cust.CITY, COUNT(*), SUM(Acc.BAL) FROM Cust, CustAcc, Acc
+			WHERE Cust.CID = CustAcc.CID AND CustAcc.ACCID = Acc.ACCID GROUP BY Cust.CITY`, 8, 0},
+	} {
+		res, err := sys.Query(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Explains) != len(res.Columns)-1 {
+			t.Fatalf("explains = %d, want one per aggregate", len(res.Explains))
+		}
+		var want Stats
+		for _, ex := range res.Explains {
+			want.Add(ex.Stats)
+		}
+		if res.Stats != want {
+			t.Errorf("Result.Stats = %+v\nAdd of Explain.Stats = %+v", res.Stats, want)
+		}
+		if res.Stats.SATCalls == 0 || res.Stats.MaxSATRuns != tc.maxsatRuns || res.Stats.ClosedFormComponents != tc.closedForm {
+			t.Errorf("Result.Stats = %+v: want SAT calls, %d MaxSAT runs, %d closed-form components",
+				res.Stats, tc.maxsatRuns, tc.closedForm)
+		}
 	}
 }
 
@@ -594,4 +647,70 @@ func renderRows(res *Result) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// TestSumOverflow: a SUM whose range leaves the int64 range fails with
+// ErrOverflow on both routes instead of wrapping around, and one that
+// ends just inside the range still answers. The rewriting takes the
+// non-negative instances under PlannerAuto; negative values fall back
+// to the solver.
+func TestSumOverflow(t *testing.T) {
+	const p62 = int64(1) << 62
+	instance := func(t *testing.T, rows [][2]int64) *Instance {
+		t.Helper()
+		s := NewSchema()
+		if err := s.AddRelation(&RelationSchema{
+			Name: "R",
+			Attrs: []Attribute{
+				{Name: "k", Kind: KindInt},
+				{Name: "g", Kind: KindString},
+				{Name: "v", Kind: KindInt},
+			},
+			Key: []int{0},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		in := NewInstance(s)
+		for _, r := range rows {
+			in.MustInsert("R", Int(r[0]), Str("a"), Int(r[1]))
+		}
+		return in
+	}
+	cases := []struct {
+		name string
+		rows [][2]int64
+		want string // "" means ErrOverflow
+	}{
+		{"conflicting", [][2]int64{{1, p62}, {1, p62 + 1}, {2, p62}}, ""},
+		{"consistent", [][2]int64{{1, p62}, {2, p62}}, ""},
+		{"near max", [][2]int64{{1, p62 - 1}, {1, p62}, {2, p62 - 1}},
+			fmt.Sprintf("[%d, %d]", math.MaxInt64-1, int64(math.MaxInt64))},
+		{"near min", [][2]int64{{1, -p62}, {1, -p62 + 1}, {2, -p62}},
+			fmt.Sprintf("[%d, %d]", int64(math.MinInt64), math.MinInt64+1)},
+	}
+	for _, tc := range cases {
+		for _, mode := range []PlannerMode{PlannerForceSAT, PlannerAuto} {
+			sys, err := Open(instance(t, tc.rows), Options{Planner: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sql := range []string{"SELECT SUM(v) FROM R", "SELECT g, SUM(v) FROM R GROUP BY g"} {
+				label := fmt.Sprintf("%s/%v/%s", tc.name, mode, sql)
+				res, err := sys.Query(sql)
+				if tc.want == "" {
+					if !errors.Is(err, ErrOverflow) {
+						t.Errorf("%s: err = %v, result %+v; want ErrOverflow", label, err, res)
+					}
+					continue
+				}
+				if err != nil {
+					t.Errorf("%s: %v", label, err)
+					continue
+				}
+				if got := FormatRange(res.Rows[0].Ranges[0]); len(res.Rows) != 1 || got != tc.want {
+					t.Errorf("%s: rows %+v, range %s, want %s", label, res.Rows, got, tc.want)
+				}
+			}
+		}
+	}
 }

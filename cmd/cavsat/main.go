@@ -176,6 +176,7 @@ func printStats(w io.Writer, st aggcavsat.Stats) {
 	fmt.Fprintf(tw, "SAT calls\t%d\t\n", st.SATCalls)
 	fmt.Fprintf(tw, "MaxSAT runs\t%d\t\n", st.MaxSATRuns)
 	fmt.Fprintf(tw, "consistent-part skips\t%d\t\n", st.ConsistentPartSkips)
+	fmt.Fprintf(tw, "closed-form components\t%d\t\n", st.ClosedFormComponents)
 	fmt.Fprintf(tw, "folded assignments\t%d\t\n", st.FoldedAssignments)
 	fmt.Fprintf(tw, "largest CNF\t%d vars / %d clauses\t\n", st.MaxVars, st.MaxClauses)
 	fmt.Fprintf(tw, "alloc (witness/encode/solve)\t%s / %s / %s\t\n",

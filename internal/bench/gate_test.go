@@ -347,6 +347,19 @@ func checkDiffCases(t *testing.T, cases []diffCase) {
 // bigLeg is the sf=0.01 leg, whose heap clears the guard's byte floor.
 func bigLeg(g *gateGolden) *gateLeg { return &g.Legs[len(g.Legs)-1] }
 
+// solvedQuery returns the leg's first query with a measured solve
+// phase (a zero golden value means "not measured" and never flags).
+func solvedQuery(t *testing.T, l *gateLeg) *gateQuery {
+	t.Helper()
+	for i := range l.Queries {
+		if l.Queries[i].SolveAllocBytes > 0 {
+			return &l.Queries[i]
+		}
+	}
+	t.Fatal("golden leg has no query with solve allocations")
+	return nil
+}
+
 // TestCompareRecordsAnswersAndTimeouts: answer drift with an unchanged
 // answer count, a counter change, and a timeout appearing or clearing
 // all fail the gate's exact match.
@@ -381,7 +394,7 @@ func TestCompareRecordsFlagsMemoryGrowth(t *testing.T) {
 		{"peak_live 2x", func(g *gateGolden) { bigLeg(g).PeakLive *= 2 }, true},
 		{"peak_heap 2x", func(g *gateGolden) { bigLeg(g).PeakHeap *= 2 }, true},
 		{"instance_bytes 2x", func(g *gateGolden) { bigLeg(g).InstanceBytes *= 2 }, true},
-		{"alloc growth", func(g *gateGolden) { bigLeg(g).Queries[0].SolveAllocBytes += 64 << 20 }, true},
+		{"alloc growth", func(g *gateGolden) { solvedQuery(t, bigLeg(g)).SolveAllocBytes += 64 << 20 }, true},
 	})
 }
 

@@ -1044,8 +1044,12 @@ func (x *executor) aggregate(g db.Tuple, rootGroups []rootGroup,
 					maxC = cMax
 				}
 			}
-			glb += minC
-			lub += maxC
+			var okG, okL bool
+			glb, okG = cq.AddInt64(glb, minC)
+			lub, okL = cq.AddInt64(lub, maxC)
+			if !okG || !okL {
+				return nil, fmt.Errorf("conquer: %s: %w", op, cq.ErrOverflow)
+			}
 		}
 		return &GroupRange{Key: g, GLB: db.Int(glb), LUB: db.Int(lub), FromConsistentPart: fromCP}, nil
 	case cq.Min, cq.Max:

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"aggcavsat/internal/db"
 )
 
@@ -24,76 +26,68 @@ type componentSplit struct {
 // witness fact sets. The ctx closure expansion (key-equal siblings or
 // violation neighbours) is applied transitively.
 func splitComponents(ctx *constraintContext, witnessFacts [][]db.FactID) *componentSplit {
-	// Union-find over facts, seeded by witness co-occurrence.
-	parent := map[db.FactID]db.FactID{}
-	var find func(db.FactID) db.FactID
-	find = func(x db.FactID) db.FactID {
-		p, ok := parent[x]
-		if !ok {
-			parent[x] = x
-			return x
-		}
-		if p == x {
-			return x
-		}
-		r := find(p)
-		parent[x] = r
-		return r
+	var seed []db.FactID
+	for _, fs := range witnessFacts {
+		seed = append(seed, fs...)
 	}
-	union := func(a, b db.FactID) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
+	facts := ctx.closure(seed)
+
+	// Union-find over the closure facts' positions, seeded by witness
+	// co-occurrence and linked through key-equal groups / violations.
+	pos := func(f db.FactID) int32 {
+		i, _ := slices.BinarySearch(facts, f)
+		return int32(i)
+	}
+	parent := make([]int32, len(facts))
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	union := func(a, b int32) {
+		if ra, rb := find(a), find(b); ra != rb {
 			parent[ra] = rb
 		}
 	}
-
-	// Closure per seed fact: expand to key-equal siblings / violation
-	// neighbours, unioning as we go. closure() already handles the
-	// transitive expansion; union everything it returns.
-	seed := map[db.FactID]bool{}
 	for _, fs := range witnessFacts {
-		for _, f := range fs {
-			seed[f] = true
-		}
 		for i := 1; i < len(fs); i++ {
-			union(fs[0], fs[i])
+			union(pos(fs[0]), pos(fs[i]))
 		}
 	}
-	closureFacts := ctx.closure(seed)
-	// Link each closure fact to its group/violation neighbours.
-	for _, f := range closureFacts {
+	for i, f := range facts {
 		switch ctx.mode {
 		case KeysMode:
-			members := ctx.groups[ctx.groupOf[f]].Facts
-			for _, m := range members {
-				union(f, m)
-			}
+			union(int32(i), pos(ctx.groups[ctx.groupOf[f]].Facts[0]))
 		case DCMode:
 			for _, g := range ctx.adj[f] {
-				union(f, g)
+				union(int32(i), pos(g))
 			}
 		}
 	}
 
-	// Collect components.
-	compIndex := map[db.FactID]int{}
+	// Collect components in closure order.
+	compOf := make([]int32, len(facts)) // root position → component + 1
 	split := &componentSplit{}
-	for _, f := range closureFacts {
-		root := find(f)
-		ci, ok := compIndex[root]
-		if !ok {
-			ci = len(split.facts)
-			compIndex[root] = ci
+	for i, f := range facts {
+		root := find(int32(i))
+		if compOf[root] == 0 {
 			split.facts = append(split.facts, nil)
 			split.groups = append(split.groups, nil)
+			compOf[root] = int32(len(split.facts))
 		}
+		ci := compOf[root] - 1
 		split.facts[ci] = append(split.facts[ci], f)
 	}
 	for wi, fs := range witnessFacts {
 		if len(fs) == 0 {
 			continue
 		}
-		ci := compIndex[find(fs[0])]
+		ci := compOf[find(pos(fs[0]))] - 1
 		split.groups[ci] = append(split.groups[ci], wi)
 	}
 	return split

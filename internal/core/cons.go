@@ -83,7 +83,7 @@ func (e *Engine) consistentGroups(ctx context.Context, groups []cq.WitnessGroup,
 	// Deduplicate witness fact sets per group and apply the safe-witness
 	// shortcut.
 	var todo []consCandidate
-	seed := map[db.FactID]bool{}
+	var seed []db.FactID
 	for i, g := range groups {
 		safe := g.Fold.Rows > 0
 		var sets [][]db.FactID
@@ -103,9 +103,7 @@ func (e *Engine) consistentGroups(ctx context.Context, groups []cq.WitnessGroup,
 		}
 		todo = append(todo, consCandidate{index: i, factSets: sets})
 		for _, fs := range sets {
-			for _, f := range fs {
-				seed[f] = true
-			}
+			seed = append(seed, fs...)
 		}
 	}
 	if len(todo) == 0 {

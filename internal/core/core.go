@@ -195,11 +195,15 @@ type Stats struct {
 
 	SATCalls            int64 // SAT solver invocations (across MaxSAT runs)
 	MaxSATRuns          int   // number of MaxSAT instances solved
-	Vars                int   // total variables across constructed formulas
-	Clauses             int   // total clauses across constructed formulas
+	Vars                int   // total variables across the reductions' formulas
+	Clauses             int   // total clauses across the reductions' formulas
 	MaxVars             int   // largest single formula
 	MaxClauses          int
 	ConsistentPartSkips int // groups answered without any SAT instance
+	// ClosedFormComponents counts the keys-mode COUNT/SUM components
+	// answered in closed form, with no formula built or solved; their
+	// counted Reduction IV.1 sizes are in Vars/Clauses all the same.
+	ClosedFormComponents int
 	// FoldedAssignments counts the witnessing assignments made only of
 	// safe facts that were folded into the consistent part's constant
 	// instead of materialized as witnesses.
@@ -231,6 +235,7 @@ func (s *Stats) Add(o Stats) {
 	s.MaxVars = max(s.MaxVars, o.MaxVars)
 	s.MaxClauses = max(s.MaxClauses, o.MaxClauses)
 	s.ConsistentPartSkips += o.ConsistentPartSkips
+	s.ClosedFormComponents += o.ClosedFormComponents
 	s.FoldedAssignments += o.FoldedAssignments
 	s.WitnessAllocBytes += o.WitnessAllocBytes
 	s.EncodeAllocBytes += o.EncodeAllocBytes
@@ -428,40 +433,39 @@ func (ctx *constraintContext) allSafe(facts []db.FactID) bool {
 	return true
 }
 
-// closure expands the seed facts to the set whose repair behaviour is
-// entangled with them: key-equal siblings (keys mode) or the connected
-// component under shared minimal violations (DC mode). The hard clauses
-// built over the closure induce exactly the repairs of the sub-instance,
-// which factor out of the rest of the database.
-func (ctx *constraintContext) closure(seed map[db.FactID]bool) []db.FactID {
-	var stack []db.FactID
-	inSet := map[db.FactID]bool{}
-	push := func(f db.FactID) {
-		if !inSet[f] {
+// closure expands the seed facts (repeats allowed) to the set whose
+// repair behaviour is entangled with them: key-equal siblings (keys
+// mode) or the connected component under shared minimal violations (DC
+// mode). The hard clauses built over the closure induce exactly the
+// repairs of the sub-instance, which factor out of the rest of the
+// database. The result is sorted.
+func (ctx *constraintContext) closure(seed []db.FactID) []db.FactID {
+	var out []db.FactID
+	switch ctx.mode {
+	case KeysMode:
+		// Key-equal groups are disjoint and closed under the expansion:
+		// the closure is the union of the seeds' distinct groups.
+		gis := make([]int, len(seed))
+		for i, f := range seed {
+			gis[i] = ctx.groupOf[f]
+		}
+		slices.Sort(gis)
+		for _, gi := range slices.Compact(gis) {
+			out = append(out, ctx.groups[gi].Facts...)
+		}
+	case DCMode:
+		inSet := map[db.FactID]bool{}
+		stack := slices.Clone(seed)
+		for len(stack) > 0 {
+			f := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if inSet[f] {
+				continue
+			}
 			inSet[f] = true
-			stack = append(stack, f)
+			out = append(out, f)
+			stack = append(stack, ctx.adj[f]...)
 		}
-	}
-	for f := range seed {
-		push(f)
-	}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		switch ctx.mode {
-		case KeysMode:
-			for _, g := range ctx.groups[ctx.groupOf[f]].Facts {
-				push(g)
-			}
-		case DCMode:
-			for _, g := range ctx.adj[f] {
-				push(g)
-			}
-		}
-	}
-	out := make([]db.FactID, 0, len(inSet))
-	for f := range inSet {
-		out = append(out, f)
 	}
 	sortFactIDs(out)
 	return out

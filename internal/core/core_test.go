@@ -78,6 +78,25 @@ func paperSumQuery() cq.AggQuery {
 	}
 }
 
+// coupledSumQuery is Example IV.2: SUM(Acc.BAL) over Mary's accounts,
+// reached through her Cust facts. Every witness holds one of Mary's two
+// Cust facts and some hold one of account A3's two facts too, coupling
+// two violating key-equal groups: its one component is encoded and
+// solved, where paperSumQuery's (same range) is answered in closed form.
+func coupledSumQuery() cq.AggQuery {
+	return cq.AggQuery{
+		Op:     cq.Sum,
+		AggVar: "bal",
+		Underlying: cq.Single(cq.CQ{
+			Atoms: []cq.Atom{
+				{Rel: "Cust", Args: []cq.Term{cq.V("cid"), cq.C(db.Str("Mary")), cq.V("city")}},
+				{Rel: "CustAcc", Args: []cq.Term{cq.V("cid"), cq.V("accid")}},
+				{Rel: "Acc", Args: []cq.Term{cq.V("accid"), cq.V("t"), cq.V("ac"), cq.V("bal")}},
+			},
+		}),
+	}
+}
+
 func TestPaperRunningExampleSum(t *testing.T) {
 	// Section I: range consistent answer is [900, 2200].
 	e := mustEngine(t, bank())
@@ -92,8 +111,11 @@ func TestPaperRunningExampleSum(t *testing.T) {
 	if a.GLB.AsInt() != 900 || a.LUB.AsInt() != 2200 {
 		t.Fatalf("range = [%v, %v], want [900, 2200]", a.GLB, a.LUB)
 	}
-	if rep.Stats.MaxSATRuns != 2 {
-		t.Errorf("MaxSATRuns = %d, want 2 (glb + lub)", rep.Stats.MaxSATRuns)
+	// Each witness touches one violating key-equal group (A3's): the one
+	// component is answered in closed form, with no MaxSAT run.
+	if rep.Stats.MaxSATRuns != 0 || rep.Stats.ClosedFormComponents != 1 {
+		t.Errorf("MaxSATRuns = %d, ClosedFormComponents = %d, want 0 and 1",
+			rep.Stats.MaxSATRuns, rep.Stats.ClosedFormComponents)
 	}
 }
 
@@ -124,24 +146,19 @@ func TestPaperExampleIV2SumMary(t *testing.T) {
 	// SUM(Acc.BAL) over Mary's accounts: [900, 2200] (same interval as
 	// the running example — Mary is C2).
 	e := mustEngine(t, bank())
-	q := cq.AggQuery{
-		Op:     cq.Sum,
-		AggVar: "bal",
-		Underlying: cq.Single(cq.CQ{
-			Atoms: []cq.Atom{
-				{Rel: "Cust", Args: []cq.Term{cq.V("cid"), cq.C(db.Str("Mary")), cq.V("city")}},
-				{Rel: "CustAcc", Args: []cq.Term{cq.V("cid"), cq.V("accid")}},
-				{Rel: "Acc", Args: []cq.Term{cq.V("accid"), cq.V("t"), cq.V("ac"), cq.V("bal")}},
-			},
-		}),
-	}
-	rep, err := e.RangeAnswers(q)
+	rep, err := e.RangeAnswers(coupledSumQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := rep.Answers[0]
 	if a.GLB.AsInt() != 900 || a.LUB.AsInt() != 2200 {
 		t.Fatalf("range = [%v, %v], want [900, 2200]", a.GLB, a.LUB)
+	}
+	// Its witnesses couple Mary's key-equal group with A3's: one
+	// component, solved in both directions.
+	if rep.Stats.MaxSATRuns != 2 || rep.Stats.ClosedFormComponents != 0 {
+		t.Errorf("MaxSATRuns = %d, ClosedFormComponents = %d, want 2 (glb + lub) and 0",
+			rep.Stats.MaxSATRuns, rep.Stats.ClosedFormComponents)
 	}
 }
 
@@ -408,11 +425,26 @@ func TestDCModeRequiresConstraints(t *testing.T) {
 
 func TestStatsPopulated(t *testing.T) {
 	e := mustEngine(t, bank())
+	// The running example's one component is answered in closed form:
+	// no SAT call, and the size of the formula it did not build.
 	rep, err := e.RangeAnswers(paperSumQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := rep.Stats
+	if st.Vars != 4 || st.Clauses != 8 || st.MaxVars != 4 || st.MaxClauses != 8 {
+		t.Errorf("CNF stats = %d vars / %d clauses (max %d / %d), want 4 / 8 (4 / 8)",
+			st.Vars, st.Clauses, st.MaxVars, st.MaxClauses)
+	}
+	if st.SATCalls != 0 || st.ClosedFormComponents != 1 {
+		t.Errorf("SATCalls = %d, ClosedFormComponents = %d, want 0 and 1", st.SATCalls, st.ClosedFormComponents)
+	}
+	// Example IV.2 couples two violating groups and is solved.
+	rep, err = e.RangeAnswers(coupledSumQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st = rep.Stats
 	if st.Vars == 0 || st.Clauses == 0 {
 		t.Errorf("CNF stats empty: %+v", st)
 	}

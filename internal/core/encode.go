@@ -121,6 +121,25 @@ func (enc *encoder) encodeDCs(ctx *constraintContext, facts []db.FactID) {
 	}
 }
 
+// addWitnesses adds the soft clauses of steps 2a/2b for the witnesses
+// idx of ws: β_j = (⋁ ¬x_i, w_j) for a positive value, falsified iff
+// the witness is present; for a negative value β_j = (y_j, w_j) with
+// y_j ↔ witness present, falsified iff the witness is absent.
+func (enc *encoder) addWitnesses(ws []weightedWitness, idx []int) {
+	for _, wi := range idx {
+		w := ws[wi]
+		if w.negative {
+			enc.formula.AddSoft(w.weight, enc.presentLit(w.facts))
+			continue
+		}
+		lits := make([]cnf.Lit, len(w.facts))
+		for i, f := range w.facts {
+			lits[i] = enc.lit(f).Neg()
+		}
+		enc.formula.AddSoft(w.weight, lits...)
+	}
+}
+
 // brokenLit returns a literal that is true iff the witness is broken
 // (some fact absent), adding defining clauses when needed. Singleton
 // witnesses reuse the fact variable (Example IV.3's optimization).

@@ -46,6 +46,11 @@ type ComponentExplain struct {
 	// here; meaningless for the external solver, which shares no base).
 	BaseHit  bool  `json:"base_hit"`
 	EncodeNS int64 `json:"encode_ns"`
+	// ClosedForm reports a keys-mode COUNT/SUM component answered in
+	// closed form: Vars/Clauses are the counted size of a formula that
+	// was never built, BaseHit and EncodeNS are unset, and its one
+	// direction is "closed-form" with no SAT call.
+	ClosedForm bool `json:"closed_form,omitempty"`
 
 	Directions []DirectionExplain `json:"directions,omitempty"`
 }
@@ -105,10 +110,12 @@ type Explain struct {
 	FastPathRels     int  `json:"fastpath_rels"`
 	GenericDCs       int  `json:"generic_dcs"`
 	// BaseHits/BaseMisses count Engine.bases outcomes across the call's
-	// components; ConsistentSkips counts groups answered without SAT.
-	BaseHits        int64 `json:"base_hits"`
-	BaseMisses      int64 `json:"base_misses"`
-	ConsistentSkips int   `json:"consistent_skips"`
+	// components; ConsistentSkips counts groups answered without SAT;
+	// ClosedFormComponents counts the components answered in closed form.
+	BaseHits             int64 `json:"base_hits"`
+	BaseMisses           int64 `json:"base_misses"`
+	ConsistentSkips      int   `json:"consistent_skips"`
+	ClosedFormComponents int   `json:"closed_form_components"`
 
 	Components []ComponentExplain `json:"components"`
 
@@ -132,12 +139,13 @@ func (e *Engine) buildExplain(ctx context.Context, rc *recorder, op string, st S
 		RouteReason: rc.routeReason,
 		PlanCached:  rc.planCached,
 
-		ConstraintCached: rc.constraintCached(),
-		BaseHits:         rc.baseHits,
-		BaseMisses:       rc.baseMisses,
-		ConsistentSkips:  st.ConsistentPartSkips,
-		Components:       make([]ComponentExplain, len(rc.comps)),
-		Stats:            st,
+		ConstraintCached:     rc.constraintCached(),
+		BaseHits:             rc.baseHits,
+		BaseMisses:           rc.baseMisses,
+		ConsistentSkips:      st.ConsistentPartSkips,
+		ClosedFormComponents: st.ClosedFormComponents,
+		Components:           make([]ComponentExplain, len(rc.comps)),
+		Stats:                st,
 	}
 	if rc.cc != nil {
 		ex.FastPathRels, ex.GenericDCs = rc.cc.fastRels, rc.cc.genericDCs
@@ -189,6 +197,9 @@ func (ex *Explain) WriteTable(w io.Writer) error {
 	if ex.ConsistentSkips > 0 {
 		fmt.Fprintf(tw, "consistent-part skips\t%d\n", ex.ConsistentSkips)
 	}
+	if ex.ClosedFormComponents > 0 {
+		fmt.Fprintf(tw, "closed-form components\t%d\n", ex.ClosedFormComponents)
+	}
 	if ex.Stats.FoldedAssignments > 0 {
 		fmt.Fprintf(tw, "folded assignments\t%d\n", ex.Stats.FoldedAssignments)
 	}
@@ -209,9 +220,9 @@ func (ex *Explain) WriteTable(w io.Writer) error {
 	if len(ex.Components) > 0 {
 		fmt.Fprintf(tw, "component\tfacts\tunits\tvars\tclauses\tbase\tpass\talg\tsat\tconfl\tsolve\n")
 		for _, ce := range ex.Components {
-			base := "miss"
-			if ce.BaseHit {
-				base = "hit"
+			base := hitMiss(ce.BaseHit)
+			if ce.ClosedForm {
+				base = "-"
 			}
 			if len(ce.Directions) == 0 {
 				fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%s\t\t\t\t\t\n",

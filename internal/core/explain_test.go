@@ -13,13 +13,13 @@ import (
 // TestExplainReconcilesWithStats is the `-explain` vs `-stats` contract:
 // both views of a solve are projections of the one per-call record, so
 // the explain report's Stats must equal the Report's Stats field for
-// field.
+// field, for a solved component and for a closed-form one.
 func TestExplainReconcilesWithStats(t *testing.T) {
 	e, err := New(bank(), Options{Mode: KeysMode, Explain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.RangeAnswers(paperSumQuery())
+	rep, err := e.RangeAnswers(coupledSumQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +59,27 @@ func TestExplainReconcilesWithStats(t *testing.T) {
 	}
 	if satCalls == 0 || satCalls > rep.Stats.SATCalls {
 		t.Errorf("component sat calls = %d, report total = %d", satCalls, rep.Stats.SATCalls)
+	}
+
+	// The running example's component is answered in closed form: it is
+	// listed with its counted size and one closed-form pass, no SAT call.
+	rep, err = e.RangeAnswers(paperSumQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex = rep.Explain
+	if !reflect.DeepEqual(ex.Stats, rep.Stats) {
+		t.Errorf("closed form: explain stats diverge from report stats:\nexplain: %+v\nreport:  %+v", ex.Stats, rep.Stats)
+	}
+	want := []ComponentExplain{{Facts: 3, Witnesses: 2, Vars: 4, Clauses: 8, ClosedForm: true,
+		Directions: []DirectionExplain{{Direction: "closed-form", Algorithm: "none"}}}}
+	if !reflect.DeepEqual(ex.Components, want) {
+		t.Errorf("closed form: components = %+v, want %+v", ex.Components, want)
+	}
+	if ex.ClosedFormComponents != 1 || ex.BaseHits+ex.BaseMisses != 0 ||
+		ex.Stats.Vars != 4 || ex.Stats.Clauses != 8 || ex.Stats.SATCalls != 0 {
+		t.Errorf("closed form: %d closed-form components, %d base lookups, stats %+v",
+			ex.ClosedFormComponents, ex.BaseHits+ex.BaseMisses, ex.Stats)
 	}
 }
 
@@ -116,27 +137,35 @@ func TestExplainWriteTableAndJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.RangeAnswers(paperSumQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rep.Explain.WriteTable(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"mode", "keys", "base cache", "phase", "witness", "solve", "component", "glb", "lub"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table missing %q:\n%s", want, out)
+	for _, tc := range []struct {
+		q    cq.AggQuery
+		want []string
+	}{
+		{coupledSumQuery(), []string{"glb", "lub"}},
+		{paperSumQuery(), []string{"closed-form components", "closed-form"}},
+	} {
+		rep, err := e.RangeAnswers(tc.q)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	b, err := json.Marshal(rep.Explain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{`"mode":"keys"`, `"components"`, `"stats"`, `"base_hits"`, `"route"`} {
-		if !strings.Contains(string(b), key) {
-			t.Errorf("JSON missing %s:\n%s", key, b)
+		var buf bytes.Buffer
+		if err := rep.Explain.WriteTable(&buf); err != nil {
+			t.Fatal(err)
+		}
+		out := buf.String()
+		for _, want := range append([]string{"mode", "keys", "base cache", "phase", "witness", "solve", "component"}, tc.want...) {
+			if !strings.Contains(out, want) {
+				t.Errorf("table missing %q:\n%s", want, out)
+			}
+		}
+		b, err := json.Marshal(rep.Explain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{`"mode":"keys"`, `"components"`, `"stats"`, `"base_hits"`, `"route"`, `"closed_form_components"`} {
+			if !strings.Contains(string(b), key) {
+				t.Errorf("JSON missing %s:\n%s", key, b)
+			}
 		}
 	}
 }

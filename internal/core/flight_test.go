@@ -60,7 +60,9 @@ func TestFlightBundleOnSlowQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.RangeAnswers(paperSumQuery())
+	// Example IV.2's component couples two violating groups, so MaxSAT
+	// runs and reports progress.
+	rep, err := e.RangeAnswers(coupledSumQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,6 +119,37 @@ func TestFlightBundleOnSlowQuery(t *testing.T) {
 	}
 	if b.Resources.HeapBytes <= 0 {
 		t.Error("bundle resource delta shows no live heap")
+	}
+
+	// The running example is answered in closed form: its bundle holds
+	// one closed_form cnf event for its one component and no progress.
+	rep, err = e.RangeAnswers(paperSumQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Answers) != 1 {
+		t.Fatalf("answers = %+v", rep.Answers)
+	}
+	bundles = capt.all()
+	if len(bundles) != 2 {
+		t.Fatalf("OnAnomaly fired %d times, want 2", len(bundles))
+	}
+	kinds = map[string]int{}
+	var closedForm *obsv.BundleEvent
+	for i, ev := range bundles[1].Events {
+		kinds[ev.Kind]++
+		if ev.Kind == "cnf" && ev.Name == "closed_form" {
+			closedForm = &bundles[1].Events[i]
+		}
+	}
+	if kinds["progress"] != 0 || kinds["cnf"] != 1 || closedForm == nil {
+		t.Fatalf("closed-form bundle kinds = %v, closed_form event %v; want 1 cnf (closed_form), 0 progress", kinds, closedForm)
+	}
+	if got := closedForm.Attrs["components"].(int64); got != 1 {
+		t.Errorf("closed_form components = %d, want 1", got)
+	}
+	if b := bundles[1].Journal; b.SATCalls != 0 || b.ClosedForm != 1 {
+		t.Errorf("closed-form bundle: sat_calls %d, closed_form_components %d, want 0 and 1", b.SATCalls, b.ClosedForm)
 	}
 }
 

@@ -80,6 +80,7 @@ func (e *Engine) journalEntry(ctx context.Context, rc *recorder, st Stats, answe
 		MaxVars:         st.MaxVars,
 		MaxClauses:      st.MaxClauses,
 		ConsistentSkips: st.ConsistentPartSkips,
+		ClosedForm:      st.ClosedFormComponents,
 
 		WitnessAllocBytes: st.WitnessAllocBytes,
 		EncodeAllocBytes:  st.EncodeAllocBytes,

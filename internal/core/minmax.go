@@ -72,12 +72,10 @@ func (e *Engine) minMaxFromBag(ctx context.Context, op cq.AggOp, bag []cq.Witnes
 
 	// Hard clauses over the closure of every witness fact (safe facts
 	// become forced-in units, so no folding is needed here).
-	seed := map[db.FactID]bool{}
+	var seed []db.FactID
 	for _, g := range values {
 		for _, fs := range g.factSets {
-			for _, f := range fs {
-				seed[f] = true
-			}
+			seed = append(seed, fs...)
 		}
 	}
 	closure := cc.closure(seed)

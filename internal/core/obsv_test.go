@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -25,47 +26,82 @@ func groupedSumQuery() cq.AggQuery {
 	}
 }
 
+// groupedCoupledSumQuery: SELECT Cust.CITY, SUM(Acc.BAL) over every
+// customer's accounts, GROUP BY Cust.CITY. Mary's (C2) Cust facts split
+// between LA and SF, and her account A3 has two facts: each group's
+// witnesses through C2 and A3 couple two violating key-equal groups, so
+// both consistent groups (LA [900, 3100], SF [300, 2500]) are solved.
+func groupedCoupledSumQuery() cq.AggQuery {
+	return cq.AggQuery{
+		Op:      cq.Sum,
+		AggVar:  "bal",
+		GroupBy: []string{"city"},
+		Underlying: cq.Single(cq.CQ{
+			Atoms: []cq.Atom{
+				{Rel: "Cust", Args: []cq.Term{cq.V("cid"), cq.V("n"), cq.V("city")}},
+				{Rel: "CustAcc", Args: []cq.Term{cq.V("cid"), cq.V("accid")}},
+				{Rel: "Acc", Args: []cq.Term{cq.V("accid"), cq.V("t"), cq.V("ac"), cq.V("bal")}},
+			},
+		}),
+	}
+}
+
 func TestGroupedSumTraceBalanced(t *testing.T) {
-	e := mustEngine(t, bank())
-	tr := obsv.NewTracer()
-	ctx := obsv.WithTracer(context.Background(), tr)
-	rep, err := e.RangeAnswersContext(ctx, groupedSumQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Answers) == 0 {
-		t.Fatal("no answers")
-	}
-	if open := tr.Open(); open != 0 {
-		t.Fatalf("unbalanced trace: %d spans still open", open)
-	}
-	spans := tr.Spans()
-	byName := map[string][]*obsv.Span{}
-	for _, sp := range spans {
-		if sp.Duration() < 0 {
-			t.Fatalf("span %q has negative duration", sp.Name)
-		}
-		byName[sp.Name] = append(byName[sp.Name], sp)
-	}
-	for _, want := range []string{
-		"query.range_answers", "cq.witness", "core.constraints",
-		"core.consistent_groups", "core.group", "core.encode",
-		"maxsat.solve", "sat.solve",
+	shared := []string{"query.range_answers", "cq.witness", "core.constraints",
+		"core.consistent_groups", "core.group"}
+	solver := []string{"core.encode", "maxsat.solve", "sat.solve"}
+	for _, tc := range []struct {
+		name string
+		q    cq.AggQuery
+		// solved: the solver spans appear (else there is none: every
+		// component is answered in closed form).
+		solved bool
+	}{
+		{"closed-form", groupedSumQuery(), false},
+		{"coupled", groupedCoupledSumQuery(), true},
 	} {
-		if len(byName[want]) == 0 {
-			t.Errorf("no %q span recorded", want)
+		e := mustEngine(t, bank())
+		tr := obsv.NewTracer()
+		ctx := obsv.WithTracer(context.Background(), tr)
+		rep, err := e.RangeAnswersContext(ctx, tc.q)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Nesting by time containment: every other span lies inside the
-	// root "query.range_answers" span.
-	root := byName["query.range_answers"][0]
-	rootEnd := root.Start.Add(root.Duration())
-	for _, sp := range spans {
-		if sp == root {
-			continue
+		if len(rep.Answers) == 0 {
+			t.Fatalf("%s: no answers", tc.name)
 		}
-		if sp.Start.Before(root.Start) || sp.Start.Add(sp.Duration()).After(rootEnd) {
-			t.Errorf("span %q not contained in the root span", sp.Name)
+		if open := tr.Open(); open != 0 {
+			t.Fatalf("%s: unbalanced trace: %d spans still open", tc.name, open)
+		}
+		spans := tr.Spans()
+		byName := map[string][]*obsv.Span{}
+		for _, sp := range spans {
+			if sp.Duration() < 0 {
+				t.Fatalf("%s: span %q has negative duration", tc.name, sp.Name)
+			}
+			byName[sp.Name] = append(byName[sp.Name], sp)
+		}
+		for _, want := range shared {
+			if len(byName[want]) == 0 {
+				t.Errorf("%s: no %q span recorded", tc.name, want)
+			}
+		}
+		for _, name := range solver {
+			if got := len(byName[name]) > 0; got != tc.solved {
+				t.Errorf("%s: %d %q spans, want solver spans = %v", tc.name, len(byName[name]), name, tc.solved)
+			}
+		}
+		// Nesting by time containment: every other span lies inside the
+		// root "query.range_answers" span.
+		root := byName["query.range_answers"][0]
+		rootEnd := root.Start.Add(root.Duration())
+		for _, sp := range spans {
+			if sp == root {
+				continue
+			}
+			if sp.Start.Before(root.Start) || sp.Start.Add(sp.Duration()).After(rootEnd) {
+				t.Errorf("%s: span %q not contained in the root span", tc.name, sp.Name)
+			}
 		}
 	}
 }
@@ -78,9 +114,30 @@ func TestGroupedSumStatsMerged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Acc by city: SJ's one component (A3's group) is answered in
+	// closed form; SF is not a consistent answer.
 	rep, err := e.RangeAnswers(groupedSumQuery())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st := rep.Stats; st.MaxSATRuns != 0 || st.ClosedFormComponents != 1 || st.ConsistentPartSkips != 3 {
+		t.Errorf("closed form: MaxSATRuns %d, ClosedFormComponents %d, ConsistentPartSkips %d; want 0, 1, 3",
+			st.MaxSATRuns, st.ClosedFormComponents, st.ConsistentPartSkips)
+	}
+	closedForm := rep.Stats
+	// Both groups of the coupled query solve one component each.
+	rep, err = e.RangeAnswers(groupedCoupledSumQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"[LA]=[900,3100]", "[SF]=[300,2500]"}
+	if len(rep.Answers) != len(want) {
+		t.Fatalf("answers = %+v, want %v", rep.Answers, want)
+	}
+	for i, a := range rep.Answers {
+		if got := fmt.Sprintf("%v=[%v,%v]", a.Key, a.GLB, a.LUB); got != want[i] {
+			t.Errorf("answer %d = %s, want %s", i, got, want[i])
+		}
 	}
 	st := rep.Stats
 	if st.EncodeTime <= 0 {
@@ -95,20 +152,24 @@ func TestGroupedSumStatsMerged(t *testing.T) {
 	if st.SATCalls == 0 {
 		t.Error("SATCalls = 0, want > 0 (group filtering + MaxSAT)")
 	}
-	if st.MaxSATRuns < 2 {
-		t.Errorf("MaxSATRuns = %d, want >= 2 (glb+lub of an uncertain group)", st.MaxSATRuns)
+	if st.MaxSATRuns != 4 || st.ClosedFormComponents != 0 {
+		t.Errorf("MaxSATRuns = %d, ClosedFormComponents = %d, want 4 (glb+lub of two uncertain groups) and 0",
+			st.MaxSATRuns, st.ClosedFormComponents)
 	}
-	// The typed record is the source of truth: the journal line is
-	// projected from the same Stats, and counts the grouped path's
+	// The typed record is the source of truth: the journal lines are
+	// projected from the same Stats, and count the grouped path's
 	// groups.
 	j.Close()
 	lines, err := obsv.ReadJournal(&buf)
-	if err != nil || len(lines) != 1 {
+	if err != nil || len(lines) != 2 {
 		t.Fatalf("journal: %d lines, err %v", len(lines), err)
 	}
-	checkLineStats(t, "grouped sum", lines[0], st)
-	if lines[0].Groups == 0 {
-		t.Error("groups not recorded")
+	checkLineStats(t, "grouped sum", lines[0], closedForm)
+	checkLineStats(t, "grouped coupled sum", lines[1], st)
+	for _, l := range lines {
+		if l.Groups == 0 {
+			t.Error("groups not recorded")
+		}
 	}
 }
 

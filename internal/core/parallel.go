@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"aggcavsat/internal/cq"
 	"aggcavsat/internal/maxsat"
 	"aggcavsat/internal/workpool"
 )
@@ -20,6 +21,12 @@ var ErrTimeout = errors.New("core: solve cancelled or timed out")
 // Options.MaxSAT.ConflictBudget, or the MaxHS hitting-set node budget)
 // was exhausted before the solve finished. Match with errors.Is.
 var ErrBudget = errors.New("core: solver budget exhausted")
+
+// ErrOverflow is returned when a SUM (or a weight, offset or bound of
+// its reduction) leaves the int64 range. Match with errors.Is; it is
+// the same sentinel as cq.ErrOverflow, which the rewriting route
+// returns.
+var ErrOverflow = cq.ErrOverflow
 
 // stopCause classifies an aborted SAT call or an abandoned work loop:
 // a dead context means cancellation (ErrTimeout); otherwise the solver

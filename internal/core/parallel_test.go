@@ -177,7 +177,9 @@ func TestTimeoutOptionReturnsErrTimeout(t *testing.T) {
 // remaining group is then refused by the pool's context check, so the
 // call must surface ErrTimeout rather than a partial report.
 func TestCancelMidQuery(t *testing.T) {
-	in := keyConflictInstance(t)
+	// Example IV.2's component couples two violating groups, so a MaxSAT
+	// search runs and its progress callback can cancel it.
+	in := bank()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	eng, err := New(in, Options{
@@ -191,7 +193,7 @@ func TestCancelMidQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = eng.RangeAnswersContext(ctx, singleRelQuery(cq.Sum, true))
+	_, err = eng.RangeAnswersContext(ctx, coupledSumQuery())
 	if err == nil {
 		t.Fatal("mid-solve cancellation should error")
 	}

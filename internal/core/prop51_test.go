@@ -66,9 +66,9 @@ func checkBijectionEngine(t *testing.T, label string, eng *Engine,
 	ctx := eng.context()
 
 	// Encode every fact.
-	seed := map[db.FactID]bool{}
+	var seed []db.FactID
 	for f := 0; f < in.NumFacts(); f++ {
-		seed[db.FactID(f)] = true
+		seed = append(seed, db.FactID(f))
 	}
 	facts := ctx.closure(seed)
 	enc := newEncoder(ctx, facts)

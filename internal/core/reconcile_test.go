@@ -37,6 +37,7 @@ func checkLineStats(t *testing.T, label string, line obsv.JournalEntry, st Stats
 		{"cnf_vars_max", float64(line.MaxVars), float64(st.MaxVars)},
 		{"cnf_clauses_max", float64(line.MaxClauses), float64(st.MaxClauses)},
 		{"consistent_skips", float64(line.ConsistentSkips), float64(st.ConsistentPartSkips)},
+		{"closed_form_components", float64(line.ClosedForm), float64(st.ClosedFormComponents)},
 		{"folded_assignments", float64(line.Folded), float64(st.FoldedAssignments)},
 		{"witness_alloc_bytes", float64(line.WitnessAllocBytes), float64(st.WitnessAllocBytes)},
 		{"encode_alloc_bytes", float64(line.EncodeAllocBytes), float64(st.EncodeAllocBytes)},
@@ -56,24 +57,25 @@ func registryStats(reg *obsv.Registry) Stats {
 	c := func(name string) int64 { return reg.Counter(name).Value() }
 	g := func(name string) int64 { return reg.Gauge(name).Value() }
 	return Stats{
-		WitnessTime:         time.Duration(c(obsv.MetricWitnessNS)),
-		ConstraintTime:      time.Duration(g(obsv.MetricConstraintNS)),
-		EncodeTime:          time.Duration(c(obsv.MetricEncodeNS)),
-		SolveTime:           time.Duration(c(obsv.MetricSolveNS)),
-		RewriteTime:         time.Duration(c(obsv.MetricRewriteNS)),
-		SATCalls:            c(obsv.MetricSATCalls),
-		MaxSATRuns:          int(c(obsv.MetricMaxSATRuns)),
-		Vars:                int(c(obsv.MetricCNFVars)),
-		Clauses:             int(c(obsv.MetricCNFClauses)),
-		MaxVars:             int(g(obsv.MetricCNFVarsMax)),
-		MaxClauses:          int(g(obsv.MetricCNFClausesMax)),
-		ConsistentPartSkips: int(c(obsv.MetricConsistentSkips)),
-		FoldedAssignments:   c(obsv.MetricFolded),
-		WitnessAllocBytes:   c(obsv.MetricPhaseAllocPrefix + "witness"),
-		EncodeAllocBytes:    c(obsv.MetricPhaseAllocPrefix + "encode"),
-		SolveAllocBytes:     c(obsv.MetricPhaseAllocPrefix + "solve"),
-		HeapBytes:           g(obsv.MetricHeapBytes),
-		GCCycles:            c(obsv.MetricGCCycles),
+		WitnessTime:          time.Duration(c(obsv.MetricWitnessNS)),
+		ConstraintTime:       time.Duration(g(obsv.MetricConstraintNS)),
+		EncodeTime:           time.Duration(c(obsv.MetricEncodeNS)),
+		SolveTime:            time.Duration(c(obsv.MetricSolveNS)),
+		RewriteTime:          time.Duration(c(obsv.MetricRewriteNS)),
+		SATCalls:             c(obsv.MetricSATCalls),
+		MaxSATRuns:           int(c(obsv.MetricMaxSATRuns)),
+		Vars:                 int(c(obsv.MetricCNFVars)),
+		Clauses:              int(c(obsv.MetricCNFClauses)),
+		MaxVars:              int(g(obsv.MetricCNFVarsMax)),
+		MaxClauses:           int(g(obsv.MetricCNFClausesMax)),
+		ConsistentPartSkips:  int(c(obsv.MetricConsistentSkips)),
+		ClosedFormComponents: int(c(obsv.MetricClosedForm)),
+		FoldedAssignments:    c(obsv.MetricFolded),
+		WitnessAllocBytes:    c(obsv.MetricPhaseAllocPrefix + "witness"),
+		EncodeAllocBytes:     c(obsv.MetricPhaseAllocPrefix + "encode"),
+		SolveAllocBytes:      c(obsv.MetricPhaseAllocPrefix + "solve"),
+		HeapBytes:            g(obsv.MetricHeapBytes),
+		GCCycles:             c(obsv.MetricGCCycles),
 	}
 }
 
@@ -112,7 +114,8 @@ func metricNames(reg *obsv.Registry) string {
 // that Report.Stats, Explain.Stats, the journal line, the session
 // registry and the flight bundle all carry the same figures (the
 // folded-assignment count included, nonzero on the folding calls), and
-// that every exit path publishes the same metric names.
+// that every exit path publishes the same metric names. The keys-mode
+// SAT cases cover a call answered in closed form and one solved.
 func TestOneRecordReconciles(t *testing.T) {
 	r := rng(77)
 	rnd := randomInstance(&r)
@@ -136,8 +139,12 @@ func TestOneRecordReconciles(t *testing.T) {
 		route   string
 		anomaly string
 		folds   bool // the call folds some all-safe assignment
+		// closedForm is the call's exact count of components answered
+		// in closed form.
+		closedForm int
 	}{
-		{name: "keys/sat", in: bank(), q: groupedSumQuery(), route: "sat", anomaly: "slow", folds: true},
+		{name: "keys/sat", in: bank(), q: groupedSumQuery(), route: "sat", anomaly: "slow", folds: true, closedForm: 1},
+		{name: "keys/sat-coupled", in: bank(), q: groupedCoupledSumQuery(), route: "sat", anomaly: "slow", folds: true},
 		{name: "keys/rewrite", in: rnd, opts: Options{Planner: planner.ModeAuto},
 			q: joinQuery(cq.CountStar, true), route: "rewrite", anomaly: "slow"},
 		{name: "dc/sat", in: rnd, opts: Options{Mode: DCMode, DCs: dcs, Planner: planner.ModeAuto},
@@ -196,6 +203,9 @@ func TestOneRecordReconciles(t *testing.T) {
 			}
 			if (st.FoldedAssignments > 0) != tc.folds {
 				t.Errorf("folded assignments = %d, want folding %v", st.FoldedAssignments, tc.folds)
+			}
+			if st.ClosedFormComponents != tc.closedForm {
+				t.Errorf("closed-form components = %d, want %d", st.ClosedFormComponents, tc.closedForm)
 			}
 
 			if got := registryStats(reg); got != st {

@@ -193,6 +193,7 @@ func (e *Engine) publish(ctx context.Context, rc *recorder, st Stats, anomaly st
 		{obsv.MetricCNFVars, int64(st.Vars)},
 		{obsv.MetricCNFClauses, int64(st.Clauses)},
 		{obsv.MetricConsistentSkips, int64(st.ConsistentPartSkips)},
+		{obsv.MetricClosedForm, int64(st.ClosedFormComponents)},
 		{obsv.MetricFolded, st.FoldedAssignments},
 		{obsv.MetricGCCycles, st.GCCycles},
 		{obsv.MetricWitnesses, rc.witnesses},
@@ -336,6 +337,60 @@ func (rc *recorder) absorbFormula(f *cnf.Formula) cnf.Stats {
 		obsv.Int64("vars", int64(st.Vars)),
 		obsv.Int64("clauses", int64(st.Clauses)))
 	return st
+}
+
+// closedFormTally accumulates the closed-form components of one solve
+// unit (closedFormer) — their count, their counted Reduction IV.1 sizes
+// and, under Options.Explain, their entries — so the record takes them
+// with one locked add instead of a phase sample per component.
+type closedFormTally struct {
+	n                                  int
+	vars, clauses, maxVars, maxClauses int
+	comps                              []*ComponentExplain
+}
+
+// add tallies one closed-form component: its formula size, closure
+// fact count and witness count.
+func (t *closedFormTally) add(size formulaSize, facts, units int, explain bool) {
+	t.n++
+	t.absorb(size)
+	if explain {
+		t.comps = append(t.comps, &ComponentExplain{Facts: facts, Witnesses: units,
+			Vars: size.vars, Clauses: size.clauses, ClosedForm: true,
+			Directions: []DirectionExplain{{Direction: "closed-form", Algorithm: "none"}}})
+	}
+}
+
+// absorb adds one counted formula to the CNF-size totals, as
+// absorbFormula does for a built one.
+func (t *closedFormTally) absorb(size formulaSize) {
+	t.vars += size.vars
+	t.clauses += size.clauses
+	t.maxVars = max(t.maxVars, size.vars)
+	t.maxClauses = max(t.maxClauses, size.clauses)
+}
+
+// closedForm records a solve unit's closed-form components.
+func (rc *recorder) closedForm(t *closedFormTally) {
+	if t.n == 0 {
+		return
+	}
+	rc.mu.Lock()
+	s := &rc.stats
+	s.ClosedFormComponents += t.n
+	s.Vars += t.vars
+	s.Clauses += t.clauses
+	s.MaxVars = max(s.MaxVars, t.maxVars)
+	s.MaxClauses = max(s.MaxClauses, t.maxClauses)
+	for _, ce := range t.comps {
+		ce.Index = len(rc.comps)
+		rc.comps = append(rc.comps, ce)
+	}
+	rc.mu.Unlock()
+	rc.flight.Record("cnf", "closed_form",
+		obsv.Int64("components", int64(t.n)),
+		obsv.Int64("vars", int64(t.vars)),
+		obsv.Int64("clauses", int64(t.clauses)))
 }
 
 // solved records one finished solver pass: its SAT calls and, for a

@@ -119,20 +119,20 @@ func prepareWitnesses(op cq.AggOp, bag []cq.Witness) ([]weightedWitness, error) 
 			if a == 0 {
 				continue
 			}
-			ww := weightedWitness{facts: w.Facts, weight: w.Mult * abs64(a), negative: a < 0}
-			out = append(out, ww)
+			mag := a
+			if a < 0 {
+				mag = -a // stays negative for MinInt64
+			}
+			weight, ok := cq.MulInt64(w.Mult, mag)
+			if !ok || weight < 0 {
+				return nil, errOverflow(op, "witness weight")
+			}
+			out = append(out, weightedWitness{facts: w.Facts, weight: weight, negative: a < 0})
 		default:
 			return nil, fmt.Errorf("core: prepareWitnesses on %s", op)
 		}
 	}
 	return out, nil
-}
-
-func abs64(x int64) int64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // foldedBase is the constant the group's folded (all-safe)
@@ -148,8 +148,17 @@ func foldedBase(op cq.AggOp, f cq.Fold) (int64, error) {
 		if !f.NonInt.IsNull() {
 			return 0, errNonIntSum(f.NonInt)
 		}
+		if f.Overflow {
+			return 0, errOverflow(op, "consistent part")
+		}
 		return f.Sum, nil
 	}
+}
+
+// errOverflow reports an int64 overflow in the named part of op's
+// range computation; it matches ErrOverflow.
+func errOverflow(op cq.AggOp, what string) error {
+	return fmt.Errorf("core: %s %s: %w", op, what, ErrOverflow)
 }
 
 func errNonIntSum(v db.Value) error {
@@ -160,6 +169,12 @@ func errNonIntSum(v db.Value) error {
 // Proposition IV.1 decoding for COUNT(*), COUNT(A) and SUM(A). The
 // group's consistent part arrives folded into g.Fold, a constant: every
 // materialized witness touches a conflicting fact.
+//
+// The instance splits into independent components. In keys mode a
+// component whose witnesses each touch at most one violating key-equal
+// group is answered in closed form (closedFormer), inline and with no
+// formula; only the components a witness couples across groups, and
+// every DC-mode component, are encoded and solved.
 func (e *Engine) sumCountFromGroup(ctx context.Context, op cq.AggOp, g cq.WitnessGroup, rc *recorder) (Range, error) {
 	cc := e.constraintCtx(ctx, rc)
 
@@ -171,6 +186,18 @@ func (e *Engine) sumCountFromGroup(ctx context.Context, op cq.AggOp, g cq.Witnes
 	if err != nil {
 		return Range{}, err
 	}
+	// Every falsified weight and offset below lies between 0 and the
+	// total soft weight, so once the total fits in an int64 they all do.
+	var total, negOffset int64
+	for _, w := range unsafe {
+		var ok bool
+		if total, ok = cq.AddInt64(total, w.weight); !ok {
+			return Range{}, errOverflow(op, "total soft weight")
+		}
+		if w.negative {
+			negOffset += w.weight
+		}
+	}
 
 	encodeMark := startPhase()
 	if len(unsafe) == 0 {
@@ -180,77 +207,64 @@ func (e *Engine) sumCountFromGroup(ctx context.Context, op cq.AggOp, g cq.Witnes
 	}
 
 	// The hard-clause graph decomposes into independent components
-	// (disjoint key-equal groups / violation clusters); encode and
-	// solve each separately and sum the falsified weights.
+	// (disjoint key-equal groups / violation clusters); answer each
+	// separately and sum the falsified weights.
 	witnessFacts := make([][]db.FactID, len(unsafe))
 	for i, w := range unsafe {
 		witnessFacts[i] = w.facts
 	}
 	split := splitComponents(cc, witnessFacts)
+	minFTotal, maxFTotal, solve := e.closedFormComponents(cc, split, unsafe, rc)
 	rc.endPhase(phaseEncode, encodeMark)
 
-	// Components are independent WPMaxSAT instances: encode and solve
-	// each on the worker pool, then sum the per-component results (the
-	// sum is order-independent, and the per-slot writes keep the
-	// accounting deterministic).
-	type compResult struct{ minF, maxF, negOffset int64 }
-	results := make([]compResult, len(split.groups))
-	err = forEach(ctx, e.parallelism(), len(split.groups), func(ctx context.Context, ci int) error {
-		encodeMark := startPhase()
-		_, esp := obsv.StartSpan(ctx, "core.encode")
-		var enc *encoder
-		var base *maxsat.HardBase
-		var baseHit bool
-		if e.incremental() {
-			enc, base, baseHit = e.componentBase(cc, split.facts[ci])
-		} else {
-			enc = newEncoder(cc, split.facts[ci])
-		}
-		var negOffset int64
-		// Soft clauses: step 2a/2b.
-		for _, wi := range split.groups[ci] {
-			w := unsafe[wi]
-			if !w.negative {
-				// β_j = (⋁ ¬x_i, w_j): falsified iff the witness is
-				// present.
-				lits := make([]cnf.Lit, len(w.facts))
-				for i, f := range w.facts {
-					lits[i] = enc.lit(f).Neg()
-				}
-				enc.formula.AddSoft(w.weight, lits...)
-				continue
-			}
-			// Negative value: β_j = (y_j, w_j) with y_j ↔ witness
-			// present; falsified iff the witness is absent.
-			y := enc.presentLit(w.facts)
-			enc.formula.AddSoft(w.weight, y)
-			negOffset += w.weight
-		}
-		ce := rc.component(encodeMark, esp, enc.formula, len(split.facts[ci]), len(split.groups[ci]), baseHit)
-
-		minF, maxF, err := e.solveBothDirections(ctx, enc.formula, base, rc, ce)
-		if err != nil {
-			return err
-		}
-		results[ci] = compResult{minF: minF, maxF: maxF, negOffset: negOffset}
-		return nil
+	// The remaining components are independent WPMaxSAT instances:
+	// encode and solve each on the worker pool, then sum the
+	// per-component results (the sum is order-independent, and the
+	// per-slot writes keep the accounting deterministic).
+	type compResult struct{ minF, maxF int64 }
+	results := make([]compResult, len(solve))
+	err = forEach(ctx, e.parallelism(), len(solve), func(ctx context.Context, si int) error {
+		ci := solve[si]
+		minF, maxF, err := e.solveComponent(ctx, cc, split.facts[ci], unsafe, split.groups[ci], rc)
+		results[si] = compResult{minF: minF, maxF: maxF}
+		return err
 	})
 	if err != nil {
 		return Range{}, err
 	}
-	var minFTotal, maxFTotal, negOffset int64
 	for _, r := range results {
 		minFTotal += r.minF
 		maxFTotal += r.maxF
-		negOffset += r.negOffset
 	}
 
 	// Proposition IV.1: falsified weight F = agg + negOffset, so
 	// glb = base + minF − negOffset and lub = base + maxF − negOffset.
-	return Range{
-		GLB: db.Int(base + minFTotal - negOffset),
-		LUB: db.Int(base + maxFTotal - negOffset),
-	}, nil
+	glb, okG := cq.AddInt64(base, minFTotal-negOffset)
+	lub, okL := cq.AddInt64(base, maxFTotal-negOffset)
+	if !okG || !okL {
+		return Range{}, errOverflow(op, "range")
+	}
+	return Range{GLB: db.Int(glb), LUB: db.Int(lub)}, nil
+}
+
+// solveComponent encodes one component of Reduction IV.1 — the hard
+// clauses over its closure facts and the soft clauses of the witnesses
+// idx of ws — and solves it in both directions, returning the minimum
+// and maximum falsified weight.
+func (e *Engine) solveComponent(ctx context.Context, cc *constraintContext, facts []db.FactID, ws []weightedWitness, idx []int, rc *recorder) (minF, maxF int64, err error) {
+	encodeMark := startPhase()
+	_, esp := obsv.StartSpan(ctx, "core.encode")
+	var enc *encoder
+	var base *maxsat.HardBase
+	var baseHit bool
+	if e.incremental() {
+		enc, base, baseHit = e.componentBase(cc, facts)
+	} else {
+		enc = newEncoder(cc, facts)
+	}
+	enc.addWitnesses(ws, idx)
+	ce := rc.component(encodeMark, esp, enc.formula, len(facts), len(idx), baseHit)
+	return e.solveBothDirections(ctx, enc.formula, base, rc, ce)
 }
 
 // distinctFromBag implements Algorithm 1 for COUNT(DISTINCT A) and

@@ -1,7 +1,9 @@
 package cq
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"aggcavsat/internal/db"
 )
@@ -44,6 +46,27 @@ func (op AggOp) String() string {
 	default:
 		return fmt.Sprintf("AggOp(%d)", int(op))
 	}
+}
+
+// ErrOverflow reports an integer aggregate (a SUM, or a weight or bound
+// derived from one) that leaves the int64 range. Match with errors.Is.
+var ErrOverflow = errors.New("integer aggregate overflows int64")
+
+// AddInt64 returns a+b and whether the sum fits in an int64.
+func AddInt64(a, b int64) (int64, bool) {
+	s := a + b
+	return s, (s > a) == (b > 0)
+}
+
+// MulInt64 returns a·b and whether the product fits in an int64.
+func MulInt64(a, b int64) (int64, bool) {
+	if a == 0 || b == 0 {
+		return 0, true
+	}
+	p := a * b
+	// MinInt64 / -1 wraps back to MinInt64, so that pair needs its own
+	// check.
+	return p, p/b == a && !(b == -1 && a == math.MinInt64)
 }
 
 // NeedsVar reports whether the operator aggregates a specific attribute.

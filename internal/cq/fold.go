@@ -20,6 +20,9 @@ type Fold struct {
 	Rows    int64 // folded assignments
 	NonNull int64 // … whose aggregated value is non-NULL
 	Sum     int64 // sum of the integer aggregated values
+	// Overflow reports that Sum left the int64 range; Sum is then
+	// meaningless.
+	Overflow bool
 	// NonInt is the first non-NULL, non-integer aggregated value in
 	// enumeration order, NULL when there is none.
 	NonInt db.Value
@@ -31,16 +34,24 @@ func (f *Fold) addValue(v db.Value) {
 	}
 	f.NonNull++
 	if v.Kind() == db.KindInt {
-		f.Sum += v.AsInt()
+		f.addSum(v.AsInt())
 	} else if f.NonInt.IsNull() {
 		f.NonInt = v
+	}
+}
+
+func (f *Fold) addSum(n int64) {
+	var ok bool
+	if f.Sum, ok = AddInt64(f.Sum, n); !ok {
+		f.Overflow = true
 	}
 }
 
 func (f *Fold) merge(o Fold) {
 	f.Rows += o.Rows
 	f.NonNull += o.NonNull
-	f.Sum += o.Sum
+	f.addSum(o.Sum)
+	f.Overflow = f.Overflow || o.Overflow
 	if f.NonInt.IsNull() {
 		f.NonInt = o.NonInt
 	}

@@ -24,6 +24,7 @@ const (
 	MetricCNFVarsMax      = "aggcavsat_cnf_vars_max"
 	MetricCNFClausesMax   = "aggcavsat_cnf_clauses_max"
 	MetricConsistentSkips = "aggcavsat_consistent_part_skips_total"
+	MetricClosedForm      = "aggcavsat_closed_form_components_total"
 	MetricWitnesses       = "aggcavsat_witnesses_total" // materialized witnesses
 	MetricFolded          = "aggcavsat_folded_assignments_total"
 	MetricGroups          = "aggcavsat_groups_total"
