@@ -38,8 +38,10 @@ race:
 
 # Micro-benchmarks: the clone-vs-rebuild and shared-base suites in
 # sat/maxsat/core (incremental solving), core's closed-form vs
-# encode + MaxHS component solve (BenchmarkComponentSolve), the compiled evaluation and
-# key-fast-path-vs-generic constraint suites in cq/constraints, the
+# encode + MaxHS component solve (BenchmarkComponentSolve), the compiled evaluation
+# (BenchmarkEvalWideJoin: a join into a 14-column relation that reads
+# two columns) and key-fast-path-vs-generic constraint suites in
+# cq/constraints, the
 # memoized-vs-fresh rewriting index suite in conquer (the planner fast
 # path), plus the end-to-end harness benchmarks. Pipe two runs through
 # benchstat to compare.
@@ -48,14 +50,17 @@ bench:
 
 # Fuzz smoke: a bounded run of the planner equivalence fuzzer
 # (planner-auto ≡ forced-SAT ≡ exhaustive repair enumeration on random
-# instances) and of the closed-form kernel fuzzer (closed form ≡
+# instances), of the closed-form kernel fuzzer (closed form ≡
 # encode + MaxHS ≡ exhaustive repair enumeration on random keys-mode
-# components). The seed corpora always run as part of `make test`;
-# this target additionally mutates each for FUZZTIME.
+# components) and of the evaluator fuzzer (compiled CQ evaluation ≡
+# brute-force reference, folded + materialized ≡ unfolded bag). The
+# seed corpora always run as part of `make test`; this target
+# additionally mutates each for FUZZTIME.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPlannerEquivalence -fuzztime=$(FUZZTIME) ./internal/planner/
 	$(GO) test -run='^$$' -fuzz=FuzzClosedForm -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzEvalAgainstNaive -fuzztime=$(FUZZTIME) ./internal/cq/
 
 # The benchmark harness is its own module (cavbench/go.mod), so the
 # root-module build and tests never compile it: vet and test it here so

@@ -40,8 +40,9 @@ func main() {
 	in.MustInsert("Emp", aggcavsat.Str("carol"), aggcavsat.Str("Sales"), aggcavsat.Int(100))
 
 	fmt.Println("The inconsistent instance (bob violates the key):")
-	for _, f := range in.Facts() {
-		fmt.Printf("  f%d: %v\n", f.ID+1, f.Tuple)
+	for id := 0; id < in.NumFacts(); id++ {
+		row := in.Row(db.FactID(id))
+		fmt.Printf("  f%d: [%v %v %v]\n", id+1, row.Value(0), row.Value(1), row.Value(2))
 	}
 
 	fmt.Println("\nIts repairs (maximal consistent subsets):")

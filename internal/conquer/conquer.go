@@ -547,6 +547,10 @@ type atomData struct {
 	idx    *relIndex     // child lookup by key-projection hash
 	groups [][]db.FactID // key-equal groups, enumeration order
 	keyPos []int
+	// keyConsts are the atom's keyConsts as cells of the instance;
+	// keyMiss reports a constant string no fact stores.
+	keyConsts []db.Cell
+	keyMiss   bool
 }
 
 // executor binds a Plan to one instance for a single Execute call.
@@ -569,7 +573,13 @@ func (p *Plan) Execute(ctx context.Context, in *db.Instance, ix *Indexes, parall
 	x := &executor{Plan: p, in: in, data: make([]atomData, len(p.atoms))}
 	for ai := range p.atoms {
 		rel := p.atoms[ai].rel
-		ad := atomData{keyPos: rel.Key}
+		ad := atomData{keyPos: rel.Key, keyConsts: make([]db.Cell, len(rel.Key))}
+		for i, pp := range p.atoms[ai].keyFromParent {
+			if pp < 0 {
+				c, ok := in.Dict().CellOf(p.atoms[ai].keyConsts[i])
+				ad.keyConsts[i], ad.keyMiss = c, ad.keyMiss || !ok
+			}
+		}
 		if ri := tables[rel.Canon()]; ri != nil {
 			ad.facts = ri.facts
 			ad.idx = ri
@@ -708,7 +718,7 @@ func (x *executor) bucketByGroupKey(ctx context.Context, rgs []rootGroup,
 	for i := range identity {
 		identity[i] = i
 	}
-	scratch := make(db.Tuple, x.maxKeyLen())
+	scratch := make([]db.Cell, x.maxKeyLen())
 
 	// reach(ai, f): the distinct group projections attainable by a
 	// witness whose subtree at atom ai goes through fact f; nil when no
@@ -858,7 +868,7 @@ func (x *executor) localPass(ai int, f db.FactID) bool {
 // before any parallel readers see it).
 func (x *executor) makeEval(g db.Tuple) func(ai int, f db.FactID) *factState {
 	states := make([]factState, x.in.NumFacts())
-	scratch := make(db.Tuple, x.maxKeyLen())
+	scratch := make([]db.Cell, x.maxKeyLen())
 	var evalFact func(ai int, f db.FactID) *factState
 	evalFact = func(ai int, f db.FactID) *factState {
 		st := &states[f]
@@ -915,34 +925,33 @@ func (x *executor) makeEval(g db.Tuple) func(ai int, f db.FactID) *factState {
 }
 
 // childMembers resolves the child key-equal group referenced by the
-// parent fact: join positions take the parent's values, constant key
-// positions take the constant. scratch must hold at least len(rel.Key)
-// slots; the layout (keyFromParent/keyConsts) is precompiled by
-// Analyze. The lookup is a HashProbeValue fold over the key values —
-// paired with the HashRowOn hashes the relIndex was built from, and
-// verified against the bucket's representative fact, so no key string
-// is ever materialized. A probe string absent from the instance
-// dictionary means no such group exists.
-func (x *executor) childMembers(ci int, parentFact db.FactID, scratch db.Tuple) []db.FactID {
+// parent fact: join positions take the parent's cells, constant key
+// positions take the constant's. scratch must hold at least
+// len(rel.Key) cells; the layout (keyFromParent/keyConsts) is
+// precompiled by Analyze and the constants encoded by Execute. The
+// lookup is a HashCell fold over the key cells — the hash the relIndex
+// was built with (HashRowOn) — verified against the bucket's
+// representative fact by cell equality, so no key value is ever
+// materialized. A constant string absent from the instance dictionary
+// means no such group exists.
+func (x *executor) childMembers(ci int, parentFact db.FactID, scratch []db.Cell) []db.FactID {
 	a := &x.atoms[ci]
 	ad := &x.data[ci]
-	if ad.idx == nil {
+	if ad.idx == nil || ad.keyMiss {
 		return nil
 	}
 	pt := x.in.Row(parentFact)
-	vals := scratch[:len(a.keyFromParent)]
-	h, ok := db.HashSeed, true
+	cells := scratch[:len(a.keyFromParent)]
+	h := db.HashSeed
 	for i, pp := range a.keyFromParent {
 		if pp >= 0 {
-			vals[i] = pt.Value(pp)
+			cells[i] = pt.Cell(pp)
 		} else {
-			vals[i] = a.keyConsts[i]
+			cells[i] = ad.keyConsts[i]
 		}
-		if h, ok = x.in.HashProbeValue(h, vals[i]); !ok {
-			return nil
-		}
+		h = db.HashCell(h, cells[i])
 	}
-	return ad.idx.lookup(x.in, ad.keyPos, h, vals)
+	return ad.idx.lookup(x.in, ad.keyPos, h, cells)
 }
 
 // aggregate combines per-root-group optima into the group's interval.

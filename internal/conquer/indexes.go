@@ -30,12 +30,14 @@ type relIndex struct {
 }
 
 // lookup returns the members of the key-equal group whose key
-// projection EqualExact-matches vals (ordered by key position), or nil.
-func (ri *relIndex) lookup(in *db.Instance, keyPos []int, h uint64, vals db.Tuple) []db.FactID {
+// projection equals cells (ordered by key position; h is their HashCell
+// fold), or nil.
+func (ri *relIndex) lookup(in *db.Instance, keyPos []int, h uint64, cells []db.Cell) []db.FactID {
 	for _, b := range ri.byKey[h] {
 		match := true
+		repr := in.Row(b.repr)
 		for i, kp := range keyPos {
-			if !in.MatchAt(b.repr, kp, vals[i]) {
+			if repr.Cell(kp) != cells[i] {
 				match = false
 				break
 			}

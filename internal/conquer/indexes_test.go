@@ -24,11 +24,11 @@ func TestIndexesMemoized(t *testing.T) {
 	if sameTables(t1, t3) {
 		t.Fatal("tables not rebuilt after append")
 	}
-	h, ok := in.HashProbeValue(db.HashSeed, db.Int(77))
+	c, ok := in.Dict().CellOf(db.Int(77))
 	if !ok {
-		t.Fatal("probe hash for Int(77) unavailable")
+		t.Fatal("cell of Int(77) unavailable")
 	}
-	got := t3["c"].lookup(in, []int{0}, h, db.Tuple{db.Int(77)})
+	got := t3["c"].lookup(in, []int{0}, db.HashCell(db.HashSeed, c), []db.Cell{c})
 	if len(got) != 1 || got[0] != id {
 		t.Fatalf("appended fact not indexed: %v", got)
 	}

@@ -2,6 +2,7 @@ package cq
 
 import (
 	"context"
+	"encoding/binary"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,29 +11,47 @@ import (
 	"aggcavsat/internal/db"
 )
 
-// Compiled query plans. A CQ is compiled once per shape into a program:
-// variables are resolved to integer slots of a flat []db.Value frame
-// (no per-recursion map allocations), conditions become closures over
-// slots, and index probes fold uint64 composite keys (FNV over value
-// kind+payload) instead of materializing Tuple.Key strings. The plan —
-// atom order and condition attachment — is planCQ's, and candidates are
-// visited in insertion order, so the row order is deterministic; the
-// row bag is checked against a brute-force reference evaluator by the
-// property tests in compile_test.go.
+// Compiled query plans. A CQ is compiled once per shape into a program
+// over db.Cell, the pointer-free exact encoding of a stored value (kind
+// plus a 64-bit payload: int64 bits, float64 bits or dictionary code):
+//
+//   - Variables resolve to integer slots of a flat []db.Cell frame, and
+//     only live variables get one: a variable is live when the head, a
+//     condition, a later probe or a within-atom check reads it. The
+//     per-column variables of a wide relation that nothing reads are
+//     never loaded.
+//   - Index probes are []db.Cell. Their hash folds cells (db.HashCell,
+//     the hash the index was built with), and a hit is re-verified by
+//     cell equality, a word compare, since the hash is not injective.
+//     Atom constants are encoded once, at compile time; a string no fact
+//     stores makes the whole program empty.
+//   - Conditions are kernels over cells with Value.Compare semantics
+//     (db.Dict.CompareCells); LIKE-prefix, and a comparison with a string
+//     constant no fact stores, decode the cells and use CmpOp.Apply.
+//   - db.Values are built only where rows leave the evaluator: emitted
+//     heads and fold keys and values.
+//
+// The plan — atom order and condition attachment — is planCQ's, and
+// candidates are visited in insertion order, so the row order is
+// deterministic; the row bag is checked against a brute-force reference
+// evaluator by the property tests in compile_test.go and
+// reference_test.go.
 //
 // Semantics note: a position whose variable is bound by an earlier
-// atom in plan order (or a constant) is an index probe and
-// matches with Tuple.Key equality, i.e. kind-exact (Int(1) does not
+// atom in plan order (or a constant) is an index probe and matches with
+// cell equality, i.e. kind-exact (EqualExact: Int(1) does not
 // probe-match Float(1)); a variable repeated within one atom is checked
-// with Value.Equal (Compare-based, so Int(1) matches Float(1)). The
-// hash index is not injective, so every probe hit is re-verified with
-// EqualExact before use.
+// with Value.Equal semantics (Compare-based, so Int(1) matches
+// Float(1)).
 
 // program is a compiled CQ.
 type program struct {
 	numSlots  int
 	headSlots []int
 	steps     []pstep
+	// empty marks a program no assignment satisfies: an atom constant
+	// is a string absent from the instance dictionary.
+	empty bool
 }
 
 // slotPos pairs a tuple position with a frame slot.
@@ -40,45 +59,73 @@ type slotPos struct{ pos, slot int }
 
 // pstep matches one atom, in plan order.
 type pstep struct {
-	rel string
+	rel db.RelID
 
 	// Index probe over the positions bound by constants or earlier
 	// steps. Empty lookupPos means a full scan of the relation.
 	lookupPos   []int
-	lookupSlot  []int      // slot supplying position i's probe value; -1 = constant
-	lookupConst []db.Value // probe constant where lookupSlot[i] == -1
-	mask        uint64     // index mask over lookupPos
+	lookupSlot  []int     // slot supplying position i's probe cell; -1 = constant
+	lookupConst []db.Cell // probe constant where lookupSlot[i] == -1
+	index       indexKey  // the hash index over lookupPos
 
-	binds  []slotPos // free positions: tuple[pos] binds frame[slot]
-	checks []slotPos // within-atom repeated vars: tuple[pos] must Equal frame[slot]
-	conds  []func(frame []db.Value) bool
+	binds  []slotPos // live free positions: the cell at pos binds frame[slot]
+	checks []slotPos // within-atom repeated vars: the cell at pos must Compare-equal frame[slot]
+	conds  []func(frame []db.Cell) bool
 }
 
 // compileCQ lowers q onto planCQ's atom order. The caller has validated q.
 func compileCQ(in *db.Instance, q CQ) *program {
 	pl := planCQ(in, q)
+	d := in.Dict()
+	// A variable is live when something reads its slot: the head, a
+	// condition, or a second occurrence (a later probe or a within-atom
+	// check). Any other variable is bound once and never read.
+	read := make(map[string]bool)
+	for _, h := range q.Head {
+		read[h] = true
+	}
+	for _, c := range q.Conds {
+		for _, t := range []Term{c.Left, c.Right} {
+			if !t.IsConst {
+				read[t.Var] = true
+			}
+		}
+	}
+	seen := make(map[string]bool)
+	for _, a := range q.Atoms {
+		for _, t := range a.Args {
+			if !t.IsConst {
+				read[t.Var] = read[t.Var] || seen[t.Var]
+				seen[t.Var] = true
+			}
+		}
+	}
+
 	prog := &program{steps: make([]pstep, 0, len(pl.order))}
 	slotOf := make(map[string]int)
 	boundBefore := make(map[string]bool)
 	for step, ai := range pl.order {
 		atom := q.Atoms[ai]
-		st := pstep{rel: strings.ToLower(atom.Rel)}
+		rel, _ := in.Schema().RelID(atom.Rel)
+		st := pstep{rel: rel}
 		for i, t := range atom.Args {
 			switch {
 			case t.IsConst:
+				c, ok := d.CellOf(t.Const)
+				prog.empty = prog.empty || !ok
 				st.lookupPos = append(st.lookupPos, i)
 				st.lookupSlot = append(st.lookupSlot, -1)
-				st.lookupConst = append(st.lookupConst, t.Const)
+				st.lookupConst = append(st.lookupConst, c)
 			case boundBefore[t.Var]:
 				st.lookupPos = append(st.lookupPos, i)
 				st.lookupSlot = append(st.lookupSlot, slotOf[t.Var])
-				st.lookupConst = append(st.lookupConst, db.Value{})
+				st.lookupConst = append(st.lookupConst, db.Cell{})
 			default:
 				if s, ok := slotOf[t.Var]; ok {
 					// Repeated within this atom: the first occurrence
 					// binds the slot, later ones Equal-check it.
 					st.checks = append(st.checks, slotPos{pos: i, slot: s})
-				} else {
+				} else if read[t.Var] {
 					s = prog.numSlots
 					prog.numSlots++
 					slotOf[t.Var] = s
@@ -86,11 +133,9 @@ func compileCQ(in *db.Instance, q CQ) *program {
 				}
 			}
 		}
-		for _, p := range st.lookupPos {
-			st.mask |= 1 << uint(p)
-		}
+		st.index = newIndexKey(rel, st.lookupPos)
 		for _, ci := range pl.condsAfter[step] {
-			st.conds = append(st.conds, compileCond(q.Conds[ci], slotOf))
+			st.conds = append(st.conds, compileCond(d, q.Conds[ci], slotOf))
 		}
 		prog.steps = append(prog.steps, st)
 		for _, t := range atom.Args {
@@ -106,24 +151,76 @@ func compileCQ(in *db.Instance, q CQ) *program {
 	return prog
 }
 
-// compileCond closes a condition over frame slots, hoisting constants
-// (and constant-constant comparisons) out of the per-row path.
-func compileCond(c Condition, slotOf map[string]int) func([]db.Value) bool {
-	op := c.Op
-	switch {
-	case c.Left.IsConst && c.Right.IsConst:
-		res := op.Apply(c.Left.Const, c.Right.Const)
-		return func([]db.Value) bool { return res }
-	case c.Left.IsConst:
-		lv, rs := c.Left.Const, slotOf[c.Right.Var]
-		return func(f []db.Value) bool { return op.Apply(lv, f[rs]) }
-	case c.Right.IsConst:
-		ls, rv := slotOf[c.Left.Var], c.Right.Const
-		return func(f []db.Value) bool { return op.Apply(f[ls], rv) }
+// cmpMask is the set of Compare results a comparison operator accepts:
+// bit c+1 for result c.
+type cmpMask uint8
+
+func maskOf(op CmpOp) cmpMask {
+	switch op {
+	case OpEQ:
+		return 0b010
+	case OpNE:
+		return 0b101
+	case OpLT:
+		return 0b001
+	case OpLE:
+		return 0b011
+	case OpGT:
+		return 0b100
+	case OpGE:
+		return 0b110
 	default:
-		ls, rs := slotOf[c.Left.Var], slotOf[c.Right.Var]
-		return func(f []db.Value) bool { return op.Apply(f[ls], f[rs]) }
+		panic("cq: no comparison mask for " + op.String())
 	}
+}
+
+func (m cmpMask) holds(c int) bool { return m>>(c+1)&1 != 0 }
+
+// compileCond closes a condition over frame slots, encoding constants
+// (and deciding constant-constant comparisons) out of the per-row path.
+func compileCond(d *db.Dict, c Condition, slotOf map[string]int) func([]db.Cell) bool {
+	op := c.Op
+	if c.Left.IsConst && c.Right.IsConst {
+		res := op.Apply(c.Left.Const, c.Right.Const)
+		return func([]db.Cell) bool { return res }
+	}
+	ls, lc, lok := operand(d, c.Left, slotOf)
+	rs, rc, rok := operand(d, c.Right, slotOf)
+	if op == OpLikePrefix || op == OpNotLikePrefix || !lok || !rok {
+		// LIKE-prefix matches bytes, and a string constant no fact
+		// stores has no cell: decode the slots and compare Values.
+		lv, rv := c.Left.Const, c.Right.Const
+		return func(f []db.Cell) bool {
+			l, r := lv, rv
+			if ls >= 0 {
+				l = d.CellValue(f[ls])
+			}
+			if rs >= 0 {
+				r = d.CellValue(f[rs])
+			}
+			return op.Apply(l, r)
+		}
+	}
+	m := maskOf(op)
+	switch {
+	case ls < 0:
+		return func(f []db.Cell) bool { return m.holds(d.CompareCells(lc, f[rs])) }
+	case rs < 0:
+		return func(f []db.Cell) bool { return m.holds(d.CompareCells(f[ls], rc)) }
+	default:
+		return func(f []db.Cell) bool { return m.holds(d.CompareCells(f[ls], f[rs])) }
+	}
+}
+
+// operand resolves a condition term to its frame slot, or to slot -1
+// and its constant's cell; ok=false means a string constant no fact
+// stores.
+func operand(d *db.Dict, t Term, slotOf map[string]int) (slot int, c db.Cell, ok bool) {
+	if !t.IsConst {
+		return slotOf[t.Var], db.Cell{}, true
+	}
+	c, ok = d.CellOf(t.Const)
+	return -1, c, ok
 }
 
 // shapeKey renders q injectively for the plan cache: plans depend on
@@ -194,11 +291,24 @@ func (e *Evaluator) program(q CQ) *program {
 	return p
 }
 
-// hashIndex returns (building on demand) the uint64-keyed index of rel
-// on the given positions. mask is the caller's precomputed position
-// mask (avoids recomputing it per probe).
-func (e *Evaluator) hashIndex(rel string, positions []int, mask uint64) *hashIndex {
-	key := indexKey{rel: rel, mask: mask}
+// indexKey names a hash index: a relation and the exact list of its
+// positions the index is built on.
+type indexKey struct {
+	rel db.RelID
+	pos string // the positions, uvarint-encoded back to back
+}
+
+func newIndexKey(rel db.RelID, positions []int) indexKey {
+	var b []byte
+	for _, p := range positions {
+		b = binary.AppendUvarint(b, uint64(p))
+	}
+	return indexKey{rel: rel, pos: string(b)}
+}
+
+// hashIndex returns (building on demand) the index of key.rel on the
+// given positions, which key encodes.
+func (e *Evaluator) hashIndex(key indexKey, positions []int) *hashIndex {
 	e.mu.RLock()
 	idx, ok := e.hashIdx[key]
 	e.mu.RUnlock()
@@ -210,7 +320,7 @@ func (e *Evaluator) hashIndex(rel string, positions []int, mask uint64) *hashInd
 	if idx, ok := e.hashIdx[key]; ok {
 		return idx
 	}
-	idx = buildHashIndex(e.in, rel, positions)
+	idx = buildHashIndex(e.in, key.rel, positions)
 	e.hashIdx[key] = idx
 	return idx
 }
@@ -231,15 +341,15 @@ type idxSlot struct {
 	lo, n uint32 // the run facts[lo : lo+n]
 }
 
-func buildHashIndex(in *db.Instance, rel string, positions []int) *hashIndex {
-	ids := in.RelFacts(rel)
+func buildHashIndex(in *db.Instance, rel db.RelID, positions []int) *hashIndex {
+	ids := in.RelFactsByID(rel)
 	x := &hashIndex{shift: 64}
 	for 1<<(64-x.shift) < 2*len(ids) {
 		x.shift--
 	}
 	x.slots = make([]idxSlot, 1<<(64-x.shift))
-	// Columnar instances hash dictionary codes here; the probe side uses
-	// HashProbeValue so both sides of the index agree.
+	// HashRowOn folds each position's cell (db.HashCell), as the probe
+	// side does, so both sides of the index agree.
 	hs := make([]uint64, len(ids))
 	for i, id := range ids {
 		hs[i] = in.HashRowOn(id, positions, db.HashSeed)
@@ -313,42 +423,28 @@ type runResult struct {
 // are merged by index, so the parallel row and fold order equals the
 // sequential order. fs, when non-nil, folds the all-safe assignments.
 func (e *Evaluator) runProgram(ctx context.Context, p *program, fs *foldSpec) (runResult, error) {
+	if p.empty {
+		return runResult{}, nil
+	}
+	r := newProgRun(e, p, fs)
 	if len(p.steps) == 0 {
 		// A query with no atoms has exactly one (empty) witnessing
 		// assignment.
-		r := newProgRun(e, p, fs)
 		r.emit()
 		return r.out, nil
 	}
-	st0 := &p.steps[0]
-	probe0 := make([]db.Value, len(st0.lookupPos))
-	var cands []db.FactID
-	if len(st0.lookupPos) > 0 {
-		// Step 0 has no prior bindings: every probe value is a constant.
-		h, ok := db.HashSeed, true
-		for i, v := range st0.lookupConst {
-			probe0[i] = v
-			if h, ok = e.in.HashProbeValue(h, v); !ok {
-				break // string absent from the dictionary: no fact matches
-			}
-		}
-		if ok {
-			cands = e.hashIndex(st0.rel, st0.lookupPos, st0.mask).lookup(h)
-		}
-	} else {
-		cands = e.in.RelFacts(st0.rel)
-	}
+	// Step 0 has no prior bindings: its probe cells are all constants.
+	cands := r.candidates(0)
 	if e.par <= 1 || len(cands) < parallelEvalThreshold {
-		r := newProgRun(e, p, fs)
-		if err := r.runChunk(ctx, st0, cands, probe0); err != nil {
+		if err := r.runChunk(ctx, cands, r.probes[0]); err != nil {
 			return runResult{}, err
 		}
 		return r.out, nil
 	}
-	return e.runParallel(ctx, p, fs, st0, cands, probe0)
+	return e.runParallel(ctx, p, fs, cands, r.probes[0])
 }
 
-func (e *Evaluator) runParallel(ctx context.Context, p *program, fs *foldSpec, st0 *pstep, cands []db.FactID, probe0 []db.Value) (runResult, error) {
+func (e *Evaluator) runParallel(ctx context.Context, p *program, fs *foldSpec, cands []db.FactID, probe0 []db.Cell) (runResult, error) {
 	workers := e.par
 	// Oversplit so one skewed chunk doesn't serialize the tail; the
 	// per-chunk result slots make the merge deterministic.
@@ -378,7 +474,7 @@ func (e *Evaluator) runParallel(ctx context.Context, p *program, fs *foldSpec, s
 				hi := (ci + 1) * len(cands) / chunks
 				r.out = runResult{}
 				// runChunk only fails when cctx fired; nothing to record.
-				if err := r.runChunk(cctx, st0, cands[lo:hi], probe0); err != nil {
+				if err := r.runChunk(cctx, cands[lo:hi], probe0); err != nil {
 					return
 				}
 				results[ci] = r.out
@@ -389,12 +485,12 @@ func (e *Evaluator) runParallel(ctx context.Context, p *program, fs *foldSpec, s
 	if err := ctx.Err(); err != nil {
 		return runResult{}, err
 	}
-	return mergeResults(results), nil
+	return mergeResults(e.in.Dict(), results), nil
 }
 
 // mergeResults concatenates results in order: rows appended, folds of
 // one group summed.
-func mergeResults(results []runResult) runResult {
+func mergeResults(d *db.Dict, results []runResult) runResult {
 	if len(results) == 1 {
 		return results[0]
 	}
@@ -405,27 +501,30 @@ func mergeResults(results []runResult) runResult {
 	out := runResult{rows: make([]Row, 0, total)}
 	for _, res := range results {
 		out.rows = append(out.rows, res.rows...)
-		for _, gf := range res.folds.list {
-			out.folds.at(gf.Key).merge(gf.Fold)
+		for i, gf := range res.folds.list {
+			n := len(gf.Key)
+			out.folds.atCells(d, res.folds.cells[i*n:(i+1)*n]).merge(gf.Fold)
 		}
 	}
 	return out
 }
 
 // progRun is the per-goroutine execution state of one program: the slot
-// frame, the fact stack, and per-step probe scratch (per step, not
-// shared, because deeper recursion levels probe concurrently with an
-// outer level's candidate loop).
+// frame, the fact stack, per-step probe scratch (per step, not shared,
+// because deeper recursion levels probe concurrently with an outer
+// level's candidate loop) and the steps' hash indexes, fetched once.
 type progRun struct {
 	e      *Evaluator
+	d      *db.Dict
 	p      *program
-	frame  []db.Value
+	frame  []db.Cell
 	facts  []db.FactID
-	probes [][]db.Value
+	probes [][]db.Cell
+	idx    []*hashIndex
 	out    runResult
 
 	fold *foldSpec
-	key  db.Tuple // group-key scratch of a folded assignment
+	key  []db.Cell // group-key scratch of a folded assignment
 
 	// Slabs the emitted heads and fact sets are carved from; a carved
 	// slice is capped at its own length, so appending to one row's
@@ -437,24 +536,27 @@ type progRun struct {
 func newProgRun(e *Evaluator, p *program, fs *foldSpec) *progRun {
 	r := &progRun{
 		e:      e,
+		d:      e.in.Dict(),
 		p:      p,
-		frame:  make([]db.Value, p.numSlots),
+		frame:  make([]db.Cell, p.numSlots),
 		facts:  make([]db.FactID, 0, len(p.steps)),
-		probes: make([][]db.Value, len(p.steps)),
+		probes: make([][]db.Cell, len(p.steps)),
+		idx:    make([]*hashIndex, len(p.steps)),
 		fold:   fs,
 	}
 	for i := range p.steps {
-		r.probes[i] = make([]db.Value, len(p.steps[i].lookupPos))
+		r.probes[i] = make([]db.Cell, len(p.steps[i].lookupPos))
 	}
 	if fs != nil {
-		r.key = make(db.Tuple, fs.arity)
+		r.key = make([]db.Cell, fs.arity)
 	}
 	return r
 }
 
 // runChunk drives step 0 over a slice of its candidates, polling ctx
 // every evalCancelStride candidates.
-func (r *progRun) runChunk(ctx context.Context, st0 *pstep, cands []db.FactID, probe0 []db.Value) error {
+func (r *progRun) runChunk(ctx context.Context, cands []db.FactID, probe0 []db.Cell) error {
+	st0 := &r.p.steps[0]
 	for i, id := range cands {
 		if i%evalCancelStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -466,6 +568,33 @@ func (r *progRun) runChunk(ctx context.Context, st0 *pstep, cands []db.FactID, p
 	return nil
 }
 
+// candidates fills the step's probe scratch with its probe cells
+// (constants, or slots bound by earlier steps) and returns the facts
+// that may match them: an index hit list, or the whole relation when
+// the step probes nothing.
+func (r *progRun) candidates(step int) []db.FactID {
+	st := &r.p.steps[step]
+	if len(st.lookupPos) == 0 {
+		return r.e.in.RelFactsByID(st.rel)
+	}
+	probe := r.probes[step]
+	h := db.HashSeed
+	for i, s := range st.lookupSlot {
+		c := st.lookupConst[i]
+		if s >= 0 {
+			c = r.frame[s]
+		}
+		probe[i] = c
+		h = db.HashCell(h, c)
+	}
+	x := r.idx[step]
+	if x == nil {
+		x = r.e.hashIndex(st.index, st.lookupPos)
+		r.idx[step] = x
+	}
+	return x.lookup(h)
+}
+
 // run matches steps 1..n recursively (step 0's candidates come from
 // runChunk).
 func (r *progRun) run(step int) {
@@ -474,27 +603,8 @@ func (r *progRun) run(step int) {
 		return
 	}
 	st := &r.p.steps[step]
-	var cands []db.FactID
 	probe := r.probes[step]
-	if len(st.lookupPos) > 0 {
-		h, ok := db.HashSeed, true
-		for i, s := range st.lookupSlot {
-			v := st.lookupConst[i]
-			if s >= 0 {
-				v = r.frame[s]
-			}
-			probe[i] = v
-			if h, ok = r.e.in.HashProbeValue(h, v); !ok {
-				break // string absent from the dictionary: no fact matches
-			}
-		}
-		if ok {
-			cands = r.e.hashIndex(st.rel, st.lookupPos, st.mask).lookup(h)
-		}
-	} else {
-		cands = r.e.in.RelFacts(st.rel)
-	}
-	for _, id := range cands {
+	for _, id := range r.candidates(step) {
 		r.candidate(st, step, id, probe)
 	}
 }
@@ -502,19 +612,19 @@ func (r *progRun) run(step int) {
 // candidate runs one fact through a step's probe verification,
 // bindings, repeated-variable checks, and conditions, recursing deeper
 // on success.
-func (r *progRun) candidate(st *pstep, step int, id db.FactID, probe []db.Value) {
+func (r *progRun) candidate(st *pstep, step int, id db.FactID, probe []db.Cell) {
 	row := r.e.in.Row(id)
 	// Re-verify the probe columns exactly: hash buckets may collide.
 	for i, p := range st.lookupPos {
-		if !row.Match(p, probe[i]) {
+		if row.Cell(p) != probe[i] {
 			return
 		}
 	}
 	for _, b := range st.binds {
-		r.frame[b.slot] = row.Value(b.pos)
+		r.frame[b.slot] = row.Cell(b.pos)
 	}
 	for _, c := range st.checks {
-		if !r.frame[c.slot].Equal(row.Value(c.pos)) {
+		if x := row.Cell(c.pos); x != r.frame[c.slot] && r.d.CompareCells(r.frame[c.slot], x) != 0 {
 			return
 		}
 	}
@@ -544,7 +654,7 @@ func (r *progRun) emit() {
 		head = r.vals[len(r.vals) : len(r.vals)+nh : len(r.vals)+nh]
 		r.vals = r.vals[:len(r.vals)+nh]
 		for i, s := range r.p.headSlots {
-			head[i] = r.frame[s]
+			head[i] = r.d.CellValue(r.frame[s])
 		}
 	}
 	var facts []db.FactID
@@ -593,9 +703,9 @@ func (r *progRun) foldAssignment() {
 	for i := range r.key {
 		r.key[i] = r.frame[r.p.headSlots[i]]
 	}
-	f := r.out.folds.at(r.key)
+	f := r.out.folds.atCells(r.d, r.key)
 	f.Rows++
 	if len(r.p.headSlots) > len(r.key) {
-		f.addValue(r.frame[r.p.headSlots[len(r.key)]])
+		f.addValue(r.d.CellValue(r.frame[r.p.headSlots[len(r.key)]]))
 	}
 }

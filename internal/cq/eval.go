@@ -34,11 +34,6 @@ type Evaluator struct {
 	par int // worker budget for parallel first-atom enumeration
 }
 
-type indexKey struct {
-	rel  string
-	mask uint64 // bit i set = position i is a lookup column
-}
-
 // NewEvaluator creates an evaluator over the instance.
 func NewEvaluator(in *db.Instance) *Evaluator {
 	return &Evaluator{
@@ -99,7 +94,7 @@ func (e *Evaluator) runUCQ(ctx context.Context, u UCQ, fs *foldSpec) (runResult,
 		}
 		per[i] = res
 	}
-	return mergeResults(per), nil
+	return mergeResults(e.in.Dict(), per), nil
 }
 
 // plan describes the atom evaluation order plus, for each step, the

@@ -2,6 +2,7 @@ package cq
 
 import (
 	"context"
+	"slices"
 
 	"aggcavsat/internal/db"
 )
@@ -64,12 +65,57 @@ type GroupFold struct {
 }
 
 // foldSet holds folds keyed by group under the exact equivalence of
-// CollectWitnesses and GroupWitnesses: HashExact buckets verified with
-// EqualExact, so Int(1) and Float(1) are distinct groups.
+// CollectWitnesses and GroupWitnesses, in first-sight order: hash
+// buckets verified exactly, so Int(1) and Float(1) are distinct groups.
+// A set is keyed either by Values (index: HashExact, EqualExact) or, in
+// the evaluator, by cells (atCells: HashCell, cell equality), which is
+// the same equivalence within one instance.
 type foldSet struct {
 	list   []GroupFold
+	cells  []db.Cell        // cell-keyed sets: list[i]'s key cells, one arity each
 	byHash map[uint64]int32 // newest fold of each hash chain
 	next   []int32          // older fold of the same chain, -1 ends it
+}
+
+// find returns the position in list of the fold in h's chain that same
+// accepts, or -1.
+func (s *foldSet) find(h uint64, same func(i int) bool) int {
+	head, ok := s.byHash[h]
+	if !ok {
+		return -1
+	}
+	for i := head; i >= 0; i = s.next[i] {
+		if same(int(i)) {
+			return int(i)
+		}
+	}
+	return -1
+}
+
+// push appends an empty fold keyed by key to h's chain and returns its
+// position in list.
+func (s *foldSet) push(h uint64, key db.Tuple) int {
+	head, ok := s.byHash[h]
+	if !ok {
+		head = -1
+	}
+	if s.byHash == nil {
+		s.byHash = make(map[uint64]int32)
+	}
+	s.byHash[h] = int32(len(s.list))
+	s.next = append(s.next, head)
+	s.list = append(s.list, GroupFold{Key: key})
+	return len(s.list) - 1
+}
+
+// index returns the position of key's group in list, appending an
+// empty fold (with a copy of key) on first sight.
+func (s *foldSet) index(key db.Tuple) int {
+	h := key.HashExact(db.HashSeed)
+	if i := s.find(h, func(i int) bool { return s.list[i].Key.EqualExact(key) }); i >= 0 {
+		return i
+	}
+	return s.push(h, key.Clone())
 }
 
 // at returns the fold of key, adding an empty one on first sight.
@@ -77,26 +123,24 @@ func (s *foldSet) at(key db.Tuple) *Fold {
 	return &s.list[s.index(key)].Fold
 }
 
-// index returns the position of key's group in list, appending an
-// empty fold (with a copy of key) on first sight.
-func (s *foldSet) index(key db.Tuple) int {
-	h := key.HashExact(db.HashSeed)
-	head, ok := s.byHash[h]
-	if !ok {
-		head = -1
+// atCells is at for a cell-keyed set: the group's Key tuple is decoded
+// from key through d once, on first sight.
+func (s *foldSet) atCells(d *db.Dict, key []db.Cell) *Fold {
+	h := db.HashSeed
+	for _, c := range key {
+		h = db.HashCell(h, c)
 	}
-	for i := head; i >= 0; i = s.next[i] {
-		if s.list[i].Key.EqualExact(key) {
-			return int(i)
+	n := len(key)
+	i := s.find(h, func(i int) bool { return slices.Equal(s.cells[i*n:(i+1)*n], key) })
+	if i < 0 {
+		t := make(db.Tuple, n)
+		for j, c := range key {
+			t[j] = d.CellValue(c)
 		}
+		i = s.push(h, t)
+		s.cells = append(s.cells, key...)
 	}
-	if s.byHash == nil {
-		s.byHash = make(map[uint64]int32)
-	}
-	s.byHash[h] = int32(len(s.list))
-	s.next = append(s.next, head)
-	s.list = append(s.list, GroupFold{Key: key.Clone()})
-	return len(s.list) - 1
+	return &s.list[i].Fold
 }
 
 // FoldedBagCtx is WitnessBagCtx with the consistent part folded: every

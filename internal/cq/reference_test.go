@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -28,7 +29,7 @@ func naiveEval(in *db.Instance, q CQ) []Row {
 			bindings := map[string]db.Value{}
 			for _, ai := range order {
 				atom := q.Atoms[ai]
-				tuple := in.TupleAt(choice[ai])
+				tuple := tupleOf(in, choice[ai])
 				own := map[string]bool{} // variables first bound by this atom
 				for pos, term := range atom.Args {
 					if term.IsConst {
@@ -319,5 +320,98 @@ func TestTriviallyTrueQuery(t *testing.T) {
 	got := NewEvaluator(in).Eval(q)
 	if len(want) != 1 || len(got) != 1 || bagDiff(got, want) != "" {
 		t.Fatalf("zero-atom query: got %v, want %v", got, want)
+	}
+}
+
+// tupleOf materializes one fact's tuple through ValueAt.
+func tupleOf(in *db.Instance, id db.FactID) db.Tuple {
+	t := make(db.Tuple, in.Schema().RelationByID(in.RelOf(id)).Arity())
+	for p := range t {
+		t[p] = in.ValueAt(id, p)
+	}
+	return t
+}
+
+// FuzzEvalAgainstNaive drives randomEvalInstance and randomCQ from a
+// fuzzed seed. Every query's compiled rows must equal naiveEval's bag,
+// and FoldedBagCtx under a random safe-fact set and group arity must
+// partition the unfolded witness bag: the witnesses touching an unsafe
+// fact stay materialized, and the all-safe rest is
+// aggregated per exactly equal group key.
+func FuzzEvalAgainstNaive(f *testing.F) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		rng := xrand.New(seed)
+		in := randomEvalInstance(rng, 8+rng.Intn(30))
+		e := NewEvaluator(in)
+		for qi := 0; qi < 6; qi++ {
+			q := randomCQ(rng)
+			got, want := e.Eval(q), naiveEval(in, q)
+			if d := bagDiff(got, want); d != "" || len(got) != len(want) {
+				t.Fatalf("query %d (%s): %d rows, naive %d; first difference %s", qi, q, len(got), len(want), d)
+			}
+			mod := db.FactID(2 + rng.Intn(4))
+			safe := func(f db.FactID) bool { return f%mod != 0 }
+			checkFolded(t, e, Single(q), safe, rng.Intn(len(q.Head)+1))
+		}
+	})
+}
+
+// checkFolded checks FoldedBagCtx(u, safe, arity) against the unfolded
+// witness bag of u.
+func checkFolded(t *testing.T, e *Evaluator, u UCQ, safe func(db.FactID) bool, arity int) {
+	t.Helper()
+	full := e.WitnessBag(u)
+	bag, folds, err := e.FoldedBagCtx(context.Background(), u, safe, arity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantBag []Witness
+	want := map[string]*Fold{}
+	var order []string
+	for _, w := range full {
+		allSafe := true
+		for _, f := range w.Facts {
+			allSafe = allSafe && safe(f)
+		}
+		if !allSafe {
+			wantBag = append(wantBag, w)
+			continue
+		}
+		k := w.Answer[:arity].Key(headPositions(arity))
+		fd := want[k]
+		if fd == nil {
+			fd = &Fold{}
+			want[k] = fd
+			order = append(order, k)
+		}
+		fd.Rows += w.Mult
+		if len(w.Answer) > arity {
+			if v := w.Answer[arity]; !v.IsNull() {
+				fd.NonNull += w.Mult
+				if v.Kind() == db.KindInt {
+					fd.Sum += w.Mult * v.AsInt()
+				} else {
+					fd.NonInt = v // presence only: enumeration order differs
+				}
+			}
+		}
+	}
+	// Compared as bags: witnesses with one fact set whose answers are
+	// Compare-equal but not exactly equal (Int(1), Float(1)) have no
+	// fixed relative order.
+	if d := witnessBagDiff(bag, wantBag); d != "" || len(bag) != len(wantBag) {
+		t.Fatalf("%s arity %d: %d materialized witnesses, want %d; first difference %s", u, arity, len(bag), len(wantBag), d)
+	}
+	if len(folds) != len(order) {
+		t.Fatalf("%s arity %d: %d folds, want %d", u, arity, len(folds), len(order))
+	}
+	for _, gf := range folds {
+		w := want[gf.Key.Key(headPositions(arity))]
+		if w == nil || gf.Rows != w.Rows || gf.NonNull != w.NonNull || gf.Sum != w.Sum || gf.NonInt.IsNull() != w.NonInt.IsNull() {
+			t.Fatalf("%s arity %d: fold %v = %+v, want %+v", u, arity, gf.Key, gf.Fold, w)
+		}
 	}
 }

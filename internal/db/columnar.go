@@ -82,7 +82,9 @@ func (c *column) appendValue(d *Dict, row int, v Value) {
 	}
 }
 
-// value materializes row `row` as a Value.
+// value materializes row `row` as a Value. It is d.CellValue(c.cell(row))
+// without the intermediate Cell, which the value-reading paths (the
+// rewriting executor, aggregation) would pay per read.
 func (c *column) value(d *Dict, row int) Value {
 	if c.nulls.get(row) {
 		return Null()
@@ -100,10 +102,10 @@ func (c *column) value(d *Dict, row int) Value {
 	}
 }
 
-// hashRow folds row `row` into h with the columnar twin of
-// Value.HashExact: identical for INT/FLOAT/NULL, but strings fold their
-// 4-byte dict code instead of walking the bytes. Probe sides must pair
-// it with Instance.HashProbeValue so both sides of an index agree.
+// hashRow folds row `row` into h: HashCell(h, c.cell(row)), the columnar
+// twin of Value.HashExact that folds a string's 4-byte dict code
+// instead of walking the bytes, computed without the intermediate Cell.
+// Probe sides hash cells (HashCell) so both sides of an index agree.
 func (c *column) hashRow(h uint64, row int) uint64 {
 	if c.nulls.get(row) {
 		return hashByte(h, byte(KindNull))
@@ -119,90 +121,6 @@ func (c *column) hashRow(h uint64, row int) uint64 {
 	default:
 		return hashUint64(hashByte(h, byte(KindString)), uint64(c.codes[row]))
 	}
-}
-
-// equalRows reports EqualExact of rows a and b of the column — code
-// comparison for strings, bit comparison for numerics.
-func (c *column) equalRows(a, b int) bool {
-	na, nb := c.nulls.get(a), c.nulls.get(b)
-	if na || nb {
-		return na && nb
-	}
-	switch c.kind {
-	case KindInt:
-		return c.ints[a] == c.ints[b]
-	case KindFloat:
-		return c.intRows.get(a) == c.intRows.get(b) && c.raw[a] == c.raw[b]
-	default:
-		return c.codes[a] == c.codes[b]
-	}
-}
-
-// matchValue reports EqualExact between row `row` and a probe Value.
-func (c *column) matchValue(d *Dict, row int, v Value) bool {
-	if c.nulls.get(row) {
-		return v.kind == KindNull
-	}
-	switch c.kind {
-	case KindInt:
-		return v.kind == KindInt && v.i == c.ints[row]
-	case KindFloat:
-		if c.intRows.get(row) {
-			return v.kind == KindInt && uint64(v.i) == c.raw[row]
-		}
-		return v.kind == KindFloat && math.Float64bits(v.f) == c.raw[row]
-	default:
-		return v.kind == KindString && v.s == d.strs[c.codes[row]]
-	}
-}
-
-// compareRows is Value.Compare between rows a and b of the column
-// without materializing either side (strings still compare
-// lexicographically when their codes differ — Compare is an order, not
-// an identity).
-func (c *column) compareRows(d *Dict, a, b int) int {
-	na, nb := c.nulls.get(a), c.nulls.get(b)
-	switch {
-	case na && nb:
-		return 0
-	case na:
-		return -1
-	case nb:
-		return 1
-	}
-	switch c.kind {
-	case KindInt:
-		return cmpInt64(c.ints[a], c.ints[b])
-	case KindFloat:
-		fa, fb := c.floatAt(a), c.floatAt(b)
-		switch {
-		case fa < fb:
-			return -1
-		case fa > fb:
-			return 1
-		}
-		return 0
-	default:
-		ca, cb := c.codes[a], c.codes[b]
-		if ca == cb {
-			return 0
-		}
-		sa, sb := d.strs[ca], d.strs[cb]
-		switch {
-		case sa < sb:
-			return -1
-		case sa > sb:
-			return 1
-		}
-		return 0
-	}
-}
-
-func (c *column) floatAt(row int) float64 {
-	if c.intRows.get(row) {
-		return float64(int64(c.raw[row]))
-	}
-	return math.Float64frombits(c.raw[row])
 }
 
 func cmpInt64(a, b int64) int {
@@ -230,8 +148,8 @@ func newRelColumns(rs *RelationSchema) *relColumns {
 	return rc
 }
 
-// RowView is an allocation-free window onto one fact. It replaces `in.Fact(id).Tuple` at hot call sites: values
-// are materialized one position at a time, on demand.
+// RowView is an allocation-free window onto one fact: values (or
+// cells) are read one position at a time, on demand.
 type RowView struct {
 	dict *Dict
 	rc   *relColumns
@@ -241,10 +159,4 @@ type RowView struct {
 // Value returns the value at attribute position pos.
 func (r RowView) Value(pos int) Value {
 	return r.rc.cols[pos].value(r.dict, r.row)
-}
-
-// Match reports EqualExact between position pos and v without
-// materializing the stored value.
-func (r RowView) Match(pos int, v Value) bool {
-	return r.rc.cols[pos].matchValue(r.dict, r.row, v)
 }

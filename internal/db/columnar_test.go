@@ -91,13 +91,21 @@ func buildMixed(seed uint64, n int) (*Instance, []refFact) {
 	return in, ref
 }
 
+// tupleOf materializes one fact's tuple through ValueAt.
+func tupleOf(in *Instance, id FactID) Tuple {
+	t := make(Tuple, in.Schema().RelationByID(in.RelOf(id)).Arity())
+	for p := range t {
+		t[p] = in.ValueAt(id, p)
+	}
+	return t
+}
+
 // refOf materializes an instance's facts into the reference form, for
 // comparing two instances (e.g. a snapshot against its source).
 func refOf(in *Instance) []refFact {
 	ref := make([]refFact, in.NumFacts())
 	for id := range ref {
-		f := in.Fact(FactID(id))
-		ref[id] = refFact{rel: f.Rel, t: f.Tuple}
+		ref[id] = refFact{rel: in.Schema().RelationByID(in.RelOf(FactID(id))).canon, t: tupleOf(in, FactID(id))}
 	}
 	return ref
 }
@@ -110,8 +118,8 @@ func requireSameInstances(t *testing.T, a, b *Instance) {
 }
 
 // requireMatchesRef asserts that every accessor of the instance agrees
-// with the Tuple/Value methods applied to the reference tuples: Fact,
-// TupleAt, RelOf, RelFacts, ValueAt, MatchAt, Row, the Hash* family,
+// with the Tuple/Value methods applied to the reference tuples: RelOf,
+// RelFacts, ValueAt, Row (values and cells), the Hash* family,
 // EqualRowsOn, CompareAt and KeyEqualGroups.
 func requireMatchesRef(t *testing.T, in *Instance, ref []refFact) {
 	t.Helper()
@@ -122,13 +130,6 @@ func requireMatchesRef(t *testing.T, in *Instance, ref []refFact) {
 	for i, rf := range ref {
 		id := FactID(i)
 		byRel[rf.rel] = append(byRel[rf.rel], id)
-		f := in.Fact(id)
-		if f.ID != id || f.Rel != rf.rel {
-			t.Fatalf("fact %d: Fact() = id %d rel %q, want rel %q", id, f.ID, f.Rel, rf.rel)
-		}
-		if !f.Tuple.EqualExact(rf.t) || !in.TupleAt(id).EqualExact(rf.t) {
-			t.Fatalf("fact %d: tuple %v, want %v", id, f.Tuple, rf.t)
-		}
 		if rs := in.Schema().RelationByID(in.RelOf(id)); rs.canon != rf.rel {
 			t.Fatalf("fact %d: RelOf = %q, want %q", id, rs.canon, rf.rel)
 		}
@@ -142,15 +143,13 @@ func requireMatchesRef(t *testing.T, in *Instance, ref []refFact) {
 			if got := in.Row(id).Value(p); !got.EqualExact(v) {
 				t.Fatalf("fact %d pos %d: RowView.Value %v, want %v", id, p, got, v)
 			}
-			if !in.MatchAt(id, p, v) || !in.Row(id).Match(p, v) {
-				t.Fatalf("fact %d pos %d: MatchAt/RowView.Match reject the stored value %v", id, p, v)
+			c, ok := in.Dict().CellOf(v)
+			if !ok || in.Row(id).Cell(p) != c {
+				t.Fatalf("fact %d pos %d: stored cell %v, want CellOf(%v) = %v, %v", id, p, in.Row(id).Cell(p), v, c, ok)
 			}
-			var ok bool
-			if h, ok = in.HashProbeValue(h, v); !ok {
-				t.Fatalf("fact %d pos %d: probe hash missing for stored value %v", id, p, v)
-			}
+			h = HashCell(h, c)
 		}
-		// Probe hashes of the reference values must meet the stored
+		// Cell hashes of the reference values must meet the stored
 		// row's hash, so index builds and probes agree.
 		want := in.HashRowOn(id, all, HashSeed)
 		if h != want {
@@ -237,15 +236,15 @@ func TestColumnarRowStoreEquivalent(t *testing.T) {
 	}
 }
 
-// TestHashProbeValueMiss: a string absent from the dictionary reports
-// ok=false (no fact can match), while numeric probes always hash.
-func TestHashProbeValueMiss(t *testing.T) {
+// TestCellOfMiss: a string absent from the dictionary reports ok=false
+// (no fact can match), while numeric values always encode.
+func TestCellOfMiss(t *testing.T) {
 	in, _ := buildMixed(3, 50)
-	if _, ok := in.HashProbeValue(HashSeed, Str("never-inserted-string")); ok {
-		t.Fatal("probe for unseen string should miss")
+	if _, ok := in.Dict().CellOf(Str("never-inserted-string")); ok {
+		t.Fatal("cell of an unseen string should miss")
 	}
-	if _, ok := in.HashProbeValue(HashSeed, Int(1234567)); !ok {
-		t.Fatal("numeric probes never miss")
+	if _, ok := in.Dict().CellOf(Int(1234567)); !ok {
+		t.Fatal("numeric values never miss")
 	}
 }
 

@@ -12,13 +12,6 @@ import (
 // internal/core (variable = FactID + 1).
 type FactID int
 
-// Fact is one row of one relation, together with its identifier.
-type Fact struct {
-	ID    FactID
-	Rel   string // canonical (lower-case) relation name
-	Tuple Tuple
-}
-
 // Instance is a (possibly inconsistent) database instance: a set of facts
 // over a schema. Facts are append-only; deletion is expressed by building
 // sub-instances (see Subset), which preserves fact identity — essential
@@ -26,8 +19,8 @@ type Fact struct {
 //
 // Facts live in per-relation column arenas with dictionary-interned
 // strings (columnar.go). The Row/ValueAt/Hash* family reads columns and
-// dictionary codes directly and is the form the hot paths use; Fact,
-// Facts and TupleAt materialize tuples for cold paths.
+// dictionary codes directly; RowView.Cell and the Dict's Cell methods
+// (cell.go) carry a stored value as a pointer-free word.
 type Instance struct {
 	schema *Schema
 
@@ -82,35 +75,6 @@ func (in *Instance) DataVersion() uint64 { return in.dataVersion }
 // NumFacts returns the total number of facts.
 func (in *Instance) NumFacts() int { return in.nFacts }
 
-// Fact returns the fact with the given ID. This materializes the tuple
-// (one allocation); hot paths should use Row, ValueAt, or the
-// Hash*/Equal* accessors instead.
-func (in *Instance) Fact(id FactID) Fact {
-	rs := in.schema.RelationByID(RelID(in.factRel[id]))
-	return Fact{ID: id, Rel: rs.canon, Tuple: in.TupleAt(id)}
-}
-
-// Facts materializes every fact; it is intended for cold paths and
-// tests only.
-func (in *Instance) Facts() []Fact {
-	out := make([]Fact, in.nFacts)
-	for id := 0; id < in.nFacts; id++ {
-		out[id] = in.Fact(FactID(id))
-	}
-	return out
-}
-
-// TupleAt materializes the tuple of one fact.
-func (in *Instance) TupleAt(id FactID) Tuple {
-	rc := in.rels[in.factRel[id]]
-	row := int(in.factRow[id])
-	t := make(Tuple, len(rc.cols))
-	for i := range rc.cols {
-		t[i] = rc.cols[i].value(in.dict, row)
-	}
-	return t
-}
-
 // Row returns an allocation-free view of one fact.
 func (in *Instance) Row(id FactID) RowView {
 	return RowView{dict: in.dict, rc: in.rels[in.factRel[id]], row: int(in.factRow[id])}
@@ -148,7 +112,8 @@ func (in *Instance) RelSize(rel string) int { return len(in.RelFacts(rel)) }
 // EqualRowsOn compares: strings fold their dictionary code instead of
 // their bytes (cheaper, and still collision-verified by every
 // consumer). Hashes are therefore NOT comparable across instances —
-// pair them with HashProbeValue on the probe side.
+// pair them with HashCell over the same instance's cells on the probe
+// side.
 func (in *Instance) HashRowOn(id FactID, positions []int, h uint64) uint64 {
 	rc := in.rels[in.factRel[id]]
 	row := int(in.factRow[id])
@@ -168,21 +133,6 @@ func (in *Instance) HashRowAll(id FactID, h uint64) uint64 {
 	return h
 }
 
-// HashProbeValue folds a probe value into h so the result can meet
-// HashRowOn hashes in one index. ok=false means no fact of this
-// instance can EqualExact v (its string is not in the dictionary), so
-// the caller can skip the index lookup outright.
-func (in *Instance) HashProbeValue(h uint64, v Value) (uint64, bool) {
-	if v.kind == KindString {
-		code, ok := in.dict.Lookup(v.s)
-		if !ok {
-			return 0, false
-		}
-		return hashUint64(hashByte(h, byte(KindString)), uint64(code)), true
-	}
-	return v.HashExact(h), true
-}
-
 // EqualRowsOn reports EqualExact of two facts' projections onto the
 // given positions. Both facts must live in relations whose columns at
 // those positions exist (the engine only compares facts of one
@@ -190,39 +140,20 @@ func (in *Instance) HashProbeValue(h uint64, v Value) (uint64, bool) {
 func (in *Instance) EqualRowsOn(a, b FactID, positions []int) bool {
 	ra, rb := in.rels[in.factRel[a]], in.rels[in.factRel[b]]
 	rowA, rowB := int(in.factRow[a]), int(in.factRow[b])
-	if ra == rb {
-		for _, p := range positions {
-			if !ra.cols[p].equalRows(rowA, rowB) {
-				return false
-			}
-		}
-		return true
-	}
 	for _, p := range positions {
-		if !ra.cols[p].matchValue(in.dict, rowA, rb.cols[p].value(in.dict, rowB)) {
+		if ra.cols[p].cell(rowA) != rb.cols[p].cell(rowB) {
 			return false
 		}
 	}
 	return true
 }
 
-// MatchAt reports EqualExact between one stored position and a probe
-// value without materializing the stored side.
-func (in *Instance) MatchAt(id FactID, pos int, v Value) bool {
-	rc := in.rels[in.factRel[id]]
-	return rc.cols[pos].matchValue(in.dict, int(in.factRow[id]), v)
-}
-
 // CompareAt is Value.Compare between the same attribute position of two
-// facts of one relation, reading columns directly (equal string codes
-// short-circuit before any byte comparison).
+// facts, reading columns directly (equal string codes short-circuit
+// before any byte comparison).
 func (in *Instance) CompareAt(a, b FactID, pos int) int {
 	ra, rb := in.rels[in.factRel[a]], in.rels[in.factRel[b]]
-	if ra == rb {
-		return ra.cols[pos].compareRows(in.dict, int(in.factRow[a]), int(in.factRow[b]))
-	}
-	return ra.cols[pos].value(in.dict, int(in.factRow[a])).
-		Compare(rb.cols[pos].value(in.dict, int(in.factRow[b])))
+	return in.dict.CompareCells(ra.cols[pos].cell(int(in.factRow[a])), rb.cols[pos].cell(int(in.factRow[b])))
 }
 
 // Dict returns the instance's string pool.
@@ -411,11 +342,16 @@ func (in *Instance) KeyInconsistency() []InconsistencyStats {
 // works with the original IDs throughout.
 func (in *Instance) Subset(keep func(FactID) bool) *Instance {
 	out := NewInstance(in.schema)
+	var t Tuple // scratch: Insert copies the values into its columns
 	n := in.NumFacts()
 	for id := FactID(0); int(id) < n; id++ {
 		if keep(id) {
 			rs := in.schema.RelationByID(in.RelOf(id))
-			if _, err := out.Insert(rs.Name, in.TupleAt(id)); err != nil {
+			t = t[:0]
+			for p := 0; p < rs.Arity(); p++ {
+				t = append(t, in.ValueAt(id, p))
+			}
+			if _, err := out.Insert(rs.Name, t); err != nil {
 				panic(err) // same schema: cannot happen
 			}
 		}

@@ -150,12 +150,9 @@ func TestInstanceBasics(t *testing.T) {
 	if in.RelSize("customer") != 5 || in.RelSize("ACCOUNTS") != 5 || in.RelSize("CustAcc") != 4 {
 		t.Error("RelSize mismatch")
 	}
-	f := in.Fact(7) // f8 = (A3, Saving, SJ, 1200)
-	if f.Rel != "accounts" || !f.Tuple[0].Equal(Str("A3")) || f.Tuple[3].AsInt() != 1200 {
-		t.Errorf("Fact(7) = %+v", f)
-	}
-	if f.ID != 7 {
-		t.Error("fact ID mismatch")
+	f := tupleOf(in, 7) // f8 = (A3, Saving, SJ, 1200)
+	if in.Schema().RelationByID(in.RelOf(7)).Canon() != "accounts" || !f[0].Equal(Str("A3")) || f[3].AsInt() != 1200 {
+		t.Errorf("fact 7 = %v", f)
 	}
 }
 
@@ -254,9 +251,9 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost rows: %d", out.RelSize("Accounts"))
 	}
 	for i, id := range out.RelFacts("Accounts") {
-		want := in.Fact(in.RelFacts("Accounts")[i]).Tuple
-		if !out.Fact(id).Tuple.Equal(want) {
-			t.Errorf("row %d: got %v, want %v", i, out.Fact(id).Tuple, want)
+		want := tupleOf(in, in.RelFacts("Accounts")[i])
+		if got := tupleOf(out, id); !got.Equal(want) {
+			t.Errorf("row %d: got %v, want %v", i, got, want)
 		}
 	}
 }
@@ -280,9 +277,9 @@ func TestCSVHeaderValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reordered columns rejected: %v", err)
 	}
-	f := in.Fact(in.RelFacts("Customer")[0])
-	if !f.Tuple[0].Equal(Str("C9")) || !f.Tuple[2].Equal(Str("LA")) {
-		t.Errorf("reordered parse wrong: %v", f.Tuple)
+	f := tupleOf(in, in.RelFacts("Customer")[0])
+	if !f[0].Equal(Str("C9")) || !f[2].Equal(Str("LA")) {
+		t.Errorf("reordered parse wrong: %v", f)
 	}
 }
 

@@ -124,7 +124,7 @@ func (v Value) Equal(o Value) bool { return v.Compare(o) == 0 }
 // Compare imposes a total order on values: NULL < numbers < strings;
 // numbers compare numerically across INT/FLOAT; strings lexicographically.
 func (v Value) Compare(o Value) int {
-	ra, rb := v.rank(), o.rank()
+	ra, rb := v.kind.rank(), o.kind.rank()
 	if ra != rb {
 		if ra < rb {
 			return -1
@@ -160,17 +160,6 @@ func (v Value) Compare(o Value) int {
 			return 1
 		}
 		return 0
-	}
-}
-
-func (v Value) rank() int {
-	switch v.kind {
-	case KindNull:
-		return 0
-	case KindInt, KindFloat:
-		return 1
-	default:
-		return 2
 	}
 }
 

@@ -70,7 +70,7 @@ func TestGenerateViolationRates(t *testing.T) {
 		for _, f := range v {
 			if !seen[f] {
 				seen[f] = true
-				perRel[in.Fact(f).Rel]++
+				perRel[in.Schema().RelationByID(in.RelOf(f)).Canon()]++
 			}
 		}
 	}
@@ -94,7 +94,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatal("sizes differ")
 	}
 	for i := 0; i < a.NumFacts(); i++ {
-		if !a.Fact(db.FactID(i)).Tuple.Equal(b.Fact(db.FactID(i)).Tuple) {
+		if !tupleOf(a, db.FactID(i)).Equal(tupleOf(b, db.FactID(i))) {
 			t.Fatalf("fact %d differs", i)
 		}
 	}
@@ -150,4 +150,13 @@ func TestAllQueriesTranslateAndRun(t *testing.T) {
 	if scalarSeen != 6 || groupedSeen != 6 {
 		t.Errorf("scalar/grouped split = %d/%d, want 6/6", scalarSeen, groupedSeen)
 	}
+}
+
+// tupleOf materializes one fact's tuple through ValueAt.
+func tupleOf(in *db.Instance, id db.FactID) db.Tuple {
+	t := make(db.Tuple, in.Schema().RelationByID(in.RelOf(id)).Arity())
+	for p := range t {
+		t[p] = in.ValueAt(id, p)
+	}
+	return t
 }

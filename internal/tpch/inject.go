@@ -41,16 +41,8 @@ func Inject(in *db.Instance, opts InjectOptions) (*db.Instance, error) {
 	}
 	r := xrand.New(opts.Seed)
 
-	// Copy fact by fact (never materializing the whole instance at
-	// once), preserving the input's fact IDs.
-	out := db.NewInstance(in.Schema())
-	nIn := in.NumFacts()
-	for id := db.FactID(0); int(id) < nIn; id++ {
-		rs := in.Schema().RelationByID(in.RelOf(id))
-		if _, err := out.Insert(rs.Name, in.TupleAt(id)); err != nil {
-			return nil, err
-		}
-	}
+	// Copy every fact, preserving the input's fact IDs.
+	out := in.Subset(func(db.FactID) bool { return true })
 
 	want := map[string]float64{}
 	if opts.Relations == nil {
@@ -105,7 +97,10 @@ func Inject(in *db.Instance, opts InjectOptions) (*db.Instance, error) {
 				break // no fresh victims left
 			}
 			victimUsed[vi] = true
-			victim := in.TupleAt(base[vi])
+			victim := make(db.Tuple, rs.Arity())
+			for p := range victim {
+				victim[p] = in.ValueAt(base[vi], p)
+			}
 			size := r.Range(opts.MinGroup, opts.MaxGroup)
 			// Cap the group so small relations do not overshoot their
 			// target percentage (Table II's 7.69 % nation row is a
@@ -117,9 +112,9 @@ func Inject(in *db.Instance, opts InjectOptions) (*db.Instance, error) {
 			seen := map[string]bool{victim.Key(nonKey): true}
 			for added < size-1 {
 				dup := victim.Clone()
-				donor := in.TupleAt(base[r.Intn(len(base))])
+				donor := base[r.Intn(len(base))]
 				for _, p := range nonKey {
-					dup[p] = donor[p]
+					dup[p] = in.ValueAt(donor, p)
 				}
 				k := dup.Key(nonKey)
 				if seen[k] {

@@ -16,14 +16,14 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatalf("sizes differ: %d vs %d", a.NumFacts(), b.NumFacts())
 	}
 	for i := 0; i < a.NumFacts(); i++ {
-		if !a.Fact(db.FactID(i)).Tuple.Equal(b.Fact(db.FactID(i)).Tuple) {
+		if !tupleOf(a, db.FactID(i)).Equal(tupleOf(b, db.FactID(i))) {
 			t.Fatalf("fact %d differs", i)
 		}
 	}
 	c := Generate(testSF, 43)
 	same := true
 	for i := 0; i < a.NumFacts() && i < c.NumFacts(); i++ {
-		if !a.Fact(db.FactID(i)).Tuple.Equal(c.Fact(db.FactID(i)).Tuple) {
+		if !tupleOf(a, db.FactID(i)).Equal(tupleOf(c, db.FactID(i))) {
 			same = false
 			break
 		}
@@ -53,13 +53,13 @@ func TestGenerateReferentialIntegrity(t *testing.T) {
 	in := Generate(testSF, 7)
 	sz := SizesAt(testSF)
 	for _, id := range in.RelFacts("orders") {
-		ck := in.Fact(id).Tuple[1].AsInt()
+		ck := in.ValueAt(id, 1).AsInt()
 		if ck < 0 || ck >= int64(sz.Customer) {
 			t.Fatalf("order references missing customer %d", ck)
 		}
 	}
 	for _, id := range in.RelFacts("lineitem") {
-		tup := in.Fact(id).Tuple
+		tup := tupleOf(in, id)
 		if ok := tup[0].AsInt(); ok < 0 || ok >= int64(sz.Orders) {
 			t.Fatalf("lineitem references missing order %d", ok)
 		}
@@ -113,14 +113,16 @@ func TestInjectNoDuplicateTuples(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
-	for _, f := range injected.Facts() {
-		positions := make([]int, len(f.Tuple))
+	for id := db.FactID(0); int(id) < injected.NumFacts(); id++ {
+		rel := injected.Schema().RelationByID(injected.RelOf(id)).Canon()
+		tup := tupleOf(injected, id)
+		positions := make([]int, len(tup))
 		for i := range positions {
 			positions[i] = i
 		}
-		k := f.Rel + "|" + f.Tuple.Key(positions)
+		k := rel + "|" + tup.Key(positions)
 		if seen[k] {
-			t.Fatalf("duplicate tuple in %s: %v", f.Rel, f.Tuple)
+			t.Fatalf("duplicate tuple in %s: %v", rel, tup)
 		}
 		seen[k] = true
 	}
@@ -187,4 +189,13 @@ func TestQueryLookup(t *testing.T) {
 	if len(QueryNames()) != 15 {
 		t.Errorf("QueryNames = %d entries", len(QueryNames()))
 	}
+}
+
+// tupleOf materializes one fact's tuple through ValueAt.
+func tupleOf(in *db.Instance, id db.FactID) db.Tuple {
+	t := make(db.Tuple, in.Schema().RelationByID(in.RelOf(id)).Arity())
+	for p := range t {
+		t[p] = in.ValueAt(id, p)
+	}
+	return t
 }
