@@ -37,8 +37,9 @@ race:
 	$(GO) test -race -short . ./internal/obsv/... ./internal/sat/... ./internal/maxsat/... ./internal/core/... ./internal/cq/... ./internal/bench/... ./internal/server/... ./internal/planner/... ./internal/conquer/... ./internal/db/... ./internal/workpool/... ./cmd/...
 
 # Micro-benchmarks: the clone-vs-rebuild and shared-base suites in
-# sat/maxsat/core (incremental solving), core's closed-form vs
-# encode + MaxHS component solve (BenchmarkComponentSolve), the compiled evaluation
+# sat/maxsat/core (incremental solving), core's group elimination vs
+# encode + MaxHS component solve on a single-group and a coupled
+# width-2 component (BenchmarkComponentSolve), the compiled evaluation
 # (BenchmarkEvalWideJoin: a join into a 14-column relation that reads
 # two columns) and key-fast-path-vs-generic constraint suites in
 # cq/constraints, the
@@ -50,9 +51,11 @@ bench:
 
 # Fuzz smoke: a bounded run of the planner equivalence fuzzer
 # (planner-auto ≡ forced-SAT ≡ exhaustive repair enumeration on random
-# instances), of the closed-form kernel fuzzer (closed form ≡
+# instances), of the group-elimination fuzzer (elimination ≡
 # encode + MaxHS ≡ exhaustive repair enumeration on random keys-mode
-# components) and of the evaluator fuzzer (compiled CQ evaluation ≡
+# components coupling up to six groups, and a lowered table budget
+# declining exactly the components whose largest table exceeds it) and
+# of the evaluator fuzzer (compiled CQ evaluation ≡
 # brute-force reference, folded + materialized ≡ unfolded bag). The
 # seed corpora always run as part of `make test`; this target
 # additionally mutates each for FUZZTIME.

@@ -94,7 +94,8 @@ func TestQueryScalarSQL(t *testing.T) {
 			st.SATCalls, st.ClosedFormComponents, st.Vars, st.Clauses)
 	}
 	// Reached through Mary's two Cust facts, the same accounts couple two
-	// violating groups, and the solver's work is accumulated.
+	// violating groups: the component is eliminated at width 1, still
+	// with no SAT call.
 	res, err = sys.Query(coupledSumSQL)
 	if err != nil {
 		t.Fatal(err)
@@ -102,15 +103,31 @@ func TestQueryScalarSQL(t *testing.T) {
 	if got := FormatRange(res.Rows[0].Ranges[0]); got != "[900, 2200]" {
 		t.Fatalf("coupled range = %s, want [900, 2200]", got)
 	}
+	if st := res.Stats; st.SATCalls != 0 || st.ClosedFormComponents != 1 || st.Vars != 9 || st.Clauses != 21 {
+		t.Errorf("coupled stats = %d SAT calls, %d closed-form components, %d/%d vars/clauses; want 0, 1, 9/21",
+			st.SATCalls, st.ClosedFormComponents, st.Vars, st.Clauses)
+	}
+	// SUM(DISTINCT) over the same witnesses goes to the solver.
+	res, err = sys.Query(coupledDistinctSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := FormatRange(res.Rows[0].Ranges[0]); got != "[900, 2200]" {
+		t.Fatalf("distinct range = %s, want [900, 2200]", got)
+	}
 	if res.Stats.SATCalls == 0 || res.Stats.ClosedFormComponents != 0 {
-		t.Errorf("stats not accumulated: %+v", res.Stats)
+		t.Errorf("distinct stats: %+v, want SAT calls and no closed-form component", res.Stats)
 	}
 }
 
 // coupledSumSQL sums Mary's account balances through her Cust facts:
-// its witnesses couple Mary's key-equal group with account A3's, so its
-// component is solved rather than answered in closed form.
+// its witnesses couple Mary's key-equal group with account A3's.
 const coupledSumSQL = `SELECT SUM(Acc.BAL) FROM Cust, CustAcc, Acc
+	WHERE Cust.CID = CustAcc.CID AND CustAcc.ACCID = Acc.ACCID AND Cust.NAME = 'Mary'`
+
+// coupledDistinctSQL is coupledSumSQL over distinct balances, which
+// group elimination does not take: its component is encoded and solved.
+const coupledDistinctSQL = `SELECT SUM(DISTINCT Acc.BAL) FROM Cust, CustAcc, Acc
 	WHERE Cust.CID = CustAcc.CID AND CustAcc.ACCID = Acc.ACCID AND Cust.NAME = 'Mary'`
 
 func TestQueryGroupedSQL(t *testing.T) {
@@ -204,13 +221,14 @@ func TestDenialConstraintMode(t *testing.T) {
 }
 
 // TestDefaultSolverIsMaxHS: the zero Options value solves with MaxHS,
-// as the explain report's solver names show.
+// as the explain report's solver names show (a DISTINCT aggregate
+// always reaches the solver).
 func TestDefaultSolverIsMaxHS(t *testing.T) {
 	sys, err := Open(bank(t), Options{Explain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Query(`SELECT COUNT(*) FROM Cust, Acc, CustAcc
+	res, err := sys.Query(`SELECT COUNT(DISTINCT Acc.TYPE) FROM Cust, Acc, CustAcc
 		WHERE Cust.CID = CustAcc.CID AND Acc.ACCID = CustAcc.ACCID
 		AND Cust.CITY = Acc.CITY`)
 	if err != nil {
@@ -410,7 +428,7 @@ func TestExternalSolverLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Query(coupledSumSQL)
+	res, err := sys.Query(coupledDistinctSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,12 +520,13 @@ func TestMultiAggregateStatsAdd(t *testing.T) {
 		sql string
 		// maxsatRuns and closedForm are the statement's exact counts:
 		// Acc alone has one violating group per witness, the join
-		// through Cust couples Mary's group with A3's.
+		// through Cust couples Mary's group with A3's, and only the
+		// DISTINCT aggregate reaches the solver.
 		maxsatRuns, closedForm int
 	}{
 		{`SELECT CITY, COUNT(*), SUM(BAL), MAX(BAL) FROM Acc GROUP BY CITY`, 0, 2},
-		{`SELECT Cust.CITY, COUNT(*), SUM(Acc.BAL) FROM Cust, CustAcc, Acc
-			WHERE Cust.CID = CustAcc.CID AND CustAcc.ACCID = Acc.ACCID GROUP BY Cust.CITY`, 8, 0},
+		{`SELECT Cust.CITY, COUNT(*), SUM(DISTINCT Acc.BAL) FROM Cust, CustAcc, Acc
+			WHERE Cust.CID = CustAcc.CID AND CustAcc.ACCID = Acc.ACCID GROUP BY Cust.CITY`, 4, 2},
 	} {
 		res, err := sys.Query(tc.sql)
 		if err != nil {

@@ -289,7 +289,9 @@ func (r *Runner) engine(in *db.Instance) (*core.Engine, error) {
 	return core.New(in, r.cfg.engineOptions(nil))
 }
 
-// versusConQuer is the shared shape of Figures 1, 2, 5 and 6.
+// versusConQuer is the shared shape of Figures 1, 2, 5 and 6. The
+// engine builds the key-equal groups once, in the first query; as in
+// the paper, every row's encode time includes that shared build.
 func (r *Runner) versusConQuer(title string, in *db.Instance, queries []tpch.Query) (*Table, error) {
 	eng, err := r.engine(in)
 	if err != nil {
@@ -299,10 +301,14 @@ func (r *Runner) versusConQuer(title string, in *db.Instance, queries []tpch.Que
 		Title:  title,
 		Header: []string{"query", "witness_ms", "encode_ms", "solve_ms", "aggcavsat_ms", "conquer_ms", "groups"},
 	}
+	var groups time.Duration
 	for _, q := range queries {
 		res, err := r.runQuery(eng, q)
 		if err != nil {
 			return nil, err
+		}
+		if res.stats.ConstraintTime > 0 {
+			groups = res.stats.ConstraintTime
 		}
 		cqTime, supported, err := runConquer(in, q)
 		if err != nil {
@@ -315,7 +321,7 @@ func (r *Runner) versusConQuer(title string, in *db.Instance, queries []tpch.Que
 		t.Rows = append(t.Rows, []string{
 			q.Name,
 			ms(res.stats.WitnessTime),
-			ms(res.stats.ConstraintTime + res.stats.EncodeTime),
+			ms(groups + res.stats.EncodeTime),
 			ms(res.stats.SolveTime),
 			totalCell(res),
 			conquerCell,
@@ -694,7 +700,8 @@ func (r *Runner) TableIV() (*Table, error) {
 
 // Figure9 runs the twelve Medigap queries under Reduction V.1, with the
 // paper's encode split (constraint/near-violation time vs witnesses vs
-// solving).
+// solving). The engine detects the violations once, in the first
+// query; as in the paper, every row shows that shared time.
 func (r *Runner) Figure9() (*Table, error) {
 	in, dcs, err := r.medigap()
 	if err != nil {
@@ -708,6 +715,7 @@ func (r *Runner) Figure9() (*Table, error) {
 		Title:  "Figure 9 — Medigap queries (denial constraints, Reduction V.1)",
 		Header: []string{"query", "violations_ms", "witness_ms", "encode_ms", "solve_ms", "total_ms", "satcalls", "groups"},
 	}
+	var violations time.Duration
 	for _, q := range medigap.Queries() {
 		tr, err := sqlparse.ParseAndTranslate(q.SQL, in.Schema())
 		if err != nil {
@@ -720,9 +728,12 @@ func (r *Runner) Figure9() (*Table, error) {
 		}
 		total := time.Since(start)
 		st := rep.Stats
+		if st.ConstraintTime > 0 {
+			violations = st.ConstraintTime
+		}
 		t.Rows = append(t.Rows, []string{
 			q.Name,
-			ms(st.ConstraintTime),
+			ms(violations),
 			ms(st.WitnessTime),
 			ms(st.EncodeTime),
 			ms(st.SolveTime),

@@ -96,8 +96,7 @@ func TestGoldenCounters(t *testing.T) {
 	cfg.Parallelism = 1
 	r := NewRunner(cfg)
 	// The paper-calibrated small scale runs every workload query; the 10×
-	// scale keeps to the scalar queries to bound solver time (its Q10′
-	// exhausts the solver budget, deterministically).
+	// scale keeps to the scalar queries to bound its run time.
 	scales := []struct {
 		sf      float64
 		queries []tpch.Query
@@ -347,19 +346,6 @@ func checkDiffCases(t *testing.T, cases []diffCase) {
 // bigLeg is the sf=0.01 leg, whose heap clears the guard's byte floor.
 func bigLeg(g *gateGolden) *gateLeg { return &g.Legs[len(g.Legs)-1] }
 
-// solvedQuery returns the leg's first query with a measured solve
-// phase (a zero golden value means "not measured" and never flags).
-func solvedQuery(t *testing.T, l *gateLeg) *gateQuery {
-	t.Helper()
-	for i := range l.Queries {
-		if l.Queries[i].SolveAllocBytes > 0 {
-			return &l.Queries[i]
-		}
-	}
-	t.Fatal("golden leg has no query with solve allocations")
-	return nil
-}
-
 // TestCompareRecordsAnswersAndTimeouts: answer drift with an unchanged
 // answer count, a counter change, and a timeout appearing or clearing
 // all fail the gate's exact match.
@@ -374,17 +360,15 @@ func TestCompareRecordsAnswersAndTimeouts(t *testing.T) {
 		{"new timeout", func(g *gateGolden) {
 			g.Legs[0].Queries[0] = gateQuery{gateExact: gateExact{Query: g.Legs[0].Queries[0].Query, Timeout: true}}
 		}, true},
-		{"cleared timeout", func(g *gateGolden) {
-			for i, q := range bigLeg(g).Queries {
-				if q.Timeout {
-					bigLeg(g).Queries[i] = g.Legs[0].Queries[0]
-					bigLeg(g).Queries[i].Query = q.Query
-					return
-				}
-			}
-			t.Error("golden file has no timed-out query")
-		}, true},
 	})
+	// A timeout clearing: the golden file times out on a query the run
+	// answers.
+	want := loadGateGolden(t)
+	q := &bigLeg(&want).Queries[0]
+	*q = gateQuery{gateExact: gateExact{Query: q.Query, Timeout: true}}
+	if d := diffGolden(want, loadGateGolden(t)); len(d) == 0 {
+		t.Error("cleared timeout: not flagged")
+	}
 }
 
 // TestCompareRecordsFlagsMemoryGrowth: growth past the 1.5× + 8 MiB
@@ -394,8 +378,20 @@ func TestCompareRecordsFlagsMemoryGrowth(t *testing.T) {
 		{"peak_live 2x", func(g *gateGolden) { bigLeg(g).PeakLive *= 2 }, true},
 		{"peak_heap 2x", func(g *gateGolden) { bigLeg(g).PeakHeap *= 2 }, true},
 		{"instance_bytes 2x", func(g *gateGolden) { bigLeg(g).InstanceBytes *= 2 }, true},
-		{"alloc growth", func(g *gateGolden) { solvedQuery(t, bigLeg(g)).SolveAllocBytes += 64 << 20 }, true},
 	})
+	// Each phase's allocations, from a measured 1 MiB to 65 MiB.
+	for _, phase := range []func(*gateQuery) *int64{
+		func(q *gateQuery) *int64 { return &q.WitnessAllocBytes },
+		func(q *gateQuery) *int64 { return &q.EncodeAllocBytes },
+		func(q *gateQuery) *int64 { return &q.SolveAllocBytes },
+	} {
+		want, got := loadGateGolden(t), loadGateGolden(t)
+		*phase(&bigLeg(&want).Queries[0]) = 1 << 20
+		*phase(&bigLeg(&got).Queries[0]) = 65 << 20
+		if d := diffGolden(want, got); len(d) == 0 {
+			t.Error("alloc growth: not flagged")
+		}
+	}
 }
 
 // TestCompareRecordsMemoryNoiseGuards: growth inside the ratio, growth

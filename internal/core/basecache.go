@@ -28,7 +28,7 @@ type baseEntry struct {
 }
 
 // componentKey serializes a component's sorted closure fact list into a
-// map key (4 bytes per fact, little-endian — the factSetKey idiom).
+// map key (4 bytes per fact, little-endian).
 // Closure fact sets are canonical: two solve units entangle the same
 // facts iff their components coincide, so the key identifies the hard
 // formula exactly.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"aggcavsat/internal/cq"
@@ -12,18 +13,24 @@ import (
 )
 
 // closedFormCase is one random keys-mode solve unit: an instance of
-// key-equal groups and a witness bag over its facts, aggregated by op.
+// key-equal groups and a witness bag over its facts, aggregated by op,
+// and a lowered elimination table budget.
 type closedFormCase struct {
-	in  *db.Instance
-	op  cq.AggOp
-	bag []cq.Witness
+	in     *db.Instance
+	op     cq.AggOp
+	bag    []cq.Witness
+	budget int
 }
 
-// genClosedFormCase draws key-equal groups of 1–6 facts (at most 2048
-// repairs in all) and 1–8 witnesses of 1–3 facts each. A witness may
-// repeat a fact, hold two facts of one group, couple two groups or
-// consist of safe facts only; its value is NULL, zero, negative or
-// positive, and its multiplicity 1–3.
+// genClosedFormCase draws 1–6 key-equal groups of 1–8 facts (at most
+// 4096 repairs in all) and 1–12 witnesses, each holding one fact of 1–3
+// distinct groups, so components couple violating groups up to
+// elimination width 3. One case in four first chains every group to the
+// next in a ring of two-fact witnesses, a cycle the elimination closes
+// with a fill-in edge. A witness may also repeat a fact, hold a second
+// fact of one of its groups (it is then in no repair) or consist of safe
+// facts only; its value is NULL, zero, negative or positive, and its
+// multiplicity 1–3. The lowered budget is a power of two from 2 to 1024.
 func genClosedFormCase(r *rng) closedFormCase {
 	s := db.NewSchema()
 	s.MustAddRelation(&db.RelationSchema{
@@ -36,10 +43,7 @@ func genClosedFormCase(r *rng) closedFormCase {
 	groupOf := map[db.FactID]int{}
 	repairs := 1
 	for k := range 1 + r.next(6) {
-		size := 1 + r.next(6)
-		if repairs*size > 2048 {
-			size = 1
-		}
+		size := min(1+r.next(8), 4096/repairs)
 		repairs *= size
 		var g []db.FactID
 		for i := range size {
@@ -49,35 +53,42 @@ func genClosedFormCase(r *rng) closedFormCase {
 		}
 		groups = append(groups, g)
 	}
-	pick := func() db.FactID {
-		g := groups[r.next(len(groups))]
-		return g[r.next(len(g))]
-	}
-	c := closedFormCase{in: in, op: []cq.AggOp{cq.CountStar, cq.Count, cq.Sum}[r.next(3)]}
-	for range 1 + r.next(8) {
-		facts := []db.FactID{pick()}
-		for range r.next(3) {
-			prev := facts[r.next(len(facts))]
-			switch r.next(4) {
-			case 0: // repeat a fact
-				facts = append(facts, prev)
-			case 1: // a member of the group of a fact already held
-				g := groups[groupOf[prev]]
-				facts = append(facts, g[r.next(len(g))])
-			default:
-				facts = append(facts, pick())
-			}
-		}
-		var v db.Value
+	member := func(g []db.FactID) db.FactID { return g[r.next(len(g))] }
+	c := closedFormCase{in: in, op: []cq.AggOp{cq.CountStar, cq.Count, cq.Sum}[r.next(3)], budget: 2 << r.next(10)}
+	value := func() db.Value {
 		switch r.next(5) {
 		case 0:
-			v = db.Null()
+			return db.Null()
 		case 1:
-			v = db.Int(0)
-		default:
-			v = db.Int(int64(r.next(11) - 5))
+			return db.Int(0)
 		}
-		c.bag = append(c.bag, cq.Witness{Facts: facts, Answer: db.Tuple{v}, Mult: int64(1 + r.next(3))})
+		return db.Int(int64(r.next(11) - 5))
+	}
+	if r.next(4) == 0 {
+		for i, g := range groups {
+			h := groups[(i+1)%len(groups)]
+			c.bag = append(c.bag, cq.Witness{Facts: []db.FactID{member(g), member(h)}, Answer: db.Tuple{value()}, Mult: int64(1 + r.next(3))})
+		}
+	}
+	for range 1 + r.next(12) {
+		// A partial shuffle picks the distinct groups.
+		order := make([]int, len(groups))
+		for i := range order {
+			order[i] = i
+		}
+		var facts []db.FactID
+		for i := range min(1+r.next(3), len(groups)) {
+			j := i + r.next(len(order)-i)
+			order[i], order[j] = order[j], order[i]
+			facts = append(facts, member(groups[order[i]]))
+		}
+		switch r.next(6) {
+		case 0: // repeat a fact
+			facts = append(facts, facts[r.next(len(facts))])
+		case 1: // a second member of a group already held
+			facts = append(facts, member(groups[groupOf[facts[0]]]))
+		}
+		c.bag = append(c.bag, cq.Witness{Facts: facts, Answer: db.Tuple{value()}, Mult: int64(1 + r.next(3))})
 	}
 	return c
 }
@@ -113,15 +124,23 @@ func present(keep []bool, facts []db.FactID) bool {
 	return true
 }
 
-// checkClosedForm checks one case component by component — the closed
-// form, the encoded Reduction IV.1 instance solved by MaxHS, and the
-// repair enumeration agree on the falsified-weight range, the closed
-// form declines exactly the components a witness couples across two
-// violating groups, and the counted reduction size is the built
-// formula's — and then checks the whole solve unit's range against the
-// aggregate over every repair. It returns how many components the
-// closed form answered and how many it left to the solver.
-func checkClosedForm(t *testing.T, label string, c closedFormCase) (closedForm, solved int) {
+// elimTally counts the components of the checked cases: eliminated and
+// declined under each case's lowered budget, and eliminated at the
+// default budget per elimination width (at most 5 with 6 groups).
+type elimTally struct {
+	eliminated, declined int
+	widths               [6]int
+}
+
+// checkClosedForm checks one case component by component — group
+// elimination, the encoded Reduction IV.1 instance solved by MaxHS, and
+// the repair enumeration agree on the falsified-weight range; under a
+// lowered budget the kernel declines exactly the components whose
+// largest table exceeds it; and the counted reduction size is the built
+// formula's — and then checks the whole solve unit's range, at the
+// default budget and at the case's lowered one, against the aggregate
+// over every repair.
+func checkClosedForm(t *testing.T, label string, c closedFormCase, tally *elimTally) {
 	t.Helper()
 	e, err := New(c.in, Options{Mode: KeysMode, Parallelism: 1})
 	if err != nil {
@@ -138,7 +157,10 @@ func checkClosedForm(t *testing.T, label string, c closedFormCase) (closedForm, 
 		witnessFacts[i] = w.facts
 	}
 	split := splitComponents(cc, witnessFacts)
-	cf := closedFormer{cc: cc, ws: ws}
+	// One kernel per budget, its scratch reused across the components
+	// as in a solve unit.
+	full := eliminator{cc: cc, ws: ws, budget: elimTableBudget}
+	lowered := eliminator{cc: cc, ws: ws, budget: c.budget}
 	for ci, idx := range split.groups {
 		facts := split.facts[ci]
 		where := fmt.Sprintf("%s component %d (facts %v, witnesses %v)", label, ci, facts, idx)
@@ -158,17 +180,30 @@ func checkClosedForm(t *testing.T, label string, c closedFormCase) (closedForm, 
 		if satMin != wantMin || satMax != wantMax {
 			t.Fatalf("%s: MaxHS [%d, %d], repairs [%d, %d]", where, satMin, satMax, wantMin, wantMax)
 		}
-		cfMin, cfMax, ok := cf.solve(facts, idx)
-		if coupled := couplesGroups(cc, ws, idx); ok == coupled {
-			t.Fatalf("%s: closed form ok = %v, witnesses couple groups = %v", where, ok, coupled)
+		elMin, elMax, shape, ok := full.solve(facts, idx)
+		if !ok || elMin != wantMin || elMax != wantMax {
+			t.Fatalf("%s: elimination [%d, %d] (ok %v, %+v), repairs [%d, %d]", where, elMin, elMax, ok, shape, wantMin, wantMax)
 		}
-		if ok && (cfMin != wantMin || cfMax != wantMax) {
-			t.Fatalf("%s: closed form [%d, %d], repairs [%d, %d]", where, cfMin, cfMax, wantMin, wantMax)
+		tally.widths[shape.width]++
+		// The budget boundary: the largest table fits exactly, one entry
+		// less declines (a component of safe facts only builds none).
+		for _, b := range []int{shape.table, max(shape.table-1, 0)} {
+			edge := eliminator{cc: cc, ws: ws, budget: b}
+			if _, _, _, ok := edge.solve(facts, idx); ok != (shape.table <= b) {
+				t.Fatalf("%s: budget %d, largest table %d: ok = %v", where, b, shape.table, ok)
+			}
+		}
+		lo, hi, _, ok := lowered.solve(facts, idx)
+		if ok != (shape.table <= c.budget) {
+			t.Fatalf("%s: budget %d, largest table %d: ok = %v", where, c.budget, shape.table, ok)
+		}
+		if ok && (lo != wantMin || hi != wantMax) {
+			t.Fatalf("%s: budget %d: elimination [%d, %d], repairs [%d, %d]", where, c.budget, lo, hi, wantMin, wantMax)
 		}
 		if ok {
-			closedForm++
+			tally.eliminated++
 		} else {
-			solved++
+			tally.declined++
 		}
 		enc := newEncoder(cc, facts)
 		enc.addWitnesses(ws, idx)
@@ -181,10 +216,6 @@ func checkClosedForm(t *testing.T, label string, c closedFormCase) (closedForm, 
 		}
 	}
 
-	got, err := e.sumCountFromGroup(ctx, c.op, cq.WitnessGroup{Witnesses: c.bag}, rc)
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
 	glb, lub := repairRange(t, c.in, func(keep []bool) int64 {
 		var agg int64
 		for _, w := range c.bag {
@@ -202,50 +233,37 @@ func checkClosedForm(t *testing.T, label string, c closedFormCase) (closedForm, 
 		}
 		return agg
 	})
-	if got.GLB.AsInt() != glb || got.LUB.AsInt() != lub {
-		t.Fatalf("%s: %s range [%v, %v], repairs [%d, %d]", label, c.op, got.GLB, got.LUB, glb, lub)
-	}
-	return closedForm, solved
-}
-
-// couplesGroups reports whether some witness of idx holds facts of two
-// different violating key-equal groups.
-func couplesGroups(cc *constraintContext, ws []weightedWitness, idx []int) bool {
-	for _, wi := range idx {
-		g := -1
-		for _, f := range ws[wi].facts {
-			gi := cc.groupOf[f]
-			if cc.groupSafe[gi] {
-				continue
-			}
-			if g >= 0 && gi != g {
-				return true
-			}
-			g = gi
+	for _, budget := range []int{elimTableBudget, c.budget} {
+		e.elimBudget = budget
+		got, err := e.sumCountFromGroup(ctx, c.op, cq.WitnessGroup{Witnesses: c.bag}, rc)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if got.GLB.AsInt() != glb || got.LUB.AsInt() != lub {
+			t.Fatalf("%s: budget %d: %s range [%v, %v], repairs [%d, %d]", label, budget, c.op, got.GLB, got.LUB, glb, lub)
 		}
 	}
-	return false
 }
 
 // TestClosedFormOracle is the kernel's property test over seeded random
-// components: closed form ≡ encode + MaxHS ≡ repair enumeration.
+// components: elimination ≡ encode + MaxHS ≡ repair enumeration, with
+// every width from 0 to 3 reached.
 func TestClosedFormOracle(t *testing.T) {
 	n := 400
 	if testing.Short() {
 		n = 100
 	}
-	var closedForm, solved int
+	var tally elimTally
 	for seed := 1; seed <= n; seed++ {
 		r := rng(uint64(seed)*0x9e3779b97f4a7c15 + 1)
-		cf, s := checkClosedForm(t, fmt.Sprintf("seed %d", seed), genClosedFormCase(&r))
-		closedForm += cf
-		solved += s
+		checkClosedForm(t, fmt.Sprintf("seed %d", seed), genClosedFormCase(&r), &tally)
 	}
-	// The generator must exercise both sides of the kernel's test.
-	if closedForm == 0 || solved == 0 {
-		t.Errorf("%d closed-form components, %d solved: the generator misses a side", closedForm, solved)
+	// The generator must exercise both sides of the budget test and
+	// every width up to 3.
+	if tally.eliminated == 0 || tally.declined == 0 || slices.Contains(tally.widths[:4], 0) {
+		t.Errorf("%+v: the generator misses a side or a width", tally)
 	}
-	t.Logf("%d closed-form components, %d solved", closedForm, solved)
+	t.Logf("%d components eliminated, %d declined under the lowered budgets; by width %v", tally.eliminated, tally.declined, tally.widths)
 }
 
 // FuzzClosedForm mutates the seed of the same generator.
@@ -258,7 +276,7 @@ func FuzzClosedForm(f *testing.F) {
 			seed = 1 // the xorshift generator is stuck at zero
 		}
 		r := rng(seed)
-		checkClosedForm(t, fmt.Sprintf("seed %d", seed), genClosedFormCase(&r))
+		checkClosedForm(t, fmt.Sprintf("seed %d", seed), genClosedFormCase(&r), &elimTally{})
 	})
 }
 
@@ -283,10 +301,12 @@ func TestClosedFormOverflow(t *testing.T) {
 	}
 }
 
-// BenchmarkComponentSolve answers one component — a key-equal group of
-// five facts with one SUM witness per fact, two of them negative — in
-// closed form and by encoding Reduction IV.1 and solving both
-// directions with MaxHS over the cached hard-clause base.
+// BenchmarkComponentSolve answers one component by group elimination
+// and by encoding Reduction IV.1 and solving both directions with MaxHS
+// over the cached hard-clause base. single-group is a key-equal group of
+// five facts with one SUM witness per fact, two of them negative (width
+// 0); coupled is three groups of four facts pairwise coupled by SUM
+// witnesses of two facts each (width 2, largest table 64).
 func BenchmarkComponentSolve(b *testing.B) {
 	s := db.NewSchema()
 	s.MustAddRelation(&db.RelationSchema{
@@ -295,12 +315,23 @@ func BenchmarkComponentSolve(b *testing.B) {
 		Key:   []int{0},
 	})
 	in := db.NewInstance(s)
-	var bag []cq.Witness
-	idx := []int{}
+	var single, coupled []cq.Witness
 	for i := range 5 {
 		f := in.MustInsert("R", db.Int(0), db.Int(int64(i)))
-		bag = append(bag, cq.Witness{Facts: []db.FactID{f}, Answer: db.Tuple{db.Int(int64(3*i - 4))}, Mult: 1})
-		idx = append(idx, i)
+		single = append(single, cq.Witness{Facts: []db.FactID{f}, Answer: db.Tuple{db.Int(int64(3*i - 4))}, Mult: 1})
+	}
+	var groups [3][4]db.FactID
+	for g := range groups {
+		for i := range groups[g] {
+			groups[g][i] = in.MustInsert("R", db.Int(int64(1+g)), db.Int(int64(i)))
+		}
+	}
+	for i := range 4 {
+		for g := range 3 {
+			h := (g + 1) % 3
+			v := int64(7*i - 5*g - 3)
+			coupled = append(coupled, cq.Witness{Facts: []db.FactID{groups[g][i], groups[h][(i+g)%4]}, Answer: db.Tuple{db.Int(v)}, Mult: 1})
+		}
 	}
 	e, err := New(in, Options{Mode: KeysMode, Parallelism: 1})
 	if err != nil {
@@ -308,26 +339,38 @@ func BenchmarkComponentSolve(b *testing.B) {
 	}
 	ctx, rc := e.begin(context.Background(), "bench", "bench", "bench")
 	cc := e.constraintCtx(ctx, rc)
-	ws, err := prepareWitnesses(cq.Sum, bag)
-	if err != nil {
-		b.Fatal(err)
+	for _, bc := range []struct {
+		name  string
+		bag   []cq.Witness
+		width int
+	}{{"single-group", single, 0}, {"coupled", coupled, 2}} {
+		ws, err := prepareWitnesses(cq.Sum, bc.bag)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var seed []db.FactID
+		idx := make([]int, len(ws))
+		for i, w := range ws {
+			seed = append(seed, w.facts...)
+			idx[i] = i
+		}
+		facts := cc.closure(seed)
+		b.Run(bc.name+"/elimination", func(b *testing.B) {
+			el := eliminator{cc: cc, ws: ws, budget: elimTableBudget}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, shape, ok := el.solve(facts, idx); !ok || shape.width != bc.width {
+					b.Fatalf("ok %v, %+v: want width %d", ok, shape, bc.width)
+				}
+			}
+		})
+		b.Run(bc.name+"/encode+maxhs", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := e.solveComponent(ctx, cc, facts, ws, idx, rc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	facts := cc.groups[0].Facts
-	b.Run("closed-form", func(b *testing.B) {
-		cf := closedFormer{cc: cc, ws: ws}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, ok := cf.solve(facts, idx); !ok {
-				b.Fatal("one group cannot be coupled")
-			}
-		}
-	})
-	b.Run("encode+maxhs", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := e.solveComponent(ctx, cc, facts, ws, idx, rc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -253,17 +253,6 @@ func dedupFactSets(ws []cq.Witness) [][]db.FactID {
 	return out
 }
 
-// factSetKey builds an order-insensitive hash key for a witness fact
-// set: the same facts can arrive in different orders from different
-// join orderings or union branches, so the IDs are sorted (on a copy)
-// before hashing. The key is not injective; users must verify exact
-// equality inside buckets.
-func factSetKey(facts []db.FactID) uint64 {
-	sorted := slices.Clone(facts)
-	slices.Sort(sorted)
-	return db.HashFactSet(sorted)
-}
-
 func errInternalUnsat() error {
 	return errString("core: hard repair clauses unsatisfiable (internal bug)")
 }

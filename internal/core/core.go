@@ -138,6 +138,11 @@ type Engine struct {
 	// clone the base instead of re-encoding and re-loading identical
 	// hard clauses. See componentBase.
 	bases sync.Map // componentKey(facts) → *baseEntry
+
+	// elimBudget is the largest bucket table group elimination builds:
+	// elimTableBudget, which tests lower to send components to the
+	// solver.
+	elimBudget int
 }
 
 // New creates an engine for the instance. For DCMode the constraints are
@@ -153,7 +158,7 @@ func New(in *db.Instance, opts Options) (*Engine, error) {
 			}
 		}
 	}
-	e := &Engine{in: in, eval: cq.NewEvaluator(in), opts: opts}
+	e := &Engine{in: in, eval: cq.NewEvaluator(in), opts: opts, elimBudget: elimTableBudget}
 	e.planner = planner.New(in, opts.Planner, opts.Mode == DCMode)
 	e.eval.SetParallelism(e.parallelism())
 	return e, nil
@@ -201,8 +206,9 @@ type Stats struct {
 	MaxClauses          int
 	ConsistentPartSkips int // groups answered without any SAT instance
 	// ClosedFormComponents counts the keys-mode COUNT/SUM components
-	// answered in closed form, with no formula built or solved; their
-	// counted Reduction IV.1 sizes are in Vars/Clauses all the same.
+	// answered by group elimination, with no formula built or solved;
+	// their counted Reduction IV.1 sizes are in Vars/Clauses all the
+	// same.
 	ClosedFormComponents int
 	// FoldedAssignments counts the witnessing assignments made only of
 	// safe facts that were folded into the consistent part's constant
@@ -372,10 +378,14 @@ type constraintContext struct {
 	genericDCs int
 }
 
-// context lazily builds the constraint context (concurrency-safe).
-func (e *Engine) context() *constraintContext {
-	e.ctxOnce.Do(func() { e.ctx = e.buildContext() })
-	return e.ctx
+// context lazily builds the constraint context (concurrency-safe) and
+// reports whether this call ran the build.
+func (e *Engine) context() (cc *constraintContext, built bool) {
+	e.ctxOnce.Do(func() {
+		e.ctx = e.buildContext()
+		built = true
+	})
+	return e.ctx, built
 }
 
 // buildContext performs the actual (one-time) construction.

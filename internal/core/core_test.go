@@ -64,6 +64,14 @@ func mustEngine(t *testing.T, in *db.Instance) *Engine {
 	return e
 }
 
+// noElimination switches group elimination off on e, so every keys-mode
+// COUNT/SUM component is encoded and solved, as DISTINCT and DC-mode
+// components always are.
+func noElimination(e *Engine) *Engine {
+	e.elimBudget = 0
+	return e
+}
+
 // paperSumQuery: SELECT SUM(Acc.BAL) for customer C2 (Section I).
 func paperSumQuery() cq.AggQuery {
 	return cq.AggQuery{
@@ -81,8 +89,9 @@ func paperSumQuery() cq.AggQuery {
 // coupledSumQuery is Example IV.2: SUM(Acc.BAL) over Mary's accounts,
 // reached through her Cust facts. Every witness holds one of Mary's two
 // Cust facts and some hold one of account A3's two facts too, coupling
-// two violating key-equal groups: its one component is encoded and
-// solved, where paperSumQuery's (same range) is answered in closed form.
+// two violating key-equal groups: its one component is eliminated with
+// width 1 (one table of 2 × 2 entries), where paperSumQuery's (same
+// range) has width 0. Under noElimination it is encoded and solved.
 func coupledSumQuery() cq.AggQuery {
 	return cq.AggQuery{
 		Op:     cq.Sum,
@@ -155,9 +164,22 @@ func TestPaperExampleIV2SumMary(t *testing.T) {
 		t.Fatalf("range = [%v, %v], want [900, 2200]", a.GLB, a.LUB)
 	}
 	// Its witnesses couple Mary's key-equal group with A3's: one
-	// component, solved in both directions.
+	// component, eliminated with no MaxSAT run.
+	if rep.Stats.MaxSATRuns != 0 || rep.Stats.ClosedFormComponents != 1 {
+		t.Errorf("MaxSATRuns = %d, ClosedFormComponents = %d, want 0 and 1",
+			rep.Stats.MaxSATRuns, rep.Stats.ClosedFormComponents)
+	}
+	// Without elimination the same component is solved in both
+	// directions, to the same range.
+	rep, err = noElimination(mustEngine(t, bank())).RangeAnswers(coupledSumQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := rep.Answers[0]; a.GLB.AsInt() != 900 || a.LUB.AsInt() != 2200 {
+		t.Fatalf("solved range = [%v, %v], want [900, 2200]", a.GLB, a.LUB)
+	}
 	if rep.Stats.MaxSATRuns != 2 || rep.Stats.ClosedFormComponents != 0 {
-		t.Errorf("MaxSATRuns = %d, ClosedFormComponents = %d, want 2 (glb + lub) and 0",
+		t.Errorf("solved: MaxSATRuns = %d, ClosedFormComponents = %d, want 2 (glb + lub) and 0",
 			rep.Stats.MaxSATRuns, rep.Stats.ClosedFormComponents)
 	}
 }
@@ -439,8 +461,8 @@ func TestStatsPopulated(t *testing.T) {
 	if st.SATCalls != 0 || st.ClosedFormComponents != 1 {
 		t.Errorf("SATCalls = %d, ClosedFormComponents = %d, want 0 and 1", st.SATCalls, st.ClosedFormComponents)
 	}
-	// Example IV.2 couples two violating groups and is solved.
-	rep, err = e.RangeAnswers(coupledSumQuery())
+	// Example IV.2, solved without elimination.
+	rep, err = noElimination(e).RangeAnswers(coupledSumQuery())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,11 +46,16 @@ type ComponentExplain struct {
 	// here; meaningless for the external solver, which shares no base).
 	BaseHit  bool  `json:"base_hit"`
 	EncodeNS int64 `json:"encode_ns"`
-	// ClosedForm reports a keys-mode COUNT/SUM component answered in
-	// closed form: Vars/Clauses are the counted size of a formula that
-	// was never built, BaseHit and EncodeNS are unset, and its one
-	// direction is "closed-form" with no SAT call.
+	// ClosedForm reports a keys-mode COUNT/SUM component answered by
+	// group elimination, with no solver: Vars/Clauses are the counted
+	// size of a formula that was never built, BaseHit and EncodeNS are
+	// unset, and its one direction is "closed-form" with no SAT call.
+	// ElimWidth is its elimination width (0 when no witness couples two
+	// violating key-equal groups) and ElimTable its largest bucket table,
+	// in entries.
 	ClosedForm bool `json:"closed_form,omitempty"`
+	ElimWidth  int  `json:"elim_width,omitempty"`
+	ElimTable  int  `json:"elim_table,omitempty"`
 
 	Directions []DirectionExplain `json:"directions,omitempty"`
 }
@@ -104,14 +109,19 @@ type Explain struct {
 
 	// ConstraintCached reports that the constraint context (key-equal
 	// groups / minimal violations) was served from a cache rather than
-	// built during this call. FastPathRels/GenericDCs attribute the DC
-	// violation route (zero in keys mode).
-	ConstraintCached bool `json:"constraint_cached"`
-	FastPathRels     int  `json:"fastpath_rels"`
-	GenericDCs       int  `json:"generic_dcs"`
+	// built during this call; ConstraintBuildNS is then the cached
+	// context's build time, which the call did not spend (a call that
+	// builds reports it in Stats.ConstraintTime instead).
+	// FastPathRels/GenericDCs attribute the DC violation route (zero in
+	// keys mode).
+	ConstraintCached  bool  `json:"constraint_cached"`
+	ConstraintBuildNS int64 `json:"constraint_build_ns,omitempty"`
+	FastPathRels      int   `json:"fastpath_rels"`
+	GenericDCs        int   `json:"generic_dcs"`
 	// BaseHits/BaseMisses count Engine.bases outcomes across the call's
 	// components; ConsistentSkips counts groups answered without SAT;
-	// ClosedFormComponents counts the components answered in closed form.
+	// ClosedFormComponents counts the components answered by group
+	// elimination.
 	BaseHits             int64 `json:"base_hits"`
 	BaseMisses           int64 `json:"base_misses"`
 	ConsistentSkips      int   `json:"consistent_skips"`
@@ -149,6 +159,9 @@ func (e *Engine) buildExplain(ctx context.Context, rc *recorder, op string, st S
 	}
 	if rc.cc != nil {
 		ex.FastPathRels, ex.GenericDCs = rc.cc.fastRels, rc.cc.genericDCs
+		if ex.ConstraintCached {
+			ex.ConstraintBuildNS = int64(rc.cc.buildTime)
+		}
 	}
 	for i, ce := range rc.comps {
 		ex.Components[i] = *ce
@@ -189,7 +202,11 @@ func (ex *Explain) WriteTable(w io.Writer) error {
 	}
 	fmt.Fprintf(tw, "solver\t%s\n", solver)
 	fmt.Fprintf(tw, "parallelism\t%d\n", ex.Parallelism)
-	fmt.Fprintf(tw, "constraint cache\t%s\n", hitMiss(ex.ConstraintCached))
+	cons := hitMiss(ex.ConstraintCached)
+	if ex.ConstraintBuildNS > 0 {
+		cons += fmt.Sprintf(" (built in %v)", time.Duration(ex.ConstraintBuildNS))
+	}
+	fmt.Fprintf(tw, "constraint cache\t%s\n", cons)
 	if ex.Mode == "dc" {
 		fmt.Fprintf(tw, "violation route\t%d fast-path relation(s), %d generic DC(s)\n", ex.FastPathRels, ex.GenericDCs)
 	}
@@ -235,7 +252,11 @@ func (ex *Explain) WriteTable(w io.Writer) error {
 				} else {
 					fmt.Fprintf(tw, "\t\t\t\t\t\t")
 				}
-				fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%v\n", d.Direction, d.Algorithm, d.SATCalls, d.Conflicts, time.Duration(d.SolveNS))
+				alg := d.Algorithm
+				if ce.ClosedForm {
+					alg = fmt.Sprintf("%s (width %d, table %d)", alg, ce.ElimWidth, ce.ElimTable)
+				}
+				fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%v\n", d.Direction, alg, d.SATCalls, d.Conflicts, time.Duration(d.SolveNS))
 			}
 		}
 	}

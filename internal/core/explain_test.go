@@ -13,13 +13,13 @@ import (
 // TestExplainReconcilesWithStats is the `-explain` vs `-stats` contract:
 // both views of a solve are projections of the one per-call record, so
 // the explain report's Stats must equal the Report's Stats field for
-// field, for a solved component and for a closed-form one.
+// field, for a solved component and for eliminated ones.
 func TestExplainReconcilesWithStats(t *testing.T) {
 	e, err := New(bank(), Options{Mode: KeysMode, Explain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.RangeAnswers(coupledSumQuery())
+	rep, err := noElimination(e).RangeAnswers(coupledSumQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,25 +61,39 @@ func TestExplainReconcilesWithStats(t *testing.T) {
 		t.Errorf("component sat calls = %d, report total = %d", satCalls, rep.Stats.SATCalls)
 	}
 
-	// The running example's component is answered in closed form: it is
-	// listed with its counted size and one closed-form pass, no SAT call.
-	rep, err = e.RangeAnswers(paperSumQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex = rep.Explain
-	if !reflect.DeepEqual(ex.Stats, rep.Stats) {
-		t.Errorf("closed form: explain stats diverge from report stats:\nexplain: %+v\nreport:  %+v", ex.Stats, rep.Stats)
-	}
-	want := []ComponentExplain{{Facts: 3, Witnesses: 2, Vars: 4, Clauses: 8, ClosedForm: true,
-		Directions: []DirectionExplain{{Direction: "closed-form", Algorithm: "none"}}}}
-	if !reflect.DeepEqual(ex.Components, want) {
-		t.Errorf("closed form: components = %+v, want %+v", ex.Components, want)
-	}
-	if ex.ClosedFormComponents != 1 || ex.BaseHits+ex.BaseMisses != 0 ||
-		ex.Stats.Vars != 4 || ex.Stats.Clauses != 8 || ex.Stats.SATCalls != 0 {
-		t.Errorf("closed form: %d closed-form components, %d base lookups, stats %+v",
-			ex.ClosedFormComponents, ex.BaseHits+ex.BaseMisses, ex.Stats)
+	// With elimination on, the running example's component (width 0,
+	// A3's two facts) and Example IV.2's (width 1, Mary's and A3's
+	// groups) are each listed with their counted size, their shape and
+	// one closed-form pass, no SAT call.
+	e.elimBudget = elimTableBudget
+	for _, tc := range []struct {
+		q                    cq.AggQuery
+		facts, units         int
+		vars, clauses        int
+		elimWidth, elimTable int
+	}{
+		{paperSumQuery(), 3, 2, 4, 8, 0, 2},
+		{coupledSumQuery(), 7, 6, 9, 21, 1, 4},
+	} {
+		rep, err = e.RangeAnswers(tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex = rep.Explain
+		if !reflect.DeepEqual(ex.Stats, rep.Stats) {
+			t.Errorf("eliminated: explain stats diverge from report stats:\nexplain: %+v\nreport:  %+v", ex.Stats, rep.Stats)
+		}
+		want := []ComponentExplain{{Facts: tc.facts, Witnesses: tc.units, Vars: tc.vars, Clauses: tc.clauses, ClosedForm: true,
+			ElimWidth: tc.elimWidth, ElimTable: tc.elimTable,
+			Directions: []DirectionExplain{{Direction: "closed-form", Algorithm: "elimination"}}}}
+		if !reflect.DeepEqual(ex.Components, want) {
+			t.Errorf("eliminated: components = %+v, want %+v", ex.Components, want)
+		}
+		if ex.ClosedFormComponents != 1 || ex.BaseHits+ex.BaseMisses != 0 ||
+			ex.Stats.Vars != tc.vars || ex.Stats.Clauses != tc.clauses || ex.Stats.SATCalls != 0 {
+			t.Errorf("eliminated: %d closed-form components, %d base lookups, stats %+v",
+				ex.ClosedFormComponents, ex.BaseHits+ex.BaseMisses, ex.Stats)
+		}
 	}
 }
 
@@ -138,12 +152,15 @@ func TestExplainWriteTableAndJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		q    cq.AggQuery
-		want []string
+		q      cq.AggQuery
+		budget int
+		want   []string
 	}{
-		{coupledSumQuery(), []string{"glb", "lub"}},
-		{paperSumQuery(), []string{"closed-form components", "closed-form"}},
+		{coupledSumQuery(), 0, []string{"glb", "lub"}},
+		{paperSumQuery(), elimTableBudget, []string{"closed-form components", "closed-form", "elimination (width 0, table 2)"}},
+		{coupledSumQuery(), elimTableBudget, []string{"closed-form components", "closed-form", "elimination (width 1, table 4)"}},
 	} {
+		e.elimBudget = tc.budget
 		rep, err := e.RangeAnswers(tc.q)
 		if err != nil {
 			t.Fatal(err)

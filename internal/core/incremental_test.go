@@ -16,7 +16,8 @@ import (
 // enumeration (internal/exhaustive) on random inconsistent instances,
 // for every operator, scalar and grouped, MaxHS with default budgets and
 // with the RC2 fallback forced (a hitting-set node budget of 1), and
-// both a sequential and a parallel worker pool.
+// both a sequential and a parallel worker pool. Group elimination is
+// off, so the COUNT/SUM components take the solver path too.
 func TestIncrementalMatchesExhaustive(t *testing.T) {
 	ops := []cq.AggOp{cq.CountStar, cq.Count, cq.Sum, cq.CountDistinct, cq.SumDistinct, cq.Min, cq.Max}
 	legs := []struct {
@@ -52,6 +53,7 @@ func TestIncrementalMatchesExhaustive(t *testing.T) {
 				if !eng.incremental() {
 					t.Fatalf("%s: engine not on the shared-base path", leg.name)
 				}
+				noElimination(eng)
 				for _, op := range ops {
 					for _, grouped := range []bool{false, true} {
 						label := fmt.Sprintf("seed %d %s par %d op %v grouped %v", seed, leg.name, par, op, grouped)
@@ -95,7 +97,7 @@ func TestComponentBaseCached(t *testing.T) {
 	r := rng(42)
 	in := randomInstance(&r)
 	e, _ := New(in, Options{Mode: KeysMode})
-	cc := e.context()
+	cc, _ := e.context()
 	var facts []db.FactID
 	for f := 0; f < in.NumFacts(); f++ {
 		facts = append(facts, db.FactID(f))

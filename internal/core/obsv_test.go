@@ -30,7 +30,8 @@ func groupedSumQuery() cq.AggQuery {
 // customer's accounts, GROUP BY Cust.CITY. Mary's (C2) Cust facts split
 // between LA and SF, and her account A3 has two facts: each group's
 // witnesses through C2 and A3 couple two violating key-equal groups, so
-// both consistent groups (LA [900, 3100], SF [300, 2500]) are solved.
+// both consistent groups (LA [900, 3100], SF [300, 2500]) have one
+// width-1 component, solved under noElimination.
 func groupedCoupledSumQuery() cq.AggQuery {
 	return cq.AggQuery{
 		Op:      cq.Sum,
@@ -53,14 +54,18 @@ func TestGroupedSumTraceBalanced(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		q    cq.AggQuery
-		// solved: the solver spans appear (else there is none: every
-		// component is answered in closed form).
+		// solved: elimination is off and the solver spans appear (else
+		// there is none: every component is eliminated).
 		solved bool
 	}{
 		{"closed-form", groupedSumQuery(), false},
-		{"coupled", groupedCoupledSumQuery(), true},
+		{"coupled", groupedCoupledSumQuery(), false},
+		{"coupled-solved", groupedCoupledSumQuery(), true},
 	} {
 		e := mustEngine(t, bank())
+		if tc.solved {
+			noElimination(e)
+		}
 		tr := obsv.NewTracer()
 		ctx := obsv.WithTracer(context.Background(), tr)
 		rep, err := e.RangeAnswersContext(ctx, tc.q)
@@ -125,8 +130,9 @@ func TestGroupedSumStatsMerged(t *testing.T) {
 			st.MaxSATRuns, st.ClosedFormComponents, st.ConsistentPartSkips)
 	}
 	closedForm := rep.Stats
-	// Both groups of the coupled query solve one component each.
-	rep, err = e.RangeAnswers(groupedCoupledSumQuery())
+	// Without elimination both groups of the coupled query solve one
+	// component each.
+	rep, err = noElimination(e).RangeAnswers(groupedCoupledSumQuery())
 	if err != nil {
 		t.Fatal(err)
 	}

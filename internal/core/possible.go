@@ -22,8 +22,10 @@ func (e *Engine) PossibleAnswers(u cq.UCQ) ([]db.Tuple, Stats, error) {
 	if err := u.Validate(e.in.Schema()); err != nil {
 		return nil, stats, err
 	}
-	ctx := e.context()
-	stats.ConstraintTime = ctx.buildTime
+	ctx, built := e.context()
+	if built {
+		stats.ConstraintTime = ctx.buildTime
+	}
 
 	start := time.Now()
 	bag := e.eval.WitnessBag(u)

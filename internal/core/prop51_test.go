@@ -63,7 +63,7 @@ func checkBijectionEngine(t *testing.T, label string, eng *Engine,
 	repairs func(func(keep []bool) bool) error) {
 	t.Helper()
 	in := eng.Instance()
-	ctx := eng.context()
+	ctx, _ := eng.context()
 
 	// Encode every fact.
 	var seed []db.FactID

@@ -151,7 +151,8 @@ func valuesMatch(a, b db.Value) bool {
 // TestRandomAgainstExhaustiveKeys is the central soundness test of the
 // whole system: on hundreds of random inconsistent instances, for every
 // supported operator, scalar and grouped, the SAT pipeline must agree
-// exactly with brute-force repair enumeration.
+// exactly with brute-force repair enumeration, with group elimination
+// on and off.
 func TestRandomAgainstExhaustiveKeys(t *testing.T) {
 	ops := []cq.AggOp{cq.CountStar, cq.Count, cq.Sum, cq.CountDistinct, cq.SumDistinct, cq.Min, cq.Max}
 	trials := 60
@@ -165,6 +166,11 @@ func TestRandomAgainstExhaustiveKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		solver, err := New(in, Options{Mode: KeysMode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		noElimination(solver)
 		for _, op := range ops {
 			for _, grouped := range []bool{false, true} {
 				for qi, q := range []cq.AggQuery{singleRelQuery(op, grouped), joinQuery(op, grouped)} {
@@ -173,11 +179,13 @@ func TestRandomAgainstExhaustiveKeys(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: exhaustive: %v", label, err)
 					}
-					got, err := eng.RangeAnswers(q)
-					if err != nil {
-						t.Fatalf("%s: engine: %v", label, err)
+					for _, e := range []*Engine{eng, solver} {
+						got, err := e.RangeAnswers(q)
+						if err != nil {
+							t.Fatalf("%s: engine: %v", label, err)
+						}
+						compareReports(t, label, got, want)
 					}
-					compareReports(t, label, got, want)
 				}
 			}
 		}
@@ -272,9 +280,10 @@ func TestKeysAsDCsAgree(t *testing.T) {
 }
 
 // TestSolversAgree pins MaxHS's RC2 fallback through the full reduction
-// pipeline: with a hitting-set node budget of 1 every exact hitting-set
-// search aborts, so RC2 answers the passes that need one, and the
-// ranges must still equal repair enumeration (internal/exhaustive).
+// pipeline: with group elimination off and a hitting-set node budget of
+// 1 every exact hitting-set search aborts, so RC2 answers the passes
+// that need one, and the ranges must still equal repair enumeration
+// (internal/exhaustive).
 func TestSolversAgree(t *testing.T) {
 	fallbacks := 0
 	for seed := 1; seed <= 15; seed++ {
@@ -284,6 +293,7 @@ func TestSolversAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		noElimination(eng)
 		q := joinQuery(cq.Sum, true)
 		got, err := eng.RangeAnswers(q)
 		if err != nil {

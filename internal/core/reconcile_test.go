@@ -115,7 +115,7 @@ func metricNames(reg *obsv.Registry) string {
 // registry and the flight bundle all carry the same figures (the
 // folded-assignment count included, nonzero on the folding calls), and
 // that every exit path publishes the same metric names. The keys-mode
-// SAT cases cover a call answered in closed form and one solved.
+// SAT cases cover calls eliminated at width 0 and 1 and one solved.
 func TestOneRecordReconciles(t *testing.T) {
 	r := rng(77)
 	rnd := randomInstance(&r)
@@ -140,11 +140,13 @@ func TestOneRecordReconciles(t *testing.T) {
 		anomaly string
 		folds   bool // the call folds some all-safe assignment
 		// closedForm is the call's exact count of components answered
-		// in closed form.
+		// by group elimination; solved switches elimination off.
 		closedForm int
+		solved     bool
 	}{
 		{name: "keys/sat", in: bank(), q: groupedSumQuery(), route: "sat", anomaly: "slow", folds: true, closedForm: 1},
-		{name: "keys/sat-coupled", in: bank(), q: groupedCoupledSumQuery(), route: "sat", anomaly: "slow", folds: true},
+		{name: "keys/sat-coupled", in: bank(), q: groupedCoupledSumQuery(), route: "sat", anomaly: "slow", folds: true, closedForm: 2},
+		{name: "keys/sat-solved", in: bank(), q: groupedCoupledSumQuery(), route: "sat", anomaly: "slow", folds: true, solved: true},
 		{name: "keys/rewrite", in: rnd, opts: Options{Planner: planner.ModeAuto},
 			q: joinQuery(cq.CountStar, true), route: "rewrite", anomaly: "slow"},
 		{name: "dc/sat", in: rnd, opts: Options{Mode: DCMode, DCs: dcs, Planner: planner.ModeAuto},
@@ -167,6 +169,9 @@ func TestOneRecordReconciles(t *testing.T) {
 			e, err := New(tc.in, opts)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.solved {
+				noElimination(e)
 			}
 			ctx := tc.ctx
 			if ctx == nil {
@@ -250,5 +255,62 @@ func TestOneRecordReconciles(t *testing.T) {
 		if want := published[cases[0].name]; names != want {
 			t.Errorf("%s publishes %s\n%s publishes %s", name, names, cases[0].name, want)
 		}
+	}
+}
+
+// TestConstraintTimeOnlyWhenBuilt: the constraint phase is reported by
+// the call that built the context and by no later call. A call that
+// reuses it reports no constraint time in its Stats, its journal line
+// or the registry's gauge, which keeps the builder's figure; its explain
+// report marks the cache hit and carries the cached build time.
+func TestConstraintTimeOnlyWhenBuilt(t *testing.T) {
+	var buf bytes.Buffer
+	reg := obsv.NewRegistry()
+	j := obsv.NewJournal(&buf, 0)
+	e, err := New(bank(), Options{Explain: true, Metrics: reg, Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := e.RangeAnswers(groupedSumQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused, err := e.RangeAnswers(groupedCoupledSumQuery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built.Stats.ConstraintTime <= 0 || built.Explain.ConstraintCached || built.Explain.ConstraintBuildNS != 0 {
+		t.Errorf("building call: constraint time %v, cached %v, cached build %d ns; want > 0, false, 0",
+			built.Stats.ConstraintTime, built.Explain.ConstraintCached, built.Explain.ConstraintBuildNS)
+	}
+	if reused.Stats.ConstraintTime != 0 || !reused.Explain.ConstraintCached ||
+		reused.Explain.ConstraintBuildNS != int64(built.Stats.ConstraintTime) {
+		t.Errorf("reusing call: constraint time %v, cached %v, cached build %d ns; want 0, true, %d",
+			reused.Stats.ConstraintTime, reused.Explain.ConstraintCached, reused.Explain.ConstraintBuildNS,
+			int64(built.Stats.ConstraintTime))
+	}
+	if g := reg.Gauge(obsv.MetricConstraintNS).Value(); g != int64(built.Stats.ConstraintTime) {
+		t.Errorf("constraint gauge = %d, want the build's %d", g, int64(built.Stats.ConstraintTime))
+	}
+	var table bytes.Buffer
+	if err := reused.Explain.WriteTable(&table); err != nil {
+		t.Fatal(err)
+	}
+	if want := "hit (built in " + built.Stats.ConstraintTime.String() + ")"; !strings.Contains(table.String(), want) {
+		t.Errorf("explain table lacks %q:\n%s", want, table.String())
+	}
+	j.Close()
+	lines, err := obsv.ReadJournal(&buf)
+	if err != nil || len(lines) != 2 {
+		t.Fatalf("journal: %d lines, err %v", len(lines), err)
+	}
+	checkLineStats(t, "building call", lines[0], built.Stats)
+	checkLineStats(t, "reusing call", lines[1], reused.Stats)
+
+	// PossibleAnswers follows the same rule.
+	if _, st, err := e.PossibleAnswers(cq.Single(cq.CQ{Head: []string{"c"}, Atoms: []cq.Atom{
+		{Rel: "Acc", Args: []cq.Term{cq.V("id"), cq.V("t"), cq.V("c"), cq.V("b")}},
+	}})); err != nil || st.ConstraintTime != 0 {
+		t.Errorf("PossibleAnswers on a built context: constraint time %v, err %v; want 0", st.ConstraintTime, err)
 	}
 }

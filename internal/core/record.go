@@ -214,8 +214,10 @@ func (e *Engine) publish(ctx context.Context, rc *recorder, st Stats, anomaly st
 	if rc.ran != [numPhases]bool{} {
 		heap.Set(st.HeapBytes)
 	}
-	if rc.cc != nil {
+	if rc.constraintBuilt {
 		cons.Set(int64(st.ConstraintTime))
+	}
+	if rc.cc != nil {
 		if rc.cc.mode == DCMode {
 			fast.Set(int64(rc.cc.fastRels))
 			generic.Set(int64(rc.cc.genericDCs))
@@ -339,25 +341,27 @@ func (rc *recorder) absorbFormula(f *cnf.Formula) cnf.Stats {
 	return st
 }
 
-// closedFormTally accumulates the closed-form components of one solve
-// unit (closedFormer) — their count, their counted Reduction IV.1 sizes
-// and, under Options.Explain, their entries — so the record takes them
-// with one locked add instead of a phase sample per component.
+// closedFormTally accumulates the components of one solve unit answered
+// by group elimination (eliminator) — their count, their counted
+// Reduction IV.1 sizes and, under Options.Explain, their entries — so
+// the record takes them with one locked add instead of a phase sample
+// per component.
 type closedFormTally struct {
 	n                                  int
 	vars, clauses, maxVars, maxClauses int
 	comps                              []*ComponentExplain
 }
 
-// add tallies one closed-form component: its formula size, closure
-// fact count and witness count.
-func (t *closedFormTally) add(size formulaSize, facts, units int, explain bool) {
+// add tallies one eliminated component: its formula size, closure fact
+// count, witness count and elimination shape.
+func (t *closedFormTally) add(size formulaSize, facts, units int, shape elimShape, explain bool) {
 	t.n++
 	t.absorb(size)
 	if explain {
 		t.comps = append(t.comps, &ComponentExplain{Facts: facts, Witnesses: units,
 			Vars: size.vars, Clauses: size.clauses, ClosedForm: true,
-			Directions: []DirectionExplain{{Direction: "closed-form", Algorithm: "none"}}})
+			ElimWidth: shape.width, ElimTable: shape.table,
+			Directions: []DirectionExplain{{Direction: "closed-form", Algorithm: "elimination"}}})
 	}
 }
 
@@ -370,7 +374,7 @@ func (t *closedFormTally) absorb(size formulaSize) {
 	t.maxClauses = max(t.maxClauses, size.clauses)
 }
 
-// closedForm records a solve unit's closed-form components.
+// closedForm records a solve unit's eliminated components.
 func (rc *recorder) closedForm(t *closedFormTally) {
 	if t.n == 0 {
 		return
@@ -428,10 +432,12 @@ func (rc *recorder) grouped(n int) {
 }
 
 // constraintCtx returns the lazily-built constraint context, wrapping
-// the first (real) build in a "core.constraints" span and recording the
-// cached build time into the call's record. Safe for concurrent use:
-// parallel workers race into the sync.Once, exactly one performs the
-// build, the rest block until it finishes.
+// the first (real) build in a "core.constraints" span. Only the call
+// that ran the build reports its time (Stats.ConstraintTime); a call
+// that reused the context reports none, and its explain report carries
+// the cached build time instead. Safe for concurrent use: parallel
+// workers race into the sync.Once, exactly one performs the build, the
+// rest block until it finishes.
 func (e *Engine) constraintCtx(ctx context.Context, rc *recorder) *constraintContext {
 	built := false
 	e.ctxOnce.Do(func() {
@@ -451,14 +457,13 @@ func (e *Engine) constraintCtx(ctx context.Context, rc *recorder) *constraintCon
 	})
 	cc := e.ctx
 	rc.mu.Lock()
-	// ConstraintTime is the cached build time, re-reported per call (and
-	// per group on the grouped path): set, not summed.
-	rc.stats.ConstraintTime = cc.buildTime
 	rc.cc = cc
 	// Grouped queries call here once per group: only the invocation
-	// that ran the build marks it, later reuse must not clear the mark.
+	// that ran the build marks it and reports its time, later reuse
+	// must not clear the mark.
 	if built {
 		rc.constraintBuilt = true
+		rc.stats.ConstraintTime = cc.buildTime
 	}
 	rc.mu.Unlock()
 	return cc

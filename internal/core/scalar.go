@@ -170,11 +170,10 @@ func errNonIntSum(v db.Value) error {
 // group's consistent part arrives folded into g.Fold, a constant: every
 // materialized witness touches a conflicting fact.
 //
-// The instance splits into independent components. In keys mode a
-// component whose witnesses each touch at most one violating key-equal
-// group is answered in closed form (closedFormer), inline and with no
-// formula; only the components a witness couples across groups, and
-// every DC-mode component, are encoded and solved.
+// The instance splits into independent components. In keys mode each
+// component is answered by group elimination (eliminator), inline and
+// with no formula; only a component whose elimination needs a table
+// over the budget, and every DC-mode component, is encoded and solved.
 func (e *Engine) sumCountFromGroup(ctx context.Context, op cq.AggOp, g cq.WitnessGroup, rc *recorder) (Range, error) {
 	cc := e.constraintCtx(ctx, rc)
 
@@ -214,7 +213,7 @@ func (e *Engine) sumCountFromGroup(ctx context.Context, op cq.AggOp, g cq.Witnes
 		witnessFacts[i] = w.facts
 	}
 	split := splitComponents(cc, witnessFacts)
-	minFTotal, maxFTotal, solve := e.closedFormComponents(cc, split, unsafe, rc)
+	minFTotal, maxFTotal, solve := e.eliminateComponents(cc, split, unsafe, rc)
 	rc.endPhase(phaseEncode, encodeMark)
 
 	// The remaining components are independent WPMaxSAT instances:

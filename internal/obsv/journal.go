@@ -101,8 +101,8 @@ type JournalEntry struct {
 	MaxVars         int   `json:"cnf_vars_max,omitempty"`
 	MaxClauses      int   `json:"cnf_clauses_max,omitempty"`
 	ConsistentSkips int   `json:"consistent_skips,omitempty"`
-	// ClosedForm counts the components answered in closed form, with no
-	// formula built or solved.
+	// ClosedForm counts the components answered by group elimination,
+	// with no formula built or solved.
 	ClosedForm int `json:"closed_form_components,omitempty"`
 
 	// Per-phase resource accounting (the Stats fields of the same
