@@ -54,7 +54,9 @@ bench:
 # instances), of the group-elimination fuzzer (elimination ≡
 # encode + MaxHS ≡ exhaustive repair enumeration on random keys-mode
 # components coupling up to six groups, and a lowered table budget
-# declining exactly the components whose largest table exceeds it) and
+# declining exactly the components whose largest table exceeds it; on
+# the same cases the consistency filter and the MIN/MAX probes, by
+# elimination and with lowered budgets on SAT, ≡ enumeration) and
 # of the evaluator fuzzer (compiled CQ evaluation ≡
 # brute-force reference, folded + materialized ≡ unfolded bag). The
 # seed corpora always run as part of `make test`; this target

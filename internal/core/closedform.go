@@ -53,7 +53,7 @@ func (e *Engine) eliminateComponents(cc *constraintContext, split *componentSpli
 		formula, negation := reductionSize(cc, split.facts[ci], ws, idx)
 		tally.add(formula, len(split.facts[ci]), len(idx), shape, rc.explain)
 		if !e.incremental() {
-			tally.absorb(negation)
+			tally.stats.absorb(negation)
 		}
 	}
 	rc.closedForm(&tally)
@@ -64,6 +64,12 @@ func (e *Engine) eliminateComponents(cc *constraintContext, split *componentSpli
 // groups a bucket table ranges over besides the group eliminated) and
 // its largest bucket table, in entries.
 type elimShape struct{ width, table int }
+
+// widest combines the shapes of two eliminations: the larger width and
+// the larger largest table.
+func (s elimShape) widest(o elimShape) elimShape {
+	return elimShape{max(s.width, o.width), max(s.table, o.table)}
+}
 
 // eliminator holds the scratch of the elimination kernel, reused across
 // the components of one solve unit.
@@ -589,6 +595,30 @@ func resizeAdj(a [][]int32, n int) [][]int32 {
 // formulaSize is the size of one CNF formula, as cnf.Formula.Stats
 // reports it.
 type formulaSize struct{ vars, clauses int }
+
+// keysHardSize counts the hard clauses newEncoder builds in keys mode
+// over the closure of the seed facts (repeats allowed), without
+// building the closure or the clauses: per key-equal group touched,
+// one variable per member (so vars is the closure's size), an
+// at-least-one clause and the pairwise at-most-one clauses.
+func keysHardSize(cc *constraintContext, seed []db.FactID) (size formulaSize) {
+	seen := cc.groupNodes()
+	var gis []int
+	for _, f := range seed {
+		if gi := cc.groupOf[f]; seen[gi] < 0 {
+			seen[gi] = 0
+			gis = append(gis, gi)
+			k := len(cc.groups[gi].Facts)
+			size.vars += k
+			size.clauses += 1 + k*(k-1)/2
+		}
+	}
+	for _, gi := range gis {
+		seen[gi] = -1
+	}
+	cc.nodes.Put(&seen)
+	return size
+}
 
 // reductionSize counts the variables and clauses of the Reduction IV.1
 // formula the encoder builds for one keys-mode component (facts, sorted

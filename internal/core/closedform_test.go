@@ -245,28 +245,276 @@ func checkClosedForm(t *testing.T, label string, c closedFormCase, tally *elimTa
 	}
 }
 
+// splitByClosure is the keys-mode split computed over the closure's
+// fact positions: witness co-occurrence and key-equal groups unioned,
+// components numbered in closure order. splitKeys must reproduce it.
+func splitByClosure(cc *constraintContext, witnessFacts [][]db.FactID) *componentSplit {
+	var seed []db.FactID
+	for _, fs := range witnessFacts {
+		seed = append(seed, fs...)
+	}
+	facts := cc.closure(seed)
+	pos := func(f db.FactID) int32 {
+		i, _ := slices.BinarySearch(facts, f)
+		return int32(i)
+	}
+	uf := newUnionFind(len(facts))
+	for _, fs := range witnessFacts {
+		for _, f := range fs {
+			uf.union(pos(fs[0]), pos(f))
+		}
+	}
+	for i, f := range facts {
+		uf.union(int32(i), pos(cc.groups[cc.groupOf[f]].Facts[0]))
+	}
+	split := &componentSplit{}
+	comp := map[int32]int{}
+	for i, f := range facts {
+		r := uf.find(int32(i))
+		ci, ok := comp[r]
+		if !ok {
+			ci = len(split.facts)
+			comp[r] = ci
+			split.facts = append(split.facts, nil)
+			split.groups = append(split.groups, nil)
+		}
+		split.facts[ci] = append(split.facts[ci], f)
+	}
+	for wi, fs := range witnessFacts {
+		if len(fs) > 0 {
+			ci := comp[uf.find(pos(fs[0]))]
+			split.groups[ci] = append(split.groups[ci], wi)
+		}
+	}
+	return split
+}
+
+// TestSplitKeysOrder: the keys-mode split on group ids gives the
+// components, their facts and their witnesses in the order of the split
+// over closure positions, so explain indices do not move.
+func TestSplitKeysOrder(t *testing.T) {
+	for seed := 1; seed <= 200; seed++ {
+		r := rng(uint64(seed)*0x9e3779b97f4a7c15 + 7)
+		// Facts of up to 8 key values inserted in random order, so the
+		// groups' members interleave, and witnesses of 1–3 random facts.
+		s := db.NewSchema()
+		s.MustAddRelation(&db.RelationSchema{
+			Name:  "R",
+			Attrs: []db.Attribute{{Name: "k", Kind: db.KindInt}, {Name: "i", Kind: db.KindInt}},
+			Key:   []int{0},
+		})
+		in := db.NewInstance(s)
+		n := 2 + r.next(30)
+		for i := range n {
+			in.MustInsert("R", db.Int(int64(r.next(8))), db.Int(int64(i)))
+		}
+		var witnessFacts [][]db.FactID
+		for range r.next(10) {
+			var fs []db.FactID
+			for range 1 + r.next(3) {
+				fs = append(fs, db.FactID(r.next(n)))
+			}
+			slices.Sort(fs)
+			witnessFacts = append(witnessFacts, slices.Compact(fs))
+		}
+		e, err := New(in, Options{Mode: KeysMode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, rc := e.begin(context.Background(), "split", "split", "split")
+		cc := e.constraintCtx(ctx, rc)
+		// Twice: the second split reuses the pooled group table.
+		for range 2 {
+			got, want := splitKeys(cc, witnessFacts), splitByClosure(cc, witnessFacts)
+			if !slices.EqualFunc(got.facts, want.facts, slices.Equal) || !slices.EqualFunc(got.groups, want.groups, slices.Equal) {
+				t.Fatalf("seed %d: split %v / %v, by closure %v / %v", seed, got.facts, got.groups, want.facts, want.groups)
+			}
+		}
+	}
+}
+
+// checkTally counts the consistency candidates and MIN/MAX probe sets
+// of the checked cases that group elimination answered and that the
+// cases' lowered budgets declined to the SAT checks.
+type checkTally struct {
+	eliminated, declined int
+}
+
+// checkChecks checks the consistency filter and the MIN/MAX probes on
+// one case against repair enumeration, at the default budget (group
+// elimination, no SAT call), at the case's lowered budget (the
+// candidates and probe sets it declines take the SAT checks) and at
+// budget 0 (every check on SAT). The case's witnesses, grouped by
+// value, are the candidates of CONS and the bag of MIN and of MAX. The
+// counted formula size must be the one the SAT checks build.
+func checkChecks(t *testing.T, label string, c closedFormCase, tally *checkTally) {
+	t.Helper()
+	e, err := New(c.in, Options{Mode: KeysMode, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := cq.GroupWitnesses(c.bag, 1)
+	var wantCons []bool
+	for _, g := range groups {
+		cons := true
+		err := exhaustive.RepairsKeys(c.in, func(keep []bool) bool {
+			cons = slices.ContainsFunc(g.Witnesses, func(w cq.Witness) bool { return present(keep, w.Facts) })
+			return cons
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCons = append(wantCons, cons)
+	}
+	// Sharded across four workers, at both budgets that eliminate.
+	par, err := New(c.in, Options{Mode: KeysMode, Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int{elimTableBudget, c.budget} {
+		par.elimBudget = budget
+		ctx, rc := par.begin(context.Background(), "checks", label, "checks")
+		got, err := par.consistentGroups(ctx, groups, rc)
+		if err != nil || !slices.Equal(got, wantCons) {
+			t.Fatalf("%s: budget %d, 4 workers: consistent %v (%v), repairs %v", label, budget, got, err, wantCons)
+		}
+	}
+	type outcome struct {
+		cons     []bool
+		min, max Range
+		stats    Stats
+	}
+	var ref outcome
+	for _, budget := range []int{elimTableBudget, c.budget, 0} {
+		e.elimBudget = budget
+		where := fmt.Sprintf("%s: budget %d", label, budget)
+		ctx, rc := e.begin(context.Background(), "checks", label, "checks")
+		var got outcome
+		if got.cons, err = e.consistentGroups(ctx, groups, rc); err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		if !slices.Equal(got.cons, wantCons) {
+			t.Fatalf("%s: consistent %v, repairs %v", where, got.cons, wantCons)
+		}
+		consCalls := rc.stats.SATCalls
+		for _, op := range []cq.AggOp{cq.Min, cq.Max} {
+			r, err := e.minMaxFromBag(ctx, op, c.bag, rc)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", where, op, err)
+			}
+			if want := minMaxOracle(t, c, op); !sameRange(r, want) {
+				t.Fatalf("%s: %s %+v, repairs %+v", where, op, r, want)
+			}
+			if op == cq.Min {
+				got.min = r
+			} else {
+				got.max = r
+			}
+		}
+		got.stats = rc.stats
+		switch budget {
+		case elimTableBudget:
+			if got.stats.SATCalls != 0 {
+				t.Fatalf("%s: %d SAT calls", where, got.stats.SATCalls)
+			}
+			ref = got
+		case 0:
+			checked := 0
+			for _, g := range groups {
+				if !slices.ContainsFunc(g.Witnesses, func(w cq.Witness) bool { return e.ctx.allSafe(w.Facts) }) {
+					checked++
+				}
+			}
+			if consCalls != int64(checked) {
+				t.Fatalf("%s: %d consistency SAT calls for %d checked candidates", where, consCalls, checked)
+			}
+		default:
+			if consCalls > 0 || got.stats.SATCalls > 0 {
+				tally.declined++
+			} else {
+				tally.eliminated++
+			}
+		}
+		if got.stats.Vars != ref.stats.Vars || got.stats.Clauses != ref.stats.Clauses ||
+			got.stats.MaxVars != ref.stats.MaxVars || got.stats.MaxClauses != ref.stats.MaxClauses {
+			t.Fatalf("%s: CNF %d/%d (max %d/%d), counted at the default budget %d/%d (max %d/%d)", where,
+				got.stats.Vars, got.stats.Clauses, got.stats.MaxVars, got.stats.MaxClauses,
+				ref.stats.Vars, ref.stats.Clauses, ref.stats.MaxVars, ref.stats.MaxClauses)
+		}
+	}
+}
+
+// minMaxOracle is op's range over every repair: the endpoints over the
+// repairs where some witness of non-NULL value is present, and whether
+// some repair has none.
+func minMaxOracle(t *testing.T, c closedFormCase, op cq.AggOp) Range {
+	t.Helper()
+	res := Range{GLB: db.Null(), LUB: db.Null()}
+	err := exhaustive.RepairsKeys(c.in, func(keep []bool) bool {
+		agg := db.Null()
+		for _, w := range c.bag {
+			v := w.Answer[0]
+			if v.IsNull() || !present(keep, w.Facts) {
+				continue
+			}
+			if agg.IsNull() || op == cq.Min && v.Compare(agg) < 0 || op == cq.Max && v.Compare(agg) > 0 {
+				agg = v
+			}
+		}
+		if agg.IsNull() {
+			res.EmptyPossible = true
+			return true
+		}
+		if res.GLB.IsNull() || agg.Compare(res.GLB) < 0 {
+			res.GLB = agg
+		}
+		if res.LUB.IsNull() || agg.Compare(res.LUB) > 0 {
+			res.LUB = agg
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func sameRange(a, b Range) bool {
+	return a.GLB.EqualExact(b.GLB) && a.LUB.EqualExact(b.LUB) && a.EmptyPossible == b.EmptyPossible
+}
+
 // TestClosedFormOracle is the kernel's property test over seeded random
 // components: elimination ≡ encode + MaxHS ≡ repair enumeration, with
-// every width from 0 to 3 reached.
+// every width from 0 to 3 reached, and for the consistency filter and
+// the MIN/MAX probes elimination ≡ SAT checks ≡ repair enumeration.
 func TestClosedFormOracle(t *testing.T) {
 	n := 400
 	if testing.Short() {
 		n = 100
 	}
 	var tally elimTally
+	var checks checkTally
 	for seed := 1; seed <= n; seed++ {
 		r := rng(uint64(seed)*0x9e3779b97f4a7c15 + 1)
-		checkClosedForm(t, fmt.Sprintf("seed %d", seed), genClosedFormCase(&r), &tally)
+		c := genClosedFormCase(&r)
+		label := fmt.Sprintf("seed %d", seed)
+		checkClosedForm(t, label, c, &tally)
+		checkChecks(t, label, c, &checks)
 	}
 	// The generator must exercise both sides of the budget test and
 	// every width up to 3.
 	if tally.eliminated == 0 || tally.declined == 0 || slices.Contains(tally.widths[:4], 0) {
 		t.Errorf("%+v: the generator misses a side or a width", tally)
 	}
+	if checks.eliminated == 0 || checks.declined == 0 {
+		t.Errorf("%+v: the lowered budgets miss a side of the CONS and MIN/MAX checks", checks)
+	}
 	t.Logf("%d components eliminated, %d declined under the lowered budgets; by width %v", tally.eliminated, tally.declined, tally.widths)
+	t.Logf("CONS and MIN/MAX under the lowered budgets: %d cases eliminated whole, %d with a check on SAT", checks.eliminated, checks.declined)
 }
 
-// FuzzClosedForm mutates the seed of the same generator.
+// FuzzClosedForm mutates the seed of the same generator, checking the
+// range components and the CONS and MIN/MAX checks of each case.
 func FuzzClosedForm(f *testing.F) {
 	for _, seed := range []uint64{1, 2, 3, 42, 1234567, 0x9e3779b97f4a7c15} {
 		f.Add(seed)
@@ -276,7 +524,9 @@ func FuzzClosedForm(f *testing.F) {
 			seed = 1 // the xorshift generator is stuck at zero
 		}
 		r := rng(seed)
-		checkClosedForm(t, fmt.Sprintf("seed %d", seed), genClosedFormCase(&r), &elimTally{})
+		c := genClosedFormCase(&r)
+		checkClosedForm(t, fmt.Sprintf("seed %d", seed), c, &elimTally{})
+		checkChecks(t, fmt.Sprintf("seed %d", seed), c, &checkTally{})
 	})
 }
 

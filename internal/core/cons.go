@@ -48,11 +48,10 @@ func (e *Engine) consistentAnswers(ctx context.Context, u cq.UCQ, rc *recorder) 
 	// Only the existence of an all-safe witness matters here (it makes
 	// its answer consistent), so the consistent part is folded.
 	arity := len(u.Disjuncts[0].Head)
-	bag, folds, err := e.witnesses(ctx, u, true, arity, rc)
+	groups, err := e.witnesses(ctx, u, true, arity, rc)
 	if err != nil {
 		return nil, err
 	}
-	groups := cq.GroupFolded(bag, folds, arity)
 	rc.grouped(len(groups))
 	consistent, err := e.consistentGroups(ctx, groups, rc)
 	if err != nil {
@@ -70,8 +69,11 @@ func (e *Engine) consistentAnswers(ctx context.Context, u cq.UCQ, rc *recorder) 
 // consistentGroups reports, for each witness group (one candidate answer
 // of the underlying query), whether it is a consistent answer. Groups
 // with a fully safe witness (folded, or materialized when the bag was
-// not folded) are accepted without SAT; the rest share one incremental
-// SAT solver with a fresh activation literal per candidate.
+// not folded) are accepted without a check. In keys mode group
+// elimination decides the rest (eliminateCandidates); only a candidate
+// it declines, and every candidate in DC mode, takes the SAT check, all
+// of them sharing one incremental SAT solver with a fresh activation
+// literal per candidate.
 func (e *Engine) consistentGroups(ctx context.Context, groups []cq.WitnessGroup, rc *recorder) ([]bool, error) {
 	cc := e.constraintCtx(ctx, rc)
 	_, csp := obsv.StartSpan(ctx, "core.consistent_groups")
@@ -110,7 +112,29 @@ func (e *Engine) consistentGroups(ctx context.Context, groups []cq.WitnessGroup,
 		rc.endPhase(phaseEncode, encodeMark)
 		return out, nil
 	}
+	if csp != nil {
+		csp.SetInt("groups", int64(len(groups)))
+		csp.SetInt("checked", int64(len(todo)))
+	}
 
+	checked := len(todo)
+	var shape elimShape
+	if cc.mode == KeysMode {
+		declined, sh, err := e.eliminateCandidates(ctx, cc, todo, out)
+		if err != nil {
+			return nil, err
+		}
+		if len(declined) == 0 {
+			size := keysHardSize(cc, seed)
+			rc.eliminated(encodeMark, "consistency", size.vars, checked, size, sh)
+			return out, nil
+		}
+		todo, shape = declined, sh
+	}
+
+	// The SAT check runs over the closure of every checked candidate,
+	// so the formula, its counted size and its cached base do not depend
+	// on which candidates elimination decided.
 	closure := cc.closure(seed)
 	var enc *encoder
 	var base *maxsat.HardBase
@@ -123,9 +147,11 @@ func (e *Engine) consistentGroups(ctx context.Context, groups []cq.WitnessGroup,
 	} else {
 		enc = newEncoder(cc, closure)
 	}
-	ce := rc.component(encodeMark, nil, enc.formula, len(closure), len(todo), baseHit)
+	ce := rc.component(encodeMark, nil, enc.formula, len(closure), checked, baseHit)
+	if len(todo) < checked {
+		ce.addElimination("consistency", shape)
+	}
 	if csp != nil {
-		csp.SetInt("groups", int64(len(groups)))
 		csp.SetInt("sat_checked", int64(len(todo)))
 	}
 
@@ -136,10 +162,7 @@ func (e *Engine) consistentGroups(ctx context.Context, groups []cq.WitnessGroup,
 	// sequential runs keep the full learnt-clause reuse across
 	// candidates. Shards write disjoint out[...] slots, so the verdicts
 	// are identical and in place regardless of scheduling.
-	shards := e.parallelism()
-	if shards > len(todo) {
-		shards = len(todo)
-	}
+	shards := min(e.parallelism(), len(todo))
 	per := (len(todo) + shards - 1) / shards
 	solveMark := startPhase()
 	err := forEach(ctx, shards, shards, func(ctx context.Context, w int) error {
@@ -159,8 +182,70 @@ func (e *Engine) consistentGroups(ctx context.Context, groups []cq.WitnessGroup,
 	return out, nil
 }
 
+// eliminateCandidates decides the candidates by group elimination. A
+// candidate b is a consistent answer iff every repair keeps some
+// witness of b, that is iff the minimum over the repairs of the number
+// of b's witnesses present is positive: the minimum falsified weight
+// of its fact sets at weight 1. They split into independent components
+// whose minima add up, so b is consistent iff some component's minimum
+// is positive, and the first such component settles it. out[p.index]
+// is set for each candidate shown consistent; the candidates returned
+// are the undecided ones some of whose components need a table over
+// the budget, in todo order. shape is the widest elimination run.
+//
+// The candidates are shared across the worker pool in contiguous
+// shards, each with its own kernel scratch.
+func (e *Engine) eliminateCandidates(ctx context.Context, cc *constraintContext, todo []consCandidate, out []bool) (declined []consCandidate, shape elimShape, err error) {
+	shards := min(e.parallelism(), len(todo))
+	per := (len(todo) + shards - 1) / shards
+	over := make([][]consCandidate, shards)
+	shapes := make([]elimShape, shards)
+	err = forEach(ctx, shards, shards, func(ctx context.Context, w int) error {
+		el := eliminator{cc: cc, budget: e.elimBudget}
+		var ws []weightedWitness
+		for i, p := range todo[min(w*per, len(todo)):min((w+1)*per, len(todo))] {
+			if i%64 == 63 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			ws = ws[:0]
+			for _, fs := range p.factSets {
+				ws = append(ws, weightedWitness{facts: fs, weight: 1})
+			}
+			el.ws = ws
+			split := splitComponents(cc, p.factSets)
+			consistent, declined := false, false
+			for ci, idx := range split.groups {
+				minF, _, sh, ok := el.solve(split.facts[ci], idx)
+				if !ok {
+					declined = true
+					continue
+				}
+				shapes[w] = shapes[w].widest(sh)
+				if minF > 0 {
+					consistent = true
+					break
+				}
+			}
+			switch {
+			case consistent:
+				out[p.index] = true
+			case declined:
+				over[w] = append(over[w], p)
+			}
+		}
+		return nil
+	})
+	for w := range over {
+		declined = append(declined, over[w]...)
+		shape = shape.widest(shapes[w])
+	}
+	return declined, shape, err
+}
+
 // consCandidate is one not-obviously-consistent answer of the underlying
-// query, awaiting its Algorithm-2 SAT check.
+// query, awaiting its Algorithm-2 check.
 type consCandidate struct {
 	index    int
 	factSets [][]db.FactID

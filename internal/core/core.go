@@ -362,6 +362,9 @@ type constraintContext struct {
 	groupOf   []int // fact -> key-equal group index
 	groups    []db.KeyEqualGroup
 	groupSafe []bool // group has a single member
+	// nodes pools the dense group → node tables of splitKeys (*[]int32,
+	// every entry -1 at rest).
+	nodes sync.Pool
 
 	// DC mode.
 	violations []constraints.Violation
@@ -431,6 +434,19 @@ func (ctx *constraintContext) safe(f db.FactID) bool {
 	default:
 		return ctx.nearIdx.Safe(f)
 	}
+}
+
+// groupNodes returns a pooled group → node table, every entry -1; the
+// caller resets the entries it set before putting it back in nodes.
+func (ctx *constraintContext) groupNodes() []int32 {
+	if p, ok := ctx.nodes.Get().(*[]int32); ok {
+		return *p
+	}
+	node := make([]int32, len(ctx.groups))
+	for i := range node {
+		node[i] = -1
+	}
+	return node
 }
 
 // allSafe reports whether every fact of the witness is safe.

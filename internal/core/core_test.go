@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"aggcavsat/internal/cq"
@@ -277,8 +278,22 @@ func TestConsistentAnswersDropsUncertain(t *testing.T) {
 	if len(ans) != 2 { // LA (certain) and SJ (certain via A4=f10!)
 		t.Fatalf("consistent cities = %v", ans)
 	}
-	if stats.SATCalls == 0 {
-		t.Error("expected at least one SAT call for the uncertain city")
+	// Group elimination decides the uncertain city; the stats count the
+	// formula the SAT check would have built.
+	if stats.SATCalls != 0 || stats.Vars == 0 {
+		t.Errorf("SAT calls %d, CNF vars %d: want 0 and the counted formula", stats.SATCalls, stats.Vars)
+	}
+	// A budget no table fits declines it to the SAT check, which agrees
+	// and builds the formula counted.
+	e.elimBudget = 0
+	sans, sstats, err := e.ConsistentAnswers(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(sans, ans, db.Tuple.EqualExact) || sstats.SATCalls == 0 ||
+		sstats.Vars != stats.Vars || sstats.Clauses != stats.Clauses {
+		t.Errorf("SAT fallback: %v, %d SAT calls, %d/%d vars/clauses; elimination: %v, %d/%d",
+			sans, sstats.SATCalls, sstats.Vars, sstats.Clauses, ans, stats.Vars, stats.Clauses)
 	}
 }
 

@@ -18,7 +18,8 @@ import (
 type DirectionExplain struct {
 	Direction string `json:"direction"`
 	// Algorithm is the configured MaxSAT strategy ("sat" for plain
-	// probe/consistency passes that never build a MaxSAT instance).
+	// probe/consistency passes that never build a MaxSAT instance,
+	// "elimination" for passes group elimination answered).
 	Algorithm string `json:"algorithm"`
 	SATCalls  int64  `json:"sat_calls"`
 	Conflicts int64  `json:"conflicts,omitempty"`
@@ -46,13 +47,15 @@ type ComponentExplain struct {
 	// here; meaningless for the external solver, which shares no base).
 	BaseHit  bool  `json:"base_hit"`
 	EncodeNS int64 `json:"encode_ns"`
-	// ClosedForm reports a keys-mode COUNT/SUM component answered by
-	// group elimination, with no solver: Vars/Clauses are the counted
-	// size of a formula that was never built, BaseHit and EncodeNS are
-	// unset, and its one direction is "closed-form" with no SAT call.
-	// ElimWidth is its elimination width (0 when no witness couples two
-	// violating key-equal groups) and ElimTable its largest bucket table,
-	// in entries.
+	// ClosedForm reports an entry group elimination answered whole,
+	// with no solver: Vars/Clauses are the counted size of a formula
+	// that was never built and BaseHit is unset. A keys-mode COUNT/SUM
+	// component has one "closed-form" pass and no EncodeNS; a
+	// consistency filter or a MIN/MAX probe set has one "consistency" or
+	// "probe" pass. ElimWidth is the elimination width (0 when no
+	// witness couples two violating key-equal groups) and ElimTable the
+	// largest bucket table, in entries, also on an entry whose
+	// consistency pass elimination shares with the SAT checks.
 	ClosedForm bool `json:"closed_form,omitempty"`
 	ElimWidth  int  `json:"elim_width,omitempty"`
 	ElimTable  int  `json:"elim_table,omitempty"`
@@ -75,6 +78,17 @@ func (ce *ComponentExplain) addDirection(dir, alg string, res maxsat.Result, d t
 		Conflicts: res.Conflicts,
 		SolveNS:   int64(d),
 	})
+}
+
+// addElimination records that group elimination decided part of the
+// component's checks before the solver took the rest (nil-receiver
+// safe, unlocked, as addDirection).
+func (ce *ComponentExplain) addElimination(pass string, shape elimShape) {
+	if ce == nil {
+		return
+	}
+	ce.ElimWidth, ce.ElimTable = shape.width, shape.table
+	ce.Directions = append(ce.Directions, DirectionExplain{Direction: pass, Algorithm: "elimination"})
 }
 
 // Explain is the per-solve report assembled when Options.Explain is set:
@@ -120,8 +134,8 @@ type Explain struct {
 	GenericDCs        int   `json:"generic_dcs"`
 	// BaseHits/BaseMisses count Engine.bases outcomes across the call's
 	// components; ConsistentSkips counts groups answered without SAT;
-	// ClosedFormComponents counts the components answered by group
-	// elimination.
+	// ClosedFormComponents counts the COUNT/SUM components answered by
+	// group elimination.
 	BaseHits             int64 `json:"base_hits"`
 	BaseMisses           int64 `json:"base_misses"`
 	ConsistentSkips      int   `json:"consistent_skips"`
@@ -253,7 +267,7 @@ func (ex *Explain) WriteTable(w io.Writer) error {
 					fmt.Fprintf(tw, "\t\t\t\t\t\t")
 				}
 				alg := d.Algorithm
-				if ce.ClosedForm {
+				if alg == "elimination" {
 					alg = fmt.Sprintf("%s (width %d, table %d)", alg, ce.ElimWidth, ce.ElimTable)
 				}
 				fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%v\n", d.Direction, alg, d.SATCalls, d.Conflicts, time.Duration(d.SolveNS))

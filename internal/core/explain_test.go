@@ -186,3 +186,68 @@ func TestExplainWriteTableAndJSON(t *testing.T) {
 		}
 	}
 }
+
+// TestExplainChecksByElimination: the consistency filter and the
+// MIN/MAX probes answered by group elimination are listed as one entry
+// each, pass "consistency" or "probe" by "elimination", with the
+// facts, units and CNF size the SAT checks report when a budget of 0
+// declines everything to them.
+func TestExplainChecksByElimination(t *testing.T) {
+	e, err := New(bank(), Options{Mode: KeysMode, Explain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Per city: LA and SJ have a safe account, SF's only account A3
+	// conflicts, so SF is the one candidate the filter checks.
+	grouped := cq.AggQuery{
+		Op:      cq.CountStar,
+		GroupBy: []string{"city"},
+		Underlying: cq.Single(cq.CQ{
+			Atoms: []cq.Atom{{Rel: "Acc", Args: []cq.Term{cq.V("id"), cq.V("t"), cq.V("city"), cq.V("bal")}}},
+		}),
+	}
+	maxQ := paperSumQuery()
+	maxQ.Op = cq.Max
+	for _, tc := range []struct {
+		q    cq.AggQuery
+		pass string
+		want string
+	}{
+		{grouped, "consistency", "elimination (width 0, table 2)"},
+		{maxQ, "probe", "elimination (width 0, table 2)"},
+	} {
+		entry := func(budget int) (ComponentExplain, *Explain) {
+			t.Helper()
+			e.elimBudget = budget
+			rep, err := e.RangeAnswers(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ce := range rep.Explain.Components {
+				if ce.Directions[0].Direction == tc.pass {
+					return ce, rep.Explain
+				}
+			}
+			t.Fatalf("budget %d: no %s entry in %+v", budget, tc.pass, rep.Explain.Components)
+			return ComponentExplain{}, nil
+		}
+		sat, _ := entry(0)
+		got, ex := entry(elimTableBudget)
+		if !got.ClosedForm || len(got.Directions) != 1 || got.Directions[0] != (DirectionExplain{Direction: tc.pass, Algorithm: "elimination"}) {
+			t.Errorf("%s: entry %+v, want one elimination pass", tc.pass, got)
+		}
+		if got.Facts != sat.Facts || got.Witnesses != sat.Witnesses || got.Vars != sat.Vars || got.Clauses != sat.Clauses {
+			t.Errorf("%s: elimination entry %+v, SAT entry %+v: facts, units and CNF size differ", tc.pass, got, sat)
+		}
+		if ex.Stats.SATCalls != 0 || ex.BaseHits+ex.BaseMisses != 0 {
+			t.Errorf("%s: %d SAT calls, %d base lookups", tc.pass, ex.Stats.SATCalls, ex.BaseHits+ex.BaseMisses)
+		}
+		var buf bytes.Buffer
+		if err := ex.WriteTable(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if out := buf.String(); !strings.Contains(out, tc.pass) || !strings.Contains(out, tc.want) {
+			t.Errorf("%s: table missing %q:\n%s", tc.pass, tc.want, out)
+		}
+	}
+}

@@ -24,11 +24,10 @@ import (
 func (e *Engine) groupedRange(ctx context.Context, q cq.AggQuery, rc *recorder) (*Report, error) {
 	rep := &Report{}
 
-	bag, folds, err := e.witnesses(ctx, q.Underlying, foldable(q.Op), len(q.GroupBy), rc)
+	groups, err := e.witnesses(ctx, q.Underlying, foldable(q.Op), len(q.GroupBy), rc)
 	if err != nil {
 		return nil, err
 	}
-	groups := cq.GroupFolded(bag, folds, len(q.GroupBy))
 	rc.grouped(len(groups))
 	consistent, err := e.consistentGroups(ctx, groups, rc)
 	if err != nil {
@@ -48,6 +47,8 @@ func (e *Engine) groupedRange(ctx context.Context, q cq.AggQuery, rc *recorder) 
 		return rep, nil
 	}
 	answers := make([]GroupAnswer, len(todo))
+	units := rc.startUnits()
+	defer rc.endUnits(units)
 	err = forEach(ctx, e.parallelism(), len(todo), func(ctx context.Context, ti int) error {
 		g := groups[todo[ti]]
 		gctx, gsp := obsv.StartSpan(ctx, "core.group")

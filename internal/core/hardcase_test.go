@@ -60,11 +60,14 @@ func hardComponent(t *testing.T, hc hardCase) (e *Engine, q cq.AggQuery, cc *con
 		t.Fatal(err)
 	}
 	ctx, rc := e.begin(context.Background(), "hard-case", hc.query, "hard-case")
-	bag, _, err := e.witnesses(ctx, q.Underlying, true, 0, rc)
+	groups, err := e.witnesses(ctx, q.Underlying, true, 0, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ws, err = prepareWitnesses(q.Op, bag); err != nil {
+	if len(groups) != 1 {
+		t.Fatalf("%d witness groups, want 1", len(groups))
+	}
+	if ws, err = prepareWitnesses(q.Op, groups[0].Witnesses); err != nil {
 		t.Fatal(err)
 	}
 	witnessFacts := make([][]db.FactID, len(ws))

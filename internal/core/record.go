@@ -42,6 +42,9 @@ type recorder struct {
 	witnesses, groups    int64
 	baseHits, baseMisses int64
 	rewriteAllocBytes    int64
+	// sampledAlloc and sampledGC total the resource deltas of the
+	// sampled phases, which endUnits takes out of its window.
+	sampledAlloc, sampledGC int64
 
 	// cc is the constraint context the call consulted (nil on the
 	// rewrite route); constraintBuilt reports that this call ran its
@@ -248,26 +251,40 @@ func (e *Engine) publish(ctx context.Context, rc *recorder, st Stats, anomaly st
 		With(tenant, route, outcome).Observe(d.Seconds())
 }
 
-// phaseMark brackets one phase measurement: the wall clock and the
-// resource baseline taken when the phase started.
+// phaseMark brackets one phase measurement: the wall clock and, for a
+// call-level boundary, the resource baseline taken when the phase
+// started.
 type phaseMark struct {
-	start time.Time
-	res   obsv.ResourceSample
+	start   time.Time
+	res     obsv.ResourceSample
+	sampled bool
 }
 
 // startPhase samples the clock and the runtime resource counters at a
-// phase boundary. The sample is three uint64 reads via runtime/metrics —
-// cheap enough to stay always-on next to encode/solve work.
+// call-level phase boundary (the witness phase, the consistency filter,
+// a solver pass). The resource sample is a runtime/metrics read of
+// three counters, about a microsecond.
 func startPhase() phaseMark {
-	return phaseMark{start: time.Now(), res: obsv.SampleResources()}
+	return phaseMark{start: time.Now(), res: obsv.SampleResources(), sampled: true}
 }
 
-// endPhase records one finished phase — its wall time and resource
-// delta (alloc bytes per phase, live heap, GC cycles) — and emits the
-// flight-recorder event. It returns the phase's wall time.
+// startUnit samples only the clock, at a boundary inside the per-group
+// work of a call, which runs once per group: its allocations are
+// charged by the window (startUnits) around that work.
+func startUnit() phaseMark {
+	return phaseMark{start: time.Now()}
+}
+
+// endPhase records one finished phase — its wall time and, for a
+// sampled mark, its resource delta (alloc bytes per phase, live heap,
+// GC cycles) — and emits the flight-recorder event. It returns the
+// phase's wall time.
 func (rc *recorder) endPhase(p phase, pm phaseMark) time.Duration {
 	d := time.Since(pm.start)
-	delta := obsv.SampleResources().Since(pm.res)
+	var delta obsv.ResourceDelta
+	if pm.sampled {
+		delta = obsv.SampleResources().Since(pm.res)
+	}
 	rc.mu.Lock()
 	s := &rc.stats
 	switch p {
@@ -284,15 +301,53 @@ func (rc *recorder) endPhase(p phase, pm phaseMark) time.Duration {
 		s.RewriteTime += d
 		rc.rewriteAllocBytes += delta.AllocBytes
 	}
-	s.HeapBytes = delta.HeapBytes
-	s.GCCycles += delta.GCCycles
+	if pm.sampled {
+		s.HeapBytes = delta.HeapBytes
+		s.GCCycles += delta.GCCycles
+		rc.sampledAlloc += delta.AllocBytes
+		rc.sampledGC += delta.GCCycles
+	}
 	rc.ran[p] = true
 	rc.mu.Unlock()
+	if !pm.sampled {
+		rc.flight.Record("phase", phaseNames[p], obsv.Int64("ns", int64(d)))
+		return d
+	}
 	rc.flight.Record("phase", phaseNames[p],
 		obsv.Int64("ns", int64(d)),
 		obsv.Int64("alloc_bytes", delta.AllocBytes),
 		obsv.Int64("heap_bytes", delta.HeapBytes))
 	return d
+}
+
+// unitsMark brackets the per-group work of a call: the resources at its
+// start and the share of them sampled phases had recorded by then.
+type unitsMark struct {
+	res                     obsv.ResourceSample
+	sampledAlloc, sampledGC int64
+}
+
+// startUnits opens the window around a call's per-group work.
+func (rc *recorder) startUnits() unitsMark {
+	m := unitsMark{res: obsv.SampleResources()}
+	rc.mu.Lock()
+	m.sampledAlloc, m.sampledGC = rc.sampledAlloc, rc.sampledGC
+	rc.mu.Unlock()
+	return m
+}
+
+// endUnits closes the window: what the work allocated beyond the
+// sampled phases inside it (solver passes) was allocated by its
+// clock-only phases, which build the groups' instances, and is charged
+// to the encode phase.
+func (rc *recorder) endUnits(m unitsMark) {
+	delta := obsv.SampleResources().Since(m.res)
+	rc.mu.Lock()
+	s := &rc.stats
+	s.EncodeAllocBytes += max(0, delta.AllocBytes-(rc.sampledAlloc-m.sampledAlloc))
+	s.GCCycles += max(0, delta.GCCycles-(rc.sampledGC-m.sampledGC))
+	s.HeapBytes = delta.HeapBytes
+	rc.mu.Unlock()
 }
 
 // component closes the encode phase of one independent solver instance
@@ -329,11 +384,7 @@ func (rc *recorder) component(pm phaseMark, sp *obsv.Span, f *cnf.Formula, facts
 func (rc *recorder) absorbFormula(f *cnf.Formula) cnf.Stats {
 	st := f.Stats()
 	rc.mu.Lock()
-	s := &rc.stats
-	s.Vars += st.Vars
-	s.Clauses += st.Clauses
-	s.MaxVars = max(s.MaxVars, st.Vars)
-	s.MaxClauses = max(s.MaxClauses, st.Clauses)
+	rc.stats.absorb(formulaSize{st.Vars, st.Clauses})
 	rc.mu.Unlock()
 	rc.flight.Record("cnf", "formula",
 		obsv.Int64("vars", int64(st.Vars)),
@@ -341,22 +392,50 @@ func (rc *recorder) absorbFormula(f *cnf.Formula) cnf.Stats {
 	return st
 }
 
+// absorb adds one formula, built or counted, to the CNF-size totals.
+func (s *Stats) absorb(size formulaSize) {
+	s.Vars += size.vars
+	s.Clauses += size.clauses
+	s.MaxVars = max(s.MaxVars, size.vars)
+	s.MaxClauses = max(s.MaxClauses, size.clauses)
+}
+
+// eliminated closes the encode phase of a consistency filter or a
+// MIN/MAX probe set (pass "consistency" or "probe") that group
+// elimination answered whole: it records the phase and the counted size
+// of the formula the SAT path would have built over facts closure
+// facts for units checked units, and under Options.Explain the entry.
+func (rc *recorder) eliminated(pm phaseMark, pass string, facts, units int, size formulaSize, shape elimShape) {
+	d := rc.endPhase(phaseEncode, pm)
+	rc.mu.Lock()
+	rc.stats.absorb(size)
+	if rc.explain {
+		rc.comps = append(rc.comps, &ComponentExplain{Index: len(rc.comps), Facts: facts, Witnesses: units,
+			Vars: size.vars, Clauses: size.clauses, EncodeNS: int64(d), ClosedForm: true,
+			ElimWidth: shape.width, ElimTable: shape.table,
+			Directions: []DirectionExplain{{Direction: pass, Algorithm: "elimination"}}})
+	}
+	rc.mu.Unlock()
+	rc.flight.Record("cnf", "elimination",
+		obsv.Int64("vars", int64(size.vars)),
+		obsv.Int64("clauses", int64(size.clauses)))
+}
+
 // closedFormTally accumulates the components of one solve unit answered
-// by group elimination (eliminator) — their count, their counted
-// Reduction IV.1 sizes and, under Options.Explain, their entries — so
+// by group elimination (eliminator) — their count and counted Reduction
+// IV.1 sizes in stats and, under Options.Explain, their entries — so
 // the record takes them with one locked add instead of a phase sample
 // per component.
 type closedFormTally struct {
-	n                                  int
-	vars, clauses, maxVars, maxClauses int
-	comps                              []*ComponentExplain
+	stats Stats
+	comps []*ComponentExplain
 }
 
 // add tallies one eliminated component: its formula size, closure fact
 // count, witness count and elimination shape.
 func (t *closedFormTally) add(size formulaSize, facts, units int, shape elimShape, explain bool) {
-	t.n++
-	t.absorb(size)
+	t.stats.ClosedFormComponents++
+	t.stats.absorb(size)
 	if explain {
 		t.comps = append(t.comps, &ComponentExplain{Facts: facts, Witnesses: units,
 			Vars: size.vars, Clauses: size.clauses, ClosedForm: true,
@@ -365,36 +444,22 @@ func (t *closedFormTally) add(size formulaSize, facts, units int, shape elimShap
 	}
 }
 
-// absorb adds one counted formula to the CNF-size totals, as
-// absorbFormula does for a built one.
-func (t *closedFormTally) absorb(size formulaSize) {
-	t.vars += size.vars
-	t.clauses += size.clauses
-	t.maxVars = max(t.maxVars, size.vars)
-	t.maxClauses = max(t.maxClauses, size.clauses)
-}
-
 // closedForm records a solve unit's eliminated components.
 func (rc *recorder) closedForm(t *closedFormTally) {
-	if t.n == 0 {
+	if t.stats.ClosedFormComponents == 0 {
 		return
 	}
 	rc.mu.Lock()
-	s := &rc.stats
-	s.ClosedFormComponents += t.n
-	s.Vars += t.vars
-	s.Clauses += t.clauses
-	s.MaxVars = max(s.MaxVars, t.maxVars)
-	s.MaxClauses = max(s.MaxClauses, t.maxClauses)
+	rc.stats.Add(t.stats)
 	for _, ce := range t.comps {
 		ce.Index = len(rc.comps)
 		rc.comps = append(rc.comps, ce)
 	}
 	rc.mu.Unlock()
 	rc.flight.Record("cnf", "closed_form",
-		obsv.Int64("components", int64(t.n)),
-		obsv.Int64("vars", int64(t.vars)),
-		obsv.Int64("clauses", int64(t.clauses)))
+		obsv.Int64("components", int64(t.stats.ClosedFormComponents)),
+		obsv.Int64("vars", int64(t.stats.Vars)),
+		obsv.Int64("clauses", int64(t.stats.Clauses)))
 }
 
 // solved records one finished solver pass: its SAT calls and, for a

@@ -15,23 +15,26 @@ import (
 // aggregation query: its witnesses form one group, with the consistent
 // part folded where the reduction only needs its constant.
 func (e *Engine) scalarRange(ctx context.Context, q cq.AggQuery, rc *recorder) (Range, error) {
-	bag, folds, err := e.witnesses(ctx, q.Underlying, foldable(q.Op), 0, rc)
+	groups, err := e.witnesses(ctx, q.Underlying, foldable(q.Op), 0, rc)
 	if err != nil {
 		return Range{}, err
 	}
-	g := cq.WitnessGroup{Witnesses: bag}
-	if len(folds) > 0 {
-		g.Fold = folds[0].Fold
+	var g cq.WitnessGroup
+	if len(groups) > 0 {
+		g = groups[0]
 	}
+	units := rc.startUnits()
+	defer rc.endUnits(units)
 	return e.groupRange(ctx, q.Op, g, rc)
 }
 
-// witnesses evaluates the underlying query as the call's witness phase.
-// With fold, every witness made only of safe facts is folded into its
-// group (the first groupArity head values) instead of materialized.
+// witnesses evaluates the underlying query as the call's witness phase
+// and partitions the witnesses by their first groupArity head values
+// (cq.GroupFolded) inside the same phase. With fold, every witness made
+// only of safe facts is folded into its group instead of materialized.
 // The constraint context is built before the phase starts, so its
 // allocations are not counted as the witness phase's.
-func (e *Engine) witnesses(ctx context.Context, u cq.UCQ, fold bool, groupArity int, rc *recorder) ([]cq.Witness, []cq.GroupFold, error) {
+func (e *Engine) witnesses(ctx context.Context, u cq.UCQ, fold bool, groupArity int, rc *recorder) ([]cq.WitnessGroup, error) {
 	var safe func(db.FactID) bool
 	if fold {
 		safe = e.constraintCtx(ctx, rc).safe
@@ -39,6 +42,10 @@ func (e *Engine) witnesses(ctx context.Context, u cq.UCQ, fold bool, groupArity 
 	_, sp := obsv.StartSpan(ctx, "cq.witness")
 	pm := startPhase()
 	bag, folds, err := e.eval.FoldedBagCtx(ctx, u, safe, groupArity)
+	var groups []cq.WitnessGroup
+	if err == nil {
+		groups = cq.GroupFolded(bag, folds, groupArity)
+	}
 	var folded int64
 	for _, gf := range folds {
 		folded += gf.Rows
@@ -50,9 +57,9 @@ func (e *Engine) witnesses(ctx context.Context, u cq.UCQ, fold bool, groupArity 
 		sp.End()
 	}
 	if err != nil {
-		return nil, nil, stopCause(ctx)
+		return nil, stopCause(ctx)
 	}
-	return bag, folds, nil
+	return groups, nil
 }
 
 // foldable reports whether op's reduction needs only the constant of
@@ -177,6 +184,7 @@ func errNonIntSum(v db.Value) error {
 func (e *Engine) sumCountFromGroup(ctx context.Context, op cq.AggOp, g cq.WitnessGroup, rc *recorder) (Range, error) {
 	cc := e.constraintCtx(ctx, rc)
 
+	encodeMark := startUnit()
 	unsafe, err := prepareWitnesses(op, g.Witnesses)
 	if err != nil {
 		return Range{}, err
@@ -198,7 +206,6 @@ func (e *Engine) sumCountFromGroup(ctx context.Context, op cq.AggOp, g cq.Witnes
 		}
 	}
 
-	encodeMark := startPhase()
 	if len(unsafe) == 0 {
 		rc.endPhase(phaseEncode, encodeMark)
 		rc.skip()
@@ -271,7 +278,7 @@ func (e *Engine) solveComponent(ctx context.Context, cc *constraintContext, fact
 func (e *Engine) distinctFromBag(ctx context.Context, op cq.AggOp, bag []cq.Witness, rc *recorder) (Range, error) {
 	cc := e.constraintCtx(ctx, rc)
 
-	encodeMark := startPhase()
+	encodeMark := startUnit()
 	minimal := cq.MinimalWitnesses(bag)
 	// Partition minimal witnesses by answer value b.
 	type answerGroup struct {

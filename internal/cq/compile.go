@@ -26,8 +26,10 @@ import (
 //     Atom constants are encoded once, at compile time; a string no fact
 //     stores makes the whole program empty.
 //   - Conditions are kernels over cells with Value.Compare semantics
-//     (db.Dict.CompareCells); LIKE-prefix, and a comparison with a string
-//     constant no fact stores, decode the cells and use CmpOp.Apply.
+//     (db.Dict.CompareCells): = and != compare string codes, and
+//     ordered string comparisons compare ranks (db.Ranks), a constant
+//     no fact stores ranking between its neighbours. LIKE-prefix
+//     decodes the cells and uses CmpOp.Apply.
 //   - db.Values are built only where rows leave the evaluator: emitted
 //     heads and fold keys and values.
 //
@@ -92,11 +94,14 @@ func compileCQ(in *db.Instance, q CQ) *program {
 		}
 	}
 	seen := make(map[string]bool)
+	strVar := make(map[string]bool)
 	for _, a := range q.Atoms {
-		for _, t := range a.Args {
+		attrs := in.Schema().Relation(a.Rel).Attrs
+		for i, t := range a.Args {
 			if !t.IsConst {
 				read[t.Var] = read[t.Var] || seen[t.Var]
 				seen[t.Var] = true
+				strVar[t.Var] = strVar[t.Var] || attrs[i].Kind == db.KindString
 			}
 		}
 	}
@@ -135,7 +140,7 @@ func compileCQ(in *db.Instance, q CQ) *program {
 		}
 		st.index = newIndexKey(rel, st.lookupPos)
 		for _, ci := range pl.condsAfter[step] {
-			st.conds = append(st.conds, compileCond(d, q.Conds[ci], slotOf))
+			st.conds = append(st.conds, compileCond(d, q.Conds[ci], slotOf, strVar))
 		}
 		prog.steps = append(prog.steps, st)
 		for _, t := range atom.Args {
@@ -178,7 +183,13 @@ func (m cmpMask) holds(c int) bool { return m>>(c+1)&1 != 0 }
 
 // compileCond closes a condition over frame slots, encoding constants
 // (and deciding constant-constant comparisons) out of the per-row path.
-func compileCond(d *db.Dict, c Condition, slotOf map[string]int) func([]db.Cell) bool {
+// strVar marks the variables bound at a string attribute. = and !=
+// compare cells, so strings by code. An ordered comparison of two
+// operands that may both be strings compares them by the rank of the
+// dictionary's rank table (db.Ranks), built on the first such
+// compilation; a string constant no fact stores gets the rank between
+// its neighbours.
+func compileCond(d *db.Dict, c Condition, slotOf map[string]int, strVar map[string]bool) func([]db.Cell) bool {
 	op := c.Op
 	if c.Left.IsConst && c.Right.IsConst {
 		res := op.Apply(c.Left.Const, c.Right.Const)
@@ -186,9 +197,8 @@ func compileCond(d *db.Dict, c Condition, slotOf map[string]int) func([]db.Cell)
 	}
 	ls, lc, lok := operand(d, c.Left, slotOf)
 	rs, rc, rok := operand(d, c.Right, slotOf)
-	if op == OpLikePrefix || op == OpNotLikePrefix || !lok || !rok {
-		// LIKE-prefix matches bytes, and a string constant no fact
-		// stores has no cell: decode the slots and compare Values.
+	if op == OpLikePrefix || op == OpNotLikePrefix {
+		// LIKE-prefix matches bytes: decode the slots and compare Values.
 		lv, rv := c.Left.Const, c.Right.Const
 		return func(f []db.Cell) bool {
 			l, r := lv, rv
@@ -201,7 +211,51 @@ func compileCond(d *db.Dict, c Condition, slotOf map[string]int) func([]db.Cell)
 			return op.Apply(l, r)
 		}
 	}
+	if !lok || !rok {
+		// A string constant no fact stores (the other side is a slot):
+		// compare with the constant on the right.
+		slot, k := ls, c.Right
+		if !lok {
+			slot, k, op = rs, c.Left, op.flip()
+		}
+		s := k.Const.AsString()
+		m := maskOf(op)
+		if op == OpEQ || op == OpNE {
+			return func(f []db.Cell) bool { return m.holds(d.CompareString(f[slot], s)) }
+		}
+		rk := d.Ranks()
+		at := rk.Of(s)
+		return func(f []db.Cell) bool { return m.holds(rk.CompareString(f[slot], s, at)) }
+	}
+	if op == OpEQ || op == OpNE {
+		eq := op == OpEQ
+		switch {
+		case ls < 0:
+			return func(f []db.Cell) bool { return d.EqualCells(lc, f[rs]) == eq }
+		case rs < 0:
+			return func(f []db.Cell) bool { return d.EqualCells(f[ls], rc) == eq }
+		default:
+			return func(f []db.Cell) bool { return d.EqualCells(f[ls], f[rs]) == eq }
+		}
+	}
 	m := maskOf(op)
+	mayString := func(t Term) bool {
+		if t.IsConst {
+			return t.Const.Kind() == db.KindString
+		}
+		return strVar[t.Var]
+	}
+	if mayString(c.Left) && mayString(c.Right) {
+		rk := d.Ranks()
+		switch {
+		case ls < 0:
+			return func(f []db.Cell) bool { return m.holds(rk.CompareCells(lc, f[rs])) }
+		case rs < 0:
+			return func(f []db.Cell) bool { return m.holds(rk.CompareCells(f[ls], rc)) }
+		default:
+			return func(f []db.Cell) bool { return m.holds(rk.CompareCells(f[ls], f[rs])) }
+		}
+	}
 	switch {
 	case ls < 0:
 		return func(f []db.Cell) bool { return m.holds(d.CompareCells(lc, f[rs])) }
@@ -624,7 +678,7 @@ func (r *progRun) candidate(st *pstep, step int, id db.FactID, probe []db.Cell) 
 		r.frame[b.slot] = row.Cell(b.pos)
 	}
 	for _, c := range st.checks {
-		if x := row.Cell(c.pos); x != r.frame[c.slot] && r.d.CompareCells(r.frame[c.slot], x) != 0 {
+		if !r.d.EqualCells(r.frame[c.slot], row.Cell(c.pos)) {
 			return
 		}
 	}

@@ -94,6 +94,22 @@ func (op CmpOp) String() string {
 	}
 }
 
+// flip returns the operator with its operands swapped: a op b iff
+// b op.flip() a.
+func (op CmpOp) flip() CmpOp {
+	switch op {
+	case OpLT:
+		return OpGT
+	case OpLE:
+		return OpGE
+	case OpGT:
+		return OpLT
+	case OpGE:
+		return OpLE
+	}
+	return op
+}
+
 // Apply evaluates the comparison on two values.
 func (op CmpOp) Apply(a, b db.Value) bool {
 	switch op {

@@ -183,6 +183,17 @@ func GroupWitnesses(bag []Witness, groupArity int) []WitnessGroup {
 // Int(1) and Float(1) are different groups. Groups with Compare-equal
 // keys keep folds-then-witnesses first-appearance order.
 func GroupFolded(bag []Witness, folds []GroupFold, groupArity int) []WitnessGroup {
+	if groupArity == 0 {
+		// One group, keyed by the empty tuple, holding the bag as is.
+		if len(bag) == 0 && len(folds) == 0 {
+			return nil
+		}
+		g := WitnessGroup{Key: db.Tuple{}, Witnesses: bag}
+		for _, gf := range folds {
+			g.Fold.merge(gf.Fold)
+		}
+		return []WitnessGroup{g}
+	}
 	var keys foldSet
 	for _, gf := range folds {
 		keys.at(gf.Key).merge(gf.Fold)
@@ -191,24 +202,35 @@ func GroupFolded(bag []Witness, folds []GroupFold, groupArity int) []WitnessGrou
 	for i, w := range bag {
 		of[i] = int32(keys.index(w.Answer[:groupArity]))
 	}
-	counts := make([]int, len(keys.list))
+	// Order the groups by key, sorting indexes rather than groups, and
+	// lay them out in that order: rank is each group's position.
+	order := make([]int32, len(keys.list))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return keys.list[a].Key.Compare(keys.list[b].Key) })
+	rank := make([]int32, len(order))
+	for r, gi := range order {
+		rank[gi] = int32(r)
+	}
+	counts := make([]int, len(order))
 	for _, gi := range of {
-		counts[gi]++
+		counts[rank[gi]]++
 	}
 	// One backing array for every group's witnesses, carved in group
 	// order and capped per group.
 	backing := make([]Witness, len(bag))
-	out := make([]WitnessGroup, len(keys.list))
+	out := make([]WitnessGroup, len(order))
 	lo := 0
-	for gi, gf := range keys.list {
-		out[gi] = WitnessGroup{Key: gf.Key, Witnesses: backing[lo : lo : lo+counts[gi]], Fold: gf.Fold}
-		lo += counts[gi]
+	for r, gi := range order {
+		gf := &keys.list[gi]
+		out[r] = WitnessGroup{Key: gf.Key, Witnesses: backing[lo : lo : lo+counts[r]], Fold: gf.Fold}
+		lo += counts[r]
 	}
 	for i, w := range bag {
-		g := &out[of[i]]
+		g := &out[rank[of[i]]]
 		g.Witnesses = append(g.Witnesses, Witness{Facts: w.Facts, Answer: w.Answer[groupArity:], Mult: w.Mult})
 	}
-	slices.SortStableFunc(out, func(a, b WitnessGroup) int { return a.Key.Compare(b.Key) })
 	return out
 }
 

@@ -114,6 +114,28 @@ func (d *Dict) CompareCells(a, b Cell) int {
 	}
 }
 
+// EqualCells reports whether CompareCells(a, b) is 0 without ordering
+// strings: two string cells are equal iff their codes are.
+func (d *Dict) EqualCells(a, b Cell) bool {
+	if a == b {
+		return true
+	}
+	if a.kind == KindString && b.kind == KindString {
+		return false
+	}
+	return d.CompareCells(a, b) == 0
+}
+
+// CompareString is Value.Compare of the value cell a encodes with the
+// string s, which need not be in the dictionary: NULL and numbers sort
+// below every string.
+func (d *Dict) CompareString(a Cell, s string) int {
+	if a.kind != KindString {
+		return -1
+	}
+	return strings.Compare(d.strs[a.bits], s)
+}
+
 // float returns a numeric cell's value as float64.
 func (c Cell) float() float64 {
 	if c.kind == KindInt {

@@ -1,6 +1,13 @@
 package db
 
-import "hash/maphash"
+import (
+	"cmp"
+	"hash/maphash"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
+)
 
 // Dict is an append-only string interner: every distinct string stored
 // in a columnar instance is assigned a dense uint32 code, and string
@@ -23,6 +30,11 @@ type Dict struct {
 	// table has a power-of-two length and is at most half full; a slot
 	// holds code+1, 0 marks it empty. Collisions probe linearly.
 	table []uint32
+
+	// ranks is the rank table of the strings, built by Ranks on first
+	// use (under rankMu) and replaced once the dictionary has grown.
+	rankMu sync.Mutex
+	ranks  atomic.Pointer[Ranks]
 }
 
 // dictSeed seeds the table hash. Tables are never persisted, so a
@@ -102,4 +114,76 @@ func (d *Dict) rebuildTable() {
 		}
 		d.table[i] = uint32(c) + 1
 	}
+}
+
+// Ranks is an order-preserving rank table over the strings a Dict held
+// when the table was built: the i-th smallest of them in byte order
+// ranks 2i+1, and a string the table does not hold ranks 2i when i of
+// its strings sort below it, between its neighbours. Comparing two
+// ranks is comparing the strings, so an ordered comparison on a string
+// column costs an integer compare instead of a walk over bytes. A code
+// interned after the build has no rank; the comparisons fall back to
+// the bytes for it, so a table never answers with a stale rank.
+type Ranks struct {
+	d     *Dict
+	rank  []uint32 // code → rank, for the codes the table holds
+	order []uint32 // those codes, in byte order of their strings
+}
+
+// Ranks returns the rank table of the dictionary's current strings,
+// building it on first use and again after the dictionary has grown.
+// It is safe for concurrent use by readers of a built dictionary. Only
+// ordered string comparisons need it: equality compares codes.
+func (d *Dict) Ranks() *Ranks {
+	if r := d.ranks.Load(); r != nil && len(r.rank) == len(d.strs) {
+		return r
+	}
+	d.rankMu.Lock()
+	defer d.rankMu.Unlock()
+	if r := d.ranks.Load(); r != nil && len(r.rank) == len(d.strs) {
+		return r
+	}
+	r := &Ranks{d: d, rank: make([]uint32, len(d.strs)), order: make([]uint32, len(d.strs))}
+	for c := range r.order {
+		r.order[c] = uint32(c)
+	}
+	slices.SortFunc(r.order, func(a, b uint32) int { return strings.Compare(d.strs[a], d.strs[b]) })
+	for i, c := range r.order {
+		r.rank[c] = 2*uint32(i) + 1
+	}
+	d.ranks.Store(r)
+	return r
+}
+
+// Of returns the rank of s: odd for a string the table holds, even for
+// one it does not.
+func (r *Ranks) Of(s string) uint32 {
+	i, found := slices.BinarySearchFunc(r.order, s, func(c uint32, s string) int { return strings.Compare(r.d.strs[c], s) })
+	if found {
+		return 2*uint32(i) + 1
+	}
+	return 2 * uint32(i)
+}
+
+// CompareCells is Dict.CompareCells with two strings compared by rank.
+func (r *Ranks) CompareCells(a, b Cell) int {
+	if a.kind != KindString || b.kind != KindString {
+		return r.d.CompareCells(a, b)
+	}
+	if n := uint64(len(r.rank)); a.bits < n && b.bits < n {
+		return cmp.Compare(r.rank[a.bits], r.rank[b.bits])
+	}
+	return strings.Compare(r.d.strs[a.bits], r.d.strs[b.bits])
+}
+
+// CompareString is Value.Compare of the value cell a encodes with the
+// string s of rank rs (Of): NULL and numbers sort below every string.
+func (r *Ranks) CompareString(a Cell, s string, rs uint32) int {
+	if a.kind != KindString {
+		return -1
+	}
+	if a.bits < uint64(len(r.rank)) {
+		return cmp.Compare(r.rank[a.bits], rs)
+	}
+	return strings.Compare(r.d.strs[a.bits], s)
 }
