@@ -50,8 +50,9 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/sat/ ./internal/maxsat/ ./internal/core/ ./internal/cq/ ./internal/constraints/ ./internal/conquer/ ./internal/bench/
 
 # Fuzz smoke: a bounded run of the planner equivalence fuzzer
-# (planner-auto ≡ forced-SAT ≡ exhaustive repair enumeration on random
-# instances), of the group-elimination fuzzer (elimination ≡
+# (planner-auto ≡ forced-rewrite, wherever the rewriting answers, ≡
+# exhaustive repair enumeration on random instances), of the
+# group-elimination fuzzer (elimination ≡
 # encode + MaxHS ≡ exhaustive repair enumeration on random keys-mode
 # components coupling up to six groups, and a lowered table budget
 # declining exactly the components whose largest table exceeds it; on

@@ -163,17 +163,17 @@ func FD(rs *RelationSchema, lhs []string, rhs ...string) ([]DenialConstraint, er
 }
 
 // PlannerMode selects the query planner's routing policy between the
-// WPMaxSAT reduction and the SAT-free rewriting fast path.
+// solver route and the ConQuer-style rewriting.
 type PlannerMode = planner.Mode
 
 // Planner routing policies.
 const (
-	// PlannerForceSAT routes every query through the WPMaxSAT reduction
-	// (the pre-planner behavior; the zero value).
+	// PlannerForceSAT routes every query through the solver route (the
+	// pre-planner behavior; the zero value).
 	PlannerForceSAT = planner.ModeSAT
-	// PlannerAuto routes rewritable queries through the compiled
-	// ConQuer-style rewriting and everything else (plus run-time
-	// rejections) through the solver. Answers are identical either way.
+	// PlannerAuto is the serving default: every query goes through the
+	// solver route (group elimination in keys mode, WPMaxSAT as its
+	// fallback and in DC mode), as under PlannerForceSAT.
 	PlannerAuto = planner.ModeAuto
 	// PlannerForceRewrite requires the rewriting: non-rewritable queries
 	// fail with planner.ErrRewriteUnavailable instead of falling back.
@@ -230,10 +230,10 @@ type Options struct {
 	// engine call. Appends never block a solve: the journal sheds lines
 	// when its writer lags (and counts the drops).
 	Journal *Journal
-	// Planner selects the routing policy between the WPMaxSAT reduction
-	// and the SAT-free rewriting fast path. The zero value
-	// (PlannerForceSAT) preserves the pre-planner behavior; servers and
-	// CLIs default to PlannerAuto explicitly.
+	// Planner selects the routing policy between the solver route and
+	// the ConQuer-style rewriting. The zero value (PlannerForceSAT)
+	// preserves the pre-planner behavior; servers and CLIs default to
+	// PlannerAuto explicitly, which takes the same solver route.
 	Planner PlannerMode
 }
 
@@ -308,9 +308,10 @@ type Result struct {
 	// Explains holds one per-solve report per aggregate in the SELECT
 	// list, in order, when Options.Explain is set.
 	Explains []*Explain
-	// Route summarizes which executor answered the statement's
-	// aggregates: "rewrite" (the planner's SAT-free fast path), "sat"
-	// (the WPMaxSAT reduction), or "mixed" when they differ.
+	// Route is the executor that answered the statement's aggregates:
+	// "rewrite" (the ConQuer-style rewriting, under PlannerForceRewrite
+	// only) or "sat" (the solver route). One planner mode sends every
+	// aggregate of a statement the same way.
 	Route string
 }
 
@@ -366,12 +367,7 @@ func (s *System) run(ctx context.Context, tr *sqlparse.Translation) (*Result, er
 		if rep.Explain != nil {
 			res.Explains = append(res.Explains, rep.Explain)
 		}
-		switch {
-		case ai == 0:
-			res.Route = rep.Route
-		case res.Route != rep.Route:
-			res.Route = "mixed"
-		}
+		res.Route = rep.Route
 		for _, a := range rep.Answers {
 			if len(positions) != len(a.Key) {
 				positions = positions[:0]

@@ -52,7 +52,8 @@
 //
 //	-planner M        planner mode for every engine the suite builds:
 //	                  force-sat (default — the paper tables measure the
-//	                  WPMaxSAT pipeline), auto, force-rewrite
+//	                  SAT pipeline), auto (the same solver route), or
+//	                  force-rewrite (the ConQuer-style rewriting)
 //	-parallel N       worker-pool size inside each measured query
 //	                  (0 = GOMAXPROCS, 1 = sequential); parallel runs
 //	                  produce identical answers but per-phase times sum

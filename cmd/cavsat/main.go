@@ -47,13 +47,14 @@
 //
 // Planner:
 //
-//	-planner auto     route rewritable queries through the SAT-free
-//	                  ConQuer-style rewriting, the rest through the
-//	                  solver (default). force-sat always uses the
-//	                  solver; force-rewrite fails on non-rewritable
-//	                  queries instead of falling back. Answers are
-//	                  identical on every route; -explain shows which
-//	                  route answered and why.
+//	-planner auto     answer every query on the solver route: group
+//	                  elimination in keys mode, WPMaxSAT as its
+//	                  fallback and in DC mode (default). force-sat
+//	                  does the same; force-rewrite runs the
+//	                  ConQuer-style rewriting and fails on queries it
+//	                  cannot answer. Answers are identical on every
+//	                  route; -explain shows which route answered and
+//	                  why.
 //
 // Solver:
 //

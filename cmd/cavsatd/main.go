@@ -59,16 +59,18 @@
 // snapshot data version, planner mode); identical concurrent queries
 // coalesce into one solve.
 //
-// The -planner flag (default auto) routes rewritable queries through
-// the SAT-free ConQuer-style executor and everything else through the
-// solver; answers are identical on every route. Each response carries
-// its route, and /metrics exposes cavsatd_route_total{route=...}
-// counters that sum to the queries served (cached answers count under
-// the route that originally computed them).
+// The -planner flag (default auto) serves every query on the solver
+// route; force-rewrite serves the ConQuer-style rewriting instead and
+// fails the queries it cannot answer. Answers are identical on every
+// route. Each response carries its route, and /metrics exposes
+// cavsatd_route_total{route=...} counters that sum to the queries
+// served (cached answers count under the route that originally
+// computed them).
 //
-// Every SAT-route query runs the built-in MaxHS-style solver (with its
-// RC2 fallback); -external-solver path hands the WPMaxSAT instances to
-// a MaxHS-compatible binary instead.
+// A SAT-route component that group elimination declines runs the
+// built-in MaxHS-style solver (with its RC2 fallback); -external-solver
+// path hands those WPMaxSAT instances to a MaxHS-compatible binary
+// instead.
 //
 // Every tenant — -data directories, the -dbgen demo and hot attaches —
 // is built with the same engine options (-planner, -parallel,

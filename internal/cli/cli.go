@@ -71,7 +71,7 @@ func (f *Flags) Register(fs *flag.FlagSet, names ...string) {
 	for _, name := range names {
 		switch name {
 		case Planner:
-			fs.StringVar(&f.Planner, name, f.Planner, "query planner mode: auto (rewrite when possible, solver otherwise), force-sat, force-rewrite")
+			fs.StringVar(&f.Planner, name, f.Planner, "query planner mode: auto (the solver route, for every query), force-sat (the same route), force-rewrite (the ConQuer-style rewriting; fails outside its class)")
 		case Parallel:
 			fs.IntVar(&f.Parallel, name, f.Parallel, "solver worker-pool size per query (0 = GOMAXPROCS, 1 = sequential)")
 		case Timeout:

@@ -25,9 +25,9 @@
 // compute its range consistent answers").
 //
 // The package splits classification from execution so internal/planner
-// can use it as the engine's fast path: Analyze compiles a query against
-// a schema into an instance-independent Plan (cacheable per query
-// shape), and Plan.Execute runs it over an instance with memoized
+// can serve it under force-rewrite: Analyze compiles a query against a
+// schema into an instance-independent Plan, and Plan.Execute runs it
+// over an instance with memoized
 // Indexes, a bounded worker pool over grouping keys, and cooperative
 // context cancellation. Baseline wraps both for the sequential
 // single-shot use the tests and benchmarks rely on.

@@ -77,13 +77,15 @@ type eliminator struct {
 	cc     *constraintContext
 	ws     []weightedWitness
 	budget int
+	// minOnly skips the max tables: solve then returns the minimum alone,
+	// as the consistency filter needs.
+	minOnly bool
 
-	// Variables: at maps a fact position of the component to its
-	// violating group's variable (-1 for a safe fact) and its index among
-	// the group's members; dom is each variable's member count and own
-	// the offset in tab of its table over its members.
-	at       []varMember
+	// Variables: dom is each violating group's member count and own the
+	// offset in tab of its table over its members; gis is its key-equal
+	// group.
 	dom, own []int
+	gis      []int
 
 	// ents are the witnesses coupling several groups that are present
 	// under some choice of kept members, each a point of the product of
@@ -148,7 +150,8 @@ type elimFactor struct {
 // group is the member kept; safe facts are in every repair, and a
 // witness holding two facts of one group is in none. ok is false when
 // the elimination order needs a table of more than budget entries: the
-// component then goes to the solver.
+// component then goes to the solver. Under minOnly, maxF is not
+// computed.
 //
 // The caller has checked that the total soft weight fits in an int64.
 // Every table entry, message and partial sum below is a sum over
@@ -171,36 +174,25 @@ func (el *eliminator) solve(facts []db.FactID, idx []int) (minF, maxF int64, sha
 // witnesses made only of safe facts and negative witnesses that are
 // never present. A negative witness that can be present adds its weight
 // here and its negation to its table or entry.
+//
+// A fact's variable is read from a pooled group → variable table (every
+// entry -1 at rest, restored before index returns) and its member index
+// from the constraint context, so each lookup is O(1).
 func (el *eliminator) index(facts []db.FactID, idx []int) (always int64) {
 	cc := el.cc
-	pos := func(f db.FactID) int {
-		i, _ := slices.BinarySearch(facts, f)
-		return i
-	}
-	el.at = resize(el.at, len(facts))
-	el.dom, el.own, el.tab = el.dom[:0], el.own[:0], el.tab[:0]
-	for p, f := range facts {
+	pooled := cc.groupNodes()
+	node := *pooled
+	el.dom, el.own, el.gis, el.tab = el.dom[:0], el.own[:0], el.gis[:0], el.tab[:0]
+	for _, f := range facts {
 		gi := cc.groupOf[f]
-		if cc.groupSafe[gi] {
-			el.at[p].v = -1
+		if cc.groupSafe[gi] || node[gi] >= 0 {
 			continue
 		}
-		members := cc.groups[gi].Facts
-		if members[0] != f {
-			continue // numbered with its group's first member
-		}
-		v := int32(len(el.dom))
-		el.dom = append(el.dom, len(members))
-		el.own = append(el.own, el.grow(len(members)))
-		// A member often lies right after the one before.
-		q := p
-		for m, mf := range members {
-			if facts[q] != mf {
-				q = pos(mf)
-			}
-			el.at[q] = varMember{v, int32(m)}
-			q = min(q+1, len(facts)-1)
-		}
+		node[gi] = int32(len(el.dom))
+		n := len(cc.groups[gi].Facts)
+		el.dom = append(el.dom, n)
+		el.own = append(el.own, el.grow(n))
+		el.gis = append(el.gis, gi)
 	}
 
 	el.ents, el.ev, el.coupled = el.ents[:0], el.ev[:0], false
@@ -209,10 +201,11 @@ func (el *eliminator) index(facts []db.FactID, idx []int) (always int64) {
 		off := len(el.ev)
 		never := false
 		for _, f := range w.facts {
-			vm := el.at[pos(f)]
-			if vm.v < 0 {
+			gi := cc.groupOf[f]
+			if cc.groupSafe[gi] {
 				continue
 			}
+			vm := varMember{node[gi], cc.memberOf[f]}
 			// Insert in ascending variable order, once per group.
 			i := off
 			for i < len(el.ev) && el.ev[i].v < vm.v {
@@ -255,6 +248,10 @@ func (el *eliminator) index(facts []db.FactID, idx []int) (always int64) {
 			}
 		}
 	}
+	for _, gi := range el.gis {
+		node[gi] = -1
+	}
+	cc.nodes.Put(pooled)
 	return always
 }
 
@@ -478,8 +475,10 @@ func (el *eliminator) grow(size int) int {
 // maximizing over each group eliminated in the same sweep, and returns
 // the sums of the scalar messages: the component's minimum and maximum
 // falsified weight less what every repair falsifies. A message carries
-// its min table and, right after it, its max table.
+// its min table and, right after it, its max table — unless minOnly,
+// which builds no max table and leaves hi 0.
 func (el *eliminator) run() (lo, hi int64) {
+	withMax := !el.minOnly
 	for step, v := range el.order {
 		d := el.dom[v]
 		// A bucket holding only the group's own table (the last factor
@@ -487,7 +486,9 @@ func (el *eliminator) run() (lo, hi int64) {
 		if f := &el.factors[el.head[v]]; f.next < 0 {
 			t := el.tab[f.off : f.off+d]
 			lo += slices.Min(t)
-			hi += slices.Max(t)
+			if withMax {
+				hi += slices.Max(t)
+			}
 			continue
 		}
 		// Otherwise its tables are summed into a min and a max table over
@@ -499,8 +500,12 @@ func (el *eliminator) run() (lo, hi int64) {
 			el.dims[a] = el.dom[u]
 			size *= el.dom[u]
 		}
-		in := el.grow(2 * size)
-		tlo, thi := el.tab[in:in+size], el.tab[in+size:in+2*size]
+		tables := 1
+		if withMax {
+			tables = 2
+		}
+		in := el.grow(tables * size)
+		tlo, thi := el.tab[in:in+size], el.tab[in+size:in+tables*size]
 		for fi := el.head[v]; fi >= 0; fi = el.factors[fi].next {
 			if f := &el.factors[fi]; !f.msg {
 				el.strides(s, f.vars)
@@ -512,12 +517,16 @@ func (el *eliminator) run() (lo, hi int64) {
 			if f := &el.factors[fi]; f.msg {
 				el.strides(s, f.vars)
 				addInto(tlo, el.dims, el.st, el.idx, el.tab[f.off:])
-				addInto(thi, el.dims, el.st, el.idx, el.tab[f.off+f.size:])
+				if withMax {
+					addInto(thi, el.dims, el.st, el.idx, el.tab[f.off+f.size:])
+				}
 			}
 		}
 		if len(s) == 1 {
 			lo += slices.Min(tlo)
-			hi += slices.Max(thi)
+			if withMax {
+				hi += slices.Max(thi)
+			}
 			el.tab = el.tab[:in]
 			continue
 		}
@@ -528,10 +537,12 @@ func (el *eliminator) run() (lo, hi int64) {
 		for i := range n {
 			el.tab[in+i] = slices.Min(tlo[i*d : (i+1)*d])
 		}
-		for i := range n {
-			el.tab[in+n+i] = slices.Max(thi[i*d : (i+1)*d])
+		if withMax {
+			for i := range n {
+				el.tab[in+n+i] = slices.Max(thi[i*d : (i+1)*d])
+			}
 		}
-		el.tab = el.tab[:in+2*n]
+		el.tab = el.tab[:in+tables*n]
 		rest := s[:len(s)-1]
 		b := rest[len(rest)-1]
 		el.factors = append(el.factors, elimFactor{vars: rest, off: in, size: n, msg: true, next: el.head[b]})
@@ -602,7 +613,8 @@ type formulaSize struct{ vars, clauses int }
 // one variable per member (so vars is the closure's size), an
 // at-least-one clause and the pairwise at-most-one clauses.
 func keysHardSize(cc *constraintContext, seed []db.FactID) (size formulaSize) {
-	seen := cc.groupNodes()
+	pooled := cc.groupNodes()
+	seen := *pooled
 	var gis []int
 	for _, f := range seed {
 		if gi := cc.groupOf[f]; seen[gi] < 0 {
@@ -616,7 +628,7 @@ func keysHardSize(cc *constraintContext, seed []db.FactID) (size formulaSize) {
 	for _, gi := range gis {
 		seen[gi] = -1
 	}
-	cc.nodes.Put(&seen)
+	cc.nodes.Put(pooled)
 	return size
 }
 

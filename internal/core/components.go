@@ -85,13 +85,14 @@ func splitComponents(ctx *constraintContext, witnessFacts [][]db.FactID) *compon
 // the witnesses touch, numbered through groupOf and a pooled dense
 // group → node table, so no fact is searched for.
 func splitKeys(ctx *constraintContext, witnessFacts [][]db.FactID) *componentSplit {
-	node := ctx.groupNodes()
+	pooled := ctx.groupNodes()
+	node := *pooled
 	var gis []int // node → group
 	defer func() {
 		for _, gi := range gis {
 			node[gi] = -1
 		}
-		ctx.nodes.Put(&node)
+		ctx.nodes.Put(pooled)
 	}()
 	uf := unionFind{}
 	nodeOf := func(f db.FactID) int32 {

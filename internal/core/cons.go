@@ -201,7 +201,7 @@ func (e *Engine) eliminateCandidates(ctx context.Context, cc *constraintContext,
 	over := make([][]consCandidate, shards)
 	shapes := make([]elimShape, shards)
 	err = forEach(ctx, shards, shards, func(ctx context.Context, w int) error {
-		el := eliminator{cc: cc, budget: e.elimBudget}
+		el := eliminator{cc: cc, budget: e.elimBudget, minOnly: true}
 		var ws []weightedWitness
 		for i, p := range todo[min(w*per, len(todo)):min((w+1)*per, len(todo))] {
 			if i%64 == 63 {

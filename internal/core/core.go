@@ -26,13 +26,11 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
 	"time"
 
-	"aggcavsat/internal/conquer"
 	"aggcavsat/internal/constraints"
 	"aggcavsat/internal/cq"
 	"aggcavsat/internal/db"
@@ -104,16 +102,13 @@ type Options struct {
 	// is non-blocking (obsv.Journal sheds load when the writer lags), so
 	// journaling never perturbs answers or stalls solves.
 	Journal *obsv.Journal
-	// Planner selects how queries are routed between the WPMaxSAT
-	// reduction and the ConQuer-style rewriting fast path
-	// (internal/planner). The zero value (planner.ModeSAT) preserves the
-	// pre-planner behavior: every query solves through SAT.
-	// planner.ModeAuto answers C_aggforest queries by pure relational
-	// evaluation and falls back to the solver on everything else
-	// (including data-dependent rejections discovered mid-rewrite);
-	// planner.ModeRewrite forces the rewriting and fails queries it
-	// cannot answer. Answers are identical across modes — only the
-	// executor changes.
+	// Planner selects how queries are routed between the solver route
+	// and the ConQuer-style rewriting (internal/planner). The zero value
+	// (planner.ModeSAT) and planner.ModeAuto both answer every query on
+	// the solver route; they differ only in the route reason recorded.
+	// planner.ModeRewrite answers C_aggforest queries by pure relational
+	// evaluation and fails every other query. Answers are identical
+	// across modes — only the executor changes.
 	Planner planner.Mode
 }
 
@@ -196,7 +191,7 @@ type Stats struct {
 	ConstraintTime time.Duration // key-equal groups / minimal+near violations
 	EncodeTime     time.Duration // clause construction
 	SolveTime      time.Duration // MaxSAT / SAT solving
-	RewriteTime    time.Duration // ConQuer-style rewriting execution (planner fast path)
+	RewriteTime    time.Duration // ConQuer-style rewriting execution (force-rewrite)
 
 	SATCalls            int64 // SAT solver invocations (across MaxSAT runs)
 	MaxSATRuns          int   // number of MaxSAT instances solved
@@ -258,9 +253,9 @@ type Report struct {
 	Stats   Stats
 	Explain *Explain
 	// Route records which executor answered the call: "rewrite" (the
-	// planner's SAT-free fast path) or "sat" (the WPMaxSAT reduction).
-	// RouteReason explains a SAT route (why the rewriting was not
-	// taken); empty on the rewrite route.
+	// ConQuer-style rewriting, under force-rewrite only) or "sat" (the
+	// solver route). RouteReason explains a SAT route (why the rewriting
+	// was not taken); empty on the rewrite route.
 	Route       string
 	RouteReason string
 }
@@ -309,38 +304,18 @@ func (e *Engine) RangeAnswersContext(ctx context.Context, q cq.AggQuery) (*Repor
 	return rep, nil
 }
 
-// rangeAnswers routes one call: the planner picks the executor, the
-// route is stamped on the record exactly once (so the per-route
-// counters sum to the calls served), and a rewrite that rejects itself
-// mid-execution on a data-dependent property falls back to the solver
-// in auto mode.
+// rangeAnswers routes one call: the planner picks the executor and the
+// route is stamped on the record exactly once, so the per-route
+// counters sum to the calls served.
 func (e *Engine) rangeAnswers(ctx context.Context, q cq.AggQuery, rc *recorder) (*Report, error) {
 	d := e.planner.Decide(q)
+	rc.routed(d.Route, d.Reason)
 	if d.Route == planner.RouteRewrite {
-		rep, err := e.rewriteRange(ctx, q, d.Plan, rc)
-		switch {
-		case err == nil:
-			rc.routed(planner.RouteRewrite, "", d.PlanCached)
-			return rep, nil
-		case !errors.Is(err, conquer.ErrNotInClass):
-			// Real failure (cancellation, timeout) on the rewrite route.
-			rc.routed(planner.RouteRewrite, "", d.PlanCached)
-			return nil, err
-		case e.opts.Planner == planner.ModeRewrite:
-			rc.routed(planner.RouteRewrite, "", d.PlanCached)
-			return nil, err
-		default:
-			// Data-dependent rejection discovered at execution time:
-			// fall through to the solver.
-			d = planner.Decision{Route: planner.RouteSAT,
-				Reason: "runtime fallback: " + planner.TrimReason(err), PlanCached: d.PlanCached}
-		}
+		return e.rewriteRange(ctx, q, d.Plan, rc)
 	}
 	if e.opts.Planner == planner.ModeRewrite {
-		rc.routed(planner.RouteSAT, d.Reason, d.PlanCached)
 		return nil, fmt.Errorf("%w: %s", planner.ErrRewriteUnavailable, d.Reason)
 	}
-	rc.routed(planner.RouteSAT, d.Reason, d.PlanCached)
 	if q.Scalar() {
 		rep := &Report{}
 		ans, err := e.scalarRange(ctx, q, rc)
@@ -359,11 +334,13 @@ type constraintContext struct {
 	mode ConstraintMode
 
 	// Keys mode.
-	groupOf   []int // fact -> key-equal group index
+	groupOf   []int   // fact -> key-equal group index
+	memberOf  []int32 // fact -> its index among its group's members
 	groups    []db.KeyEqualGroup
 	groupSafe []bool // group has a single member
-	// nodes pools the dense group → node tables of splitKeys (*[]int32,
-	// every entry -1 at rest).
+	// nodes pools the dense group → node tables of splitKeys,
+	// eliminator.index and keysHardSize (*[]int32, every entry -1 at
+	// rest).
 	nodes sync.Pool
 
 	// DC mode.
@@ -400,11 +377,13 @@ func (e *Engine) buildContext() *constraintContext {
 	case KeysMode:
 		ctx.groups = e.in.KeyEqualGroups()
 		ctx.groupOf = make([]int, n)
+		ctx.memberOf = make([]int32, n)
 		ctx.groupSafe = make([]bool, len(ctx.groups))
 		for gi, g := range ctx.groups {
 			ctx.groupSafe[gi] = len(g.Facts) == 1
-			for _, f := range g.Facts {
+			for m, f := range g.Facts {
 				ctx.groupOf[f] = gi
+				ctx.memberOf[f] = int32(m)
 			}
 		}
 	case DCMode:
@@ -437,16 +416,17 @@ func (ctx *constraintContext) safe(f db.FactID) bool {
 }
 
 // groupNodes returns a pooled group → node table, every entry -1; the
-// caller resets the entries it set before putting it back in nodes.
-func (ctx *constraintContext) groupNodes() []int32 {
+// caller resets the entries it set before putting the same pointer
+// back in nodes (putting a fresh one would allocate per call).
+func (ctx *constraintContext) groupNodes() *[]int32 {
 	if p, ok := ctx.nodes.Get().(*[]int32); ok {
-		return *p
+		return p
 	}
 	node := make([]int32, len(ctx.groups))
 	for i := range node {
 		node[i] = -1
 	}
-	return node
+	return &node
 }
 
 // allSafe reports whether every fact of the witness is safe.

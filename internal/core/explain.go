@@ -111,15 +111,12 @@ type Explain struct {
 	Algorithm   string `json:"algorithm"`
 	Parallelism int    `json:"parallelism"`
 
-	// Route is the executor the planner picked: "rewrite" (ConQuer-style
-	// SAT-free fast path) or "sat" (the WPMaxSAT reduction). RouteReason
-	// explains a SAT route — the structural classifier rejection, the
-	// forced mode, or a run-time fallback; empty on the rewrite route.
-	// PlanCached reports that the routing decision came from the
-	// planner's per-shape cache.
+	// Route is the executor the planner picked: "rewrite" (the
+	// ConQuer-style rewriting, under force-rewrite only) or "sat" (the
+	// solver route). RouteReason explains a SAT route — the planner mode,
+	// or why force-rewrite could not rewrite; empty on the rewrite route.
 	Route       string `json:"route"`
 	RouteReason string `json:"route_reason,omitempty"`
-	PlanCached  bool   `json:"plan_cached"`
 
 	// ConstraintCached reports that the constraint context (key-equal
 	// groups / minimal violations) was served from a cache rather than
@@ -161,7 +158,6 @@ func (e *Engine) buildExplain(ctx context.Context, rc *recorder, op string, st S
 
 		Route:       rc.route,
 		RouteReason: rc.routeReason,
-		PlanCached:  rc.planCached,
 
 		ConstraintCached:     rc.constraintCached(),
 		BaseHits:             rc.baseHits,
@@ -205,9 +201,6 @@ func (ex *Explain) WriteTable(w io.Writer) error {
 	route := ex.Route
 	if ex.RouteReason != "" {
 		route += " (" + ex.RouteReason + ")"
-	}
-	if ex.Route == "rewrite" && ex.PlanCached {
-		route += " (plan cached)"
 	}
 	fmt.Fprintf(tw, "route\t%s\n", route)
 	solver := ex.Algorithm + " (incremental)"

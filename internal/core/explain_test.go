@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"aggcavsat/internal/cq"
+	"aggcavsat/internal/planner"
 )
 
 // TestExplainReconcilesWithStats is the `-explain` vs `-stats` contract:
@@ -146,8 +147,11 @@ func TestExplainNilWhenDisabled(t *testing.T) {
 	}
 }
 
+// TestExplainWriteTableAndJSON renders the report of an auto-mode call
+// as a table and as JSON; both name the solver route with auto's own
+// reason.
 func TestExplainWriteTableAndJSON(t *testing.T) {
-	e, err := New(bank(), Options{Mode: KeysMode, Explain: true})
+	e, err := New(bank(), Options{Mode: KeysMode, Planner: planner.ModeAuto, Explain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +174,8 @@ func TestExplainWriteTableAndJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := buf.String()
-		for _, want := range append([]string{"mode", "keys", "base cache", "phase", "witness", "solve", "component"}, tc.want...) {
+		route := "sat (" + planner.ReasonAuto + ")"
+		for _, want := range append([]string{"mode", "keys", route, "base cache", "phase", "witness", "solve", "component"}, tc.want...) {
 			if !strings.Contains(out, want) {
 				t.Errorf("table missing %q:\n%s", want, out)
 			}
@@ -179,7 +184,8 @@ func TestExplainWriteTableAndJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, key := range []string{`"mode":"keys"`, `"components"`, `"stats"`, `"base_hits"`, `"route"`, `"closed_form_components"`} {
+		for _, key := range []string{`"mode":"keys"`, `"components"`, `"stats"`, `"base_hits"`, `"route":"sat"`,
+			`"route_reason":"` + planner.ReasonAuto + `"`, `"closed_form_components"`} {
 			if !strings.Contains(string(b), key) {
 				t.Errorf("JSON missing %s:\n%s", key, b)
 			}

@@ -267,75 +267,86 @@ func TestJournalErrorLine(t *testing.T) {
 }
 
 // TestJournalRouteFields: range-query lines carry the planner route and
-// its reason, answer digests agree across routes (the digest excludes
-// SAT-only provenance bits), and consistent-answer lines — which never
-// route — carry no route at all.
+// its reason under every mode — auto and force-sat on the solver route
+// with their own reasons, force-rewrite on the rewrite route or, when it
+// rejects the query, with the classifier's reason — answer digests agree
+// across routes (the digest excludes SAT-only provenance bits), and
+// consistent-answer lines — which never route — carry no route at all.
 func TestJournalRouteFields(t *testing.T) {
 	r := rng(77)
 	in := randomInstance(&r)
-	var autoBuf, satBuf bytes.Buffer
-	jAuto := obsv.NewJournal(&autoBuf, 0)
-	jSAT := obsv.NewJournal(&satBuf, 0)
-	auto, err := New(in, Options{Mode: KeysMode, Planner: planner.ModeAuto, Journal: jAuto})
-	if err != nil {
-		t.Fatal(err)
+	q := joinQuery(cq.CountStar, true) // in C_aggforest
+	distinct := joinQuery(cq.CountDistinct, false)
+	journal := func(mode planner.Mode, run func(e *Engine)) []obsv.JournalEntry {
+		t.Helper()
+		var buf bytes.Buffer
+		j := obsv.NewJournal(&buf, 0)
+		e, err := New(in, Options{Mode: KeysMode, Planner: mode, Journal: j})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(e)
+		j.Close()
+		lines, err := obsv.ReadJournal(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range lines {
+			if l.Options.Planner != mode.String() {
+				t.Errorf("planner option = %q, want %q", l.Options.Planner, mode)
+			}
+		}
+		return lines
 	}
-	sat, err := New(in, Options{Mode: KeysMode, Planner: planner.ModeSAT, Journal: jSAT})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := joinQuery(cq.CountStar, true) // in C_aggforest: rewrites under auto
-	if _, err := auto.RangeAnswers(q); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := auto.RangeAnswers(joinQuery(cq.CountDistinct, false)); err != nil {
-		t.Fatal(err) // operator outside the rewriting: routes to SAT
+	must := func(_ any, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	u := cq.Single(cq.CQ{Head: []string{"g"}, Atoms: []cq.Atom{
 		{Rel: "R", Args: []cq.Term{cq.V("k"), cq.V("g"), cq.V("v")}},
 	}})
-	if _, _, err := auto.ConsistentAnswers(u); err != nil {
-		t.Fatal(err)
+	autoLines := journal(planner.ModeAuto, func(e *Engine) {
+		must(e.RangeAnswers(q))
+		must(e.RangeAnswers(distinct))
+		_, _, err := e.ConsistentAnswers(u)
+		must(nil, err)
+	})
+	satLines := journal(planner.ModeSAT, func(e *Engine) { must(e.RangeAnswers(q)) })
+	rwLines := journal(planner.ModeRewrite, func(e *Engine) {
+		must(e.RangeAnswers(q))
+		if _, err := e.RangeAnswers(distinct); !errors.Is(err, planner.ErrRewriteUnavailable) {
+			t.Fatalf("force-rewrite on COUNT(DISTINCT): %v", err)
+		}
+	})
+	if len(autoLines) != 3 || len(satLines) != 1 || len(rwLines) != 2 {
+		t.Fatalf("lines: auto=%d sat=%d rewrite=%d", len(autoLines), len(satLines), len(rwLines))
 	}
-	if _, err := sat.RangeAnswers(q); err != nil {
-		t.Fatal(err)
+	for _, line := range autoLines[:2] {
+		if line.Route != "sat" || line.RouteReason != planner.ReasonAuto {
+			t.Errorf("auto line route %q reason %q", line.Route, line.RouteReason)
+		}
 	}
-	jAuto.Close()
-	jSAT.Close()
-
-	autoLines, err := obsv.ReadJournal(&autoBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	satLines, err := obsv.ReadJournal(&satBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(autoLines) != 3 || len(satLines) != 1 {
-		t.Fatalf("lines: auto=%d sat=%d", len(autoLines), len(satLines))
-	}
-	rw, opRejected, cons := autoLines[0], autoLines[1], autoLines[2]
-	if rw.Route != "rewrite" || rw.RouteReason != "" {
-		t.Errorf("rewrite line route %q reason %q", rw.Route, rw.RouteReason)
-	}
-	if rw.Options.Planner != "auto" {
-		t.Errorf("planner option = %q, want auto", rw.Options.Planner)
-	}
-	if opRejected.Route != "sat" || !strings.Contains(opRejected.RouteReason, "not supported by the rewriting") {
-		t.Errorf("rejected line route %q reason %q", opRejected.Route, opRejected.RouteReason)
-	}
-	if cons.Route != "" || cons.RouteReason != "" {
+	if cons := autoLines[2]; cons.Route != "" || cons.RouteReason != "" {
 		t.Errorf("consistent-answers line carries route %q (%q)", cons.Route, cons.RouteReason)
 	}
 	satLine := satLines[0]
 	if satLine.Route != "sat" || satLine.RouteReason != planner.ReasonForcedSAT {
 		t.Errorf("forced-sat line route %q reason %q", satLine.Route, satLine.RouteReason)
 	}
-	if satLine.Options.Planner != "force-sat" {
-		t.Errorf("planner option = %q, want force-sat", satLine.Options.Planner)
+	rw, rejected := rwLines[0], rwLines[1]
+	if rw.Route != "rewrite" || rw.RouteReason != "" {
+		t.Errorf("rewrite line route %q reason %q", rw.Route, rw.RouteReason)
+	}
+	if rejected.Route != "sat" || !strings.Contains(rejected.RouteReason, "not supported by the rewriting") ||
+		rejected.Error == "" || rejected.AnswerDigest != "" {
+		t.Errorf("rejected line route %q reason %q error %q digest %q",
+			rejected.Route, rejected.RouteReason, rejected.Error, rejected.AnswerDigest)
 	}
 	// Identical answers from different executors hash identically.
-	if rw.AnswerDigest == "" || rw.AnswerDigest != satLine.AnswerDigest {
-		t.Errorf("digest drift across routes: rewrite %q vs sat %q", rw.AnswerDigest, satLine.AnswerDigest)
+	if d := rw.AnswerDigest; d == "" || d != satLine.AnswerDigest || d != autoLines[0].AnswerDigest {
+		t.Errorf("digest drift across routes: rewrite %q vs sat %q vs auto %q",
+			d, satLine.AnswerDigest, autoLines[0].AnswerDigest)
 	}
 }

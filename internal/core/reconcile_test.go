@@ -147,8 +147,10 @@ func TestOneRecordReconciles(t *testing.T) {
 		{name: "keys/sat", in: bank(), q: groupedSumQuery(), route: "sat", anomaly: "slow", folds: true, closedForm: 1},
 		{name: "keys/sat-coupled", in: bank(), q: groupedCoupledSumQuery(), route: "sat", anomaly: "slow", folds: true, closedForm: 2},
 		{name: "keys/sat-solved", in: bank(), q: groupedCoupledSumQuery(), route: "sat", anomaly: "slow", folds: true, solved: true},
-		{name: "keys/rewrite", in: rnd, opts: Options{Planner: planner.ModeAuto},
+		{name: "keys/rewrite", in: rnd, opts: Options{Planner: planner.ModeRewrite},
 			q: joinQuery(cq.CountStar, true), route: "rewrite", anomaly: "slow"},
+		{name: "keys/auto", in: rnd, opts: Options{Planner: planner.ModeAuto},
+			q: joinQuery(cq.CountStar, true), route: "sat", anomaly: "slow", folds: true, closedForm: 1},
 		{name: "dc/sat", in: rnd, opts: Options{Mode: DCMode, DCs: dcs, Planner: planner.ModeAuto},
 			q: joinQuery(cq.Sum, true), route: "sat", anomaly: "slow", folds: true},
 		{name: "keys/timeout", in: bank(), ctx: cancelled, q: paperSumQuery(), route: "sat", anomaly: "timeout"},

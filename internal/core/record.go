@@ -56,11 +56,9 @@ type recorder struct {
 
 	// Route verdict of the call ("rewrite"/"sat"; "" until stamped),
 	// stamped exactly once by rangeAnswers (single writer: the goroutine
-	// running the call). routeReason explains a SAT route; planCached
-	// reports a plan-cache hit.
+	// running the call). routeReason explains a SAT route.
 	route       string
 	routeReason string
-	planCached  bool
 }
 
 // phase indexes the timed phases of a call.
@@ -142,11 +140,10 @@ func (e *Engine) classifyAnomaly(err error, dur time.Duration) string {
 	return ""
 }
 
-// routed stamps the final route on the record — exactly once per engine
-// call, after any fallback has settled, so the route counters sum to
-// the calls served.
-func (rc *recorder) routed(r planner.Route, reason string, planCached bool) {
-	rc.route, rc.routeReason, rc.planCached = r.String(), reason, planCached
+// routed stamps the route on the record — exactly once per engine call,
+// so the route counters sum to the calls served.
+func (rc *recorder) routed(r planner.Route, reason string) {
+	rc.route, rc.routeReason = r.String(), reason
 }
 
 func b2i(b bool) int64 {

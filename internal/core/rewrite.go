@@ -11,17 +11,18 @@ import (
 	"aggcavsat/internal/obsv"
 )
 
-// rewriteRange answers the call through the planner's compiled
-// rewriting: Plan.Execute over the engine's instance with the planner's
-// memoized indexes and the engine worker pool. The whole execution is
-// one "rewrite" phase — the rewriting has no witness/encode/solve split
-// to attribute — and lands in Stats.RewriteTime.
+// rewriteRange answers a force-rewrite call through the planner's
+// compiled rewriting: Plan.Execute over the engine's instance with the
+// planner's memoized indexes and the engine worker pool. The whole
+// execution is one "rewrite" phase — the rewriting has no
+// witness/encode/solve split to attribute — and lands in
+// Stats.RewriteTime.
 //
 // Two classes of errors come back: conquer.ErrNotInClass marks a
 // data-dependent rejection (negative or non-integer SUM values, a
-// scalar MIN/MAX whose result can be empty) that the caller may turn
-// into a SAT fallback; anything else is a genuine failure (typically a
-// dead context) mapped to the engine's typed sentinels.
+// scalar MIN/MAX whose result can be empty), returned as is; anything
+// else is a genuine failure (typically a dead context) mapped to the
+// engine's typed sentinels.
 func (e *Engine) rewriteRange(ctx context.Context, q cq.AggQuery, plan *conquer.Plan, rc *recorder) (*Report, error) {
 	ctx, sp := obsv.StartSpan(ctx, "core.rewrite", obsv.String("op", q.Op.String()))
 	pm := startPhase()
@@ -40,7 +41,7 @@ func (e *Engine) rewriteRange(ctx context.Context, q cq.AggQuery, plan *conquer.
 	// Scalar MIN/MAX over a possibly-empty result: the rewriting leaves
 	// the adversarial endpoint NULL where the solver pins it to the
 	// extremum over non-empty repairs, so the answers would diverge —
-	// reject and let the caller fall back.
+	// reject.
 	if q.Scalar() && (q.Op == cq.Min || q.Op == cq.Max) {
 		for _, a := range ans {
 			if a.EmptyPossible {

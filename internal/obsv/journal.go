@@ -76,9 +76,9 @@ type JournalEntry struct {
 	AnswerDigest string `json:"answer_digest,omitempty"`
 
 	// Route records which executor answered a range query ("rewrite" or
-	// "sat"); RouteReason explains a SAT route (classifier rejection,
-	// forced mode, or run-time fallback). Both are empty on operations
-	// the planner does not route (consistent_answers).
+	// "sat"); RouteReason explains a SAT route (the planner mode, or the
+	// classifier rejection under force-rewrite). Both are empty on
+	// operations the planner does not route (consistent_answers).
 	Route       string `json:"route,omitempty"`
 	RouteReason string `json:"route_reason,omitempty"`
 

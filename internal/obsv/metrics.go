@@ -47,9 +47,8 @@ const (
 	MetricJournalDropped = "aggcavsat_journal_dropped_total"   // journal lines shed by the bounded writer
 
 	// Planner observability (PR 8). The route counters are one labelled
-	// family — a call increments exactly one of them after its route
-	// settles (including a run-time fallback), so their sum equals the
-	// range-query calls served. MetricRewriteNS accumulates wall time in
+	// family — a call increments exactly one of them once the planner
+	// has routed it, so their sum equals the range-query calls served. MetricRewriteNS accumulates wall time in
 	// the SAT-free rewriting executor, the rewrite-route sibling of the
 	// witness/encode/solve phase counters.
 	MetricRouteRewrite = `aggcavsat_planner_route_total{route="rewrite"}`

@@ -1,34 +1,27 @@
-// Package planner routes aggregation queries between the WPMaxSAT
-// engine and the ConQuer-style rewriting fast path.
+// Package planner routes aggregation queries between the solver route
+// and the ConQuer-style rewriting.
 //
-// The classifier inspects the (query, constraints) pair: under primary
-// keys alone, a self-join-free conjunctive query whose join tree is
-// rooted at the aggregation relation with full-key child joins (the
-// C_aggforest class compiled by internal/conquer) is answered by pure
-// relational evaluation — no solver. Everything else, and every query
-// under non-key denial constraints, falls back to the SAT reduction.
-//
-// Classification is structural, so it is cached per query shape: the
-// first Decide for a shape runs conquer.Analyze and memoizes either the
-// compiled Plan or the rejection reason. Plans are instance-independent;
-// the data side is covered by a conquer.Indexes memo keyed by the
-// instance's fact count (its version — instances are append-only), so a
-// cached plan stays valid across appends and only the lookup maps are
-// rebuilt.
+// The solver route answers every query under auto and force-sat: in
+// keys mode group elimination over key-equal groups decides each
+// component, with WPMaxSAT as the fallback; in DC mode every component
+// goes to WPMaxSAT. The rewriting (internal/conquer) compiles a
+// self-join-free conjunctive query whose join tree is rooted at the
+// aggregation relation with full-key child joins (the C_aggforest
+// class) into pure relational evaluation. It serves only force-rewrite,
+// which fails every query outside the class with ErrRewriteUnavailable;
+// elsewhere it is the ConQuer baseline of the experiments and a
+// differential oracle.
 //
 // Some rejections are data-dependent and only surface while executing a
 // plan (a negative or non-integer SUM value, a scalar MIN/MAX whose
-// result can be empty). The engine handles those at run time: in auto
-// mode it falls back to the solver, in force-rewrite mode it surfaces
-// the error.
+// result can be empty). Under force-rewrite the engine returns them as
+// conquer.ErrNotInClass.
 package planner
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"strings"
-	"sync"
 
 	"aggcavsat/internal/conquer"
 	"aggcavsat/internal/cq"
@@ -39,12 +32,13 @@ import (
 type Mode int
 
 const (
-	// ModeSAT routes every query to the WPMaxSAT engine. It is the zero
+	// ModeSAT pins every query to the solver route. It is the zero
 	// value so engines configured before the planner existed keep their
 	// behavior bit for bit.
 	ModeSAT Mode = iota
-	// ModeAuto routes rewritable queries to the compiled rewriting and
-	// everything else — including run-time rejections — to the solver.
+	// ModeAuto is the serving default. It routes every query to the
+	// solver route, which answers faster than the rewriting wherever
+	// both apply; only its route reason differs from ModeSAT.
 	ModeAuto
 	// ModeRewrite forces the rewriting: queries outside the class fail
 	// with ErrRewriteUnavailable instead of falling back.
@@ -86,7 +80,8 @@ var ErrRewriteUnavailable = errors.New("planner: query is not rewritable and pla
 type Route int
 
 const (
-	// RouteSAT solves through the WPMaxSAT reduction.
+	// RouteSAT solves through the solver route: group elimination in
+	// keys mode, the WPMaxSAT reduction as its fallback and in DC mode.
 	RouteSAT Route = iota
 	// RouteRewrite answers through the compiled ConQuer-style rewriting.
 	RouteRewrite
@@ -105,10 +100,13 @@ func (r Route) String() string {
 // these strings; they also appear verbatim in explain reports and
 // journal entries.
 const (
-	// ReasonForcedSAT is stamped when the mode pins every query to the
+	// ReasonForcedSAT is stamped when force-sat pins every query to the
 	// solver.
 	ReasonForcedSAT = "planner mode forces the solver"
-	// ReasonDenialConstraints rejects rewriting under DC-mode repairs:
+	// ReasonAuto is stamped on every query auto serves: the solver route
+	// answers all of them, the rewriting none.
+	ReasonAuto = "auto serves every query on the solver route"
+	// ReasonDenialConstraints rejects force-rewrite under DC-mode repairs:
 	// the ConQuer argument is a primary-key result, non-key denial
 	// constraints need the solver.
 	ReasonDenialConstraints = "non-key denial constraints require the solver"
@@ -122,82 +120,46 @@ type Decision struct {
 	Reason string
 	// Plan is the compiled rewriting for RouteRewrite decisions.
 	Plan *conquer.Plan
-	// PlanCached reports that the decision (plan or rejection) came
-	// from the per-shape cache rather than a fresh classification.
-	PlanCached bool
 }
 
-// Planner classifies queries for one engine. It owns the per-shape plan
-// cache and the instance's rewriting indexes; both are safe for
-// concurrent use.
+// Planner classifies queries for one engine. It owns the instance's
+// rewriting indexes, which are built on the first plan executed; it is
+// safe for concurrent use.
 type Planner struct {
 	schema *db.Schema
 	mode   Mode
 	hasDCs bool
 	ix     *conquer.Indexes
-
-	mu    sync.Mutex
-	plans map[string]*cachedDecision
-}
-
-// cachedDecision memoizes one shape's classification: a compiled plan,
-// or the reason it was rejected.
-type cachedDecision struct {
-	plan   *conquer.Plan
-	reason string
 }
 
 // New creates a planner for the instance. hasDCs marks engines whose
 // repairs come from denial constraints rather than primary keys; those
 // always route to the solver.
 func New(in *db.Instance, mode Mode, hasDCs bool) *Planner {
-	return &Planner{
-		schema: in.Schema(),
-		mode:   mode,
-		hasDCs: hasDCs,
-		ix:     conquer.NewIndexes(in),
-		plans:  map[string]*cachedDecision{},
-	}
+	return &Planner{schema: in.Schema(), mode: mode, hasDCs: hasDCs, ix: conquer.NewIndexes(in)}
 }
-
-// Mode returns the configured routing mode.
-func (p *Planner) Mode() Mode { return p.mode }
 
 // Indexes returns the instance's memoized rewriting indexes, shared by
 // every plan executed against it.
 func (p *Planner) Indexes() *conquer.Indexes { return p.ix }
 
-// Decide classifies q (already head-built and schema-validated) and
-// returns the route with its compiled plan or rejection reason.
+// Decide returns the route of q (already head-built and
+// schema-validated). Only force-rewrite classifies q: it gets the
+// compiled plan, or the reason the rewriting rejects q.
 func (p *Planner) Decide(q cq.AggQuery) Decision {
-	if p.mode == ModeSAT {
+	switch {
+	case p.mode == ModeSAT:
 		return Decision{Route: RouteSAT, Reason: ReasonForcedSAT}
-	}
-	if p.hasDCs {
+	case p.mode == ModeAuto:
+		return Decision{Route: RouteSAT, Reason: ReasonAuto}
+	case p.hasDCs:
 		return Decision{Route: RouteSAT, Reason: ReasonDenialConstraints}
 	}
-	fp := fingerprint(q)
-	p.mu.Lock()
-	c, ok := p.plans[fp]
-	p.mu.Unlock()
-	if !ok {
-		c = &cachedDecision{}
-		plan, err := conquer.Analyze(p.schema, q)
-		if err != nil {
-			c.reason = TrimReason(err)
-		} else {
-			c.plan = plan
-		}
-		p.mu.Lock()
-		// Two goroutines may race to classify the same shape; both
-		// compute the identical verdict, last write wins.
-		p.plans[fp] = c
-		p.mu.Unlock()
+	plan, err := conquer.Analyze(p.schema, q)
+	if err != nil {
+		return Decision{Route: RouteSAT, Reason: TrimReason(err)}
 	}
-	if c.plan == nil {
-		return Decision{Route: RouteSAT, Reason: c.reason, PlanCached: ok}
-	}
-	return Decision{Route: RouteRewrite, Plan: c.plan, PlanCached: ok}
+	return Decision{Route: RouteRewrite, Plan: plan}
 }
 
 // TrimReason compresses a conquer classification error into the bare
@@ -210,13 +172,4 @@ func TrimReason(err error) string {
 		return rest
 	}
 	return msg
-}
-
-// fingerprint keys the plan cache: FNV-1a over the canonical query
-// rendering, so two spellings of the same algebraic query share a
-// cache entry.
-func fingerprint(q cq.AggQuery) string {
-	h := fnv.New64a()
-	h.Write([]byte(q.String()))
-	return fmt.Sprintf("%016x", h.Sum64())
 }

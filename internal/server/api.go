@@ -83,9 +83,9 @@ type QueryResponse struct {
 	// travels in the Traceparent response header.
 	TraceID string `json:"trace_id,omitempty"`
 	// Route is the executor that computed the answer: "rewrite" (the
-	// planner's SAT-free fast path), "sat" (the WPMaxSAT reduction), or
-	// "mixed" when a multi-aggregate statement split. Cached answers
-	// keep the route that originally computed them.
+	// ConQuer-style rewriting, on a force-rewrite tenant) or "sat" (the
+	// solver route). Cached answers keep the route that originally
+	// computed them.
 	Route string `json:"route,omitempty"`
 	// ElapsedMS is the server-side latency of this request, queueing
 	// included.

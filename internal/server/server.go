@@ -24,8 +24,8 @@ import (
 const (
 	// MetricRequests is a labeled family: every /query request lands in
 	// exactly one (tenant, route, outcome) series. route is the executor
-	// that answered ("rewrite", "sat", "mixed", "cache" for result-cache
-	// hits, "none" on errors); outcome is "ok", "shed", "timeout", or
+	// that answered ("rewrite", "sat", "cache" for result-cache hits,
+	// "none" on errors); outcome is "ok", "shed", "timeout", or
 	// "error". The family is cardinality-bounded (requestSeriesCap) with
 	// an "_overflow" catch-all.
 	MetricRequests = "cavsatd_requests_total"
@@ -49,12 +49,11 @@ const (
 	// reach.)
 	MetricRouteRewrite = `cavsatd_route_total{route="rewrite"}`
 	MetricRouteSAT     = `cavsatd_route_total{route="sat"}`
-	MetricRouteMixed   = `cavsatd_route_total{route="mixed"}`
 )
 
 // requestSeriesCap bounds the (tenant, route, outcome) cardinality of
-// the labeled request families: 5 routes × 4 outcomes leaves room for
-// ~12 tenants before new tuples fall into the "_overflow" series.
+// the labeled request families: 4 routes × 4 outcomes leaves room for
+// 16 tenants before new tuples fall into the "_overflow" series.
 const requestSeriesCap = 256
 
 // Config tunes the query service.
@@ -172,7 +171,6 @@ type Server struct {
 
 	routeRewrite *obsv.Counter
 	routeSAT     *obsv.Counter
-	routeMixed   *obsv.Counter
 
 	traces *obsv.TraceStore
 	slo    *obsv.SLOTracker
@@ -201,7 +199,6 @@ func New(cfg Config) *Server {
 
 		routeRewrite: reg.Counter(MetricRouteRewrite),
 		routeSAT:     reg.Counter(MetricRouteSAT),
-		routeMixed:   reg.Counter(MetricRouteMixed),
 
 		traces: obsv.NewTraceStore(cfg.TraceRetain),
 	}
@@ -486,8 +483,6 @@ func (s *Server) countRoute(route string) {
 	switch route {
 	case "rewrite":
 		s.routeRewrite.Inc()
-	case "mixed":
-		s.routeMixed.Inc()
 	default:
 		s.routeSAT.Inc()
 	}

@@ -507,51 +507,55 @@ func TestCoalescedFollowersShareOneSolve(t *testing.T) {
 // contract: every 200 /query response — cache hits included — bumps
 // exactly one cavsatd_route_total counter, cached answers count under
 // the route that originally computed them, and non-200 responses count
-// nothing.
+// nothing. An auto tenant serves every query on the solver route; only
+// a force-rewrite tenant takes the rewrite route.
 func TestRouteCountersSumToServedResponses(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Planner: aggcavsat.PlannerAuto})
-	served := 0
-	query := func(sql string) QueryResponse {
+	query := func(url, sql string) QueryResponse {
 		t.Helper()
-		resp, body := postQuery(t, ts.URL, &QueryRequest{SQL: sql})
+		resp, body := postQuery(t, url, &QueryRequest{SQL: sql})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: %d %s", sql, resp.StatusCode, body)
 		}
-		served++
 		var out QueryResponse
 		if err := json.Unmarshal(body, &out); err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
-
-	first := query(sumQuery) // single-relation SUM: the rewrite fast path
-	if first.Route != "rewrite" || first.Cached {
-		t.Fatalf("first response route %q cached %v, want fresh rewrite", first.Route, first.Cached)
+	counts := func(srv *Server) (rw, sat int64) {
+		reg := srv.cfg.Metrics
+		return reg.Counter(MetricRouteRewrite).Value(), reg.Counter(MetricRouteSAT).Value()
 	}
-	cached := query(sumQuery) // cache hit keeps the original route
-	if !cached.Cached || cached.Route != "rewrite" {
+
+	rwSrv, rwTS := newTestServer(t, Config{Planner: aggcavsat.PlannerForceRewrite})
+	if out := query(rwTS.URL, sumQuery); out.Route != "rewrite" || out.Cached {
+		t.Fatalf("force-rewrite response route %q cached %v, want fresh rewrite", out.Route, out.Cached)
+	}
+	// Outside the rewriting: force-rewrite refuses it, and counts nothing.
+	if resp, _ := postQuery(t, rwTS.URL, &QueryRequest{SQL: "SELECT COUNT(DISTINCT BAL) FROM Acc"}); resp.StatusCode == http.StatusOK {
+		t.Fatal("force-rewrite served a query outside the rewriting")
+	}
+	if rw, sat := counts(rwSrv); rw != 1 || sat != 0 {
+		t.Fatalf("force-rewrite tenant: rewrite=%d sat=%d, want 1 and 0", rw, sat)
+	}
+
+	srv, ts := newTestServer(t, Config{Planner: aggcavsat.PlannerAuto})
+	first := query(ts.URL, sumQuery) // in the rewriting's class, served by the solver
+	if first.Route != "sat" || first.Cached {
+		t.Fatalf("first response route %q cached %v, want fresh sat", first.Route, first.Cached)
+	}
+	if cached := query(ts.URL, sumQuery); !cached.Cached || cached.Route != "sat" {
 		t.Fatalf("cached response route %q cached %v", cached.Route, cached.Cached)
 	}
-	satOut := query("SELECT COUNT(DISTINCT BAL) FROM Acc") // outside the rewriting
-	if satOut.Route != "sat" {
-		t.Fatalf("DISTINCT routed %q, want sat", satOut.Route)
+	if out := query(ts.URL, "SELECT COUNT(DISTINCT BAL) FROM Acc"); out.Route != "sat" {
+		t.Fatalf("DISTINCT routed %q, want sat", out.Route)
 	}
-
 	// A failed request counts no route.
 	if resp, _ := postQuery(t, ts.URL, &QueryRequest{SQL: "DELETE FROM Acc"}); resp.StatusCode == http.StatusOK {
 		t.Fatal("invalid SQL served")
 	}
-
-	reg := srv.cfg.Metrics
-	rw := reg.Counter(MetricRouteRewrite).Value()
-	sat := reg.Counter(MetricRouteSAT).Value()
-	mixed := reg.Counter(MetricRouteMixed).Value()
-	if rw+sat+mixed != int64(served) {
-		t.Fatalf("route counters %d+%d+%d != %d served responses", rw, sat, mixed, served)
-	}
-	if rw != 2 || sat != 1 {
-		t.Fatalf("rewrite=%d sat=%d, want 2 and 1", rw, sat)
+	if rw, sat := counts(srv); rw != 0 || sat != 3 {
+		t.Fatalf("auto tenant: rewrite=%d sat=%d, want 0 and 3 served responses", rw, sat)
 	}
 
 	// The tenant listing advertises the serving policy.
@@ -568,7 +572,7 @@ func TestRouteCountersSumToServedResponses(t *testing.T) {
 		t.Fatalf("instances = %+v", infos)
 	}
 
-	// /metrics exposes the family with one TYPE line and all three labels.
+	// /metrics exposes the family with one TYPE line and both labels.
 	metrics, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -579,7 +583,7 @@ func TestRouteCountersSumToServedResponses(t *testing.T) {
 	if got := strings.Count(buf.String(), "# TYPE cavsatd_route_total counter"); got != 1 {
 		t.Errorf("cavsatd_route_total TYPE lines = %d, want 1", got)
 	}
-	for _, want := range []string{MetricRouteRewrite, MetricRouteSAT, MetricRouteMixed} {
+	for _, want := range []string{MetricRouteRewrite, MetricRouteSAT} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("/metrics missing %s", want)
 		}
