@@ -36,18 +36,16 @@ vet:
 race:
 	$(GO) test -race -short . ./internal/obsv/... ./internal/sat/... ./internal/maxsat/... ./internal/core/... ./internal/cq/... ./internal/bench/... ./internal/server/... ./internal/planner/... ./internal/conquer/... ./internal/db/... ./internal/workpool/... ./cmd/...
 
-# Micro-benchmarks: the clone-vs-rebuild and shared-base suites in
-# sat/maxsat/core (incremental solving), core's group elimination vs
-# encode + MaxHS component solve on a single-group and a coupled
-# width-2 component (BenchmarkComponentSolve), the compiled evaluation
+# Micro-benchmarks: core's group elimination vs encode + MaxHS
+# component solve on a single-group and a coupled width-2 component
+# (BenchmarkComponentSolve), the compiled evaluation
 # (BenchmarkEvalWideJoin: a join into a 14-column relation that reads
 # two columns) and key-fast-path-vs-generic constraint suites in
-# cq/constraints, the
-# memoized-vs-fresh rewriting index suite in conquer (the planner fast
+# cq/constraints, the memoized-vs-fresh rewriting index suite in conquer (the planner fast
 # path), plus the end-to-end harness benchmarks. Pipe two runs through
 # benchstat to compare.
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ ./internal/sat/ ./internal/maxsat/ ./internal/core/ ./internal/cq/ ./internal/constraints/ ./internal/conquer/ ./internal/bench/
+	$(GO) test -bench=. -benchmem -run=^$$ ./internal/core/ ./internal/cq/ ./internal/constraints/ ./internal/conquer/ ./internal/bench/
 
 # Fuzz smoke: a bounded run of the planner equivalence fuzzer
 # (planner-auto ≡ forced-rewrite, wherever the rewriting answers, ≡

@@ -452,8 +452,8 @@ func TestExternalSolverLoop(t *testing.T) {
 		}
 	}
 	// A component with one violating group needs no solver, external or
-	// not; its counted size includes the negated lub formula the
-	// per-run-formula path builds (4/8 plus 5/10).
+	// not; its counted size is the Reduction IV.1 formula's alone, as on
+	// the built-in solver.
 	res, err = sys.Query(`SELECT SUM(Acc.BAL) FROM Acc, CustAcc
 		WHERE Acc.ACCID = CustAcc.ACCID AND CustAcc.CID = 'C2'`)
 	if err != nil {
@@ -462,8 +462,8 @@ func TestExternalSolverLoop(t *testing.T) {
 	if FormatRange(res.Rows[0].Ranges[0]) != "[900, 2200]" {
 		t.Errorf("closed-form range = %s", FormatRange(res.Rows[0].Ranges[0]))
 	}
-	if st := res.Stats; st.SATCalls != 0 || st.ClosedFormComponents != 1 || st.Vars != 9 || st.Clauses != 18 ||
-		st.MaxVars != 5 || st.MaxClauses != 10 {
+	if st := res.Stats; st.SATCalls != 0 || st.ClosedFormComponents != 1 || st.Vars != 4 || st.Clauses != 8 ||
+		st.MaxVars != 4 || st.MaxClauses != 8 {
 		t.Errorf("closed-form stats = %+v", st)
 	}
 }

@@ -4,10 +4,9 @@
 //
 //	wcnfsolve [-progress] [-timeout 30s] problem.wcnf
 //
-// It runs the built-in MaxHS-style solver. The hard clauses are loaded
-// into one solver base, and the MaxHS run and its RC2 fallback (taken
-// when an exact hitting-set search exhausts its node budget) each start
-// from a clone of it.
+// It runs the built-in MaxHS-style solver through maxsat.SolveContext,
+// the path the engine takes too; when an exact hitting-set search
+// exhausts its node budget the solve falls back to RC2.
 //
 // It doubles as a drop-in "external solver" for aggcavsat itself
 // (Options.ExternalSolverPath), which closes the loop on the paper's
@@ -73,9 +72,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		ctx, cancel = context.WithTimeout(ctx, f.Timeout)
 		defer cancel()
 	}
-	// One shared solver base: the MaxHS→RC2 fallback forks a clone
-	// instead of re-adding every hard clause.
-	res, err := maxsat.NewInstance(formula, nil, opts).SolveMin(ctx)
+	res, err := maxsat.SolveContext(ctx, formula, opts)
 	if err != nil {
 		return err
 	}

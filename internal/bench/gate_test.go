@@ -188,7 +188,7 @@ func runLeg(r *Runner, sf float64, queries []tpch.Query, base int64) (gateLeg, e
 			SolveAllocBytes:   st.SolveAllocBytes,
 		})
 		// Settle the heap: what survives a GC here is the store plus the
-		// engine's caches (plans, hash indexes, solver bases).
+		// engine's caches (hash indexes, constraint context).
 		runtime.GC()
 		leg.PeakLive = max(leg.PeakLive, int64(liveHeap())-base)
 	}

@@ -207,19 +207,6 @@ func (f *Formula) NegateSoft() *Formula {
 	return out
 }
 
-// Snapshot returns a copy-on-append view of the formula: the clause
-// slice is shared with capacity clamped to its length, so appending to
-// the view (AddHard/AddSoft/NewVar) reallocates privately and never
-// mutates f. Clause literal slices stay shared — callers must not edit
-// existing clauses in place. This is how a cached hard-clause prefix is
-// handed to many consumers that each extend it with their own soft
-// clauses.
-func (f *Formula) Snapshot() *Formula {
-	out := New(f.numVars)
-	out.clauses = f.clauses[:len(f.clauses):len(f.clauses)]
-	return out
-}
-
 // Clone returns a deep copy of the formula.
 func (f *Formula) Clone() *Formula {
 	out := New(f.numVars)

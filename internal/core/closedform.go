@@ -50,11 +50,7 @@ func (e *Engine) eliminateComponents(cc *constraintContext, split *componentSpli
 		}
 		minF += lo
 		maxF += hi
-		formula, negation := reductionSize(cc, split.facts[ci], ws, idx)
-		tally.add(formula, len(split.facts[ci]), len(idx), shape, rc.explain)
-		if !e.incremental() {
-			tally.stats.absorb(negation)
-		}
+		tally.add(reductionSize(cc, split.facts[ci], ws, idx), len(split.facts[ci]), len(idx), shape, rc.explain)
 	}
 	rc.closedForm(&tally)
 	return minF, maxF, solve
@@ -78,7 +74,7 @@ type eliminator struct {
 	ws     []weightedWitness
 	budget int
 	// minOnly skips the max tables: solve then returns the minimum alone,
-	// as the consistency filter needs.
+	// as the consistency filter and the MIN/MAX probes need.
 	minOnly bool
 
 	// Variables: dom is each violating group's member count and own the
@@ -638,10 +634,8 @@ func keysHardSize(cc *constraintContext, seed []db.FactID) (size formulaSize) {
 // without building it: one variable per fact, per group an at-least-one
 // clause and the pairwise at-most-one clauses, one soft clause per
 // witness, and a defined presence variable with its clauses per
-// negative witness of several facts. negation is the size of its CNF
-// negation (cnf.Formula.NegateSoft), which the per-run-formula solve
-// path also builds for the lub direction.
-func reductionSize(cc *constraintContext, facts []db.FactID, ws []weightedWitness, idx []int) (formula, negation formulaSize) {
+// negative witness of several facts.
+func reductionSize(cc *constraintContext, facts []db.FactID, ws []weightedWitness, idx []int) formulaSize {
 	vars, hard := len(facts), 0
 	for _, f := range facts {
 		if members := cc.groups[cc.groupOf[f]].Facts; members[0] == f {
@@ -649,20 +643,11 @@ func reductionSize(cc *constraintContext, facts []db.FactID, ws []weightedWitnes
 			hard += 1 + k*(k-1)/2
 		}
 	}
-	negVars, negSoft := 0, 0
 	for _, wi := range idx {
-		n := len(ws[wi].facts)
-		switch {
-		case ws[wi].negative && n > 1:
+		if n := len(ws[wi].facts); ws[wi].negative && n > 1 {
 			vars++
 			hard += n + 1
-			negSoft++
-		case !ws[wi].negative && n > 1:
-			negVars++
-			negSoft += n + 1
-		default:
-			negSoft++
 		}
 	}
-	return formulaSize{vars, hard + len(idx)}, formulaSize{vars + negVars, hard + negSoft}
+	return formulaSize{vars, hard + len(idx)}
 }

@@ -133,21 +133,11 @@ func (e *Engine) consistentGroups(ctx context.Context, groups []cq.WitnessGroup,
 	}
 
 	// The SAT check runs over the closure of every checked candidate,
-	// so the formula, its counted size and its cached base do not depend
-	// on which candidates elimination decided.
+	// so the formula and its counted size do not depend on which
+	// candidates elimination decided.
 	closure := cc.closure(seed)
-	var enc *encoder
-	var base *maxsat.HardBase
-	var baseHit bool
-	if e.incremental() {
-		// Shards clone the cached hard base instead of each re-adding
-		// the shared formula clause by clause; repeated calls over the
-		// same closure (Algorithm 2 on similar queries) skip the encode.
-		enc, base, baseHit = e.componentBase(cc, closure)
-	} else {
-		enc = newEncoder(cc, closure)
-	}
-	ce := rc.component(encodeMark, nil, enc.formula, len(closure), checked, baseHit)
+	enc := newEncoder(cc, closure)
+	ce := rc.component(encodeMark, nil, enc.formula, len(closure), checked)
 	if len(todo) < checked {
 		ce.addElimination("consistency", shape)
 	}
@@ -171,7 +161,7 @@ func (e *Engine) consistentGroups(ctx context.Context, groups []cq.WitnessGroup,
 		if lo >= hi {
 			return nil
 		}
-		return e.checkCandidates(ctx, enc, base, todo[lo:hi], out, rc)
+		return e.checkCandidates(ctx, enc, todo[lo:hi], out, rc)
 	})
 	sd := rc.endPhase(phaseSolve, solveMark)
 	// Each candidate costs exactly one incremental Solve call.
@@ -256,22 +246,10 @@ type consCandidate struct {
 // Activation literals a_b → (witness broken) are added per candidate;
 // out[p.index] receives the verdict (indices are disjoint across
 // shards, so no synchronization is needed on the writes).
-func (e *Engine) checkCandidates(ctx context.Context, enc *encoder, base *maxsat.HardBase, todo []consCandidate, out []bool, rc *recorder) error {
-	var solver *sat.Solver
-	if base != nil {
-		solver = base.Fork(enc.formula)
-		if !solver.Okay() {
-			return errInternalUnsat()
-		}
-	} else {
-		solver = sat.New()
-		if !solver.AddFormulaHard(enc.formula) {
-			return errInternalUnsat()
-		}
-		solver.EnsureVars(enc.formula.NumVars())
-	}
-	if b := e.opts.MaxSAT.ConflictBudget; b > 0 {
-		solver.SetConflictBudget(b)
+func (e *Engine) checkCandidates(ctx context.Context, enc *encoder, todo []consCandidate, out []bool, rc *recorder) error {
+	solver, err := e.hardSolver(enc.formula)
+	if err != nil {
+		return err
 	}
 	release := sat.StopOnDone(ctx, solver)
 	defer release()
@@ -336,6 +314,20 @@ func dedupFactSets(ws []cq.Witness) [][]db.FactID {
 		sorted = append(sorted, s)
 	}
 	return out
+}
+
+// hardSolver returns a fresh SAT solver loaded with f's hard clauses,
+// under the engine's conflict budget.
+func (e *Engine) hardSolver(f *cnf.Formula) (*sat.Solver, error) {
+	s := sat.New()
+	if !s.AddFormulaHard(f) {
+		return nil, errInternalUnsat()
+	}
+	s.EnsureVars(f.NumVars())
+	if b := e.opts.MaxSAT.ConflictBudget; b > 0 {
+		s.SetConflictBudget(b)
+	}
+	return s, nil
 }
 
 func errInternalUnsat() error {

@@ -127,13 +127,6 @@ type Engine struct {
 	ctxOnce sync.Once
 	ctx     *constraintContext
 
-	// bases caches, per component (keyed by its sorted closure fact
-	// set), the hard-clause encoder output and the loaded solver base,
-	// so grouped queries and repeated calls whose components coincide
-	// clone the base instead of re-encoding and re-loading identical
-	// hard clauses. See componentBase.
-	bases sync.Map // componentKey(facts) → *baseEntry
-
 	// elimBudget is the largest bucket table group elimination builds:
 	// elimTableBudget, which tests lower to send components to the
 	// solver.
@@ -306,15 +299,16 @@ func (e *Engine) RangeAnswersContext(ctx context.Context, q cq.AggQuery) (*Repor
 
 // rangeAnswers routes one call: the planner picks the executor and the
 // route is stamped on the record exactly once, so the per-route
-// counters sum to the calls served.
+// counters sum to the calls served. A query force-rewrite cannot
+// rewrite runs no executor and gets no route.
 func (e *Engine) rangeAnswers(ctx context.Context, q cq.AggQuery, rc *recorder) (*Report, error) {
 	d := e.planner.Decide(q)
+	if d.Route != planner.RouteRewrite && e.opts.Planner == planner.ModeRewrite {
+		return nil, fmt.Errorf("%w: %s", planner.ErrRewriteUnavailable, d.Reason)
+	}
 	rc.routed(d.Route, d.Reason)
 	if d.Route == planner.RouteRewrite {
 		return e.rewriteRange(ctx, q, d.Plan, rc)
-	}
-	if e.opts.Planner == planner.ModeRewrite {
-		return nil, fmt.Errorf("%w: %s", planner.ErrRewriteUnavailable, d.Reason)
 	}
 	if q.Scalar() {
 		rep := &Report{}

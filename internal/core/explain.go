@@ -38,18 +38,14 @@ type ComponentExplain struct {
 	// Facts is the size of the component's closure fact set; Witnesses
 	// is the number of solve units (witnesses, answer groups, or checked
 	// candidates) encoded against it.
-	Facts     int `json:"facts"`
-	Witnesses int `json:"witnesses"`
-	Vars      int `json:"vars"`
-	Clauses   int `json:"clauses"`
-	// BaseHit reports whether the component's hard-clause encoding and
-	// loaded solver base came from the Engine.bases memo (false: built
-	// here; meaningless for the external solver, which shares no base).
-	BaseHit  bool  `json:"base_hit"`
-	EncodeNS int64 `json:"encode_ns"`
+	Facts     int   `json:"facts"`
+	Witnesses int   `json:"witnesses"`
+	Vars      int   `json:"vars"`
+	Clauses   int   `json:"clauses"`
+	EncodeNS  int64 `json:"encode_ns"`
 	// ClosedForm reports an entry group elimination answered whole,
 	// with no solver: Vars/Clauses are the counted size of a formula
-	// that was never built and BaseHit is unset. A keys-mode COUNT/SUM
+	// that was never built. A keys-mode COUNT/SUM
 	// component has one "closed-form" pass and no EncodeNS; a
 	// consistency filter or a MIN/MAX probe set has one "consistency" or
 	// "probe" pass. ElimWidth is the elimination width (0 when no
@@ -104,9 +100,9 @@ type Explain struct {
 	// the journal line, flight bundle, and cavsatd response carry.
 	TraceID string `json:"trace_id,omitempty"`
 	// Mode is "keys" or "dc". Algorithm is the configured solver:
-	// "maxhs" (incremental, over a shared hard-clause base) or
-	// "external" (one WCNF file per MaxSAT run); the direction rows of
-	// Components name the strategy that actually answered each pass.
+	// "maxhs" (built in) or "external" (a binary); both solve the same
+	// formulas, one per MaxSAT run. The direction rows of Components
+	// name the strategy that actually answered each pass.
 	Mode        string `json:"mode"`
 	Algorithm   string `json:"algorithm"`
 	Parallelism int    `json:"parallelism"`
@@ -129,14 +125,11 @@ type Explain struct {
 	ConstraintBuildNS int64 `json:"constraint_build_ns,omitempty"`
 	FastPathRels      int   `json:"fastpath_rels"`
 	GenericDCs        int   `json:"generic_dcs"`
-	// BaseHits/BaseMisses count Engine.bases outcomes across the call's
-	// components; ConsistentSkips counts groups answered without SAT;
+	// ConsistentSkips counts groups answered without SAT;
 	// ClosedFormComponents counts the COUNT/SUM components answered by
 	// group elimination.
-	BaseHits             int64 `json:"base_hits"`
-	BaseMisses           int64 `json:"base_misses"`
-	ConsistentSkips      int   `json:"consistent_skips"`
-	ClosedFormComponents int   `json:"closed_form_components"`
+	ConsistentSkips      int `json:"consistent_skips"`
+	ClosedFormComponents int `json:"closed_form_components"`
 
 	Components []ComponentExplain `json:"components"`
 
@@ -160,8 +153,6 @@ func (e *Engine) buildExplain(ctx context.Context, rc *recorder, op string, st S
 		RouteReason: rc.routeReason,
 
 		ConstraintCached:     rc.constraintCached(),
-		BaseHits:             rc.baseHits,
-		BaseMisses:           rc.baseMisses,
 		ConsistentSkips:      st.ConsistentPartSkips,
 		ClosedFormComponents: st.ClosedFormComponents,
 		Components:           make([]ComponentExplain, len(rc.comps)),
@@ -203,11 +194,7 @@ func (ex *Explain) WriteTable(w io.Writer) error {
 		route += " (" + ex.RouteReason + ")"
 	}
 	fmt.Fprintf(tw, "route\t%s\n", route)
-	solver := ex.Algorithm + " (incremental)"
-	if ex.Algorithm == maxsat.AlgExternal.String() {
-		solver = ex.Algorithm + " (per-run formula)"
-	}
-	fmt.Fprintf(tw, "solver\t%s\n", solver)
+	fmt.Fprintf(tw, "solver\t%s\n", ex.Algorithm)
 	fmt.Fprintf(tw, "parallelism\t%d\n", ex.Parallelism)
 	cons := hitMiss(ex.ConstraintCached)
 	if ex.ConstraintBuildNS > 0 {
@@ -217,7 +204,6 @@ func (ex *Explain) WriteTable(w io.Writer) error {
 	if ex.Mode == "dc" {
 		fmt.Fprintf(tw, "violation route\t%d fast-path relation(s), %d generic DC(s)\n", ex.FastPathRels, ex.GenericDCs)
 	}
-	fmt.Fprintf(tw, "base cache\t%d hit(s), %d miss(es)\n", ex.BaseHits, ex.BaseMisses)
 	if ex.ConsistentSkips > 0 {
 		fmt.Fprintf(tw, "consistent-part skips\t%d\n", ex.ConsistentSkips)
 	}
@@ -242,22 +228,18 @@ func (ex *Explain) WriteTable(w io.Writer) error {
 	fmt.Fprintln(tw)
 
 	if len(ex.Components) > 0 {
-		fmt.Fprintf(tw, "component\tfacts\tunits\tvars\tclauses\tbase\tpass\talg\tsat\tconfl\tsolve\n")
+		fmt.Fprintf(tw, "component\tfacts\tunits\tvars\tclauses\tpass\talg\tsat\tconfl\tsolve\n")
 		for _, ce := range ex.Components {
-			base := hitMiss(ce.BaseHit)
-			if ce.ClosedForm {
-				base = "-"
-			}
 			if len(ce.Directions) == 0 {
-				fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%s\t\t\t\t\t\n",
-					ce.Index, ce.Facts, ce.Witnesses, ce.Vars, ce.Clauses, base)
+				fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t\t\t\t\t\n",
+					ce.Index, ce.Facts, ce.Witnesses, ce.Vars, ce.Clauses)
 				continue
 			}
 			for di, d := range ce.Directions {
 				if di == 0 {
-					fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%s\t", ce.Index, ce.Facts, ce.Witnesses, ce.Vars, ce.Clauses, base)
+					fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t", ce.Index, ce.Facts, ce.Witnesses, ce.Vars, ce.Clauses)
 				} else {
-					fmt.Fprintf(tw, "\t\t\t\t\t\t")
+					fmt.Fprintf(tw, "\t\t\t\t\t")
 				}
 				alg := d.Algorithm
 				if alg == "elimination" {

@@ -37,10 +37,6 @@ func TestExplainReconcilesWithStats(t *testing.T) {
 	if len(ex.Components) == 0 {
 		t.Fatal("no component breakdown recorded")
 	}
-	if int(ex.BaseHits+ex.BaseMisses) != len(ex.Components) {
-		t.Errorf("base hits %d + misses %d != %d components (incremental path)",
-			ex.BaseHits, ex.BaseMisses, len(ex.Components))
-	}
 	// The paper's SUM solve runs two WPMaxSAT directions (glb and lub):
 	// they must show up as solver passes somewhere in the breakdown.
 	dirs := map[string]bool{}
@@ -90,10 +86,9 @@ func TestExplainReconcilesWithStats(t *testing.T) {
 		if !reflect.DeepEqual(ex.Components, want) {
 			t.Errorf("eliminated: components = %+v, want %+v", ex.Components, want)
 		}
-		if ex.ClosedFormComponents != 1 || ex.BaseHits+ex.BaseMisses != 0 ||
+		if ex.ClosedFormComponents != 1 ||
 			ex.Stats.Vars != tc.vars || ex.Stats.Clauses != tc.clauses || ex.Stats.SATCalls != 0 {
-			t.Errorf("eliminated: %d closed-form components, %d base lookups, stats %+v",
-				ex.ClosedFormComponents, ex.BaseHits+ex.BaseMisses, ex.Stats)
+			t.Errorf("eliminated: %d closed-form components, stats %+v", ex.ClosedFormComponents, ex.Stats)
 		}
 	}
 }
@@ -175,7 +170,7 @@ func TestExplainWriteTableAndJSON(t *testing.T) {
 		}
 		out := buf.String()
 		route := "sat (" + planner.ReasonAuto + ")"
-		for _, want := range append([]string{"mode", "keys", route, "base cache", "phase", "witness", "solve", "component"}, tc.want...) {
+		for _, want := range append([]string{"mode", "keys", route, "phase", "witness", "solve", "component"}, tc.want...) {
 			if !strings.Contains(out, want) {
 				t.Errorf("table missing %q:\n%s", want, out)
 			}
@@ -184,7 +179,7 @@ func TestExplainWriteTableAndJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, key := range []string{`"mode":"keys"`, `"components"`, `"stats"`, `"base_hits"`, `"route":"sat"`,
+		for _, key := range []string{`"mode":"keys"`, `"components"`, `"stats"`, `"route":"sat"`,
 			`"route_reason":"` + planner.ReasonAuto + `"`, `"closed_form_components"`} {
 			if !strings.Contains(string(b), key) {
 				t.Errorf("JSON missing %s:\n%s", key, b)
@@ -245,8 +240,8 @@ func TestExplainChecksByElimination(t *testing.T) {
 		if got.Facts != sat.Facts || got.Witnesses != sat.Witnesses || got.Vars != sat.Vars || got.Clauses != sat.Clauses {
 			t.Errorf("%s: elimination entry %+v, SAT entry %+v: facts, units and CNF size differ", tc.pass, got, sat)
 		}
-		if ex.Stats.SATCalls != 0 || ex.BaseHits+ex.BaseMisses != 0 {
-			t.Errorf("%s: %d SAT calls, %d base lookups", tc.pass, ex.Stats.SATCalls, ex.BaseHits+ex.BaseMisses)
+		if ex.Stats.SATCalls != 0 {
+			t.Errorf("%s: %d SAT calls", tc.pass, ex.Stats.SATCalls)
 		}
 		var buf bytes.Buffer
 		if err := ex.WriteTable(&buf); err != nil {

@@ -88,8 +88,6 @@ func (e *Engine) journalEntry(ctx context.Context, rc *recorder, st Stats, answe
 		HeapBytes:         st.HeapBytes,
 		GCCycles:          st.GCCycles,
 
-		BaseHits:         rc.baseHits,
-		BaseMisses:       rc.baseMisses,
 		ConstraintCached: rc.constraintCached(),
 
 		Anomaly: anomaly,

@@ -269,7 +269,8 @@ func TestJournalErrorLine(t *testing.T) {
 // TestJournalRouteFields: range-query lines carry the planner route and
 // its reason under every mode — auto and force-sat on the solver route
 // with their own reasons, force-rewrite on the rewrite route or, when it
-// rejects the query, with the classifier's reason — answer digests agree
+// rejects the query, no route at all and the classifier's reason in the
+// error, as no executor ran — answer digests agree
 // across routes (the digest excludes SAT-only provenance bits), and
 // consistent-answer lines — which never route — carry no route at all.
 func TestJournalRouteFields(t *testing.T) {
@@ -339,8 +340,8 @@ func TestJournalRouteFields(t *testing.T) {
 	if rw.Route != "rewrite" || rw.RouteReason != "" {
 		t.Errorf("rewrite line route %q reason %q", rw.Route, rw.RouteReason)
 	}
-	if rejected.Route != "sat" || !strings.Contains(rejected.RouteReason, "not supported by the rewriting") ||
-		rejected.Error == "" || rejected.AnswerDigest != "" {
+	if rejected.Route != "" || rejected.RouteReason != "" ||
+		!strings.Contains(rejected.Error, "not supported by the rewriting") || rejected.AnswerDigest != "" {
 		t.Errorf("rejected line route %q reason %q error %q digest %q",
 			rejected.Route, rejected.RouteReason, rejected.Error, rejected.AnswerDigest)
 	}

@@ -171,6 +171,11 @@ func runProbes(op cq.AggOp, values []*valueGroup, probe probeFunc) (res Range, p
 // maximum count over the repairs is positive (is 0, with no value
 // kept). The witnesses are split into components once; a probe sums
 // the maxima of each component restricted to the witnesses it weighs.
+// The kernel computes each maximum as a minimum over the complemented
+// weights, with its max tables off: a kept witness is negative at
+// weight 1 (falsified when absent) and a suppressed one positive at
+// weight n+1 (falsified when present), so the minimum falsified weight
+// is the component's kept witnesses less its maximum count.
 // ok is false when some probe needs a table over budget, or a witness
 // has no fact: the whole probe set then goes to the SAT probes.
 //
@@ -193,7 +198,7 @@ func eliminateProbes(cc *constraintContext, budget int, op cq.AggOp, values []*v
 		ws[i].facts = fs
 	}
 	split := splitComponents(cc, sets)
-	el := eliminator{cc: cc, ws: ws, budget: budget}
+	el := eliminator{cc: cc, ws: ws, budget: budget, minOnly: true}
 	var idx []int
 	declined := errString("declined")
 	res, _, err := runProbes(op, values, func(keep, lo, hi int) (bool, error) {
@@ -204,14 +209,14 @@ func eliminateProbes(cc *constraintContext, budget int, op cq.AggOp, values []*v
 		var best int64
 		for ci, all := range split.groups {
 			idx = idx[:0]
-			var negOffset int64
+			var keptHere int64
 			for _, wi := range all {
 				switch v := valueOf[wi]; {
 				case v == keep:
-					ws[wi].weight, ws[wi].negative = 1, false
+					ws[wi].weight, ws[wi].negative = 1, true
+					keptHere++
 				case lo <= v && v < hi:
-					ws[wi].weight, ws[wi].negative = kept+1, true
-					negOffset += kept + 1
+					ws[wi].weight, ws[wi].negative = kept+1, false
 				default:
 					continue
 				}
@@ -220,12 +225,12 @@ func eliminateProbes(cc *constraintContext, budget int, op cq.AggOp, values []*v
 			if len(idx) == 0 {
 				continue
 			}
-			_, maxF, sh, ok := el.solve(split.facts[ci], idx)
+			minF, _, sh, ok := el.solve(split.facts[ci], idx)
 			if !ok {
 				return false, declined
 			}
 			shape = shape.widest(sh)
-			best += maxF - negOffset
+			best += keptHere - minF
 		}
 		if keep < 0 {
 			return best == 0, nil
@@ -270,17 +275,7 @@ func (e *Engine) probeBySAT(ctx context.Context, cc *constraintContext, op cq.Ag
 		}
 	}
 	closure := cc.closure(seed)
-	var enc *encoder
-	var base *maxsat.HardBase
-	var baseHit bool
-	if e.incremental() {
-		// The probe solver forks from the component's cached hard base:
-		// grouped MIN/MAX queries whose groups share a closure skip the
-		// re-encode and clause re-load entirely.
-		enc, base, baseHit = e.componentBase(cc, closure)
-	} else {
-		enc = newEncoder(cc, closure)
-	}
+	enc := newEncoder(cc, closure)
 	// Allocate witness-presence literals first so every defining clause
 	// lands in enc.formula before the solver copies it.
 	presentLits := make([][]cnf.Lit, len(values))
@@ -290,23 +285,10 @@ func (e *Engine) probeBySAT(ctx context.Context, cc *constraintContext, op cq.Ag
 			presentLits[i][j] = enc.presentLit(fs)
 		}
 	}
-	var solver *sat.Solver
-	if base != nil {
-		solver = base.Fork(enc.formula)
-		if !solver.Okay() {
-			esp.End()
-			return Range{}, errInternalUnsat()
-		}
-	} else {
-		solver = sat.New()
-		if !solver.AddFormulaHard(enc.formula) {
-			esp.End()
-			return Range{}, errInternalUnsat()
-		}
-		solver.EnsureVars(enc.formula.NumVars())
-	}
-	if b := e.opts.MaxSAT.ConflictBudget; b > 0 {
-		solver.SetConflictBudget(b)
+	solver, err := e.hardSolver(enc.formula)
+	if err != nil {
+		esp.End()
+		return Range{}, err
 	}
 	release := sat.StopOnDone(ctx, solver)
 	defer release()
@@ -333,7 +315,7 @@ func (e *Engine) probeBySAT(ctx context.Context, cc *constraintContext, op cq.Ag
 		disj = append(disj, presentLits[i]...)
 		solver.AddClause(disj...)
 	}
-	ce := rc.component(encodeMark, esp, enc.formula, len(closure), len(values), baseHit)
+	ce := rc.component(encodeMark, esp, enc.formula, len(closure), len(values))
 
 	_, ssp := obsv.StartSpan(ctx, "core.minmax_probes")
 	solveMark := startPhase()

@@ -30,8 +30,7 @@ type recorder struct {
 	flight *obsv.FlightRecorder
 	res    obsv.ResourceSample
 
-	explain     bool // collect comps (Options.Explain)
-	incremental bool // count base-cache misses (shared-base solve path)
+	explain bool // collect comps (Options.Explain)
 
 	// mu guards everything below: component workers record in parallel.
 	// end reads the record without it, after every worker has joined.
@@ -39,9 +38,8 @@ type recorder struct {
 	stats Stats
 	ran   [numPhases]bool
 
-	witnesses, groups    int64
-	baseHits, baseMisses int64
-	rewriteAllocBytes    int64
+	witnesses, groups int64
+	rewriteAllocBytes int64
 	// sampledAlloc and sampledGC total the resource deltas of the
 	// sampled phases, which endUnits takes out of its window.
 	sampledAlloc, sampledGC int64
@@ -81,8 +79,7 @@ func (e *Engine) begin(ctx context.Context, op, query, span string, attrs ...obs
 	ctx, sp := obsv.StartSpan(ctx, span, attrs...)
 	rc := &recorder{
 		op: op, query: query, start: time.Now(), span: sp,
-		explain:     e.opts.Explain,
-		incremental: e.incremental(),
+		explain: e.opts.Explain,
 	}
 	if e.opts.OnAnomaly != nil {
 		rc.flight = obsv.NewFlightRecorder(0)
@@ -198,8 +195,6 @@ func (e *Engine) publish(ctx context.Context, rc *recorder, st Stats, anomaly st
 		{obsv.MetricGCCycles, st.GCCycles},
 		{obsv.MetricWitnesses, rc.witnesses},
 		{obsv.MetricGroups, rc.groups},
-		{obsv.MetricBaseHits, rc.baseHits},
-		{obsv.MetricBaseMisses, rc.baseMisses},
 		{obsv.MetricRouteRewrite, b2i(rc.route == planner.RouteRewrite.String())},
 		{obsv.MetricRouteSAT, b2i(rc.route == planner.RouteSAT.String())},
 	} {
@@ -349,11 +344,11 @@ func (rc *recorder) endUnits(m unitsMark) {
 
 // component closes the encode phase of one independent solver instance
 // (a hard-clause component over facts closure facts, with units solve
-// units encoded against it): it records the phase, the base-cache
-// outcome and the formula size, ends the "core.encode" span (nil-safe),
+// units encoded against it): it records the phase and the formula
+// size, ends the "core.encode" span (nil-safe),
 // and returns the component's Explain entry (nil unless
 // Options.Explain; every ComponentExplain method accepts nil).
-func (rc *recorder) component(pm phaseMark, sp *obsv.Span, f *cnf.Formula, facts, units int, baseHit bool) *ComponentExplain {
+func (rc *recorder) component(pm phaseMark, sp *obsv.Span, f *cnf.Formula, facts, units int) *ComponentExplain {
 	d := rc.endPhase(phaseEncode, pm)
 	st := rc.absorbFormula(f)
 	if sp != nil {
@@ -361,18 +356,13 @@ func (rc *recorder) component(pm phaseMark, sp *obsv.Span, f *cnf.Formula, facts
 		sp.SetInt("clauses", int64(st.Clauses))
 		sp.End()
 	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if baseHit {
-		rc.baseHits++
-	} else if rc.incremental {
-		rc.baseMisses++
-	}
 	if !rc.explain {
 		return nil
 	}
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
 	ce := &ComponentExplain{Index: len(rc.comps), Facts: facts, Witnesses: units,
-		Vars: st.Vars, Clauses: st.Clauses, BaseHit: baseHit, EncodeNS: int64(d)}
+		Vars: st.Vars, Clauses: st.Clauses, EncodeNS: int64(d)}
 	rc.comps = append(rc.comps, ce)
 	return ce
 }

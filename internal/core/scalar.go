@@ -260,17 +260,10 @@ func (e *Engine) sumCountFromGroup(ctx context.Context, op cq.AggOp, g cq.Witnes
 func (e *Engine) solveComponent(ctx context.Context, cc *constraintContext, facts []db.FactID, ws []weightedWitness, idx []int, rc *recorder) (minF, maxF int64, err error) {
 	encodeMark := startPhase()
 	_, esp := obsv.StartSpan(ctx, "core.encode")
-	var enc *encoder
-	var base *maxsat.HardBase
-	var baseHit bool
-	if e.incremental() {
-		enc, base, baseHit = e.componentBase(cc, facts)
-	} else {
-		enc = newEncoder(cc, facts)
-	}
+	enc := newEncoder(cc, facts)
 	enc.addWitnesses(ws, idx)
-	ce := rc.component(encodeMark, esp, enc.formula, len(facts), len(idx), baseHit)
-	return e.solveBothDirections(ctx, enc.formula, base, rc, ce)
+	ce := rc.component(encodeMark, esp, enc.formula, len(facts), len(idx))
+	return e.solveBothDirections(ctx, enc.formula, rc, ce)
 }
 
 // distinctFromBag implements Algorithm 1 for COUNT(DISTINCT A) and
@@ -356,14 +349,7 @@ func (e *Engine) distinctFromBag(ctx context.Context, op cq.AggOp, bag []cq.Witn
 	err := forEach(ctx, e.parallelism(), len(split.groups), func(ctx context.Context, ci int) error {
 		encodeMark := startPhase()
 		_, esp := obsv.StartSpan(ctx, "core.encode")
-		var enc *encoder
-		var base *maxsat.HardBase
-		var baseHit bool
-		if e.incremental() {
-			enc, base, baseHit = e.componentBase(cc, split.facts[ci])
-		} else {
-			enc = newEncoder(cc, split.facts[ci])
-		}
+		enc := newEncoder(cc, split.facts[ci])
 		var negOffset int64
 		for _, ui := range split.groups[ci] {
 			g := uncertain[ui]
@@ -398,9 +384,9 @@ func (e *Engine) distinctFromBag(ctx context.Context, op cq.AggOp, bag []cq.Witn
 				negOffset += w
 			}
 		}
-		ce := rc.component(encodeMark, esp, enc.formula, len(split.facts[ci]), len(split.groups[ci]), baseHit)
+		ce := rc.component(encodeMark, esp, enc.formula, len(split.facts[ci]), len(split.groups[ci]))
 
-		minF, maxF, err := e.solveBothDirections(ctx, enc.formula, base, rc, ce)
+		minF, maxF, err := e.solveBothDirections(ctx, enc.formula, rc, ce)
 		if err != nil {
 			return err
 		}
@@ -432,67 +418,24 @@ func distinctContribution(op cq.AggOp, v db.Value) int64 {
 // solveBothDirections solves the WPMaxSAT instance for the glb direction
 // (maximize satisfied soft weight, i.e. minimize falsified weight) and —
 // via Kügel's CNF-negation — the lub direction (minimize satisfied, i.e.
-// maximize falsified). It returns (minFalsified, maxFalsified).
-//
-// On the incremental path both directions run over one maxsat.Instance
-// sharing a single solver base (cloned per algorithm run), seeded from
-// the component's cached HardBase when the caller has one; the negation
-// is a weight view, so no negated formula is materialized. The external
-// solver cannot share a base: it gets one WCNF file per run, with an
-// explicit NegateSoft copy for the lub direction.
-func (e *Engine) solveBothDirections(ctx context.Context, f *cnf.Formula, base *maxsat.HardBase, rc *recorder, ce *ComponentExplain) (minF, maxF int64, err error) {
-	total := f.TotalSoftWeight()
-
-	if e.incremental() {
-		inst := maxsat.NewInstance(f, base, e.opts.MaxSAT)
-		// Hand learnt clauses back to the component's cached base (when
-		// provably sound) so sibling groups and later queries start from
-		// them.
-		defer inst.Release()
-		res, err := e.runInstance(ctx, inst.SolveMin, rc, ce, "glb")
-		if err != nil {
-			return 0, 0, err
-		}
-		minF = total - res.Optimum
-		res, err = e.runInstance(ctx, inst.SolveMax, rc, ce, "lub")
-		if err != nil {
-			return 0, 0, err
-		}
-		return minF, res.Optimum, nil
-	}
-
+// maximize falsified). It returns (minFalsified, maxFalsified). Both
+// directions take the one solve path, maxsat.SolveContext: on f, and on
+// f.NegateSoft(). The negation is not counted in the CNF sizes, which
+// measure the reduction's formula.
+func (e *Engine) solveBothDirections(ctx context.Context, f *cnf.Formula, rc *recorder, ce *ComponentExplain) (minF, maxF int64, err error) {
 	res, err := e.runMaxSAT(ctx, f, rc, ce, "glb")
 	if err != nil {
 		return 0, 0, err
 	}
-	minF = total - res.Optimum
-	negated := f.NegateSoft()
-	rc.absorbFormula(negated)
-	res, err = e.runMaxSAT(ctx, negated, rc, ce, "lub")
+	minF = f.TotalSoftWeight() - res.Optimum
+	res, err = e.runMaxSAT(ctx, f.NegateSoft(), rc, ce, "lub")
 	if err != nil {
 		return 0, 0, err
 	}
-	maxF = res.Optimum
-	return minF, maxF, nil
+	return minF, res.Optimum, nil
 }
 
-// runInstance times and accounts one direction of an incremental solve,
-// mirroring runMaxSAT's bookkeeping and error mapping.
-func (e *Engine) runInstance(ctx context.Context, solve func(context.Context) (maxsat.Result, error), rc *recorder, ce *ComponentExplain, dir string) (maxsat.Result, error) {
-	pm := startPhase()
-	res, err := solve(ctx)
-	d := rc.endPhase(phaseSolve, pm)
-	rc.solved(res.SATCalls, err == nil)
-	ce.addDirection(dir, res.Algorithm.String(), res, d)
-	if err != nil {
-		return res, mapSolveErr(err)
-	}
-	if !res.Satisfiable {
-		return res, fmt.Errorf("core: hard clauses unsatisfiable; every instance must have a repair (internal bug)")
-	}
-	return res, nil
-}
-
+// runMaxSAT times and accounts one direction's solve.
 func (e *Engine) runMaxSAT(ctx context.Context, f *cnf.Formula, rc *recorder, ce *ComponentExplain, dir string) (maxsat.Result, error) {
 	pm := startPhase()
 	res, err := maxsat.SolveContext(ctx, f, e.opts.MaxSAT)

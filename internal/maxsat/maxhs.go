@@ -31,18 +31,13 @@ import (
 // reductions, most cores are disjoint and the clusters stay small.
 // MaxHS proper delegates this to an ILP solver (CPLEX).
 //
-// The solver comes from p.fork() — a fresh build on the one-shot path, a
-// clone of the shared base under an Instance. MaxHS only ever solves
-// under assumptions and never adds clauses, so the solver is offered
-// back via p.adopt on every exit: its learnt clauses are implied by the
-// shared clause set and carry over to the other direction and to any
-// RC2 fallback.
+// The solver comes from p.fork(); MaxHS only ever solves it under
+// assumptions.
 func solveMaxHS(ctx context.Context, p *problem, opts Options) (Result, error) {
 	s := p.fork()
 	if !s.Okay() {
 		return Result{Satisfiable: false}, nil
 	}
-	defer p.adoptSolver(s) // registered first: runs after release()
 	if opts.ConflictBudget > 0 {
 		s.SetConflictBudget(opts.ConflictBudget)
 	}

@@ -142,7 +142,10 @@ func Solve(f *cnf.Formula, opts Options) (Result, error) {
 
 // SolveContext is Solve with a context carrying an optional obsv.Tracer:
 // each SAT call becomes a "sat.solve" span under the caller's current
-// span, and the whole solve is wrapped in a "maxsat.solve" span.
+// span, and the whole solve is wrapped in a "maxsat.solve" span. It is
+// the one solve path: the built-in solver and an external binary both
+// consume f as it stands, and the lub direction of the reductions is
+// this same call on f.NegateSoft().
 func SolveContext(ctx context.Context, f *cnf.Formula, opts Options) (Result, error) {
 	ctx, sp := obsv.StartSpan(ctx, "maxsat.solve")
 	var res Result
@@ -151,9 +154,6 @@ func SolveContext(ctx context.Context, f *cnf.Formula, opts Options) (Result, er
 		res, err = solveExternal(ctx, f, opts)
 		res.Algorithm = AlgExternal
 	} else {
-		// One-shot path: each run rebuilds its solver from the formula.
-		// Incremental callers use NewInstance instead and share one
-		// hard-clause base.
 		res, err = solveProblem(ctx, formulaProblem(f), opts)
 	}
 	if sp != nil {
@@ -166,6 +166,104 @@ func SolveContext(ctx context.Context, f *cnf.Formula, opts Options) (Result, er
 		sp.End()
 	}
 	return res, err
+}
+
+// solveProblem runs MaxHS on a prepared problem, degrading to RC2 when
+// an exact hitting-set search blows its node budget, and names the
+// strategy that answered in Result.Algorithm.
+func solveProblem(ctx context.Context, p *problem, opts Options) (Result, error) {
+	res, err := solveMaxHS(ctx, p, opts)
+	res.Algorithm = AlgMaxHS
+	if !errors.Is(err, errHSBudget) || opts.ConflictBudget > 0 {
+		// Only a blown hitting-set budget falls back, and not when the
+		// caller set explicit budgets (benchmark timeouts): then the
+		// budget error surfaces instead of grinding through RC2.
+		return res, err
+	}
+	// A pathological hitting-set cluster: degrade gracefully to
+	// core-guided search, which has no comparable blow-up mode. Its
+	// solver is rebuilt from the formula. The failed MaxHS attempt's SAT
+	// calls and conflicts still happened: fold them into whatever the
+	// fallback reports.
+	rres, rerr := solveRC2(ctx, p, opts)
+	rres.Algorithm = AlgRC2
+	rres.SATCalls += res.SATCalls
+	rres.Conflicts += res.Conflicts
+	return rres, rerr
+}
+
+// problem is a WPMaxSAT formula prepared for the built-in algorithms.
+// The algorithms see its selector weights and scoring function and
+// never touch the formula's clauses themselves.
+type problem struct {
+	f *cnf.Formula
+	// fork returns a solver loaded with the hard clauses and the
+	// selector plumbing. Every call yields an independent solver the
+	// algorithm may mutate freely.
+	fork func() *sat.Solver
+	// weights maps each selector literal to its accumulated weight.
+	// Shared across runs — treat as immutable. Algorithms that consume
+	// weights destructively (RC2) must work on weightsCopy().
+	weights map[cnf.Lit]int64
+	// total is the formula's total soft weight.
+	total int64
+}
+
+// formulaProblem prepares f: each fork rebuilds the solver from the
+// formula. The first build runs eagerly so the selector weights are
+// known up front and is then served to the first fork; selector
+// variables are allocated deterministically (in clause order, from
+// f.NumVars()+1), so later rebuilds reproduce the identical weights
+// map.
+func formulaProblem(f *cnf.Formula) *problem {
+	build := func() *sat.Solver {
+		s := sat.New()
+		s.AddFormulaHard(f)
+		s.EnsureVars(f.NumVars())
+		return s
+	}
+	first := build()
+	p := &problem{f: f, weights: selectors(first, f), total: f.TotalSoftWeight()}
+	p.fork = func() *sat.Solver {
+		if first != nil {
+			s := first
+			first = nil
+			return s
+		}
+		s := build()
+		selectors(s, f)
+		return s
+	}
+	return p
+}
+
+// weightsCopy returns a private copy of the selector weights for
+// algorithms that mutate them.
+func (p *problem) weightsCopy() map[cnf.Lit]int64 {
+	out := make(map[cnf.Lit]int64, len(p.weights))
+	for l, w := range p.weights {
+		out[l] = w
+	}
+	return out
+}
+
+// score returns the satisfied soft weight of the formula under a
+// (possibly wider) model of the hard clauses; it panics when the model
+// violates a hard clause of the formula.
+func (p *problem) score(model []bool) int64 {
+	w, err := evalModel(p.f, model)
+	if err != nil {
+		panic("maxsat: optimal model violates a hard clause")
+	}
+	return w
+}
+
+// trim copies a model down to the formula's variables.
+func (p *problem) trim(model []bool) []bool {
+	n := p.f.NumVars() + 1
+	out := make([]bool, n)
+	copy(out, model[:min(len(model), n)])
+	return out
 }
 
 // selectors sets up the standard soft-clause relaxation on a solver:

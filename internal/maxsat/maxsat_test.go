@@ -88,18 +88,25 @@ func TestAllSoftSatisfiable(t *testing.T) {
 	}
 }
 
+// TestHardUnsat: inconsistent hard clauses surface as Satisfiable ==
+// false in both directions, on f and on its negation.
 func TestHardUnsat(t *testing.T) {
 	f := cnf.New(1)
 	f.AddHard(1)
 	f.AddHard(-1)
 	f.AddSoft(9, 1)
-	for _, alg := range algorithms() {
-		res, err := solveWith(context.Background(), alg, f, Options{})
-		if err != nil {
-			t.Fatal(err)
+	for _, g := range []*cnf.Formula{f, f.NegateSoft()} {
+		for _, alg := range algorithms() {
+			res, err := solveWith(context.Background(), alg, g, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Satisfiable {
+				t.Errorf("%v: unsat hard clauses not detected", alg)
+			}
 		}
-		if res.Satisfiable {
-			t.Errorf("%v: unsat hard clauses not detected", alg)
+		if res, err := SolveContext(context.Background(), g, Options{}); err != nil || res.Satisfiable {
+			t.Errorf("SolveContext: res=%+v err=%v", res, err)
 		}
 	}
 }
@@ -204,47 +211,47 @@ func TestModelAchievesOptimum(t *testing.T) {
 	}
 }
 
+// randomWCNF builds a small random weighted partial formula: 3–7
+// variables, up to 5 hard clauses and 1–8 soft clauses of 1–3 literals
+// each, weights 1–7.
+func randomWCNF(seed uint64) *cnf.Formula {
+	rng := seed | 1
+	next := func(n int) int {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return int(rng % uint64(n))
+	}
+	nVars := 3 + next(5)
+	f := cnf.New(nVars)
+	randClause := func() []cnf.Lit {
+		lits := make([]cnf.Lit, 1+next(3))
+		for j := range lits {
+			v := 1 + next(nVars)
+			if next(2) == 0 {
+				lits[j] = cnf.Lit(v)
+			} else {
+				lits[j] = cnf.Lit(-v)
+			}
+		}
+		return lits
+	}
+	nHard := next(6)
+	for i := 0; i < nHard; i++ {
+		f.AddHard(randClause()...)
+	}
+	nSoft := 1 + next(8)
+	for i := 0; i < nSoft; i++ {
+		f.AddSoft(int64(1+next(7)), randClause()...)
+	}
+	return f
+}
+
 // TestRandomAgainstBruteForce cross-checks both algorithms on random
 // weighted partial formulas.
 func TestRandomAgainstBruteForce(t *testing.T) {
 	fn := func(seed uint64) bool {
-		rng := seed | 1
-		next := func(n int) int {
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			return int(rng % uint64(n))
-		}
-		nVars := 3 + next(5) // 3..7
-		f := cnf.New(nVars)
-		nHard := next(6)
-		for i := 0; i < nHard; i++ {
-			k := 1 + next(3)
-			lits := make([]cnf.Lit, k)
-			for j := range lits {
-				v := 1 + next(nVars)
-				if next(2) == 0 {
-					lits[j] = cnf.Lit(v)
-				} else {
-					lits[j] = cnf.Lit(-v)
-				}
-			}
-			f.AddHard(lits...)
-		}
-		nSoft := 1 + next(8)
-		for i := 0; i < nSoft; i++ {
-			k := 1 + next(3)
-			lits := make([]cnf.Lit, k)
-			for j := range lits {
-				v := 1 + next(nVars)
-				if next(2) == 0 {
-					lits[j] = cnf.Lit(v)
-				} else {
-					lits[j] = cnf.Lit(-v)
-				}
-			}
-			f.AddSoft(int64(1+next(7)), lits...)
-		}
+		f := randomWCNF(seed)
 		want, wantOK := bruteForceOptimum(f)
 		for _, alg := range algorithms() {
 			res, err := solveWith(context.Background(), alg, f, Options{})
@@ -262,6 +269,162 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// checkBothDirections runs solve on f (the glb direction: maximum
+// satisfied weight) and on f.NegateSoft() (the lub direction: maximum
+// falsified weight of f) and compares each optimum to brute force. Each
+// returned model must achieve its optimum on f. It reports whether both
+// directions agreed and how many solves ended on RC2.
+func checkBothDirections(t *testing.T, seed uint64, solve func(*cnf.Formula) (Result, error)) (ok bool, onRC2 int) {
+	t.Helper()
+	f := randomWCNF(seed)
+	n := f.NumVars()
+	wantSat, wantFals := int64(-1), int64(-1)
+	for m := 0; m < 1<<n; m++ {
+		assign := make([]bool, n+1)
+		for v := 1; v <= n; v++ {
+			assign[v] = m&(1<<(v-1)) != 0
+		}
+		if hardOK, satW, falsW := f.Eval(assign); hardOK {
+			wantSat, wantFals = max(wantSat, satW), max(wantFals, falsW)
+		}
+	}
+	for dir, g := range []*cnf.Formula{f, f.NegateSoft()} {
+		res, err := solve(g)
+		if err != nil {
+			t.Fatalf("seed %#x dir %d: %v", seed, dir, err)
+		}
+		if res.Algorithm == AlgRC2 {
+			onRC2++
+		}
+		want := []int64{wantSat, wantFals}[dir]
+		if res.Satisfiable != (want >= 0) || (want >= 0 && res.Optimum != want) {
+			t.Logf("seed %#x dir %d: %+v, brute force %d", seed, dir, res, want)
+			return false, onRC2
+		}
+		if !res.Satisfiable {
+			continue
+		}
+		hardOK, satW, falsW := f.Eval(res.Model[:n+1])
+		if got := []int64{satW, falsW}[dir]; !hardOK || got != want {
+			t.Logf("seed %#x dir %d: model achieves %d (hard %v), optimum %d", seed, dir, got, hardOK, want)
+			return false, onRC2
+		}
+	}
+	return true, onRC2
+}
+
+// TestSolveContextBothDirections pins the one solve path the reductions
+// take: SolveContext on f and on f.NegateSoft() agrees with brute force
+// in both directions.
+func TestSolveContextBothDirections(t *testing.T) {
+	fn := func(seed uint64) bool {
+		ok, _ := checkBothDirections(t, seed, func(g *cnf.Formula) (Result, error) {
+			return SolveContext(context.Background(), g, Options{})
+		})
+		return ok
+	}
+	if err := quick.Check(fn, &quick.Config{MaxCount: 120}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestInstanceMatchesLegacyRandom runs each built-in directly (MaxHS
+// and RC2, no fallback) on the two-formula path, f for the glb
+// direction and f.NegateSoft() for the lub direction, and checks both
+// optima and models against brute force.
+func TestInstanceMatchesLegacyRandom(t *testing.T) {
+	for _, alg := range algorithms() {
+		t.Run(alg.String(), func(t *testing.T) {
+			fn := func(seed uint64) bool {
+				ok, _ := checkBothDirections(t, seed, func(g *cnf.Formula) (Result, error) {
+					return solveWith(context.Background(), alg, g, Options{})
+				})
+				return ok
+			}
+			if err := quick.Check(fn, &quick.Config{MaxCount: 120}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestInstanceFallbackMatchesLegacy drives the MaxHS→RC2 fallback
+// through SolveContext (a hitting-set node budget of 1 aborts every
+// exact hitting-set solve) and checks both directions against brute
+// force; at least one solve must actually have fallen back.
+func TestInstanceFallbackMatchesLegacy(t *testing.T) {
+	onRC2 := 0
+	fn := func(seed uint64) bool {
+		ok, n := checkBothDirections(t, seed, func(g *cnf.Formula) (Result, error) {
+			return SolveContext(context.Background(), g, Options{HSNodeBudget: 1})
+		})
+		onRC2 += n
+		return ok
+	}
+	if err := quick.Check(fn, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+	if onRC2 == 0 {
+		t.Error("no solve fell back to RC2")
+	}
+}
+
+// TestInstanceHardUnsat: hard clauses that are unsatisfiable only
+// together (every two of them are satisfiable) surface as Satisfiable ==
+// false in both directions, with non-unit soft clauses present, on each
+// built-in and on SolveContext with and without the forced fallback.
+func TestInstanceHardUnsat(t *testing.T) {
+	f := cnf.New(2)
+	f.AddHard(1, 2)
+	f.AddHard(-1, 2)
+	f.AddHard(1, -2)
+	f.AddHard(-1, -2)
+	f.AddSoft(3, 1, 2)
+	f.AddSoft(4, -1)
+	ctx := context.Background()
+	for dir, g := range []*cnf.Formula{f, f.NegateSoft()} {
+		for _, alg := range algorithms() {
+			if res, err := solveWith(ctx, alg, g, Options{}); err != nil || res.Satisfiable {
+				t.Errorf("dir %d %v: res=%+v err=%v", dir, alg, res, err)
+			}
+		}
+		for _, opts := range []Options{{}, {HSNodeBudget: 1}} {
+			if res, err := SolveContext(ctx, g, opts); err != nil || res.Satisfiable {
+				t.Errorf("dir %d SolveContext%+v: res=%+v err=%v", dir, opts, res, err)
+			}
+		}
+	}
+}
+
+// TestInstanceKuegelNegation pins the lub direction on the
+// KuegelNegationMinSAT example: each built-in on f.NegateSoft() must
+// report the brute-force maximum falsified weight of f.
+func TestInstanceKuegelNegation(t *testing.T) {
+	f := cnf.New(3)
+	f.AddHard(1, 2, 3)
+	f.AddSoft(2, 1, 2)
+	f.AddSoft(3, 2, 3)
+	f.AddSoft(1, -1)
+	var maxFals int64 = -1
+	for m := 0; m < 8; m++ {
+		assign := []bool{false, m&1 != 0, m&2 != 0, m&4 != 0}
+		hardOK, _, falsW := f.Eval(assign)
+		if hardOK && falsW > maxFals {
+			maxFals = falsW
+		}
+	}
+	neg := f.NegateSoft()
+	for _, alg := range algorithms() {
+		res, err := solveWith(context.Background(), alg, neg, Options{})
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		if !res.Satisfiable || res.Optimum != maxFals {
+			t.Fatalf("%v: Optimum=%d want %d", alg, res.Optimum, maxFals)
+		}
 	}
 }
 

@@ -25,16 +25,14 @@ import (
 //     selector "¬(≥2 violated)"; the next bound's selector is added only
 //     when the current one exhausts its weight.
 //
-// The solver comes from p.fork(); RC2 consumes the selector weights
-// destructively, so it works on a private copy. It normally extends the
-// clause set (totalizers, hardening), in which case p.adopt rejects the
-// solver at exit; a run that happened to add nothing is adopted.
+// The solver comes from p.fork(); RC2 extends its clause set
+// (totalizers, hardening) and consumes the selector weights
+// destructively, so it works on a private copy.
 func solveRC2(ctx context.Context, p *problem, opts Options) (Result, error) {
 	s := p.fork()
 	if !s.Okay() {
 		return Result{Satisfiable: false}, nil
 	}
-	defer p.adoptSolver(s) // registered first: runs after release()
 	if opts.ConflictBudget > 0 {
 		s.SetConflictBudget(opts.ConflictBudget)
 	}

@@ -29,8 +29,8 @@ const defaultJournalTail = 256
 // configuration that answered the query — the knobs that change which
 // code path ran, so a slow line can be attributed without rerunning.
 type JournalOptions struct {
-	// Algorithm is the configured MaxSAT solver: "maxhs" (built-in,
-	// shared hard-clause base) or "external" (one WCNF file per run).
+	// Algorithm is the configured MaxSAT solver: "maxhs" (built in) or
+	// "external" (a binary, one WCNF file per run).
 	Algorithm string `json:"alg"`
 	// Mode is the constraint mode: "keys" or "dc".
 	Mode string `json:"mode"`
@@ -114,12 +114,9 @@ type JournalEntry struct {
 	HeapBytes         int64 `json:"heap_bytes,omitempty"`
 	GCCycles          int64 `json:"gc_cycles,omitempty"`
 
-	// Cache outcomes: per-component hard-base memo hits/misses for this
-	// call, and whether the constraint context came from a cache.
+	// Cache outcome: whether the constraint context came from a cache.
 	// FastPathRelations/GenericDCs split the DC set between the
 	// key-aware violation fast path and the generic route (DC mode).
-	BaseHits          int64 `json:"base_hits"`
-	BaseMisses        int64 `json:"base_misses"`
 	ConstraintCached  bool  `json:"constraint_cached"`
 	FastPathRelations int64 `json:"fastpath_rels,omitempty"`
 	GenericDCs        int64 `json:"generic_dcs,omitempty"`

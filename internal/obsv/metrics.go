@@ -31,14 +31,10 @@ const (
 
 	MetricPhaseSecondsPrefix = "aggcavsat_phase_seconds_" // + witness|constraint|encode|solve|rewrite
 
-	// Query-level observability (PR 6). The cache counters record, per
-	// call, how often a solve unit was served from the per-component
-	// hard-clause memo (Engine.bases); the route/mode gauges describe
+	// Query-level observability. The route/mode gauges describe
 	// which code path answered the call (values documented at the
 	// recording sites in internal/core); the latency summary surfaces
 	// p50/p90/p99/max over whole engine calls.
-	MetricBaseHits       = "aggcavsat_base_cache_hits_total"
-	MetricBaseMisses     = "aggcavsat_base_cache_misses_total"
 	MetricConsCacheHit   = "aggcavsat_constraint_cache_hit"    // gauge 0/1
 	MetricVioFastRels    = "aggcavsat_violation_fastpath_rels" // gauge: relations on the key fast path
 	MetricVioGenericDCs  = "aggcavsat_violation_generic_dcs"   // gauge: DCs on the generic path

@@ -275,8 +275,9 @@ func cyclicQuery() cq.AggQuery {
 }
 
 // TestClassifierRejections pins, for every structural rejection, the
-// exact reason string force-rewrite reports: the Decide reason, the
-// ErrRewriteUnavailable error, and the route stamped on the failed call.
+// exact reason string force-rewrite reports: the Decide reason and the
+// ErrRewriteUnavailable error, which the failed call's journal line
+// carries with no route stamped.
 // auto answers each of those queries on the solver route under its own
 // reason. The strings are a contract with operators reading explain
 // reports and journal entries — change them deliberately.
@@ -358,8 +359,8 @@ func checkRejected(t *testing.T, in *db.Instance, q cq.AggQuery, reason string) 
 	if err != nil || len(lines) != 1 {
 		t.Fatalf("journal: %d lines, err %v", len(lines), err)
 	}
-	if lines[0].RouteReason != reason {
-		t.Fatalf("journal route reason %q, want %q", lines[0].RouteReason, reason)
+	if l := lines[0]; l.Route != "" || l.RouteReason != "" || !strings.HasSuffix(l.Error, ": "+reason) {
+		t.Fatalf("journal route %q reason %q error %q, want no route and the error ending in %q", l.Route, l.RouteReason, l.Error, reason)
 	}
 	rep, err := newEngine(t, in, planner.ModeAuto).RangeAnswers(q)
 	if err != nil {
@@ -457,9 +458,9 @@ func TestForceRewrite(t *testing.T) {
 }
 
 // TestRouteCountersSumToCalls asserts the metrics contract: every
-// RangeAnswers call increments exactly one of the two route counters —
-// a call force-rewrite rejects counts under sat, the route its reason
-// explains — and auto never increments the rewrite counter.
+// answered RangeAnswers call increments exactly one of the two route
+// counters, a call force-rewrite rejects increments neither (it ran no
+// executor), and auto never increments the rewrite counter.
 func TestRouteCountersSumToCalls(t *testing.T) {
 	reg := obsv.NewRegistry()
 	in := randomTreeInstance(ptrRng(41))
@@ -475,23 +476,25 @@ func TestRouteCountersSumToCalls(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		mode     planner.Mode
-		rewrites int64 // calls on the rewrite route; the first ones answer
-	}{{planner.ModeAuto, 0}, {planner.ModeRewrite, 3}} {
+		answered int64 // the first calls answer, the rest are rejected
+		rewrites int64 // answered calls on the rewrite route
+	}{{planner.ModeAuto, 5, 0}, {planner.ModeRewrite, 3, 3}} {
 		eng, err := core.New(in, core.Options{Mode: core.KeysMode, Planner: tc.mode, Metrics: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rw0, sat0 := counts()
 		for i, q := range queries {
-			if _, err := eng.RangeAnswers(q); err != nil && (tc.mode == planner.ModeAuto || i < 3) {
-				t.Fatalf("%v: %v", tc.mode, err)
+			_, err := eng.RangeAnswers(q)
+			if answered := int64(i) < tc.answered; answered != (err == nil) {
+				t.Fatalf("%v: query %d: error %v, want answered %v", tc.mode, i, err, answered)
 			}
 		}
 		rw, sat := counts()
 		rw, sat = rw-rw0, sat-sat0
-		if rw+sat != int64(len(queries)) || rw != tc.rewrites {
-			t.Fatalf("%v: route counters rewrite=%d sat=%d, want %d rewrites of %d calls",
-				tc.mode, rw, sat, tc.rewrites, len(queries))
+		if rw+sat != tc.answered || rw != tc.rewrites {
+			t.Fatalf("%v: route counters rewrite=%d sat=%d, want %d rewrites of %d answered calls",
+				tc.mode, rw, sat, tc.rewrites, tc.answered)
 		}
 	}
 }

@@ -85,8 +85,7 @@ func boolToL(b bool) lbool {
 // clause storage: clause headers live in a flat slice addressed by
 // index, and every clause's literals live in one shared arena on the
 // Solver — a clause records its [off, off+n) window. One allocation
-// backs the whole literal store instead of one slice per clause, which
-// is what makes Solver.Clone a handful of bulk copies.
+// backs the whole literal store instead of one slice per clause.
 type clause struct {
 	off      int32
 	n        int32
@@ -164,7 +163,6 @@ type Solver struct {
 	maxLearnts  float64
 
 	originalClauses int // problem (non-learnt) clauses, incl. units
-	addedClauses    int // clauses added since New or Clone
 
 	lubyIndex int64
 
@@ -312,11 +310,9 @@ func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 	switch len(out) {
 	case 0:
 		s.okay = false
-		s.addedClauses++
 		return false
 	case 1:
 		s.originalClauses++
-		s.addedClauses++
 		if !s.enqueue(out[0], -1) {
 			s.okay = false
 			return false
@@ -328,7 +324,6 @@ func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 		return true
 	}
 	s.originalClauses++
-	s.addedClauses++
 	s.attach(out, false, 0)
 	return true
 }

@@ -506,3 +506,27 @@ func TestHeapDecrease(t *testing.T) {
 		t.Error("re-insert failed")
 	}
 }
+
+// TestMaxLearntsScalesWithClauses: the learnt cap floors at 8000 and
+// grows to clauses/3 for large instances.
+func TestMaxLearntsScalesWithClauses(t *testing.T) {
+	small := New()
+	small.AddClause(1, 2)
+	small.Solve()
+	if small.maxLearnts != 8000 {
+		t.Fatalf("small instance maxLearnts = %v, want 8000", small.maxLearnts)
+	}
+	big := New()
+	big.EnsureVars(200)
+	n := 0
+	for i := 1; i <= 198 && n < 30000; i++ {
+		for j := i + 1; j <= 199 && n < 30000; j++ {
+			big.AddClause(cnf.Lit(i), cnf.Lit(j), cnf.Lit(200))
+			n++
+		}
+	}
+	big.Solve()
+	if want := float64(n) / 3; big.maxLearnts < want {
+		t.Fatalf("big instance maxLearnts = %v, want >= %v", big.maxLearnts, want)
+	}
+}

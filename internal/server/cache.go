@@ -13,9 +13,7 @@ import (
 // fingerprint (mode + DC set + schema keys), and the instance version
 // (bumped on every attach). Any change to data or constraints moves the
 // version or the constraint fingerprint, so stale answers can never be
-// served. This cache sits above the per-component Engine.bases memo:
-// bases saves re-encoding hard clauses across queries that share
-// components; this layer saves the whole solve for repeated statements.
+// served. This layer saves the whole solve for repeated statements.
 type cacheKey struct {
 	queryFP      string
 	constraintFP string
