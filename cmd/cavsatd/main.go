@@ -26,8 +26,8 @@
 //	                        journal write/drop counters
 //	GET  /debug/slo        availability and latency SLO attainment with
 //	                        5m/1h burn rates
-//	GET  /debug/trace      recent spans; ?trace=<id> a retained request
-//	                        trace; ?list=1 the retention index;
+//	GET  /debug/trace      the retained-trace index; ?trace=<id> one
+//	                        retained request trace;
 //	                        /debug/journal wide events; /debug/pprof/*
 //	                        profiling
 //
@@ -62,10 +62,9 @@
 // The -planner flag (default auto) serves every query on the solver
 // route; force-rewrite serves the ConQuer-style rewriting instead and
 // fails the queries it cannot answer. Answers are identical on every
-// route. Each response carries its route, and /metrics exposes
-// cavsatd_route_total{route=...} counters that sum to the queries
-// served (cached answers count under the route that originally
-// computed them).
+// route. Each response carries its route, and the route label of
+// cavsatd_requests_total counts the responses per route (a cached
+// answer counts under route="cache").
 //
 // A SAT-route component that group elimination declines runs the
 // built-in MaxHS-style solver (with its RC2 fallback); -external-solver
@@ -155,7 +154,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		TraceSample:     *traceSample,
 		TraceRetain:     *traceRetain,
 		Metrics:         obsv.NewRegistry(),
-		Tracer:          obsv.NewTracer(),
 		Journal:         sess.Journal,
 	})
 

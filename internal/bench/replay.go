@@ -243,7 +243,7 @@ func (r *Runner) Replay(opts ReplayOptions, w io.Writer) (*ReplayReport, error) 
 	}
 
 	rep := &ReplayReport{Skipped: skipped}
-	overall := obsv.NewSummary(0, nil)
+	overall := obsv.NewSummary()
 	perName := map[string]*replayAgg{}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -270,7 +270,7 @@ func (r *Runner) Replay(opts ReplayOptions, w io.Writer) (*ReplayReport, error) 
 			defer mu.Unlock()
 			agg, ok := perName[p.name]
 			if !ok {
-				agg = &replayAgg{sum: obsv.NewSummary(0, nil)}
+				agg = &replayAgg{sum: obsv.NewSummary()}
 				perName[p.name] = agg
 			}
 			agg.issued++

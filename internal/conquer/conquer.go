@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"aggcavsat/internal/cq"
 	"aggcavsat/internal/db"
@@ -1146,13 +1145,4 @@ func better(op cq.AggOp, a, b db.Value) bool {
 		return a.Compare(b) > 0
 	}
 	return a.Compare(b) < 0
-}
-
-// Describe renders the join tree for diagnostics.
-func (p *Plan) Describe() string {
-	var b strings.Builder
-	for ai, a := range p.atoms {
-		fmt.Fprintf(&b, "%d: %s parent=%d\n", ai, a.rel.Name, a.parent)
-	}
-	return b.String()
 }

@@ -97,9 +97,6 @@ func metricNames(reg *obsv.Registry) string {
 	for name := range snap.Histograms {
 		add(name)
 	}
-	for name := range snap.Summaries {
-		add(name)
-	}
 	var names []string
 	for name := range set {
 		names = append(names, name)
@@ -218,9 +215,16 @@ func TestOneRecordReconciles(t *testing.T) {
 			if got := registryStats(reg); got != st {
 				t.Errorf("session registry %+v, Stats %+v", got, st)
 			}
-			routes := reg.Counter(obsv.MetricRouteRewrite).Value() + reg.Counter(obsv.MetricRouteSAT).Value()
-			if want := b2i(!tc.cons); routes != want {
-				t.Errorf("route counters sum to %d, want %d", routes, want)
+			// One routed RangeAnswers call; ConsistentAnswers routes none.
+			routed := reg.LabeledCounter(obsv.MetricEngineCalls, obsv.RequestLabels, 0).Sum(func(values []string) bool {
+				return values[1] == "rewrite" || values[1] == "sat"
+			})
+			want := int64(1)
+			if tc.cons {
+				want = 0
+			}
+			if routed != want {
+				t.Errorf("calls with a route label sum to %d, want %d", routed, want)
 			}
 
 			opts.Journal.Close()

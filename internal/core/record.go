@@ -138,16 +138,9 @@ func (e *Engine) classifyAnomaly(err error, dur time.Duration) string {
 }
 
 // routed stamps the route on the record — exactly once per engine call,
-// so the route counters sum to the calls served.
+// so the route label of aggcavsat_calls_total sums to the calls served.
 func (rc *recorder) routed(r planner.Route, reason string) {
 	rc.route, rc.routeReason = r.String(), reason
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // publish accumulates the call into the session registry
@@ -195,34 +188,22 @@ func (e *Engine) publish(ctx context.Context, rc *recorder, st Stats, anomaly st
 		{obsv.MetricGCCycles, st.GCCycles},
 		{obsv.MetricWitnesses, rc.witnesses},
 		{obsv.MetricGroups, rc.groups},
-		{obsv.MetricRouteRewrite, b2i(rc.route == planner.RouteRewrite.String())},
-		{obsv.MetricRouteSAT, b2i(rc.route == planner.RouteSAT.String())},
 	} {
 		reg.Counter(c.name).Add(c.n)
 	}
 	reg.Gauge(obsv.MetricCNFVarsMax).SetMax(int64(st.MaxVars))
 	reg.Gauge(obsv.MetricCNFClausesMax).SetMax(int64(st.MaxClauses))
-	reg.Gauge(obsv.MetricConsCacheHit).Set(b2i(rc.constraintCached()))
 	// Gauges a call did not measure keep the previous call's value.
 	heap, cons := reg.Gauge(obsv.MetricHeapBytes), reg.Gauge(obsv.MetricConstraintNS)
-	fast, generic := reg.Gauge(obsv.MetricVioFastRels), reg.Gauge(obsv.MetricVioGenericDCs)
 	if rc.ran != [numPhases]bool{} {
 		heap.Set(st.HeapBytes)
 	}
 	if rc.constraintBuilt {
 		cons.Set(int64(st.ConstraintTime))
 	}
-	if rc.cc != nil {
-		if rc.cc.mode == DCMode {
-			fast.Set(int64(rc.cc.fastRels))
-			generic.Set(int64(rc.cc.genericDCs))
-		}
-	}
 
-	// The whole-call latency: the query-duration summary (the p50/p90/
-	// p99 source of the /metrics exposition and the replay percentile
-	// tables) plus the labeled request-correlation families.
-	reg.Summary(obsv.MetricQuerySeconds, 0, nil).Observe(d.Seconds())
+	// The whole-call count and latency: the labeled request-correlation
+	// families, the only per-route and per-call latency series.
 	tenant := obsv.TenantFrom(ctx)
 	if tenant == "" {
 		tenant = "none"

@@ -2,7 +2,6 @@ package db
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -173,14 +172,4 @@ func (s *Schema) Relations() []*RelationSchema {
 	out := make([]*RelationSchema, 0, len(s.byID))
 	out = append(out, s.byID...)
 	return out
-}
-
-// RelationNames returns the canonical relation names sorted alphabetically.
-func (s *Schema) RelationNames() []string {
-	names := make([]string, 0, len(s.rels))
-	for _, r := range s.Relations() {
-		names = append(names, r.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -38,8 +38,7 @@ func solveExternal(ctx context.Context, f *cnf.Formula, opts Options) (Result, e
 		return Result{}, err
 	}
 
-	args := append(append([]string{}, opts.SolverArgs...), tmp.Name())
-	cmd := exec.CommandContext(ctx, opts.SolverPath, args...)
+	cmd := exec.CommandContext(ctx, opts.SolverPath, tmp.Name())
 	// On cancellation CommandContext kills the process; WaitDelay bounds
 	// how long Run then waits for I/O pipes to drain before giving up on
 	// a child that ignores the kill (e.g. one that re-spawned itself).

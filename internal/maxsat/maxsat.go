@@ -87,8 +87,6 @@ type Options struct {
 	// SolverPath, when non-empty, selects an external MaxSAT solver
 	// binary instead of the built-in MaxHS.
 	SolverPath string
-	// SolverArgs are extra arguments placed before the WCNF path.
-	SolverArgs []string
 	// ConflictBudget bounds total SAT conflicts (built-in algorithms);
 	// 0 means unlimited.
 	ConflictBudget int64

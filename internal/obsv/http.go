@@ -54,10 +54,9 @@ func buildIdentity() (main, revision string, modified bool) {
 // empty exposition, a 404 trace/journal).
 type HandlerConfig struct {
 	Registry *Registry
-	Tracer   *Tracer
 	Journal  *Journal
-	// Traces serves retained request traces on /debug/trace?trace=<id>
-	// and the retained listing on /debug/trace?list=1.
+	// Traces backs /debug/trace: the retained-trace index, and one
+	// retained request trace by id.
 	Traces *TraceStore
 	// Extra, when non-nil, is merged into the /healthz payload under
 	// "extra" on every request (live values, e.g. attached instances).
@@ -67,13 +66,12 @@ type HandlerConfig struct {
 // NewHandler builds the debug HTTP handler (the cavsatd debug plane):
 //
 //	/metrics       Prometheus text exposition of the registry, plus the
-//	               tracer's own obsv_spans_* families and the journal's
-//	               written/dropped counters when those are set
+//	               journal's written/dropped counters when one is set
 //	/healthz       liveness + build/runtime identity JSON
-//	/debug/trace   current tracer snapshot; ?format=tree (default) or
-//	               ?format=chrome for Chrome trace-event JSON; a retained
-//	               request trace with ?trace=<id>, the retention index
-//	               with ?list=1
+//	/debug/trace   the retained-trace index as JSON (also ?list=1);
+//	               ?trace=<id> one retained request trace,
+//	               ?format=tree (default) or ?format=chrome for Chrome
+//	               trace-event JSON
 //	/debug/journal the last n journal entries (?n=K, default 32) as a
 //	               JSON array, newest last
 //	/debug/pprof/  the standard net/http/pprof surface (profile, heap,
@@ -82,7 +80,7 @@ type HandlerConfig struct {
 // Every endpoint reads live state: scraping /metrics during a run
 // returns counters that move between scrapes.
 func NewHandler(cfg HandlerConfig) http.Handler {
-	reg, tr, j := cfg.Registry, cfg.Tracer, cfg.Journal
+	reg, j, traces := cfg.Registry, cfg.Journal, cfg.Traces
 	start := time.Now()
 	mainPath, revision, modified := buildIdentity()
 	mux := http.NewServeMux()
@@ -113,9 +111,6 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 				return
 			}
 		}
-		if tr != nil {
-			tr.WritePrometheus(w)
-		}
 		if j != nil {
 			j.WritePrometheus(w)
 		}
@@ -144,74 +139,38 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 		enc.Encode(entries)
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
-		target := tr
-		q := r.URL.Query()
-		if id := q.Get("trace"); id != "" {
-			if cfg.Traces == nil {
-				http.Error(w, "no trace store installed", http.StatusNotFound)
-				return
-			}
-			var tid TraceID
-			if len(id) != 32 {
-				http.Error(w, fmt.Sprintf("bad trace id %q (want 32 hex digits)", id), http.StatusBadRequest)
-				return
-			}
-			if _, err := hex.Decode(tid[:], []byte(id)); err != nil {
-				http.Error(w, fmt.Sprintf("bad trace id %q (want 32 hex digits)", id), http.StatusBadRequest)
-				return
-			}
-			rt, ok := cfg.Traces.Get(tid)
-			if !ok {
-				http.Error(w, fmt.Sprintf("trace %s not retained", id), http.StatusNotFound)
-				return
-			}
-			target = rt.Tracer
-		}
-		if q.Get("list") != "" {
-			if cfg.Traces == nil {
-				http.Error(w, "no trace store installed", http.StatusNotFound)
-				return
-			}
-			type item struct {
-				TraceID    string  `json:"trace_id"`
-				Reason     string  `json:"reason"`
-				Query      string  `json:"query,omitempty"`
-				Tenant     string  `json:"tenant,omitempty"`
-				Start      string  `json:"start"`
-				DurationMS float64 `json:"duration_ms"`
-				Spans      int     `json:"spans"`
-			}
-			retained := cfg.Traces.List()
-			items := make([]item, len(retained))
-			for i, rt := range retained {
-				items[i] = item{
-					TraceID:    rt.TraceID.String(),
-					Reason:     rt.Reason,
-					Query:      rt.Query,
-					Tenant:     rt.Tenant,
-					Start:      rt.Start.UTC().Format(time.RFC3339Nano),
-					DurationMS: float64(rt.Duration.Microseconds()) / 1000,
-					Spans:      rt.Tracer.Len(),
-				}
-			}
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(items)
+		if traces == nil {
+			http.Error(w, "no trace store installed", http.StatusNotFound)
 			return
 		}
-		if target == nil {
-			http.Error(w, "no tracer installed", http.StatusNotFound)
+		q := r.URL.Query()
+		id := q.Get("trace")
+		if id == "" {
+			writeTraceIndex(w, traces.List())
+			return
+		}
+		var tid TraceID
+		if len(id) != 32 {
+			http.Error(w, fmt.Sprintf("bad trace id %q (want 32 hex digits)", id), http.StatusBadRequest)
+			return
+		}
+		if _, err := hex.Decode(tid[:], []byte(id)); err != nil {
+			http.Error(w, fmt.Sprintf("bad trace id %q (want 32 hex digits)", id), http.StatusBadRequest)
+			return
+		}
+		rt, ok := traces.Get(tid)
+		if !ok {
+			http.Error(w, fmt.Sprintf("trace %s not retained", id), http.StatusNotFound)
 			return
 		}
 		switch format := q.Get("format"); format {
 		case "", "tree":
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprintf(w, "trace %s\n", target.TraceID())
-			target.WriteTree(w)
+			fmt.Fprintf(w, "trace %s\n", rt.TraceID)
+			rt.Tracer.WriteTree(w)
 		case "chrome", "json":
 			w.Header().Set("Content-Type", "application/json")
-			target.WriteChromeTrace(w)
+			rt.Tracer.WriteChromeTrace(w)
 		default:
 			http.Error(w, fmt.Sprintf("unknown format %q (want tree or chrome)", format), http.StatusBadRequest)
 		}
@@ -222,4 +181,34 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// writeTraceIndex serves the retained-trace index: one JSON item per
+// retained request trace, oldest first.
+func writeTraceIndex(w http.ResponseWriter, retained []RetainedTrace) {
+	type item struct {
+		TraceID    string  `json:"trace_id"`
+		Reason     string  `json:"reason"`
+		Query      string  `json:"query,omitempty"`
+		Tenant     string  `json:"tenant,omitempty"`
+		Start      string  `json:"start"`
+		DurationMS float64 `json:"duration_ms"`
+		Spans      int     `json:"spans"`
+	}
+	items := make([]item, len(retained))
+	for i, rt := range retained {
+		items[i] = item{
+			TraceID:    rt.TraceID.String(),
+			Reason:     rt.Reason,
+			Query:      rt.Query,
+			Tenant:     rt.Tenant,
+			Start:      rt.Start.UTC().Format(time.RFC3339Nano),
+			DurationMS: float64(rt.Duration.Microseconds()) / 1000,
+			Spans:      rt.Tracer.Len(),
+		}
+	}
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(items)
 }

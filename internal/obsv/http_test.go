@@ -27,15 +27,24 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string, string) 
 	return resp.StatusCode, resp.Header.Get("Content-Type"), string(body)
 }
 
+// retainedWithSpan builds a retained trace whose tracer holds one ended
+// span with the given name.
+func retainedWithSpan(reason, name string) RetainedTrace {
+	rt := retained(NewTraceID(), reason)
+	_, sp := StartSpan(WithTracer(context.Background(), rt.Tracer), name)
+	sp.End()
+	return rt
+}
+
 func TestHandlerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("aggcavsat_sat_calls_total").Add(3)
-	tr := NewTracer()
-	ctx := WithTracer(context.Background(), tr)
-	_, sp := StartSpan(ctx, "query")
-	sp.End()
+	traces := NewTraceStore(4)
+	rt := retainedWithSpan("slow", "query")
+	traces.Keep(rt)
+	id := rt.TraceID.String()
 
-	srv := httptest.NewServer(NewHandler(HandlerConfig{Registry: reg, Tracer: tr}))
+	srv := httptest.NewServer(NewHandler(HandlerConfig{Registry: reg, Traces: traces}))
 	defer srv.Close()
 
 	code, ct, body := get(t, srv, "/healthz")
@@ -50,25 +59,39 @@ func TestHandlerEndpoints(t *testing.T) {
 	if ct != "text/plain; version=0.0.4; charset=utf-8" {
 		t.Errorf("/metrics content-type = %q", ct)
 	}
-	for _, want := range []string{
-		"aggcavsat_sat_calls_total 3",
-		"obsv_spans_dropped_total 0",
-		"obsv_spans_open 0",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q in:\n%s", want, body)
+	if !strings.Contains(body, "aggcavsat_sat_calls_total 3") {
+		t.Errorf("/metrics missing the registry counter in:\n%s", body)
+	}
+
+	// With no trace id, /debug/trace serves the retained-trace index;
+	// ?list=1 is the same index.
+	for _, path := range []string{"/debug/trace", "/debug/trace?list=1"} {
+		code, ct, body = get(t, srv, path)
+		var index []struct {
+			TraceID string `json:"trace_id"`
+			Reason  string `json:"reason"`
+			Spans   int    `json:"spans"`
+		}
+		if code != http.StatusOK || ct != "application/json" {
+			t.Fatalf("%s = %d %q", path, code, ct)
+		}
+		if err := json.Unmarshal([]byte(body), &index); err != nil {
+			t.Fatalf("%s: invalid JSON: %v\n%s", path, err, body)
+		}
+		if len(index) != 1 || index[0].TraceID != id || index[0].Reason != "slow" || index[0].Spans != 1 {
+			t.Errorf("%s index = %+v, want the one retained trace", path, index)
 		}
 	}
 
-	code, _, body = get(t, srv, "/debug/trace")
-	if code != http.StatusOK || !strings.Contains(body, "query") {
-		t.Errorf("/debug/trace = %d %q", code, body)
+	code, _, body = get(t, srv, "/debug/trace?trace="+id)
+	if code != http.StatusOK || !strings.Contains(body, "trace "+id) || !strings.Contains(body, "query") {
+		t.Errorf("/debug/trace?trace=<id> = %d %q", code, body)
 	}
-	code, ct, body = get(t, srv, "/debug/trace?format=chrome")
+	code, ct, body = get(t, srv, "/debug/trace?trace="+id+"&format=chrome")
 	if code != http.StatusOK || ct != "application/json" || !strings.Contains(body, "traceEvents") {
 		t.Errorf("/debug/trace?format=chrome = %d %q %q", code, ct, body)
 	}
-	code, _, _ = get(t, srv, "/debug/trace?format=bogus")
+	code, _, _ = get(t, srv, "/debug/trace?trace="+id+"&format=bogus")
 	if code != http.StatusBadRequest {
 		t.Errorf("/debug/trace?format=bogus status = %d, want 400", code)
 	}
@@ -84,10 +107,7 @@ func TestHandlerEndpoints(t *testing.T) {
 // which once drove hex.Decode past the 16-byte TraceID array and
 // panicked the handler — must come back as a clean 400.
 func TestDebugTraceBadID(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(HandlerConfig{
-		Tracer: NewTracer(),
-		Traces: NewTraceStore(4),
-	}))
+	srv := httptest.NewServer(NewHandler(HandlerConfig{Traces: NewTraceStore(4)}))
 	defer srv.Close()
 
 	for _, id := range []string{
@@ -110,34 +130,39 @@ func TestDebugTraceBadID(t *testing.T) {
 	}
 }
 
+// TestHandlerNoTracer: without a trace store /debug/trace is a 404 (the
+// index and every id alike), while /metrics still serves.
 func TestHandlerNoTracer(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(HandlerConfig{Registry: NewRegistry()}))
 	defer srv.Close()
-	if code, _, _ := get(t, srv, "/debug/trace"); code != http.StatusNotFound {
-		t.Errorf("/debug/trace without a tracer = %d, want 404", code)
+	for _, path := range []string{"/debug/trace", "/debug/trace?trace=" + strings.Repeat("ab", 16)} {
+		if code, _, _ := get(t, srv, path); code != http.StatusNotFound {
+			t.Errorf("%s without a trace store = %d, want 404", path, code)
+		}
 	}
 	if code, _, _ := get(t, srv, "/metrics"); code != http.StatusOK {
-		t.Errorf("/metrics without a tracer = %d, want 200", code)
+		t.Errorf("/metrics without a trace store = %d, want 200", code)
 	}
 }
 
-// TestConcurrentScrapes hammers /metrics and /debug/trace while other
-// goroutines mutate the registry and tracer — the scenario the -race CI
-// target guards: a live scrape during a run must not race with the
-// instrumentation writes.
+// TestConcurrentScrapes hammers /metrics, the /debug/trace index and a
+// retained trace by id while other goroutines mutate the registry, keep
+// traces into the store and record spans on a retained tracer
+// — the scenario the -race CI target guards: a live scrape must not
+// race with the instrumentation writes or the retention store.
 func TestConcurrentScrapes(t *testing.T) {
 	reg := NewRegistry()
-	tr := NewTracer()
-	srv := httptest.NewServer(NewHandler(HandlerConfig{Registry: reg, Tracer: tr}))
+	traces := NewTraceStore(8)
+	live := retainedWithSpan("sample", "query")
+	traces.Keep(live)
+	srv := httptest.NewServer(NewHandler(HandlerConfig{Registry: reg, Traces: traces}))
 	defer srv.Close()
 
-	// Mutation volume is bounded (not run-until-stopped): an unthrottled
-	// span producer fills the tracer ring with ~1M spans and every
-	// /debug/trace scrape then serializes all of them, turning this test
-	// into minutes of JSON encoding instead of a race probe.
+	// Mutation volume is bounded (not run-until-stopped) so the live
+	// tracer stays small enough for every scrape to render it quickly.
 	const iters = 2_000
 	var wg sync.WaitGroup
-	wg.Add(2)
+	wg.Add(3)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
@@ -149,8 +174,23 @@ func TestConcurrentScrapes(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		ctx := WithTracer(context.Background(), tr)
+		// Seven more ids fill the store without evicting the live trace;
+		// each Keep replaces one of them with a fresh tracer.
+		ids := make([]TraceID, 7)
+		for i := range ids {
+			ids[i] = NewTraceID()
+		}
 		for i := 0; i < iters; i++ {
+			rt := retainedWithSpan("slow", "server.request")
+			rt.TraceID = ids[i%len(ids)]
+			traces.Keep(rt)
+			runtime.Gosched()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		ctx := WithTracer(context.Background(), live.Tracer)
+		for i := 0; i < iters/10; i++ {
 			c, sp := StartSpan(ctx, "query")
 			_, inner := StartSpan(c, "sat.solve", Int64("conflicts", 1))
 			inner.End()
@@ -159,8 +199,9 @@ func TestConcurrentScrapes(t *testing.T) {
 		}
 	}()
 
+	byID := "/debug/trace?trace=" + live.TraceID.String()
 	for i := 0; i < 10; i++ {
-		for _, path := range []string{"/metrics", "/debug/trace", "/debug/trace?format=chrome"} {
+		for _, path := range []string{"/metrics", "/debug/trace", byID, byID + "&format=chrome"} {
 			code, _, _ := get(t, srv, path)
 			if code != http.StatusOK {
 				t.Errorf("%s during mutation = %d", path, code)

@@ -31,30 +31,20 @@ const (
 
 	MetricPhaseSecondsPrefix = "aggcavsat_phase_seconds_" // + witness|constraint|encode|solve|rewrite
 
-	// Query-level observability. The route/mode gauges describe
-	// which code path answered the call (values documented at the
-	// recording sites in internal/core); the latency summary surfaces
-	// p50/p90/p99/max over whole engine calls.
-	MetricConsCacheHit   = "aggcavsat_constraint_cache_hit"    // gauge 0/1
-	MetricVioFastRels    = "aggcavsat_violation_fastpath_rels" // gauge: relations on the key fast path
-	MetricVioGenericDCs  = "aggcavsat_violation_generic_dcs"   // gauge: DCs on the generic path
-	MetricQuerySeconds   = "aggcavsat_query_seconds"           // summary: whole engine calls
-	MetricJournalWritten = "aggcavsat_journal_written_total"   // journal lines persisted
-	MetricJournalDropped = "aggcavsat_journal_dropped_total"   // journal lines shed by the bounded writer
+	MetricJournalWritten = "aggcavsat_journal_written_total" // journal lines persisted
+	MetricJournalDropped = "aggcavsat_journal_dropped_total" // journal lines shed by the bounded writer
 
-	// Planner observability (PR 8). The route counters are one labelled
-	// family — a call increments exactly one of them once the planner
-	// has routed it, so their sum equals the range-query calls served. MetricRewriteNS accumulates wall time in
-	// the SAT-free rewriting executor, the rewrite-route sibling of the
-	// witness/encode/solve phase counters.
-	MetricRouteRewrite = `aggcavsat_planner_route_total{route="rewrite"}`
-	MetricRouteSAT     = `aggcavsat_planner_route_total{route="sat"}`
-	MetricRewriteNS    = "aggcavsat_rewrite_ns_total"
+	// MetricRewriteNS accumulates wall time in the SAT-free rewriting
+	// executor, the rewrite-route sibling of the witness/encode/solve
+	// phase counters.
+	MetricRewriteNS = "aggcavsat_rewrite_ns_total"
 
-	// Request-correlation families (PR 10): labeled by tenant (the
-	// serving instance, "none" outside cavsatd), route (the executor that
-	// answered), and outcome ("ok" or the anomaly class). The engine
-	// observes them per call into the session registry.
+	// Request-correlation families: labeled by tenant (the serving
+	// instance, "none" outside cavsatd), route (the executor that
+	// answered, "none" for a call that never routed), and outcome ("ok"
+	// or the anomaly class). The engine observes them once per call into
+	// the session registry, so the route label is the only per-route
+	// call count and the histogram the only whole-call latency series.
 	MetricEngineCalls       = "aggcavsat_calls_total"
 	MetricEngineCallSeconds = "aggcavsat_call_seconds"
 )
@@ -169,7 +159,6 @@ type Registry struct {
 	counters          map[string]*Counter
 	gauges            map[string]*Gauge
 	histograms        map[string]*Histogram
-	summaries         map[string]*Summary
 	labeledCounters   map[string]*LabeledCounter
 	labeledHistograms map[string]*LabeledHistogram
 }
@@ -180,7 +169,6 @@ func NewRegistry() *Registry {
 		counters:          map[string]*Counter{},
 		gauges:            map[string]*Gauge{},
 		histograms:        map[string]*Histogram{},
-		summaries:         map[string]*Summary{},
 		labeledCounters:   map[string]*LabeledCounter{},
 		labeledHistograms: map[string]*LabeledHistogram{},
 	}
@@ -190,7 +178,6 @@ func (r *Registry) checkFree(name, kind string) {
 	_, c := r.counters[name]
 	_, g := r.gauges[name]
 	_, h := r.histograms[name]
-	_, s := r.summaries[name]
 	// The bare family name of a labeled family is reserved too: a plain
 	// metric `fam` alongside series `fam{...}` would split the family's
 	// TYPE header in the exposition. A `fam{...}` series name of the
@@ -207,7 +194,7 @@ func (r *Registry) checkFree(name, kind string) {
 			lh = false
 		}
 	}
-	if c || g || h || s || lc || lh {
+	if c || g || h || lc || lh {
 		panic("obsv: metric " + name + " already registered with a different kind than " + kind)
 	}
 }
@@ -273,27 +260,6 @@ func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
 	return h
 }
 
-// Summary returns the named latency summary, creating it with the given
-// exact-reservoir size and interpolation buckets on first use (later
-// calls may pass zero values).
-func (r *Registry) Summary(name string, maxExact int, buckets []float64) *Summary {
-	r.mu.RLock()
-	s, ok := r.summaries[name]
-	r.mu.RUnlock()
-	if ok {
-		return s
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s, ok := r.summaries[name]; ok {
-		return s
-	}
-	r.checkFree(name, "summary")
-	s = NewSummary(maxExact, buckets)
-	r.summaries[name] = s
-	return s
-}
-
 // Snapshot is a consistent-enough point-in-time copy of every metric
 // (individual values are read atomically; the set is not globally
 // synchronized, which is the standard scrape semantics).
@@ -301,7 +267,6 @@ type Snapshot struct {
 	Counters   map[string]int64
 	Gauges     map[string]int64
 	Histograms map[string]HistogramSnapshot
-	Summaries  map[string]SummarySnapshot `json:",omitempty"`
 }
 
 // Snapshot copies every metric's current value.
@@ -312,12 +277,6 @@ func (r *Registry) Snapshot() Snapshot {
 		Counters:   make(map[string]int64, len(r.counters)),
 		Gauges:     make(map[string]int64, len(r.gauges)),
 		Histograms: make(map[string]HistogramSnapshot, len(r.histograms)),
-	}
-	if len(r.summaries) > 0 {
-		s.Summaries = make(map[string]SummarySnapshot, len(r.summaries))
-		for name, sm := range r.summaries {
-			s.Summaries[name] = sm.Snapshot()
-		}
 	}
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()

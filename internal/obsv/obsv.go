@@ -129,18 +129,6 @@ func (t *Tracer) TraceID() TraceID {
 	return t.traceID
 }
 
-// SetTraceID rebinds the tracer to a trace id (ignored when zero).
-// Intended for reuse of a long-lived tracer before tracing starts;
-// already-recorded spans keep their derived span ids.
-func (t *Tracer) SetTraceID(id TraceID) {
-	if t == nil || id.IsZero() {
-		return
-	}
-	t.mu.Lock()
-	t.traceID = id
-	t.mu.Unlock()
-}
-
 type ctxKey struct{}
 
 // spanCtx is the single context payload: the tracer plus the innermost
@@ -207,46 +195,6 @@ func (t *Tracer) start(name string, parent *Span, attrs []Attr) *Span {
 	t.spans = append(t.spans, sp)
 	t.open++
 	return sp
-}
-
-// Absorb moves every span of src into t, preserving src's parent/child
-// structure (absorbed roots stay roots in t). It is the tail-retention
-// hand-off: a per-request tracer records in isolation, then the request
-// end absorbs it into the process-global tracer so /debug/trace keeps
-// showing recent activity. Spans beyond t's MaxSpans are dropped
-// all-or-nothing (counted in Dropped) so a partially-absorbed trace
-// never leaves dangling parent references. src must be quiescent (its
-// request finished); it is left unchanged and must not be reused.
-func (t *Tracer) Absorb(src *Tracer) {
-	if t == nil || src == nil || t == src {
-		return
-	}
-	src.mu.Lock()
-	spans := make([]*Span, len(src.spans))
-	copy(spans, src.spans)
-	srcDropped := src.dropped
-	src.mu.Unlock()
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.dropped += srcDropped
-	if len(t.spans)+len(spans) > t.MaxSpans {
-		t.dropped += int64(len(spans))
-		return
-	}
-	base := int32(len(t.spans))
-	for _, sp := range spans {
-		cp := *sp
-		cp.id += base
-		if cp.parent >= 0 {
-			cp.parent += base
-		}
-		cp.tracer = t
-		t.spans = append(t.spans, &cp)
-		if !cp.done {
-			t.open++
-		}
-	}
 }
 
 // End closes the span. Safe on a nil receiver and idempotent. Span

@@ -84,48 +84,7 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 			return err
 		}
 	}
-	snames := make([]string, 0, len(s.Summaries))
-	for name := range s.Summaries {
-		snames = append(snames, name)
-	}
-	sort.Strings(snames)
-	for _, name := range snames {
-		sm := s.Summaries[name]
-		if _, err := fmt.Fprintf(w, "# TYPE %s summary\n", name); err != nil {
-			return err
-		}
-		// Quantile lines in ascending φ order (maps don't iterate sorted).
-		quants := []struct {
-			q string
-			v float64
-		}{{"0.5", sm.P50}, {"0.9", sm.P90}, {"0.99", sm.P99}, {"1", sm.Max}}
-		for _, qv := range quants {
-			if _, err := fmt.Fprintf(w, "%s{quantile=%q} %s\n", name, qv.q, formatFloat(qv.v)); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum %s\n", name, formatFloat(sm.Sum)); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_count %d\n", name, sm.Count); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-// WritePrometheus renders the tracer's own health as two metric
-// families: obsv_spans_dropped_total (spans discarded beyond MaxSpans —
-// a non-zero value means traces are being truncated) and obsv_spans_open
-// (spans started but not yet ended; a steady non-zero value on an idle
-// process indicates a span leak). Scrape endpoints append this after the
-// registry exposition.
-func (t *Tracer) WritePrometheus(w io.Writer) error {
-	_, err := fmt.Fprintf(w,
-		"# TYPE obsv_spans_dropped_total counter\nobsv_spans_dropped_total %d\n"+
-			"# TYPE obsv_spans_open gauge\nobsv_spans_open %d\n",
-		t.Dropped(), t.Open())
-	return err
 }
 
 // splitSeries splits a possibly-labeled series name into its bare

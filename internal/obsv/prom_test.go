@@ -10,8 +10,8 @@ import (
 // TestPrometheusGolden pins the full 0.0.4 text exposition of a small
 // registry byte for byte — the promtool-style conformance check. Every
 // family carries a # TYPE line, histogram buckets are cumulative with a
-// +Inf bucket equal to _count, summaries expose quantile-labelled
-// samples, and the whole output is sorted by metric name.
+// +Inf bucket equal to _count, and the whole output is sorted by
+// metric name.
 func TestPrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("app_requests_total").Add(3)
@@ -20,10 +20,6 @@ func TestPrometheusGolden(t *testing.T) {
 	h.Observe(0.5)
 	h.Observe(1.5)
 	h.Observe(3)
-	s := r.Summary("app_query_seconds", 0, nil)
-	for _, v := range []float64{1, 2, 3, 4} {
-		s.Observe(v)
-	}
 
 	want := strings.Join([]string{
 		"# TYPE app_requests_total counter",
@@ -36,13 +32,6 @@ func TestPrometheusGolden(t *testing.T) {
 		`app_phase_seconds_bucket{le="+Inf"} 3`,
 		"app_phase_seconds_sum 5",
 		"app_phase_seconds_count 3",
-		"# TYPE app_query_seconds summary",
-		`app_query_seconds{quantile="0.5"} 2`,
-		`app_query_seconds{quantile="0.9"} 4`,
-		`app_query_seconds{quantile="0.99"} 4`,
-		`app_query_seconds{quantile="1"} 4`,
-		"app_query_seconds_sum 10",
-		"app_query_seconds_count 4",
 		"",
 	}, "\n")
 
@@ -111,29 +100,28 @@ func TestPrometheusHistogramInvariants(t *testing.T) {
 	}
 }
 
-// TestPrometheusLabelledFamily: counters named with label sets (the
-// planner route family) share one # TYPE line per family — the bare
+// TestPrometheusLabelledFamily: counters named with label sets share one # TYPE line per family — the bare
 // family name, emitted once — and keep their own sample lines. Scrapers
 // reject duplicate or label-bearing TYPE lines, so this is load-bearing.
 func TestPrometheusLabelledFamily(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(MetricRouteRewrite).Add(5)
-	r.Counter(MetricRouteSAT).Add(2)
+	r.Counter(`app_route_total{route="rewrite"}`).Add(5)
+	r.Counter(`app_route_total{route="sat"}`).Add(2)
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	typeLine := "# TYPE aggcavsat_planner_route_total counter"
+	typeLine := "# TYPE app_route_total counter"
 	if got := strings.Count(out, typeLine); got != 1 {
 		t.Errorf("TYPE line appears %d times, want exactly 1:\n%s", got, out)
 	}
-	if strings.Contains(out, "# TYPE aggcavsat_planner_route_total{") {
+	if strings.Contains(out, "# TYPE app_route_total{") {
 		t.Errorf("TYPE line carries a label set:\n%s", out)
 	}
 	for _, sample := range []string{
-		`aggcavsat_planner_route_total{route="rewrite"} 5`,
-		`aggcavsat_planner_route_total{route="sat"} 2`,
+		`app_route_total{route="rewrite"} 5`,
+		`app_route_total{route="sat"} 2`,
 	} {
 		if !strings.Contains(out, sample) {
 			t.Errorf("missing sample %q:\n%s", sample, out)

@@ -6,145 +6,42 @@ import (
 	"sync"
 )
 
-// DefaultSummaryExact is the reservoir size of a Summary created with
-// maxExact <= 0: quantiles over up to this many observations are exact
-// order statistics; beyond it the estimator degrades gracefully to
-// fixed-bucket interpolation.
-const DefaultSummaryExact = 4096
-
-// SummaryQuantiles are the quantiles surfaced by the Prometheus
-// exposition and SummarySnapshot (quantile 1 is the exact maximum,
-// tracked separately from the buckets).
-var SummaryQuantiles = []float64{0.5, 0.9, 0.99, 1}
-
-// Summary is a streaming latency-quantile estimator. Up to maxExact
-// observations it keeps every value, so Quantile returns exact order
-// statistics — the regime of a CLI run or a short replay. Past that it
-// folds the reservoir into fixed buckets (the Histogram bucket layout)
-// and answers quantiles by linear interpolation inside the covering
-// bucket, bounding memory for long-lived serving processes. The maximum
-// is tracked exactly in both regimes. All methods are safe for
-// concurrent use.
+// Summary is a latency-quantile estimator over a bounded run (a replay
+// of at most -replay-n requests): it keeps every observation, so its
+// snapshot quantiles are exact order statistics. Long-lived processes
+// expose latency as fixed-bucket histograms instead. All methods are
+// safe for concurrent use.
 type Summary struct {
-	mu       sync.Mutex
-	maxExact int
-	exact    []float64 // unsorted reservoir; nil once folded into buckets
-	sorted   bool      // exact is currently sorted (invalidated by Observe)
-
-	buckets []float64 // sorted upper bounds (interpolation grid)
-	counts  []int64   // per-bucket counts after folding
-	inf     int64     // observations above the last bucket
-
-	count int64
-	sum   float64
-	max   float64
+	mu     sync.Mutex
+	values []float64 // unsorted observations
+	sorted bool      // values is currently sorted (invalidated by Observe)
+	sum    float64
+	max    float64
 }
 
-// NewSummary creates a summary keeping up to maxExact exact values
-// (DefaultSummaryExact when <= 0) before degrading to interpolation over
-// the bucket bounds (DurationBuckets when nil).
-func NewSummary(maxExact int, buckets []float64) *Summary {
-	if maxExact <= 0 {
-		maxExact = DefaultSummaryExact
-	}
-	if buckets == nil {
-		buckets = DurationBuckets
-	}
-	bs := append([]float64(nil), buckets...)
-	sort.Float64s(bs)
-	return &Summary{maxExact: maxExact, buckets: bs}
-}
+// NewSummary creates an empty summary.
+func NewSummary() *Summary { return &Summary{} }
 
 // Observe records one observation.
 func (s *Summary) Observe(v float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.count++
-	s.sum += v
-	if s.count == 1 || v > s.max {
+	if len(s.values) == 0 || v > s.max {
 		s.max = v
 	}
-	if s.exact != nil || s.count == 1 {
-		s.exact = append(s.exact, v)
-		s.sorted = false
-		if len(s.exact) > s.maxExact {
-			s.fold()
-		}
-		return
-	}
-	s.bucketAdd(v)
+	s.values = append(s.values, v)
+	s.sorted = false
+	s.sum += v
 }
 
-// fold moves the exact reservoir into the bucket counts (called with the
-// lock held, once, when the reservoir overflows).
-func (s *Summary) fold() {
-	s.counts = make([]int64, len(s.buckets))
-	for _, v := range s.exact {
-		s.bucketAdd(v)
-	}
-	s.exact = nil
-}
-
-func (s *Summary) bucketAdd(v float64) {
-	idx := sort.SearchFloat64s(s.buckets, v)
-	if idx < len(s.buckets) {
-		s.counts[idx]++
-	} else {
-		s.inf++
-	}
-}
-
-// Quantile returns the q-quantile (0 < q <= 1) of the observations so
-// far: an exact order statistic in the reservoir regime, a linear
-// interpolation inside the covering bucket after folding (observations
-// above the last bucket bound report the tracked maximum). NaN with no
-// observations.
-func (s *Summary) Quantile(q float64) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.quantileLocked(q)
-}
-
+// quantileLocked returns the nearest-rank q-quantile (0 < q < 1) of
+// the observations; the caller holds the lock and has at least one.
 func (s *Summary) quantileLocked(q float64) float64 {
-	if s.count == 0 {
-		return math.NaN()
+	if !s.sorted {
+		sort.Float64s(s.values)
+		s.sorted = true
 	}
-	if q >= 1 {
-		return s.max
-	}
-	if s.exact != nil {
-		if !s.sorted {
-			sort.Float64s(s.exact)
-			s.sorted = true
-		}
-		// Nearest-rank on the exact reservoir.
-		idx := int(math.Ceil(q*float64(len(s.exact)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		return s.exact[idx]
-	}
-	rank := int64(math.Ceil(q * float64(s.count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	lower := 0.0
-	for i, ub := range s.buckets {
-		if cum+s.counts[i] >= rank {
-			// Interpolate linearly between the bucket's bounds by the
-			// rank's position within the bucket.
-			frac := float64(rank-cum) / float64(s.counts[i])
-			v := lower + (ub-lower)*frac
-			if v > s.max {
-				v = s.max
-			}
-			return v
-		}
-		cum += s.counts[i]
-		lower = ub
-	}
-	return s.max
+	return s.values[max(0, int(math.Ceil(q*float64(len(s.values))))-1)]
 }
 
 // SummarySnapshot is a point-in-time view of a summary: the standard
@@ -162,8 +59,8 @@ type SummarySnapshot struct {
 func (s *Summary) Snapshot() SummarySnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := SummarySnapshot{Count: s.count, Sum: s.sum}
-	if s.count == 0 {
+	snap := SummarySnapshot{Count: int64(len(s.values)), Sum: s.sum}
+	if snap.Count == 0 {
 		return snap
 	}
 	snap.Max = s.max
@@ -171,21 +68,4 @@ func (s *Summary) Snapshot() SummarySnapshot {
 	snap.P90 = s.quantileLocked(0.9)
 	snap.P99 = s.quantileLocked(0.99)
 	return snap
-}
-
-// Count returns the number of observations.
-func (s *Summary) Count() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
-
-// Max returns the largest observation (0 with none).
-func (s *Summary) Max() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.count == 0 {
-		return 0
-	}
-	return s.max
 }

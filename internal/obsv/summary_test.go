@@ -1,23 +1,15 @@
 package obsv
 
 import (
-	"math"
 	"sync"
 	"testing"
 )
 
 func TestSummaryExactQuantiles(t *testing.T) {
-	s := NewSummary(0, nil)
+	s := NewSummary()
 	// 1..100 in a scrambled order: nearest-rank order statistics.
 	for i := 0; i < 100; i++ {
 		s.Observe(float64((i*37)%100 + 1))
-	}
-	for _, tc := range []struct{ q, want float64 }{
-		{0.5, 50}, {0.9, 90}, {0.99, 99}, {1, 100},
-	} {
-		if got := s.Quantile(tc.q); got != tc.want {
-			t.Errorf("Quantile(%g) = %g, want %g (exact regime)", tc.q, got, tc.want)
-		}
 	}
 	snap := s.Snapshot()
 	if snap.Count != 100 || snap.Sum != 5050 || snap.Max != 100 {
@@ -29,93 +21,13 @@ func TestSummaryExactQuantiles(t *testing.T) {
 }
 
 func TestSummaryEmpty(t *testing.T) {
-	s := NewSummary(0, nil)
-	if !math.IsNaN(s.Quantile(0.5)) {
-		t.Errorf("Quantile on empty = %g, want NaN", s.Quantile(0.5))
-	}
-	snap := s.Snapshot()
-	if snap.Count != 0 || snap.P50 != 0 || snap.Max != 0 {
+	if snap := NewSummary().Snapshot(); snap != (SummarySnapshot{}) {
 		t.Errorf("empty snapshot = %+v", snap)
-	}
-	if s.Max() != 0 || s.Count() != 0 {
-		t.Error("empty accessors non-zero")
-	}
-}
-
-func TestSummaryFoldsToInterpolation(t *testing.T) {
-	// maxExact 8 forces the fold; buckets at 1,2,4,8 define the grid.
-	s := NewSummary(8, []float64{1, 2, 4, 8})
-	// 100 observations uniform in (0, 8]: ~12.5 per 1.0 of range.
-	for i := 1; i <= 100; i++ {
-		s.Observe(float64(i) * 0.08)
-	}
-	if got := s.Count(); got != 100 {
-		t.Fatalf("count = %d", got)
-	}
-	// After folding, quantiles are interpolated, not exact — allow a
-	// bucket-granularity tolerance around the true value.
-	for _, tc := range []struct{ q, want, tol float64 }{
-		{0.5, 4.0, 1.0},
-		{0.9, 7.2, 1.0},
-		{1, 8.0, 0},
-	} {
-		got := s.Quantile(tc.q)
-		if math.Abs(got-tc.want) > tc.tol {
-			t.Errorf("Quantile(%g) = %g, want %g ± %g (interpolated regime)", tc.q, got, tc.want, tc.tol)
-		}
-	}
-	// Monotonicity across quantiles survives the fold.
-	prev := 0.0
-	for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
-		v := s.Quantile(q)
-		if v < prev {
-			t.Errorf("Quantile(%g) = %g < previous %g (not monotone)", q, v, prev)
-		}
-		prev = v
-	}
-}
-
-func TestSummaryAboveLastBucketReportsMax(t *testing.T) {
-	s := NewSummary(2, []float64{1})
-	for _, v := range []float64{5, 6, 7} {
-		s.Observe(v)
-	}
-	if got := s.Quantile(0.99); got != 7 {
-		t.Errorf("p99 above the bucket grid = %g, want the tracked max 7", got)
-	}
-	if got := s.Quantile(1); got != 7 {
-		t.Errorf("max = %g", got)
-	}
-}
-
-func TestSummaryInterpolationClampedToMax(t *testing.T) {
-	// A rank landing in the bucket that also holds the max must not
-	// interpolate past it.
-	s := NewSummary(1, []float64{10, 100})
-	s.Observe(11)
-	s.Observe(12)
-	s.Observe(13)
-	if got := s.Quantile(0.99); got > 13 {
-		t.Errorf("p99 = %g, exceeds the observed max 13", got)
-	}
-}
-
-func TestRegistrySummary(t *testing.T) {
-	r := NewRegistry()
-	s := r.Summary("test_seconds", 0, nil)
-	if s2 := r.Summary("test_seconds", 0, nil); s2 != s {
-		t.Fatal("Summary get-or-create returned a different instance")
-	}
-	s.Observe(0.25)
-	snap := r.Snapshot()
-	ss, ok := snap.Summaries["test_seconds"]
-	if !ok || ss.Count != 1 || ss.Max != 0.25 {
-		t.Fatalf("snapshot summary = %+v (ok=%v)", ss, ok)
 	}
 }
 
 func TestSummaryConcurrent(t *testing.T) {
-	s := NewSummary(64, nil) // small reservoir: fold happens mid-race
+	s := NewSummary()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -130,7 +42,7 @@ func TestSummaryConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := s.Count(); got != 2000 {
+	if got := s.Snapshot().Count; got != 2000 {
 		t.Errorf("count = %d, want 2000", got)
 	}
 }

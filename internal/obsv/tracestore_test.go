@@ -1,8 +1,6 @@
 package obsv
 
 import (
-	"context"
-	"strings"
 	"testing"
 	"time"
 )
@@ -56,68 +54,5 @@ func TestTraceStoreFIFO(t *testing.T) {
 	nilStore.Keep(retained(a, "x"))
 	if nilStore.Len() != 0 {
 		t.Fatal("nil store miscounted")
-	}
-}
-
-// TestTracerAbsorb exercises the tail-retention hand-off: a per-request
-// tracer records in isolation and the request end absorbs it into the
-// process-global tracer with the span hierarchy intact.
-func TestTracerAbsorb(t *testing.T) {
-	global := NewTracer()
-	gctx := WithTracer(context.Background(), global)
-	_, gsp := StartSpan(gctx, "resident")
-	gsp.End()
-
-	req := NewTracerWithID(NewTraceID())
-	ctx := WithTracer(context.Background(), req)
-	ctx, root := StartSpan(ctx, "server.request")
-	_, child := StartSpan(ctx, "query")
-	child.End()
-	root.End()
-
-	global.Absorb(req)
-	if got := global.Len(); got != 3 {
-		t.Fatalf("global has %d spans after absorb, want 3", got)
-	}
-	if global.Open() != 0 {
-		t.Fatalf("open = %d after all spans ended", global.Open())
-	}
-	// The absorbed subtree renders under the global tracer: WriteTree
-	// drops children with dangling parents, so both names appearing
-	// proves the parent links were rebased.
-	var sb strings.Builder
-	global.WriteTree(&sb)
-	tree := sb.String()
-	for _, name := range []string{"resident", "server.request", "query"} {
-		if !strings.Contains(tree, name) {
-			t.Fatalf("absorbed tree missing %q:\n%s", name, tree)
-		}
-	}
-	// The source keeps its own spans (read-only for /debug/trace?trace=).
-	if req.Len() != 2 {
-		t.Fatalf("source mutated: len = %d", req.Len())
-	}
-}
-
-func TestTracerAbsorbAllOrNothing(t *testing.T) {
-	global := NewTracerWithID(NewTraceID())
-	global.MaxSpans = 2
-	gctx := WithTracer(context.Background(), global)
-	_, gsp := StartSpan(gctx, "resident")
-	gsp.End()
-
-	req := NewTracer()
-	ctx := WithTracer(context.Background(), req)
-	ctx, root := StartSpan(ctx, "a")
-	_, child := StartSpan(ctx, "b")
-	child.End()
-	root.End()
-
-	global.Absorb(req)
-	if got := global.Len(); got != 1 {
-		t.Fatalf("partial absorb: global has %d spans, want 1", got)
-	}
-	if global.Dropped() != 2 {
-		t.Fatalf("dropped = %d, want 2 (the whole rejected trace)", global.Dropped())
 	}
 }

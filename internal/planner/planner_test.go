@@ -458,9 +458,9 @@ func TestForceRewrite(t *testing.T) {
 }
 
 // TestRouteCountersSumToCalls asserts the metrics contract: every
-// answered RangeAnswers call increments exactly one of the two route
-// counters, a call force-rewrite rejects increments neither (it ran no
-// executor), and auto never increments the rewrite counter.
+// answered RangeAnswers call counts in aggcavsat_calls_total under
+// route "rewrite" or "sat", a call force-rewrite rejects counts under
+// neither (it ran no executor), and auto never counts a rewrite.
 func TestRouteCountersSumToCalls(t *testing.T) {
 	reg := obsv.NewRegistry()
 	in := randomTreeInstance(ptrRng(41))
@@ -471,9 +471,11 @@ func TestRouteCountersSumToCalls(t *testing.T) {
 		selfJoinQuery(),                                // structural rejection
 		treeQuery(cq.SumDistinct, false, false, false), // operator rejection
 	}
-	counts := func() (rw, sat int64) {
-		return reg.Counter(obsv.MetricRouteRewrite).Value(), reg.Counter(obsv.MetricRouteSAT).Value()
+	calls := reg.LabeledCounter(obsv.MetricEngineCalls, obsv.RequestLabels, 0)
+	route := func(want string) int64 {
+		return calls.Sum(func(values []string) bool { return values[1] == want })
 	}
+	counts := func() (rw, sat int64) { return route("rewrite"), route("sat") }
 	for _, tc := range []struct {
 		mode     planner.Mode
 		answered int64 // the first calls answer, the rest are rejected

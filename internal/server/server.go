@@ -41,14 +41,13 @@ const (
 	MetricCacheMiss = "cavsatd_cache_misses_total"
 	MetricCoalesced = "cavsatd_coalesced_total" // joined an identical in-flight solve
 	MetricTenants   = "cavsatd_instances"       // gauge: attached tenants
+)
 
-	// Per-route counters: every 200 /query response increments exactly
-	// one, cached answers under the route that originally computed them,
-	// so the family sums to the queries served. (The engine's own
-	// aggcavsat_planner_route_total counts solves, which cache hits never
-	// reach.)
-	MetricRouteRewrite = `cavsatd_route_total{route="rewrite"}`
-	MetricRouteSAT     = `cavsatd_route_total{route="sat"}`
+const (
+	// requestSpans bounds each per-request span buffer.
+	requestSpans = 512
+	// retryAfter is the hint returned with 429 responses.
+	retryAfter = time.Second
 )
 
 // requestSeriesCap bounds the (tenant, route, outcome) cardinality of
@@ -75,8 +74,6 @@ type Config struct {
 	// CacheEntries bounds the result cache; 0 means 1024, negative
 	// disables caching (singleflight coalescing stays on).
 	CacheEntries int
-	// RetryAfter is the hint returned with 429 responses. 0 means 1s.
-	RetryAfter time.Duration
 	// Planner is the routing policy applied to every tenant engine the
 	// server builds (AttachDir and hot attaches). The zero value is
 	// force-sat; cavsatd defaults its -planner flag to auto.
@@ -102,16 +99,11 @@ type Config struct {
 	// TraceRetain bounds the retained-trace store backing
 	// /debug/trace?trace=<id>. 0 means obsv.DefaultRetainedTraces.
 	TraceRetain int
-	// RequestSpans bounds each per-request span buffer. 0 means 512.
-	RequestSpans int
 
 	// Metrics receives the service counters and, when also passed to
 	// tenant Options, the engine's own; required (New creates one if
 	// nil so the debug plane always has something to scrape).
 	Metrics *obsv.Registry
-	// Tracer, when non-nil, backs /debug/trace and absorbs every
-	// finished per-request trace (the live process-wide view).
-	Tracer *obsv.Tracer
 	// Journal, when non-nil, receives the engine's wide-event lines
 	// (stamped "<instance>/<label>") and backs /debug/journal.
 	Journal *obsv.Journal
@@ -139,17 +131,11 @@ func (c Config) withDefaults() Config {
 	case c.CacheEntries < 0:
 		c.CacheEntries = 0
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.SLOLatency <= 0 {
 		c.SLOLatency = 250 * time.Millisecond
 	}
 	if c.SLOAvailability <= 0 || c.SLOAvailability >= 1 {
 		c.SLOAvailability = 0.999
-	}
-	if c.RequestSpans <= 0 {
-		c.RequestSpans = 512
 	}
 	if c.Metrics == nil {
 		c.Metrics = obsv.NewRegistry()
@@ -168,9 +154,6 @@ type Server struct {
 	requests *obsv.LabeledCounter
 	duration *obsv.LabeledHistogram
 	tenantsG *obsv.Gauge
-
-	routeRewrite *obsv.Counter
-	routeSAT     *obsv.Counter
 
 	traces *obsv.TraceStore
 	slo    *obsv.SLOTracker
@@ -196,9 +179,6 @@ func New(cfg Config) *Server {
 		requests: reg.LabeledCounter(MetricRequests, obsv.RequestLabels, requestSeriesCap),
 		duration: reg.LabeledHistogram(MetricRequestDuration, obsv.RequestLabels, buckets, requestSeriesCap),
 		tenantsG: reg.Gauge(MetricTenants),
-
-		routeRewrite: reg.Counter(MetricRouteRewrite),
-		routeSAT:     reg.Counter(MetricRouteSAT),
 
 		traces: obsv.NewTraceStore(cfg.TraceRetain),
 	}
@@ -264,7 +244,7 @@ func (s *Server) Tenant(name string) (*Tenant, error) { return s.tenants.get(nam
 // Handler builds the service mux: /query, /admin/instances and
 // /debug/slo, with every other path (in particular /metrics, /healthz,
 // /debug/*) falling through to the obsv debug plane over the server's
-// registry, tracer, journal and retained-trace store.
+// registry, journal and retained-trace store.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.handleQuery)
@@ -272,7 +252,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/debug/slo", s.handleSLO)
 	mux.Handle("/", obsv.NewHandler(obsv.HandlerConfig{
 		Registry: s.cfg.Metrics,
-		Tracer:   s.cfg.Tracer,
 		Journal:  s.cfg.Journal,
 		Traces:   s.traces,
 		Extra: func() map[string]any {
@@ -307,7 +286,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// and record the whole request into its own bounded tracer.
 	tc := traceContextFor(r)
 	rt := obsv.NewTracerWithID(tc.TraceID)
-	rt.MaxSpans = s.cfg.RequestSpans
+	rt.MaxSpans = requestSpans
 	ctx := obsv.WithTraceContext(r.Context(), tc)
 	ctx = obsv.WithTracer(ctx, rt)
 	ctx, rootSp := obsv.StartSpan(ctx, "server.request", obsv.String("method", r.Method))
@@ -372,7 +351,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		route = "cache"
 	}
 	rootSp.SetStr("route", route)
-	s.countRoute(out.Route)
 	writeJSON(w, http.StatusOK, &out)
 }
 
@@ -402,8 +380,9 @@ func traceContextFor(r *http.Request) obsv.TraceContext {
 }
 
 // finishRequest is the single request epilogue: labeled metric
-// observation, SLO sampling, the tail-based retention decision, and the
-// absorb of the per-request trace into the process-wide tracer.
+// observation, SLO sampling, and the tail-based retention decision.
+// The trace store is the only place a request's spans outlive it: a
+// trace it does not keep is garbage once the request returns.
 func (s *Server) finishRequest(rt *obsv.Tracer, tenant, route, outcome, query string, start time.Time, elapsed time.Duration) {
 	s.requests.With(tenant, route, outcome).Inc()
 	s.duration.With(tenant, route, outcome).Observe(elapsed.Seconds())
@@ -428,9 +407,6 @@ func (s *Server) finishRequest(rt *obsv.Tracer, tenant, route, outcome, query st
 			Duration: elapsed,
 			Tracer:   rt,
 		})
-	}
-	if s.cfg.Tracer != nil {
-		s.cfg.Tracer.Absorb(rt)
 	}
 }
 
@@ -466,26 +442,7 @@ func (s *Server) runQuery(ctx context.Context, t *Tenant, req *QueryRequest) (*a
 	}
 	ctx = obsv.WithQueryLabel(ctx, t.Name+"/"+label)
 	ctx = obsv.WithTenant(ctx, t.Name)
-	// handleQuery installs the per-request tracer; fall back to the
-	// process-wide one only when exec is driven without it (tests,
-	// embedded use).
-	if obsv.TracerFrom(ctx) == nil && s.cfg.Tracer != nil {
-		ctx = obsv.WithTracer(ctx, s.cfg.Tracer)
-	}
 	return t.System().QueryContext(ctx, req.SQL)
-}
-
-// countRoute bumps the per-route served counter: every 200 response
-// lands in exactly one bucket, so the cavsatd_route_total family sums
-// to the queries served. Unexpected values count as "sat" (the
-// conservative executor) rather than silently skewing the sum.
-func (s *Server) countRoute(route string) {
-	switch route {
-	case "rewrite":
-		s.routeRewrite.Inc()
-	default:
-		s.routeSAT.Inc()
-	}
 }
 
 // writeQueryError maps solve/admission failures onto an HTTP status and
@@ -494,12 +451,11 @@ func (s *Server) countRoute(route string) {
 func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrShed) || errors.Is(err, ErrQueueTimeout):
-		retry := s.cfg.RetryAfter
-		w.Header().Set("Retry-After", strconv.Itoa(int((retry+time.Second-1)/time.Second)))
+		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
 			Error:        err.Error(),
 			Code:         CodeOverloaded,
-			RetryAfterMS: retry.Milliseconds(),
+			RetryAfterMS: retryAfter.Milliseconds(),
 		})
 	case errors.Is(err, aggcavsat.ErrTimeout) || errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusGatewayTimeout, CodeTimeout, "query deadline expired: %v", err)

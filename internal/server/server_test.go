@@ -125,7 +125,7 @@ func TestQueryAndResultCache(t *testing.T) {
 }
 
 func TestShedReturns429(t *testing.T) {
-	srv, ts := newTestServer(t, Config{MaxInFlight: 1, MaxQueue: -1, RetryAfter: 2 * time.Second})
+	srv, ts := newTestServer(t, Config{MaxInFlight: 1, MaxQueue: -1})
 	release := make(chan struct{})
 	entered := make(chan struct{})
 	var once sync.Once
@@ -152,14 +152,14 @@ func TestShedReturns429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d %s, want 429", resp.StatusCode, body)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Errorf("Retry-After = %q, want \"2\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", ra)
 	}
 	var env ErrorResponse
 	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatal(err)
 	}
-	if env.Code != CodeOverloaded || env.RetryAfterMS != 2000 {
+	if env.Code != CodeOverloaded || env.RetryAfterMS != 1000 {
 		t.Errorf("envelope = %+v", env)
 	}
 	if v := outcomeCount(srv, "shed"); v != 1 {
@@ -504,11 +504,14 @@ func TestCoalescedFollowersShareOneSolve(t *testing.T) {
 }
 
 // TestRouteCountersSumToServedResponses pins the service-level metrics
-// contract: every 200 /query response — cache hits included — bumps
-// exactly one cavsatd_route_total counter, cached answers count under
-// the route that originally computed them, and non-200 responses count
-// nothing. An auto tenant serves every query on the solver route; only
-// a force-rewrite tenant takes the rewrite route.
+// contract on the one request record: every /query response lands in
+// exactly one cavsatd_requests_total series. A fresh answer counts under
+// the route that computed it, a cache hit under route "cache", and a
+// failed request under route "none". An auto tenant serves every query
+// on the solver route; only a force-rewrite tenant takes the rewrite
+// route. The test then drives every outcome — ok solve, cache hit, 400,
+// 404, 429 shed and 504 timeout — and reconciles the responses seen with
+// the request counter, the latency histogram and /debug/slo.
 func TestRouteCountersSumToServedResponses(t *testing.T) {
 	query := func(url, sql string) QueryResponse {
 		t.Helper()
@@ -522,24 +525,26 @@ func TestRouteCountersSumToServedResponses(t *testing.T) {
 		}
 		return out
 	}
-	counts := func(srv *Server) (rw, sat int64) {
-		reg := srv.cfg.Metrics
-		return reg.Counter(MetricRouteRewrite).Value(), reg.Counter(MetricRouteSAT).Value()
+	// served sums the ok responses per route label.
+	served := func(srv *Server, route string) int64 {
+		return srv.requests.Sum(func(values []string) bool {
+			return values[1] == route && values[2] == "ok"
+		})
 	}
 
 	rwSrv, rwTS := newTestServer(t, Config{Planner: aggcavsat.PlannerForceRewrite})
 	if out := query(rwTS.URL, sumQuery); out.Route != "rewrite" || out.Cached {
 		t.Fatalf("force-rewrite response route %q cached %v, want fresh rewrite", out.Route, out.Cached)
 	}
-	// Outside the rewriting: force-rewrite refuses it, and counts nothing.
+	// Outside the rewriting: force-rewrite refuses it, and counts no route.
 	if resp, _ := postQuery(t, rwTS.URL, &QueryRequest{SQL: "SELECT COUNT(DISTINCT BAL) FROM Acc"}); resp.StatusCode == http.StatusOK {
 		t.Fatal("force-rewrite served a query outside the rewriting")
 	}
-	if rw, sat := counts(rwSrv); rw != 1 || sat != 0 {
+	if rw, sat := served(rwSrv, "rewrite"), served(rwSrv, "sat"); rw != 1 || sat != 0 {
 		t.Fatalf("force-rewrite tenant: rewrite=%d sat=%d, want 1 and 0", rw, sat)
 	}
 
-	srv, ts := newTestServer(t, Config{Planner: aggcavsat.PlannerAuto})
+	srv, ts := newTestServer(t, Config{Planner: aggcavsat.PlannerAuto, MaxInFlight: 1, MaxQueue: -1})
 	first := query(ts.URL, sumQuery) // in the rewriting's class, served by the solver
 	if first.Route != "sat" || first.Cached {
 		t.Fatalf("first response route %q cached %v, want fresh sat", first.Route, first.Cached)
@@ -554,8 +559,11 @@ func TestRouteCountersSumToServedResponses(t *testing.T) {
 	if resp, _ := postQuery(t, ts.URL, &QueryRequest{SQL: "DELETE FROM Acc"}); resp.StatusCode == http.StatusOK {
 		t.Fatal("invalid SQL served")
 	}
-	if rw, sat := counts(srv); rw != 0 || sat != 3 {
-		t.Fatalf("auto tenant: rewrite=%d sat=%d, want 0 and 3 served responses", rw, sat)
+	if rw, sat, cache := served(srv, "rewrite"), served(srv, "sat"), served(srv, "cache"); rw != 0 || sat != 2 || cache != 1 {
+		t.Fatalf("auto tenant: rewrite=%d sat=%d cache=%d, want 0, 2 and 1 (3 served responses)", rw, sat, cache)
+	}
+	if failed := srv.requests.Sum(func(v []string) bool { return v[1] == "none" }); failed != 1 {
+		t.Fatalf(`route="none" requests = %d, want the 1 failed request`, failed)
 	}
 
 	// The tenant listing advertises the serving policy.
@@ -572,21 +580,103 @@ func TestRouteCountersSumToServedResponses(t *testing.T) {
 		t.Fatalf("instances = %+v", infos)
 	}
 
-	// /metrics exposes the family with one TYPE line and both labels.
-	metrics, err := http.Get(ts.URL + "/metrics")
+	// Every outcome, counted by the responses the client saw: the
+	// requests above (3 ok, 1 bad query) plus a 404, a 429 and a 504.
+	seen := map[string]int64{"ok": 3, "error": 1}
+	outcome := map[int]string{
+		http.StatusOK: "ok", http.StatusBadRequest: "error", http.StatusNotFound: "error",
+		http.StatusTooManyRequests: "shed", http.StatusGatewayTimeout: "timeout",
+	}
+	send := func(req *QueryRequest, want int) {
+		t.Helper()
+		resp, body := postQuery(t, ts.URL, req)
+		if resp.StatusCode != want {
+			t.Errorf("%s: %d %s, want %d", req.SQL, resp.StatusCode, body, want)
+		}
+		seen[outcome[resp.StatusCode]]++
+	}
+	release, entered := make(chan struct{}), make(chan struct{})
+	inner := srv.exec
+	srv.exec = func(ctx context.Context, tn *Tenant, req *QueryRequest) (*aggcavsat.Result, error) {
+		switch req.Label {
+		case "wedged":
+			close(entered)
+			<-release
+		case "timeout":
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return inner(ctx, tn, req)
+	}
+	send(&QueryRequest{Instance: "nope", SQL: sumQuery}, http.StatusNotFound)
+	send(&QueryRequest{SQL: "SELECT MIN(BAL) FROM Acc", Label: "timeout", TimeoutMS: 20}, http.StatusGatewayTimeout)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		send(&QueryRequest{SQL: "SELECT COUNT(BAL) FROM Acc", Label: "wedged"}, http.StatusOK)
+	}()
+	<-entered
+	send(&QueryRequest{SQL: "SELECT MAX(BAL) FROM Acc"}, http.StatusTooManyRequests) // the one slot is taken
+	close(release)
+	wg.Wait()
+
+	isOutcome := func(want string) func([]string) bool {
+		return func(values []string) bool { return values[2] == want }
+	}
+	var responses int64
+	for _, o := range []string{"ok", "error", "shed", "timeout"} {
+		if got := srv.requests.Sum(isOutcome(o)); got != seen[o] {
+			t.Errorf(`outcome=%q requests = %d, want the %d responses seen`, o, got, seen[o])
+		}
+		responses += seen[o]
+	}
+	if total := srv.requests.Sum(nil); total != responses || total != 8 {
+		t.Errorf("requests total = %d, want the %d responses seen (8)", total, responses)
+	}
+
+	// Each request series has its latency series with the same count,
+	// and /debug/slo reads its totals from the same two families.
+	snap := srv.cfg.Metrics.Snapshot()
+	var total, good, latTotal, latOK int64
+	slo := srv.cfg.SLOLatency.Seconds()
+	for name, n := range snap.Counters {
+		if !strings.HasPrefix(name, MetricRequests+"{") {
+			continue
+		}
+		h, ok := snap.Histograms[MetricRequestDuration+strings.TrimPrefix(name, MetricRequests)]
+		if !ok || h.Count != n {
+			t.Errorf("%s = %d, its duration series has count %d (present %v)", name, n, h.Count, ok)
+		}
+		total += n
+		if !strings.Contains(name, `outcome="ok"`) {
+			continue
+		}
+		good += n
+		latTotal += h.Count
+		for i, ub := range h.Buckets {
+			if ub <= slo {
+				latOK += h.Counts[i]
+			}
+		}
+	}
+	sr, err := http.Get(ts.URL + "/debug/slo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer metrics.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(metrics.Body)
-	if got := strings.Count(buf.String(), "# TYPE cavsatd_route_total counter"); got != 1 {
-		t.Errorf("cavsatd_route_total TYPE lines = %d, want 1", got)
+	var rep obsv.SLOReport
+	if err := json.NewDecoder(sr.Body).Decode(&rep); err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []string{MetricRouteRewrite, MetricRouteSAT} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("/metrics missing %s", want)
-		}
+	sr.Body.Close()
+	if len(rep.Objectives) != 2 {
+		t.Fatalf("objectives = %+v", rep.Objectives)
+	}
+	if a := rep.Objectives[0]; a.Total != total || a.Good != good || total != responses {
+		t.Errorf("/debug/slo availability %d/%d, families %d/%d, responses %d", a.Good, a.Total, good, total, responses)
+	}
+	if l := rep.Objectives[1]; l.Total != latTotal || l.Good != latOK {
+		t.Errorf("/debug/slo latency %d/%d, families %d/%d", l.Good, l.Total, latOK, latTotal)
 	}
 }
 

@@ -6,8 +6,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,16 +21,18 @@ import (
 // caller's traceparent trace id must come back in the Traceparent
 // response header and the JSON body, and the same id must be stamped on
 // the journal line, the explain report, and the flight bundle of the
-// solve it triggered — one id to grep across every artifact.
+// solve it triggered — one id to grep across every artifact — and the
+// request's spans must be in its retained trace under that id.
 func TestTraceIdentityEndToEnd(t *testing.T) {
 	j := obsv.NewJournal(io.Discard, 128)
 	defer j.Close()
-	tracer := obsv.NewTracer()
 
 	var mu sync.Mutex
 	var bundles []*aggcavsat.FlightBundle
 
-	srv := New(Config{Metrics: obsv.NewRegistry(), Journal: j, Tracer: tracer, TenantOptions: aggcavsat.Options{
+	// A 1 ns latency objective makes every request "slow", so this one
+	// is retained.
+	srv := New(Config{Metrics: obsv.NewRegistry(), Journal: j, SLOLatency: time.Nanosecond, TenantOptions: aggcavsat.Options{
 		Explain:   true,
 		SlowQuery: time.Nanosecond, // every solve is "slow" → bundle dumped
 		OnAnomaly: func(b *aggcavsat.FlightBundle) {
@@ -117,13 +121,119 @@ func TestTraceIdentityEndToEnd(t *testing.T) {
 		t.Errorf("bundle trace_id = %q, want %s", bundles[0].Journal.TraceID, wantTrace)
 	}
 
-	// 6. The per-request trace was retained ("slow" SLO breach is
-	// impossible here — the request is fast — but outcome-based and
-	// latency-based retention both funnel through the same store;
-	// verify via the process tracer absorb instead: the global tracer
-	// now holds the request's spans.)
-	if tracer.Len() == 0 {
-		t.Error("process tracer absorbed no spans from the request")
+	// 6. The retained trace under the same id holds the request's
+	// spans: the server's root span (whose id the response header
+	// carries) and the engine call beneath it.
+	rt, ok := srv.traces.Get(tc.TraceID)
+	if !ok {
+		t.Fatalf("trace %s not retained", wantTrace)
+	}
+	if rt.Reason != "slow" || rt.Tracer.TraceID() != tc.TraceID {
+		t.Errorf("retained reason %q trace id %s", rt.Reason, rt.Tracer.TraceID())
+	}
+	names := map[string]bool{}
+	for _, sp := range rt.Tracer.Spans() {
+		names[sp.Name] = true
+		if sp.Name == "server.request" && sp.SpanID() != tc.SpanID {
+			t.Errorf("root span id %s, response header carries %s", sp.SpanID(), tc.SpanID)
+		}
+	}
+	for _, want := range []string{"server.request", "query", "query.range_answers"} {
+		if !names[want] {
+			t.Errorf("retained trace lacks a %q span (has %v)", want, names)
+		}
+	}
+}
+
+// TestRetainedTracesAreClosed forces retention of every request (a 1 ns
+// latency objective) across every outcome and checks that each retained
+// trace is complete: every span it holds has ended, so no exit path of
+// the request leaks an open span.
+func TestRetainedTracesAreClosed(t *testing.T) {
+	srv, ts := newTestServer(t, Config{SLOLatency: time.Nanosecond})
+	inner := srv.exec
+	srv.exec = func(ctx context.Context, tn *Tenant, req *QueryRequest) (*aggcavsat.Result, error) {
+		if req.Label == "timeout" {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return inner(ctx, tn, req)
+	}
+	for _, tc := range []struct {
+		req  *QueryRequest
+		want int
+	}{
+		{&QueryRequest{SQL: sumQuery}, http.StatusOK},
+		{&QueryRequest{SQL: sumQuery}, http.StatusOK}, // cache hit
+		{&QueryRequest{SQL: "SELECT CITY, MAX(BAL) FROM Acc GROUP BY CITY"}, http.StatusOK},
+		{&QueryRequest{SQL: "SELECT nonsense"}, http.StatusBadRequest},
+		{&QueryRequest{Instance: "nope", SQL: sumQuery}, http.StatusNotFound},
+		{&QueryRequest{SQL: "SELECT MIN(BAL) FROM Acc", Label: "timeout", TimeoutMS: 20}, http.StatusGatewayTimeout},
+	} {
+		if resp, body := postQuery(t, ts.URL, tc.req); resp.StatusCode != tc.want {
+			t.Fatalf("%s: %d %s, want %d", tc.req.SQL, resp.StatusCode, body, tc.want)
+		}
+	}
+	list := srv.traces.List()
+	if len(list) != 6 {
+		t.Fatalf("retained %d traces, want all 6 requests", len(list))
+	}
+	for _, rt := range list {
+		if rt.Tracer.Len() == 0 || rt.Tracer.Open() != 0 {
+			t.Errorf("trace %s (%s): %d spans, %d still open", rt.TraceID, rt.Reason, rt.Tracer.Len(), rt.Tracer.Open())
+		}
+	}
+}
+
+// TestHealthyRequestsLeaveNoTrace: with no sampling and a latency
+// objective no request breaches, healthy requests are not retained, so
+// the /debug/trace index stays empty and each request's span buffer is
+// garbage once the request returns — the trace store is the only place
+// a request's spans could outlive it.
+func TestHealthyRequestsLeaveNoTrace(t *testing.T) {
+	srv, ts := newTestServer(t, Config{SLOLatency: time.Minute, TraceSample: 0})
+	var collected, seen atomic.Int64
+	inner := srv.exec
+	srv.exec = func(ctx context.Context, tn *Tenant, req *QueryRequest) (*aggcavsat.Result, error) {
+		// A marker span whose attribute array only the request's tracer
+		// references: the array is freed exactly when nothing holds the
+		// request's spans any more. (A finalizer on the tracer itself
+		// might never run: its spans point back at it.)
+		marker := make([]obsv.Attr, 1)
+		marker[0] = obsv.String("marker", req.SQL)
+		runtime.SetFinalizer(&marker[0], func(*obsv.Attr) { collected.Add(1) })
+		_, sp := obsv.StartSpan(ctx, "test.marker", marker...)
+		if sp == nil {
+			t.Error("exec ran without the request's tracer")
+		}
+		sp.End()
+		seen.Add(1)
+		return inner(ctx, tn, req)
+	}
+	for _, sql := range []string{sumQuery, sumQuery, "SELECT COUNT(BAL) FROM Acc", "SELECT CITY, MAX(BAL) FROM Acc GROUP BY CITY"} {
+		if resp, body := postQuery(t, ts.URL, &QueryRequest{SQL: sql}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", sql, resp.StatusCode, body)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/debug/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(body)) != "[]" {
+		t.Fatalf("/debug/trace after healthy requests = %d %s, want an empty index", resp.StatusCode, body)
+	}
+	if n := seen.Load(); n != 3 {
+		t.Fatalf("solved %d requests, want 3 (one was a cache hit)", n)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for collected.Load() < seen.Load() && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if c := collected.Load(); c != seen.Load() {
+		t.Errorf("%d of %d unretained request traces were freed; something still holds their spans", c, seen.Load())
 	}
 }
 
@@ -199,15 +309,17 @@ func TestTailRetentionAndSLOEndpoint(t *testing.T) {
 		t.Fatalf("retained tree missing the root span:\n%s", treeBody)
 	}
 
-	// /debug/trace?list=1 lists it.
-	lr, err := http.Get(ts.URL + "/debug/trace?list=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	listBody, _ := io.ReadAll(lr.Body)
-	lr.Body.Close()
-	if !strings.Contains(string(listBody), id) {
-		t.Fatalf("/debug/trace?list=1 missing %s:\n%s", id, listBody)
+	// The index — /debug/trace, or ?list=1 — lists it.
+	for _, path := range []string{"/debug/trace", "/debug/trace?list=1"} {
+		lr, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		listBody, _ := io.ReadAll(lr.Body)
+		lr.Body.Close()
+		if !strings.Contains(string(listBody), id) {
+			t.Fatalf("%s missing %s:\n%s", path, id, listBody)
+		}
 	}
 
 	// /debug/slo: availability attainment is 1 ok of 2 total = 0.5 and
