@@ -42,10 +42,12 @@ race:
 # (BenchmarkEvalWideJoin: a join into a 14-column relation that reads
 # two columns) and key-fast-path-vs-generic constraint suites in
 # cq/constraints, the memoized-vs-fresh rewriting index suite in conquer (the planner fast
-# path), plus the end-to-end harness benchmarks. Pipe two runs through
-# benchstat to compare.
+# path), the fact store's cold key index build over a heap instance
+# (BenchmarkKeyIndexBuild) and a snapshot open that adopts and validates
+# the stored index (BenchmarkOpenSnapshotAdopt), plus the end-to-end
+# harness benchmarks. Pipe two runs through benchstat to compare.
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ ./internal/core/ ./internal/cq/ ./internal/constraints/ ./internal/conquer/ ./internal/bench/
+	$(GO) test -bench=. -benchmem -run=^$$ ./internal/core/ ./internal/cq/ ./internal/constraints/ ./internal/conquer/ ./internal/db/ ./internal/bench/
 
 # Fuzz smoke: a bounded run of the planner equivalence fuzzer
 # (planner-auto ≡ forced-rewrite, wherever the rewriting answers, ≡
@@ -57,7 +59,9 @@ bench:
 # the same cases the consistency filter and the MIN/MAX probes, by
 # elimination and with lowered budgets on SAT, ≡ enumeration) and
 # of the evaluator fuzzer (compiled CQ evaluation ≡
-# brute-force reference, folded + materialized ≡ unfolded bag). The
+# brute-force reference, folded + materialized ≡ unfolded bag) and of
+# the snapshot loader fuzzer (no byte string panics the loader; what it
+# accepts reads back and answers key index lookups). The
 # seed corpora always run as part of `make test`; this target
 # additionally mutates each for FUZZTIME.
 FUZZTIME ?= 20s
@@ -65,6 +69,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPlannerEquivalence -fuzztime=$(FUZZTIME) ./internal/planner/
 	$(GO) test -run='^$$' -fuzz=FuzzClosedForm -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzEvalAgainstNaive -fuzztime=$(FUZZTIME) ./internal/cq/
+	$(GO) test -run='^$$' -fuzz=FuzzLoadSnapshotBytes -fuzztime=$(FUZZTIME) ./internal/db/
 
 # The benchmark harness is its own module (cavbench/go.mod), so the
 # root-module build and tests never compile it: vet and test it here so

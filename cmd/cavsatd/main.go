@@ -54,7 +54,7 @@
 // parsing CSV; the snapshot's content fingerprint is reported as
 // data_version by /admin/instances.
 //
-// The result cache holds -cache-entries finished answers keyed by
+// The result cache holds up to -cache-bytes of encoded answers keyed by
 // (query fingerprint, constraint fingerprint, instance version,
 // snapshot data version, planner mode); identical concurrent queries
 // coalesce into one solve.
@@ -120,7 +120,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	maxQueue := fs.Int("max-queue", 0, "max queries waiting for a solve slot (0 = 2×max-inflight, negative = no queue)")
 	queueWait := fs.Duration("queue-wait", 5*time.Second, "max time a query may wait for a solve slot before a 429")
 	requestTimeout := fs.Duration("request-timeout", 30*time.Second, "default per-request deadline (clients may lower it)")
-	cacheEntries := fs.Int("cache-entries", 1024, "result cache capacity in answers (negative disables caching)")
+	cacheBytes := fs.Int64("cache-bytes", server.DefaultCacheBytes, "result cache budget in encoded answer bytes (negative disables caching)")
 	sloLatencyMS := fs.Int("slo-latency-ms", 250, "latency SLO target in milliseconds (requests answered within it count as good; drives /debug/slo and tail-based trace retention)")
 	sloAvailability := fs.Float64("slo-availability", 0.999, "availability/latency SLO objective fraction in (0,1)")
 	traceSample := fs.Float64("trace-sample", 0, "probability of retaining the trace of a healthy fast request (slow/errored/shed requests are always retained)")
@@ -146,7 +146,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		MaxQueue:        *maxQueue,
 		QueueWait:       *queueWait,
 		RequestTimeout:  *requestTimeout,
-		CacheEntries:    *cacheEntries,
+		CacheBytes:      *cacheBytes,
 		Planner:         opts.Planner,
 		TenantOptions:   opts,
 		SLOLatency:      time.Duration(*sloLatencyMS) * time.Millisecond,
@@ -185,7 +185,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	}
 	sess.Logger.Info("cavsatd serving", "addr", running.Addr(),
 		"max_inflight", *maxInflight, "queue_wait", *queueWait,
-		"request_timeout", *requestTimeout, "cache_entries", *cacheEntries)
+		"request_timeout", *requestTimeout, "cache_bytes", *cacheBytes)
 	<-ctx.Done()
 	sess.Logger.Info("shutting down")
 	return running.Close()

@@ -52,8 +52,8 @@ func (ri *relIndex) lookup(in *db.Instance, keyPos []int, h uint64, cells []db.C
 // Indexes memoizes the per-relation lookup maps the executor joins
 // through. Instances are append-only, so the memo is keyed by fact
 // count — the same invalidation rule as db.Instance.KeyEqualGroups,
-// which supplies the grouping (one hash-verified partition shared with
-// the SAT engine instead of a fresh string-keyed map per call).
+// whose key index supplies the grouping (one partition shared with the
+// SAT engine instead of a fresh string-keyed map per call).
 //
 // All methods are safe for concurrent use; a Planner shares one Indexes
 // across every query served against its instance.
@@ -71,8 +71,8 @@ func NewIndexes(in *db.Instance) *Indexes { return &Indexes{in: in} }
 
 // tables returns the per-relation lookup maps, rebuilding them only
 // when facts were appended since the last call. Keys are lowercase
-// relation names (matching db.KeyEqualGroup.Rel); callers must treat
-// the result as read-only.
+// relation names (db.RelationSchema.Canon); callers must treat the
+// result as read-only.
 func (ix *Indexes) tables() map[string]*relIndex {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -80,15 +80,12 @@ func (ix *Indexes) tables() map[string]*relIndex {
 	if ix.rels != nil && n == ix.nFacts {
 		return ix.rels
 	}
-	schema := ix.in.Schema()
+	x := ix.in.KeyEqualGroups()
 	rels := make(map[string]*relIndex)
-	for _, g := range ix.in.KeyEqualGroups() {
-		ri := rels[g.Rel]
-		if ri == nil {
-			ri = &relIndex{facts: ix.in.RelFacts(g.Rel), byKey: map[uint64][]keyBucket{}}
-			rels[g.Rel] = ri
-		}
-		rs := schema.Relation(g.Rel)
+	for _, rs := range ix.in.Schema().Relations() {
+		facts := ix.in.RelFactsByID(rs.ID())
+		ri := &relIndex{facts: facts, byKey: map[uint64][]keyBucket{}}
+		rels[rs.Canon()] = ri
 		if !rs.HasKey() {
 			// Keyless relations never pass Analyze; keep their fact list
 			// for completeness but skip the (meaningless) key map.
@@ -96,16 +93,18 @@ func (ix *Indexes) tables() map[string]*relIndex {
 		}
 		// One key hash per group instead of one string per fact: the
 		// group's members agree on the key projection by construction.
-		repr := g.Facts[0]
-		h := ix.in.HashRowOn(repr, rs.Key, db.HashSeed)
-		ri.byKey[h] = append(ri.byKey[h], keyBucket{repr: repr, facts: g.Facts})
-		ri.groups = append(ri.groups, g.Facts)
-	}
-	// Relations with zero facts have no groups; materialize empty
-	// entries so lookups distinguish "empty relation" from "stale memo".
-	for _, rs := range schema.Relations() {
-		if rels[rs.Canon()] == nil {
-			rels[rs.Canon()] = &relIndex{byKey: map[uint64][]keyBucket{}}
+		// Groups come in the order of their smallest member; a fact in
+		// no violating group is its own group.
+		for i, f := range facts {
+			members := facts[i : i+1 : i+1]
+			if g := x.GroupOf(f); g >= 0 {
+				if members = x.Members(g); members[0] != f {
+					continue
+				}
+			}
+			h := ix.in.HashRowOn(f, rs.Key, db.HashSeed)
+			ri.byKey[h] = append(ri.byKey[h], keyBucket{repr: f, facts: members})
+			ri.groups = append(ri.groups, members)
 		}
 	}
 	ix.nFacts = n

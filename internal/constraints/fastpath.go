@@ -1,6 +1,7 @@
 package constraints
 
 import (
+	"slices"
 	"strings"
 
 	"aggcavsat/internal/cq"
@@ -119,36 +120,32 @@ func splitKeyDCs(schema *db.Schema, dcs []DC) (fastRels map[string]bool, generic
 // member lists ascend) and never subsume each other, mirroring the
 // generic path's candidates before the global minimality filter.
 func keyGroupViolations(in *db.Instance, fastRels map[string]bool, add func([]db.FactID)) {
-	nonKeyOf := map[string][]int{}
-	for _, g := range in.KeyEqualGroups() {
-		if !g.Violating() || !fastRels[g.Rel] {
+	nonKeyOf := map[db.RelID][]int{}
+	x := in.KeyEqualGroups()
+	for g := 0; g < x.NumGroups(); g++ {
+		facts := x.Members(g)
+		rid := in.RelOf(facts[0])
+		rs := in.Schema().RelationByID(rid)
+		if !fastRels[rs.Canon()] {
 			continue
 		}
-		nonKey, ok := nonKeyOf[g.Rel]
+		nonKey, ok := nonKeyOf[rid]
 		if !ok {
-			rs := in.Schema().Relation(g.Rel)
 			for p := range rs.Attrs {
-				isKey := false
-				for _, kp := range rs.Key {
-					if p == kp {
-						isKey = true
-						break
-					}
-				}
-				if !isKey {
+				if !slices.Contains(rs.Key, p) {
 					nonKey = append(nonKey, p)
 				}
 			}
-			nonKeyOf[g.Rel] = nonKey
+			nonKeyOf[rid] = nonKey
 		}
-		for i := 0; i < len(g.Facts); i++ {
-			for j := i + 1; j < len(g.Facts); j++ {
+		for i := 0; i < len(facts); i++ {
+			for j := i + 1; j < len(facts); j++ {
 				// CompareAt reads the columns directly: under the columnar
 				// layout equal dictionary codes short-circuit the string
 				// comparison and no tuple is materialized.
 				for _, p := range nonKey {
-					if in.CompareAt(g.Facts[i], g.Facts[j], p) != 0 {
-						add([]db.FactID{g.Facts[i], g.Facts[j]})
+					if in.CompareAt(facts[i], facts[j], p) != 0 {
+						add([]db.FactID{facts[i], facts[j]})
 						break
 					}
 				}

@@ -177,15 +177,15 @@ func (el *eliminator) solve(facts []db.FactID, idx []int) (minF, maxF int64, sha
 func (el *eliminator) index(facts []db.FactID, idx []int) (always int64) {
 	cc := el.cc
 	pooled := cc.groupNodes()
-	node := *pooled
+	node := pooled.group
 	el.dom, el.own, el.gis, el.tab = el.dom[:0], el.own[:0], el.gis[:0], el.tab[:0]
 	for _, f := range facts {
-		gi := cc.groupOf[f]
-		if cc.groupSafe[gi] || node[gi] >= 0 {
+		gi := cc.keys.GroupOf(f)
+		if gi < 0 || node[gi] >= 0 {
 			continue
 		}
 		node[gi] = int32(len(el.dom))
-		n := len(cc.groups[gi].Facts)
+		n := len(cc.keys.Members(gi))
 		el.dom = append(el.dom, n)
 		el.own = append(el.own, el.grow(n))
 		el.gis = append(el.gis, gi)
@@ -197,11 +197,11 @@ func (el *eliminator) index(facts []db.FactID, idx []int) (always int64) {
 		off := len(el.ev)
 		never := false
 		for _, f := range w.facts {
-			gi := cc.groupOf[f]
-			if cc.groupSafe[gi] {
+			gi := cc.keys.GroupOf(f)
+			if gi < 0 {
 				continue
 			}
-			vm := varMember{node[gi], cc.memberOf[f]}
+			vm := varMember{node[gi], cc.keys.MemberOf(f)}
 			// Insert in ascending variable order, once per group.
 			i := off
 			for i < len(el.ev) && el.ev[i].v < vm.v {
@@ -610,13 +610,19 @@ type formulaSize struct{ vars, clauses int }
 // at-least-one clause and the pairwise at-most-one clauses.
 func keysHardSize(cc *constraintContext, seed []db.FactID) (size formulaSize) {
 	pooled := cc.groupNodes()
-	seen := *pooled
+	seen := pooled.group
 	var gis []int
 	for _, f := range seed {
-		if gi := cc.groupOf[f]; seen[gi] < 0 {
+		gi := cc.keys.GroupOf(f)
+		if gi < 0 {
+			if _, isNew := pooled.safeNode(f, 0); isNew {
+				size.vars++
+				size.clauses++
+			}
+		} else if seen[gi] < 0 {
 			seen[gi] = 0
 			gis = append(gis, gi)
-			k := len(cc.groups[gi].Facts)
+			k := len(cc.keys.Members(gi))
 			size.vars += k
 			size.clauses += 1 + k*(k-1)/2
 		}
@@ -624,6 +630,7 @@ func keysHardSize(cc *constraintContext, seed []db.FactID) (size formulaSize) {
 	for _, gi := range gis {
 		seen[gi] = -1
 	}
+	pooled.resetSafe()
 	cc.nodes.Put(pooled)
 	return size
 }
@@ -638,7 +645,9 @@ func keysHardSize(cc *constraintContext, seed []db.FactID) (size formulaSize) {
 func reductionSize(cc *constraintContext, facts []db.FactID, ws []weightedWitness, idx []int) formulaSize {
 	vars, hard := len(facts), 0
 	for _, f := range facts {
-		if members := cc.groups[cc.groupOf[f]].Facts; members[0] == f {
+		if gi := cc.keys.GroupOf(f); gi < 0 {
+			hard++ // a safe fact's unit clause
+		} else if members := cc.keys.Members(gi); members[0] == f {
 			k := len(members)
 			hard += 1 + k*(k-1)/2
 		}

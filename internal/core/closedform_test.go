@@ -262,7 +262,9 @@ func splitByClosure(cc *constraintContext, witnessFacts [][]db.FactID) *componen
 		}
 	}
 	for i, f := range facts {
-		uf.union(int32(i), pos(cc.groups[cc.groupOf[f]].Facts[0]))
+		if gi := cc.keys.GroupOf(f); gi >= 0 {
+			uf.union(int32(i), pos(cc.keys.Members(gi)[0]))
+		}
 	}
 	split := &componentSplit{}
 	comp := map[int32]int{}

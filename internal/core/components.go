@@ -82,27 +82,49 @@ func splitComponents(ctx *constraintContext, witnessFacts [][]db.FactID) *compon
 
 // splitKeys is splitComponents in keys mode, where the closure is a
 // union of whole key-equal groups: the union-find runs over the groups
-// the witnesses touch, numbered through groupOf and a pooled dense
-// group → node table, so no fact is searched for.
+// the witnesses touch — violating groups numbered through the key index
+// and a pooled dense group → node table, safe facts (singleton groups)
+// through the table's safe map — so no fact is searched for.
 func splitKeys(ctx *constraintContext, witnessFacts [][]db.FactID) *componentSplit {
+	keys := ctx.keys
 	pooled := ctx.groupNodes()
-	node := *pooled
-	var gis []int // node → group
+	node := pooled.group
+	// units maps each node to its group: a violating group's number, or
+	// -1-f for the safe fact f.
+	var units []int
 	defer func() {
-		for _, gi := range gis {
-			node[gi] = -1
+		for _, u := range units {
+			if u >= 0 {
+				node[u] = -1
+			}
 		}
+		pooled.resetSafe()
 		ctx.nodes.Put(pooled)
 	}()
 	uf := unionFind{}
 	nodeOf := func(f db.FactID) int32 {
-		gi := ctx.groupOf[f]
+		gi := keys.GroupOf(f)
+		if gi < 0 {
+			n, isNew := pooled.safeNode(f, int32(len(units)))
+			if isNew {
+				units = append(units, -1-int(f))
+				uf.parent = append(uf.parent, n)
+			}
+			return n
+		}
 		if node[gi] < 0 {
-			node[gi] = int32(len(gis))
-			gis = append(gis, gi)
+			node[gi] = int32(len(units))
+			units = append(units, gi)
 			uf.parent = append(uf.parent, node[gi])
 		}
 		return node[gi]
+	}
+	// firstOf is a unit's smallest fact.
+	firstOf := func(u int) db.FactID {
+		if u < 0 {
+			return db.FactID(-1 - u)
+		}
+		return keys.Members(u)[0]
 	}
 	for _, fs := range witnessFacts {
 		if len(fs) == 0 {
@@ -114,20 +136,20 @@ func splitKeys(ctx *constraintContext, witnessFacts [][]db.FactID) *componentSpl
 		}
 	}
 
-	// Number the components by their smallest fact (a group's first
-	// member is its smallest), as the closure order would.
+	// Number the components by their smallest fact, as the closure
+	// order would.
 	type root struct {
 		first db.FactID
 		node  int32
 	}
 	var roots []root
-	first := make([]db.FactID, len(gis)) // root node → smallest fact
+	first := make([]db.FactID, len(units)) // root node → smallest fact
 	for n := range first {
 		first[n] = math.MaxInt
 	}
-	for n, gi := range gis {
+	for n, u := range units {
 		r := uf.find(int32(n))
-		first[r] = min(first[r], ctx.groups[gi].Facts[0])
+		first[r] = min(first[r], firstOf(u))
 		if int32(n) == r {
 			roots = append(roots, root{node: r})
 		}
@@ -136,28 +158,36 @@ func splitKeys(ctx *constraintContext, witnessFacts [][]db.FactID) *componentSpl
 		roots[i].first = first[roots[i].node]
 	}
 	slices.SortFunc(roots, func(a, b root) int { return cmp.Compare(a.first, b.first) })
-	compOf := make([]int32, len(gis)) // root node → component
+	compOf := make([]int32, len(units)) // root node → component
 	for ci, r := range roots {
 		compOf[r.node] = int32(ci)
 	}
 	split := &componentSplit{facts: make([][]db.FactID, len(roots)), groups: make([][]int, len(roots))}
-	multi := make([]bool, len(roots))
-	for n, gi := range gis {
+	// own marks the components whose fact list is their own slice (and
+	// must be sorted): the others alias one violating group's members.
+	own := make([]bool, len(roots))
+	for n, u := range units {
 		ci := compOf[uf.find(int32(n))]
-		members := ctx.groups[gi].Facts
-		if split.facts[ci] == nil {
-			// Capped, so an append never writes into the group.
-			split.facts[ci] = members[:len(members):len(members)]
+		if u < 0 {
+			// The members are capped, so this append never writes into
+			// the key index.
+			split.facts[ci] = append(split.facts[ci], firstOf(u))
+			own[ci] = true
 			continue
 		}
-		if !multi[ci] {
+		members := keys.Members(u)
+		if split.facts[ci] == nil {
+			split.facts[ci] = members
+			continue
+		}
+		if !own[ci] {
 			split.facts[ci] = slices.Clone(split.facts[ci])
-			multi[ci] = true
+			own[ci] = true
 		}
 		split.facts[ci] = append(split.facts[ci], members...)
 	}
-	for ci, m := range multi {
-		if m {
+	for ci, o := range own {
+		if o {
 			sortFactIDs(split.facts[ci])
 		}
 	}
@@ -165,7 +195,7 @@ func splitKeys(ctx *constraintContext, witnessFacts [][]db.FactID) *componentSpl
 		if len(fs) == 0 {
 			continue
 		}
-		ci := compOf[uf.find(node[ctx.groupOf[fs[0]]])]
+		ci := compOf[uf.find(nodeOf(fs[0]))]
 		split.groups[ci] = append(split.groups[ci], wi)
 	}
 	return split

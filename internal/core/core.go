@@ -327,14 +327,11 @@ func (e *Engine) rangeAnswers(ctx context.Context, q cq.AggQuery, rc *recorder) 
 type constraintContext struct {
 	mode ConstraintMode
 
-	// Keys mode.
-	groupOf   []int   // fact -> key-equal group index
-	memberOf  []int32 // fact -> its index among its group's members
-	groups    []db.KeyEqualGroup
-	groupSafe []bool // group has a single member
-	// nodes pools the dense group → node tables of splitKeys,
-	// eliminator.index and keysHardSize (*[]int32, every entry -1 at
-	// rest).
+	// Keys mode: the instance's key-equal-group index. A fact is safe
+	// iff it lies in no violating group.
+	keys *db.KeyIndex
+	// nodes pools the nodeTables of splitKeys, eliminator.index and
+	// keysHardSize.
 	nodes sync.Pool
 
 	// DC mode.
@@ -369,17 +366,7 @@ func (e *Engine) buildContext() *constraintContext {
 	n := e.in.NumFacts()
 	switch e.opts.Mode {
 	case KeysMode:
-		ctx.groups = e.in.KeyEqualGroups()
-		ctx.groupOf = make([]int, n)
-		ctx.memberOf = make([]int32, n)
-		ctx.groupSafe = make([]bool, len(ctx.groups))
-		for gi, g := range ctx.groups {
-			ctx.groupSafe[gi] = len(g.Facts) == 1
-			for m, f := range g.Facts {
-				ctx.groupOf[f] = gi
-				ctx.memberOf[f] = int32(m)
-			}
-		}
+		ctx.keys = e.in.KeyEqualGroups()
 	case DCMode:
 		ctx.violations = constraints.MinimalViolations(e.eval, e.opts.DCs)
 		ctx.nearIdx = constraints.BuildNearViolations(ctx.violations, n)
@@ -403,24 +390,53 @@ func (e *Engine) buildContext() *constraintContext {
 func (ctx *constraintContext) safe(f db.FactID) bool {
 	switch ctx.mode {
 	case KeysMode:
-		return ctx.groupSafe[ctx.groupOf[f]]
+		return ctx.keys.Safe(f)
 	default:
 		return ctx.nearIdx.Safe(f)
 	}
 }
 
-// groupNodes returns a pooled group → node table, every entry -1; the
-// caller resets the entries it set before putting the same pointer
-// back in nodes (putting a fresh one would allocate per call).
-func (ctx *constraintContext) groupNodes() *[]int32 {
-	if p, ok := ctx.nodes.Get().(*[]int32); ok {
-		return p
+// nodeTable numbers the key-equal groups one call touches: group maps
+// each violating group, safe each safe fact (its own singleton group),
+// to a dense node; safeFacts lists safe's keys. At rest every group
+// entry is -1 and safe is empty: a caller resets the group entries it
+// set and calls resetSafe before putting the table back.
+type nodeTable struct {
+	group     []int32
+	safe      map[db.FactID]int32
+	safeFacts []db.FactID
+}
+
+// safeNode returns the node of a safe fact, numbering it next if new.
+func (t *nodeTable) safeNode(f db.FactID, next int32) (node int32, isNew bool) {
+	if n, ok := t.safe[f]; ok {
+		return n, false
 	}
-	node := make([]int32, len(ctx.groups))
-	for i := range node {
-		node[i] = -1
+	t.safe[f] = next
+	t.safeFacts = append(t.safeFacts, f)
+	return next, true
+}
+
+// resetSafe empties safe, visiting only the keys it holds.
+func (t *nodeTable) resetSafe() {
+	for _, f := range t.safeFacts {
+		delete(t.safe, f)
 	}
-	return &node
+	t.safeFacts = t.safeFacts[:0]
+}
+
+// groupNodes returns a pooled nodeTable, at rest; the caller puts the
+// same pointer back in nodes (putting a fresh one would allocate per
+// call).
+func (ctx *constraintContext) groupNodes() *nodeTable {
+	if t, ok := ctx.nodes.Get().(*nodeTable); ok {
+		return t
+	}
+	t := &nodeTable{group: make([]int32, ctx.keys.NumGroups()), safe: map[db.FactID]int32{}}
+	for i := range t.group {
+		t.group[i] = -1
+	}
+	return t
 }
 
 // allSafe reports whether every fact of the witness is safe.
@@ -444,15 +460,22 @@ func (ctx *constraintContext) closure(seed []db.FactID) []db.FactID {
 	switch ctx.mode {
 	case KeysMode:
 		// Key-equal groups are disjoint and closed under the expansion:
-		// the closure is the union of the seeds' distinct groups.
-		gis := make([]int, len(seed))
-		for i, f := range seed {
-			gis[i] = ctx.groupOf[f]
+		// the closure is the union of the seeds' distinct violating
+		// groups and their safe facts.
+		var gis []int
+		for _, f := range seed {
+			if gi := ctx.keys.GroupOf(f); gi >= 0 {
+				gis = append(gis, gi)
+			} else {
+				out = append(out, f)
+			}
 		}
 		slices.Sort(gis)
 		for _, gi := range slices.Compact(gis) {
-			out = append(out, ctx.groups[gi].Facts...)
+			out = append(out, ctx.keys.Members(gi)...)
 		}
+		sortFactIDs(out)
+		return slices.Compact(out)
 	case DCMode:
 		inSet := map[db.FactID]bool{}
 		stack := slices.Clone(seed)

@@ -46,12 +46,17 @@ func (enc *encoder) lit(f db.FactID) cnf.Lit { return enc.varOf[f] }
 func (enc *encoder) encodeKeys(ctx *constraintContext, facts []db.FactID) {
 	seenGroup := map[int]bool{}
 	for _, f := range facts {
-		gi := ctx.groupOf[f]
+		gi := ctx.keys.GroupOf(f)
+		if gi < 0 {
+			// A safe fact is its own group: kept in every repair.
+			enc.formula.AddHard(enc.lit(f))
+			continue
+		}
 		if seenGroup[gi] {
 			continue
 		}
 		seenGroup[gi] = true
-		members := ctx.groups[gi].Facts // closure contains whole groups
+		members := ctx.keys.Members(gi) // closure contains whole groups
 		// At-least-one.
 		lits := make([]cnf.Lit, len(members))
 		for i, m := range members {

@@ -43,6 +43,13 @@ func (e *Engine) groupedRange(ctx context.Context, q cq.AggQuery, rc *recorder) 
 			todo = append(todo, i)
 		}
 	}
+	// One span for the whole phase, not one per group: a grouped query
+	// may have tens of thousands of groups, and a request trace is
+	// capped (the spans after the cap would be dropped).
+	ctx, gsp := obsv.StartSpan(ctx, "core.groups")
+	defer gsp.End()
+	gsp.SetInt("groups", int64(len(groups)))
+	gsp.SetInt("solved", int64(len(todo)))
 	if len(todo) == 0 {
 		return rep, nil
 	}
@@ -51,12 +58,7 @@ func (e *Engine) groupedRange(ctx context.Context, q cq.AggQuery, rc *recorder) 
 	defer rc.endUnits(units)
 	err = forEach(ctx, e.parallelism(), len(todo), func(ctx context.Context, ti int) error {
 		g := groups[todo[ti]]
-		gctx, gsp := obsv.StartSpan(ctx, "core.group")
-		ans, err := e.groupRange(gctx, q.Op, g, rc)
-		if gsp != nil {
-			gsp.SetInt("witnesses", int64(len(g.Witnesses)))
-			gsp.End()
-		}
+		ans, err := e.groupRange(ctx, q.Op, g, rc)
 		if err != nil {
 			return err
 		}

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"aggcavsat/internal/cq"
+	"aggcavsat/internal/db"
 	"aggcavsat/internal/obsv"
 )
 
@@ -49,7 +51,7 @@ func groupedCoupledSumQuery() cq.AggQuery {
 
 func TestGroupedSumTraceBalanced(t *testing.T) {
 	shared := []string{"query.range_answers", "cq.witness", "core.constraints",
-		"core.consistent_groups", "core.group"}
+		"core.consistent_groups", "core.groups"}
 	solver := []string{"core.encode", "maxsat.solve", "sat.solve"}
 	for _, tc := range []struct {
 		name string
@@ -107,6 +109,67 @@ func TestGroupedSumTraceBalanced(t *testing.T) {
 			if sp.Start.Before(root.Start) || sp.Start.Add(sp.Duration()).After(rootEnd) {
 				t.Errorf("%s: span %q not contained in the root span", tc.name, sp.Name)
 			}
+		}
+	}
+}
+
+// TestGroupedTraceKeepsLaterPhases: a grouped query with more answer
+// groups than a request trace may hold spans (cavsatd caps each at 512)
+// records one span for its grouped phase, so nothing is dropped and a
+// phase started after the query still lands in the trace.
+func TestGroupedTraceKeepsLaterPhases(t *testing.T) {
+	const nGroups = 700
+	s := db.NewSchema()
+	s.MustAddRelation(&db.RelationSchema{
+		Name:  "R",
+		Attrs: []db.Attribute{{Name: "K", Kind: db.KindInt}, {Name: "G", Kind: db.KindInt}, {Name: "V", Kind: db.KindInt}},
+		Key:   []int{0},
+	})
+	in := db.NewInstance(s)
+	for g := 0; g < nGroups; g++ {
+		// Two facts per key: every group's range needs solving.
+		in.MustInsert("R", db.Int(int64(g)), db.Int(int64(g)), db.Int(1))
+		in.MustInsert("R", db.Int(int64(g)), db.Int(int64(g)), db.Int(2))
+	}
+	q := cq.AggQuery{
+		Op:      cq.Sum,
+		AggVar:  "v",
+		GroupBy: []string{"g"},
+		Underlying: cq.Single(cq.CQ{
+			Atoms: []cq.Atom{{Rel: "R", Args: []cq.Term{cq.V("k"), cq.V("g"), cq.V("v")}}},
+		}),
+	}
+	tr := obsv.NewTracer()
+	tr.MaxSpans = 512
+	ctx := obsv.WithTracer(context.Background(), tr)
+	rep, err := mustEngine(t, in).RangeAnswersContext(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Answers) != nGroups {
+		t.Fatalf("%d answers, want %d", len(rep.Answers), nGroups)
+	}
+	_, later := obsv.StartSpan(ctx, "later.phase")
+	later.End()
+	if d := tr.Dropped(); d != 0 {
+		t.Fatalf("%d spans dropped from a trace capped at %d", d, tr.MaxSpans)
+	}
+	var names []string
+	for _, sp := range tr.Spans() {
+		names = append(names, sp.Name)
+		if sp.Name == "core.groups" {
+			attrs := map[string]int64{}
+			for _, a := range sp.Attrs {
+				attrs[a.Key] = a.Int
+			}
+			if attrs["groups"] != nGroups || attrs["solved"] != nGroups {
+				t.Errorf("core.groups attributes %v, want %d groups, %d solved", attrs, nGroups, nGroups)
+			}
+		}
+	}
+	for _, want := range []string{"query.range_answers", "core.consistent_groups", "core.groups", "later.phase"} {
+		if !slices.Contains(names, want) {
+			t.Errorf("no %q span in the trace: %v", want, names)
 		}
 	}
 }

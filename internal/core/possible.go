@@ -58,7 +58,10 @@ func (e *Engine) witnessConsistent(ctx *constraintContext, facts []db.FactID) bo
 		// No two facts may share a key-equal group.
 		seen := map[int]bool{}
 		for _, f := range facts {
-			gi := ctx.groupOf[f]
+			gi := ctx.keys.GroupOf(f)
+			if gi < 0 {
+				continue // facts are distinct: a safe one is alone in its group
+			}
 			if seen[gi] {
 				return false
 			}

@@ -480,7 +480,7 @@ func (e *Engine) constraintCtx(ctx context.Context, rc *recorder) *constraintCon
 		if sp != nil {
 			if e.ctx.mode == KeysMode {
 				sp.SetStr("mode", "keys")
-				sp.SetInt("key_groups", int64(len(e.ctx.groups)))
+				sp.SetInt("violating_groups", int64(e.ctx.keys.NumGroups()))
 			} else {
 				sp.SetStr("mode", "dc")
 				sp.SetInt("violations", int64(len(e.ctx.violations)))

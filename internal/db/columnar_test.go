@@ -196,30 +196,31 @@ func requireMatchesRef(t *testing.T, in *Instance, ref []refFact) {
 			}
 		}
 	}
-	if got, want := in.KeyEqualGroups(), refKeyEqualGroups(in.Schema(), ref); !groupsEqual(got, want) {
-		t.Fatalf("KeyEqualGroups differ from the reference partition\n got: %v\nwant: %v", got, want)
-	}
+	requireIndexMatches(t, in, in.KeyEqualGroups(), refKeyEqualGroups(in.Schema(), ref))
 }
 
 // refKeyEqualGroups partitions the reference facts by their Tuple.Key
-// strings, in the KeyEqualGroups order (by smallest member).
-func refKeyEqualGroups(s *Schema, ref []refFact) []KeyEqualGroup {
-	var groups []KeyEqualGroup
-	index := map[string]int{}
+// strings in a map and returns the violating groups (two or more
+// facts) ordered by smallest member, as KeyIndex numbers them.
+func refKeyEqualGroups(s *Schema, ref []refFact) [][]FactID {
+	byKey := map[string][]FactID{}
+	var order []string
 	for i, rf := range ref {
 		rs := s.Relation(rf.rel)
 		if !rs.HasKey() {
-			groups = append(groups, KeyEqualGroup{Rel: rf.rel, Facts: []FactID{FactID(i)}})
 			continue
 		}
 		k := rf.rel + "\x00" + rf.t.Key(rs.Key)
-		gi, ok := index[k]
-		if !ok {
-			gi = len(groups)
-			index[k] = gi
-			groups = append(groups, KeyEqualGroup{Rel: rf.rel})
+		if _, ok := byKey[k]; !ok {
+			order = append(order, k)
 		}
-		groups[gi].Facts = append(groups[gi].Facts, FactID(i))
+		byKey[k] = append(byKey[k], FactID(i))
+	}
+	var groups [][]FactID
+	for _, k := range order { // first-seen order = ascending smallest member
+		if len(byKey[k]) > 1 {
+			groups = append(groups, byKey[k])
+		}
 	}
 	return groups
 }

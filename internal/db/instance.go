@@ -2,7 +2,6 @@ package db
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -39,23 +38,21 @@ type Instance struct {
 	frozen      bool
 
 	// groupMu guards the KeyEqualGroups memo. The partition is a pure
-	// function of the fact list, and facts are append-only, so caching
-	// it per fact count makes repeated engines over one instance stop
-	// re-paying the grouping (the dominant constraint-phase cost in
-	// keys mode); an Insert invalidates the memo by changing the count.
-	groupMu     sync.Mutex
-	groupCache  []KeyEqualGroup
-	groupCacheN int // fact count the cache was built at; -1 = no cache
+	// function of the fact list, and facts are append-only, so it is
+	// rebuilt only when the fact count moved past the one it was built
+	// at: repeated engines over one instance stop re-paying the
+	// grouping, and an Insert invalidates the memo.
+	groupMu  sync.Mutex
+	keyIndex *KeyIndex
 }
 
 // NewInstance creates an empty instance over the given schema.
 func NewInstance(schema *Schema) *Instance {
 	in := &Instance{
-		schema:      schema,
-		dict:        NewDict(),
-		rels:        make([]*relColumns, schema.NumRelations()),
-		byRel:       make([][]FactID, schema.NumRelations()),
-		groupCacheN: -1,
+		schema: schema,
+		dict:   NewDict(),
+		rels:   make([]*relColumns, schema.NumRelations()),
+		byRel:  make([][]FactID, schema.NumRelations()),
 	}
 	for _, rs := range schema.Relations() {
 		in.rels[rs.ID()] = newRelColumns(rs)
@@ -206,89 +203,6 @@ func (in *Instance) MustInsert(rel string, vals ...Value) FactID {
 	return id
 }
 
-// KeyEqualGroup is a maximal set of facts of one relation that agree on
-// the relation's key attributes. Groups of size one are consistent; larger
-// groups are key violations from which any repair keeps exactly one fact.
-type KeyEqualGroup struct {
-	Rel   string
-	Facts []FactID // sorted ascending
-}
-
-// Violating reports whether the group witnesses a key violation.
-func (g KeyEqualGroup) Violating() bool { return len(g.Facts) > 1 }
-
-// KeyEqualGroups partitions every relation that declares a key into its
-// key-equal groups. Relations without a key constraint contribute one
-// singleton group per fact (they are trivially consistent). The result is
-// deterministic: groups are ordered by their smallest fact ID.
-//
-// The partition is memoized on the instance (facts are append-only, so
-// it only changes when the fact count does) and computed by uint64 key
-// hashing with exact-equality bucket verification — dictionary-code
-// hashes, so no string byte is touched. Callers
-// must treat the returned slice as read-only.
-func (in *Instance) KeyEqualGroups() []KeyEqualGroup {
-	in.groupMu.Lock()
-	defer in.groupMu.Unlock()
-	if in.groupCacheN == in.NumFacts() {
-		return in.groupCache
-	}
-	groups := in.computeKeyEqualGroups()
-	in.groupCache, in.groupCacheN = groups, in.NumFacts()
-	return groups
-}
-
-func (in *Instance) computeKeyEqualGroups() []KeyEqualGroup {
-	var groups []KeyEqualGroup
-	// bucket chains fact groups whose key tuples share a hash; repr is
-	// any member, used to verify exact key equality on a hash hit.
-	type bucket struct {
-		repr  FactID
-		group int // index into groups
-		next  int // next bucket entry with the same hash, -1 = end
-	}
-	for _, rs := range in.schema.Relations() {
-		ids := in.RelFactsByID(rs.ID())
-		if !rs.HasKey() {
-			for _, id := range ids {
-				groups = append(groups, KeyEqualGroup{Rel: rs.canon, Facts: []FactID{id}})
-			}
-			continue
-		}
-		byHash := make(map[uint64]int, len(ids)) // hash → first bucket index
-		buckets := make([]bucket, 0, len(ids))
-		for _, id := range ids {
-			h := in.HashRowOn(id, rs.Key, HashSeed)
-			gi := -1
-			bi, ok := byHash[h]
-			if !ok {
-				bi = -1
-			}
-			for ; bi >= 0; bi = buckets[bi].next {
-				if in.EqualRowsOn(buckets[bi].repr, id, rs.Key) {
-					gi = buckets[bi].group
-					break
-				}
-			}
-			if gi < 0 {
-				gi = len(groups)
-				groups = append(groups, KeyEqualGroup{Rel: rs.canon})
-				head := -1
-				if first, ok := byHash[h]; ok {
-					head = first
-				}
-				buckets = append(buckets, bucket{repr: id, group: gi, next: head})
-				byHash[h] = len(buckets) - 1
-			}
-			// ids iterate in insertion order = ascending FactID, so each
-			// group's member list is born sorted.
-			groups[gi].Facts = append(groups[gi].Facts, id)
-		}
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].Facts[0] < groups[j].Facts[0] })
-	return groups
-}
-
 // InconsistencyStats summarizes how inconsistent a relation is w.r.t. its
 // key constraint.
 type InconsistencyStats struct {
@@ -311,26 +225,19 @@ func (s InconsistencyStats) Percent() float64 {
 
 // KeyInconsistency computes per-relation inconsistency statistics.
 func (in *Instance) KeyInconsistency() []InconsistencyStats {
-	byRel := make(map[string]*InconsistencyStats)
-	var order []string
+	out := make([]InconsistencyStats, in.schema.NumRelations())
 	for _, rs := range in.schema.Relations() {
-		byRel[rs.canon] = &InconsistencyStats{Rel: rs.Name, Facts: len(in.RelFactsByID(rs.ID()))}
-		order = append(order, rs.canon)
+		n := len(in.byRel[rs.ID()])
+		out[rs.ID()] = InconsistencyStats{Rel: rs.Name, Facts: n, Groups: n, LargestGroup: min(n, 1)}
 	}
-	for _, g := range in.KeyEqualGroups() {
-		st := byRel[g.Rel]
-		st.Groups++
-		if len(g.Facts) > st.LargestGroup {
-			st.LargestGroup = len(g.Facts)
-		}
-		if g.Violating() {
-			st.ViolatingGroups++
-			st.ViolatingFacts += len(g.Facts)
-		}
-	}
-	out := make([]InconsistencyStats, 0, len(order))
-	for _, lc := range order {
-		out = append(out, *byRel[lc])
+	x := in.KeyEqualGroups()
+	for g := 0; g < x.NumGroups(); g++ {
+		members := x.Members(g)
+		st := &out[in.RelOf(members[0])]
+		st.Groups -= len(members) - 1
+		st.LargestGroup = max(st.LargestGroup, len(members))
+		st.ViolatingGroups++
+		st.ViolatingFacts += len(members)
 	}
 	return out
 }

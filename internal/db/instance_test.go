@@ -158,32 +158,13 @@ func TestInstanceBasics(t *testing.T) {
 
 func TestKeyEqualGroups(t *testing.T) {
 	in := bankInstance()
-	groups := in.KeyEqualGroups()
-	// 4 customer groups + 4 account groups + 4 custacc groups = 12
-	if len(groups) != 12 {
-		t.Fatalf("got %d groups, want 12", len(groups))
-	}
-	var violating []KeyEqualGroup
-	for _, g := range groups {
-		if g.Violating() {
-			violating = append(violating, g)
-		}
-	}
-	if len(violating) != 2 {
-		t.Fatalf("got %d violating groups, want 2", len(violating))
-	}
-	// f2,f3 (IDs 1,2) and f8,f9 (IDs 7,8)
-	if violating[0].Facts[0] != 1 || violating[0].Facts[1] != 2 {
-		t.Errorf("first violating group = %v", violating[0].Facts)
-	}
-	if violating[1].Facts[0] != 7 || violating[1].Facts[1] != 8 {
-		t.Errorf("second violating group = %v", violating[1].Facts)
-	}
-	// Determinism: groups sorted by smallest fact ID.
-	for i := 1; i < len(groups); i++ {
-		if groups[i-1].Facts[0] >= groups[i].Facts[0] {
-			t.Fatal("groups not ordered by smallest fact ID")
-		}
+	x := in.KeyEqualGroups()
+	// 4 customer + 4 account + 4 custacc key-equal groups, of which two
+	// violate: f2,f3 (IDs 1,2) and f8,f9 (IDs 7,8), numbered by their
+	// smallest member; the other ten are implicit singletons.
+	requireIndexMatches(t, in, x, [][]FactID{{1, 2}, {7, 8}})
+	if x.GroupOf(0) != -1 || !x.Safe(0) || x.Safe(1) || x.GroupOf(8) != 1 || x.MemberOf(8) != 1 {
+		t.Errorf("lookups: GroupOf(0)=%d GroupOf(8)=%d MemberOf(8)=%d", x.GroupOf(0), x.GroupOf(8), x.MemberOf(8))
 	}
 }
 
@@ -193,14 +174,9 @@ func TestKeyEqualGroupsNoKey(t *testing.T) {
 	in := NewInstance(s)
 	in.MustInsert("R", Int(1))
 	in.MustInsert("R", Int(1)) // duplicate but no key: still consistent
-	groups := in.KeyEqualGroups()
-	if len(groups) != 2 {
-		t.Fatalf("got %d groups, want 2 singletons", len(groups))
-	}
-	for _, g := range groups {
-		if g.Violating() {
-			t.Error("keyless relation reported a violation")
-		}
+	x := in.KeyEqualGroups()
+	if x.NumGroups() != 0 || !x.Safe(0) || !x.Safe(1) {
+		t.Fatalf("keyless relation reported a violation: %d groups", x.NumGroups())
 	}
 }
 
@@ -230,10 +206,8 @@ func TestSubset(t *testing.T) {
 	if rep.NumFacts() != 12 {
 		t.Fatalf("repair has %d facts, want 12", rep.NumFacts())
 	}
-	for _, g := range rep.KeyEqualGroups() {
-		if g.Violating() {
-			t.Error("repair still violates a key")
-		}
+	if n := rep.KeyEqualGroups().NumGroups(); n != 0 {
+		t.Errorf("repair still violates a key: %d groups", n)
 	}
 }
 

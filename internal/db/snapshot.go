@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"unsafe"
@@ -36,7 +37,22 @@ import (
 //	                  intRows bitmap   ⌈rowCount/64⌉×uint64
 //	         STRING → codes            rowCount×uint32, padded
 //	         nulls bitmap              ⌈rowCount/64⌉×uint64
+//	     key index (keyindex.go), violating groups only:
+//	       nGroups                     uint64
+//	       offsets                     (nGroups+1)×uint32, padded
+//	       members                     offsets[nGroups]×uint64
 //	     tail "CAVSEND1"               [8]byte
+//
+// The key index is the instance's key-equal-group partition in CSR
+// form, so a reopened snapshot adopts it instead of re-partitioning
+// every fact. The loader aliases offsets and members and derives each
+// fact's group in one scatter, validating the section on the way:
+// offsets rise from 0 to len(members) in steps of at least 2, members
+// ascend within a group and lie in no other group, groups are ordered
+// by first member, and every member is key-equal to its group's first
+// member in the same keyed relation (EqualRowsOn, violating members
+// only). That a fact outside every group has a unique key is trusted,
+// as the data version is.
 //
 // Lifetime rules (see DESIGN.md §11): an instance returned by
 // OpenSnapshot aliases the mapping until Snapshot.Close; it is frozen —
@@ -47,7 +63,9 @@ import (
 // everywhere.
 
 // SnapshotFormatVersion is the current (and only) snapshot format.
-const SnapshotFormatVersion uint32 = 1
+// Version 2 added the key index section; a version 1 file is refused
+// with ErrSnapshotVersion.
+const SnapshotFormatVersion uint32 = 2
 
 var (
 	snapMagic = [8]byte{'C', 'A', 'V', 'S', 'N', 'A', 'P', '1'}
@@ -190,6 +208,12 @@ func EncodeSnapshot(in *Instance) ([]byte, error) {
 			w.bitmapWords(c.nulls, nW)
 		}
 	}
+	x := in.KeyEqualGroups()
+	w.u64(uint64(x.NumGroups()))
+	w.u32s(x.offsets)
+	for _, f := range x.members {
+		w.u64(uint64(f))
+	}
 	body := w.buf
 
 	dataVersion := HashSeed
@@ -305,6 +329,26 @@ func (r *snapReader) i64s(n int) []int64 {
 		return []int64{}
 	}
 	return unsafe.Slice((*int64)(unsafe.Pointer(&u[0])), len(u))
+}
+
+// factIDs reads n uint64 fact IDs, aliased as []FactID where FactID is
+// 64 bits wide. An ID past the int range reads as negative either way.
+func (r *snapReader) factIDs(n int) []FactID {
+	u := r.u64s(n)
+	if len(u) == 0 {
+		return nil
+	}
+	if unsafe.Sizeof(FactID(0)) == 8 {
+		return unsafe.Slice((*FactID)(unsafe.Pointer(&u[0])), len(u))
+	}
+	out := make([]FactID, len(u))
+	for i, v := range u {
+		out[i] = -1
+		if v <= math.MaxInt32 {
+			out[i] = FactID(v)
+		}
+	}
+	return out
 }
 
 func (r *snapReader) u32s(n int) []uint32 {
@@ -427,24 +471,28 @@ func LoadSnapshotBytes(b []byte) (*Instance, error) {
 	}
 	in.nFacts = int(nFacts)
 
+	rows := make([]int, len(rels))
 	for _, rs := range schema.Relations() {
 		rc := in.rels[rs.ID()]
-		rows := int(r.u64())
+		n := r.u64()
 		if r.err != nil {
 			return nil, r.err
 		}
-		nW := snapWords(rows)
-		rc.ids = make([]FactID, 0, rows)
+		if n > nFacts {
+			return nil, ErrSnapshotTruncated
+		}
+		rows[rs.ID()] = int(n)
+		nW := snapWords(int(n))
 		for i := range rc.cols {
 			c := &rc.cols[i]
 			switch c.kind {
 			case KindInt:
-				c.ints = r.i64s(rows)
+				c.ints = r.i64s(int(n))
 			case KindFloat:
-				c.raw = r.u64s(rows)
+				c.raw = r.u64s(int(n))
 				c.intRows = bitset(r.u64s(nW))
 			case KindString:
-				c.codes = r.u32s(rows)
+				c.codes = r.u32s(int(n))
 			default:
 				return nil, fmt.Errorf("db: snapshot: relation %s: unsupported column kind %s", rs.Name, c.kind)
 			}
@@ -454,6 +502,18 @@ func LoadSnapshotBytes(b []byte) (*Instance, error) {
 			}
 		}
 	}
+	nGroups := r.u64()
+	if r.err != nil {
+		return nil, r.err
+	}
+	if nGroups > nFacts/2 {
+		return nil, errKeyIndex("%d groups over %d facts", nGroups, nFacts)
+	}
+	groupOffsets := r.u32s(int(nGroups) + 1)
+	if r.err != nil {
+		return nil, r.err
+	}
+	members := r.factIDs(int(groupOffsets[nGroups]))
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -465,6 +525,9 @@ func LoadSnapshotBytes(b []byte) (*Instance, error) {
 	// in one pass over factRel; validate codes and RelIDs on the way so
 	// a corrupt body cannot index out of bounds later.
 	in.factRow = make([]uint32, nFacts)
+	for _, rs := range schema.Relations() {
+		in.rels[rs.ID()].ids = make([]FactID, 0, rows[rs.ID()])
+	}
 	for id, rid := range in.factRel {
 		if uint64(rid) >= nRels {
 			return nil, ErrSnapshotTruncated
@@ -475,22 +538,80 @@ func LoadSnapshotBytes(b []byte) (*Instance, error) {
 	}
 	for _, rs := range schema.Relations() {
 		rc := in.rels[rs.ID()]
+		if len(rc.ids) != rows[rs.ID()] {
+			return nil, ErrSnapshotTruncated
+		}
 		in.byRel[rs.ID()] = rc.ids
 		for i := range rc.cols {
-			c := &rc.cols[i]
-			if len(c.ints) != 0 && len(c.ints) != len(rc.ids) ||
-				len(c.raw) != 0 && len(c.raw) != len(rc.ids) ||
-				len(c.codes) != 0 && len(c.codes) != len(rc.ids) {
-				return nil, ErrSnapshotTruncated
-			}
-			for _, code := range c.codes {
+			for _, code := range rc.cols[i].codes {
 				if uint64(code) >= nStrings {
 					return nil, ErrSnapshotTruncated
 				}
 			}
 		}
 	}
+	x, err := in.adoptKeyIndex(groupOffsets, members)
+	if err != nil {
+		return nil, err
+	}
+	in.keyIndex = x
 	return in, nil
+}
+
+// errKeyIndex reports a key index section that fails validation.
+func errKeyIndex(format string, args ...any) error {
+	return fmt.Errorf("%w: key index: %s", ErrSnapshotTruncated, fmt.Sprintf(format, args...))
+}
+
+// adoptKeyIndex validates a stored key index section (see the layout
+// comment) against the loaded facts and derives groupOf from it in one
+// scatter; offsets and members are kept as they are.
+func (in *Instance) adoptKeyIndex(offsets []uint32, members []FactID) (*KeyIndex, error) {
+	if offsets[0] != 0 || int(offsets[len(offsets)-1]) != len(members) {
+		return nil, errKeyIndex("offsets run from %d to %d over %d members", offsets[0], offsets[len(offsets)-1], len(members))
+	}
+	if len(offsets) == 1 {
+		return &KeyIndex{facts: in.nFacts, offsets: offsets}, nil
+	}
+	groupOf := make([]int32, in.nFacts)
+	for i := range groupOf {
+		groupOf[i] = -1
+	}
+	prevFirst := FactID(-1)
+	for g := 0; g+1 < len(offsets); g++ {
+		lo, hi := offsets[g], offsets[g+1]
+		if hi < lo || hi-lo < 2 || int(hi) > len(members) {
+			return nil, errKeyIndex("group %d spans offsets %d..%d", g, lo, hi)
+		}
+		group := members[lo:hi]
+		first := group[0]
+		if first <= prevFirst {
+			return nil, errKeyIndex("group %d is out of first-member order", g)
+		}
+		prevFirst = first
+		if int(first) >= in.nFacts {
+			return nil, errKeyIndex("group %d: fact %d out of range", g, first)
+		}
+		rel := in.factRel[first]
+		key := in.schema.RelationByID(RelID(rel)).Key
+		if len(key) == 0 {
+			return nil, errKeyIndex("group %d lies in a relation without a key", g)
+		}
+		for i, f := range group {
+			switch {
+			case f < 0 || int(f) >= in.nFacts:
+				return nil, errKeyIndex("group %d: fact %d out of range", g, f)
+			case i > 0 && f <= group[i-1]:
+				return nil, errKeyIndex("group %d: members not strictly ascending", g)
+			case groupOf[f] >= 0:
+				return nil, errKeyIndex("fact %d is in groups %d and %d", f, groupOf[f], g)
+			case in.factRel[f] != rel || !in.EqualRowsOn(first, f, key):
+				return nil, errKeyIndex("group %d: fact %d is not key-equal to fact %d", g, f, first)
+			}
+			groupOf[f] = int32(g)
+		}
+	}
+	return &KeyIndex{facts: in.nFacts, groupOf: groupOf, offsets: offsets, members: members}, nil
 }
 
 // Snapshot is an instance backed by an mmap'ed snapshot file. Close

@@ -41,10 +41,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if snap.DataVersion() != loaded.DataVersion() {
 			t.Fatalf("data versions differ: %x vs %x", snap.DataVersion(), loaded.DataVersion())
 		}
-		// Key-equal groups work off the mapped arenas.
-		if got, want := len(snap.Instance().KeyEqualGroups()), len(col.KeyEqualGroups()); got != want {
-			t.Fatalf("mapped groups: %d, want %d", got, want)
-		}
+		// The adopted key index is the one the heap instance builds.
+		requireSameIndex(t, snap.Instance().KeyEqualGroups(), col.KeyEqualGroups())
 		if err := snap.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -227,4 +225,121 @@ func TestSnapshotGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameInstances(t, loaded, want)
+}
+
+// TestSnapshotVersion1Refused: a file written in format version 1 (no
+// key index section; the committed pre-section golden file) is refused
+// with the typed version error.
+func TestSnapshotVersion1Refused(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "golden-v1.snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSnapshotBytes(v1); !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("v1 snapshot: got %v, want ErrSnapshotVersion", err)
+	}
+}
+
+// keyIndexFixture is R(k INT key, v STRING) and keyless N(x INT):
+//
+//	0 R(1,a)  1 R(1,b)  2 R(2,c)  3 R(2,d)  4 N(7)  5 R(3,e)  6 N(7)
+//
+// whose key index is {0,1}, {2,3}.
+func keyIndexFixture() *Instance {
+	s := NewSchema()
+	s.MustAddRelation(&RelationSchema{Name: "R", Key: []int{0},
+		Attrs: []Attribute{{Name: "k", Kind: KindInt}, {Name: "v", Kind: KindString}}})
+	s.MustAddRelation(&RelationSchema{Name: "N", Attrs: []Attribute{{Name: "x", Kind: KindInt}}})
+	in := NewInstance(s)
+	in.MustInsert("R", Int(1), Str("a"))
+	in.MustInsert("R", Int(1), Str("b"))
+	in.MustInsert("R", Int(2), Str("c"))
+	in.MustInsert("R", Int(2), Str("d"))
+	in.MustInsert("N", Int(7))
+	in.MustInsert("R", Int(3), Str("e"))
+	in.MustInsert("N", Int(7))
+	return in
+}
+
+// TestSnapshotKeyIndexCorrupt: a key index section that breaks any of
+// the checks of the layout comment is refused with an error wrapping
+// ErrSnapshotTruncated, never a panic. Each case writes the fixture
+// with a tampered index in place of the built one.
+func TestSnapshotKeyIndexCorrupt(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		offsets []uint32
+		members []FactID
+	}{
+		{"valid", []uint32{0, 2, 4}, []FactID{0, 1, 2, 3}},
+		{"offsets not from 0", []uint32{1, 2, 4}, []FactID{0, 1, 2, 3}},
+		{"offsets end short of members", []uint32{0, 2, 3}, []FactID{0, 1, 2, 3}},
+		{"offsets end past members", []uint32{0, 2, 5}, []FactID{0, 1, 2, 3}},
+		{"offsets fall", []uint32{0, 4, 2, 4}, []FactID{0, 1, 2, 3}},
+		{"offset past members mid-way", []uint32{0, 9, 4}, []FactID{0, 1, 2, 3}},
+		{"single-member group", []uint32{0, 2, 3}, []FactID{0, 1, 5}},
+		{"more groups than facts allow", []uint32{0, 0, 0, 0, 0}, nil},
+		{"members not ascending", []uint32{0, 2, 4}, []FactID{1, 0, 2, 3}},
+		{"duplicate member", []uint32{0, 2, 4}, []FactID{0, 0, 2, 3}},
+		{"member out of range", []uint32{0, 2, 4}, []FactID{0, 1, 2, 99}},
+		{"negative member", []uint32{0, 2, 4}, []FactID{0, 1, -1, 3}},
+		{"member in two groups", []uint32{0, 2, 4}, []FactID{0, 1, 1, 3}},
+		{"groups out of order", []uint32{0, 2, 4}, []FactID{2, 3, 0, 1}},
+		{"group in a keyless relation", []uint32{0, 2, 4}, []FactID{0, 1, 4, 6}},
+		{"member of another relation", []uint32{0, 3}, []FactID{0, 1, 4}},
+		{"members not key-equal", []uint32{0, 2, 4}, []FactID{0, 1, 2, 5}},
+	} {
+		in := keyIndexFixture()
+		in.keyIndex = &KeyIndex{facts: in.NumFacts(), offsets: tc.offsets, members: tc.members}
+		data, err := EncodeSnapshot(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadSnapshotBytes(data)
+		if tc.name == "valid" {
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			requireSameIndex(t, loaded.KeyEqualGroups(), keyIndexFixture().KeyEqualGroups())
+			continue
+		}
+		if !errors.Is(err, ErrSnapshotTruncated) {
+			t.Errorf("%s: got %v, want ErrSnapshotTruncated", tc.name, err)
+		}
+	}
+}
+
+// FuzzLoadSnapshotBytes: no byte string makes the loader panic; what
+// it accepts reads back fact by fact and answers the key-index
+// lookups. Seeded with the committed golden files.
+func FuzzLoadSnapshotBytes(f *testing.F) {
+	for _, name := range []string{"golden.snapshot", "golden-v1.snapshot"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	fixture, err := EncodeSnapshot(keyIndexFixture())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in, err := LoadSnapshotBytes(data)
+		if err != nil {
+			return
+		}
+		x := in.KeyEqualGroups()
+		for id := FactID(0); int(id) < in.NumFacts(); id++ {
+			rs := in.Schema().RelationByID(in.RelOf(id))
+			for p := range rs.Attrs {
+				in.ValueAt(id, p)
+			}
+			if g := x.GroupOf(id); g >= 0 && x.Members(g)[x.MemberOf(id)] != id {
+				t.Fatalf("fact %d: not at MemberOf in its group", id)
+			}
+		}
+		in.KeyInconsistency()
+	})
 }

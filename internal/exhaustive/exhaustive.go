@@ -24,23 +24,27 @@ const MaxRepairs = 1 << 22
 // it must not retain the slice. Enumeration stops early if the callback
 // returns false.
 func RepairsKeys(in *db.Instance, visit func(keep []bool) bool) error {
-	groups := in.KeyEqualGroups()
+	x := in.KeyEqualGroups()
 	var total int64 = 1
-	for _, g := range groups {
-		total *= int64(len(g.Facts))
+	for g := 0; g < x.NumGroups(); g++ {
+		total *= int64(len(x.Members(g)))
 		if total > MaxRepairs {
 			return fmt.Errorf("exhaustive: more than %d repairs", MaxRepairs)
 		}
 	}
+	// Facts in no violating group are in every repair.
 	keep := make([]bool, in.NumFacts())
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(groups) {
+	for f := range keep {
+		keep[f] = x.Safe(db.FactID(f))
+	}
+	var rec func(g int) bool
+	rec = func(g int) bool {
+		if g == x.NumGroups() {
 			return visit(keep)
 		}
-		for _, f := range groups[i].Facts {
+		for _, f := range x.Members(g) {
 			keep[f] = true
-			if !rec(i + 1) {
+			if !rec(g + 1) {
 				keep[f] = false
 				return false
 			}

@@ -33,7 +33,7 @@
 //	cq.witness               witness-bag evaluation (attr: witnesses)
 //	core.constraints         key-equal groups / minimal+near violations
 //	core.consistent_groups   Algorithm 2 group filtering
-//	core.group               per-group aggregate range (attr: witnesses)
+//	core.groups              the per-group ranges of a grouped query (attrs: groups, solved)
 //	core.encode              clause construction for one component
 //	core.minmax_probes       iterative SAT probes for MIN/MAX (attr: probes)
 //	maxsat.solve             one WPMaxSAT instance (attrs: alg, sat_calls)

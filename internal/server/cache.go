@@ -3,6 +3,8 @@ package server
 import (
 	"container/list"
 	"context"
+	"encoding/json"
+	"math"
 	"sync"
 
 	"aggcavsat/internal/obsv"
@@ -35,23 +37,28 @@ type cacheKey struct {
 
 // resultCache is a mutex-guarded LRU of finished answers with
 // singleflight coalescing: concurrent requests for the same key wait
-// for the one in-flight solve instead of stampeding the engine.
+// for the one in-flight solve instead of stampeding the engine. It is
+// bounded by the encoded size of the answers it holds, since one
+// grouped answer can be megabytes while another is a few hundred bytes.
 type resultCache struct {
 	mu      sync.Mutex
 	entries map[cacheKey]*list.Element
 	order   *list.List // front = most recent
-	max     int
+	max     int64      // byte budget; 0 disables caching
+	bytes   int64      // encoded bytes of the cached answers
 
 	flights map[cacheKey]*flight
 
 	hits      *obsv.Counter
 	misses    *obsv.Counter
 	coalesced *obsv.Counter
+	held      *obsv.Gauge
 }
 
 type cacheEntry struct {
-	key cacheKey
-	val *QueryResponse
+	key  cacheKey
+	val  *QueryResponse
+	size int64
 }
 
 // flight is one in-progress solve other requests may join.
@@ -61,9 +68,9 @@ type flight struct {
 	err  error
 }
 
-// newResultCache builds a cache bounded to max entries (0 disables
-// caching but keeps coalescing).
-func newResultCache(max int) *resultCache {
+// newResultCache builds a cache bounded to max encoded bytes (0
+// disables caching but keeps coalescing).
+func newResultCache(max int64) *resultCache {
 	return &resultCache{
 		entries: map[cacheKey]*list.Element{},
 		order:   list.New(),
@@ -72,11 +79,13 @@ func newResultCache(max int) *resultCache {
 	}
 }
 
-// wire attaches the hit/miss/coalesce counters.
-func (c *resultCache) wire(hits, misses, coalesced *obsv.Counter) {
+// wire attaches the hit/miss/coalesce counters and the bytes-held
+// gauge.
+func (c *resultCache) wire(hits, misses, coalesced *obsv.Counter, held *obsv.Gauge) {
 	c.hits = hits
 	c.misses = misses
 	c.coalesced = coalesced
+	c.held = held
 }
 
 // Do returns the cached answer for key, or joins the in-flight solve
@@ -110,29 +119,76 @@ func (c *resultCache) Do(ctx context.Context, key cacheKey, solve func() (*Query
 	inc(c.misses)
 
 	f.val, f.err = solve()
+	var size int64
+	if f.err == nil && c.max > 0 {
+		size = responseBytes(f.val) // outside the lock: it encodes the answer
+	}
 	c.mu.Lock()
 	delete(c.flights, key)
 	if f.err == nil && c.max > 0 {
-		c.insertLocked(key, f.val)
+		c.insertLocked(key, f.val, size)
 	}
 	c.mu.Unlock()
 	close(f.done)
 	return f.val, false, f.err
 }
 
-// insertLocked adds the entry and evicts the LRU tail past capacity.
-func (c *resultCache) insertLocked(key cacheKey, val *QueryResponse) {
-	if elem, ok := c.entries[key]; ok {
-		elem.Value.(*cacheEntry).val = val
-		c.order.MoveToFront(elem)
+// insertLocked adds the entry and evicts from the LRU tail until the
+// cached answers fit the byte budget. An answer larger than the whole
+// budget is not cached (it was served all the same).
+func (c *resultCache) insertLocked(key cacheKey, val *QueryResponse, size int64) {
+	if size > c.max {
 		return
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, val: val})
-	for len(c.entries) > c.max {
-		tail := c.order.Back()
-		c.order.Remove(tail)
-		delete(c.entries, tail.Value.(*cacheEntry).key)
+	if elem, ok := c.entries[key]; ok {
+		e := elem.Value.(*cacheEntry)
+		c.bytes += size - e.size
+		e.val, e.size = val, size
+		c.order.MoveToFront(elem)
+	} else {
+		c.entries[key] = c.order.PushFront(&cacheEntry{key: key, val: val, size: size})
+		c.bytes += size
 	}
+	for c.bytes > c.max {
+		tail := c.order.Back()
+		e := tail.Value.(*cacheEntry)
+		c.order.Remove(tail)
+		delete(c.entries, e.key)
+		c.bytes -= e.size
+	}
+	if c.held != nil {
+		c.held.Set(c.bytes)
+	}
+}
+
+// dropVersion evicts every answer computed against one tenant version.
+// Versions are unique across tenants, and a replaced version is never
+// requested again, so its answers would only hold budget.
+func (c *resultCache) dropVersion(version uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for elem := c.order.Front(); elem != nil; {
+		next := elem.Next()
+		if e := elem.Value.(*cacheEntry); e.key.version == version {
+			c.order.Remove(elem)
+			delete(c.entries, e.key)
+			c.bytes -= e.size
+		}
+		elem = next
+	}
+	if c.held != nil {
+		c.held.Set(c.bytes)
+	}
+}
+
+// responseBytes is the encoded size of an answer, as writeJSON sends
+// it (before the per-request fields are stamped).
+func responseBytes(r *QueryResponse) int64 {
+	b, err := json.Marshal(r)
+	if err != nil {
+		return math.MaxInt64 // never cached
+	}
+	return int64(len(b)) + 1 // json.Encoder's newline
 }
 
 // Len returns the number of cached answers.

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"aggcavsat/internal/obsv"
 )
 
 func ck(q string, version uint64) cacheKey {
@@ -14,7 +17,7 @@ func ck(q string, version uint64) cacheKey {
 }
 
 func TestCacheHitAndMiss(t *testing.T) {
-	c := newResultCache(4)
+	c := newResultCache(1 << 20)
 	ctx := context.Background()
 	want := &QueryResponse{Digest: "d1"}
 	got, served, err := c.Do(ctx, ck("q1", 1), func() (*QueryResponse, error) { return want, nil })
@@ -40,7 +43,7 @@ func TestCacheHitAndMiss(t *testing.T) {
 }
 
 func TestCacheErrorsNotCached(t *testing.T) {
-	c := newResultCache(4)
+	c := newResultCache(1 << 20)
 	ctx := context.Background()
 	boom := errors.New("boom")
 	if _, _, err := c.Do(ctx, ck("q", 1), func() (*QueryResponse, error) { return nil, boom }); !errors.Is(err, boom) {
@@ -60,7 +63,8 @@ func TestCacheErrorsNotCached(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := newResultCache(2)
+	// Room for two of these (equally sized) answers.
+	c := newResultCache(2 * responseBytes(&QueryResponse{}))
 	ctx := context.Background()
 	solve := func() (*QueryResponse, error) { return &QueryResponse{}, nil }
 	c.Do(ctx, ck("a", 1), solve)
@@ -124,7 +128,7 @@ func TestCacheDisabledStillCoalesces(t *testing.T) {
 }
 
 func TestCacheCoalesceSharesLeaderAnswer(t *testing.T) {
-	c := newResultCache(4)
+	c := newResultCache(1 << 20)
 	ctx := context.Background()
 	release := make(chan struct{})
 	leaderIn := make(chan struct{})
@@ -178,7 +182,7 @@ func TestCacheCoalesceSharesLeaderAnswer(t *testing.T) {
 }
 
 func TestCacheCoalesceContextCancel(t *testing.T) {
-	c := newResultCache(4)
+	c := newResultCache(1 << 20)
 	release := make(chan struct{})
 	leaderIn := make(chan struct{})
 	var wg sync.WaitGroup
@@ -208,7 +212,7 @@ func TestCacheCoalesceContextCancel(t *testing.T) {
 // different -planner mode (or two tenants differing only in policy)
 // always recomputes, keeping QueryResponse.Route provenance truthful.
 func TestCachePlannerModeSeparatesEntries(t *testing.T) {
-	c := newResultCache(4)
+	c := newResultCache(1 << 20)
 	ctx := context.Background()
 	auto := cacheKey{queryFP: "q", constraintFP: "c", version: 1, planner: "auto"}
 	sat := cacheKey{queryFP: "q", constraintFP: "c", version: 1, planner: "force-sat"}
@@ -226,5 +230,67 @@ func TestCachePlannerModeSeparatesEntries(t *testing.T) {
 	}
 	if got, served, _ := c.Do(ctx, auto, nil); !served || got.Route != "rewrite" {
 		t.Fatalf("auto entry lost: served=%v %+v", served, got)
+	}
+}
+
+// sized returns a response whose encoding is exactly n bytes.
+func sized(t *testing.T, n int64) *QueryResponse {
+	t.Helper()
+	r := &QueryResponse{}
+	r.Digest = strings.Repeat("x", int(n-responseBytes(r)))
+	if got := responseBytes(r); got != n {
+		t.Fatalf("sized response: %d bytes, want %d", got, n)
+	}
+	return r
+}
+
+// TestCacheEvictsByBytes: the budget counts encoded bytes, not
+// entries: one large answer evicts several small ones, least recently
+// used first, and the gauge follows the bytes held.
+func TestCacheEvictsByBytes(t *testing.T) {
+	c := newResultCache(1000)
+	held := obsv.NewRegistry().Gauge(MetricCacheBytes)
+	c.wire(nil, nil, nil, held)
+	ctx := context.Background()
+	for _, q := range []string{"a", "b", "c", "d"} {
+		c.Do(ctx, ck(q, 1), func() (*QueryResponse, error) { return sized(t, 200), nil })
+	}
+	if c.Len() != 4 || c.bytes != 800 || held.Value() != 800 {
+		t.Fatalf("4 small answers: len %d, bytes %d, gauge %d", c.Len(), c.bytes, held.Value())
+	}
+	c.Do(ctx, ck("a", 1), nil) // touch a: b is now least recently used
+	c.Do(ctx, ck("big", 1), func() (*QueryResponse, error) { return sized(t, 500), nil })
+	// 800 + 500 > 1000: b and c go, a (touched), d and big stay.
+	if c.Len() != 3 || c.bytes != 900 || held.Value() != 900 {
+		t.Fatalf("after the large answer: len %d, bytes %d, gauge %d", c.Len(), c.bytes, held.Value())
+	}
+	for q, cached := range map[string]bool{"a": true, "b": false, "c": false, "d": true, "big": true} {
+		if _, ok := c.entries[ck(q, 1)]; ok != cached {
+			t.Errorf("%s: cached = %v, want %v", q, ok, cached)
+		}
+	}
+}
+
+// TestCacheOversizedNotCached: an answer larger than the whole budget
+// is served to its request but never cached, and evicts nothing.
+func TestCacheOversizedNotCached(t *testing.T) {
+	c := newResultCache(1000)
+	ctx := context.Background()
+	c.Do(ctx, ck("small", 1), func() (*QueryResponse, error) { return sized(t, 300), nil })
+	want := sized(t, 1001)
+	got, served, err := c.Do(ctx, ck("huge", 1), func() (*QueryResponse, error) { return want, nil })
+	if err != nil || served || got != want {
+		t.Fatalf("oversized answer: got %p served=%v err=%v", got, served, err)
+	}
+	if c.Len() != 1 || c.bytes != 300 {
+		t.Fatalf("oversized answer cached or evicted: len %d, bytes %d", c.Len(), c.bytes)
+	}
+	ran := false
+	c.Do(ctx, ck("huge", 1), func() (*QueryResponse, error) {
+		ran = true
+		return want, nil
+	})
+	if !ran {
+		t.Error("oversized answer served from the cache")
 	}
 }

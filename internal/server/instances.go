@@ -77,8 +77,9 @@ func newTenants() *tenants {
 	return &tenants{byName: map[string]*Tenant{}}
 }
 
-// attach registers (or replaces) a tenant under the next version.
-func (ts *tenants) attach(name, dir string, sys *aggcavsat.System, in *db.Instance, dcs []constraints.DC) *Tenant {
+// attach registers (or replaces) a tenant under the next version and
+// returns it with the tenant it replaced (nil if the name is new).
+func (ts *tenants) attach(name, dir string, sys *aggcavsat.System, in *db.Instance, dcs []constraints.DC) (t, old *Tenant) {
 	mode := "keys"
 	if len(dcs) > 0 {
 		mode = "dc"
@@ -86,7 +87,7 @@ func (ts *tenants) attach(name, dir string, sys *aggcavsat.System, in *db.Instan
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	ts.version++
-	t := &Tenant{
+	t = &Tenant{
 		Name:         name,
 		Dir:          dir,
 		Version:      ts.version,
@@ -100,8 +101,9 @@ func (ts *tenants) attach(name, dir string, sys *aggcavsat.System, in *db.Instan
 		sys:          sys,
 		in:           in,
 	}
+	old = ts.byName[name]
 	ts.byName[name] = t
-	return t
+	return t, old
 }
 
 // get resolves a tenant by name; an empty name resolves when exactly

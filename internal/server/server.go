@@ -35,12 +35,13 @@ const (
 	// attainment reconciles exactly with the bucket counts.
 	MetricRequestDuration = "cavsatd_request_duration_seconds"
 
-	MetricInflight  = "cavsatd_inflight"    // gauge: admitted solves currently running
-	MetricQueued    = "cavsatd_queue_depth" // gauge: requests waiting for a slot
-	MetricCacheHit  = "cavsatd_cache_hits_total"
-	MetricCacheMiss = "cavsatd_cache_misses_total"
-	MetricCoalesced = "cavsatd_coalesced_total" // joined an identical in-flight solve
-	MetricTenants   = "cavsatd_instances"       // gauge: attached tenants
+	MetricInflight   = "cavsatd_inflight"    // gauge: admitted solves currently running
+	MetricQueued     = "cavsatd_queue_depth" // gauge: requests waiting for a slot
+	MetricCacheHit   = "cavsatd_cache_hits_total"
+	MetricCacheMiss  = "cavsatd_cache_misses_total"
+	MetricCoalesced  = "cavsatd_coalesced_total" // joined an identical in-flight solve
+	MetricCacheBytes = "cavsatd_cache_bytes"     // gauge: encoded bytes of the cached answers
+	MetricTenants    = "cavsatd_instances"       // gauge: attached tenants
 )
 
 const (
@@ -54,6 +55,9 @@ const (
 // the labeled request families: 4 routes × 4 outcomes leaves room for
 // 16 tenants before new tuples fall into the "_overflow" series.
 const requestSeriesCap = 256
+
+// DefaultCacheBytes is the result cache's default byte budget.
+const DefaultCacheBytes = 256 << 20
 
 // Config tunes the query service.
 type Config struct {
@@ -71,9 +75,11 @@ type Config struct {
 	// through QueryContext (requests may lower it, never raise it
 	// above this bound). 0 means 30s.
 	RequestTimeout time.Duration
-	// CacheEntries bounds the result cache; 0 means 1024, negative
-	// disables caching (singleflight coalescing stays on).
-	CacheEntries int
+	// CacheBytes bounds the result cache by the encoded size of the
+	// answers it holds; 0 means DefaultCacheBytes, negative disables
+	// caching (singleflight coalescing stays on). An answer larger than
+	// the budget is served but not cached.
+	CacheBytes int64
 	// Planner is the routing policy applied to every tenant engine the
 	// server builds (AttachDir and hot attaches). The zero value is
 	// force-sat; cavsatd defaults its -planner flag to auto.
@@ -126,10 +132,10 @@ func (c Config) withDefaults() Config {
 		c.RequestTimeout = 30 * time.Second
 	}
 	switch {
-	case c.CacheEntries == 0:
-		c.CacheEntries = 1024
-	case c.CacheEntries < 0:
-		c.CacheEntries = 0
+	case c.CacheBytes == 0:
+		c.CacheBytes = DefaultCacheBytes
+	case c.CacheBytes < 0:
+		c.CacheBytes = 0
 	}
 	if c.SLOLatency <= 0 {
 		c.SLOLatency = 250 * time.Millisecond
@@ -174,7 +180,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		tenants: newTenants(),
 		gate:    newGate(int64(cfg.MaxInFlight), cfg.MaxQueue, cfg.QueueWait),
-		cache:   newResultCache(cfg.CacheEntries),
+		cache:   newResultCache(cfg.CacheBytes),
 
 		requests: reg.LabeledCounter(MetricRequests, obsv.RequestLabels, requestSeriesCap),
 		duration: reg.LabeledHistogram(MetricRequestDuration, obsv.RequestLabels, buckets, requestSeriesCap),
@@ -189,7 +195,7 @@ func New(cfg Config) *Server {
 		LatencyTarget:         cfg.SLOLatency,
 	}
 	s.gate.wire(reg.Gauge(MetricInflight), reg.Gauge(MetricQueued))
-	s.cache.wire(reg.Counter(MetricCacheHit), reg.Counter(MetricCacheMiss), reg.Counter(MetricCoalesced))
+	s.cache.wire(reg.Counter(MetricCacheHit), reg.Counter(MetricCacheMiss), reg.Counter(MetricCoalesced), reg.Gauge(MetricCacheBytes))
 	s.exec = s.runQuery
 	return s
 }
@@ -212,7 +218,11 @@ func (s *Server) sloCounts() obsv.SLOCounts {
 // Attach registers an already-built tenant (e.g. the -dbgen demo
 // instance) under name; re-attaching replaces it at a fresh version.
 func (s *Server) Attach(name, dir string, sys *aggcavsat.System, in *db.Instance, dcs []constraints.DC) *Tenant {
-	t := s.tenants.attach(name, dir, sys, in, dcs)
+	t, old := s.tenants.attach(name, dir, sys, in, dcs)
+	if old != nil {
+		// No request can hit the replaced version's answers again.
+		s.cache.dropVersion(old.Version)
+	}
 	s.tenantsG.Set(int64(s.tenants.count()))
 	return t
 }

@@ -313,6 +313,10 @@ func TestAdminInstancesAndCacheInvalidation(t *testing.T) {
 	if info.Version <= first.Version {
 		t.Fatalf("re-attach version %d, want > %d", info.Version, first.Version)
 	}
+	// The replaced version's answers left the cache with it.
+	if n, b := srv.cache.Len(), srv.cfg.Metrics.Gauge(MetricCacheBytes).Value(); n != 0 || b != 0 {
+		t.Errorf("after re-attach the cache holds %d answers, gauge %d bytes", n, b)
+	}
 
 	_, body = postQuery(t, ts.URL, &QueryRequest{SQL: sumQuery})
 	var second QueryResponse
