@@ -22,11 +22,10 @@ vet:
 # the instrumentation writers), the SAT solver (progress callbacks and
 # cooperative interrupts fire from inside the search), MaxHS and its RC2
 # fallback under cancellation, the shared worker pool and the engine
-# running on it (parallel groups/components/candidate shards) with the
-# flight recorder fed from worker goroutines, the parallel witness
-# enumerator (shared evaluator, plan/index caches), the bench harness,
-# the facade (one System hammered by concurrent QueryContext callers),
-# the query service (admission gate handoffs, singleflight coalescing,
+# running on it (parallel groups/components/candidate shards), the
+# parallel witness enumerator (shared evaluator, plan/index caches), the
+# bench harness, the facade (one System hammered by concurrent
+# QueryContext callers), the query service (admission gate handoffs, singleflight coalescing,
 # hot tenant re-attach), and the fact store (frozen columnar instances
 # and mmap-backed snapshots read by concurrent query workers while the
 # dictionary and arenas must stay immutable), and the binaries (cavsatd's
@@ -61,7 +60,12 @@ bench:
 # of the evaluator fuzzer (compiled CQ evaluation ≡
 # brute-force reference, folded + materialized ≡ unfolded bag) and of
 # the snapshot loader fuzzer (no byte string panics the loader; what it
-# accepts reads back and answers key index lookups). The
+# accepts reads back and answers key index lookups), and of the parsers
+# of outside input: SQL text against the TPC-H schema (no panic; what
+# translates has an aggregate over a non-empty union), schema files (no
+# panic; what reads survives a write and a re-read) and W3C traceparent
+# headers (no panic; a version-00 header that parses re-renders with the
+# same ids). The
 # seed corpora always run as part of `make test`; this target
 # additionally mutates each for FUZZTIME.
 FUZZTIME ?= 20s
@@ -70,6 +74,9 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzClosedForm -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzEvalAgainstNaive -fuzztime=$(FUZZTIME) ./internal/cq/
 	$(GO) test -run='^$$' -fuzz=FuzzLoadSnapshotBytes -fuzztime=$(FUZZTIME) ./internal/db/
+	$(GO) test -run='^$$' -fuzz=FuzzParseAndTranslate -fuzztime=$(FUZZTIME) ./internal/sqlparse/
+	$(GO) test -run='^$$' -fuzz=FuzzSchemaFileRead -fuzztime=$(FUZZTIME) ./internal/schemafile/
+	$(GO) test -run='^$$' -fuzz=FuzzParseTraceparent -fuzztime=$(FUZZTIME) ./internal/obsv/
 
 # The benchmark harness is its own module (cavbench/go.mod), so the
 # root-module build and tests never compile it: vet and test it here so

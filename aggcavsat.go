@@ -70,19 +70,14 @@ type (
 	Range = core.Range
 	// Stats instruments a computation (encode/solve split, CNF sizes,
 	// SAT calls). It is taken once at the end of each engine call from
-	// the call's one typed record, which also feeds the journal line,
-	// the flight bundle and the session metrics.
+	// the call's one typed record, which also feeds the journal line
+	// and the session metrics.
 	Stats = core.Stats
 	// Tracer records hierarchical spans; install one on a context with
 	// WithTracer and pass the context to QueryContext.
 	Tracer = obsv.Tracer
 	// SolverProgress is one progress report from the MaxSAT solver.
 	SolverProgress = maxsat.ProgressInfo
-	// FlightBundle is the self-contained anomaly dump delivered to
-	// Options.OnAnomaly: the call's journal entry (identity, error,
-	// timings and counters), the flight-recorder event ring, and the
-	// resource delta of the solve.
-	FlightBundle = obsv.Bundle
 	// Explain is the per-solve report assembled under Options.Explain:
 	// the code paths taken (mode, front end, solver route), cache
 	// outcomes, and the per-component CNF/solve breakdown. Its Stats
@@ -205,24 +200,13 @@ type Options struct {
 	// passed to QueryContext has the same effect.
 	Timeout time.Duration
 	// Progress, when non-nil, receives periodic solver progress reports
-	// (every ProgressEvery conflicts, plus bound-change milestones).
+	// (every maxsat.DefaultProgressEvery conflicts, plus bound-change
+	// milestones).
 	Progress func(SolverProgress)
-	// ProgressEvery is the conflict interval between periodic reports;
-	// 0 means the solver default.
-	ProgressEvery int64
 	// Metrics, when non-nil, accumulates every engine call into a
 	// session-wide registry (obsv Prometheus exposition) once, at the
 	// end of the call.
 	Metrics *obsv.Registry
-	// SlowQuery, when positive, marks any query slower than this as an
-	// anomaly: its flight-recorder bundle is delivered to OnAnomaly even
-	// though the query succeeded.
-	SlowQuery time.Duration
-	// OnAnomaly, when non-nil, enables the per-query flight recorder and
-	// receives a dump bundle whenever a query times out, exhausts its
-	// budget, fails, or exceeds SlowQuery. Called synchronously at the
-	// end of the query; obsv.DumpDir builds a ready-made file sink.
-	OnAnomaly func(*FlightBundle)
 	// Explain attaches a per-solve Explain report (code paths, cache
 	// outcomes, per-component breakdown) to every query result.
 	Explain bool
@@ -252,15 +236,12 @@ func Open(in *Instance, opts Options) (*System, error) {
 	engOpts := core.Options{
 		Mode: core.KeysMode,
 		MaxSAT: maxsat.Options{
-			SolverPath:    opts.ExternalSolverPath,
-			Progress:      opts.Progress,
-			ProgressEvery: opts.ProgressEvery,
+			SolverPath: opts.ExternalSolverPath,
+			Progress:   opts.Progress,
 		},
 		Parallelism: opts.Parallelism,
 		Timeout:     opts.Timeout,
 		Metrics:     opts.Metrics,
-		SlowQuery:   opts.SlowQuery,
-		OnAnomaly:   opts.OnAnomaly,
 		Explain:     opts.Explain,
 		Journal:     opts.Journal,
 		Planner:     opts.Planner,

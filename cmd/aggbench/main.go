@@ -11,14 +11,11 @@
 // Observability:
 //
 //	-trace out.json   Chrome trace-event file covering the whole run
-//	-flight-dir dir   write flight-recorder bundles (recent solver
-//	                  events + journal line) for queries that time out or
-//	                  exceed -slow-query
-//	-slow-query D     queries slower than D dump a flight bundle even on
-//	                  success (0 = only timeouts/errors)
 //	-journal f.jsonl  append one wide-event JSON line per engine call
 //	                  (bounded, non-blocking writer; `tail -f` it to
-//	                  follow a long run)
+//	                  follow a long run). A query that timed out or
+//	                  failed is its line: anomaly, error, trace id and
+//	                  every counter; its spans are in the -trace file
 //	-journal-read f   decode a journal file, print a per-query summary
 //	                  table, and exit (non-zero on malformed lines)
 //	-v                debug logging on stderr (where the journal and
@@ -113,7 +110,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	f := cli.Defaults()
 	f.Planner = "force-sat"
 	f.Register(fs, cli.Seed, cli.Parallel, cli.Planner, cli.Timeout,
-		cli.Trace, cli.FlightDir, cli.SlowQuery, cli.Journal, cli.Verbose)
+		cli.Trace, cli.Journal, cli.Verbose)
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
@@ -157,7 +154,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	opts := sess.Options()
 	cfg.Seed = f.Seed
 	cfg.Parallelism, cfg.Timeout, cfg.Planner = opts.Parallelism, opts.Timeout, opts.Planner
-	cfg.SlowQuery, cfg.OnAnomaly, cfg.Journal = opts.SlowQuery, opts.OnAnomaly, opts.Journal
+	cfg.Journal = opts.Journal
 	r := bench.NewRunner(cfg).WithContext(sess.Context(ctx))
 
 	switch {

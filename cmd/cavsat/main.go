@@ -32,14 +32,14 @@
 //	-journal f.jsonl  append one wide-event JSON line per solve (bounded
 //	                  non-blocking writer; decode with
 //	                  `aggbench -journal-read`)
-//	-trace out.json   Chrome trace-event file (chrome://tracing, Perfetto)
-//	-flight-dir dir   write a flight-recorder bundle (recent solver
-//	                  events + journal line) into dir when the query times
-//	                  out, fails, or exceeds -slow-query
-//	-slow-query D     treat queries slower than D as anomalies worth a
-//	                  flight dump (e.g. 5s; 0 = only errors/timeouts)
+//	-trace out.json   Chrome trace-event file (chrome://tracing, Perfetto);
+//	                  its maxsat.solve spans end with the solver's last
+//	                  lb/ub bracket, also when the solve timed out
 //	-v                debug logging (log/slog) on stderr, including
 //	                  periodic solver progress
+//
+// A query that times out or fails is described by its journal line
+// (anomaly, error, trace id, every counter) and its -trace file.
 //
 // Every output file is opened before the query runs, so a bad path fails
 // at once, and the journal and trace file are flushed and closed even
@@ -98,7 +98,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	explainJSON := fs.Bool("explain-json", false, "print the explain report as JSON")
 	f := cli.Defaults()
 	f.Register(fs, cli.Planner, cli.ExternalSolver, cli.Parallel, cli.Timeout,
-		cli.Journal, cli.Trace, cli.FlightDir, cli.SlowQuery, cli.Verbose)
+		cli.Journal, cli.Trace, cli.Verbose)
 	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}

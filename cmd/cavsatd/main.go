@@ -3,8 +3,7 @@
 // instances, with admission control, a result cache, and the full debug
 // plane (/metrics, /healthz, /debug/trace, /debug/journal, pprof) in
 // the same listener. It is the only binary with a live HTTP debug plane;
-// the one-shot binaries write journal lines, flight bundles and trace
-// files instead.
+// the one-shot binaries write journal lines and trace files instead.
 //
 //	cavsatd -listen :7878 -data bank=testdata/bank
 //	cavsatd -listen :7878 -dbgen            # demo TPC-H tenant
@@ -40,9 +39,9 @@
 // Request correlation: an incoming W3C traceparent header is adopted as
 // the request's trace id (one is minted otherwise); the response echoes
 // it in a Traceparent header and a trace_id JSON field, and the same id
-// is stamped on the journal line, explain report and flight bundle of
-// the solve. Slow (over -slo-latency-ms), errored and shed requests
-// retain their full span buffer for /debug/trace?trace=<id>, plus a
+// is stamped on the journal line and explain report of the solve. Slow
+// (over -slo-latency-ms), errored, timed-out and shed requests retain
+// their full span buffer for /debug/trace?trace=<id>, plus a
 // -trace-sample fraction of healthy ones (bounded by -trace-retain).
 // /metrics labels cavsatd_requests_total and
 // cavsatd_request_duration_seconds by tenant, route and outcome under a
@@ -73,7 +72,10 @@
 //
 // Every tenant — -data directories, the -dbgen demo and hot attaches —
 // is built with the same engine options (-planner, -parallel,
-// -external-solver, -slow-query, -flight-dir, -journal).
+// -external-solver, -journal). A request that failed or timed out is
+// its journal line (anomaly, error, trace id, every counter) and its
+// retained trace, whose maxsat.solve spans carry the solver's last
+// lb/ub bracket.
 //
 // The -dbgen tenant is the aggbench replay instance: -sf,
 // -inconsistency and -seed default to the demo settings that datagen
@@ -126,7 +128,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	traceSample := fs.Float64("trace-sample", 0, "probability of retaining the trace of a healthy fast request (slow/errored/shed requests are always retained)")
 	traceRetain := fs.Int("trace-retain", 0, "retained request traces backing /debug/trace?trace=<id> (0 = default)")
 	f := cli.Defaults()
-	f.Register(fs, cli.SF, cli.Inconsistency, cli.Seed, cli.Journal, cli.FlightDir, cli.SlowQuery,
+	f.Register(fs, cli.SF, cli.Inconsistency, cli.Seed, cli.Journal,
 		cli.Planner, cli.ExternalSolver, cli.Parallel, cli.Verbose)
 	if err := cli.Parse(fs, args); err != nil {
 		return err

@@ -121,8 +121,9 @@ func TestRunGolden(t *testing.T) {
 }
 
 // TestHotAttachGetsDaemonOptions pins that a tenant attached through
-// POST /admin/instances runs with the daemon's engine flags: with
-// -flight-dir and a 1 ns -slow-query, its first query leaves a bundle.
+// POST /admin/instances runs with the daemon's engine flags: its query
+// leaves a line in the daemon's -journal whose options are the
+// daemon's -planner and -parallel, not the defaults.
 func TestHotAttachGetsDaemonOptions(t *testing.T) {
 	bank := t.TempDir()
 	for name, content := range map[string]string{
@@ -133,8 +134,8 @@ func TestHotAttachGetsDaemonOptions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	flights := filepath.Join(t.TempDir(), "flights")
-	cl, _ := startDaemon(t, "-data", "bank="+bank, "-flight-dir", flights, "-slow-query", "1ns")
+	journal := filepath.Join(t.TempDir(), "j.jsonl")
+	cl, stop := startDaemon(t, "-data", "bank="+bank, "-journal", journal, "-planner", "force-sat", "-parallel", "3")
 	body := strings.NewReader(fmt.Sprintf(`{"name": "hot", "dir": %q}`, bank))
 	resp, err := http.Post(cl.BaseURL+"/admin/instances", "application/json", body)
 	if err != nil {
@@ -147,9 +148,15 @@ func TestHotAttachGetsDaemonOptions(t *testing.T) {
 	if _, err := cl.Query(context.Background(), &server.QueryRequest{Instance: "hot", SQL: "SELECT SUM(BAL) FROM Acc"}); err != nil {
 		t.Fatal(err)
 	}
-	bundles, _ := filepath.Glob(filepath.Join(flights, "flight-*.json"))
-	if len(bundles) != 1 {
-		t.Errorf("flight bundles = %v, want one from the hot-attached tenant", bundles)
+	if err := stop(); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	entries, err := obsv.ReadJournalFile(journal)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("journal: %d lines (%v), want 1 from the hot-attached tenant", len(entries), err)
+	}
+	if got := entries[0].Options; got.Planner != "force-sat" || got.Parallelism != 3 {
+		t.Errorf("hot tenant's journal options = %+v, want planner force-sat, parallel 3", got)
 	}
 }
 

@@ -53,11 +53,6 @@ type Config struct {
 	// an expiry is reported as "t/o" rather than stalling the suite. The
 	// paper's own evaluation uses wall-clock timeouts. 0 means none.
 	Timeout time.Duration
-	// SlowQuery and OnAnomaly enable the per-query flight recorder on
-	// every engine the suite builds: queries that time out, fail, or run
-	// longer than SlowQuery deliver a dump bundle to OnAnomaly.
-	SlowQuery time.Duration
-	OnAnomaly func(*obsv.Bundle)
 	// Journal, when non-nil, receives one wide-event line per engine call
 	// (the aggbench -journal flag); each line is labeled with the
 	// workload query's paper name, so a captured journal doubles as a
@@ -274,8 +269,6 @@ func (c Config) engineOptions(dcs []constraints.DC) core.Options {
 		MaxSAT:      c.Solver,
 		Parallelism: c.Parallelism,
 		Timeout:     c.Timeout,
-		SlowQuery:   c.SlowQuery,
-		OnAnomaly:   c.OnAnomaly,
 		Journal:     c.Journal,
 		Planner:     c.Planner,
 	}

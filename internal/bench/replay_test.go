@@ -107,6 +107,33 @@ func TestReplaySpecFile(t *testing.T) {
 	}
 }
 
+// TestReplayOldJournalLine: a version-1 journal line written by an
+// older build, carrying "anomaly":"slow" and a "flight_bundle" path
+// that the engine no longer writes, still decodes and still serves as
+// a replay stream source.
+func TestReplayOldJournalLine(t *testing.T) {
+	src := filepath.Join("testdata", "journal-v1-flight-bundle.jsonl")
+	f, err := os.Open(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	entries, err := obsv.ReadJournal(f)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("ReadJournal: %d entries, %v; want 1", len(entries), err)
+	}
+	if e := entries[0]; e.Version != obsv.JournalVersion || e.Query != "Q1'" || e.Anomaly != "slow" {
+		t.Errorf("decoded v%d query %q anomaly %q, want v%d Q1' slow", e.Version, e.Query, e.Anomaly, obsv.JournalVersion)
+	}
+	rep, err := NewRunner(tinyConfig()).Replay(ReplayOptions{Source: src}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Issued != 1 || rep.Skipped != 0 || rep.Answered() != 1 {
+		t.Errorf("replay issued %d, skipped %d, answered %d; want 1, 0, 1", rep.Issued, rep.Skipped, rep.Answered())
+	}
+}
+
 // TestReplayRejectsUselessStreams pins the error paths: a stream with
 // no resolvable names, and a missing source file.
 func TestReplayRejectsUselessStreams(t *testing.T) {

@@ -29,8 +29,6 @@ const (
 	Timeout        = "timeout"
 	ExternalSolver = "external-solver"
 	Journal        = "journal"
-	FlightDir      = "flight-dir"
-	SlowQuery      = "slow-query"
 	Trace          = "trace"
 	Verbose        = "v"
 	SF             = "sf"
@@ -46,8 +44,6 @@ type Flags struct {
 	Timeout        time.Duration
 	ExternalSolver string
 	Journal        string
-	FlightDir      string
-	SlowQuery      time.Duration
 	Trace          string
 	Verbose        bool
 	SF             float64
@@ -80,10 +76,6 @@ func (f *Flags) Register(fs *flag.FlagSet, names ...string) {
 			fs.StringVar(&f.ExternalSolver, name, f.ExternalSolver, "path to a MaxHS-compatible MaxSAT binary to use instead of the built-in MaxHS")
 		case Journal:
 			fs.StringVar(&f.Journal, name, f.Journal, "append one wide-event JSON line per engine call to this file")
-		case FlightDir:
-			fs.StringVar(&f.FlightDir, name, f.FlightDir, "write flight-recorder bundles for anomalous queries into this directory")
-		case SlowQuery:
-			fs.DurationVar(&f.SlowQuery, name, f.SlowQuery, "queries slower than this are anomalies and dump a flight bundle even on success (0 = only errors/timeouts)")
 		case Trace:
 			fs.StringVar(&f.Trace, name, f.Trace, "write a Chrome trace-event JSON file of the run")
 		case Verbose:
@@ -101,9 +93,8 @@ func (f *Flags) Register(fs *flag.FlagSet, names ...string) {
 }
 
 // Session holds what the flags name, opened before any work so a bad
-// path fails at once: the logger, the journal, the trace file and its
-// tracer, and the flight-bundle directory. Close flushes and closes
-// them on every exit path.
+// path fails at once: the logger, the journal, and the trace file and
+// its tracer. Close flushes and closes them on every exit path.
 type Session struct {
 	Logger  *slog.Logger
 	Journal *obsv.Journal
@@ -127,11 +118,6 @@ func (f Flags) Open(stderr io.Writer, level slog.Level) (s *Session, err error) 
 	}()
 	if f.Planner != "" {
 		if s.planner, err = aggcavsat.ParsePlannerMode(f.Planner); err != nil {
-			return s, err
-		}
-	}
-	if f.FlightDir != "" {
-		if err = os.MkdirAll(f.FlightDir, 0o755); err != nil {
 			return s, err
 		}
 	}
@@ -163,12 +149,8 @@ func (s *Session) Options() aggcavsat.Options {
 		ExternalSolverPath: s.flags.ExternalSolver,
 		Parallelism:        s.flags.Parallel,
 		Timeout:            s.flags.Timeout,
-		SlowQuery:          s.flags.SlowQuery,
 		Journal:            s.Journal,
 		Planner:            s.planner,
-	}
-	if s.flags.FlightDir != "" {
-		opts.OnAnomaly = obsv.DumpDir(s.flags.FlightDir)
 	}
 	if s.flags.Verbose {
 		opts.Progress = func(p aggcavsat.SolverProgress) {

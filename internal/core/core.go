@@ -76,19 +76,6 @@ type Options struct {
 	// session-wide registry (e.g. for a Prometheus scrape endpoint),
 	// once per call at its end. Per-call Stats are unaffected.
 	Metrics *obsv.Registry
-	// SlowQuery, when positive, classifies any engine call that takes
-	// longer than this threshold as an anomaly even though it succeeded:
-	// its flight-recorder bundle is handed to OnAnomaly, so persistently
-	// slow queries are diagnosable after the fact without rerunning.
-	SlowQuery time.Duration
-	// OnAnomaly, when non-nil, enables the per-call flight recorder: a
-	// bounded ring of recent structured events (phase ends, solver
-	// progress ticks, bound updates, CNF stats) that is assembled into a
-	// self-contained obsv.Bundle and passed to this hook whenever a call
-	// ends in ErrTimeout/ErrBudget, errors, or exceeds SlowQuery.
-	// obsv.DumpDir provides a ready-made sink writing each bundle to a
-	// JSON file. The hook runs synchronously at the end of the call.
-	OnAnomaly func(*obsv.Bundle)
 	// Explain, when true, assembles a per-component Explain report on
 	// every Report: which code paths answered the call, the cache
 	// outcomes, and one entry per independent solver instance. The
@@ -98,7 +85,7 @@ type Options struct {
 	// Journal, when non-nil, appends one wide-event line per engine call
 	// (RangeAnswers / ConsistentAnswers) to the query journal: query
 	// fingerprint, options, answer digest, timings, cache outcomes, and
-	// the anomaly classification with its flight-bundle path. The append
+	// the anomaly classification with the error text. The append
 	// is non-blocking (obsv.Journal sheds load when the writer lags), so
 	// journaling never perturbs answers or stalls solves.
 	Journal *obsv.Journal

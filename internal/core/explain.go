@@ -97,7 +97,7 @@ type Explain struct {
 	Op    string `json:"op"`
 	// TraceID is the W3C trace id of the request that ran this call (32
 	// lowercase hex digits), when the context carried one — the same id
-	// the journal line, flight bundle, and cavsatd response carry.
+	// the journal line and cavsatd response carry.
 	TraceID string `json:"trace_id,omitempty"`
 	// Mode is "keys" or "dc". Algorithm is the configured solver:
 	// "maxhs" (built in) or "external" (a binary); both solve the same

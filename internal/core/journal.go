@@ -39,8 +39,7 @@ func AnswersDigest(answers []GroupAnswer) string {
 }
 
 // journalEntry projects the call's wide-event line from its record and
-// Stats: the journal appends it, and an anomaly's flight bundle embeds
-// it. answers is nil on an error exit — the line then carries the
+// Stats. answers is nil on an error exit — the line then carries the
 // anomaly classification instead of a digest.
 func (e *Engine) journalEntry(ctx context.Context, rc *recorder, st Stats, answers []GroupAnswer, err error, dur time.Duration, anomaly string) obsv.JournalEntry {
 	label := obsv.QueryLabelFrom(ctx)

@@ -3,10 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -169,27 +167,25 @@ func TestJournalConcurrentSolves(t *testing.T) {
 	}
 }
 
-// TestJournalFlightLinkage checks both halves of the journal↔bundle
-// cross-reference on an injected timeout: the journal line names the
-// bundle file, and the bundle on disk carries the journal line.
-func TestJournalFlightLinkage(t *testing.T) {
-	dir := t.TempDir()
-	jpath := filepath.Join(dir, "journal.jsonl")
+// TestJournalTimeoutLine: the journal line is the post-mortem of an
+// anomalous call. An injected timeout leaves one line with the anomaly
+// class, the error text and the trace id of the request, which keys its
+// trace.
+func TestJournalTimeoutLine(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "journal.jsonl")
 	j, err := obsv.OpenJournal(jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(bank(), Options{
-		Mode:      KeysMode,
-		Journal:   j,
-		OnAnomaly: obsv.DumpDir(dir),
-	})
+	e, err := New(bank(), Options{Mode: KeysMode, Journal: j})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	tr := obsv.NewTracer()
+	ctx, cancel := context.WithCancel(obsv.WithTracer(context.Background(), tr))
 	cancel()
-	if _, qerr := e.RangeAnswersContext(ctx, paperSumQuery()); !errors.Is(qerr, ErrTimeout) {
+	_, qerr := e.RangeAnswersContext(ctx, paperSumQuery())
+	if !errors.Is(qerr, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", qerr)
 	}
 	if err := j.Close(); err != nil {
@@ -203,39 +199,44 @@ func TestJournalFlightLinkage(t *testing.T) {
 		t.Fatalf("journal lines = %d, want 1", len(entries))
 	}
 	line := entries[0]
-	if line.Anomaly != "timeout" || line.Error == "" {
-		t.Errorf("anomaly/error = %q/%q, want timeout with error text", line.Anomaly, line.Error)
+	if line.Anomaly != "timeout" || line.Error != qerr.Error() {
+		t.Errorf("anomaly/error = %q/%q, want timeout/%q", line.Anomaly, line.Error, qerr)
 	}
-	if line.FlightBundle == "" {
-		t.Fatal("journal line carries no flight bundle path")
+	if want := tr.TraceID().String(); line.TraceID != want {
+		t.Errorf("trace id = %q, want the tracer's %q", line.TraceID, want)
 	}
-	raw, err := os.ReadFile(line.FlightBundle)
+}
+
+// TestTimeoutCountedOnceAsAnomaly: an injected timeout is recorded
+// exactly once, under the "timeout" outcome of the call metrics, and
+// its trace is closed: no span of the dead call is left open.
+func TestTimeoutCountedOnceAsAnomaly(t *testing.T) {
+	reg := obsv.NewRegistry()
+	e, err := New(bank(), Options{Mode: KeysMode, Metrics: reg})
 	if err != nil {
-		t.Fatalf("bundle file from journal line: %v", err)
+		t.Fatal(err)
 	}
-	var bundle struct {
-		Reason  string            `json:"reason"`
-		Journal obsv.JournalEntry `json:"journal"`
-		File    string            `json:"file"`
+	tr := obsv.NewTracer()
+	ctx, cancel := context.WithCancel(obsv.WithTracer(context.Background(), tr))
+	cancel()
+	if _, qerr := e.RangeAnswersContext(ctx, paperSumQuery()); !errors.Is(qerr, ErrTimeout) {
+		t.Fatalf("err = %v, want ErrTimeout", qerr)
 	}
-	if err := json.Unmarshal(raw, &bundle); err != nil {
-		t.Fatalf("bundle is not JSON: %v", err)
+	calls := reg.LabeledCounter(obsv.MetricEngineCalls, obsv.RequestLabels, 0)
+	byOutcome := func(outcome string) int64 {
+		return calls.Sum(func(values []string) bool { return values[2] == outcome })
 	}
-	if bundle.Reason != "timeout" {
-		t.Errorf("bundle reason = %q", bundle.Reason)
+	if got := byOutcome("timeout"); got != 1 {
+		t.Errorf("calls with outcome timeout = %d, want 1", got)
 	}
-	// Reverse link: the bundle embeds the journal line itself, which
-	// differs only in the bundle path written after the dump.
-	want := line
-	want.FlightBundle = ""
-	if !reflect.DeepEqual(bundle.Journal, want) {
-		t.Errorf("bundle journal entry = %+v, want the journal line %+v", bundle.Journal, want)
+	if got := calls.Sum(nil); got != 1 {
+		t.Errorf("calls counted = %d, want 1", got)
 	}
-	if bundle.File != line.FlightBundle {
-		t.Errorf("bundle file = %q, journal line says %q", bundle.File, line.FlightBundle)
+	if tr.Len() == 0 {
+		t.Fatal("timed-out call left no span in its trace")
 	}
-	if !strings.HasPrefix(filepath.Base(bundle.File), "flight-") && !strings.Contains(bundle.File, dir) {
-		t.Errorf("bundle file %q not under dump dir %q", bundle.File, dir)
+	if n := tr.Open(); n != 0 {
+		t.Errorf("%d spans of the timed-out call still open", n)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -108,8 +107,8 @@ func metricNames(reg *obsv.Registry) string {
 // TestOneRecordReconciles runs one engine call per case — keys and DC
 // mode, rewrite and SAT route, success and timeout, plus a
 // ConsistentAnswers call — with every projection switched on, and checks
-// that Report.Stats, Explain.Stats, the journal line, the session
-// registry and the flight bundle all carry the same figures (the
+// that Report.Stats, Explain.Stats, the journal line and the session
+// registry all carry the same figures (the
 // folded-assignment count included, nonzero on the folding calls), and
 // that every exit path publishes the same metric names. The keys-mode
 // SAT cases cover calls eliminated at width 0 and 1 and one solved.
@@ -141,30 +140,27 @@ func TestOneRecordReconciles(t *testing.T) {
 		closedForm int
 		solved     bool
 	}{
-		{name: "keys/sat", in: bank(), q: groupedSumQuery(), route: "sat", anomaly: "slow", folds: true, closedForm: 1},
-		{name: "keys/sat-coupled", in: bank(), q: groupedCoupledSumQuery(), route: "sat", anomaly: "slow", folds: true, closedForm: 2},
-		{name: "keys/sat-solved", in: bank(), q: groupedCoupledSumQuery(), route: "sat", anomaly: "slow", folds: true, solved: true},
+		{name: "keys/sat", in: bank(), q: groupedSumQuery(), route: "sat", anomaly: "", folds: true, closedForm: 1},
+		{name: "keys/sat-coupled", in: bank(), q: groupedCoupledSumQuery(), route: "sat", anomaly: "", folds: true, closedForm: 2},
+		{name: "keys/sat-solved", in: bank(), q: groupedCoupledSumQuery(), route: "sat", anomaly: "", folds: true, solved: true},
 		{name: "keys/rewrite", in: rnd, opts: Options{Planner: planner.ModeRewrite},
-			q: joinQuery(cq.CountStar, true), route: "rewrite", anomaly: "slow"},
+			q: joinQuery(cq.CountStar, true), route: "rewrite", anomaly: ""},
 		{name: "keys/auto", in: rnd, opts: Options{Planner: planner.ModeAuto},
-			q: joinQuery(cq.CountStar, true), route: "sat", anomaly: "slow", folds: true, closedForm: 1},
+			q: joinQuery(cq.CountStar, true), route: "sat", anomaly: "", folds: true, closedForm: 1},
 		{name: "dc/sat", in: rnd, opts: Options{Mode: DCMode, DCs: dcs, Planner: planner.ModeAuto},
-			q: joinQuery(cq.Sum, true), route: "sat", anomaly: "slow", folds: true},
+			q: joinQuery(cq.Sum, true), route: "sat", anomaly: "", folds: true},
 		{name: "keys/timeout", in: bank(), ctx: cancelled, q: paperSumQuery(), route: "sat", anomaly: "timeout"},
-		{name: "consistent", in: rnd, cons: true, anomaly: "slow", folds: true},
+		{name: "consistent", in: rnd, cons: true, anomaly: "", folds: true},
 	}
 	published := map[string]string{}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
-			capt := &bundleCapture{}
 			reg := obsv.NewRegistry()
 			opts := tc.opts
 			opts.Explain = true
 			opts.Metrics = reg
 			opts.Journal = obsv.NewJournal(&buf, 0)
-			opts.OnAnomaly = capt.hook()
-			opts.SlowQuery = time.Nanosecond // every successful call dumps too
 			e, err := New(tc.in, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -236,24 +232,6 @@ func TestOneRecordReconciles(t *testing.T) {
 			checkLineStats(t, tc.name, line, st)
 			if line.Route != tc.route || line.Anomaly != tc.anomaly {
 				t.Errorf("line route/anomaly = %q/%q, want %q/%q", line.Route, line.Anomaly, tc.route, tc.anomaly)
-			}
-
-			bundles := capt.all()
-			if len(bundles) != 1 {
-				t.Fatalf("%d bundles, want 1", len(bundles))
-			}
-			var raw bytes.Buffer
-			if err := bundles[0].Write(&raw); err != nil {
-				t.Fatal(err)
-			}
-			b, err := obsv.ReadBundle(&raw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The capture hook writes no file, so the line carries no
-			// bundle path: the event and the line are identical.
-			if !reflect.DeepEqual(b.Journal, line) {
-				t.Errorf("bundle event %+v\njournal line %+v", b.Journal, line)
 			}
 		})
 	}

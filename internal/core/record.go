@@ -16,19 +16,12 @@ import (
 // Stats and the few facts Stats does not carry (route verdict, cache
 // outcomes, witness/group counts, the component list). At call end, end
 // takes the Stats once and projects every view from that one value —
-// the Report and Explain, the journal line, the flight bundle and the
-// session registry — so they reconcile by construction.
+// the Report and Explain, the journal line and the session registry —
+// so they reconcile by construction.
 type recorder struct {
 	op, query string
 	start     time.Time
 	span      *obsv.Span
-
-	// flight, when non-nil (Options.OnAnomaly set), receives structured
-	// events from the phase instrumentation; all Record calls are
-	// nil-safe, so the disabled path costs one nil check. res is the
-	// whole-call resource baseline of the bundle.
-	flight *obsv.FlightRecorder
-	res    obsv.ResourceSample
 
 	explain bool // collect comps (Options.Explain)
 
@@ -73,42 +66,26 @@ const (
 var phaseNames = [numPhases]string{"witness", "encode", "solve", "rewrite"}
 
 // begin opens one engine call: its root span, the wall-clock start and
-// the typed record, plus — under OnAnomaly — the flight recorder,
-// installed in the context so maxsat progress feeds it too.
+// the typed record.
 func (e *Engine) begin(ctx context.Context, op, query, span string, attrs ...obsv.Attr) (context.Context, *recorder) {
 	ctx, sp := obsv.StartSpan(ctx, span, attrs...)
-	rc := &recorder{
+	return ctx, &recorder{
 		op: op, query: query, start: time.Now(), span: sp,
 		explain: e.opts.Explain,
 	}
-	if e.opts.OnAnomaly != nil {
-		rc.flight = obsv.NewFlightRecorder(0)
-		rc.res = obsv.SampleResources()
-		ctx = obsv.WithFlightRecorder(ctx, rc.flight)
-	}
-	return ctx, rc
 }
 
 // end closes one engine call on every exit path, error exits included:
 // it classifies the anomaly, takes the call's Stats once, and projects
-// the session metrics, the flight bundle and the journal line from
-// them. answers is nil on an error exit.
+// the session metrics and the journal line from them. answers is nil on
+// an error exit.
 func (e *Engine) end(ctx context.Context, rc *recorder, answers []GroupAnswer, err error) Stats {
 	dur := time.Since(rc.start)
-	anomaly := e.classifyAnomaly(err, dur)
+	anomaly := classifyAnomaly(err)
 	st := rc.stats
 	e.publish(ctx, rc, st, anomaly, dur)
-	dump := rc.flight != nil && anomaly != ""
-	if e.opts.Journal != nil || dump {
-		entry := e.journalEntry(ctx, rc, st, answers, err, dur, anomaly)
-		if dump {
-			b := obsv.NewBundle(entry, rc.flight, obsv.SampleResources().Since(rc.res))
-			// The hook (obsv.DumpDir in particular) stamps the file it
-			// wrote, so the journal line can reference the bundle.
-			e.opts.OnAnomaly(b)
-			entry.FlightBundle = b.File
-		}
-		e.opts.Journal.Append(entry)
+	if e.opts.Journal != nil {
+		e.opts.Journal.Append(e.journalEntry(ctx, rc, st, answers, err, dur, anomaly))
 	}
 	if rc.span != nil {
 		rc.span.SetInt("answers", int64(len(answers)))
@@ -119,11 +96,10 @@ func (e *Engine) end(ctx context.Context, rc *recorder, answers []GroupAnswer, e
 }
 
 // classifyAnomaly classifies how a call ended: "" on a clean solve, else
-// a typed timeout or budget stop, any other error, or a successful call
-// slower than Options.SlowQuery. The classification drives both the
-// flight-recorder dump and the journal line's anomaly flag, so it is
-// computed once by the caller and shared.
-func (e *Engine) classifyAnomaly(err error, dur time.Duration) string {
+// a typed timeout or budget stop, or any other error. The journal
+// line's anomaly flag and the outcome label of the call metrics are
+// both this value.
+func classifyAnomaly(err error) string {
 	switch {
 	case errors.Is(err, ErrTimeout):
 		return "timeout"
@@ -131,8 +107,6 @@ func (e *Engine) classifyAnomaly(err error, dur time.Duration) string {
 		return "budget"
 	case err != nil:
 		return "error"
-	case e.opts.SlowQuery > 0 && dur > e.opts.SlowQuery:
-		return "slow"
 	}
 	return ""
 }
@@ -212,10 +186,8 @@ func (e *Engine) publish(ctx context.Context, rc *recorder, st Stats, anomaly st
 	if route == "" {
 		route = "none"
 	}
-	// "slow" is an anomaly for the flight recorder but a success for the
-	// SLO plane: the call answered.
 	outcome := anomaly
-	if outcome == "" || outcome == "slow" {
+	if outcome == "" {
 		outcome = "ok"
 	}
 	reg.LabeledCounter(obsv.MetricEngineCalls, obsv.RequestLabels, 0).
@@ -250,8 +222,7 @@ func startUnit() phaseMark {
 
 // endPhase records one finished phase — its wall time and, for a
 // sampled mark, its resource delta (alloc bytes per phase, live heap,
-// GC cycles) — and emits the flight-recorder event. It returns the
-// phase's wall time.
+// GC cycles). It returns the phase's wall time.
 func (rc *recorder) endPhase(p phase, pm phaseMark) time.Duration {
 	d := time.Since(pm.start)
 	var delta obsv.ResourceDelta
@@ -282,14 +253,6 @@ func (rc *recorder) endPhase(p phase, pm phaseMark) time.Duration {
 	}
 	rc.ran[p] = true
 	rc.mu.Unlock()
-	if !pm.sampled {
-		rc.flight.Record("phase", phaseNames[p], obsv.Int64("ns", int64(d)))
-		return d
-	}
-	rc.flight.Record("phase", phaseNames[p],
-		obsv.Int64("ns", int64(d)),
-		obsv.Int64("alloc_bytes", delta.AllocBytes),
-		obsv.Int64("heap_bytes", delta.HeapBytes))
 	return d
 }
 
@@ -354,9 +317,6 @@ func (rc *recorder) absorbFormula(f *cnf.Formula) cnf.Stats {
 	rc.mu.Lock()
 	rc.stats.absorb(formulaSize{st.Vars, st.Clauses})
 	rc.mu.Unlock()
-	rc.flight.Record("cnf", "formula",
-		obsv.Int64("vars", int64(st.Vars)),
-		obsv.Int64("clauses", int64(st.Clauses)))
 	return st
 }
 
@@ -384,9 +344,6 @@ func (rc *recorder) eliminated(pm phaseMark, pass string, facts, units int, size
 			Directions: []DirectionExplain{{Direction: pass, Algorithm: "elimination"}}})
 	}
 	rc.mu.Unlock()
-	rc.flight.Record("cnf", "elimination",
-		obsv.Int64("vars", int64(size.vars)),
-		obsv.Int64("clauses", int64(size.clauses)))
 }
 
 // closedFormTally accumulates the components of one solve unit answered
@@ -424,10 +381,6 @@ func (rc *recorder) closedForm(t *closedFormTally) {
 		rc.comps = append(rc.comps, ce)
 	}
 	rc.mu.Unlock()
-	rc.flight.Record("cnf", "closed_form",
-		obsv.Int64("components", int64(t.stats.ClosedFormComponents)),
-		obsv.Int64("vars", int64(t.stats.Vars)),
-		obsv.Int64("clauses", int64(t.stats.Clauses)))
 }
 
 // solved records one finished solver pass: its SAT calls and, for a

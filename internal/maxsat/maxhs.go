@@ -33,7 +33,7 @@ import (
 //
 // The solver comes from p.fork(); MaxHS only ever solves it under
 // assumptions.
-func solveMaxHS(ctx context.Context, p *problem, opts Options) (Result, error) {
+func solveMaxHS(ctx context.Context, p *problem, opts Options, tr *tracker) (Result, error) {
 	s := p.fork()
 	if !s.Okay() {
 		return Result{Satisfiable: false}, nil
@@ -45,7 +45,7 @@ func solveMaxHS(ctx context.Context, p *problem, opts Options) (Result, error) {
 	defer release()
 	weights := p.weights
 	all := sortedSelectors(weights)
-	tr := newTracker(ctx, opts, AlgMaxHS, s)
+	tr.attach(AlgMaxHS, s)
 
 	hs := newHittingSets(weights)
 	if opts.HSNodeBudget > 0 {
@@ -74,18 +74,16 @@ func solveMaxHS(ctx context.Context, p *problem, opts Options) (Result, error) {
 		if err != nil {
 			return statsOf(s), err
 		}
-		if tr != nil {
+		if exact && tr != nil {
 			// The weight of an *exact* hitting set of the cores found so
 			// far is a valid lower bound on the optimum falsified weight.
 			var hw int64
 			for l := range H {
 				hw += weights[l]
 			}
-			if exact {
-				tr.bounds(hw, -1)
-			}
-			tr.event("hitting-set")
+			tr.bounds(hw, -1)
 		}
+		tr.event("hitting-set")
 		clear(excluded)
 		for l := range H {
 			excluded[l] = true

@@ -140,7 +140,9 @@ func Solve(f *cnf.Formula, opts Options) (Result, error) {
 
 // SolveContext is Solve with a context carrying an optional obsv.Tracer:
 // each SAT call becomes a "sat.solve" span under the caller's current
-// span, and the whole solve is wrapped in a "maxsat.solve" span. It is
+// span, and the whole solve is wrapped in a "maxsat.solve" span, which
+// ends carrying the built-in solver's last lb/ub bracket, on error exits
+// too (a timed-out solve's bracket says how close it came). It is
 // the one solve path: the built-in solver and an external binary both
 // consume f as it stands, and the lub direction of the reductions is
 // this same call on f.NegateSoft().
@@ -152,7 +154,9 @@ func SolveContext(ctx context.Context, f *cnf.Formula, opts Options) (Result, er
 		res, err = solveExternal(ctx, f, opts)
 		res.Algorithm = AlgExternal
 	} else {
-		res, err = solveProblem(ctx, formulaProblem(f), opts)
+		tr := newTracker(opts, sp)
+		res, err = solveProblem(ctx, formulaProblem(f), opts, tr)
+		tr.stamp(sp)
 	}
 	if sp != nil {
 		sp.SetStr("alg", res.Algorithm.String())
@@ -169,8 +173,8 @@ func SolveContext(ctx context.Context, f *cnf.Formula, opts Options) (Result, er
 // solveProblem runs MaxHS on a prepared problem, degrading to RC2 when
 // an exact hitting-set search blows its node budget, and names the
 // strategy that answered in Result.Algorithm.
-func solveProblem(ctx context.Context, p *problem, opts Options) (Result, error) {
-	res, err := solveMaxHS(ctx, p, opts)
+func solveProblem(ctx context.Context, p *problem, opts Options, tr *tracker) (Result, error) {
+	res, err := solveMaxHS(ctx, p, opts, tr)
 	res.Algorithm = AlgMaxHS
 	if !errors.Is(err, errHSBudget) || opts.ConflictBudget > 0 {
 		// Only a blown hitting-set budget falls back, and not when the
@@ -183,7 +187,7 @@ func solveProblem(ctx context.Context, p *problem, opts Options) (Result, error)
 	// solver is rebuilt from the formula. The failed MaxHS attempt's SAT
 	// calls and conflicts still happened: fold them into whatever the
 	// fallback reports.
-	rres, rerr := solveRC2(ctx, p, opts)
+	rres, rerr := solveRC2(ctx, p, opts, tr)
 	rres.Algorithm = AlgRC2
 	rres.SATCalls += res.SATCalls
 	rres.Conflicts += res.Conflicts

@@ -39,7 +39,7 @@ func bruteForceOptimum(f *cnf.Formula) (opt int64, ok bool) {
 // hitting-set budget fallback.
 type builtin struct {
 	alg   Algorithm
-	solve func(context.Context, *problem, Options) (Result, error)
+	solve func(context.Context, *problem, Options, *tracker) (Result, error)
 }
 
 func (b builtin) String() string { return b.alg.String() }
@@ -50,7 +50,7 @@ func algorithms() []builtin { return []builtin{{AlgMaxHS, solveMaxHS}, rc2Alone}
 
 // solveWith runs one built-in on the one-shot formula path.
 func solveWith(ctx context.Context, b builtin, f *cnf.Formula, opts Options) (Result, error) {
-	return b.solve(ctx, formulaProblem(f), opts)
+	return b.solve(ctx, formulaProblem(f), opts, newTracker(opts, nil))
 }
 
 func TestSimpleWeighted(t *testing.T) {

@@ -42,43 +42,52 @@ type ProgressInfo struct {
 // from inside the solve: keep it fast and do not call back into maxsat.
 type ProgressFunc func(ProgressInfo)
 
-// tracker carries the bound trajectory of one solve and forwards it to
-// the user's ProgressFunc and, when the caller's context carries one,
-// the per-solve flight recorder (progress ticks and bound updates feed
-// the anomaly dump ring). All methods are nil-receiver-safe so the
-// algorithms call them unconditionally; with neither sink configured the
-// cost is one nil check per milestone.
+// tracker carries the bound trajectory of one solve: it forwards
+// progress to the user's ProgressFunc and keeps the last bracket, which
+// SolveContext stamps on the "maxsat.solve" span. All methods are
+// nil-receiver-safe so the algorithms call them unconditionally; with
+// neither Progress nor a span there is no tracker and the cost is one
+// nil check per milestone.
 type tracker struct {
-	fn   ProgressFunc
-	rec  *obsv.FlightRecorder
-	alg  Algorithm
-	s    *sat.Solver
-	iter int64
-	lb   int64
-	ub   int64
+	fn    ProgressFunc
+	every int64
+	alg   Algorithm
+	s     *sat.Solver
+	iter  int64
+	lb    int64
+	ub    int64
 }
 
-// newTracker wires opts.Progress and the context's flight recorder to s
-// (periodic "search" reports every ProgressEvery conflicts) and returns
-// a tracker for milestone reports. Returns nil when neither sink is
-// configured.
-func newTracker(ctx context.Context, opts Options, alg Algorithm, s *sat.Solver) *tracker {
-	rec := obsv.FlightRecorderFrom(ctx)
-	if opts.Progress == nil && rec == nil {
+// newTracker returns the tracker of one solve, or nil when nothing
+// consumes it: no Progress callback and no span to stamp.
+func newTracker(opts Options, sp *obsv.Span) *tracker {
+	if opts.Progress == nil && sp == nil {
 		return nil
 	}
-	t := &tracker{fn: opts.Progress, rec: rec, alg: alg, s: s, lb: -1, ub: -1}
 	every := opts.ProgressEvery
 	if every <= 0 {
 		every = DefaultProgressEvery
 	}
-	s.SetProgress(every, func(p sat.Progress) { t.report("search", p) })
-	return t
+	return &tracker{fn: opts.Progress, every: every, lb: -1, ub: -1}
 }
 
-// report fans one progress observation out to the configured sinks.
+// attach points the tracker at the algorithm now running on s (MaxHS,
+// or the RC2 fallback after it) and restarts the bracket and iteration
+// count, wiring periodic "search" reports every ProgressEvery conflicts
+// when a ProgressFunc consumes them.
+func (t *tracker) attach(alg Algorithm, s *sat.Solver) {
+	if t == nil {
+		return
+	}
+	t.alg, t.s, t.iter, t.lb, t.ub = alg, s, 0, -1, -1
+	if t.fn != nil {
+		s.SetProgress(t.every, func(p sat.Progress) { t.report("search", p) })
+	}
+}
+
+// report hands one progress observation to the ProgressFunc.
 func (t *tracker) report(phase string, p sat.Progress) {
-	info := ProgressInfo{
+	t.fn(ProgressInfo{
 		Algorithm:  t.alg,
 		Phase:      phase,
 		Iteration:  t.iter,
@@ -88,17 +97,7 @@ func (t *tracker) report(phase string, p sat.Progress) {
 		TrailDepth: p.TrailDepth,
 		LowerBound: t.lb,
 		UpperBound: t.ub,
-	}
-	if t.fn != nil {
-		t.fn(info)
-	}
-	t.rec.Record("progress", t.alg.String(),
-		obsv.String("phase", phase),
-		obsv.Int64("iter", info.Iteration),
-		obsv.Int64("sat_calls", info.SATCalls),
-		obsv.Int64("conflicts", info.Conflicts),
-		obsv.Int64("lb", info.LowerBound),
-		obsv.Int64("ub", info.UpperBound))
+	})
 }
 
 // step advances the main-loop iteration counter.
@@ -109,33 +108,35 @@ func (t *tracker) step() {
 }
 
 // bounds updates the falsified-weight bracket (pass -1 to leave a side
-// unchanged); a bracket move is recorded as a "bound" event in the
-// flight recorder.
+// unchanged).
 func (t *tracker) bounds(lb, ub int64) {
 	if t == nil {
 		return
 	}
-	changed := false
-	if lb >= 0 && lb != t.lb {
+	if lb >= 0 {
 		t.lb = lb
-		changed = true
 	}
-	if ub >= 0 && ub != t.ub {
+	if ub >= 0 {
 		t.ub = ub
-		changed = true
-	}
-	if changed {
-		t.rec.Record("bound", t.alg.String(),
-			obsv.Int64("lb", t.lb), obsv.Int64("ub", t.ub))
 	}
 }
 
 // event emits a milestone report with the current solver state.
 func (t *tracker) event(phase string) {
-	if t == nil {
+	if t == nil || t.fn == nil {
 		return
 	}
 	t.report(phase, t.s.ProgressSnapshot())
+}
+
+// stamp records the last bracket on the solve's span: -1 marks a side
+// the solve never bounded.
+func (t *tracker) stamp(sp *obsv.Span) {
+	if t == nil || sp == nil {
+		return
+	}
+	sp.SetInt("lb", t.lb)
+	sp.SetInt("ub", t.ub)
 }
 
 // satSolve runs one SAT call under a "sat.solve" span carrying the

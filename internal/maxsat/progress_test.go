@@ -116,3 +116,100 @@ func TestSolveContextRecordsSpans(t *testing.T) {
 		t.Fatalf("sat.solve spans = %d, SATCalls = %d", names["sat.solve"], res.SATCalls)
 	}
 }
+
+// spanBracket returns the lb/ub attributes of the trace's one
+// maxsat.solve span; ok is false when the span carries neither.
+func spanBracket(t *testing.T, tr *obsv.Tracer) (lb, ub int64, ok bool) {
+	t.Helper()
+	n := 0
+	for _, sp := range tr.Spans() {
+		if sp.Name != "maxsat.solve" {
+			continue
+		}
+		n++
+		for _, a := range sp.Attrs {
+			switch a.Key {
+			case "lb":
+				lb, ok = a.Int, true
+			case "ub":
+				ub, ok = a.Int, true
+			}
+		}
+	}
+	if n != 1 {
+		t.Fatalf("maxsat.solve spans = %d, want 1", n)
+	}
+	return lb, ub, ok
+}
+
+func TestSolveSpanCarriesLastBracket(t *testing.T) {
+	// A traced solve ends with the bracket the last progress report
+	// carried on its maxsat.solve span: the optimum's falsified weight
+	// as ub on a finished solve, and whatever was known on an error exit.
+	t.Run("optimum", func(t *testing.T) {
+		tr := obsv.NewTracer()
+		var last ProgressInfo
+		res, err := SolveContext(obsv.WithTracer(context.Background(), tr), progressFormula(), Options{
+			ProgressEvery: 1,
+			Progress:      func(p ProgressInfo) { last = p },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb, ub, ok := spanBracket(t, tr)
+		if !ok {
+			t.Fatal("maxsat.solve span carries no lb/ub")
+		}
+		if lb != last.LowerBound || ub != last.UpperBound {
+			t.Errorf("span bracket [%d, %d], last progress report [%d, %d]", lb, ub, last.LowerBound, last.UpperBound)
+		}
+		if ub != res.FalsifiedWeight {
+			t.Errorf("span ub %d, want the optimum falsified weight %d", ub, res.FalsifiedWeight)
+		}
+	})
+	t.Run("canceled", func(t *testing.T) {
+		tr := obsv.NewTracer()
+		ctx, cancel := context.WithCancel(obsv.WithTracer(context.Background(), tr))
+		defer cancel()
+		var last ProgressInfo
+		_, err := SolveContext(ctx, hardPigeonhole(10), Options{
+			ProgressEvery: 1,
+			Progress:      func(p ProgressInfo) { last = p; cancel() },
+		})
+		if err == nil {
+			t.Fatal("canceled solve should error")
+		}
+		lb, ub, ok := spanBracket(t, tr)
+		if !ok {
+			t.Fatal("maxsat.solve span of a failed solve carries no lb/ub")
+		}
+		if lb != last.LowerBound || ub != last.UpperBound {
+			t.Errorf("span bracket [%d, %d], last progress report [%d, %d]", lb, ub, last.LowerBound, last.UpperBound)
+		}
+	})
+	t.Run("traced without progress", func(t *testing.T) {
+		tr := obsv.NewTracer()
+		res, err := SolveContext(obsv.WithTracer(context.Background(), tr), progressFormula(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ub, ok := spanBracket(t, tr); !ok || ub != res.FalsifiedWeight {
+			t.Errorf("span ub = %d (present %v), want %d", ub, ok, res.FalsifiedWeight)
+		}
+	})
+}
+
+func TestNoTrackerWithoutConsumer(t *testing.T) {
+	// Without a span and without a Progress callback nothing reads the
+	// bracket, so no tracker is built.
+	if tr := newTracker(Options{}, nil); tr != nil {
+		t.Fatalf("newTracker without span or Progress = %+v, want nil", tr)
+	}
+	if tr := newTracker(Options{Progress: func(ProgressInfo) {}}, nil); tr == nil {
+		t.Fatal("newTracker with Progress = nil")
+	}
+	_, sp := obsv.StartSpan(obsv.WithTracer(context.Background(), obsv.NewTracer()), "maxsat.solve")
+	if tr := newTracker(Options{}, sp); tr == nil {
+		t.Fatal("newTracker with a span = nil")
+	}
+}

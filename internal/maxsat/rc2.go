@@ -28,7 +28,7 @@ import (
 // The solver comes from p.fork(); RC2 extends its clause set
 // (totalizers, hardening) and consumes the selector weights
 // destructively, so it works on a private copy.
-func solveRC2(ctx context.Context, p *problem, opts Options) (Result, error) {
+func solveRC2(ctx context.Context, p *problem, opts Options, tr *tracker) (Result, error) {
 	s := p.fork()
 	if !s.Okay() {
 		return Result{Satisfiable: false}, nil
@@ -39,7 +39,7 @@ func solveRC2(ctx context.Context, p *problem, opts Options) (Result, error) {
 	release := sat.StopOnDone(ctx, s)
 	defer release()
 	weights := p.weightsCopy()
-	tr := newTracker(ctx, opts, AlgRC2, s)
+	tr.attach(AlgRC2, s)
 
 	// totInfo tracks a lazily-bounded totalizer: outputs[bound] is the
 	// output literal whose negation is the currently active selector.

@@ -43,11 +43,11 @@ type JournalOptions struct {
 }
 
 // JournalEntry is one wide event: everything the system knows about one
-// engine call (solve), flattened onto a single JSON line. The journal is
-// the query-level counterpart of the flight recorder — every solve gets
-// a line, not just anomalies, and an anomaly's bundle embeds the same
-// entry — and the replay input format: aggbench -replay can re-issue a
-// recorded stream.
+// engine call (solve), flattened onto a single JSON line. Every solve
+// gets a line, anomalous or not: together with the trace its TraceID
+// keys, a failed or timed-out call's line is its post-mortem. The
+// journal is also the replay input format: aggbench -replay can
+// re-issue a recorded stream.
 type JournalEntry struct {
 	Version int       `json:"v"`
 	Time    time.Time `json:"time"`
@@ -63,8 +63,8 @@ type JournalEntry struct {
 
 	// TraceID is the W3C trace id of the request that ran this solve
 	// (32 lowercase hex digits), stamped when the context carried one —
-	// the cross-link key into explain reports, flight bundles, cavsatd
-	// responses, and retained traces.
+	// the cross-link key into explain reports, cavsatd responses, and
+	// retained traces.
 	TraceID string `json:"trace_id,omitempty"`
 
 	Options JournalOptions `json:"options"`
@@ -121,13 +121,12 @@ type JournalEntry struct {
 	FastPathRelations int64 `json:"fastpath_rels,omitempty"`
 	GenericDCs        int64 `json:"generic_dcs,omitempty"`
 
-	// Anomaly is empty on a clean solve, else the flight-recorder
-	// classification: "timeout", "budget", "error", or "slow".
-	// FlightBundle is the bundle file the anomaly dumped (when a dump
-	// sink was configured), making journal and bundles cross-navigable.
-	Anomaly      string `json:"anomaly,omitempty"`
-	Error        string `json:"error,omitempty"`
-	FlightBundle string `json:"flight_bundle,omitempty"`
+	// Anomaly is empty on a clean solve, else how the call ended:
+	// "timeout", "budget" or "error". Lines written by earlier versions
+	// may also carry "slow" and a "flight_bundle" path; the reader
+	// accepts them.
+	Anomaly string `json:"anomaly,omitempty"`
+	Error   string `json:"error,omitempty"`
 }
 
 // Journal is a bounded, non-blocking writer of journal lines. Append
@@ -183,7 +182,6 @@ func OpenJournal(path string) (*Journal, error) {
 }
 
 // Path returns the journal's file path ("" for writer-backed journals).
-// Flight bundles record it so an anomaly dump links back to its stream.
 func (j *Journal) Path() string {
 	if j == nil {
 		return ""

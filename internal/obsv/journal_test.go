@@ -228,13 +228,13 @@ func TestJournalConcurrentAppend(t *testing.T) {
 func TestJournalEntryJSONShape(t *testing.T) {
 	// The wide-event schema is an interface consumed by external tooling
 	// (jq, the CI smoke step): pin the key field names.
-	e := JournalEntry{Query: "Q1", Anomaly: "slow", FlightBundle: "b.json"}
+	e := JournalEntry{Query: "Q1", Anomaly: "timeout"}
 	e.Version = JournalVersion
 	b, err := json.Marshal(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"v":1`, `"query":"Q1"`, `"anomaly":"slow"`, `"flight_bundle":"b.json"`, `"total_ms"`, `"sat_calls"`, `"options"`} {
+	for _, key := range []string{`"v":1`, `"query":"Q1"`, `"anomaly":"timeout"`, `"total_ms"`, `"sat_calls"`, `"options"`} {
 		if !strings.Contains(string(b), key) {
 			t.Errorf("JSON missing %s:\n%s", key, b)
 		}

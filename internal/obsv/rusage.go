@@ -75,23 +75,19 @@ func SampleResources() ResourceSample {
 type ResourceDelta struct {
 	// AllocBytes is the heap bytes allocated between the samples
 	// (non-negative: the underlying counter is monotone).
-	AllocBytes int64 `json:"alloc_bytes"`
-	// HeapDeltaBytes is the change in live heap size (negative when a GC
-	// between the samples freed more than the operation retained).
-	HeapDeltaBytes int64 `json:"heap_delta_bytes"`
+	AllocBytes int64
 	// HeapBytes is the live heap size at the end sample.
-	HeapBytes int64 `json:"heap_bytes"`
+	HeapBytes int64
 	// GCCycles is the number of collections completed between the
 	// samples.
-	GCCycles int64 `json:"gc_cycles"`
+	GCCycles int64
 }
 
 // Since returns the delta from prev to s (s is the later sample).
 func (s ResourceSample) Since(prev ResourceSample) ResourceDelta {
 	return ResourceDelta{
-		AllocBytes:     int64(s.AllocBytes - prev.AllocBytes),
-		HeapDeltaBytes: int64(s.HeapBytes) - int64(prev.HeapBytes),
-		HeapBytes:      int64(s.HeapBytes),
-		GCCycles:       int64(s.GCCycles - prev.GCCycles),
+		AllocBytes: int64(s.AllocBytes - prev.AllocBytes),
+		HeapBytes:  int64(s.HeapBytes),
+		GCCycles:   int64(s.GCCycles - prev.GCCycles),
 	}
 }

@@ -193,7 +193,7 @@ func TraceContextFrom(ctx context.Context) (TraceContext, bool) {
 
 // TraceIDFromContext resolves the effective trace id of the context: an
 // explicit TraceContext wins, else the installed tracer's trace id, else
-// "". Artifact writers (journal, explain, flight bundles) use this one
+// "". Artifact writers (journal, explain) use this one
 // lookup to stamp their lines.
 func TraceIDFromContext(ctx context.Context) string {
 	if tc, ok := TraceContextFrom(ctx); ok {

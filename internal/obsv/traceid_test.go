@@ -141,3 +141,30 @@ func TestTracerSpanIDsBelongToTrace(t *testing.T) {
 	child.End()
 	root.End()
 }
+
+// FuzzParseTraceparent: no header value makes the parser panic, and a
+// version-00 value it accepts re-renders with the same trace and parent
+// ids (the rendered flags keep only the sampled bit), which parse back
+// to the same context.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00")
+	f.Add("00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01")
+	f.Add("00-00000000000000000000000000000000-00f067aa0ba902b7-01")
+	f.Add("01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-03-extra")
+	f.Add("ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	f.Fuzz(func(t *testing.T, s string) {
+		tc, err := ParseTraceparent(s)
+		if err != nil || !strings.HasPrefix(s, "00-") {
+			return
+		}
+		out := tc.Traceparent()
+		if out[:53] != s[:53] {
+			t.Fatalf("%q re-renders as %q", s, out)
+		}
+		again, err := ParseTraceparent(out)
+		if err != nil || again != tc {
+			t.Fatalf("%q: re-rendered %q parses to %+v, %v; want %+v", s, out, again, err, tc)
+		}
+	})
+}

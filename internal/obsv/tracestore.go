@@ -10,8 +10,8 @@ const DefaultRetainedTraces = 64
 
 // RetainedTrace is one request trace kept by tail-based sampling: the
 // request's whole span tree (its per-request tracer) plus enough request
-// identity to cross-link it with the journal line, explain report, and
-// flight bundle carrying the same trace id.
+// identity to cross-link it with the journal line and explain report
+// carrying the same trace id.
 type RetainedTrace struct {
 	TraceID TraceID
 	// Reason explains why the tail-sampling decision kept this trace:

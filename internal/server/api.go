@@ -78,7 +78,7 @@ type QueryResponse struct {
 	Cached bool `json:"cached"`
 	// TraceID is this request's W3C trace id (32 lowercase hex digits):
 	// the caller's traceparent trace id when one was sent, otherwise
-	// server-minted. It keys the journal line, the flight bundle, and
+	// server-minted. It keys the journal line and
 	// /debug/trace?trace=<id> when the trace was retained. The same id
 	// travels in the Traceparent response header.
 	TraceID string `json:"trace_id,omitempty"`

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -335,15 +336,13 @@ func TestAdminInstancesAndCacheInvalidation(t *testing.T) {
 }
 
 // TestHotAttachUsesTenantOptions pins that a tenant attached through
-// POST /admin/instances is built with the server's tenant options: with
-// an OnAnomaly hook and a 1 ns SlowQuery every solve is an anomaly, so
-// a query on the hot-attached tenant must deliver a flight bundle.
+// POST /admin/instances is built with the server's tenant options: the
+// journal line of a query on the hot-attached tenant carries the
+// configured worker-pool size, not the GOMAXPROCS default.
 func TestHotAttachUsesTenantOptions(t *testing.T) {
-	var bundles atomic.Int64
-	srv := New(Config{TenantOptions: aggcavsat.Options{
-		SlowQuery: time.Nanosecond,
-		OnAnomaly: func(*aggcavsat.FlightBundle) { bundles.Add(1) },
-	}})
+	j := obsv.NewJournal(io.Discard, 16)
+	defer j.Close()
+	srv := New(Config{Journal: j, TenantOptions: aggcavsat.Options{Parallelism: 3}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -359,8 +358,12 @@ func TestHotAttachUsesTenantOptions(t *testing.T) {
 	if resp, body := postQuery(t, ts.URL, &QueryRequest{Instance: "hot", SQL: sumQuery}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("query: %d %s", resp.StatusCode, body)
 	}
-	if n := bundles.Load(); n != 1 {
-		t.Errorf("flight bundles from the hot-attached tenant = %d, want 1", n)
+	lines := j.Tail(16)
+	if len(lines) != 1 {
+		t.Fatalf("journal lines = %d, want 1 from the hot-attached tenant", len(lines))
+	}
+	if got := lines[0].Options.Parallelism; got != 3 {
+		t.Errorf("hot tenant's journal parallel = %d, want 3", got)
 	}
 }
 

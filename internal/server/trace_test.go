@@ -20,26 +20,19 @@ import (
 // TestTraceIdentityEndToEnd pins the request-correlation contract: the
 // caller's traceparent trace id must come back in the Traceparent
 // response header and the JSON body, and the same id must be stamped on
-// the journal line, the explain report, and the flight bundle of the
-// solve it triggered — one id to grep across every artifact — and the
+// the journal line and the explain report of the solve it triggered —
+// one id to grep across every artifact — and the
 // request's spans must be in its retained trace under that id.
 func TestTraceIdentityEndToEnd(t *testing.T) {
 	j := obsv.NewJournal(io.Discard, 128)
 	defer j.Close()
 
 	var mu sync.Mutex
-	var bundles []*aggcavsat.FlightBundle
 
 	// A 1 ns latency objective makes every request "slow", so this one
 	// is retained.
 	srv := New(Config{Metrics: obsv.NewRegistry(), Journal: j, SLOLatency: time.Nanosecond, TenantOptions: aggcavsat.Options{
-		Explain:   true,
-		SlowQuery: time.Nanosecond, // every solve is "slow" → bundle dumped
-		OnAnomaly: func(b *aggcavsat.FlightBundle) {
-			mu.Lock()
-			bundles = append(bundles, b)
-			mu.Unlock()
-		},
+		Explain: true,
 	}})
 	if _, err := srv.AttachDir("bank", writeFixture(t)); err != nil {
 		t.Fatal(err)
@@ -113,15 +106,7 @@ func TestTraceIdentityEndToEnd(t *testing.T) {
 		t.Errorf("explain trace_id = %q, want %s", got, wantTrace)
 	}
 
-	// 5. Flight bundle of the (forced-slow) solve.
-	if len(bundles) != 1 {
-		t.Fatalf("OnAnomaly fired %d times, want 1", len(bundles))
-	}
-	if bundles[0].Journal.TraceID != wantTrace {
-		t.Errorf("bundle trace_id = %q, want %s", bundles[0].Journal.TraceID, wantTrace)
-	}
-
-	// 6. The retained trace under the same id holds the request's
+	// 5. The retained trace under the same id holds the request's
 	// spans: the server's root span (whose id the response header
 	// carries) and the engine call beneath it.
 	rt, ok := srv.traces.Get(tc.TraceID)
