@@ -17,10 +17,10 @@
 //	GET  /admin/instances  list attached tenants
 //	POST /admin/instances  {"name": ..., "dir": ...} hot-attach a
 //	                        schema.txt + CSV directory
-//	GET  /metrics          Prometheus exposition: engine counters plus
-//	                        cavsatd_* service metrics (requests and
-//	                        latency by tenant/route/outcome, queue depth,
-//	                        cache hits/misses)
+//	GET  /metrics          Prometheus exposition: engine metrics plus
+//	                        cavsatd_* service metrics (one request
+//	                        latency histogram by tenant/route/outcome,
+//	                        queue depth, cache hits/misses)
 //	GET  /healthz          liveness, uptime, attached-instance count,
 //	                        journal write/drop counters
 //	GET  /debug/slo        availability and latency SLO attainment with
@@ -43,10 +43,13 @@
 // (over -slo-latency-ms), errored, timed-out and shed requests retain
 // their full span buffer for /debug/trace?trace=<id>, plus a
 // -trace-sample fraction of healthy ones (bounded by -trace-retain).
-// /metrics labels cavsatd_requests_total and
-// cavsatd_request_duration_seconds by tenant, route and outcome under a
-// fixed cardinality cap, and /debug/slo reports attainment and burn
-// rates against -slo-latency-ms and -slo-availability.
+// Each request is one observation of cavsatd_request_duration_seconds,
+// labeled by tenant, route and outcome under a fixed cardinality cap;
+// its _count is the request count. /debug/slo reports attainment and
+// burn rates against -slo-latency-ms and -slo-availability (the target
+// of both objectives), read from that same histogram, and trace
+// retention is decided from the same observation. The engine's
+// aggcavsat_call_seconds counts and times the engine calls alone.
 //
 // Attached directories that hold a columnar snapshot (snapshot.bin,
 // written by datagen -snapshot) are mmap'ed zero-copy instead of
@@ -54,16 +57,17 @@
 // data_version by /admin/instances.
 //
 // The result cache holds up to -cache-bytes of encoded answers keyed by
-// (query fingerprint, constraint fingerprint, instance version,
-// snapshot data version, planner mode); identical concurrent queries
-// coalesce into one solve.
+// (query fingerprint, instance version). Every attach gets a version
+// unique across the server, and it fixes the instance's constraints,
+// snapshot and planner mode; identical concurrent queries coalesce into
+// one solve.
 //
 // The -planner flag (default auto) serves every query on the solver
 // route; force-rewrite serves the ConQuer-style rewriting instead and
 // fails the queries it cannot answer. Answers are identical on every
 // route. Each response carries its route, and the route label of
-// cavsatd_requests_total counts the responses per route (a cached
-// answer counts under route="cache").
+// cavsatd_request_duration_seconds_count counts the responses per route
+// (a cached answer counts under route="cache").
 //
 // A SAT-route component that group elimination declines runs the
 // built-in MaxHS-style solver (with its RC2 fallback); -external-solver

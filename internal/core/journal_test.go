@@ -222,14 +222,10 @@ func TestTimeoutCountedOnceAsAnomaly(t *testing.T) {
 	if _, qerr := e.RangeAnswersContext(ctx, paperSumQuery()); !errors.Is(qerr, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", qerr)
 	}
-	calls := reg.LabeledCounter(obsv.MetricEngineCalls, obsv.RequestLabels, 0)
-	byOutcome := func(outcome string) int64 {
-		return calls.Sum(func(values []string) bool { return values[2] == outcome })
-	}
-	if got := byOutcome("timeout"); got != 1 {
+	if got := callCount(reg, func(values []string) bool { return values[2] == "timeout" }); got != 1 {
 		t.Errorf("calls with outcome timeout = %d, want 1", got)
 	}
-	if got := calls.Sum(nil); got != 1 {
+	if got := callCount(reg, nil); got != 1 {
 		t.Errorf("calls counted = %d, want 1", got)
 	}
 	if tr.Len() == 0 {

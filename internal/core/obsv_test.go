@@ -280,11 +280,24 @@ func TestSessionMetricsPrometheus(t *testing.T) {
 		seen[name] = true
 	}
 	for _, want := range []string{
-		obsv.MetricSATCalls, obsv.MetricMaxSATRuns, obsv.MetricEncodeNS,
-		obsv.MetricSolveNS, obsv.MetricWitnessNS, obsv.MetricCNFVarsMax,
+		obsv.MetricSATCalls, obsv.MetricMaxSATRuns, obsv.MetricCNFVarsMax,
+		obsv.MetricPhaseSecondsPrefix + "encode_sum", obsv.MetricPhaseSecondsPrefix + "solve_sum",
+		obsv.MetricPhaseSecondsPrefix + "witness_sum", obsv.MetricEngineCallSeconds + "_count",
 	} {
 		if !seen[want] {
 			t.Errorf("metric %q missing from exposition", want)
+		}
+	}
+	// Each fact is published once: no per-phase nanosecond counter
+	// beside the phase histograms, no call counter beside the call
+	// histogram, no last-call gauge.
+	for _, gone := range []string{
+		"aggcavsat_calls_total", "aggcavsat_witness_ns_total", "aggcavsat_encode_ns_total",
+		"aggcavsat_solve_ns_total", "aggcavsat_rewrite_ns_total", "aggcavsat_constraint_ns",
+		"aggcavsat_heap_bytes",
+	} {
+		if seen[gone] {
+			t.Errorf("deleted metric %q is published", gone)
 		}
 	}
 }

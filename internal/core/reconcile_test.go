@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -50,17 +51,44 @@ func checkLineStats(t *testing.T, label string, line obsv.JournalEntry, st Stats
 	}
 }
 
+// phaseSeconds returns the _sum of each phase histogram of a registry.
+func phaseSeconds(reg *obsv.Registry) map[string]float64 {
+	snap := reg.Snapshot()
+	sums := map[string]float64{}
+	for _, p := range []string{"witness", "constraint", "encode", "solve", "rewrite"} {
+		sums[p] = snap.Histograms[obsv.MetricPhaseSecondsPrefix+p].Sum
+	}
+	return sums
+}
+
+// callCount totals the observations of aggcavsat_call_seconds whose
+// (tenant, route, outcome) values pass keep (nil keeps all): the
+// engine call count.
+func callCount(reg *obsv.Registry, keep func(values []string) bool) int64 {
+	var n int64
+	for _, s := range reg.LabeledHistogram(obsv.MetricEngineCallSeconds, obsv.RequestLabels, nil, 0).Series() {
+		if keep == nil || keep(s.Values) {
+			n += s.Count
+		}
+	}
+	return n
+}
+
 // registryStats reads a call's Stats back out of a session registry that
-// saw only that call (so every value is the call's delta).
+// saw only that call (so every value is the call's delta). A phase's
+// time is its histogram's _sum, rounded back to nanoseconds; the live
+// heap is a per-call fact no metric carries, so HeapBytes reads 0.
 func registryStats(reg *obsv.Registry) Stats {
 	c := func(name string) int64 { return reg.Counter(name).Value() }
 	g := func(name string) int64 { return reg.Gauge(name).Value() }
+	sums := phaseSeconds(reg)
+	d := func(p string) time.Duration { return time.Duration(math.Round(sums[p] * 1e9)) }
 	return Stats{
-		WitnessTime:          time.Duration(c(obsv.MetricWitnessNS)),
-		ConstraintTime:       time.Duration(g(obsv.MetricConstraintNS)),
-		EncodeTime:           time.Duration(c(obsv.MetricEncodeNS)),
-		SolveTime:            time.Duration(c(obsv.MetricSolveNS)),
-		RewriteTime:          time.Duration(c(obsv.MetricRewriteNS)),
+		WitnessTime:          d("witness"),
+		ConstraintTime:       d("constraint"),
+		EncodeTime:           d("encode"),
+		SolveTime:            d("solve"),
+		RewriteTime:          d("rewrite"),
 		SATCalls:             c(obsv.MetricSATCalls),
 		MaxSATRuns:           int(c(obsv.MetricMaxSATRuns)),
 		Vars:                 int(c(obsv.MetricCNFVars)),
@@ -73,7 +101,6 @@ func registryStats(reg *obsv.Registry) Stats {
 		WitnessAllocBytes:    c(obsv.MetricPhaseAllocPrefix + "witness"),
 		EncodeAllocBytes:     c(obsv.MetricPhaseAllocPrefix + "encode"),
 		SolveAllocBytes:      c(obsv.MetricPhaseAllocPrefix + "solve"),
-		HeapBytes:            g(obsv.MetricHeapBytes),
 		GCCycles:             c(obsv.MetricGCCycles),
 	}
 }
@@ -110,8 +137,11 @@ func metricNames(reg *obsv.Registry) string {
 // that Report.Stats, Explain.Stats, the journal line and the session
 // registry all carry the same figures (the
 // folded-assignment count included, nonzero on the folding calls), and
-// that every exit path publishes the same metric names. The keys-mode
-// SAT cases cover calls eliminated at width 0 and 1 and one solved.
+// that every exit path publishes the same metric names. In the registry
+// a phase's time is the exact _sum of its aggcavsat_phase_seconds_
+// histogram and the call is one aggcavsat_call_seconds observation. The
+// keys-mode SAT cases cover calls eliminated at width 0 and 1 and one
+// solved.
 func TestOneRecordReconciles(t *testing.T) {
 	r := rng(77)
 	rnd := randomInstance(&r)
@@ -208,19 +238,33 @@ func TestOneRecordReconciles(t *testing.T) {
 				t.Errorf("closed-form components = %d, want %d", st.ClosedFormComponents, tc.closedForm)
 			}
 
-			if got := registryStats(reg); got != st {
-				t.Errorf("session registry %+v, Stats %+v", got, st)
+			want := st
+			want.HeapBytes = 0
+			if got := registryStats(reg); got != want {
+				t.Errorf("session registry %+v, Stats %+v", got, want)
 			}
-			// One routed RangeAnswers call; ConsistentAnswers routes none.
-			routed := reg.LabeledCounter(obsv.MetricEngineCalls, obsv.RequestLabels, 0).Sum(func(values []string) bool {
+			for p, d := range map[string]time.Duration{
+				"witness": st.WitnessTime, "constraint": st.ConstraintTime, "encode": st.EncodeTime,
+				"solve": st.SolveTime, "rewrite": st.RewriteTime,
+			} {
+				if got := phaseSeconds(reg)[p]; got != d.Seconds() {
+					t.Errorf("%s phase _sum = %v s, Stats has %v s", p, got, d.Seconds())
+				}
+			}
+			// One call; a routed RangeAnswers call, ConsistentAnswers
+			// routes none.
+			if n := callCount(reg, nil); n != 1 {
+				t.Errorf("call count = %d, want 1", n)
+			}
+			routed := callCount(reg, func(values []string) bool {
 				return values[1] == "rewrite" || values[1] == "sat"
 			})
-			want := int64(1)
+			wantRouted := int64(1)
 			if tc.cons {
-				want = 0
+				wantRouted = 0
 			}
-			if routed != want {
-				t.Errorf("calls with a route label sum to %d, want %d", routed, want)
+			if routed != wantRouted {
+				t.Errorf("calls with a route label sum to %d, want %d", routed, wantRouted)
 			}
 
 			opts.Journal.Close()
@@ -229,6 +273,9 @@ func TestOneRecordReconciles(t *testing.T) {
 				t.Fatalf("journal: %d lines, err %v", len(lines), err)
 			}
 			line := lines[0]
+			if tc.anomaly == "timeout" {
+				st.HeapBytes = line.HeapBytes // the journal line is its only copy
+			}
 			checkLineStats(t, tc.name, line, st)
 			if line.Route != tc.route || line.Anomaly != tc.anomaly {
 				t.Errorf("line route/anomaly = %q/%q, want %q/%q", line.Route, line.Anomaly, tc.route, tc.anomaly)
@@ -244,8 +291,8 @@ func TestOneRecordReconciles(t *testing.T) {
 
 // TestConstraintTimeOnlyWhenBuilt: the constraint phase is reported by
 // the call that built the context and by no later call. A call that
-// reuses it reports no constraint time in its Stats, its journal line
-// or the registry's gauge, which keeps the builder's figure; its explain
+// reuses it reports no constraint time in its Stats or its journal line
+// and adds no observation to the constraint phase histogram; its explain
 // report marks the cache hit and carries the cached build time.
 func TestConstraintTimeOnlyWhenBuilt(t *testing.T) {
 	var buf bytes.Buffer
@@ -273,8 +320,10 @@ func TestConstraintTimeOnlyWhenBuilt(t *testing.T) {
 			reused.Stats.ConstraintTime, reused.Explain.ConstraintCached, reused.Explain.ConstraintBuildNS,
 			int64(built.Stats.ConstraintTime))
 	}
-	if g := reg.Gauge(obsv.MetricConstraintNS).Value(); g != int64(built.Stats.ConstraintTime) {
-		t.Errorf("constraint gauge = %d, want the build's %d", g, int64(built.Stats.ConstraintTime))
+	if h := reg.Snapshot().Histograms[obsv.MetricPhaseSecondsPrefix+"constraint"]; h.Count != 1 ||
+		h.Sum != built.Stats.ConstraintTime.Seconds() {
+		t.Errorf("constraint phase histogram %d observations, _sum %v s; want 1, the build's %v s",
+			h.Count, h.Sum, built.Stats.ConstraintTime.Seconds())
 	}
 	var table bytes.Buffer
 	if err := reused.Explain.WriteTable(&table); err != nil {

@@ -112,14 +112,18 @@ func classifyAnomaly(err error) string {
 }
 
 // routed stamps the route on the record — exactly once per engine call,
-// so the route label of aggcavsat_calls_total sums to the calls served.
+// so the route label of aggcavsat_call_seconds_count sums to the calls
+// served.
 func (rc *recorder) routed(r planner.Route, reason string) {
 	rc.route, rc.routeReason = r.String(), reason
 }
 
 // publish accumulates the call into the session registry
 // (Options.Metrics) once, at call end. Every exit path publishes the
-// same names; phase histograms get one observation per phase that ran.
+// same names; phase histograms get one observation per phase that ran,
+// so a phase's wall time is its histogram's _sum. Per-call facts that
+// do not sum (the live heap, the last constraint build) are the
+// journal line's and the explain report's, not a gauge's.
 func (e *Engine) publish(ctx context.Context, rc *recorder, st Stats, anomaly string, d time.Duration) {
 	reg := e.opts.Metrics
 	if reg == nil {
@@ -127,17 +131,15 @@ func (e *Engine) publish(ctx context.Context, rc *recorder, st Stats, anomaly st
 	}
 	for _, p := range [...]struct {
 		p     phase
-		ns    string
 		d     time.Duration
 		alloc int64
 	}{
-		{phaseWitness, obsv.MetricWitnessNS, st.WitnessTime, st.WitnessAllocBytes},
-		{phaseEncode, obsv.MetricEncodeNS, st.EncodeTime, st.EncodeAllocBytes},
-		{phaseSolve, obsv.MetricSolveNS, st.SolveTime, st.SolveAllocBytes},
-		{phaseRewrite, obsv.MetricRewriteNS, st.RewriteTime, rc.rewriteAllocBytes},
+		{phaseWitness, st.WitnessTime, st.WitnessAllocBytes},
+		{phaseEncode, st.EncodeTime, st.EncodeAllocBytes},
+		{phaseSolve, st.SolveTime, st.SolveAllocBytes},
+		{phaseRewrite, st.RewriteTime, rc.rewriteAllocBytes},
 	} {
 		name := phaseNames[p.p]
-		reg.Counter(p.ns).Add(int64(p.d))
 		reg.Counter(obsv.MetricPhaseAllocPrefix + name).Add(p.alloc)
 		h := reg.Histogram(obsv.MetricPhaseSecondsPrefix+name, nil)
 		if rc.ran[p.p] {
@@ -167,17 +169,9 @@ func (e *Engine) publish(ctx context.Context, rc *recorder, st Stats, anomaly st
 	}
 	reg.Gauge(obsv.MetricCNFVarsMax).SetMax(int64(st.MaxVars))
 	reg.Gauge(obsv.MetricCNFClausesMax).SetMax(int64(st.MaxClauses))
-	// Gauges a call did not measure keep the previous call's value.
-	heap, cons := reg.Gauge(obsv.MetricHeapBytes), reg.Gauge(obsv.MetricConstraintNS)
-	if rc.ran != [numPhases]bool{} {
-		heap.Set(st.HeapBytes)
-	}
-	if rc.constraintBuilt {
-		cons.Set(int64(st.ConstraintTime))
-	}
 
-	// The whole-call count and latency: the labeled request-correlation
-	// families, the only per-route and per-call latency series.
+	// The whole call is one observation: its _count is the call count,
+	// the only per-route and per-call latency series.
 	tenant := obsv.TenantFrom(ctx)
 	if tenant == "" {
 		tenant = "none"
@@ -190,8 +184,6 @@ func (e *Engine) publish(ctx context.Context, rc *recorder, st Stats, anomaly st
 	if outcome == "" {
 		outcome = "ok"
 	}
-	reg.LabeledCounter(obsv.MetricEngineCalls, obsv.RequestLabels, 0).
-		With(tenant, route, outcome).Inc()
 	reg.LabeledHistogram(obsv.MetricEngineCallSeconds, obsv.RequestLabels, nil, 0).
 		With(tenant, route, outcome).Observe(d.Seconds())
 }

@@ -65,8 +65,7 @@ func (in *Instance) Schema() *Schema { return in.schema }
 
 // DataVersion returns the snapshot content fingerprint for instances
 // loaded from a snapshot, and 0 for instances built in memory. Serving
-// layers fold it into cache keys so answers from different snapshot
-// generations never alias.
+// layers report it, so an operator can tell snapshot generations apart.
 func (in *Instance) DataVersion() uint64 { return in.dataVersion }
 
 // NumFacts returns the total number of facts.

@@ -167,7 +167,7 @@ func TestConcurrentScrapes(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
 			reg.Counter("aggcavsat_sat_calls_total").Add(1)
-			reg.Gauge("aggcavsat_heap_bytes").Set(int64(i))
+			reg.Gauge("aggcavsat_cnf_vars_max").Set(int64(i))
 			reg.Histogram("aggcavsat_phase_seconds_solve", nil).Observe(0.001)
 			runtime.Gosched()
 		}

@@ -378,8 +378,9 @@ func QueryLabelFrom(ctx context.Context) string {
 type tenantKey struct{}
 
 // WithTenant attaches the serving tenant (cavsatd instance name) to the
-// context; the engine stamps it on labeled metric families so per-tenant
-// latency and error budgets are attributable.
+// context; the engine stamps it on the tenant label of
+// aggcavsat_call_seconds so per-tenant latency and error budgets are
+// attributable.
 func WithTenant(ctx context.Context, tenant string) context.Context {
 	if tenant == "" {
 		return ctx

@@ -61,252 +61,155 @@ func seriesName(family string, labels, values []string) string {
 	return b.String()
 }
 
-// labeledFamily is the shared cardinality-bounding core of
-// LabeledCounter and LabeledHistogram: a map from the canonical value
-// tuple to a live series, capped at maxSeries distinct tuples, with an
-// all-_overflow series absorbing the excess.
-type labeledFamily struct {
-	family string
-	labels []string
-	max    int
+// LabeledHistogram is a cardinality-bounded family of histograms
+// sharing one metric name, a fixed label schema and one bucket layout.
+// With returns the series for a label tuple, creating it on first use;
+// past maxSeries distinct tuples, unseen tuples share the all-_overflow
+// series. Series live in the owning Registry under their canonical
+// `family{k="v",...}` name, so snapshots and the Prometheus exposition
+// pick them up with no extra plumbing.
+type LabeledHistogram struct {
+	family   string
+	labels   []string
+	max      int
+	overflow string // the all-_overflow series name
+	buckets  []float64
+	reg      *Registry
 
 	mu     sync.RWMutex
 	series map[string][]string // canonical series name → label values
 }
 
-func newLabeledFamily(family string, labels []string, maxSeries int) *labeledFamily {
-	if len(labels) == 0 {
-		panic("obsv: labeled family " + family + " needs at least one label")
-	}
-	if maxSeries <= 0 {
-		maxSeries = DefaultLabeledSeries
-	}
-	return &labeledFamily{
-		family: family,
-		labels: append([]string(nil), labels...),
-		max:    maxSeries,
-		series: map[string][]string{},
-	}
+// With returns the histogram for the given label values (declared
+// order).
+func (lh *LabeledHistogram) With(values ...string) *Histogram {
+	return lh.reg.Histogram(lh.resolve(values), lh.buckets)
 }
 
 // resolve maps a label tuple to its canonical series name, rerouting to
 // the overflow tuple when the tuple is new and the family is at cap.
 // The overflow series itself never counts against the cap, so a family
 // holds at most max+1 live series.
-func (f *labeledFamily) resolve(values []string) string {
-	if len(values) != len(f.labels) {
-		panic("obsv: labeled family " + f.family + " called with wrong label count")
+func (lh *LabeledHistogram) resolve(values []string) string {
+	if len(values) != len(lh.labels) {
+		panic("obsv: labeled family " + lh.family + " called with wrong label count")
 	}
-	name := seriesName(f.family, f.labels, values)
-	f.mu.RLock()
-	_, ok := f.series[name]
-	n := len(f.series)
-	f.mu.RUnlock()
+	name := seriesName(lh.family, lh.labels, values)
+	lh.mu.RLock()
+	_, ok := lh.series[name]
+	n := len(lh.series)
+	lh.mu.RUnlock()
 	if ok {
 		return name
 	}
-	if n >= f.max {
-		return f.overflowName()
+	if n >= lh.max {
+		return lh.overflow
 	}
-	f.mu.Lock()
-	if _, ok := f.series[name]; !ok {
-		if len(f.series) >= f.max {
-			f.mu.Unlock()
-			return f.overflowName()
+	lh.mu.Lock()
+	defer lh.mu.Unlock()
+	if _, ok := lh.series[name]; !ok {
+		if len(lh.series) >= lh.max {
+			return lh.overflow
 		}
-		f.series[name] = append([]string(nil), values...)
+		lh.series[name] = append([]string(nil), values...)
 	}
-	f.mu.Unlock()
 	return name
 }
 
-func (f *labeledFamily) overflowName() string {
-	values := make([]string, len(f.labels))
-	for i := range values {
-		values[i] = OverflowLabel
-	}
-	return seriesName(f.family, f.labels, values)
-}
-
-func (f *labeledFamily) overflowValues() []string {
-	values := make([]string, len(f.labels))
+func (lh *LabeledHistogram) overflowValues() []string {
+	values := make([]string, len(lh.labels))
 	for i := range values {
 		values[i] = OverflowLabel
 	}
 	return values
 }
 
-// snapshotSeries returns every live (series name, values) pair in
-// deterministic order, the overflow series last when materialized.
-func (f *labeledFamily) snapshotSeries(overflowLive func(string) bool) (names []string, values [][]string) {
-	f.mu.RLock()
-	names = make([]string, 0, len(f.series)+1)
-	for name := range f.series {
-		names = append(names, name)
-	}
-	f.mu.RUnlock()
-	sort.Strings(names)
-	if on := f.overflowName(); overflowLive(on) {
-		names = append(names, on)
-	}
-	values = make([][]string, len(names))
-	for i, name := range names {
-		f.mu.RLock()
-		v, ok := f.series[name]
-		f.mu.RUnlock()
-		if !ok {
-			v = f.overflowValues()
-		}
-		values[i] = append([]string(nil), v...)
-	}
-	return names, values
+// LabeledSeries is a point-in-time copy of one series of a labeled
+// histogram family.
+type LabeledSeries struct {
+	Values []string // label values, aligned with the family's labels
+	HistogramSnapshot
 }
 
-// LabeledCounter is a cardinality-bounded family of counters sharing one
-// metric name and a fixed label schema. With returns the series for a
-// label tuple, creating it on first use; past the per-family cap, unseen
-// tuples share the all-_overflow series. Series live in the owning
-// Registry under their canonical `family{k="v",...}` name, so snapshots
-// and the Prometheus exposition pick them up with no extra plumbing.
-type LabeledCounter struct {
-	f   *labeledFamily
-	reg *Registry
-}
-
-// With returns the counter for the given label values (declared order).
-func (lc *LabeledCounter) With(values ...string) *Counter {
-	return lc.reg.Counter(lc.f.resolve(values))
-}
-
-// Labels returns the family's label names in declared order.
-func (lc *LabeledCounter) Labels() []string { return append([]string(nil), lc.f.labels...) }
-
-// Sum totals every live series whose label values pass the filter (a
-// nil filter sums the whole family, overflow included). The filter sees
-// values aligned with Labels().
-func (lc *LabeledCounter) Sum(filter func(values []string) bool) int64 {
-	names, values := lc.f.snapshotSeries(func(on string) bool {
-		lc.reg.mu.RLock()
-		_, ok := lc.reg.counters[on]
-		lc.reg.mu.RUnlock()
-		return ok
-	})
-	var total int64
-	for i, name := range names {
-		if filter != nil && !filter(values[i]) {
-			continue
-		}
-		lc.reg.mu.RLock()
-		c, ok := lc.reg.counters[name]
-		lc.reg.mu.RUnlock()
-		if ok {
-			total += c.Value()
+// Series copies every live series, sorted by canonical name, the
+// overflow series last when it has been used.
+func (lh *LabeledHistogram) Series() []LabeledSeries {
+	type live struct {
+		name   string
+		values []string
+	}
+	lh.mu.RLock()
+	all := make([]live, 0, len(lh.series)+1)
+	for name, values := range lh.series {
+		all = append(all, live{name, values})
+	}
+	lh.mu.RUnlock()
+	sort.Slice(all, func(i, j int) bool { return all[i].name < all[j].name })
+	all = append(all, live{lh.overflow, lh.overflowValues()})
+	out := make([]LabeledSeries, 0, len(all))
+	lh.reg.mu.RLock()
+	defer lh.reg.mu.RUnlock()
+	for _, l := range all {
+		// With resolves a tuple before it registers the histogram, and
+		// the overflow series exists only once the cap is reached.
+		if h, ok := lh.reg.histograms[l.name]; ok {
+			out = append(out, LabeledSeries{Values: append([]string(nil), l.values...), HistogramSnapshot: h.snapshot()})
 		}
 	}
-	return total
+	return out
 }
 
-// LabeledHistogram is the histogram sibling of LabeledCounter: one
-// bucket layout shared by every series of the family, the same
-// cardinality cap and _overflow policy.
-type LabeledHistogram struct {
-	f       *labeledFamily
-	reg     *Registry
-	buckets []float64
-}
-
-// With returns the histogram for the given label values.
-func (lh *LabeledHistogram) With(values ...string) *Histogram {
-	return lh.reg.Histogram(lh.f.resolve(values), lh.buckets)
-}
-
-// Labels returns the family's label names in declared order.
-func (lh *LabeledHistogram) Labels() []string { return append([]string(nil), lh.f.labels...) }
-
-// Buckets returns the family's bucket upper bounds.
-func (lh *LabeledHistogram) Buckets() []float64 { return append([]float64(nil), lh.buckets...) }
-
-// CountUnder returns (observations ≤ limit, total observations) across
-// every live series passing the filter. limit is matched against the
-// bucket upper bounds (the largest bound ≤ limit is used), so callers
-// that need exact attainment — the SLO plane — must provision limit as
-// a bucket bound.
-func (lh *LabeledHistogram) CountUnder(limit float64, filter func(values []string) bool) (under, total int64) {
-	names, values := lh.f.snapshotSeries(func(on string) bool {
-		lh.reg.mu.RLock()
-		_, ok := lh.reg.histograms[on]
-		lh.reg.mu.RUnlock()
-		return ok
-	})
-	for i, name := range names {
-		if filter != nil && !filter(values[i]) {
-			continue
+// CountUnder returns the observations in buckets whose upper bound is at
+// most limit. Callers that need an exact count — the SLO plane — must
+// provision limit as a bucket bound.
+func (h HistogramSnapshot) CountUnder(limit float64) int64 {
+	var n int64
+	for i, ub := range h.Buckets {
+		if ub <= limit {
+			n += h.Counts[i]
 		}
-		lh.reg.mu.RLock()
-		h, ok := lh.reg.histograms[name]
-		lh.reg.mu.RUnlock()
-		if !ok {
-			continue
-		}
-		for b, ub := range h.buckets {
-			c := h.counts[b].Load()
-			if ub <= limit {
-				under += c
-			}
-			total += c
-		}
-		total += h.inf.Load()
 	}
-	return under, total
-}
-
-// LabeledCounter returns the named labeled counter family, creating it
-// on first use with the given label names and per-family series cap
-// (maxSeries <= 0 means DefaultLabeledSeries). Later calls may pass nil
-// labels and zero maxSeries; passing different label names is a
-// programming error and panics.
-func (r *Registry) LabeledCounter(family string, labels []string, maxSeries int) *LabeledCounter {
-	r.mu.RLock()
-	lc, ok := r.labeledCounters[family]
-	r.mu.RUnlock()
-	if ok {
-		checkSameLabels(family, lc.f.labels, labels)
-		return lc
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if lc, ok := r.labeledCounters[family]; ok {
-		checkSameLabels(family, lc.f.labels, labels)
-		return lc
-	}
-	r.checkFree(family, "labeled counter")
-	lc = &LabeledCounter{f: newLabeledFamily(family, labels, maxSeries), reg: r}
-	r.labeledCounters[family] = lc
-	return lc
+	return n
 }
 
 // LabeledHistogram returns the named labeled histogram family, creating
 // it on first use with the given label names, bucket bounds (nil means
-// DurationBuckets), and series cap.
+// DurationBuckets) and per-family series cap (maxSeries <= 0 means
+// DefaultLabeledSeries). Later calls may pass nil labels; passing
+// different label names is a programming error and panics.
 func (r *Registry) LabeledHistogram(family string, labels []string, buckets []float64, maxSeries int) *LabeledHistogram {
 	r.mu.RLock()
 	lh, ok := r.labeledHistograms[family]
 	r.mu.RUnlock()
 	if ok {
-		checkSameLabels(family, lh.f.labels, labels)
+		checkSameLabels(family, lh.labels, labels)
 		return lh
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if lh, ok := r.labeledHistograms[family]; ok {
-		checkSameLabels(family, lh.f.labels, labels)
+		checkSameLabels(family, lh.labels, labels)
 		return lh
 	}
 	r.checkFree(family, "labeled histogram")
+	if len(labels) == 0 {
+		panic("obsv: labeled family " + family + " needs at least one label")
+	}
 	if buckets == nil {
 		buckets = DurationBuckets
 	}
-	lh = &LabeledHistogram{f: newLabeledFamily(family, labels, maxSeries), reg: r, buckets: sortDedupBounds(buckets)}
+	if maxSeries <= 0 {
+		maxSeries = DefaultLabeledSeries
+	}
+	lh = &LabeledHistogram{
+		family:  family,
+		labels:  append([]string(nil), labels...),
+		max:     maxSeries,
+		buckets: sortDedupBounds(buckets),
+		reg:     r,
+		series:  map[string][]string{},
+	}
+	lh.overflow = seriesName(family, labels, lh.overflowValues())
 	r.labeledHistograms[family] = lh
 	return lh
 }

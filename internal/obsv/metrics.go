@@ -9,14 +9,10 @@ import (
 
 // Metric names used across the pipeline — a stable public contract,
 // mirrored in the Stats view of internal/core and documented in
-// README.md's Observability section. The *_ns metrics count wall time in
-// nanoseconds (integer counters diff exactly across snapshots); the
-// *_seconds metrics are histograms for long-lived registries.
+// README.md's Observability section. Each fact is published once: the
+// per-phase wall time is the _sum of its aggcavsat_phase_seconds_<phase>
+// histogram, the call count the _count of aggcavsat_call_seconds.
 const (
-	MetricWitnessNS       = "aggcavsat_witness_ns_total"
-	MetricConstraintNS    = "aggcavsat_constraint_ns"
-	MetricEncodeNS        = "aggcavsat_encode_ns_total"
-	MetricSolveNS         = "aggcavsat_solve_ns_total"
 	MetricSATCalls        = "aggcavsat_sat_calls_total"
 	MetricMaxSATRuns      = "aggcavsat_maxsat_runs_total"
 	MetricCNFVars         = "aggcavsat_cnf_vars_total"
@@ -29,23 +25,22 @@ const (
 	MetricFolded          = "aggcavsat_folded_assignments_total"
 	MetricGroups          = "aggcavsat_groups_total"
 
-	MetricPhaseSecondsPrefix = "aggcavsat_phase_seconds_" // + witness|constraint|encode|solve|rewrite
+	// MetricPhaseSecondsPrefix + witness|constraint|encode|solve|rewrite
+	// names one histogram per phase, observed once per call that ran the
+	// phase (constraint: once per call that built the constraint
+	// context).
+	MetricPhaseSecondsPrefix = "aggcavsat_phase_seconds_"
 
 	MetricJournalWritten = "aggcavsat_journal_written_total" // journal lines persisted
 	MetricJournalDropped = "aggcavsat_journal_dropped_total" // journal lines shed by the bounded writer
 
-	// MetricRewriteNS accumulates wall time in the SAT-free rewriting
-	// executor, the rewrite-route sibling of the witness/encode/solve
-	// phase counters.
-	MetricRewriteNS = "aggcavsat_rewrite_ns_total"
-
-	// Request-correlation families: labeled by tenant (the serving
-	// instance, "none" outside cavsatd), route (the executor that
-	// answered, "none" for a call that never routed), and outcome ("ok"
-	// or the anomaly class). The engine observes them once per call into
-	// the session registry, so the route label is the only per-route
-	// call count and the histogram the only whole-call latency series.
-	MetricEngineCalls       = "aggcavsat_calls_total"
+	// MetricEngineCallSeconds is the whole-call latency of the engine,
+	// without admission wait or result cache, labeled by tenant (the
+	// serving instance, "none" outside cavsatd), route (the executor
+	// that answered, "none" for a call that never routed) and outcome
+	// ("ok", "timeout", "budget" or "error"). The engine observes it
+	// once per call into the session registry, so its _count is the
+	// only engine call count, per route.
 	MetricEngineCallSeconds = "aggcavsat_call_seconds"
 )
 
@@ -99,7 +94,6 @@ type Histogram struct {
 	counts  []atomic.Int64
 	inf     atomic.Int64
 	sumBits atomic.Uint64 // float64 bits of the observation sum
-	count   atomic.Int64
 }
 
 func newHistogram(buckets []float64) *Histogram {
@@ -131,7 +125,6 @@ func (h *Histogram) Observe(v float64) {
 	} else {
 		h.inf.Add(1)
 	}
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		nw := math.Float64bits(math.Float64frombits(old) + v)
@@ -146,7 +139,7 @@ type HistogramSnapshot struct {
 	Buckets []float64 // upper bounds, ascending
 	Counts  []int64   // non-cumulative per-bucket counts; len == len(Buckets)
 	Inf     int64     // observations above the last bucket
-	Count   int64
+	Count   int64     // the buckets' total, so it never disagrees with them
 	Sum     float64
 }
 
@@ -159,7 +152,6 @@ type Registry struct {
 	counters          map[string]*Counter
 	gauges            map[string]*Gauge
 	histograms        map[string]*Histogram
-	labeledCounters   map[string]*LabeledCounter
 	labeledHistograms map[string]*LabeledHistogram
 }
 
@@ -169,7 +161,6 @@ func NewRegistry() *Registry {
 		counters:          map[string]*Counter{},
 		gauges:            map[string]*Gauge{},
 		histograms:        map[string]*Histogram{},
-		labeledCounters:   map[string]*LabeledCounter{},
 		labeledHistograms: map[string]*LabeledHistogram{},
 	}
 }
@@ -180,21 +171,14 @@ func (r *Registry) checkFree(name, kind string) {
 	_, h := r.histograms[name]
 	// The bare family name of a labeled family is reserved too: a plain
 	// metric `fam` alongside series `fam{...}` would split the family's
-	// TYPE header in the exposition. A `fam{...}` series name of the
-	// matching kind is allowed — that is how the family's own series are
-	// stored.
+	// TYPE header in the exposition. A `fam{...}` histogram is how the
+	// family's own series are stored.
 	fam := metricFamily(name)
-	_, lc := r.labeledCounters[fam]
 	_, lh := r.labeledHistograms[fam]
-	if fam != name { // series name, not a bare family name
-		if kind == "counter" {
-			lc = false
-		}
-		if kind == "histogram" {
-			lh = false
-		}
+	if fam != name && kind == "histogram" {
+		lh = false
 	}
-	if c || g || h || lc || lh {
+	if c || g || h || lh {
 		panic("obsv: metric " + name + " already registered with a different kind than " + kind)
 	}
 }
@@ -285,17 +269,22 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges[name] = g.Value()
 	}
 	for name, h := range r.histograms {
-		hs := HistogramSnapshot{
-			Buckets: append([]float64(nil), h.buckets...),
-			Counts:  make([]int64, len(h.buckets)),
-			Inf:     h.inf.Load(),
-			Count:   h.count.Load(),
-			Sum:     math.Float64frombits(h.sumBits.Load()),
-		}
-		for i := range h.counts {
-			hs.Counts[i] = h.counts[i].Load()
-		}
-		s.Histograms[name] = hs
+		s.Histograms[name] = h.snapshot()
 	}
 	return s
+}
+
+func (h *Histogram) snapshot() HistogramSnapshot {
+	hs := HistogramSnapshot{
+		Buckets: append([]float64(nil), h.buckets...),
+		Counts:  make([]int64, len(h.buckets)),
+		Inf:     h.inf.Load(),
+		Sum:     math.Float64frombits(h.sumBits.Load()),
+	}
+	hs.Count = hs.Inf
+	for i := range h.counts {
+		hs.Counts[i] = h.counts[i].Load()
+		hs.Count += hs.Counts[i]
+	}
+	return hs
 }

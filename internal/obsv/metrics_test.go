@@ -195,7 +195,7 @@ func TestHistogramDuplicateBounds(t *testing.T) {
 	h.Observe(2)
 
 	lh := r.LabeledHistogram("dup_labeled_seconds", []string{"route"}, []float64{1, 0.25, 1, 4}, 8)
-	if got := len(lh.Buckets()); got != 3 {
+	if got := len(lh.buckets); got != 3 {
 		t.Fatalf("deduped labeled bucket count = %d, want 3", got)
 	}
 	lh.With("sat").Observe(0.9)

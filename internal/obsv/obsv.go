@@ -1,9 +1,10 @@
 // Package obsv is the stdlib-only observability layer of the system:
 // a hierarchical span tracer propagated through context.Context, a
 // concurrency-safe metrics registry (counters, gauges, fixed-bucket
-// histograms) with a snapshot API and Prometheus-style text exposition,
-// and the shared vocabulary of span and metric names used across the
-// pipeline.
+// histograms and cardinality-bounded labeled histograms) with a snapshot
+// API and Prometheus-style text exposition, and the shared vocabulary of
+// span and metric names used across the pipeline. Each fact has one
+// series: a duration histogram's _count is the count of what it times.
 //
 // The paper's entire evaluation is an observability exercise — the
 // encode/solve time splits of Figures 1 and 9, the CNF sizes of

@@ -19,20 +19,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 // WritePrometheus renders the snapshot in the Prometheus text format.
 func (s Snapshot) WritePrometheus(w io.Writer) error {
-	// Counter names may carry a label set (`family{k="v"}`); the TYPE
-	// header names the bare family and appears once per family. Sorted
-	// order keeps a family's labelled members adjacent, so tracking the
-	// previous family suffices.
-	lastFamily := ""
 	for _, name := range sortedKeys(s.Counters) {
-		family := metricFamily(name)
-		if family != lastFamily {
-			if _, err := fmt.Fprintf(w, "# TYPE %s counter\n", family); err != nil {
-				return err
-			}
-			lastFamily = family
-		}
-		if _, err := fmt.Fprintf(w, "%s %d\n", name, s.Counters[name]); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, s.Counters[name]); err != nil {
 			return err
 		}
 	}
@@ -41,16 +29,11 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 			return err
 		}
 	}
-	hnames := make([]string, 0, len(s.Histograms))
-	for name := range s.Histograms {
-		hnames = append(hnames, name)
-	}
-	sort.Strings(hnames)
 	// Histogram names may carry a label set (a LabeledHistogram series,
 	// `family{k="v"}`): the TYPE header names the bare family once, and
 	// each series merges its labels with the le label on bucket lines.
-	lastFamily = ""
-	for _, name := range hnames {
+	lastFamily := ""
+	for _, name := range sortedKeys(s.Histograms) {
 		h := s.Histograms[name]
 		family, labels := splitSeries(name)
 		if family != lastFamily {
@@ -76,11 +59,9 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", family, suffix, formatFloat(h.Sum)); err != nil {
 			return err
 		}
-		// The 0.0.4 format requires _count == the +Inf bucket. Under
-		// concurrent Observe the independent count atomic can lag the
-		// bucket atomics mid-snapshot, so derive _count from the buckets
-		// rather than emitting h.Count and risking an inconsistent scrape.
-		if _, err := fmt.Fprintf(w, "%s_count%s %d\n", family, suffix, cum+h.Inf); err != nil {
+		// The 0.0.4 format requires _count == the +Inf bucket; Count is
+		// the buckets' total.
+		if _, err := fmt.Fprintf(w, "%s_count%s %d\n", family, suffix, h.Count); err != nil {
 			return err
 		}
 	}
@@ -117,7 +98,7 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-func sortedKeys(m map[string]int64) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -100,28 +100,31 @@ func TestPrometheusHistogramInvariants(t *testing.T) {
 	}
 }
 
-// TestPrometheusLabelledFamily: counters named with label sets share one # TYPE line per family — the bare
-// family name, emitted once — and keep their own sample lines. Scrapers
-// reject duplicate or label-bearing TYPE lines, so this is load-bearing.
+// TestPrometheusLabelledFamily: histograms named with label sets share
+// one # TYPE line per family — the bare family name, emitted once — and
+// keep their own sample lines. Scrapers reject duplicate or
+// label-bearing TYPE lines, so this is load-bearing.
 func TestPrometheusLabelledFamily(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(`app_route_total{route="rewrite"}`).Add(5)
-	r.Counter(`app_route_total{route="sat"}`).Add(2)
+	r.Histogram(`app_route_seconds{route="rewrite"}`, []float64{1}).Observe(5)
+	r.Histogram(`app_route_seconds{route="sat"}`, []float64{1}).Observe(0.5)
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	typeLine := "# TYPE app_route_total counter"
+	typeLine := "# TYPE app_route_seconds histogram"
 	if got := strings.Count(out, typeLine); got != 1 {
 		t.Errorf("TYPE line appears %d times, want exactly 1:\n%s", got, out)
 	}
-	if strings.Contains(out, "# TYPE app_route_total{") {
+	if strings.Contains(out, "# TYPE app_route_seconds{") {
 		t.Errorf("TYPE line carries a label set:\n%s", out)
 	}
 	for _, sample := range []string{
-		`app_route_total{route="rewrite"} 5`,
-		`app_route_total{route="sat"} 2`,
+		`app_route_seconds_bucket{route="rewrite",le="1"} 0`,
+		`app_route_seconds_count{route="rewrite"} 1`,
+		`app_route_seconds_bucket{route="sat",le="1"} 1`,
+		`app_route_seconds_count{route="sat"} 1`,
 	} {
 		if !strings.Contains(out, sample) {
 			t.Errorf("missing sample %q:\n%s", sample, out)

@@ -9,12 +9,12 @@ import (
 // the *_alloc_bytes counters accumulate the heap bytes allocated while a
 // phase was running (process-global: under parallelism, concurrent
 // phases each observe the shared allocation stream, the same caveat as
-// the summed per-phase durations), the heap gauge is the live-object
-// heap size at the last phase boundary, and the GC counter accumulates
-// collection cycles completed during measured phases.
+// the summed per-phase durations), and the GC counter accumulates
+// collection cycles completed during measured phases. A call's live
+// heap is a per-call fact: its journal line and explain report carry
+// it, no gauge does.
 const (
-	MetricPhaseAllocPrefix = "aggcavsat_phase_alloc_bytes_" // + witness|encode|solve
-	MetricHeapBytes        = "aggcavsat_heap_bytes"
+	MetricPhaseAllocPrefix = "aggcavsat_phase_alloc_bytes_" // + witness|encode|solve|rewrite
 	MetricGCCycles         = "aggcavsat_gc_cycles_total"
 )
 

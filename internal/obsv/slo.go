@@ -5,18 +5,17 @@ import (
 	"time"
 )
 
-// SLOCounts is one cumulative reading of the request counters the SLO
+// SLOCounts is one cumulative reading of the request counts the SLO
 // plane is computed from. Total/Good drive the availability objective
 // (Good = requests that did not fail: everything but error/timeout/shed,
-// by the caller's definition); LatencyTotal/LatencyOK drive the latency
-// objective (LatencyOK = requests answered within the latency target).
-// All four are cumulative since process start, like the underlying
-// metric families.
+// by the caller's definition); Good/LatencyOK drive the latency
+// objective (LatencyOK = good requests answered within the latency
+// target). All three are cumulative since process start, like the
+// underlying metric family.
 type SLOCounts struct {
-	Total        int64 `json:"total"`
-	Good         int64 `json:"good"`
-	LatencyTotal int64 `json:"latency_total"`
-	LatencyOK    int64 `json:"latency_ok"`
+	Total     int64 `json:"total"`
+	Good      int64 `json:"good"`
+	LatencyOK int64 `json:"latency_ok"`
 }
 
 // SLOWindow is the attainment and burn rate of one objective over one
@@ -78,21 +77,20 @@ const sloMaxSamples = 4096
 var SLOWindows = []time.Duration{5 * time.Minute, time.Hour}
 
 // SLOTracker computes availability and latency-objective attainment with
-// multi-window burn rates from a caller-supplied cumulative counter
-// source — in cavsatd, the labeled request families, so /debug/slo
-// reconciles with /metrics by construction. Observe() is called per
-// request completion and samples the source at most once per second;
-// Report() renders the current state.
+// multi-window burn rates from a caller-supplied cumulative count
+// source — in cavsatd, the labeled request-duration histogram, so
+// /debug/slo reconciles with /metrics by construction. Observe() is
+// called per request completion and samples the source at most once per
+// second; Report() renders the current state.
 type SLOTracker struct {
 	// Source reads the current cumulative counts. Must be safe for
 	// concurrent use.
 	Source func() SLOCounts
-	// AvailabilityObjective and LatencyObjective are target fractions in
-	// (0,1); LatencyTarget is the latency threshold the LatencyOK counts
-	// were computed against (informational, echoed in reports).
-	AvailabilityObjective float64
-	LatencyObjective      float64
-	LatencyTarget         time.Duration
+	// Objective is the target fraction in (0,1) of both objectives;
+	// LatencyTarget is the latency threshold the LatencyOK counts were
+	// computed against (informational, echoed in reports).
+	Objective     float64
+	LatencyTarget time.Duration
 	// Now is the clock (time.Now when nil); injectable for tests.
 	Now func() time.Time
 
@@ -179,25 +177,25 @@ func (t *SLOTracker) Report() SLOReport {
 
 	avail := SLOObjective{
 		Name:       "availability",
-		Objective:  t.AvailabilityObjective,
+		Objective:  t.Objective,
 		Total:      cur.Total,
 		Good:       cur.Good,
 		Attainment: ratio(cur.Good, cur.Total),
 	}
 	lat := SLOObjective{
 		Name:       "latency",
-		Objective:  t.LatencyObjective,
+		Objective:  t.Objective,
 		TargetMS:   float64(t.LatencyTarget.Microseconds()) / 1000,
-		Total:      cur.LatencyTotal,
+		Total:      cur.Good,
 		Good:       cur.LatencyOK,
-		Attainment: ratio(cur.LatencyOK, cur.LatencyTotal),
+		Attainment: ratio(cur.LatencyOK, cur.Good),
 	}
 	for _, w := range SLOWindows {
 		base, actual := windowBase(samples, now, w, cur)
 		avail.Windows = append(avail.Windows, windowReport(
-			w, actual, cur.Total-base.Total, cur.Good-base.Good, t.AvailabilityObjective))
+			w, actual, cur.Total-base.Total, cur.Good-base.Good, t.Objective))
 		lat.Windows = append(lat.Windows, windowReport(
-			w, actual, cur.LatencyTotal-base.LatencyTotal, cur.LatencyOK-base.LatencyOK, t.LatencyObjective))
+			w, actual, cur.Good-base.Good, cur.LatencyOK-base.LatencyOK, t.Objective))
 	}
 	return SLOReport{Time: now, Objectives: []SLOObjective{avail, lat}}
 }

@@ -2,6 +2,7 @@ package obsv
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -17,11 +18,10 @@ type sloHarness struct {
 func newSLOHarness(objective float64) *sloHarness {
 	h := &sloHarness{now: time.Unix(1_700_000_000, 0)}
 	h.tr = &SLOTracker{
-		Source:                func() SLOCounts { return h.counts },
-		AvailabilityObjective: objective,
-		LatencyObjective:      objective,
-		LatencyTarget:         250 * time.Millisecond,
-		Now:                   func() time.Time { return h.now },
+		Source:        func() SLOCounts { return h.counts },
+		Objective:     objective,
+		LatencyTarget: 250 * time.Millisecond,
+		Now:           func() time.Time { return h.now },
 	}
 	return h
 }
@@ -30,7 +30,6 @@ func (h *sloHarness) tick(d time.Duration, add SLOCounts) {
 	h.now = h.now.Add(d)
 	h.counts.Total += add.Total
 	h.counts.Good += add.Good
-	h.counts.LatencyTotal += add.LatencyTotal
 	h.counts.LatencyOK += add.LatencyOK
 	h.tr.Observe()
 }
@@ -60,7 +59,7 @@ func TestSLOTrackerBurnRates(t *testing.T) {
 	// One hour of history at one sample per minute: steady 100 req/min,
 	// 99 good (burn exactly 1.0), all fast.
 	for i := 0; i < 60; i++ {
-		h.tick(time.Minute, SLOCounts{Total: 100, Good: 99, LatencyTotal: 100, LatencyOK: 100})
+		h.tick(time.Minute, SLOCounts{Total: 100, Good: 99, LatencyOK: 99})
 	}
 	rep := h.tr.Report()
 	avail := rep.Objectives[0]
@@ -82,7 +81,7 @@ func TestSLOTrackerBurnRates(t *testing.T) {
 	// Five error-free minutes: the 5m window heals to burn 0 while the
 	// 1h window still carries the bad hour.
 	for i := 0; i < 5; i++ {
-		h.tick(time.Minute, SLOCounts{Total: 100, Good: 100, LatencyTotal: 100, LatencyOK: 100})
+		h.tick(time.Minute, SLOCounts{Total: 100, Good: 100, LatencyOK: 100})
 	}
 	rep = h.tr.Report()
 	avail = rep.Objectives[0]
@@ -129,34 +128,42 @@ func TestSLOTrackerSamplingGap(t *testing.T) {
 }
 
 // TestSLOCountsFromLabeledFamilies pins the reconciliation contract the
-// server relies on: an SLO source computed from a labeled counter and
-// histogram agrees with direct family arithmetic.
+// server relies on: an SLO source computed in one pass over a labeled
+// duration histogram agrees with direct per-series arithmetic, and its
+// counts are the _count series of the exposition.
 func TestSLOCountsFromLabeledFamilies(t *testing.T) {
 	reg := NewRegistry()
-	labels := []string{"tenant", "route", "outcome"}
-	req := reg.LabeledCounter("requests_total", labels, 16)
-	dur := reg.LabeledHistogram("request_seconds", labels, []float64{0.25, 1}, 16)
+	dur := reg.LabeledHistogram("request_seconds", []string{"tenant", "route", "outcome"}, []float64{0.25, 1}, 16)
+	dur.With("a", "sat", "ok").Observe(0.1)
+	dur.With("a", "rewrite", "ok").Observe(0.2)
+	dur.With("a", "sat", "ok").Observe(0.9) // ok but over the 0.25 target
+	dur.With("b", "none", "error").Observe(0.1)
+	dur.With("b", "none", "shed").Observe(0.01)
 
-	obs := func(tenant, route, outcome string, sec float64) {
-		req.With(tenant, route, outcome).Inc()
-		dur.With(tenant, route, outcome).Observe(sec)
+	var counts SLOCounts
+	for _, s := range dur.Series() {
+		counts.Total += s.Count
+		if s.Values[2] == "ok" {
+			counts.Good += s.Count
+			counts.LatencyOK += s.CountUnder(0.25)
+		}
 	}
-	obs("a", "sat", "ok", 0.1)
-	obs("a", "rewrite", "ok", 0.2)
-	obs("a", "sat", "ok", 0.9) // ok but over the 0.25 target
-	obs("b", "none", "error", 0.1)
-	obs("b", "none", "shed", 0.01)
-
-	isOK := func(values []string) bool { return values[2] == "ok" }
-	under, latTotal := dur.CountUnder(0.25, isOK)
-	counts := SLOCounts{
-		Total:        req.Sum(nil),
-		Good:         req.Sum(isOK),
-		LatencyTotal: latTotal,
-		LatencyOK:    under,
-	}
-	want := SLOCounts{Total: 5, Good: 3, LatencyTotal: 3, LatencyOK: 2}
+	want := SLOCounts{Total: 5, Good: 3, LatencyOK: 2}
 	if counts != want {
 		t.Fatalf("counts = %+v, want %+v", counts, want)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		`request_seconds_count{tenant="a",route="sat",outcome="ok"} 2`,
+		`request_seconds_count{tenant="a",route="rewrite",outcome="ok"} 1`,
+		`request_seconds_count{tenant="b",route="none",outcome="error"} 1`,
+		`request_seconds_count{tenant="b",route="none",outcome="shed"} 1`,
+	} {
+		if !strings.Contains(sb.String(), line+"\n") {
+			t.Errorf("exposition lacks %q:\n%s", line, sb.String())
+		}
 	}
 }

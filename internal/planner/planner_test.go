@@ -458,8 +458,8 @@ func TestForceRewrite(t *testing.T) {
 }
 
 // TestRouteCountersSumToCalls asserts the metrics contract: every
-// answered RangeAnswers call counts in aggcavsat_calls_total under
-// route "rewrite" or "sat", a call force-rewrite rejects counts under
+// answered RangeAnswers call is one aggcavsat_call_seconds observation
+// under route "rewrite" or "sat", a call force-rewrite rejects counts under
 // neither (it ran no executor), and auto never counts a rewrite.
 func TestRouteCountersSumToCalls(t *testing.T) {
 	reg := obsv.NewRegistry()
@@ -471,9 +471,14 @@ func TestRouteCountersSumToCalls(t *testing.T) {
 		selfJoinQuery(),                                // structural rejection
 		treeQuery(cq.SumDistinct, false, false, false), // operator rejection
 	}
-	calls := reg.LabeledCounter(obsv.MetricEngineCalls, obsv.RequestLabels, 0)
-	route := func(want string) int64 {
-		return calls.Sum(func(values []string) bool { return values[1] == want })
+	calls := reg.LabeledHistogram(obsv.MetricEngineCallSeconds, obsv.RequestLabels, nil, 0)
+	route := func(want string) (n int64) {
+		for _, s := range calls.Series() {
+			if s.Values[1] == want {
+				n += s.Count
+			}
+		}
+		return n
 	}
 	counts := func() (rw, sat int64) { return route("rewrite"), route("sat") }
 	for _, tc := range []struct {

@@ -21,23 +21,22 @@ var (
 	ErrQueueTimeout = errors.New("server: overloaded, queue wait expired")
 )
 
-// gate is a weighted semaphore with a bounded FIFO wait queue — the
-// server's admission controller. Capacity units are "solve weight"
-// (requests acquire 1 today; the weighting exists so heavier statements
-// can claim more than one slot without changing the contract). At most
-// maxQueue requests may wait for slots; arrivals beyond that are shed
-// immediately, and waiters that outlive maxWait (or their context) are
-// shed late. Fairness is strict FIFO: a waiter is admitted only when
-// every earlier waiter was admitted or gave up, so heavy requests
-// cannot be starved by a stream of light ones.
+// gate is a counting semaphore with a bounded FIFO wait queue — the
+// server's admission controller: each admitted request holds one of cap
+// solve slots. At most maxQueue requests may wait for a slot; arrivals
+// beyond that are shed immediately, and waiters that outlive maxWait
+// (or their context) are shed late. Fairness is strict FIFO: a waiter
+// is admitted only when every earlier waiter was admitted or gave up.
 type gate struct {
 	mu      sync.Mutex
-	cap     int64
-	cur     int64
+	cap     int
+	cur     int
 	maxWait time.Duration
 
 	maxQueue int
-	waiters  *list.List // of *gateWaiter, FIFO
+	// waiters holds one channel per queued request, FIFO; a grant
+	// closes it.
+	waiters *list.List
 
 	// Gauges mirror the gate state into the metrics registry (nil-safe:
 	// a gate can run unwired in tests).
@@ -45,14 +44,9 @@ type gate struct {
 	queued   *obsv.Gauge
 }
 
-type gateWaiter struct {
-	weight int64
-	ready  chan struct{} // closed by release when the slot is granted
-}
-
-// newGate builds a gate admitting capacity weight units with at most
-// maxQueue waiting requests, each waiting at most maxWait.
-func newGate(capacity int64, maxQueue int, maxWait time.Duration) *gate {
+// newGate builds a gate admitting capacity concurrent requests with at
+// most maxQueue waiting requests, each waiting at most maxWait.
+func newGate(capacity, maxQueue int, maxWait time.Duration) *gate {
 	if capacity <= 0 {
 		capacity = 1
 	}
@@ -73,21 +67,14 @@ func (g *gate) wire(inflight, queued *obsv.Gauge) {
 	g.queued = queued
 }
 
-// Acquire claims weight units, waiting in FIFO order when the gate is
-// full. It fails fast with ErrShed when the wait queue is at capacity,
+// Acquire claims a slot, waiting in FIFO order when the gate is full.
+// It fails fast with ErrShed when the wait queue is at capacity,
 // ErrQueueTimeout when maxWait elapses first, or ctx.Err() when the
-// caller gives up. A weight above capacity is clamped (it could never
-// be admitted otherwise).
-func (g *gate) Acquire(ctx context.Context, weight int64) error {
-	if weight <= 0 {
-		weight = 1
-	}
-	if weight > g.cap {
-		weight = g.cap
-	}
+// caller gives up.
+func (g *gate) Acquire(ctx context.Context) error {
 	g.mu.Lock()
-	if g.cur+weight <= g.cap && g.waiters.Len() == 0 {
-		g.cur += weight
+	if g.cur < g.cap && g.waiters.Len() == 0 {
+		g.cur++
 		g.mu.Unlock()
 		g.setGauges()
 		return nil
@@ -96,8 +83,8 @@ func (g *gate) Acquire(ctx context.Context, weight int64) error {
 		g.mu.Unlock()
 		return ErrShed
 	}
-	w := &gateWaiter{weight: weight, ready: make(chan struct{})}
-	elem := g.waiters.PushBack(w)
+	ready := make(chan struct{})
+	elem := g.waiters.PushBack(ready)
 	g.mu.Unlock()
 	g.setGauges()
 
@@ -108,22 +95,22 @@ func (g *gate) Acquire(ctx context.Context, weight int64) error {
 		expire = t.C
 	}
 	select {
-	case <-w.ready:
+	case <-ready:
 		g.setGauges()
 		return nil
 	case <-expire:
-		return g.abandon(elem, w, ErrQueueTimeout)
+		return g.abandon(elem, ready, ErrQueueTimeout)
 	case <-ctx.Done():
-		return g.abandon(elem, w, ctx.Err())
+		return g.abandon(elem, ready, ctx.Err())
 	}
 }
 
 // abandon removes a waiter that gave up; if the slot was granted in the
 // race window, the grant is forwarded instead of leaked.
-func (g *gate) abandon(elem *list.Element, w *gateWaiter, cause error) error {
+func (g *gate) abandon(elem *list.Element, ready chan struct{}, cause error) error {
 	g.mu.Lock()
 	select {
-	case <-w.ready:
+	case <-ready:
 		// Granted while we were giving up: keep the slot and succeed —
 		// releasing here would over-free, dropping it would leak.
 		g.mu.Unlock()
@@ -138,19 +125,10 @@ func (g *gate) abandon(elem *list.Element, w *gateWaiter, cause error) error {
 	return cause
 }
 
-// Release returns weight units and hands freed capacity to the queue.
-func (g *gate) Release(weight int64) {
-	if weight <= 0 {
-		weight = 1
-	}
-	if weight > g.cap {
-		weight = g.cap
-	}
+// Release returns a slot and hands it to the queue.
+func (g *gate) Release() {
 	g.mu.Lock()
-	g.cur -= weight
-	if g.cur < 0 {
-		g.cur = 0
-	}
+	g.cur--
 	g.grantLocked()
 	g.mu.Unlock()
 	g.setGauges()
@@ -158,15 +136,9 @@ func (g *gate) Release(weight int64) {
 
 // grantLocked admits queued waiters in FIFO order while capacity lasts.
 func (g *gate) grantLocked() {
-	for g.waiters.Len() > 0 {
-		front := g.waiters.Front()
-		w := front.Value.(*gateWaiter)
-		if g.cur+w.weight > g.cap {
-			return
-		}
-		g.cur += w.weight
-		g.waiters.Remove(front)
-		close(w.ready)
+	for g.waiters.Len() > 0 && g.cur < g.cap {
+		g.cur++
+		close(g.waiters.Remove(g.waiters.Front()).(chan struct{}))
 	}
 }
 
@@ -177,7 +149,7 @@ func (g *gate) setGauges() {
 		return
 	}
 	g.mu.Lock()
-	cur, queued := g.cur, int64(g.waiters.Len())
+	cur, queued := int64(g.cur), int64(g.waiters.Len())
 	g.mu.Unlock()
 	g.inflight.Set(cur)
 	g.queued.Set(queued)

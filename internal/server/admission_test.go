@@ -11,18 +11,18 @@ import (
 func TestGateAdmitsUpToCapacity(t *testing.T) {
 	g := newGate(2, 0, time.Second)
 	ctx := context.Background()
-	if err := g.Acquire(ctx, 1); err != nil {
+	if err := g.Acquire(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Acquire(ctx, 1); err != nil {
+	if err := g.Acquire(ctx); err != nil {
 		t.Fatal(err)
 	}
 	// Full, no queue: immediate shed.
-	if err := g.Acquire(ctx, 1); !errors.Is(err, ErrShed) {
+	if err := g.Acquire(ctx); !errors.Is(err, ErrShed) {
 		t.Fatalf("err = %v, want ErrShed", err)
 	}
-	g.Release(1)
-	if err := g.Acquire(ctx, 1); err != nil {
+	g.Release()
+	if err := g.Acquire(ctx); err != nil {
 		t.Fatalf("after release: %v", err)
 	}
 }
@@ -30,11 +30,11 @@ func TestGateAdmitsUpToCapacity(t *testing.T) {
 func TestGateQueueTimesOut(t *testing.T) {
 	g := newGate(1, 1, 20*time.Millisecond)
 	ctx := context.Background()
-	if err := g.Acquire(ctx, 1); err != nil {
+	if err := g.Acquire(ctx); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if err := g.Acquire(ctx, 1); !errors.Is(err, ErrQueueTimeout) {
+	if err := g.Acquire(ctx); !errors.Is(err, ErrQueueTimeout) {
 		t.Fatalf("err = %v, want ErrQueueTimeout", err)
 	}
 	if d := time.Since(start); d < 15*time.Millisecond {
@@ -44,27 +44,27 @@ func TestGateQueueTimesOut(t *testing.T) {
 
 func TestGateContextCancelWhileQueued(t *testing.T) {
 	g := newGate(1, 1, time.Minute)
-	if err := g.Acquire(context.Background(), 1); err != nil {
+	if err := g.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- g.Acquire(ctx, 1) }()
+	go func() { done <- g.Acquire(ctx) }()
 	time.Sleep(5 * time.Millisecond)
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// The abandoned waiter must not hold a queue slot.
-	g.Release(1)
-	if err := g.Acquire(context.Background(), 1); err != nil {
+	g.Release()
+	if err := g.Acquire(context.Background()); err != nil {
 		t.Fatalf("after abandon: %v", err)
 	}
 }
 
 func TestGateFIFOHandoff(t *testing.T) {
 	g := newGate(1, 4, time.Minute)
-	if err := g.Acquire(context.Background(), 1); err != nil {
+	if err := g.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	const waiters = 3
@@ -77,17 +77,17 @@ func TestGateFIFOHandoff(t *testing.T) {
 			// Stagger enqueueing so FIFO order is deterministic.
 			time.Sleep(time.Duration(i*10) * time.Millisecond)
 			started.Done()
-			if err := g.Acquire(context.Background(), 1); err != nil {
+			if err := g.Acquire(context.Background()); err != nil {
 				t.Errorf("waiter %d: %v", i, err)
 				return
 			}
 			order <- i
-			g.Release(1)
+			g.Release()
 		}()
 	}
 	started.Wait()
 	time.Sleep(40 * time.Millisecond) // all three queued
-	g.Release(1)
+	g.Release()
 	for want := 0; want < waiters; want++ {
 		select {
 		case got := <-order:
@@ -97,20 +97,5 @@ func TestGateFIFOHandoff(t *testing.T) {
 		case <-time.After(time.Second):
 			t.Fatalf("waiter %d never admitted", want)
 		}
-	}
-}
-
-func TestGateWeightClampAndRelease(t *testing.T) {
-	g := newGate(2, 0, time.Second)
-	// A weight above capacity clamps instead of deadlocking forever.
-	if err := g.Acquire(context.Background(), 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Acquire(context.Background(), 1); !errors.Is(err, ErrShed) {
-		t.Fatalf("err = %v, want ErrShed while clamped weight holds all capacity", err)
-	}
-	g.Release(10)
-	if err := g.Acquire(context.Background(), 2); err != nil {
-		t.Fatalf("after clamped release: %v", err)
 	}
 }

@@ -1,9 +1,8 @@
 // Package server implements cavsatd's HTTP/JSON query service: a
 // multi-tenant instance registry over aggcavsat.System, admission
 // control with bounded in-flight solves and typed load shedding, and a
-// result cache keyed by (query fingerprint, constraint fingerprint,
-// instance version) with singleflight coalescing of identical
-// concurrent queries. The PR 5 debug plane (/metrics, /healthz,
+// result cache keyed by (query fingerprint, instance version) with
+// singleflight coalescing of identical concurrent queries. The PR 5 debug plane (/metrics, /healthz,
 // /debug/trace, /debug/journal, pprof) mounts into the same mux, so one
 // process serves both queries and its own observability.
 package server

@@ -11,28 +11,15 @@ import (
 )
 
 // cacheKey identifies one answer: the query fingerprint (FNV-1a over
-// the normalized SQL, core.Fingerprint64), the instance's constraint
-// fingerprint (mode + DC set + schema keys), and the instance version
-// (bumped on every attach). Any change to data or constraints moves the
-// version or the constraint fingerprint, so stale answers can never be
-// served. This layer saves the whole solve for repeated statements.
+// the normalized SQL, core.Fingerprint64) and the tenant version. The
+// registry assigns every attach a version unique across all tenants, and
+// an attached tenant's constraints, snapshot and planner mode never
+// change, so the version fixes everything but the statement: a
+// re-attach moves it, and stale answers can never be served. This layer
+// saves the whole solve for repeated statements.
 type cacheKey struct {
-	queryFP      string
-	constraintFP string
-	version      uint64
-	// dataVersion is the content fingerprint of the tenant's backing
-	// columnar snapshot (0 when the tenant was CSV-loaded or built in
-	// memory). version alone already separates attach generations; this
-	// field additionally ties cached answers to the snapshot bytes they
-	// were computed over.
-	dataVersion uint64
-	// planner is the tenant's routing policy ("auto", "force-sat",
-	// "force-rewrite"). Routes produce identical answers, but the key
-	// still separates them so a re-attach under a different policy (or
-	// two tenants differing only in policy) can never serve an answer
-	// computed under the other one — route provenance (QueryResponse.
-	// Route) stays truthful.
-	planner string
+	queryFP string
+	version uint64
 }
 
 // resultCache is a mutex-guarded LRU of finished answers with

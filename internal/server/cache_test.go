@@ -13,7 +13,7 @@ import (
 )
 
 func ck(q string, version uint64) cacheKey {
-	return cacheKey{queryFP: q, constraintFP: "c", version: version}
+	return cacheKey{queryFP: q, version: version}
 }
 
 func TestCacheHitAndMiss(t *testing.T) {
@@ -205,32 +205,6 @@ func TestCacheCoalesceContextCancel(t *testing.T) {
 	}
 	close(release)
 	wg.Wait()
-}
-
-// TestCachePlannerModeSeparatesEntries: keys identical except for the
-// routing policy never share an answer — a tenant re-attached under a
-// different -planner mode (or two tenants differing only in policy)
-// always recomputes, keeping QueryResponse.Route provenance truthful.
-func TestCachePlannerModeSeparatesEntries(t *testing.T) {
-	c := newResultCache(1 << 20)
-	ctx := context.Background()
-	auto := cacheKey{queryFP: "q", constraintFP: "c", version: 1, planner: "auto"}
-	sat := cacheKey{queryFP: "q", constraintFP: "c", version: 1, planner: "force-sat"}
-	c.Do(ctx, auto, func() (*QueryResponse, error) { return &QueryResponse{Route: "rewrite"}, nil })
-	ran := false
-	out, served, err := c.Do(ctx, sat, func() (*QueryResponse, error) {
-		ran = true
-		return &QueryResponse{Route: "sat"}, nil
-	})
-	if err != nil || served || !ran {
-		t.Fatalf("mode flip served the other policy's answer: served=%v ran=%v err=%v", served, ran, err)
-	}
-	if out.Route != "sat" {
-		t.Fatalf("route = %q", out.Route)
-	}
-	if got, served, _ := c.Do(ctx, auto, nil); !served || got.Route != "rewrite" {
-		t.Fatalf("auto entry lost: served=%v %+v", served, got)
-	}
 }
 
 // sized returns a response whose encoding is exactly n bytes.

@@ -25,7 +25,8 @@ type Tenant struct {
 	// Dir is the source directory ("" for in-memory tenants).
 	Dir string
 	// Version is assigned by the registry at attach time, monotonically
-	// increasing across the whole registry.
+	// increasing across the whole registry; with the query fingerprint
+	// it is the result-cache key.
 	Version uint64
 	// ConstraintFP fingerprints the repair semantics: the constraint
 	// mode plus the schema keys or the denial-constraint set.
@@ -33,12 +34,10 @@ type Tenant struct {
 	// Mode is "keys" or "dc".
 	Mode string
 	// Planner is the routing policy of the tenant's engine ("auto",
-	// "force-sat", "force-rewrite"); part of the result-cache key.
+	// "force-sat", "force-rewrite").
 	Planner string
 	// DataVersion is the content fingerprint of the tenant's backing
-	// columnar snapshot (0 for CSV-loaded and in-memory tenants). It
-	// joins Version in the result-cache key, so a re-attach that maps a
-	// different snapshot can never serve the old snapshot's answers.
+	// columnar snapshot (0 for CSV-loaded and in-memory tenants).
 	DataVersion uint64
 	Facts       int
 	Relations   int
@@ -160,9 +159,8 @@ func (ts *tenants) count() int {
 }
 
 // constraintFingerprint hashes the repair semantics: schema keys in
-// keys mode, the sorted DC renderings in DC mode. Part of the result
-// cache key, so two tenants over equal data but different constraints
-// never share answers.
+// keys mode, the sorted DC renderings in DC mode, as /admin/instances
+// reports it.
 func constraintFingerprint(schema *db.Schema, dcs []constraints.DC) string {
 	var b strings.Builder
 	if len(dcs) == 0 {

@@ -22,17 +22,15 @@ import (
 // Metric names of the query service, registered in the obsv registry
 // and exposed through the same /metrics scrape as the engine counters.
 const (
-	// MetricRequests is a labeled family: every /query request lands in
-	// exactly one (tenant, route, outcome) series. route is the executor
-	// that answered ("rewrite", "sat", "cache" for result-cache hits,
-	// "none" on errors); outcome is "ok", "shed", "timeout", or
-	// "error". The family is cardinality-bounded (requestSeriesCap) with
-	// an "_overflow" catch-all.
-	MetricRequests = "cavsatd_requests_total"
-	// MetricRequestDuration is the labeled request-latency histogram the
-	// /debug/slo burn rates are computed from; same label schema as
-	// MetricRequests, buckets extended with the SLO latency target so
-	// attainment reconciles exactly with the bucket counts.
+	// MetricRequestDuration is the one per-request record of /metrics:
+	// every /query request is one observation in exactly one (tenant,
+	// route, outcome) series, so its _count is the request count. route
+	// is the executor that answered ("rewrite", "sat", "cache" for
+	// result-cache hits, "none" on errors); outcome is "ok", "shed",
+	// "timeout", or "error". The buckets are extended with the SLO
+	// latency target, so /debug/slo attainment is an exact bucket count.
+	// The family is cardinality-bounded (requestSeriesCap) with an
+	// "_overflow" catch-all.
 	MetricRequestDuration = "cavsatd_request_duration_seconds"
 
 	MetricInflight   = "cavsatd_inflight"    // gauge: admitted solves currently running
@@ -52,7 +50,7 @@ const (
 )
 
 // requestSeriesCap bounds the (tenant, route, outcome) cardinality of
-// the labeled request families: 4 routes × 4 outcomes leaves room for
+// the request-duration family: 4 routes × 4 outcomes leaves room for
 // 16 tenants before new tuples fall into the "_overflow" series.
 const requestSeriesCap = 256
 
@@ -61,8 +59,8 @@ const DefaultCacheBytes = 256 << 20
 
 // Config tunes the query service.
 type Config struct {
-	// MaxInFlight bounds concurrently solving requests (the weighted
-	// semaphore's capacity). 0 means 4.
+	// MaxInFlight bounds concurrently solving requests (the admission
+	// gate's capacity). 0 means 4.
 	MaxInFlight int
 	// MaxQueue bounds requests waiting for a solve slot; arrivals
 	// beyond it are shed with 429 immediately. 0 means 2×MaxInFlight;
@@ -157,7 +155,6 @@ type Server struct {
 	gate    *gate
 	cache   *resultCache
 
-	requests *obsv.LabeledCounter
 	duration *obsv.LabeledHistogram
 	tenantsG *obsv.Gauge
 
@@ -179,20 +176,18 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		tenants: newTenants(),
-		gate:    newGate(int64(cfg.MaxInFlight), cfg.MaxQueue, cfg.QueueWait),
+		gate:    newGate(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait),
 		cache:   newResultCache(cfg.CacheBytes),
 
-		requests: reg.LabeledCounter(MetricRequests, obsv.RequestLabels, requestSeriesCap),
 		duration: reg.LabeledHistogram(MetricRequestDuration, obsv.RequestLabels, buckets, requestSeriesCap),
 		tenantsG: reg.Gauge(MetricTenants),
 
 		traces: obsv.NewTraceStore(cfg.TraceRetain),
 	}
 	s.slo = &obsv.SLOTracker{
-		Source:                s.sloCounts,
-		AvailabilityObjective: cfg.SLOAvailability,
-		LatencyObjective:      cfg.SLOAvailability,
-		LatencyTarget:         cfg.SLOLatency,
+		Source:        s.sloCounts,
+		Objective:     cfg.SLOAvailability,
+		LatencyTarget: cfg.SLOLatency,
 	}
 	s.gate.wire(reg.Gauge(MetricInflight), reg.Gauge(MetricQueued))
 	s.cache.wire(reg.Counter(MetricCacheHit), reg.Counter(MetricCacheMiss), reg.Counter(MetricCoalesced), reg.Gauge(MetricCacheBytes))
@@ -200,19 +195,21 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// sloCounts reads the SLO plane's cumulative inputs straight from the
-// labeled request families, so /debug/slo reconciles with /metrics by
-// construction: availability counts outcome="ok" over everything, the
-// latency objective counts ok requests answered within the SLO bucket.
+// sloCounts reads the SLO plane's cumulative inputs from the request
+// duration family in one pass, so /debug/slo reconciles with /metrics
+// by construction: availability counts outcome="ok" over everything,
+// the latency objective counts ok requests answered within the SLO
+// bucket.
 func (s *Server) sloCounts() obsv.SLOCounts {
-	isOK := func(values []string) bool { return values[2] == "ok" }
-	under, latTotal := s.duration.CountUnder(s.cfg.SLOLatency.Seconds(), isOK)
-	return obsv.SLOCounts{
-		Total:        s.requests.Sum(nil),
-		Good:         s.requests.Sum(isOK),
-		LatencyTotal: latTotal,
-		LatencyOK:    under,
+	var c obsv.SLOCounts
+	for _, sr := range s.duration.Series() {
+		c.Total += sr.Count
+		if sr.Values[2] == "ok" {
+			c.Good += sr.Count
+			c.LatencyOK += sr.CountUnder(s.cfg.SLOLatency.Seconds())
+		}
 	}
+	return c
 }
 
 // Attach registers an already-built tenant (e.g. the -dbgen demo
@@ -272,8 +269,8 @@ func (s *Server) Handler() http.Handler {
 }
 
 // handleSLO serves the SLO report: availability and latency attainment
-// plus 5m/1h burn rates, computed from the same labeled request
-// families /metrics exposes.
+// plus 5m/1h burn rates, computed from the same request-duration family
+// /metrics exposes.
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 	// Fold the current counters in even if no request landed since the
 	// last observation (e.g. a scrape-only process).
@@ -287,7 +284,7 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 // handleQuery is the serving hot path: trace identity → decode →
 // resolve tenant → result cache / singleflight → admission gate →
 // deadline-bounded solve → typed JSON. Every exit path lands in
-// finishRequest, which observes the labeled request families, feeds the
+// finishRequest, which observes the request-duration family, feeds the
 // SLO tracker, and decides tail-based trace retention.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
@@ -329,13 +326,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	tenant = t.Name
 	rootSp.SetStr("tenant", tenant)
 
-	key := cacheKey{
-		queryFP:      core.Fingerprint64(normalizeSQL(req.SQL)),
-		constraintFP: t.ConstraintFP,
-		version:      t.Version,
-		dataVersion:  t.DataVersion,
-		planner:      t.Planner,
-	}
+	key := cacheKey{queryFP: core.Fingerprint64(normalizeSQL(req.SQL)), version: t.Version}
 	resp, served, err := s.cache.Do(ctx, key, func() (*QueryResponse, error) {
 		return s.admitAndSolve(ctx, t, req)
 	})
@@ -389,12 +380,12 @@ func traceContextFor(r *http.Request) obsv.TraceContext {
 	return obsv.NewTraceContext()
 }
 
-// finishRequest is the single request epilogue: labeled metric
-// observation, SLO sampling, and the tail-based retention decision.
-// The trace store is the only place a request's spans outlive it: a
-// trace it does not keep is garbage once the request returns.
+// finishRequest is the single request epilogue: the request's one
+// observation, SLO sampling, and the tail-based retention decision, all
+// from the same (outcome, elapsed) pair. The trace store is the only
+// place a request's spans outlive it: a trace it does not keep is
+// garbage once the request returns.
 func (s *Server) finishRequest(rt *obsv.Tracer, tenant, route, outcome, query string, start time.Time, elapsed time.Duration) {
-	s.requests.With(tenant, route, outcome).Inc()
 	s.duration.With(tenant, route, outcome).Observe(elapsed.Seconds())
 	s.slo.Observe()
 
@@ -423,10 +414,10 @@ func (s *Server) finishRequest(rt *obsv.Tracer, tenant, route, outcome, query st
 // admitAndSolve passes the admission gate, applies the per-request
 // deadline, and runs the query.
 func (s *Server) admitAndSolve(ctx context.Context, t *Tenant, req *QueryRequest) (*QueryResponse, error) {
-	if err := s.gate.Acquire(ctx, 1); err != nil {
+	if err := s.gate.Acquire(ctx); err != nil {
 		return nil, err
 	}
-	defer s.gate.Release(1)
+	defer s.gate.Release()
 	timeout := s.cfg.RequestTimeout
 	if req.TimeoutMS > 0 {
 		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {

@@ -171,10 +171,22 @@ func TestShedReturns429(t *testing.T) {
 	wg.Wait()
 }
 
-// outcomeCount sums the labeled request counter over every series with
-// the given outcome label.
+// requestCount totals the request-duration observations — one per
+// request — over every series whose (tenant, route, outcome) values pass
+// keep (nil keeps all).
+func requestCount(srv *Server, keep func(values []string) bool) int64 {
+	var n int64
+	for _, s := range srv.duration.Series() {
+		if keep == nil || keep(s.Values) {
+			n += s.Count
+		}
+	}
+	return n
+}
+
+// outcomeCount counts the requests with the given outcome label.
 func outcomeCount(srv *Server, outcome string) int64 {
-	return srv.requests.Sum(func(values []string) bool { return values[2] == outcome })
+	return requestCount(srv, func(values []string) bool { return values[2] == outcome })
 }
 
 func TestQueueWaitExpiresInto429(t *testing.T) {
@@ -414,9 +426,25 @@ func TestGetQueryAndDebugPlane(t *testing.T) {
 	defer metrics.Body.Close()
 	var buf bytes.Buffer
 	buf.ReadFrom(metrics.Body)
-	for _, want := range []string{MetricRequests, MetricRequestDuration, MetricInflight, MetricCacheHit} {
+	for _, want := range []string{
+		MetricRequestDuration + "_count{", obsv.MetricEngineCallSeconds + "_count{",
+		obsv.MetricPhaseSecondsPrefix + "witness_sum", MetricInflight, MetricCacheHit,
+	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("/metrics missing %s", want)
+		}
+	}
+	// One series per fact: the request and call counts are the _count
+	// of their duration histograms, a phase's time the _sum of its
+	// histogram, and a call's heap and constraint build its journal
+	// line's.
+	for _, gone := range []string{
+		"cavsatd_requests_total", "aggcavsat_calls_total",
+		"aggcavsat_witness_ns_total", "aggcavsat_encode_ns_total", "aggcavsat_solve_ns_total",
+		"aggcavsat_rewrite_ns_total", "aggcavsat_constraint_ns", "aggcavsat_heap_bytes",
+	} {
+		if strings.Contains(buf.String(), gone) {
+			t.Errorf("/metrics carries the deleted family %s", gone)
 		}
 	}
 
@@ -512,13 +540,14 @@ func TestCoalescedFollowersShareOneSolve(t *testing.T) {
 
 // TestRouteCountersSumToServedResponses pins the service-level metrics
 // contract on the one request record: every /query response lands in
-// exactly one cavsatd_requests_total series. A fresh answer counts under
-// the route that computed it, a cache hit under route "cache", and a
-// failed request under route "none". An auto tenant serves every query
-// on the solver route; only a force-rewrite tenant takes the rewrite
-// route. The test then drives every outcome — ok solve, cache hit, 400,
-// 404, 429 shed and 504 timeout — and reconciles the responses seen with
-// the request counter, the latency histogram and /debug/slo.
+// exactly one cavsatd_request_duration_seconds series. A fresh answer
+// counts under the route that computed it, a cache hit under route
+// "cache", and a failed request under route "none". An auto tenant
+// serves every query on the solver route; only a force-rewrite tenant
+// takes the rewrite route. The test then drives every outcome — ok
+// solve, cache hit, 400, 404, 429 shed and 504 timeout — and reconciles
+// the responses seen with the request-duration _count series and
+// /debug/slo.
 func TestRouteCountersSumToServedResponses(t *testing.T) {
 	query := func(url, sql string) QueryResponse {
 		t.Helper()
@@ -534,7 +563,7 @@ func TestRouteCountersSumToServedResponses(t *testing.T) {
 	}
 	// served sums the ok responses per route label.
 	served := func(srv *Server, route string) int64 {
-		return srv.requests.Sum(func(values []string) bool {
+		return requestCount(srv, func(values []string) bool {
 			return values[1] == route && values[2] == "ok"
 		})
 	}
@@ -569,7 +598,7 @@ func TestRouteCountersSumToServedResponses(t *testing.T) {
 	if rw, sat, cache := served(srv, "rewrite"), served(srv, "sat"), served(srv, "cache"); rw != 0 || sat != 2 || cache != 1 {
 		t.Fatalf("auto tenant: rewrite=%d sat=%d cache=%d, want 0, 2 and 1 (3 served responses)", rw, sat, cache)
 	}
-	if failed := srv.requests.Sum(func(v []string) bool { return v[1] == "none" }); failed != 1 {
+	if failed := requestCount(srv, func(v []string) bool { return v[1] == "none" }); failed != 1 {
 		t.Fatalf(`route="none" requests = %d, want the 1 failed request`, failed)
 	}
 
@@ -633,34 +662,29 @@ func TestRouteCountersSumToServedResponses(t *testing.T) {
 	}
 	var responses int64
 	for _, o := range []string{"ok", "error", "shed", "timeout"} {
-		if got := srv.requests.Sum(isOutcome(o)); got != seen[o] {
+		if got := requestCount(srv, isOutcome(o)); got != seen[o] {
 			t.Errorf(`outcome=%q requests = %d, want the %d responses seen`, o, got, seen[o])
 		}
 		responses += seen[o]
 	}
-	if total := srv.requests.Sum(nil); total != responses || total != 8 {
+	if total := requestCount(srv, nil); total != responses || total != 8 {
 		t.Errorf("requests total = %d, want the %d responses seen (8)", total, responses)
 	}
 
-	// Each request series has its latency series with the same count,
-	// and /debug/slo reads its totals from the same two families.
+	// /debug/slo reads its totals from the same duration series the
+	// registry snapshot (and so the /metrics scrape) holds.
 	snap := srv.cfg.Metrics.Snapshot()
-	var total, good, latTotal, latOK int64
+	var total, good, latOK int64
 	slo := srv.cfg.SLOLatency.Seconds()
-	for name, n := range snap.Counters {
-		if !strings.HasPrefix(name, MetricRequests+"{") {
+	for name, h := range snap.Histograms {
+		if !strings.HasPrefix(name, MetricRequestDuration+"{") {
 			continue
 		}
-		h, ok := snap.Histograms[MetricRequestDuration+strings.TrimPrefix(name, MetricRequests)]
-		if !ok || h.Count != n {
-			t.Errorf("%s = %d, its duration series has count %d (present %v)", name, n, h.Count, ok)
-		}
-		total += n
+		total += h.Count
 		if !strings.Contains(name, `outcome="ok"`) {
 			continue
 		}
-		good += n
-		latTotal += h.Count
+		good += h.Count
 		for i, ub := range h.Buckets {
 			if ub <= slo {
 				latOK += h.Counts[i]
@@ -682,15 +706,15 @@ func TestRouteCountersSumToServedResponses(t *testing.T) {
 	if a := rep.Objectives[0]; a.Total != total || a.Good != good || total != responses {
 		t.Errorf("/debug/slo availability %d/%d, families %d/%d, responses %d", a.Good, a.Total, good, total, responses)
 	}
-	if l := rep.Objectives[1]; l.Total != latTotal || l.Good != latOK {
-		t.Errorf("/debug/slo latency %d/%d, families %d/%d", l.Good, l.Total, latOK, latTotal)
+	if l := rep.Objectives[1]; l.Total != good || l.Good != latOK {
+		t.Errorf("/debug/slo latency %d/%d, families %d/%d", l.Good, l.Total, latOK, good)
 	}
 }
 
 // TestSnapshotTenantServing: a directory holding a columnar snapshot is
 // served from the mmap'ed snapshot (the CSVs are deleted to prove it),
 // answers match the CSV-backed tenant exactly, and the snapshot's
-// content fingerprint reaches the tenant listing and the cache key.
+// content fingerprint reaches the tenant listing.
 func TestSnapshotTenantServing(t *testing.T) {
 	csvDir := writeFixture(t)
 

@@ -259,7 +259,7 @@ func TestTraceMintedWhenHeaderMissingOrMalformed(t *testing.T) {
 // TestTailRetentionAndSLOEndpoint drives error and slow outcomes
 // through the server and checks the retention plane: the traces appear
 // under /debug/trace, /debug/slo reports attainment consistent with the
-// labeled families, and /healthz carries the instance count.
+// request-duration family, and /healthz carries the instance count.
 func TestTailRetentionAndSLOEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Journal: obsv.NewJournal(io.Discard, 16)})
 
@@ -308,7 +308,7 @@ func TestTailRetentionAndSLOEndpoint(t *testing.T) {
 	}
 
 	// /debug/slo: availability attainment is 1 ok of 2 total = 0.5 and
-	// must reconcile with the labeled family sums.
+	// must reconcile with the request-duration family.
 	sr, err := http.Get(ts.URL + "/debug/slo")
 	if err != nil {
 		t.Fatal(err)
@@ -327,18 +327,18 @@ func TestTailRetentionAndSLOEndpoint(t *testing.T) {
 	}
 	counts := srv.sloCounts()
 	if counts.Total != avail.Total || counts.Good != avail.Good {
-		t.Fatalf("/debug/slo (%d/%d) does not reconcile with the labeled families (%d/%d)",
+		t.Fatalf("/debug/slo (%d/%d) does not reconcile with the request-duration family (%d/%d)",
 			avail.Good, avail.Total, counts.Good, counts.Total)
 	}
 
-	// The labeled family carries the per-outcome split.
+	// The request-duration family carries the per-outcome split.
 	isOutcome := func(want string) func([]string) bool {
 		return func(values []string) bool { return values[2] == want }
 	}
-	if ok := srv.requests.Sum(isOutcome("ok")); ok != 1 {
+	if ok := requestCount(srv, isOutcome("ok")); ok != 1 {
 		t.Errorf(`outcome="ok" sum = %d, want 1`, ok)
 	}
-	if errs := srv.requests.Sum(isOutcome("error")); errs != 1 {
+	if errs := requestCount(srv, isOutcome("error")); errs != 1 {
 		t.Errorf(`outcome="error" sum = %d, want 1`, errs)
 	}
 
