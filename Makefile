@@ -65,7 +65,11 @@ bench:
 # translates has an aggregate over a non-empty union), schema files (no
 # panic; what reads survives a write and a re-read) and W3C traceparent
 # headers (no panic; a version-00 header that parses re-renders with the
-# same ids). The
+# same ids), and of the query service's read-only HTTP surface: /query,
+# /debug/trace, /debug/slo, /healthz and /metrics under arbitrary
+# methods, query strings and bodies (no panic; a documented status; a
+# /query body that decodes as an answer on 200 and as a typed error
+# otherwise). The
 # seed corpora always run as part of `make test`; this target
 # additionally mutates each for FUZZTIME.
 FUZZTIME ?= 20s
@@ -77,6 +81,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseAndTranslate -fuzztime=$(FUZZTIME) ./internal/sqlparse/
 	$(GO) test -run='^$$' -fuzz=FuzzSchemaFileRead -fuzztime=$(FUZZTIME) ./internal/schemafile/
 	$(GO) test -run='^$$' -fuzz=FuzzParseTraceparent -fuzztime=$(FUZZTIME) ./internal/obsv/
+	$(GO) test -run='^$$' -fuzz=FuzzServeHTTP -fuzztime=$(FUZZTIME) ./internal/server/
 
 # The benchmark harness is its own module (cavbench/go.mod), so the
 # root-module build and tests never compile it: vet and test it here so

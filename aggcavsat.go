@@ -78,17 +78,14 @@ type (
 	Tracer = obsv.Tracer
 	// SolverProgress is one progress report from the MaxSAT solver.
 	SolverProgress = maxsat.ProgressInfo
-	// Explain is the per-solve report assembled under Options.Explain:
-	// the code paths taken (mode, front end, solver route), cache
-	// outcomes, and the per-component CNF/solve breakdown. Its Stats
-	// field is the engine call's Stats value, so the two views reconcile
-	// exactly: Result.Stats is the Add of the per-aggregate Stats.
-	Explain = core.Explain
 	// Journal is the bounded, non-blocking wide-event writer: install
 	// one via Options.Journal and every engine call appends one JSON
 	// line (obsv.OpenJournal / obsv.NewJournal construct it).
 	Journal = obsv.Journal
-	// JournalEntry is one decoded journal line.
+	// JournalEntry is one engine call's wide event: a decoded journal
+	// line, and under Options.Explain the call's explain report (code
+	// paths taken, cache outcomes, the per-component CNF/solve
+	// breakdown; WriteTable renders it).
 	JournalEntry = obsv.JournalEntry
 	// Snapshot is an mmap-backed columnar database file handle; its
 	// Instance is frozen and reads straight out of the mapping.
@@ -207,8 +204,9 @@ type Options struct {
 	// session-wide registry (obsv Prometheus exposition) once, at the
 	// end of the call.
 	Metrics *obsv.Registry
-	// Explain attaches a per-solve Explain report (code paths, cache
-	// outcomes, per-component breakdown) to every query result.
+	// Explain attaches each engine call's wide event, with its
+	// per-component breakdown, to every query result as its explain
+	// report (Result.Explains): the same value a Journal appends.
 	Explain bool
 	// Journal, when non-nil, receives one wide-event JSON line per
 	// engine call. Appends never block a solve: the journal sheds lines
@@ -286,9 +284,10 @@ type Result struct {
 	// sets diverge are removed rather than padded with a zero-valued
 	// interval that would render as a real answer.
 	PartialGroups int
-	// Explains holds one per-solve report per aggregate in the SELECT
-	// list, in order, when Options.Explain is set.
-	Explains []*Explain
+	// Explains holds one engine call's wide event per aggregate in the
+	// SELECT list, in order, when Options.Explain is set: each equals
+	// the journal line of that call.
+	Explains []*JournalEntry
 	// Route is the executor that answered the statement's aggregates:
 	// "rewrite" (the ConQuer-style rewriting, under PlannerForceRewrite
 	// only) or "sat" (the solver route). One planner mode sends every

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"aggcavsat/internal/cq"
 	"aggcavsat/internal/sqlparse"
@@ -238,8 +239,8 @@ func TestDefaultSolverIsMaxHS(t *testing.T) {
 		t.Fatalf("explains = %d, want 1", len(res.Explains))
 	}
 	ex := res.Explains[0]
-	if ex.Algorithm != "maxhs" {
-		t.Errorf("default solver = %q, want maxhs", ex.Algorithm)
+	if ex.Options.Algorithm != "maxhs" {
+		t.Errorf("default solver = %q, want maxhs", ex.Options.Algorithm)
 	}
 	passes := 0
 	for _, c := range ex.Components {
@@ -438,8 +439,8 @@ func TestExternalSolverLoop(t *testing.T) {
 		t.Errorf("external-solver range = %s", FormatRange(res.Rows[0].Ranges[0]))
 	}
 	ex := res.Explains[0]
-	if ex.Algorithm != "external" {
-		t.Errorf("solver = %q, want external", ex.Algorithm)
+	if ex.Options.Algorithm != "external" {
+		t.Errorf("solver = %q, want external", ex.Options.Algorithm)
 	}
 	if len(ex.Components) == 0 {
 		t.Error("no solved component")
@@ -491,7 +492,7 @@ func TestExplainAndJournalThroughFacade(t *testing.T) {
 			t.Errorf("explain %d empty: %+v", i, ex)
 		}
 	}
-	if res.Explains[0].Op != "COUNT(*)" || res.Explains[1].Op != "MAX" {
+	if res.Explains[0].Op != "range_answers/COUNT(*)" || res.Explains[1].Op != "range_answers/MAX" {
 		t.Errorf("explain ops = %q, %q", res.Explains[0].Op, res.Explains[1].Op)
 	}
 	if err := j.Close(); err != nil {
@@ -508,11 +509,16 @@ func TestExplainAndJournalThroughFacade(t *testing.T) {
 		if e.Query != sql {
 			t.Errorf("line %d label = %q, want the SQL text", i, e.Query)
 		}
+		// The explain report is the journal line.
+		if e.Fingerprint != res.Explains[i].Fingerprint || len(e.Components) != len(res.Explains[i].Components) {
+			t.Errorf("line %d = %+v, explain report %+v", i, e, res.Explains[i])
+		}
 	}
 }
 
 // TestMultiAggregateStatsAdd: a statement's Stats is the Stats.Add of
-// its per-aggregate engine calls, each of which its Explain reports.
+// its per-aggregate engine calls, whose counters each explain report
+// (the call's wide event) carries.
 func TestMultiAggregateStatsAdd(t *testing.T) {
 	sys, err := Open(bank(t), Options{Explain: true})
 	if err != nil {
@@ -541,10 +547,21 @@ func TestMultiAggregateStatsAdd(t *testing.T) {
 		}
 		var want Stats
 		for _, ex := range res.Explains {
-			want.Add(ex.Stats)
+			// A phase's milliseconds convert back to its exact
+			// nanoseconds.
+			d := func(ms float64) time.Duration { return time.Duration(math.Round(ms * 1e6)) }
+			want.Add(Stats{
+				WitnessTime: d(ex.WitnessMS), ConstraintTime: d(ex.ConstraintMS), EncodeTime: d(ex.EncodeMS),
+				SolveTime: d(ex.SolveMS), RewriteTime: d(ex.RewriteMS),
+				SATCalls: ex.SATCalls, MaxSATRuns: ex.MaxSATRuns, Vars: ex.Vars, Clauses: ex.Clauses,
+				MaxVars: ex.MaxVars, MaxClauses: ex.MaxClauses, ConsistentPartSkips: ex.ConsistentSkips,
+				ClosedFormComponents: ex.ClosedForm, FoldedAssignments: ex.Folded,
+				WitnessAllocBytes: ex.WitnessAllocBytes, EncodeAllocBytes: ex.EncodeAllocBytes,
+				SolveAllocBytes: ex.SolveAllocBytes, HeapBytes: ex.HeapBytes, GCCycles: ex.GCCycles,
+			})
 		}
 		if res.Stats != want {
-			t.Errorf("Result.Stats = %+v\nAdd of Explain.Stats = %+v", res.Stats, want)
+			t.Errorf("Result.Stats = %+v\nAdd of the explain reports' figures = %+v", res.Stats, want)
 		}
 		if (res.Stats.SATCalls > 0) != tc.sat || res.Stats.MaxSATRuns != tc.maxsatRuns || res.Stats.ClosedFormComponents != tc.closedForm {
 			t.Errorf("Result.Stats = %+v: want SAT calls %v, %d MaxSAT runs, %d closed-form components",

@@ -28,7 +28,10 @@
 //	                  taken (constraint mode, planner route, solver),
 //	                  cache outcomes, per-component CNF/solve breakdown; its
 //	                  phase totals are the same counters -stats prints
-//	-explain-json     the explain report as JSON instead of a table
+//	-explain-json     the explain report as JSON instead of a table: one
+//	                  compact line per aggregate, the same line -journal
+//	                  appends (plus the components), so
+//	                  `aggbench -journal-read` decodes it
 //	-journal f.jsonl  append one wide-event JSON line per solve (bounded
 //	                  non-blocking writer; decode with
 //	                  `aggbench -journal-read`)
@@ -143,10 +146,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	if *stats {
 		printStats(stderr, res.Stats)
 	}
+	enc := json.NewEncoder(stderr)
 	for _, ex := range res.Explains {
 		if *explainJSON {
-			enc := json.NewEncoder(stderr)
-			enc.SetIndent("", "  ")
 			if err := enc.Encode(ex); err != nil {
 				return err
 			}

@@ -101,3 +101,38 @@ func TestBadOutputPathFailsFirst(t *testing.T) {
 		t.Fatalf("run error = %v, want one naming %s", err, trace)
 	}
 }
+
+// TestExplainJSONIsJournalLines pins that -explain-json prints the
+// engine calls' wide events: one compact line per aggregate that the
+// journal reader decodes, carrying the component breakdown, and that
+// -explain renders the same entries as tables.
+func TestExplainJSONIsJournalLines(t *testing.T) {
+	dir := writeBank(t)
+	const sql = "SELECT CITY, COUNT(*), SUM(BAL) FROM Acc GROUP BY CITY"
+	var stdout, stderr bytes.Buffer
+	if err := run(context.Background(), []string{"-data", dir, "-explain-json", sql}, &stdout, &stderr); err != nil {
+		t.Fatalf("%v\n%s", err, stderr.String())
+	}
+	if n := strings.Count(stderr.String(), "\n"); n != 2 {
+		t.Fatalf("-explain-json printed %d lines, want one per aggregate:\n%s", n, stderr.String())
+	}
+	entries, err := obsv.ReadJournal(&stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range entries {
+		if e.Query != sql || len(e.Components) == 0 || e.Algebra == "" {
+			t.Errorf("line %d: query %q, %d components, algebra %q", i, e.Query, len(e.Components), e.Algebra)
+		}
+	}
+
+	stderr.Reset()
+	if err := run(context.Background(), []string{"-data", dir, "-explain", sql}, &stdout, &stderr); err != nil {
+		t.Fatalf("%v\n%s", err, stderr.String())
+	}
+	for _, want := range []string{"range_answers/COUNT(*)", "range_answers/SUM", "constraint cache", "phase", "component"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("-explain output lacks %q:\n%s", want, stderr.String())
+		}
+	}
+}

@@ -1,8 +1,8 @@
 // Command cavsatd serves consistent answers of aggregation queries over
 // HTTP: a long-running query service over one or more attached database
 // instances, with admission control, a result cache, and the full debug
-// plane (/metrics, /healthz, /debug/trace, /debug/journal, pprof) in
-// the same listener. It is the only binary with a live HTTP debug plane;
+// plane (/metrics, /healthz, /debug/trace, pprof) in the same
+// listener. It is the only binary with a live HTTP debug plane;
 // the one-shot binaries write journal lines and trace files instead.
 //
 //	cavsatd -listen :7878 -data bank=testdata/bank
@@ -26,9 +26,13 @@
 //	GET  /debug/slo        availability and latency SLO attainment with
 //	                        5m/1h burn rates
 //	GET  /debug/trace      the retained-trace index; ?trace=<id> one
-//	                        retained request trace;
-//	                        /debug/journal wide events; /debug/pprof/*
+//	                        retained request trace; /debug/pprof/*
 //	                        profiling
+//
+// The -journal file is the one copy of the wide events, one JSON line
+// per engine call (`tail -n K` reads the latest; `aggbench
+// -journal-read` decodes it); /healthz and /metrics report how many
+// lines were written and dropped.
 //
 // Load shedding: at most -max-inflight queries solve concurrently; up
 // to -max-queue more wait at most -queue-wait for a slot; everything
@@ -39,10 +43,11 @@
 // Request correlation: an incoming W3C traceparent header is adopted as
 // the request's trace id (one is minted otherwise); the response echoes
 // it in a Traceparent header and a trace_id JSON field, and the same id
-// is stamped on the journal line and explain report of the solve. Slow
-// (over -slo-latency-ms), errored, timed-out and shed requests retain
-// their full span buffer for /debug/trace?trace=<id>, plus a
-// -trace-sample fraction of healthy ones (bounded by -trace-retain).
+// is stamped on the journal line of the solve. Slow (over
+// -slo-latency-ms), errored, timed-out and shed requests retain their
+// full span buffer for /debug/trace?trace=<id> (bounded by
+// -trace-retain), under the reason of their outcome or "slow"; a
+// healthy request within the objective is not retained.
 // Each request is one observation of cavsatd_request_duration_seconds,
 // labeled by tenant, route and outcome under a fixed cardinality cap;
 // its _count is the request count. /debug/slo reports attainment and
@@ -67,7 +72,9 @@
 // fails the queries it cannot answer. Answers are identical on every
 // route. Each response carries its route, and the route label of
 // cavsatd_request_duration_seconds_count counts the responses per route
-// (a cached answer counts under route="cache").
+// (a cached answer counts under route="cache"; a request that joined an
+// identical in-flight solve answers with cached:false and that solve's
+// route, and cavsatd_coalesced_total counts it).
 //
 // A SAT-route component that group elimination declines runs the
 // built-in MaxHS-style solver (with its RC2 fallback); -external-solver
@@ -129,7 +136,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	cacheBytes := fs.Int64("cache-bytes", server.DefaultCacheBytes, "result cache budget in encoded answer bytes (negative disables caching)")
 	sloLatencyMS := fs.Int("slo-latency-ms", 250, "latency SLO target in milliseconds (requests answered within it count as good; drives /debug/slo and tail-based trace retention)")
 	sloAvailability := fs.Float64("slo-availability", 0.999, "availability/latency SLO objective fraction in (0,1)")
-	traceSample := fs.Float64("trace-sample", 0, "probability of retaining the trace of a healthy fast request (slow/errored/shed requests are always retained)")
 	traceRetain := fs.Int("trace-retain", 0, "retained request traces backing /debug/trace?trace=<id> (0 = default)")
 	f := cli.Defaults()
 	f.Register(fs, cli.SF, cli.Inconsistency, cli.Seed, cli.Journal,
@@ -157,7 +163,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		TenantOptions:   opts,
 		SLOLatency:      time.Duration(*sloLatencyMS) * time.Millisecond,
 		SLOAvailability: *sloAvailability,
-		TraceSample:     *traceSample,
 		TraceRetain:     *traceRetain,
 		Metrics:         obsv.NewRegistry(),
 		Journal:         sess.Journal,

@@ -7,7 +7,6 @@ import (
 	"aggcavsat/internal/cnf"
 	"aggcavsat/internal/cq"
 	"aggcavsat/internal/db"
-	"aggcavsat/internal/maxsat"
 	"aggcavsat/internal/obsv"
 	"aggcavsat/internal/sat"
 )
@@ -41,7 +40,8 @@ func (e *Engine) ConsistentAnswersContext(ctx context.Context, u cq.UCQ) ([]db.T
 			answers[i] = GroupAnswer{Key: t}
 		}
 	}
-	return out, e.end(ctx, rc, answers, err), err
+	st, _ := e.end(ctx, rc, answers, err)
+	return out, st, err
 }
 
 func (e *Engine) consistentAnswers(ctx context.Context, u cq.UCQ, rc *recorder) ([]db.Tuple, error) {
@@ -139,7 +139,7 @@ func (e *Engine) consistentGroups(ctx context.Context, groups []cq.WitnessGroup,
 	enc := newEncoder(cc, closure)
 	ce := rc.component(encodeMark, nil, enc.formula, len(closure), checked)
 	if len(todo) < checked {
-		ce.addElimination("consistency", shape)
+		ce.AddElimination("consistency", shape.width, shape.table)
 	}
 	if csp != nil {
 		csp.SetInt("sat_checked", int64(len(todo)))
@@ -165,7 +165,7 @@ func (e *Engine) consistentGroups(ctx context.Context, groups []cq.WitnessGroup,
 	})
 	sd := rc.endPhase(phaseSolve, solveMark)
 	// Each candidate costs exactly one incremental Solve call.
-	ce.addDirection("consistency", "sat", maxsat.Result{SATCalls: int64(len(todo))}, sd)
+	ce.AddDirection("consistency", "sat", int64(len(todo)), 0, sd)
 	if err != nil {
 		return nil, err
 	}

@@ -76,11 +76,13 @@ type Options struct {
 	// session-wide registry (e.g. for a Prometheus scrape endpoint),
 	// once per call at its end. Per-call Stats are unaffected.
 	Metrics *obsv.Registry
-	// Explain, when true, assembles a per-component Explain report on
-	// every Report: which code paths answered the call, the cache
-	// outcomes, and one entry per independent solver instance. The
-	// breakdown rides on the always-on instrumentation, so enabling it
-	// costs a few small allocations per component, never extra solving.
+	// Explain, when true, returns the call's wide event (the journal
+	// line, obsv.JournalEntry) on every Report as its explain report,
+	// with the explain-only facts filled in: the rendered algebraic
+	// query, a reused constraint context's build time, and one entry per
+	// independent solver instance. The breakdown rides on the always-on
+	// instrumentation, so enabling it costs a few small allocations per
+	// component, never extra solving.
 	Explain bool
 	// Journal, when non-nil, appends one wide-event line per engine call
 	// (RangeAnswers / ConsistentAnswers) to the query journal: query
@@ -225,13 +227,15 @@ func (s *Stats) Add(o Stats) {
 	s.GCCycles += o.GCCycles
 }
 
-// Report is the result of RangeAnswers. Stats, Explain (present only
-// under Options.Explain) and the call's journal line are projections of
-// the one per-call record, so their figures agree exactly.
+// Report is the result of RangeAnswers. Stats and the call's wide event
+// are projections of the one per-call record, so their figures agree
+// exactly. Explain, present only under Options.Explain, is that event:
+// the same value the journal appends, which its writer may still be
+// encoding, so callers treat it as read-only.
 type Report struct {
 	Answers []GroupAnswer
 	Stats   Stats
-	Explain *Explain
+	Explain *obsv.JournalEntry
 	// Route records which executor answered the call: "rewrite" (the
 	// ConQuer-style rewriting, under force-rewrite only) or "sat" (the
 	// solver route). RouteReason explains a SAT route (why the rewriting
@@ -275,11 +279,12 @@ func (e *Engine) RangeAnswersContext(ctx context.Context, q cq.AggQuery) (*Repor
 		e.end(ctx, rc, nil, err)
 		return nil, err
 	}
-	rep.Stats = e.end(ctx, rc, rep.Answers, nil)
+	var entry *obsv.JournalEntry
+	rep.Stats, entry = e.end(ctx, rc, rep.Answers, nil)
 	rep.Route = rc.route
 	rep.RouteReason = rc.routeReason
-	if e.opts.Explain {
-		rep.Explain = e.buildExplain(ctx, rc, q.Op.String(), rep.Stats)
+	if rc.explain {
+		rep.Explain = entry
 	}
 	return rep, nil
 }

@@ -2,19 +2,84 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
 
+	"aggcavsat/internal/constraints"
 	"aggcavsat/internal/cq"
+	"aggcavsat/internal/obsv"
 	"aggcavsat/internal/planner"
 )
 
+// TestExplainIsTheJournalLine: the explain report is the call's wide
+// event. Over scalar and grouped calls in keys and DC mode, with both
+// Options.Explain and a journal installed, each Report.Explain decodes
+// to exactly the line the journal wrote, and its counters and phase
+// milliseconds are the Report's Stats.
+func TestExplainIsTheJournalLine(t *testing.T) {
+	dcs, err := constraints.SchemaKeyDCs(bank().Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name string
+		opts Options
+	}{
+		{"keys", Options{Mode: KeysMode}},
+		{"dc", Options{Mode: DCMode, DCs: dcs}},
+	} {
+		var buf bytes.Buffer
+		opts := mode.opts
+		opts.Explain = true
+		opts.Journal = obsv.NewJournal(&buf, 0)
+		e, err := New(bank(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries := []cq.AggQuery{paperSumQuery(), coupledSumQuery(), groupedSumQuery(), groupedCoupledSumQuery()}
+		var reps []*Report
+		for _, q := range queries {
+			rep, err := e.RangeAnswers(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reps = append(reps, rep)
+		}
+		if err := opts.Journal.Close(); err != nil {
+			t.Fatal(err)
+		}
+		lines, err := obsv.ReadJournal(&buf)
+		if err != nil || len(lines) != len(queries) {
+			t.Fatalf("%s: journal has %d lines for %d calls, err %v", mode.name, len(lines), len(queries), err)
+		}
+		for i, rep := range reps {
+			label := mode.name + "/" + queries[i].String()
+			b, err := json.Marshal(rep.Explain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got obsv.JournalEntry
+			if err := json.Unmarshal(b, &got); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, lines[i]) {
+				t.Errorf("%s: explain report\n%+v\njournal line\n%+v", label, got, lines[i])
+			}
+			checkLineStats(t, label, got, rep.Stats)
+			if got.Options.Mode != mode.name || got.Algebra != queries[i].BuildHead().String() || len(got.Components) == 0 {
+				t.Errorf("%s: mode %q, algebra %q, %d components", label, got.Options.Mode, got.Algebra, len(got.Components))
+			}
+		}
+	}
+}
+
 // TestExplainReconcilesWithStats is the `-explain` vs `-stats` contract:
 // both views of a solve are projections of the one per-call record, so
-// the explain report's Stats must equal the Report's Stats field for
-// field, for a solved component and for eliminated ones.
+// the explain report's counters and phase milliseconds must be the
+// Report's Stats, for a solved component and for eliminated ones.
 func TestExplainReconcilesWithStats(t *testing.T) {
 	e, err := New(bank(), Options{Mode: KeysMode, Explain: true})
 	if err != nil {
@@ -28,11 +93,9 @@ func TestExplainReconcilesWithStats(t *testing.T) {
 	if ex == nil {
 		t.Fatal("Explain missing despite Options.Explain")
 	}
-	if !reflect.DeepEqual(ex.Stats, rep.Stats) {
-		t.Errorf("explain stats diverge from report stats:\nexplain: %+v\nreport:  %+v", ex.Stats, rep.Stats)
-	}
-	if ex.Op != "SUM" || ex.Mode != "keys" || ex.Algorithm != "maxhs" {
-		t.Errorf("explain identity = op %q mode %q alg %q", ex.Op, ex.Mode, ex.Algorithm)
+	checkLineStats(t, "solved", *ex, rep.Stats)
+	if ex.Op != "range_answers/SUM" || ex.Options.Mode != "keys" || ex.Options.Algorithm != "maxhs" {
+		t.Errorf("explain identity = op %q mode %q alg %q", ex.Op, ex.Options.Mode, ex.Options.Algorithm)
 	}
 	if len(ex.Components) == 0 {
 		t.Fatal("no component breakdown recorded")
@@ -77,18 +140,16 @@ func TestExplainReconcilesWithStats(t *testing.T) {
 			t.Fatal(err)
 		}
 		ex = rep.Explain
-		if !reflect.DeepEqual(ex.Stats, rep.Stats) {
-			t.Errorf("eliminated: explain stats diverge from report stats:\nexplain: %+v\nreport:  %+v", ex.Stats, rep.Stats)
-		}
-		want := []ComponentExplain{{Facts: tc.facts, Witnesses: tc.units, Vars: tc.vars, Clauses: tc.clauses, ClosedForm: true,
+		checkLineStats(t, "eliminated", *ex, rep.Stats)
+		want := []obsv.ComponentExplain{{Facts: tc.facts, Witnesses: tc.units, Vars: tc.vars, Clauses: tc.clauses, ClosedForm: true,
 			ElimWidth: tc.elimWidth, ElimTable: tc.elimTable,
-			Directions: []DirectionExplain{{Direction: "closed-form", Algorithm: "elimination"}}}}
+			Directions: []obsv.DirectionExplain{{Direction: "closed-form", Algorithm: "elimination"}}}}
 		if !reflect.DeepEqual(ex.Components, want) {
 			t.Errorf("eliminated: components = %+v, want %+v", ex.Components, want)
 		}
-		if ex.ClosedFormComponents != 1 ||
-			ex.Stats.Vars != tc.vars || ex.Stats.Clauses != tc.clauses || ex.Stats.SATCalls != 0 {
-			t.Errorf("eliminated: %d closed-form components, stats %+v", ex.ClosedFormComponents, ex.Stats)
+		if ex.ClosedForm != 1 || ex.Vars != tc.vars || ex.Clauses != tc.clauses || ex.SATCalls != 0 {
+			t.Errorf("eliminated: %d closed-form components, cnf %d/%d, %d SAT calls",
+				ex.ClosedForm, ex.Vars, ex.Clauses, ex.SATCalls)
 		}
 	}
 }
@@ -119,9 +180,7 @@ func TestExplainPerCall(t *testing.T) {
 	if rep1.Explain == rep2.Explain {
 		t.Fatal("explain report shared between calls")
 	}
-	if !reflect.DeepEqual(rep2.Explain.Stats, rep2.Stats) {
-		t.Error("second call's explain stats diverge from its report stats")
-	}
+	checkLineStats(t, "second call", *rep2.Explain, rep2.Stats)
 	units := 0
 	for _, ce := range rep2.Explain.Components {
 		units += ce.Witnesses
@@ -143,24 +202,45 @@ func TestExplainNilWhenDisabled(t *testing.T) {
 }
 
 // TestExplainWriteTableAndJSON renders the report of an auto-mode call
-// as a table and as JSON; both name the solver route with auto's own
-// reason.
+// — the call's journal line — as a table and as JSON; both name the
+// solver route with auto's own reason. The table has every row of the
+// explain report: the trace id of a traced call, mode, route, solver,
+// parallelism, the constraint cache, the DC violation route, the
+// consistent-part skips, closed-form components and folded
+// assignments, the phase times and allocations, and one row per
+// component pass with its elimination width and table.
 func TestExplainWriteTableAndJSON(t *testing.T) {
-	e, err := New(bank(), Options{Mode: KeysMode, Planner: planner.ModeAuto, Explain: true})
+	dcs, err := constraints.SchemaKeyDCs(bank().Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
+	keys, err := New(bank(), Options{Mode: KeysMode, Planner: planner.ModeAuto, Explain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc, err := New(bank(), Options{Mode: DCMode, DCs: dcs, Planner: planner.ModeAuto, Explain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc0 := obsv.NewTraceContext()
+	traced := obsv.WithTraceContext(context.Background(), tc0)
+	common := []string{"phase", "time", "alloc", "witness", "constraint", "encode", "solve", "total",
+		"component", "solver", "maxhs", "parallelism", "constraint cache", "route", "sat (" + planner.ReasonAuto + ")"}
 	for _, tc := range []struct {
+		e      *Engine
+		ctx    context.Context
 		q      cq.AggQuery
 		budget int
 		want   []string
 	}{
-		{coupledSumQuery(), 0, []string{"glb", "lub"}},
-		{paperSumQuery(), elimTableBudget, []string{"closed-form components", "closed-form", "elimination (width 0, table 2)"}},
-		{coupledSumQuery(), elimTableBudget, []string{"closed-form components", "closed-form", "elimination (width 1, table 4)"}},
+		{keys, traced, coupledSumQuery(), 0, []string{"mode", "keys", "glb", "lub", "trace", tc0.TraceID.String()}},
+		{keys, context.Background(), paperSumQuery(), elimTableBudget, []string{"closed-form components", "closed-form", "elimination (width 0, table 2)"}},
+		{keys, context.Background(), coupledSumQuery(), elimTableBudget, []string{"closed-form components", "closed-form", "elimination (width 1, table 4)"}},
+		{keys, context.Background(), groupedSumQuery(), elimTableBudget, []string{"folded assignments", "consistent-part skips", "hit (built in"}},
+		{dc, context.Background(), groupedSumQuery(), 0, []string{"mode", "dc", "violation route", "fast-path relation(s)", "generic DC(s)"}},
 	} {
-		e.elimBudget = tc.budget
-		rep, err := e.RangeAnswers(tc.q)
+		tc.e.elimBudget = tc.budget
+		rep, err := tc.e.RangeAnswersContext(tc.ctx, tc.q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,8 +249,7 @@ func TestExplainWriteTableAndJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := buf.String()
-		route := "sat (" + planner.ReasonAuto + ")"
-		for _, want := range append([]string{"mode", "keys", route, "phase", "witness", "solve", "component"}, tc.want...) {
+		for _, want := range append(common, tc.want...) {
 			if !strings.Contains(out, want) {
 				t.Errorf("table missing %q:\n%s", want, out)
 			}
@@ -179,8 +258,8 @@ func TestExplainWriteTableAndJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, key := range []string{`"mode":"keys"`, `"components"`, `"stats"`, `"route":"sat"`,
-			`"route_reason":"` + planner.ReasonAuto + `"`, `"closed_form_components"`} {
+		for _, key := range []string{`"mode":"`, `"components"`, `"sat_calls"`, `"route":"sat"`,
+			`"route_reason":"` + planner.ReasonAuto + `"`, `"algebra"`} {
 			if !strings.Contains(string(b), key) {
 				t.Errorf("JSON missing %s:\n%s", key, b)
 			}
@@ -217,7 +296,7 @@ func TestExplainChecksByElimination(t *testing.T) {
 		{grouped, "consistency", "elimination (width 0, table 2)"},
 		{maxQ, "probe", "elimination (width 0, table 2)"},
 	} {
-		entry := func(budget int) (ComponentExplain, *Explain) {
+		entry := func(budget int) (obsv.ComponentExplain, *obsv.JournalEntry) {
 			t.Helper()
 			e.elimBudget = budget
 			rep, err := e.RangeAnswers(tc.q)
@@ -230,18 +309,18 @@ func TestExplainChecksByElimination(t *testing.T) {
 				}
 			}
 			t.Fatalf("budget %d: no %s entry in %+v", budget, tc.pass, rep.Explain.Components)
-			return ComponentExplain{}, nil
+			return obsv.ComponentExplain{}, nil
 		}
 		sat, _ := entry(0)
 		got, ex := entry(elimTableBudget)
-		if !got.ClosedForm || len(got.Directions) != 1 || got.Directions[0] != (DirectionExplain{Direction: tc.pass, Algorithm: "elimination"}) {
+		if !got.ClosedForm || len(got.Directions) != 1 || got.Directions[0] != (obsv.DirectionExplain{Direction: tc.pass, Algorithm: "elimination"}) {
 			t.Errorf("%s: entry %+v, want one elimination pass", tc.pass, got)
 		}
 		if got.Facts != sat.Facts || got.Witnesses != sat.Witnesses || got.Vars != sat.Vars || got.Clauses != sat.Clauses {
 			t.Errorf("%s: elimination entry %+v, SAT entry %+v: facts, units and CNF size differ", tc.pass, got, sat)
 		}
-		if ex.Stats.SATCalls != 0 {
-			t.Errorf("%s: %d SAT calls", tc.pass, ex.Stats.SATCalls)
+		if ex.SATCalls != 0 {
+			t.Errorf("%s: %d SAT calls", tc.pass, ex.SATCalls)
 		}
 		var buf bytes.Buffer
 		if err := ex.WriteTable(&buf); err != nil {

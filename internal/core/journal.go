@@ -38,15 +38,18 @@ func AnswersDigest(answers []GroupAnswer) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// journalEntry projects the call's wide-event line from its record and
+// journalEntry projects the call's wide event from its record and
 // Stats. answers is nil on an error exit — the line then carries the
-// anomaly classification instead of a digest.
-func (e *Engine) journalEntry(ctx context.Context, rc *recorder, st Stats, answers []GroupAnswer, err error, dur time.Duration, anomaly string) obsv.JournalEntry {
+// anomaly classification instead of a digest. Under Options.Explain the
+// event is also the explain report: it adds the rendered algebraic
+// query, a reused constraint context's build time and the component
+// breakdown.
+func (e *Engine) journalEntry(ctx context.Context, rc *recorder, st Stats, answers []GroupAnswer, err error, dur time.Duration, anomaly string) *obsv.JournalEntry {
 	label := obsv.QueryLabelFrom(ctx)
 	if label == "" {
 		label = rc.query
 	}
-	entry := obsv.JournalEntry{
+	entry := &obsv.JournalEntry{
 		Version:     obsv.JournalVersion,
 		Time:        rc.start,
 		Query:       label,
@@ -101,7 +104,26 @@ func (e *Engine) journalEntry(ctx context.Context, rc *recorder, st Stats, answe
 		entry.Answers = len(answers)
 		entry.AnswerDigest = AnswersDigest(answers)
 	}
+	if rc.explain {
+		entry.Algebra = rc.query
+		if entry.ConstraintCached && rc.cc != nil {
+			entry.ConstraintBuildNS = int64(rc.cc.buildTime)
+		}
+		if len(rc.comps) > 0 {
+			entry.Components = make([]obsv.ComponentExplain, len(rc.comps))
+			for i, ce := range rc.comps {
+				entry.Components[i] = *ce
+			}
+		}
+	}
 	return entry
+}
+
+func (e *Engine) modeString() string {
+	if e.opts.Mode == DCMode {
+		return "dc"
+	}
+	return "keys"
 }
 
 // ms renders a duration in fractional milliseconds.

@@ -39,6 +39,13 @@ func TestJournalOneLinePerCall(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// Without Options.Explain a line carries none of the explain
+	// report's own keys.
+	for _, key := range []string{`"components"`, `"algebra"`, `"constraint_build_ns"`} {
+		if strings.Contains(buf.String(), key) {
+			t.Errorf("journal written without Explain carries %s:\n%s", key, buf.String())
+		}
+	}
 	entries, err := obsv.ReadJournal(&buf)
 	if err != nil {
 		t.Fatal(err)

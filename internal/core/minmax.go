@@ -8,7 +8,6 @@ import (
 	"aggcavsat/internal/cnf"
 	"aggcavsat/internal/cq"
 	"aggcavsat/internal/db"
-	"aggcavsat/internal/maxsat"
 	"aggcavsat/internal/obsv"
 	"aggcavsat/internal/sat"
 )
@@ -337,7 +336,7 @@ func (e *Engine) probeBySAT(ctx context.Context, cc *constraintContext, op cq.Ag
 	})
 	sd := rc.endPhase(phaseSolve, solveMark)
 	rc.solved(int64(probes), false)
-	ce.addDirection("probe", "sat", maxsat.Result{SATCalls: int64(probes)}, sd)
+	ce.AddDirection("probe", "sat", int64(probes), 0, sd)
 	if ssp != nil {
 		ssp.SetInt("probes", int64(probes))
 		ssp.End()

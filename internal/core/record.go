@@ -16,8 +16,9 @@ import (
 // Stats and the few facts Stats does not carry (route verdict, cache
 // outcomes, witness/group counts, the component list). At call end, end
 // takes the Stats once and projects every view from that one value —
-// the Report and Explain, the journal line and the session registry —
-// so they reconcile by construction.
+// the Report, the wide event (the journal line, which under
+// Options.Explain is also the explain report) and the session registry
+// — so they reconcile by construction.
 type recorder struct {
 	op, query string
 	start     time.Time
@@ -43,7 +44,7 @@ type recorder struct {
 	cc              *constraintContext
 	constraintBuilt bool
 
-	comps []*ComponentExplain
+	comps []*obsv.ComponentExplain
 
 	// Route verdict of the call ("rewrite"/"sat"; "" until stamped),
 	// stamped exactly once by rangeAnswers (single writer: the goroutine
@@ -77,22 +78,27 @@ func (e *Engine) begin(ctx context.Context, op, query, span string, attrs ...obs
 
 // end closes one engine call on every exit path, error exits included:
 // it classifies the anomaly, takes the call's Stats once, and projects
-// the session metrics and the journal line from them. answers is nil on
-// an error exit.
-func (e *Engine) end(ctx context.Context, rc *recorder, answers []GroupAnswer, err error) Stats {
+// the session metrics and the call's wide event from them. The event is
+// built once, when a journal is installed or Options.Explain is set:
+// the journal appends it, and end returns it (nil otherwise) for the
+// Report to carry as its explain report. answers is nil on an error
+// exit.
+func (e *Engine) end(ctx context.Context, rc *recorder, answers []GroupAnswer, err error) (Stats, *obsv.JournalEntry) {
 	dur := time.Since(rc.start)
 	anomaly := classifyAnomaly(err)
 	st := rc.stats
 	e.publish(ctx, rc, st, anomaly, dur)
-	if e.opts.Journal != nil {
-		e.opts.Journal.Append(e.journalEntry(ctx, rc, st, answers, err, dur, anomaly))
+	var entry *obsv.JournalEntry
+	if e.opts.Journal != nil || rc.explain {
+		entry = e.journalEntry(ctx, rc, st, answers, err, dur, anomaly)
+		e.opts.Journal.Append(*entry)
 	}
 	if rc.span != nil {
 		rc.span.SetInt("answers", int64(len(answers)))
 		rc.span.SetInt("sat_calls", st.SATCalls)
 		rc.span.End()
 	}
-	return st
+	return st, entry
 }
 
 // classifyAnomaly classifies how a call ended: "" on a clean solve, else
@@ -282,9 +288,9 @@ func (rc *recorder) endUnits(m unitsMark) {
 // (a hard-clause component over facts closure facts, with units solve
 // units encoded against it): it records the phase and the formula
 // size, ends the "core.encode" span (nil-safe),
-// and returns the component's Explain entry (nil unless
-// Options.Explain; every ComponentExplain method accepts nil).
-func (rc *recorder) component(pm phaseMark, sp *obsv.Span, f *cnf.Formula, facts, units int) *ComponentExplain {
+// and returns the component's explain entry (nil unless
+// Options.Explain; every obsv.ComponentExplain method accepts nil).
+func (rc *recorder) component(pm phaseMark, sp *obsv.Span, f *cnf.Formula, facts, units int) *obsv.ComponentExplain {
 	d := rc.endPhase(phaseEncode, pm)
 	st := rc.absorbFormula(f)
 	if sp != nil {
@@ -297,7 +303,7 @@ func (rc *recorder) component(pm phaseMark, sp *obsv.Span, f *cnf.Formula, facts
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	ce := &ComponentExplain{Index: len(rc.comps), Facts: facts, Witnesses: units,
+	ce := &obsv.ComponentExplain{Index: len(rc.comps), Facts: facts, Witnesses: units,
 		Vars: st.Vars, Clauses: st.Clauses, EncodeNS: int64(d)}
 	rc.comps = append(rc.comps, ce)
 	return ce
@@ -330,10 +336,10 @@ func (rc *recorder) eliminated(pm phaseMark, pass string, facts, units int, size
 	rc.mu.Lock()
 	rc.stats.absorb(size)
 	if rc.explain {
-		rc.comps = append(rc.comps, &ComponentExplain{Index: len(rc.comps), Facts: facts, Witnesses: units,
+		rc.comps = append(rc.comps, &obsv.ComponentExplain{Index: len(rc.comps), Facts: facts, Witnesses: units,
 			Vars: size.vars, Clauses: size.clauses, EncodeNS: int64(d), ClosedForm: true,
 			ElimWidth: shape.width, ElimTable: shape.table,
-			Directions: []DirectionExplain{{Direction: pass, Algorithm: "elimination"}}})
+			Directions: []obsv.DirectionExplain{{Direction: pass, Algorithm: "elimination"}}})
 	}
 	rc.mu.Unlock()
 }
@@ -345,7 +351,7 @@ func (rc *recorder) eliminated(pm phaseMark, pass string, facts, units int, size
 // per component.
 type closedFormTally struct {
 	stats Stats
-	comps []*ComponentExplain
+	comps []*obsv.ComponentExplain
 }
 
 // add tallies one eliminated component: its formula size, closure fact
@@ -354,10 +360,10 @@ func (t *closedFormTally) add(size formulaSize, facts, units int, shape elimShap
 	t.stats.ClosedFormComponents++
 	t.stats.absorb(size)
 	if explain {
-		t.comps = append(t.comps, &ComponentExplain{Facts: facts, Witnesses: units,
+		t.comps = append(t.comps, &obsv.ComponentExplain{Facts: facts, Witnesses: units,
 			Vars: size.vars, Clauses: size.clauses, ClosedForm: true,
 			ElimWidth: shape.width, ElimTable: shape.table,
-			Directions: []DirectionExplain{{Direction: "closed-form", Algorithm: "elimination"}}})
+			Directions: []obsv.DirectionExplain{{Direction: "closed-form", Algorithm: "elimination"}}})
 	}
 }
 
@@ -412,8 +418,8 @@ func (rc *recorder) grouped(n int) {
 // constraintCtx returns the lazily-built constraint context, wrapping
 // the first (real) build in a "core.constraints" span. Only the call
 // that ran the build reports its time (Stats.ConstraintTime); a call
-// that reused the context reports none, and its explain report carries
-// the cached build time instead. Safe for concurrent use: parallel
+// that reused the context reports none, and under Options.Explain its
+// wide event carries the cached build time instead. Safe for concurrent use: parallel
 // workers race into the sync.Once, exactly one performs the build, the
 // rest block until it finishes.
 func (e *Engine) constraintCtx(ctx context.Context, rc *recorder) *constraintContext {

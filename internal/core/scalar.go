@@ -422,7 +422,7 @@ func distinctContribution(op cq.AggOp, v db.Value) int64 {
 // directions take the one solve path, maxsat.SolveContext: on f, and on
 // f.NegateSoft(). The negation is not counted in the CNF sizes, which
 // measure the reduction's formula.
-func (e *Engine) solveBothDirections(ctx context.Context, f *cnf.Formula, rc *recorder, ce *ComponentExplain) (minF, maxF int64, err error) {
+func (e *Engine) solveBothDirections(ctx context.Context, f *cnf.Formula, rc *recorder, ce *obsv.ComponentExplain) (minF, maxF int64, err error) {
 	res, err := e.runMaxSAT(ctx, f, rc, ce, "glb")
 	if err != nil {
 		return 0, 0, err
@@ -436,12 +436,12 @@ func (e *Engine) solveBothDirections(ctx context.Context, f *cnf.Formula, rc *re
 }
 
 // runMaxSAT times and accounts one direction's solve.
-func (e *Engine) runMaxSAT(ctx context.Context, f *cnf.Formula, rc *recorder, ce *ComponentExplain, dir string) (maxsat.Result, error) {
+func (e *Engine) runMaxSAT(ctx context.Context, f *cnf.Formula, rc *recorder, ce *obsv.ComponentExplain, dir string) (maxsat.Result, error) {
 	pm := startPhase()
 	res, err := maxsat.SolveContext(ctx, f, e.opts.MaxSAT)
 	d := rc.endPhase(phaseSolve, pm)
 	rc.solved(res.SATCalls, err == nil)
-	ce.addDirection(dir, res.Algorithm.String(), res, d)
+	ce.AddDirection(dir, res.Algorithm.String(), res.SATCalls, res.Conflicts, d)
 	if err != nil {
 		return res, mapSolveErr(err)
 	}

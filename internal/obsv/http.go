@@ -8,7 +8,6 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"time"
 )
 
@@ -51,7 +50,8 @@ func buildIdentity() (main, revision string, modified bool) {
 
 // HandlerConfig names the live state the debug handler reads. Any field
 // may be nil; the endpoints that need it then degrade gracefully (an
-// empty exposition, a 404 trace/journal).
+// empty exposition, a 404 trace). The journal is read only for its
+// written/dropped counts: its file is the one copy of its lines.
 type HandlerConfig struct {
 	Registry *Registry
 	Journal  *Journal
@@ -72,8 +72,6 @@ type HandlerConfig struct {
 //	               ?trace=<id> one retained request trace,
 //	               ?format=tree (default) or ?format=chrome for Chrome
 //	               trace-event JSON
-//	/debug/journal the last n journal entries (?n=K, default 32) as a
-//	               JSON array, newest last
 //	/debug/pprof/  the standard net/http/pprof surface (profile, heap,
 //	               goroutine, trace, …)
 //
@@ -114,29 +112,6 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 		if j != nil {
 			j.WritePrometheus(w)
 		}
-	})
-	mux.HandleFunc("/debug/journal", func(w http.ResponseWriter, r *http.Request) {
-		if j == nil {
-			http.Error(w, "no journal installed", http.StatusNotFound)
-			return
-		}
-		n := 32
-		if q := r.URL.Query().Get("n"); q != "" {
-			v, err := strconv.Atoi(q)
-			if err != nil || v <= 0 {
-				http.Error(w, fmt.Sprintf("bad n %q (want a positive integer)", q), http.StatusBadRequest)
-				return
-			}
-			n = v
-		}
-		w.Header().Set("Content-Type", "application/json")
-		entries := j.Tail(n)
-		if entries == nil {
-			entries = []JournalEntry{}
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(entries)
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		if traces == nil {

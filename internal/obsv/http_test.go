@@ -153,7 +153,7 @@ func TestHandlerNoTracer(t *testing.T) {
 func TestConcurrentScrapes(t *testing.T) {
 	reg := NewRegistry()
 	traces := NewTraceStore(8)
-	live := retainedWithSpan("sample", "query")
+	live := retainedWithSpan("slow", "query")
 	traces.Keep(live)
 	srv := httptest.NewServer(NewHandler(HandlerConfig{Registry: reg, Traces: traces}))
 	defer srv.Close()
@@ -243,52 +243,38 @@ func TestHealthzFields(t *testing.T) {
 	}
 }
 
-// TestDebugJournal covers the /debug/journal tail endpoint against a
-// live journal: default window, explicit ?n, bad n, and the 404 when no
-// journal is installed.
+// TestDebugJournal: the journal file is the one copy of its lines, so
+// the debug plane serves no journal tail — /debug/journal answers 404
+// with a journal installed — while /healthz and /metrics carry the
+// journal's written and dropped counts.
 func TestDebugJournal(t *testing.T) {
 	j := NewJournal(io.Discard, 0)
-	defer j.Close()
 	for i := 0; i < 40; i++ {
 		j.Append(JournalEntry{Query: fmt.Sprintf("q%d", i)})
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
 	}
 	srv := httptest.NewServer(NewHandler(HandlerConfig{Registry: NewRegistry(), Journal: j}))
 	defer srv.Close()
 
-	code, ct, body := get(t, srv, "/debug/journal")
-	if code != http.StatusOK || ct != "application/json" {
-		t.Fatalf("/debug/journal = %d %q", code, ct)
+	for _, path := range []string{"/debug/journal", "/debug/journal?n=2"} {
+		if code, _, _ := get(t, srv, path); code != http.StatusNotFound {
+			t.Errorf("%s = %d, want 404", path, code)
+		}
 	}
-	var entries []JournalEntry
-	if err := json.Unmarshal([]byte(body), &entries); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, body)
+	_, _, body := get(t, srv, "/metrics")
+	for _, want := range []string{MetricJournalWritten + " 40", MetricJournalDropped + " 0"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q:\n%s", want, body)
+		}
 	}
-	if len(entries) != 32 { // default window
-		t.Errorf("default tail = %d entries, want 32", len(entries))
+	_, _, body = get(t, srv, "/healthz")
+	var h healthInfo
+	if err := json.Unmarshal([]byte(body), &h); err != nil {
+		t.Fatalf("invalid /healthz JSON: %v\n%s", err, body)
 	}
-	code, _, body = get(t, srv, "/debug/journal?n=2")
-	if err := json.Unmarshal([]byte(body), &entries); err != nil || code != http.StatusOK {
-		t.Fatalf("?n=2 = %d: %v", code, err)
-	}
-	if len(entries) != 2 || entries[1].Query != "q39" {
-		t.Errorf("?n=2 tail = %+v", entries)
-	}
-	if code, _, _ := get(t, srv, "/debug/journal?n=zero"); code != http.StatusBadRequest {
-		t.Errorf("?n=zero status = %d, want 400", code)
-	}
-	if code, _, _ := get(t, srv, "/debug/journal?n=-1"); code != http.StatusBadRequest {
-		t.Errorf("?n=-1 status = %d, want 400", code)
-	}
-
-	// The journal's counters ride along on /metrics.
-	_, _, body = get(t, srv, "/metrics")
-	if !strings.Contains(body, MetricJournalWritten) {
-		t.Errorf("/metrics missing %s:\n%s", MetricJournalWritten, body)
-	}
-
-	bare := httptest.NewServer(NewHandler(HandlerConfig{Registry: NewRegistry()}))
-	defer bare.Close()
-	if code, _, _ := get(t, bare, "/debug/journal"); code != http.StatusNotFound {
-		t.Errorf("/debug/journal without a journal = %d, want 404", code)
+	if h.JournalWritten == nil || *h.JournalWritten != 40 || h.JournalDropped == nil || *h.JournalDropped != 0 {
+		t.Errorf("/healthz journal counts = %s, want 40 written, 0 dropped", body)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -20,10 +19,6 @@ const JournalVersion = 1
 // writer: enough to absorb a burst of sub-millisecond solves, small
 // enough that a wedged disk sheds load instead of growing the heap.
 const DefaultJournalQueue = 1024
-
-// defaultJournalTail bounds the in-memory tail ring served by the
-// /debug/journal endpoint.
-const defaultJournalTail = 256
 
 // JournalOptions summarizes, on each journal line, the engine
 // configuration that answered the query — the knobs that change which
@@ -45,8 +40,9 @@ type JournalOptions struct {
 // JournalEntry is one wide event: everything the system knows about one
 // engine call (solve), flattened onto a single JSON line. Every solve
 // gets a line, anomalous or not: together with the trace its TraceID
-// keys, a failed or timed-out call's line is its post-mortem. The
-// journal is also the replay input format: aggbench -replay can
+// keys, a failed or timed-out call's line is its post-mortem. It is
+// also the call's explain report (Options.Explain, rendered by
+// WriteTable), and the replay input format: aggbench -replay can
 // re-issue a recorded stream.
 type JournalEntry struct {
 	Version int       `json:"v"`
@@ -127,14 +123,25 @@ type JournalEntry struct {
 	// accepts them.
 	Anomaly string `json:"anomaly,omitempty"`
 	Error   string `json:"error,omitempty"`
+
+	// The explain report's own facts, set only under Options.Explain
+	// (a line written without it carries none of these keys):
+	// ConstraintBuildNS is the build time of a constraint context this
+	// call reused (a call that builds it reports constraint_ms instead);
+	// Algebra is the rendered algebraic query, which Query replaces
+	// with the caller's label; Components is the per-component solve
+	// breakdown.
+	ConstraintBuildNS int64              `json:"constraint_build_ns,omitempty"`
+	Algebra           string             `json:"algebra,omitempty"`
+	Components        []ComponentExplain `json:"components,omitempty"`
 }
 
 // Journal is a bounded, non-blocking writer of journal lines. Append
 // never blocks the solve path: entries go through a fixed-depth channel
 // drained by one background goroutine; when the channel is full (disk
 // stall, runaway QPS) the entry is dropped and counted instead of
-// applying backpressure to queries. A bounded tail ring of recent
-// entries backs the /debug/journal endpoint.
+// applying backpressure to queries. The written file is the journal's
+// only copy: nothing is retained in memory.
 type Journal struct {
 	path string
 	w    io.Writer
@@ -145,10 +152,6 @@ type Journal struct {
 
 	written atomic.Int64
 	dropped atomic.Int64
-
-	mu   sync.Mutex
-	tail []JournalEntry
-	next int
 }
 
 // NewJournal starts a journal draining into w (the caller keeps
@@ -162,7 +165,6 @@ func NewJournal(w io.Writer, queue int) *Journal {
 		w:    w,
 		ch:   make(chan JournalEntry, queue),
 		done: make(chan struct{}),
-		tail: make([]JournalEntry, 0, defaultJournalTail),
 	}
 	go j.drain()
 	return j
@@ -201,14 +203,6 @@ func (j *Journal) Append(e JournalEntry) {
 	if e.Time.IsZero() {
 		e.Time = time.Now()
 	}
-	j.mu.Lock()
-	if len(j.tail) < cap(j.tail) {
-		j.tail = append(j.tail, e)
-	} else {
-		j.tail[j.next] = e
-		j.next = (j.next + 1) % len(j.tail)
-	}
-	j.mu.Unlock()
 	select {
 	case j.ch <- e:
 	default:
@@ -263,23 +257,6 @@ func (j *Journal) Dropped() int64 {
 		return 0
 	}
 	return j.dropped.Load()
-}
-
-// Tail returns the most recent n appended entries in chronological
-// order (all retained entries when n <= 0 or exceeds the ring).
-func (j *Journal) Tail(n int) []JournalEntry {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]JournalEntry, 0, len(j.tail))
-	out = append(out, j.tail[j.next:]...)
-	out = append(out, j.tail[:j.next]...)
-	if n > 0 && n < len(out) {
-		out = out[len(out)-n:]
-	}
-	return out
 }
 
 // WritePrometheus renders the journal's own health counters, appended to

@@ -122,31 +122,8 @@ func TestJournalNilSafe(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if j.Written() != 0 || j.Dropped() != 0 || j.Path() != "" || j.Tail(3) != nil {
+	if j.Written() != 0 || j.Dropped() != 0 || j.Path() != "" {
 		t.Error("nil journal accessors must return zero values")
-	}
-}
-
-func TestJournalTailRing(t *testing.T) {
-	j := NewJournal(io.Discard, 0)
-	defer j.Close()
-	n := defaultJournalTail + 10
-	for i := 0; i < n; i++ {
-		j.Append(JournalEntry{Query: fmt.Sprintf("q%d", i)})
-	}
-	tail := j.Tail(0)
-	if len(tail) != defaultJournalTail {
-		t.Fatalf("full tail = %d entries, want %d", len(tail), defaultJournalTail)
-	}
-	if got := tail[len(tail)-1].Query; got != fmt.Sprintf("q%d", n-1) {
-		t.Errorf("newest tail entry = %q", got)
-	}
-	if got := tail[0].Query; got != fmt.Sprintf("q%d", n-defaultJournalTail) {
-		t.Errorf("oldest tail entry = %q (ring rotation broken)", got)
-	}
-	last3 := j.Tail(3)
-	if len(last3) != 3 || last3[2].Query != fmt.Sprintf("q%d", n-1) {
-		t.Errorf("Tail(3) = %+v", last3)
 	}
 }
 
@@ -197,9 +174,8 @@ func TestQueryLabelContext(t *testing.T) {
 	}
 }
 
-// TestJournalConcurrentAppend hammers Append and Tail from many
-// goroutines (the -race target): the solve hot path appends from
-// parallel workers while /debug/journal reads the tail.
+// TestJournalConcurrentAppend hammers Append from many goroutines (the
+// -race target): the solve hot path appends from parallel workers.
 func TestJournalConcurrentAppend(t *testing.T) {
 	j := NewJournal(io.Discard, 8)
 	var wg sync.WaitGroup
@@ -210,9 +186,6 @@ func TestJournalConcurrentAppend(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				j.Append(JournalEntry{Query: fmt.Sprintf("w%d", w)})
-				if i%17 == 0 {
-					j.Tail(16)
-				}
 			}
 		}(w)
 	}
@@ -241,5 +214,12 @@ func TestJournalEntryJSONShape(t *testing.T) {
 	}
 	if strings.Contains(string(b), `"error"`) {
 		t.Errorf("empty error field must be omitted:\n%s", b)
+	}
+	// The explain report's own facts are absent from a line written
+	// without Options.Explain.
+	for _, key := range []string{`"components"`, `"constraint_build_ns"`, `"algebra"`} {
+		if strings.Contains(string(b), key) {
+			t.Errorf("JSON carries the explain-only key %s:\n%s", key, b)
+		}
 	}
 }

@@ -10,13 +10,13 @@ const DefaultRetainedTraces = 64
 
 // RetainedTrace is one request trace kept by tail-based sampling: the
 // request's whole span tree (its per-request tracer) plus enough request
-// identity to cross-link it with the journal line and explain report
+// identity to cross-link it with the journal line (the explain report)
 // carrying the same trace id.
 type RetainedTrace struct {
 	TraceID TraceID
 	// Reason explains why the tail-sampling decision kept this trace:
-	// the request outcome ("shed", "timeout", "error"), "slow" for a
-	// latency-objective breach, or "sample" for the probabilistic knob.
+	// the request outcome ("shed", "timeout", "error") or "slow" for a
+	// latency-objective breach.
 	Reason string
 	// Query labels the request (SQL text or workload label).
 	Query    string

@@ -2,9 +2,9 @@
 // multi-tenant instance registry over aggcavsat.System, admission
 // control with bounded in-flight solves and typed load shedding, and a
 // result cache keyed by (query fingerprint, instance version) with
-// singleflight coalescing of identical concurrent queries. The PR 5 debug plane (/metrics, /healthz,
-// /debug/trace, /debug/journal, pprof) mounts into the same mux, so one
-// process serves both queries and its own observability.
+// singleflight coalescing of identical concurrent queries. The debug
+// plane (/metrics, /healthz, /debug/trace, pprof) mounts into the same
+// mux, so one process serves both queries and its own observability.
 package server
 
 import (
@@ -73,7 +73,8 @@ type QueryResponse struct {
 	// clients can detect answer drift without shipping rows around.
 	Digest string `json:"digest"`
 	// Cached reports that the answer came from the result cache without
-	// touching the engine.
+	// touching the engine. A request that joined an identical in-flight
+	// solve is not cached: it carries that solve's route.
 	Cached bool `json:"cached"`
 	// TraceID is this request's W3C trace id (32 lowercase hex digits):
 	// the caller's traceparent trace id when one was sent, otherwise

@@ -76,11 +76,12 @@ func (c *resultCache) wire(hits, misses, coalesced *obsv.Counter, held *obsv.Gau
 }
 
 // Do returns the cached answer for key, or joins the in-flight solve
-// for it, or runs solve and caches the outcome. The bool reports
-// whether the answer was served without running solve in this request
-// (a cache hit or a coalesced wait). Errors are never cached: the next
-// request retries. A joiner whose context expires stops waiting and
-// returns ctx.Err() — the leader's solve continues for the others.
+// for it, or runs solve and caches the outcome. The bool reports a
+// cache hit: a cache entry served the request. A request that joined
+// the in-flight solve (counted as coalesced) shares the leader's
+// answer but is not a hit. Errors are never cached: the next request
+// retries. A joiner whose context expires stops waiting and returns
+// ctx.Err() — the leader's solve continues for the others.
 func (c *resultCache) Do(ctx context.Context, key cacheKey, solve func() (*QueryResponse, error)) (*QueryResponse, bool, error) {
 	c.mu.Lock()
 	if elem, ok := c.entries[key]; ok {
@@ -95,7 +96,7 @@ func (c *resultCache) Do(ctx context.Context, key cacheKey, solve func() (*Query
 		inc(c.coalesced)
 		select {
 		case <-f.done:
-			return f.val, true, f.err
+			return f.val, false, f.err
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
 		}

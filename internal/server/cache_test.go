@@ -129,6 +129,8 @@ func TestCacheDisabledStillCoalesces(t *testing.T) {
 
 func TestCacheCoalesceSharesLeaderAnswer(t *testing.T) {
 	c := newResultCache(1 << 20)
+	reg := obsv.NewRegistry()
+	c.wire(reg.Counter(MetricCacheHit), reg.Counter(MetricCacheMiss), reg.Counter(MetricCoalesced), nil)
 	ctx := context.Background()
 	release := make(chan struct{})
 	leaderIn := make(chan struct{})
@@ -167,17 +169,28 @@ func TestCacheCoalesceSharesLeaderAnswer(t *testing.T) {
 	}
 	// Followers either join the leader's flight or, when they arrive
 	// after it lands, hit the cached entry — both must serve the
-	// leader's answer without solving.
+	// leader's answer without solving. Only a hit reports one: a
+	// joined flight is counted as coalesced.
 	close(release)
 	wg.Wait()
 
 	if n := solves.Load(); n != 1 {
 		t.Fatalf("solves = %d, want 1", n)
 	}
+	var hits int64
 	for i := 0; i < followers; i++ {
-		if results[i] != want || !servedFlags[i] {
-			t.Errorf("follower %d: got %v served=%v", i, results[i], servedFlags[i])
+		if results[i] != want {
+			t.Errorf("follower %d: got %v", i, results[i])
 		}
+		if servedFlags[i] {
+			hits++
+		}
+	}
+	if got := reg.Counter(MetricCacheHit).Value(); got != hits {
+		t.Errorf("cache hits counted %d, Do reported %d", got, hits)
+	}
+	if got := reg.Counter(MetricCoalesced).Value(); got != followers-hits {
+		t.Errorf("coalesced counted %d, want the %d followers Do reported as no hit", got, followers-hits)
 	}
 }
 

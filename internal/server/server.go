@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/http"
 	"strconv"
@@ -96,10 +95,6 @@ type Config struct {
 	// SLOAvailability is the target fraction for both the availability
 	// and latency objectives, in (0,1). 0 means 0.999.
 	SLOAvailability float64
-	// TraceSample is the probability of retaining the span buffer of a
-	// healthy, fast request (slow/errored/shed requests are always
-	// retained). 0 disables probabilistic retention.
-	TraceSample float64
 	// TraceRetain bounds the retained-trace store backing
 	// /debug/trace?trace=<id>. 0 means obsv.DefaultRetainedTraces.
 	TraceRetain int
@@ -109,7 +104,8 @@ type Config struct {
 	// nil so the debug plane always has something to scrape).
 	Metrics *obsv.Registry
 	// Journal, when non-nil, receives the engine's wide-event lines
-	// (stamped "<instance>/<label>") and backs /debug/journal.
+	// (stamped "<instance>/<label>"); /healthz and /metrics report its
+	// written and dropped counts.
 	Journal *obsv.Journal
 }
 
@@ -327,7 +323,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	rootSp.SetStr("tenant", tenant)
 
 	key := cacheKey{queryFP: core.Fingerprint64(normalizeSQL(req.SQL)), version: t.Version}
-	resp, served, err := s.cache.Do(ctx, key, func() (*QueryResponse, error) {
+	resp, hit, err := s.cache.Do(ctx, key, func() (*QueryResponse, error) {
 		return s.admitAndSolve(ctx, t, req)
 	})
 	if err != nil {
@@ -339,16 +335,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// copy before stamping per-request fields. The trace id is this
 	// request's own — on a cache hit the journal line of the original
 	// solve keeps the solver's trace id, while the response cross-links
-	// to this request's retained trace.
+	// to this request's retained trace. Only a cache hit counts under
+	// route "cache"; a request that joined an identical in-flight solve
+	// counts under that solve's route.
 	out := *resp
 	out.Instance = t.Name
 	out.Version = t.Version
-	out.Cached = served
+	out.Cached = hit
 	out.TraceID = tc.TraceID.String()
 	out.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 	outcome = "ok"
 	route = out.Route
-	if served {
+	if hit {
 		route = "cache"
 	}
 	rootSp.SetStr("route", route)
@@ -395,8 +393,6 @@ func (s *Server) finishRequest(rt *obsv.Tracer, tenant, route, outcome, query st
 		reason = outcome
 	case elapsed > s.cfg.SLOLatency:
 		reason = "slow"
-	case s.cfg.TraceSample > 0 && rand.Float64() < s.cfg.TraceSample:
-		reason = "sample"
 	}
 	if reason != "" {
 		s.traces.Keep(obsv.RetainedTrace{

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -23,7 +22,7 @@ import (
 
 // writeFixture materializes a small inconsistent bank instance as a
 // schema.txt + CSV directory (account A2 violates its key).
-func writeFixture(t *testing.T) string {
+func writeFixture(t testing.TB) string {
 	t.Helper()
 	dir := t.TempDir()
 	files := map[string]string{
@@ -352,8 +351,8 @@ func TestAdminInstancesAndCacheInvalidation(t *testing.T) {
 // journal line of a query on the hot-attached tenant carries the
 // configured worker-pool size, not the GOMAXPROCS default.
 func TestHotAttachUsesTenantOptions(t *testing.T) {
-	j := obsv.NewJournal(io.Discard, 16)
-	defer j.Close()
+	var buf bytes.Buffer
+	j := obsv.NewJournal(&buf, 16)
 	srv := New(Config{Journal: j, TenantOptions: aggcavsat.Options{Parallelism: 3}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -370,7 +369,13 @@ func TestHotAttachUsesTenantOptions(t *testing.T) {
 	if resp, body := postQuery(t, ts.URL, &QueryRequest{Instance: "hot", SQL: sumQuery}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("query: %d %s", resp.StatusCode, body)
 	}
-	lines := j.Tail(16)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lines, err := obsv.ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(lines) != 1 {
 		t.Fatalf("journal lines = %d, want 1 from the hot-attached tenant", len(lines))
 	}
@@ -499,6 +504,8 @@ func TestCoalescedFollowersShareOneSolve(t *testing.T) {
 	const followers = 4
 	var wg sync.WaitGroup
 	digests := make([]string, followers)
+	routes := make([]string, followers)
+	cached := make([]bool, followers)
 	for i := 0; i < followers; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -513,15 +520,21 @@ func TestCoalescedFollowersShareOneSolve(t *testing.T) {
 				t.Errorf("follower %d: %v", i, err)
 				return
 			}
-			digests[i] = out.Digest
+			digests[i], routes[i], cached[i] = out.Digest, out.Route, out.Cached
 		}(i)
 	}
-	// Wait until the leader is wedged inside exec, then release; the
-	// followers must all ride its solve.
-	for solves.Load() == 0 {
+	// Wait until the leader is wedged inside exec and every follower
+	// has joined its flight, then release; the followers must all ride
+	// its solve.
+	coalesced := srv.cfg.Metrics.Counter(MetricCoalesced)
+	deadline := time.Now().Add(10 * time.Second)
+	for solves.Load() == 0 || coalesced.Value() < followers-1 {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("%d solves, %d followers joined the flight", solves.Load(), coalesced.Value())
+		}
 		time.Sleep(time.Millisecond)
 	}
-	time.Sleep(20 * time.Millisecond) // let followers reach the flight
 	close(release)
 	wg.Wait()
 
@@ -535,6 +548,17 @@ func TestCoalescedFollowersShareOneSolve(t *testing.T) {
 	}
 	if v := srv.cfg.Metrics.Counter(MetricCoalesced).Value(); v == 0 {
 		t.Error("coalesce counter stayed zero")
+	}
+	// A follower rode the leader's solve; no cache entry served it, so
+	// it answers with the leader's route and is not counted as a hit.
+	for i := range routes {
+		if routes[i] != "sat" || cached[i] {
+			t.Errorf("follower %d: route %q cached %v, want the leader's sat route, not cached", i, routes[i], cached[i])
+		}
+	}
+	hits := srv.cfg.Metrics.Counter(MetricCacheHit).Value()
+	if n := requestCount(srv, func(values []string) bool { return values[1] == "cache" }); n != hits {
+		t.Errorf("route=\"cache\" requests = %d, cache hits = %d", n, hits)
 	}
 }
 

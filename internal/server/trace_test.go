@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -24,8 +25,8 @@ import (
 // one id to grep across every artifact — and the
 // request's spans must be in its retained trace under that id.
 func TestTraceIdentityEndToEnd(t *testing.T) {
-	j := obsv.NewJournal(io.Discard, 128)
-	defer j.Close()
+	var journal bytes.Buffer
+	j := obsv.NewJournal(&journal, 128)
 
 	var mu sync.Mutex
 
@@ -87,7 +88,13 @@ func TestTraceIdentityEndToEnd(t *testing.T) {
 	}
 
 	// 3. Journal line of the solve.
-	entries := j.Tail(8)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := obsv.ReadJournal(&journal)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(entries) == 0 {
 		t.Fatal("no journal entries")
 	}
@@ -170,13 +177,13 @@ func TestRetainedTracesAreClosed(t *testing.T) {
 	}
 }
 
-// TestHealthyRequestsLeaveNoTrace: with no sampling and a latency
-// objective no request breaches, healthy requests are not retained, so
+// TestHealthyRequestsLeaveNoTrace: with a latency objective no request
+// breaches, healthy requests are not retained, so
 // the /debug/trace index stays empty and each request's span buffer is
 // garbage once the request returns — the trace store is the only place
 // a request's spans could outlive it.
 func TestHealthyRequestsLeaveNoTrace(t *testing.T) {
-	srv, ts := newTestServer(t, Config{SLOLatency: time.Minute, TraceSample: 0})
+	srv, ts := newTestServer(t, Config{SLOLatency: time.Minute})
 	var collected, seen atomic.Int64
 	inner := srv.exec
 	srv.exec = func(ctx context.Context, tn *Tenant, req *QueryRequest) (*aggcavsat.Result, error) {
