@@ -39,12 +39,14 @@ race:
 # component solve on a single-group and a coupled width-2 component
 # (BenchmarkComponentSolve), the compiled evaluation
 # (BenchmarkEvalWideJoin: a join into a 14-column relation that reads
-# two columns) and key-fast-path-vs-generic constraint suites in
-# cq/constraints, the memoized-vs-fresh rewriting index suite in conquer (the planner fast
-# path), the fact store's cold key index build over a heap instance
-# (BenchmarkKeyIndexBuild) and a snapshot open that adopts and validates
-# the stored index (BenchmarkOpenSnapshotAdopt), plus the end-to-end
-# harness benchmarks. Pipe two runs through benchstat to compare.
+# two columns), Medigap's violation step on FD partitions vs generic
+# self-joins (BenchmarkMinimalViolations/partition and /generic in
+# constraints), the memoized-vs-fresh rewriting index suite in conquer (the planner fast
+# path), the fact store's dictionary interning (BenchmarkIntern), cold
+# key index build over a heap instance (BenchmarkKeyIndexBuild) and a
+# snapshot open that adopts and validates the stored index
+# (BenchmarkOpenSnapshotAdopt), plus the end-to-end harness
+# benchmarks. Pipe two runs through benchstat to compare.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/core/ ./internal/cq/ ./internal/constraints/ ./internal/conquer/ ./internal/db/ ./internal/bench/
 
@@ -60,7 +62,8 @@ bench:
 # of the evaluator fuzzer (compiled CQ evaluation ≡
 # brute-force reference, folded + materialized ≡ unfolded bag) and of
 # the snapshot loader fuzzer (no byte string panics the loader; what it
-# accepts reads back and answers key index lookups), and of the parsers
+# accepts passes or fails VerifySnapshot with a typed error, reads back,
+# looks its strings up and answers key index lookups), and of the parsers
 # of outside input: SQL text against the TPC-H schema (no panic; what
 # translates has an aggregate over a non-empty union), schema files (no
 # panic; what reads survives a write and a re-read) and W3C traceparent

@@ -21,7 +21,7 @@ func TestRunGolden(t *testing.T) {
 	if err := run(context.Background(), []string{"-out", out}, &stdout, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
-	const want = `wrote columnar snapshot $OUT/snapshot.bin (803152 bytes)
+	const want = `wrote columnar snapshot $OUT/snapshot.bin (835928 bytes)
 wrote 9419 tuples across 8 relations to $OUT
   nation         27 tuples, 11.11% violating keys
   supplier       11 tuples, 18.18% violating keys

@@ -6,6 +6,7 @@ package constraints
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -149,17 +150,16 @@ type Violation []db.FactID
 // violating set. The result is deterministic (sorted by size, then
 // lexicographically).
 //
-// Relations whose complete key-DC family is present in dcs skip the
-// generic self-join and read their violating pairs off the instance's
-// memoized KeyEqualGroups partition (see fastpath.go); the remaining
-// DCs evaluate generically, and both streams merge through one
-// dedup + minimality filter.
+// FD-shaped DCs skip the generic self-join and read their violating
+// pairs off one partition per (relation, left-hand side) (see
+// fastpath.go); the remaining DCs evaluate generically, and both
+// streams merge through one dedup + minimality filter.
 func MinimalViolations(e *cq.Evaluator, dcs []DC) []Violation {
 	in := e.Instance()
 	dedup := newVioDedup()
-	fastRels, generic := splitKeyDCs(in.Schema(), dcs)
-	if len(fastRels) > 0 {
-		keyGroupViolations(in, fastRels, dedup.add)
+	parts, generic := splitFDs(in.Schema(), dcs)
+	for _, part := range parts {
+		fdViolations(in, part, dedup.add)
 	}
 	for _, dc := range generic {
 		for _, r := range e.Eval(dc.Body()) {
@@ -186,9 +186,16 @@ func sortedMinimal(all []Violation) []Violation {
 // N^f = { V \ {f} : V ∈ 𝒱, f ∈ V } of Section V. A fact whose singleton
 // set is itself a minimal violation is flagged SelfViolating: its only
 // near-violation is the auxiliary fact f_true.
+//
+// The near-violations are stored in two levels of compressed sparse
+// rows — fact → its near-violations → their facts — so the index is a
+// few flat arrays with no per-fact slice for the collector to scan.
+// Fact f's near-violations are consecutive, so their facts, run
+// together, are the facts sharing a violation with f (Neighbours).
 type NearViolationIndex struct {
-	// ByFact[f] lists the near-violations of fact f (each sorted).
-	ByFact [][]Violation
+	nearOf  []uint32 // fact f's near-violations are nearOf[f] ≤ k < nearOf[f+1]
+	factsOf []uint32 // near-violation k is facts[factsOf[k]:factsOf[k+1]]
+	facts   []db.FactID
 	// SelfViolating[f] reports that {f} is a minimal violation.
 	SelfViolating []bool
 	// InViolation[f] reports that f occurs in at least one minimal
@@ -197,29 +204,78 @@ type NearViolationIndex struct {
 }
 
 // BuildNearViolations derives the near-violation index from the minimal
-// violations over an instance with numFacts facts.
+// violations over an instance with numFacts facts: count each fact's
+// near-violations, then size them and lay their facts out, each fact's
+// in violation order.
 func BuildNearViolations(violations []Violation, numFacts int) *NearViolationIndex {
 	idx := &NearViolationIndex{
-		ByFact:        make([][]Violation, numFacts),
+		nearOf:        make([]uint32, numFacts+1),
 		SelfViolating: make([]bool, numFacts),
 		InViolation:   make([]bool, numFacts),
 	}
 	for _, v := range violations {
-		if len(v) == 1 {
-			f := v[0]
-			idx.SelfViolating[f] = true
+		for _, f := range v {
 			idx.InViolation[f] = true
-			continue
+			if len(v) == 1 {
+				idx.SelfViolating[f] = true
+			} else {
+				idx.nearOf[f+1]++
+			}
 		}
+	}
+	for f := 1; f <= numFacts; f++ {
+		idx.nearOf[f] += idx.nearOf[f-1]
+	}
+	nears := idx.nearOf[numFacts]
+	// next[f] is fact f's next near-violation: the first pass sizes
+	// them, the second copies their facts.
+	next := slices.Clone(idx.nearOf[:numFacts])
+	idx.factsOf = make([]uint32, nears+1)
+	for _, v := range violations {
+		for _, f := range v {
+			if len(v) > 1 {
+				idx.factsOf[next[f]+1] = uint32(len(v) - 1)
+				next[f]++
+			}
+		}
+	}
+	for k := uint32(1); k <= nears; k++ {
+		idx.factsOf[k] += idx.factsOf[k-1]
+	}
+	idx.facts = make([]db.FactID, idx.factsOf[nears])
+	copy(next, idx.nearOf[:numFacts])
+	for _, v := range violations {
 		for i, f := range v {
-			rest := make(Violation, 0, len(v)-1)
-			rest = append(rest, v[:i]...)
-			rest = append(rest, v[i+1:]...)
-			idx.ByFact[f] = append(idx.ByFact[f], rest)
-			idx.InViolation[f] = true
+			if len(v) > 1 {
+				at := idx.factsOf[next[f]]
+				next[f]++
+				at += uint32(copy(idx.facts[at:], v[:i]))
+				copy(idx.facts[at:], v[i+1:])
+			}
 		}
 	}
 	return idx
+}
+
+// NumNear returns the number of near-violations of fact f.
+func (idx *NearViolationIndex) NumNear(f db.FactID) int {
+	return int(idx.nearOf[f+1] - idx.nearOf[f])
+}
+
+// Near returns the k-th near-violation of fact f (sorted). The slice
+// is capped, so an append never writes into the index.
+func (idx *NearViolationIndex) Near(f db.FactID, k int) []db.FactID {
+	at := int(idx.nearOf[f]) + k
+	lo, hi := idx.factsOf[at], idx.factsOf[at+1]
+	return idx.facts[lo:hi:hi]
+}
+
+// Neighbours returns the facts sharing a minimal violation with f, once
+// per shared violation: f's near-violations run together. The slice is
+// capped.
+func (idx *NearViolationIndex) Neighbours(f db.FactID) []db.FactID {
+	lo, hi := idx.factsOf[idx.nearOf[f]], idx.factsOf[idx.nearOf[f+1]]
+	return idx.facts[lo:hi:hi]
 }
 
 // Safe reports whether fact f participates in no minimal violation: it

@@ -1,11 +1,13 @@
 package constraints
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"aggcavsat/internal/cq"
 	"aggcavsat/internal/db"
+	"aggcavsat/internal/xrand"
 )
 
 func twoColSchema() *db.Schema {
@@ -148,26 +150,77 @@ func TestMinimalityFilter(t *testing.T) {
 	}
 }
 
-func TestBuildNearViolations(t *testing.T) {
-	vs := []Violation{{0, 1}, {0, 2}, {3}}
-	idx := BuildNearViolations(vs, 5)
-	if len(idx.ByFact[0]) != 2 {
-		t.Errorf("fact 0 near-violations = %v", idx.ByFact[0])
+// refNear is the near-violation index as per-fact lists: fact f's
+// near-violations V \ {f}, in violation order.
+func refNear(vs []Violation, n int) [][][]db.FactID {
+	out := make([][][]db.FactID, n)
+	for _, v := range vs {
+		if len(v) == 1 {
+			continue
+		}
+		for i, f := range v {
+			rest := append(append([]db.FactID{}, v[:i]...), v[i+1:]...)
+			out[f] = append(out[f], rest)
+		}
 	}
-	if len(idx.ByFact[1]) != 1 || idx.ByFact[1][0][0] != 0 {
-		t.Errorf("fact 1 near-violations = %v", idx.ByFact[1])
+	return out
+}
+
+// requireNear checks the CSR index against refNear: NumNear, each Near
+// and Neighbours (the near-violations run together) for every fact.
+func requireNear(t *testing.T, idx *NearViolationIndex, vs []Violation, n int) {
+	t.Helper()
+	for f, want := range refNear(vs, n) {
+		id := db.FactID(f)
+		if idx.NumNear(id) != len(want) {
+			t.Fatalf("fact %d: %d near-violations, want %d", f, idx.NumNear(id), len(want))
+		}
+		var all []db.FactID
+		for k, w := range want {
+			if got := idx.Near(id, k); !slices.Equal(got, w) {
+				t.Fatalf("fact %d near-violation %d = %v, want %v", f, k, got, w)
+			}
+			all = append(all, w...)
+		}
+		if got := idx.Neighbours(id); !slices.Equal(got, all) {
+			t.Fatalf("fact %d neighbours = %v, want %v", f, got, all)
+		}
+	}
+}
+
+func TestBuildNearViolations(t *testing.T) {
+	vs := []Violation{{0, 1}, {0, 2}, {3}, {1, 4, 5}}
+	idx := BuildNearViolations(vs, 7)
+	requireNear(t, idx, vs, 7)
+	if idx.NumNear(0) != 2 || idx.Near(1, 0)[0] != 0 || !slices.Equal(idx.Near(1, 1), []db.FactID{4, 5}) {
+		t.Errorf("fact 0: %d near-violations; fact 1: %v, %v", idx.NumNear(0), idx.Near(1, 0), idx.Near(1, 1))
 	}
 	if !idx.SelfViolating[3] {
 		t.Error("fact 3 should be self-violating")
 	}
-	if len(idx.ByFact[3]) != 0 {
+	if idx.NumNear(3) != 0 {
 		t.Error("self-violating fact should have no set near-violations")
 	}
-	if !idx.InViolation[0] || !idx.InViolation[3] || idx.InViolation[4] {
+	if !idx.InViolation[0] || !idx.InViolation[3] || idx.InViolation[6] {
 		t.Error("InViolation flags wrong")
 	}
-	if idx.Safe(0) || !idx.Safe(4) {
+	if idx.Safe(0) || !idx.Safe(6) {
 		t.Error("Safe() wrong")
+	}
+	// Random minimal-violation-like sets of one to four facts.
+	r := xrand.New(7)
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + r.Intn(30)
+		var vs []Violation
+		for i := r.Intn(40); i > 0; i-- {
+			v := Violation{}
+			for k := 1 + r.Intn(4); k > 0; k-- {
+				v = append(v, db.FactID(r.Intn(n)))
+			}
+			slices.Sort(v)
+			vs = append(vs, slices.Compact(v))
+		}
+		requireNear(t, BuildNearViolations(vs, n), vs, n)
 	}
 }
 

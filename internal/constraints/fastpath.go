@@ -2,150 +2,142 @@ package constraints
 
 import (
 	"slices"
-	"strings"
 
 	"aggcavsat/internal/cq"
 	"aggcavsat/internal/db"
 )
 
-// Key-aware fast path for MinimalViolations. When the DC set contains,
-// for some relation, exactly the DCs that KeyDCs generates (the FD
-// key → attr for every non-key attribute), instantiating those DC
-// bodies by a generic self-join is wasted work: their violations are
-// precisely the pairs of facts that agree kind-exactly on the key (the
-// join is an index probe, hence Tuple.Key-exact) and differ, under
-// Compare, on at least one non-key attribute. Those pairs fall straight
-// out of the instance's memoized KeyEqualGroups partition. DCs that are
-// not recognized — extra conditions, partial key coverage, hand-written
-// shapes — keep the generic Eval path, and both candidate streams merge
-// through one dedup + minimality filter, so the hybrid result is
-// identical to the all-generic one (see fastpath_test.go).
+// FD fast path for MinimalViolations. An FD-shaped DC is
+// R(x̄) ∧ R(ȳ) ∧ x_p <> y_p: two atoms over one relation whose
+// arguments are variables, none repeated within an atom, x̄ and ȳ
+// sharing variables exactly at the same positions (the left-hand side
+// L, possibly empty), and one condition comparing the two atoms'
+// variables at one position p outside L, in either operand order. FD
+// and KeyDCs build this shape, and a renamed hand-written one is the
+// same shape. The generic self-join instantiates it by probing ȳ's L
+// positions with x̄'s cells (exact cell equality) and testing p with
+// Compare semantics, so its violations are precisely the pairs of facts
+// that share a group of GroupsOn(R, L) and CompareAt-differ at p. DCs
+// sharing (R, L) are read off one partition together: a pair violates
+// one of them iff it differs at one of their positions p. Every other
+// DC keeps the generic path, and both candidate streams merge through
+// one dedup + minimality filter, so the result is the all-generic one
+// (see fastpath_test.go).
 
-// termEqual is structural term identity: same kind of term, same
-// variable name or kind-exact constant.
-func termEqual(a, b cq.Term) bool {
-	if a.IsConst != b.IsConst {
-		return false
-	}
-	if a.IsConst {
-		return a.Const.EqualExact(b.Const)
-	}
-	return a.Var == b.Var
+// fdPart is one (relation, left-hand side) partition and the positions
+// compared by the FD-shaped DCs that share it.
+type fdPart struct {
+	rel db.RelID
+	lhs []int // ascending
+	rhs []int // ascending, distinct
 }
 
-// dcBodyEqual reports structural equality of two DC bodies (names are
-// ignored). Matching is exact — same atom order, argument terms, and
-// conditions — so only DCs generated by KeyDCs' canonical construction
-// are recognized; a semantically equal but differently named body
-// simply stays on the generic path.
-func dcBodyEqual(a, b DC) bool {
-	if len(a.Atoms) != len(b.Atoms) || len(a.Conds) != len(b.Conds) {
-		return false
+// fdShape reports whether d is FD-shaped over the schema, and if so its
+// relation, left-hand side (ascending) and compared position.
+func fdShape(schema *db.Schema, d DC) (rel db.RelID, lhs []int, p int, ok bool) {
+	if len(d.Atoms) != 2 || len(d.Conds) != 1 || d.Conds[0].Op != cq.OpNE {
+		return 0, nil, 0, false
 	}
-	for i := range a.Atoms {
-		aa, ba := a.Atoms[i], b.Atoms[i]
-		if !strings.EqualFold(aa.Rel, ba.Rel) || len(aa.Args) != len(ba.Args) {
-			return false
-		}
-		for j := range aa.Args {
-			if !termEqual(aa.Args[j], ba.Args[j]) {
-				return false
+	rel, ok1 := schema.RelID(d.Atoms[0].Rel)
+	rel2, ok2 := schema.RelID(d.Atoms[1].Rel)
+	if !ok1 || !ok2 || rel != rel2 {
+		return 0, nil, 0, false
+	}
+	x, y := d.Atoms[0].Args, d.Atoms[1].Args
+	arity := schema.RelationByID(rel).Arity()
+	if len(x) != arity || len(y) != arity {
+		return 0, nil, 0, false
+	}
+	posX, okX := varPositions(x)
+	posY, okY := varPositions(y)
+	if !okX || !okY {
+		return 0, nil, 0, false
+	}
+	for i, t := range y {
+		if j, shared := posX[t.Var]; shared {
+			if j != i {
+				return 0, nil, 0, false
 			}
+			lhs = append(lhs, i)
 		}
 	}
-	for i := range a.Conds {
-		ac, bc := a.Conds[i], b.Conds[i]
-		if ac.Op != bc.Op || !termEqual(ac.Left, bc.Left) || !termEqual(ac.Right, bc.Right) {
-			return false
-		}
+	c := d.Conds[0]
+	if c.Left.IsConst || c.Right.IsConst {
+		return 0, nil, 0, false
 	}
-	return true
+	l, r := c.Left.Var, c.Right.Var
+	if _, inX := posX[l]; !inX {
+		l, r = r, l
+	}
+	p, inX := posX[l]
+	q, inY := posY[r]
+	if !inX || !inY || p != q || x[p].Var == y[p].Var {
+		return 0, nil, 0, false
+	}
+	return rel, lhs, p, true
 }
 
-// splitKeyDCs partitions the DC set: relations whose complete KeyDCs
-// set is present (every generated key DC matched structurally) are
-// returned in fastRels and their DCs dropped; everything else comes
-// back in generic. Completeness matters: with only a partial key-DC
-// set, pairs in a key group need not violate any present DC, so the
-// all-pairs-that-differ shortcut would over-report.
-func splitKeyDCs(schema *db.Schema, dcs []DC) (fastRels map[string]bool, generic []DC) {
-	kdCache := map[string][]DC{}
-	keyDCsOf := func(rel string) []DC {
-		if v, ok := kdCache[rel]; ok {
-			return v
+// varPositions maps each variable of an atom's arguments to its
+// position; ok is false on a constant or a repeated variable.
+func varPositions(args []cq.Term) (pos map[string]int, ok bool) {
+	pos = make(map[string]int, len(args))
+	for i, t := range args {
+		if _, dup := pos[t.Var]; t.IsConst || dup {
+			return nil, false
 		}
-		var kds []DC
-		if rs := schema.Relation(rel); rs != nil {
-			kds, _ = KeyDCs(rs)
-		}
-		kdCache[rel] = kds
-		return kds
+		pos[t.Var] = i
 	}
-	matchRel := make([]string, len(dcs)) // "" = no key-DC match
-	covered := map[string]map[int]bool{}
-	for i, d := range dcs {
-		if len(d.Atoms) != 2 {
+	return pos, true
+}
+
+// splitFDs groups the FD-shaped DCs by (relation, left-hand side), in
+// order of first appearance, and returns every other DC in generic.
+func splitFDs(schema *db.Schema, dcs []DC) (parts []fdPart, generic []DC) {
+	for _, d := range dcs {
+		rel, lhs, p, ok := fdShape(schema, d)
+		if !ok {
+			generic = append(generic, d)
 			continue
 		}
-		rel := strings.ToLower(d.Atoms[0].Rel)
-		for ki, kd := range keyDCsOf(rel) {
-			if dcBodyEqual(d, kd) {
-				matchRel[i] = rel
-				if covered[rel] == nil {
-					covered[rel] = map[int]bool{}
-				}
-				covered[rel][ki] = true
-				break
-			}
+		i := slices.IndexFunc(parts, func(f fdPart) bool { return f.rel == rel && slices.Equal(f.lhs, lhs) })
+		if i < 0 {
+			parts = append(parts, fdPart{rel: rel, lhs: lhs})
+			i = len(parts) - 1
+		}
+		if j, found := slices.BinarySearch(parts[i].rhs, p); !found {
+			parts[i].rhs = slices.Insert(parts[i].rhs, j, p)
 		}
 	}
-	fastRels = map[string]bool{}
-	for rel, cov := range covered {
-		if len(cov) == len(keyDCsOf(rel)) {
-			fastRels[rel] = true
-		}
-	}
-	for i, d := range dcs {
-		if matchRel[i] == "" || !fastRels[matchRel[i]] {
-			generic = append(generic, d)
-		}
-	}
-	return fastRels, generic
+	return parts, generic
 }
 
-// keyGroupViolations feeds add with every pair of facts that shares a
-// key-equal group of a fast-path relation and Compare-differs on at
-// least one non-key attribute — exactly the violation set of that
-// relation's complete key-DC family. Pairs are emitted sorted (group
-// member lists ascend) and never subsume each other, mirroring the
-// generic path's candidates before the global minimality filter.
-func keyGroupViolations(in *db.Instance, fastRels map[string]bool, add func([]db.FactID)) {
-	nonKeyOf := map[db.RelID][]int{}
-	x := in.KeyEqualGroups()
+// fdViolations feeds add with every pair of facts that shares a group
+// of the part's partition and CompareAt-differs at one of its compared
+// positions. A left-hand side that is the relation's declared key reads
+// the instance's key index (stored by a snapshot) instead of
+// partitioning. Pairs come out sorted (group members ascend) and, all
+// being pairs, never subsume each other before the minimality filter.
+func fdViolations(in *db.Instance, part fdPart, add func([]db.FactID)) {
+	var x *db.KeyIndex
+	key := slices.Clone(in.Schema().RelationByID(part.rel).Key)
+	slices.Sort(key)
+	if len(key) > 0 && slices.Equal(key, part.lhs) {
+		x = in.KeyEqualGroups()
+	} else {
+		x = in.GroupsOn(part.rel, part.lhs)
+	}
 	for g := 0; g < x.NumGroups(); g++ {
 		facts := x.Members(g)
-		rid := in.RelOf(facts[0])
-		rs := in.Schema().RelationByID(rid)
-		if !fastRels[rs.Canon()] {
+		if in.RelOf(facts[0]) != part.rel {
 			continue
 		}
-		nonKey, ok := nonKeyOf[rid]
-		if !ok {
-			for p := range rs.Attrs {
-				if !slices.Contains(rs.Key, p) {
-					nonKey = append(nonKey, p)
-				}
-			}
-			nonKeyOf[rid] = nonKey
-		}
-		for i := 0; i < len(facts); i++ {
-			for j := i + 1; j < len(facts); j++ {
-				// CompareAt reads the columns directly: under the columnar
-				// layout equal dictionary codes short-circuit the string
-				// comparison and no tuple is materialized.
-				for _, p := range nonKey {
-					if in.CompareAt(facts[i], facts[j], p) != 0 {
-						add([]db.FactID{facts[i], facts[j]})
+		for i, f := range facts {
+			for _, h := range facts[i+1:] {
+				// CompareAt reads the columns directly: equal dictionary
+				// codes short-circuit the string comparison.
+				for _, p := range part.rhs {
+					if in.CompareAt(f, h, p) != 0 {
+						add([]db.FactID{f, h})
 						break
 					}
 				}
@@ -221,15 +213,15 @@ func minimalFilter(all []Violation) []Violation {
 	return minimal
 }
 
-// FastPathInfo reports how the DC set would split between the key-aware
-// fast path and the generic Eval path: the number of relations whose
-// complete key-DC family is recognized (violations from the key-group
-// partition) and the number of DCs left to generic instantiation. Pure
-// analysis — explain reports and journals use it to attribute the
-// violation route without recomputing violations.
-func FastPathInfo(schema *db.Schema, dcs []DC) (fastRels, genericDCs int) {
-	fr, gen := splitKeyDCs(schema, dcs)
-	return len(fr), len(gen)
+// FastPathInfo reports how the DC set splits between the FD fast path
+// and the generic Eval path: the number of (relation, left-hand side)
+// partitions the FD-shaped DCs are read off, and the number of DCs left
+// to generic instantiation. Pure analysis — explain reports and
+// journals use it to attribute the violation route without recomputing
+// violations.
+func FastPathInfo(schema *db.Schema, dcs []DC) (partitions, genericDCs int) {
+	parts, gen := splitFDs(schema, dcs)
+	return len(parts), len(gen)
 }
 
 // CachedConstraintsInfo returns MinimalViolations plus

@@ -52,7 +52,7 @@ func splitComponents(ctx *constraintContext, witnessFacts [][]db.FactID) *compon
 		}
 	}
 	for i, f := range facts {
-		for _, g := range ctx.adj[f] {
+		for _, g := range ctx.nearIdx.Neighbours(f) {
 			uf.union(int32(i), pos(g))
 		}
 	}

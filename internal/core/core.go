@@ -329,16 +329,14 @@ type constraintContext struct {
 	// DC mode.
 	violations []constraints.Violation
 	nearIdx    *constraints.NearViolationIndex
-	// adj lists, per fact, the other facts sharing a violation with it.
-	adj [][]db.FactID
 
 	buildTime time.Duration
 
 	// Provenance of the build, surfaced in explain reports and journal
-	// lines: how the DC set split between the key-aware fast path and
-	// the generic route (zero values in keys mode).
-	fastRels   int
-	genericDCs int
+	// lines: how the DC set split between the FD partitions and the
+	// generic route (zero values in keys mode).
+	fdPartitions int
+	genericDCs   int
 }
 
 // context lazily builds the constraint context (concurrency-safe) and
@@ -362,17 +360,7 @@ func (e *Engine) buildContext() *constraintContext {
 	case DCMode:
 		ctx.violations = constraints.MinimalViolations(e.eval, e.opts.DCs)
 		ctx.nearIdx = constraints.BuildNearViolations(ctx.violations, n)
-		ctx.fastRels, ctx.genericDCs = constraints.FastPathInfo(e.in.Schema(), e.opts.DCs)
-		ctx.adj = make([][]db.FactID, n)
-		for _, v := range ctx.violations {
-			for _, f := range v {
-				for _, g := range v {
-					if f != g {
-						ctx.adj[f] = append(ctx.adj[f], g)
-					}
-				}
-			}
-		}
+		ctx.fdPartitions, ctx.genericDCs = constraints.FastPathInfo(e.in.Schema(), e.opts.DCs)
 	}
 	ctx.buildTime = time.Since(start)
 	return ctx
@@ -479,7 +467,7 @@ func (ctx *constraintContext) closure(seed []db.FactID) []db.FactID {
 			}
 			inSet[f] = true
 			out = append(out, f)
-			stack = append(stack, ctx.adj[f]...)
+			stack = append(stack, ctx.nearIdx.Neighbours(f)...)
 		}
 	}
 	sortFactIDs(out)

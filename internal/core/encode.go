@@ -96,15 +96,16 @@ func (enc *encoder) encodeDCs(ctx *constraintContext, facts []db.FactID) {
 		if ctx.nearIdx.SelfViolating[f] {
 			continue // near-violation {f_true}: γ is a tautology
 		}
-		nears := ctx.nearIdx.ByFact[f]
-		if len(nears) == 0 {
+		nears := ctx.nearIdx.NumNear(f)
+		if nears == 0 {
 			// Safe fact: present in every repair.
 			enc.formula.AddHard(enc.lit(f))
 			continue
 		}
-		gamma := make([]cnf.Lit, 0, len(nears)+1)
+		gamma := make([]cnf.Lit, 0, nears+1)
 		gamma = append(gamma, enc.lit(f))
-		for _, near := range nears {
+		for k := 0; k < nears; k++ {
+			near := ctx.nearIdx.Near(f, k)
 			var p cnf.Lit
 			if len(near) == 1 {
 				// p ↔ x_d for a single fact: use x_d directly.

@@ -237,7 +237,7 @@ func TestExplainWriteTableAndJSON(t *testing.T) {
 		{keys, context.Background(), paperSumQuery(), elimTableBudget, []string{"closed-form components", "closed-form", "elimination (width 0, table 2)"}},
 		{keys, context.Background(), coupledSumQuery(), elimTableBudget, []string{"closed-form components", "closed-form", "elimination (width 1, table 4)"}},
 		{keys, context.Background(), groupedSumQuery(), elimTableBudget, []string{"folded assignments", "consistent-part skips", "hit (built in"}},
-		{dc, context.Background(), groupedSumQuery(), 0, []string{"mode", "dc", "violation route", "fast-path relation(s)", "generic DC(s)"}},
+		{dc, context.Background(), groupedSumQuery(), 0, []string{"mode", "dc", "violation route", "FD partition(s)", "generic DC(s)"}},
 	} {
 		tc.e.elimBudget = tc.budget
 		rep, err := tc.e.RangeAnswersContext(tc.ctx, tc.q)

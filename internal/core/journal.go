@@ -95,7 +95,7 @@ func (e *Engine) journalEntry(ctx context.Context, rc *recorder, st Stats, answe
 		Anomaly: anomaly,
 	}
 	if rc.cc != nil {
-		entry.FastPathRelations = int64(rc.cc.fastRels)
+		entry.FDPartitions = int64(rc.cc.fdPartitions)
 		entry.GenericDCs = int64(rc.cc.genericDCs)
 	}
 	if err != nil {

@@ -80,9 +80,9 @@ func (e *Engine) witnessConsistent(ctx *constraintContext, facts []db.FactID) bo
 				return false
 			}
 			// Violations containing f are f's near-violations plus f.
-			for _, near := range ctx.nearIdx.ByFact[f] {
+			for k := 0; k < ctx.nearIdx.NumNear(f); k++ {
 				all := true
-				for _, d := range near {
+				for _, d := range ctx.nearIdx.Near(f, k) {
 					if !inSet[d] {
 						all = false
 						break

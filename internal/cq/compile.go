@@ -3,6 +3,7 @@ package cq
 import (
 	"context"
 	"encoding/binary"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -395,21 +396,63 @@ type idxSlot struct {
 	lo, n uint32 // the run facts[lo : lo+n]
 }
 
+// indexScratch pools what buildHashIndex needs only while it builds:
+// the facts' hashes and a counting table sized for every fact distinct.
+// An index is built once per evaluator, and an evaluator per engine, so
+// without the pool every data refresh would leave them as garbage.
+var indexScratch sync.Pool
+
+type indexBuild struct {
+	hs    []uint64
+	count []idxSlot
+}
+
+// tableShift is the hashIndex shift of a power-of-two table of at
+// least 2n slots.
+func tableShift(n int) uint {
+	shift := uint(64)
+	for 1<<(64-shift) < 2*n {
+		shift--
+	}
+	return shift
+}
+
+// buildHashIndex counts the facts per hash in a pooled table, then lays
+// the runs out in a kept table sized for the distinct hashes only: an
+// index on a column with few values (a foreign key) keeps a few slots,
+// not two per fact.
 func buildHashIndex(in *db.Instance, rel db.RelID, positions []int) *hashIndex {
 	ids := in.RelFactsByID(rel)
-	x := &hashIndex{shift: 64}
-	for 1<<(64-x.shift) < 2*len(ids) {
-		x.shift--
+	b, _ := indexScratch.Get().(*indexBuild)
+	if b == nil {
+		b = &indexBuild{}
 	}
-	x.slots = make([]idxSlot, 1<<(64-x.shift))
+	defer indexScratch.Put(b)
+	counting := &hashIndex{shift: tableShift(len(ids))}
+	n := 1 << (64 - counting.shift)
+	b.count = slices.Grow(b.count[:0], n)[:n]
+	clear(b.count)
+	counting.slots = b.count
 	// HashRowOn folds each position's cell (db.HashCell), as the probe
 	// side does, so both sides of the index agree.
-	hs := make([]uint64, len(ids))
+	b.hs = slices.Grow(b.hs[:0], len(ids))[:len(ids)]
+	hs := b.hs
+	distinct := 0
 	for i, id := range ids {
 		hs[i] = in.HashRowOn(id, positions, db.HashSeed)
-		s := &x.slots[x.find(hs[i])]
+		s := &counting.slots[counting.find(hs[i])]
+		if s.n == 0 {
+			distinct++
+		}
 		s.h = hs[i]
 		s.n++
+	}
+	x := &hashIndex{shift: tableShift(distinct)}
+	x.slots = make([]idxSlot, 1<<(64-x.shift))
+	for _, s := range counting.slots {
+		if s.n != 0 {
+			x.slots[x.find(s.h)] = s
+		}
 	}
 	// Each run's lo starts at its end and counts down as the facts are
 	// placed back to front, which keeps relation order within a run.

@@ -46,6 +46,13 @@ func NewEvaluator(in *db.Instance) *Evaluator {
 // Instance returns the instance being evaluated.
 func (e *Evaluator) Instance() *db.Instance { return e.in }
 
+// NumIndexes returns the number of hash indexes the evaluator has built.
+func (e *Evaluator) NumIndexes() int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return len(e.hashIdx)
+}
+
 // SetParallelism sets the worker budget for partitioning the first
 // atom's candidate list across goroutines (0 or 1 = sequential). It
 // must be called before the evaluator is shared across goroutines.

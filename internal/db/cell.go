@@ -64,7 +64,7 @@ func (d *Dict) CellValue(c Cell) Value {
 	case KindFloat:
 		return Float(math.Float64frombits(c.bits))
 	case KindString:
-		return Str(d.strs[c.bits])
+		return Str(d.String(uint32(c.bits)))
 	default:
 		return Null()
 	}
@@ -101,7 +101,7 @@ func (d *Dict) CompareCells(a, b Cell) int {
 		if a.bits == b.bits {
 			return 0
 		}
-		return strings.Compare(d.strs[a.bits], d.strs[b.bits])
+		return strings.Compare(d.String(uint32(a.bits)), d.String(uint32(b.bits)))
 	default:
 		fa, fb := a.float(), b.float()
 		switch {
@@ -133,7 +133,7 @@ func (d *Dict) CompareString(a Cell, s string) int {
 	if a.kind != KindString {
 		return -1
 	}
-	return strings.Compare(d.strs[a.bits], s)
+	return strings.Compare(d.String(uint32(a.bits)), s)
 }
 
 // float returns a numeric cell's value as float64.

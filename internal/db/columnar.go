@@ -18,9 +18,9 @@ import "math"
 // is exact — same kinds, same payload bits as the Value that was
 // inserted.
 //
-// The arenas are append-only and 8-byte-pure (no pointers except the
-// dict strings), which is what makes them serializable as flat snapshot
-// sections and mmap-able back in without decoding (snapshot.go).
+// The arenas, like the dictionary, are append-only and pointer-free,
+// which is what makes them serializable as flat snapshot sections and
+// mmap-able back in without decoding (snapshot.go).
 
 // bitset is a packed bit vector. The zero value is an empty set; bits
 // are appended via setGrow as rows arrive.
@@ -98,7 +98,7 @@ func (c *column) value(d *Dict, row int) Value {
 		}
 		return Float(math.Float64frombits(c.raw[row]))
 	default:
-		return Str(d.strs[c.codes[row]])
+		return Str(d.String(c.codes[row]))
 	}
 }
 

@@ -15,7 +15,8 @@ import "slices"
 // holds three flat, pointer-free arrays; a snapshot stores offsets and
 // members verbatim and derives groupOf on open (snapshot.go). Without
 // violating groups groupOf is nil, so an instance that declares no key
-// (or violates none) pays nothing per fact.
+// (or violates none) pays nothing per fact. GroupsOn returns the same
+// form for one relation partitioned on any positions.
 type KeyIndex struct {
 	facts   int      // the instance's fact count when the index was built
 	groupOf []int32  // FactID → violating group, -1 for an implicit singleton; nil if no group
@@ -67,26 +68,49 @@ func (in *Instance) KeyEqualGroups() *KeyIndex {
 	return in.keyIndex
 }
 
-// keySlot is one open-addressing entry of buildKeyIndex: the smallest
-// fact seen with a key (plus one; 0 marks an empty slot) and a tag of
-// its key hash.
+// GroupsOn partitions the facts of relation rel by their cells at
+// positions (exact cell equality, as EqualRowsOn: NULL equals NULL,
+// Int(1) differs from Float(1)) and returns the groups of two or more
+// facts in KeyIndex form. With rel's key as positions it is that
+// relation's share of KeyEqualGroups; a functional dependency's
+// violations lie within its left-hand side's groups.
+func (in *Instance) GroupsOn(rel RelID, positions []int) *KeyIndex {
+	return in.partition([]RelID{rel}, [][]int{positions}, ^uint64(0))
+}
+
+// buildKeyIndex partitions every keyed relation on its key. hashMask is
+// applied to every key hash (all ones in production; tests narrow it to
+// force collisions).
+func (in *Instance) buildKeyIndex(hashMask uint64) *KeyIndex {
+	var rels []RelID
+	var keys [][]int
+	for _, rs := range in.schema.Relations() {
+		if rs.HasKey() {
+			rels, keys = append(rels, rs.ID()), append(keys, rs.Key)
+		}
+	}
+	return in.partition(rels, keys, hashMask)
+}
+
+// keySlot is one open-addressing entry of partition: the smallest fact
+// seen with a projection (plus one; 0 marks an empty slot) and a tag of
+// its hash.
 type keySlot struct {
 	tag uint32
 	rep int32
 }
 
-// buildKeyIndex partitions every keyed relation with one open-addressing
-// table of representatives per relation, verifying every tag hit with
-// EqualRowsOn; no Go map and no per-group slice. hashMask is applied to
-// every key hash (all ones in production; tests narrow it to force
-// collisions).
-func (in *Instance) buildKeyIndex(hashMask uint64) *KeyIndex {
+// partition is the one partition kernel: it groups the facts of each
+// relation rels[i] on positions[i] with one open-addressing table of
+// representatives per relation, verifying every tag hit with
+// EqualRowsOn (no Go map and no per-group slice), and numbers the
+// groups of two or more facts in ascending order of their smallest
+// member.
+func (in *Instance) partition(rels []RelID, positions [][]int, hashMask uint64) *KeyIndex {
 	n := in.nFacts
 	largest := 0
-	for _, rs := range in.schema.Relations() {
-		if rs.HasKey() {
-			largest = max(largest, len(in.byRel[rs.ID()]))
-		}
+	for _, rel := range rels {
+		largest = max(largest, len(in.byRel[rel]))
 	}
 	if largest < 2 {
 		return &KeyIndex{facts: n, offsets: []uint32{0}}
@@ -96,14 +120,14 @@ func (in *Instance) buildKeyIndex(hashMask uint64) *KeyIndex {
 		groupOf[i] = -1
 	}
 	table := make([]keySlot, 1<<tableBits(largest))
-	// First pass: groupOf[f] = the smallest fact sharing f's key (f
-	// itself for the first one), and multi marks the representatives
+	// First pass: groupOf[f] = the smallest fact sharing f's projection
+	// (f itself for the first one), and multi marks the representatives
 	// some later fact joined. Facts of a relation iterate in ascending
 	// FactID, so the representative is the group's smallest member.
 	multi := make(bitset, (n+63)/64)
-	for _, rs := range in.schema.Relations() {
-		ids := in.byRel[rs.ID()]
-		if !rs.HasKey() || len(ids) == 0 {
+	for r, rel := range rels {
+		ids, pos := in.byRel[rel], positions[r]
+		if len(ids) == 0 {
 			continue
 		}
 		bits := tableBits(len(ids))
@@ -111,7 +135,7 @@ func (in *Instance) buildKeyIndex(hashMask uint64) *KeyIndex {
 		clear(t)
 		mask := len(t) - 1
 		for _, id := range ids {
-			h := in.HashRowOn(id, rs.Key, HashSeed) & hashMask
+			h := in.HashRowOn(id, pos, HashSeed) & hashMask
 			tag := uint32(h>>32) ^ uint32(h)
 			// Fibonacci hashing: FNV-1a's low bits mix poorly.
 			i := int((h * 0x9e3779b97f4a7c15) >> (64 - bits))
@@ -122,7 +146,7 @@ func (in *Instance) buildKeyIndex(hashMask uint64) *KeyIndex {
 					groupOf[id] = int32(id)
 					break
 				}
-				if rep := FactID(s.rep - 1); s.tag == tag && in.EqualRowsOn(rep, id, rs.Key) {
+				if rep := FactID(s.rep - 1); s.tag == tag && in.EqualRowsOn(rep, id, pos) {
 					groupOf[id] = int32(rep)
 					multi[rep>>6] |= 1 << (uint(rep) & 63)
 					break

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"unsafe"
 )
 
@@ -28,6 +29,8 @@ import (
 //	[64] schema JSON                   schemaLen bytes, padded to 8
 //	     dict offsets                  (nStrings+1)×uint64, cumulative
 //	     dict blob                     offsets[nStrings] bytes, padded
+//	     dict table length             uint64 (power of two ≥ 2·(nStrings+1))
+//	     dict table                    length×uint32, padded
 //	     factRel                       nFacts×uint32, padded
 //	     per relation, schema order:
 //	       rowCount                    uint64
@@ -43,6 +46,16 @@ import (
 //	       members                     offsets[nGroups]×uint64
 //	     tail "CAVSEND1"               [8]byte
 //
+// The dictionary sections are the Dict's own arrays (dict.go): the
+// byte pool, its offsets and the string → code table laid out by the
+// fixed dictHash, so the loader aliases all three and rebuilds
+// nothing per string. It checks only the table's shape (a power-of-two
+// length of at least 2·(nStrings+1)); Dict.slot bounds-checks every code
+// it reads and stops after one sweep, and Dict.String clamps offsets to
+// the pool, so a corrupt section makes a lookup miss or a string wrong,
+// never a panic or a hang. Content corruption is the data version's
+// concern, checked only by the opt-in VerifySnapshot.
+//
 // The key index is the instance's key-equal-group partition in CSR
 // form, so a reopened snapshot adopts it instead of re-partitioning
 // every fact. The loader aliases offsets and members and derives each
@@ -52,7 +65,7 @@ import (
 // by first member, and every member is key-equal to its group's first
 // member in the same keyed relation (EqualRowsOn, violating members
 // only). That a fact outside every group has a unique key is trusted,
-// as the data version is.
+// as the data version is; VerifySnapshot re-partitions and compares.
 //
 // Lifetime rules (see DESIGN.md §11): an instance returned by
 // OpenSnapshot aliases the mapping until Snapshot.Close; it is frozen —
@@ -63,9 +76,9 @@ import (
 // everywhere.
 
 // SnapshotFormatVersion is the current (and only) snapshot format.
-// Version 2 added the key index section; a version 1 file is refused
-// with ErrSnapshotVersion.
-const SnapshotFormatVersion uint32 = 2
+// Version 2 added the key index section and version 3 the dictionary
+// table; older files are refused with ErrSnapshotVersion.
+const SnapshotFormatVersion uint32 = 3
 
 var (
 	snapMagic = [8]byte{'C', 'A', 'V', 'S', 'N', 'A', 'P', '1'}
@@ -170,24 +183,19 @@ func EncodeSnapshot(in *Instance) ([]byte, error) {
 		return nil, err
 	}
 
-	var w snapWriter
-	// Body first; the header (with the body fingerprint) is prepended
-	// after.
+	// The header's room first, then the body into a buffer sized for the
+	// whole file (so it never regrows), then the header with the body's
+	// fingerprint, in place.
+	w := snapWriter{buf: make([]byte, snapHeaderSize, snapshotSize(in, len(schemaJSON)))}
 	w.buf = append(w.buf, schemaJSON...)
 	w.pad()
-	// Dictionary: cumulative offsets then the concatenated bytes.
-	off := uint64(0)
-	offsets := make([]uint64, 0, in.dict.Len()+1)
-	for _, s := range in.dict.strs {
-		offsets = append(offsets, off)
-		off += uint64(len(s))
-	}
-	offsets = append(offsets, off)
-	w.u64s(offsets)
-	for _, s := range in.dict.strs {
-		w.buf = append(w.buf, s...)
-	}
+	// Dictionary: cumulative offsets, the concatenated bytes, the table.
+	d := in.dict
+	w.u64s(d.offs)
+	w.buf = append(w.buf, d.bytes...)
 	w.pad()
+	w.u64(uint64(len(d.table)))
+	w.u32s(d.table)
 	w.u32s(in.factRel)
 	for _, rs := range in.schema.Relations() {
 		rc := in.rels[rs.ID()]
@@ -214,26 +222,47 @@ func EncodeSnapshot(in *Instance) ([]byte, error) {
 	for _, f := range x.members {
 		w.u64(uint64(f))
 	}
-	body := w.buf
-
 	dataVersion := HashSeed
-	for _, b := range body {
+	for _, b := range w.buf[snapHeaderSize:] {
 		dataVersion = hashByte(dataVersion, b)
 	}
-
-	out := make([]byte, 0, snapHeaderSize+len(body)+8)
-	out = append(out, snapMagic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, SnapshotFormatVersion)
-	out = binary.LittleEndian.AppendUint32(out, 0)
-	out = binary.LittleEndian.AppendUint64(out, dataVersion)
-	out = binary.LittleEndian.AppendUint64(out, uint64(snapHeaderSize+len(body)+8))
-	out = binary.LittleEndian.AppendUint64(out, uint64(in.nFacts))
-	out = binary.LittleEndian.AppendUint64(out, uint64(in.schema.NumRelations()))
-	out = binary.LittleEndian.AppendUint64(out, uint64(in.dict.Len()))
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(schemaJSON)))
-	out = append(out, body...)
-	out = append(out, snapTail[:]...)
+	out := append(w.buf, snapTail[:]...)
+	hdr := out[:0]
+	hdr = append(hdr, snapMagic[:]...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, SnapshotFormatVersion)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 0)
+	hdr = binary.LittleEndian.AppendUint64(hdr, dataVersion)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(out)))
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(in.nFacts))
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(in.schema.NumRelations()))
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(in.dict.Len()))
+	binary.LittleEndian.AppendUint64(hdr, uint64(len(schemaJSON)))
 	return out, nil
+}
+
+// snapshotSize is the encoded size of the instance, the buffer
+// EncodeSnapshot fills (section by section, as the layout comment).
+func snapshotSize(in *Instance, schemaLen int) int {
+	d := in.dict
+	n := snapHeaderSize + snapAlign(schemaLen) + 8*len(d.offs) + snapAlign(len(d.bytes)) +
+		8 + snapAlign(4*len(d.table)) + snapAlign(4*in.nFacts)
+	for _, rc := range in.rels {
+		rows := len(rc.ids)
+		n += 8
+		for i := range rc.cols {
+			n += 8 * snapWords(rows) // nulls
+			switch rc.cols[i].kind {
+			case KindString:
+				n += snapAlign(4 * rows)
+			case KindFloat:
+				n += 8*rows + 8*snapWords(rows)
+			default:
+				n += 8 * rows
+			}
+		}
+	}
+	x := in.KeyEqualGroups()
+	return n + 8 + snapAlign(4*len(x.offsets)) + 8*len(x.members) + len(snapTail)
 }
 
 // SaveSnapshot writes the instance's snapshot to path atomically
@@ -439,31 +468,25 @@ func LoadSnapshotBytes(b []byte) (*Instance, error) {
 	in.frozen = true
 	in.dataVersion = dataVersion
 
-	// Dictionary: the string headers point into the blob (zero copy of
-	// the bytes themselves).
+	// Dictionary: the pool, its offsets and its table, all aliased.
 	offsets := r.u64s(int(nStrings) + 1)
 	if r.err != nil {
 		return nil, r.err
 	}
-	blobLen := int(offsets[nStrings])
-	blob := r.take(blobLen)
+	blob := r.take(int(offsets[nStrings]))
 	r.pad()
+	tableLen := r.u64()
 	if r.err != nil {
 		return nil, r.err
 	}
-	strs := make([]string, nStrings)
-	for i := range strs {
-		lo, hi := offsets[i], offsets[i+1]
-		if lo > hi || hi > uint64(blobLen) {
-			return nil, ErrSnapshotTruncated
-		}
-		if lo == hi {
-			continue // empty string: keep the zero value
-		}
-		strs[i] = unsafe.String(&blob[lo], int(hi-lo))
+	if tableLen > uint64(len(b)) || tableLen&(tableLen-1) != 0 || tableLen < 2*(nStrings+1) {
+		return nil, errSection("dictionary", "table of %d slots for %d strings", tableLen, nStrings)
 	}
-	in.dict.strs = strs
-	in.dict.rebuildTable()
+	table := r.u32s(int(tableLen))
+	if r.err != nil {
+		return nil, r.err
+	}
+	in.dict = &Dict{offs: offsets, bytes: blob, table: table, mapped: true}
 
 	in.factRel = r.u32s(int(nFacts))
 	if r.err != nil {
@@ -507,7 +530,7 @@ func LoadSnapshotBytes(b []byte) (*Instance, error) {
 		return nil, r.err
 	}
 	if nGroups > nFacts/2 {
-		return nil, errKeyIndex("%d groups over %d facts", nGroups, nFacts)
+		return nil, errSection("key index", "%d groups over %d facts", nGroups, nFacts)
 	}
 	groupOffsets := r.u32s(int(nGroups) + 1)
 	if r.err != nil {
@@ -558,10 +581,13 @@ func LoadSnapshotBytes(b []byte) (*Instance, error) {
 	return in, nil
 }
 
-// errKeyIndex reports a key index section that fails validation.
-func errKeyIndex(format string, args ...any) error {
-	return fmt.Errorf("%w: key index: %s", ErrSnapshotTruncated, fmt.Sprintf(format, args...))
+// errSection reports a section that fails validation.
+func errSection(section, format string, args ...any) error {
+	return fmt.Errorf("%w: %s: %s", ErrSnapshotTruncated, section, fmt.Sprintf(format, args...))
 }
+
+// errKeyIndex reports a key index section that fails validation.
+func errKeyIndex(format string, args ...any) error { return errSection("key index", format, args...) }
 
 // adoptKeyIndex validates a stored key index section (see the layout
 // comment) against the loaded facts and derives groupOf from it in one
@@ -612,6 +638,49 @@ func (in *Instance) adoptKeyIndex(offsets []uint32, members []FactID) (*KeyIndex
 		}
 	}
 	return &KeyIndex{facts: in.nFacts, groupOf: groupOf, offsets: offsets, members: members}, nil
+}
+
+// VerifySnapshot loads b and checks what the loader trusts: it
+// re-hashes the body against the header's data version, re-partitions
+// every keyed relation and compares the result with the stored key
+// index, and re-inserts the dictionary's strings into a fresh table of
+// the stored length and compares it slot for slot (which also finds a
+// string stored twice). It costs a cold build of all three, so it is
+// opt-in: a loader that adopts the stored sections never calls it. A
+// failed check wraps ErrSnapshotTruncated.
+func VerifySnapshot(b []byte) error {
+	in, err := LoadSnapshotBytes(b)
+	if err != nil {
+		return err
+	}
+	h := HashSeed
+	for _, c := range b[snapHeaderSize : len(b)-8] {
+		h = hashByte(h, c)
+	}
+	if h != in.dataVersion {
+		return errSection("body", "hashes to %x, header says %x", h, in.dataVersion)
+	}
+	stored, fresh := in.keyIndex, in.buildKeyIndex(^uint64(0))
+	if !slices.Equal(stored.offsets, fresh.offsets) || !slices.Equal(stored.members, fresh.members) {
+		return errKeyIndex("stored %d groups over %d facts, the partition has %d over %d",
+			stored.NumGroups(), len(stored.members), fresh.NumGroups(), len(fresh.members))
+	}
+	d := in.dict
+	if d.offs[0] != 0 || !slices.IsSorted(d.offs) {
+		return errSection("dictionary", "offsets do not cut the pool")
+	}
+	rebuilt := &Dict{offs: d.offs, bytes: d.bytes, table: make([]uint32, len(d.table))}
+	for c := 0; c < d.Len(); c++ {
+		i, dup := rebuilt.slot(d.String(uint32(c)))
+		if dup {
+			return errSection("dictionary", "strings %d and %d are equal", rebuilt.table[i]-1, c)
+		}
+		rebuilt.table[i] = uint32(c) + 1
+	}
+	if !slices.Equal(rebuilt.table, d.table) {
+		return errSection("dictionary", "table differs from the one its strings build")
+	}
+	return nil
 }
 
 // Snapshot is an instance backed by an mmap'ed snapshot file. Close

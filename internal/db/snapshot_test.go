@@ -1,6 +1,7 @@
 package db
 
 import (
+	"encoding/binary"
 	"errors"
 	"flag"
 	"os"
@@ -12,13 +13,17 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.sn
 
 // TestSnapshotRoundTrip: encode → load (both via bytes and via the
 // mmap path) reproduces every value kind exactly, including NULLs,
-// empty strings, -0.0, and INT values stored in FLOAT columns.
+// empty strings, -0.0, and INT values stored in FLOAT columns; and the
+// encoder fills a buffer of exactly the snapshot's size.
 func TestSnapshotRoundTrip(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		col, _ := buildMixed(seed, 250)
 		data, err := EncodeSnapshot(col)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if cap(data) != len(data) {
+			t.Fatalf("encoded %d bytes into a buffer of %d: snapshotSize is off", len(data), cap(data))
 		}
 		loaded, err := LoadSnapshotBytes(data)
 		if err != nil {
@@ -240,6 +245,143 @@ func TestSnapshotVersion1Refused(t *testing.T) {
 	}
 }
 
+// TestSnapshotVersion2Refused: a file written in format version 2 (no
+// dictionary table; the committed golden file of that format) is
+// refused with the typed version error, so it must be re-saved.
+func TestSnapshotVersion2Refused(t *testing.T) {
+	v2, err := os.ReadFile(filepath.Join("testdata", "golden-v2.snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSnapshotBytes(v2); !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("v2 snapshot: got %v, want ErrSnapshotVersion", err)
+	}
+}
+
+// reseal rewrites the header's data version to the hash of the (possibly
+// tampered) body, as a writer of a consistent but wrong file would.
+func reseal(data []byte) []byte {
+	h := HashSeed
+	for _, c := range data[snapHeaderSize : len(data)-8] {
+		h = hashByte(h, c)
+	}
+	binary.LittleEndian.PutUint64(data[16:], h)
+	return data
+}
+
+// dictTableAt returns the offset of the dictionary table length word.
+func dictTableAt(data []byte) int {
+	nStrings := int(binary.LittleEndian.Uint64(data[48:]))
+	off := snapHeaderSize + snapAlign(int(binary.LittleEndian.Uint64(data[56:])))
+	blob := int(binary.LittleEndian.Uint64(data[off+8*nStrings:]))
+	return off + 8*(nStrings+1) + snapAlign(blob)
+}
+
+// TestSnapshotDictTable: a loaded dictionary aliases the stored table
+// and answers every lookup; a table of the wrong shape is refused; a
+// table of the right shape with the wrong content loads (only its shape
+// is checked), misses lookups without a panic, and fails VerifySnapshot.
+func TestSnapshotDictTable(t *testing.T) {
+	col, _ := buildMixed(3, 200)
+	data, err := EncodeSnapshot(col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSnapshotBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := loaded.Dict()
+	for c := uint32(0); int(c) < col.Dict().Len(); c++ {
+		if got, ok := d.Lookup(col.Dict().String(c)); !ok || got != c {
+			t.Fatalf("Lookup(%q) = %d, %v, want %d", col.Dict().String(c), got, ok, c)
+		}
+	}
+	at := dictTableAt(data)
+	tableLen := int(binary.LittleEndian.Uint64(data[at:]))
+	if tableLen != len(col.Dict().table) {
+		t.Fatalf("stored table of %d slots, dictionary has %d", tableLen, len(col.Dict().table))
+	}
+	for _, bad := range []uint64{uint64(tableLen) - 1, 2 * uint64(d.Len()), 1 << 62} {
+		b := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint64(b[at:], bad)
+		if _, err := LoadSnapshotBytes(reseal(b)); !errors.Is(err, ErrSnapshotTruncated) {
+			t.Errorf("table length %d: got %v, want ErrSnapshotTruncated", bad, err)
+		}
+	}
+	for _, fill := range []uint32{0, 1, 0xffffffff} {
+		b := append([]byte(nil), data...)
+		for i := 0; i < tableLen; i++ {
+			binary.LittleEndian.PutUint32(b[at+8+4*i:], fill)
+		}
+		b = reseal(b)
+		in, err := LoadSnapshotBytes(b)
+		if err != nil {
+			t.Fatalf("fill %d: %v", fill, err)
+		}
+		in.Dict().Lookup("never stored")
+		in.Dict().Lookup(col.Dict().String(0))
+		if err := VerifySnapshot(b); !errors.Is(err, ErrSnapshotTruncated) {
+			t.Errorf("fill %d: VerifySnapshot got %v", fill, err)
+		}
+	}
+}
+
+// TestVerifySnapshot: written snapshots verify; a stored key index
+// missing a violating group (R(1,a), R(1,b), R(2,c), R(2,d) stored
+// with only the group {0,1}: the loader's checks all pass), a body
+// byte that no longer hashes to the data version, and a dictionary
+// holding one string twice each fail.
+func TestVerifySnapshot(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		col, _ := buildMixed(seed, 150)
+		data, err := EncodeSnapshot(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifySnapshot(data); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		// `[{"name":"Mix"…`: lower-casing the relation name still loads.
+		flipped := append([]byte(nil), data...)
+		flipped[snapHeaderSize+10] ^= 0x20
+		if _, err := LoadSnapshotBytes(flipped); err != nil {
+			t.Fatalf("seed %d: renamed relation: %v", seed, err)
+		}
+		if err := VerifySnapshot(flipped); !errors.Is(err, ErrSnapshotTruncated) {
+			t.Fatalf("seed %d: flipped body byte: got %v", seed, err)
+		}
+	}
+
+	in := keyIndexFixture()
+	in.keyIndex = &KeyIndex{facts: in.NumFacts(), offsets: []uint32{0, 2}, members: []FactID{0, 1}}
+	data, err := EncodeSnapshot(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSnapshotBytes(data)
+	if err != nil {
+		t.Fatalf("the loader no longer trusts a missing group: %v", err)
+	}
+	if !loaded.KeyEqualGroups().Safe(2) {
+		t.Fatal("fixture: fact 2 is expected to read as safe after the load")
+	}
+	if err := VerifySnapshot(data); !errors.Is(err, ErrSnapshotTruncated) {
+		t.Fatalf("missing group {2,3}: VerifySnapshot got %v", err)
+	}
+
+	dup := keyIndexFixture()
+	dup.dict = &Dict{offs: []uint64{0, 1, 2, 3, 4, 5, 6}, bytes: []byte("abcdea")}
+	dup.dict.rebuildTable(dictTableLen(dup.dict.Len()))
+	data, err = EncodeSnapshot(dup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifySnapshot(data); !errors.Is(err, ErrSnapshotTruncated) {
+		t.Fatalf("duplicate string: VerifySnapshot got %v", err)
+	}
+}
+
 // keyIndexFixture is R(k INT key, v STRING) and keyless N(x INT):
 //
 //	0 R(1,a)  1 R(1,b)  2 R(2,c)  3 R(2,d)  4 N(7)  5 R(3,e)  6 N(7)
@@ -310,10 +452,11 @@ func TestSnapshotKeyIndexCorrupt(t *testing.T) {
 }
 
 // FuzzLoadSnapshotBytes: no byte string makes the loader panic; what
-// it accepts reads back fact by fact and answers the key-index
-// lookups. Seeded with the committed golden files.
+// it accepts passes or fails VerifySnapshot with a typed error, never a
+// panic, reads back fact by fact, looks its strings up, and answers the
+// key-index lookups. Seeded with the committed golden files.
 func FuzzLoadSnapshotBytes(f *testing.F) {
-	for _, name := range []string{"golden.snapshot", "golden-v1.snapshot"} {
+	for _, name := range []string{"golden.snapshot", "golden-v1.snapshot", "golden-v2.snapshot"} {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)
@@ -330,11 +473,16 @@ func FuzzLoadSnapshotBytes(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if err := VerifySnapshot(data); err != nil && !errors.Is(err, ErrSnapshotTruncated) {
+			t.Fatalf("VerifySnapshot: untyped error %v", err)
+		}
 		x := in.KeyEqualGroups()
 		for id := FactID(0); int(id) < in.NumFacts(); id++ {
 			rs := in.Schema().RelationByID(in.RelOf(id))
 			for p := range rs.Attrs {
-				in.ValueAt(id, p)
+				if v := in.ValueAt(id, p); v.Kind() == KindString {
+					in.Dict().Lookup(v.AsString())
+				}
 			}
 			if g := x.GroupOf(id); g >= 0 && x.Members(g)[x.MemberOf(id)] != id {
 				t.Fatalf("fact %d: not at MemberOf in its group", id)

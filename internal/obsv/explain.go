@@ -117,7 +117,7 @@ func (e *JournalEntry) WriteTable(w io.Writer) error {
 	}
 	fmt.Fprintf(tw, "constraint cache\t%s\n", cons)
 	if e.Options.Mode == "dc" {
-		fmt.Fprintf(tw, "violation route\t%d fast-path relation(s), %d generic DC(s)\n", e.FastPathRelations, e.GenericDCs)
+		fmt.Fprintf(tw, "violation route\t%d FD partition(s), %d generic DC(s)\n", e.FDPartitions, e.GenericDCs)
 	}
 	if e.ConsistentSkips > 0 {
 		fmt.Fprintf(tw, "consistent-part skips\t%d\n", e.ConsistentSkips)

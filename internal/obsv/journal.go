@@ -111,11 +111,12 @@ type JournalEntry struct {
 	GCCycles          int64 `json:"gc_cycles,omitempty"`
 
 	// Cache outcome: whether the constraint context came from a cache.
-	// FastPathRelations/GenericDCs split the DC set between the
-	// key-aware violation fast path and the generic route (DC mode).
-	ConstraintCached  bool  `json:"constraint_cached"`
-	FastPathRelations int64 `json:"fastpath_rels,omitempty"`
-	GenericDCs        int64 `json:"generic_dcs,omitempty"`
+	// FDPartitions/GenericDCs split the DC set between the FD path — one
+	// partition per (relation, left-hand side) of its FD-shaped DCs —
+	// and the DCs instantiated generically (DC mode).
+	ConstraintCached bool  `json:"constraint_cached"`
+	FDPartitions     int64 `json:"fastpath_rels,omitempty"`
+	GenericDCs       int64 `json:"generic_dcs,omitempty"`
 
 	// Anomaly is empty on a clean solve, else how the call ended:
 	// "timeout", "budget" or "error". Lines written by earlier versions
