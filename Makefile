@@ -39,14 +39,17 @@ race:
 # component solve on a single-group and a coupled width-2 component
 # (BenchmarkComponentSolve), the compiled evaluation
 # (BenchmarkEvalWideJoin: a join into a 14-column relation that reads
-# two columns), Medigap's violation step on FD partitions vs generic
-# self-joins (BenchmarkMinimalViolations/partition and /generic in
-# constraints), the memoized-vs-fresh rewriting index suite in conquer (the planner fast
-# path), the fact store's dictionary interning (BenchmarkIntern), cold
-# key index build over a heap instance (BenchmarkKeyIndexBuild) and a
-# snapshot open that adopts and validates the stored index
-# (BenchmarkOpenSnapshotAdopt), plus the end-to-end harness
-# benchmarks. Pipe two runs through benchstat to compare.
+# two columns), Medigap's violation step on a freshly opened snapshot,
+# FD partitions vs generic self-joins (BenchmarkMinimalViolations/
+# partition and /generic in constraints), the rewriting executor over
+# the instance's memoised key partitions in conquer (the planner fast
+# path), the fact store's dictionary interning (BenchmarkIntern), the
+# partition kernel alone (BenchmarkPartition: a cold partition of the
+# sf 0.01 lineitem on l_orderkey), a cold key index build over a heap
+# instance (BenchmarkKeyIndexBuild) and a snapshot open that adopts
+# and validates the stored index (BenchmarkOpenSnapshotAdopt), plus
+# the end-to-end harness benchmarks. Pipe two runs through benchstat
+# to compare.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/core/ ./internal/cq/ ./internal/constraints/ ./internal/conquer/ ./internal/db/ ./internal/bench/
 

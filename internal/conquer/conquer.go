@@ -71,9 +71,9 @@ type Baseline struct {
 	ix *Indexes
 }
 
-// New creates a baseline evaluator. The per-relation lookup indexes are
-// memoized on the Baseline, so repeated RangeAnswers calls over the same
-// instance skip re-indexing.
+// New creates a baseline evaluator. The key partitions it joins through
+// are memoized on the instance, so repeated RangeAnswers calls over the
+// same instance skip re-indexing.
 func New(in *db.Instance) *Baseline { return &Baseline{in: in, ix: NewIndexes(in)} }
 
 // RangeAnswers computes the range consistent answers of q, or
@@ -539,13 +539,10 @@ type factState struct {
 var failedState = &factState{done: true}
 
 // atomData is the per-atom slice of the instance the executor scans:
-// the relation's facts and the key-projection lookup map, both served
-// from the (memoized) Indexes.
+// the relation's key partition, whose groups are its key-equal groups
+// (in enumeration order) and whose lookup finds a child's group.
 type atomData struct {
-	facts  []db.FactID
-	idx    *relIndex     // child lookup by key-projection hash
-	groups [][]db.FactID // key-equal groups, enumeration order
-	keyPos []int
+	part *db.Partition
 	// keyConsts are the atom's keyConsts as cells of the instance;
 	// keyMiss reports a constant string no fact stores.
 	keyConsts []db.Cell
@@ -560,7 +557,7 @@ type executor struct {
 }
 
 // Execute runs the interval DP over the instance. ix supplies the
-// memoized per-relation lookup maps (pass nil to index from scratch);
+// instance's key partitions (nil stands for NewIndexes(in));
 // parallelism bounds the worker pool fanned out over grouping keys (≤ 1
 // runs sequentially). Cancelling ctx aborts the evaluation cooperatively
 // and returns the context's error.
@@ -568,21 +565,15 @@ func (p *Plan) Execute(ctx context.Context, in *db.Instance, ix *Indexes, parall
 	if ix == nil || ix.in != in {
 		ix = NewIndexes(in)
 	}
-	tables := ix.tables()
 	x := &executor{Plan: p, in: in, data: make([]atomData, len(p.atoms))}
 	for ai := range p.atoms {
 		rel := p.atoms[ai].rel
-		ad := atomData{keyPos: rel.Key, keyConsts: make([]db.Cell, len(rel.Key))}
+		ad := atomData{part: ix.keyPartition(rel), keyConsts: make([]db.Cell, len(rel.Key))}
 		for i, pp := range p.atoms[ai].keyFromParent {
 			if pp < 0 {
 				c, ok := in.Dict().CellOf(p.atoms[ai].keyConsts[i])
 				ad.keyConsts[i], ad.keyMiss = c, ad.keyMiss || !ok
 			}
-		}
-		if ri := tables[rel.Canon()]; ri != nil {
-			ad.facts = ri.facts
-			ad.idx = ri
-			ad.groups = ri.groups
 		}
 		x.data[ai] = ad
 	}
@@ -604,10 +595,12 @@ func (x *executor) run(ctx context.Context, parallelism int) ([]GroupRange, erro
 	}
 
 	// Root key-equal groups, straight from the memoized partition.
-	rootData := x.data[x.root]
-	allRootGroups := make([]rootGroup, len(rootData.groups))
-	for i, members := range rootData.groups {
-		allRootGroups[i] = rootGroup{members: members}
+	var allRootGroups []rootGroup
+	if p := x.data[x.root].part; p != nil {
+		allRootGroups = make([]rootGroup, p.NumGroups())
+		for g := range allRootGroups {
+			allRootGroups[g] = rootGroup{members: p.Members(g)}
+		}
 	}
 
 	// Shared, group-independent states, pre-populated sequentially so
@@ -927,30 +920,26 @@ func (x *executor) makeEval(g db.Tuple) func(ai int, f db.FactID) *factState {
 // parent fact: join positions take the parent's cells, constant key
 // positions take the constant's. scratch must hold at least
 // len(rel.Key) cells; the layout (keyFromParent/keyConsts) is
-// precompiled by Analyze and the constants encoded by Execute. The
-// lookup is a HashCell fold over the key cells — the hash the relIndex
-// was built with (HashRowOn) — verified against the bucket's
-// representative fact by cell equality, so no key value is ever
-// materialized. A constant string absent from the instance dictionary
-// means no such group exists.
+// precompiled by Analyze and the constants encoded by Execute. The key
+// partition's lookup verifies its hit by cell equality, so no key value
+// is ever materialized. A constant string absent from the instance
+// dictionary means no such group exists.
 func (x *executor) childMembers(ci int, parentFact db.FactID, scratch []db.Cell) []db.FactID {
 	a := &x.atoms[ci]
 	ad := &x.data[ci]
-	if ad.idx == nil || ad.keyMiss {
+	if ad.part == nil || ad.keyMiss {
 		return nil
 	}
 	pt := x.in.Row(parentFact)
 	cells := scratch[:len(a.keyFromParent)]
-	h := db.HashSeed
 	for i, pp := range a.keyFromParent {
 		if pp >= 0 {
 			cells[i] = pt.Cell(pp)
 		} else {
 			cells[i] = ad.keyConsts[i]
 		}
-		h = db.HashCell(h, cells[i])
 	}
-	return ad.idx.lookup(x.in, ad.keyPos, h, cells)
+	return ad.part.Lookup(cells)
 }
 
 // aggregate combines per-root-group optima into the group's interval.

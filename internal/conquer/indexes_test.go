@@ -8,43 +8,30 @@ import (
 	"aggcavsat/internal/db"
 )
 
-// TestIndexesMemoized: the lookup tables are built once per instance
-// version — repeated calls return the identical map, and appending a
-// fact invalidates exactly once.
+// TestIndexesMemoized: a relation's key partition is built once per
+// instance version — repeated calls, also through another Indexes,
+// return the identical partition, and appending a fact invalidates it;
+// the new partition finds the appended fact.
 func TestIndexesMemoized(t *testing.T) {
 	in := randomTreeInstance(ptrRng(3))
+	rel := in.Schema().Relation("C")
 	ix := NewIndexes(in)
-	t1 := ix.tables()
-	t2 := ix.tables()
-	if !sameTables(t1, t2) {
-		t.Fatal("tables rebuilt despite unchanged instance")
+	p1 := ix.keyPartition(rel)
+	if p2 := NewIndexes(in).keyPartition(rel); p2 != p1 {
+		t.Fatal("key partition rebuilt despite unchanged instance")
 	}
 	id := in.MustInsert("C", db.Int(77), db.Str("A"))
-	t3 := ix.tables()
-	if sameTables(t1, t3) {
-		t.Fatal("tables not rebuilt after append")
+	p3 := ix.keyPartition(rel)
+	if p3 == p1 {
+		t.Fatal("key partition not rebuilt after append")
 	}
 	c, ok := in.Dict().CellOf(db.Int(77))
 	if !ok {
 		t.Fatal("cell of Int(77) unavailable")
 	}
-	got := t3["c"].lookup(in, []int{0}, db.HashCell(db.HashSeed, c), []db.Cell{c})
-	if len(got) != 1 || got[0] != id {
+	if got := p3.Lookup([]db.Cell{c}); len(got) != 1 || got[0] != id {
 		t.Fatalf("appended fact not indexed: %v", got)
 	}
-}
-
-// sameTables reports whether two table snapshots are the same memoized
-// build (maps are only ever replaced wholesale, so comparing one entry's
-// pointer identity suffices).
-func sameTables(a, b map[string]*relIndex) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		return b[k] == v
-	}
-	return true
 }
 
 // TestBaselineReuseStable: a Baseline answers the same query identically
@@ -113,21 +100,6 @@ func BenchmarkBaselineMemoizedIndexes(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := bl.RangeAnswers(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBaselineFreshIndexes is the pre-memo behavior: rebuild the
-// per-relation child index maps on every call (a fresh Baseline per
-// iteration). The delta against BenchmarkBaselineMemoizedIndexes is the
-// re-indexing cost the memo removes.
-func BenchmarkBaselineFreshIndexes(b *testing.B) {
-	in := benchInstance()
-	q := treeQuery(cq.Sum, true, true, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := New(in).RangeAnswers(q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,7 +17,7 @@ import (
 // same shape. The generic self-join instantiates it by probing ȳ's L
 // positions with x̄'s cells (exact cell equality) and testing p with
 // Compare semantics, so its violations are precisely the pairs of facts
-// that share a group of GroupsOn(R, L) and CompareAt-differ at p. DCs
+// that share a group of Partition(R, L) and CompareAt-differ at p. DCs
 // sharing (R, L) are read off one partition together: a pair violates
 // one of them iff it differs at one of their positions p. Every other
 // DC keeps the generic path, and both candidate streams merge through
@@ -118,13 +118,16 @@ func splitFDs(schema *db.Schema, dcs []DC) (parts []fdPart, generic []DC) {
 // partitioning. Pairs come out sorted (group members ascend) and, all
 // being pairs, never subsume each other before the minimality filter.
 func fdViolations(in *db.Instance, part fdPart, add func([]db.FactID)) {
-	var x *db.KeyIndex
+	var x interface {
+		NumGroups() int
+		Members(g int) []db.FactID
+	}
 	key := slices.Clone(in.Schema().RelationByID(part.rel).Key)
 	slices.Sort(key)
 	if len(key) > 0 && slices.Equal(key, part.lhs) {
 		x = in.KeyEqualGroups()
 	} else {
-		x = in.GroupsOn(part.rel, part.lhs)
+		x = in.Partition(part.rel, part.lhs)
 	}
 	for g := 0; g < x.NumGroups(); g++ {
 		facts := x.Members(g)

@@ -2,10 +2,12 @@ package constraints_test
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"aggcavsat/internal/constraints"
 	"aggcavsat/internal/cq"
+	"aggcavsat/internal/db"
 	"aggcavsat/internal/medigap"
 )
 
@@ -13,8 +15,9 @@ import (
 // 0.5 (the instances a denial-constraint refresh serves) the FD
 // partitions give the generic self-join's violation list byte for
 // byte. The two FDs are two (relation, left-hand side) partitions and
-// the webAddr DC a scan, so the partition path builds no evaluator
-// hash index: a deterministic work gate on the refresh window.
+// the webAddr DC a scan, so the partition path builds exactly those two
+// partitions and no join partition: a deterministic work gate on the
+// refresh window.
 func TestMedigapViolations(t *testing.T) {
 	schema := medigap.Schema()
 	dcs, err := medigap.Constraints(schema)
@@ -24,15 +27,22 @@ func TestMedigapViolations(t *testing.T) {
 	if parts, generic := constraints.FastPathInfo(schema, dcs); parts != 2 || generic != 1 {
 		t.Fatalf("FastPathInfo = %d partitions, %d generic DCs; want 2 and 1", parts, generic)
 	}
+	obs, _ := schema.RelID("OBS")
+	pbs, _ := schema.RelID("PBS")
 	for seed := uint64(100); seed <= 102; seed++ {
 		in, err := medigap.Generate(0.5, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := cq.NewEvaluator(in)
-		fast := constraints.MinimalViolations(e, dcs)
-		if n := e.NumIndexes(); n != 0 {
-			t.Errorf("version %d: MinimalViolations built %d evaluator hash indexes, want 0", seed, n)
+		fast := constraints.MinimalViolations(cq.NewEvaluator(in), dcs)
+		if n := in.NumPartitions(); n != 2 {
+			t.Errorf("version %d: MinimalViolations built %d partitions, want 2", seed, n)
+		}
+		// The two are the left-hand sides: asking for them builds nothing.
+		in.Partition(obs, []int{0})
+		in.Partition(pbs, []int{3, 4, 5})
+		if n := in.NumPartitions(); n != 2 {
+			t.Errorf("version %d: the FD left-hand sides were not the partitions built (%d after asking)", seed, n)
 		}
 		slow := constraints.MinimalViolationsGeneric(cq.NewEvaluator(in), dcs)
 		if len(fast) == 0 || fmt.Sprint(fast) != fmt.Sprint(slow) {
@@ -43,9 +53,10 @@ func TestMedigapViolations(t *testing.T) {
 }
 
 // BenchmarkMinimalViolations: the violation step of a Medigap refresh
-// (scale 0.5, version 100) on a fresh evaluator, as each refresh's
-// engine runs it — FD partitions plus the generic scan, against the
-// all-generic self-joins.
+// (scale 0.5, version 100) on a freshly opened snapshot, as each
+// refresh's engine runs it — FD partitions plus the generic scan,
+// against the all-generic self-joins. Partitions are memoised on the
+// instance, so each iteration opens its own (untimed).
 func BenchmarkMinimalViolations(b *testing.B) {
 	schema := medigap.Schema()
 	dcs, err := medigap.Constraints(schema)
@@ -56,6 +67,10 @@ func BenchmarkMinimalViolations(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	path := filepath.Join(b.TempDir(), "medigap.snapshot")
+	if err := db.SaveSnapshot(in, path); err != nil {
+		b.Fatal(err)
+	}
 	for _, bc := range []struct {
 		name string
 		run  func(*cq.Evaluator, []constraints.DC) []constraints.Violation
@@ -63,7 +78,16 @@ func BenchmarkMinimalViolations(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				bc.run(cq.NewEvaluator(in), dcs)
+				b.StopTimer()
+				snap, err := db.OpenSnapshot(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				bc.run(cq.NewEvaluator(snap.Instance()), dcs)
+				b.StopTimer()
+				snap.Close()
+				b.StartTimer()
 			}
 		})
 	}

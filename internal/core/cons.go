@@ -33,8 +33,13 @@ func (e *Engine) ConsistentAnswersContext(ctx context.Context, u cq.UCQ) ([]db.T
 	}
 	ctx, rc := e.begin(ctx, "consistent_answers", u.String(), "query.consistent_answers")
 	out, err := e.consistentAnswers(ctx, u, rc)
-	var answers []GroupAnswer
 	if err == nil {
+		err = checkpoint(ctx)
+	}
+	var answers []GroupAnswer
+	if err != nil {
+		out = nil
+	} else {
 		answers = make([]GroupAnswer, len(out))
 		for i, t := range out {
 			answers[i] = GroupAnswer{Key: t}

@@ -66,11 +66,16 @@ type Options struct {
 	// merge preserves the original group/component order.
 	Parallelism int
 	// Timeout, when positive, bounds the wall-clock time of every engine
-	// call (RangeAnswers / ConsistentAnswers). On expiry the in-flight
-	// SAT searches are interrupted cooperatively and the call returns an
-	// error matching ErrTimeout — distinct from ErrBudget, which reports
-	// an exhausted conflict budget. A deadline or cancellation on the
-	// caller's context has the same effect.
+	// call (RangeAnswers / ConsistentAnswers). On expiry witness
+	// enumeration (polled every few hundred candidates, at any join
+	// depth), the rewriting and the in-flight SAT searches stop
+	// cooperatively, and the call returns an error matching ErrTimeout
+	// — distinct from ErrBudget, which reports an exhausted conflict
+	// budget. The context is also checked at every phase boundary and
+	// once more when the answer is complete: an answer that finishes
+	// after its deadline is not returned, the call returns ErrTimeout
+	// instead. A deadline or cancellation on the caller's context has
+	// the same effect.
 	Timeout time.Duration
 	// Metrics, when non-nil, accumulates every call into this
 	// session-wide registry (e.g. for a Prometheus scrape endpoint),
@@ -275,6 +280,9 @@ func (e *Engine) RangeAnswersContext(ctx context.Context, q cq.AggQuery) (*Repor
 	ctx, rc := e.begin(ctx, "range_answers/"+q.Op.String(), q.String(),
 		"query.range_answers", obsv.String("op", q.Op.String()))
 	rep, err := e.rangeAnswers(ctx, q, rc)
+	if err == nil {
+		err = checkpoint(ctx)
+	}
 	if err != nil {
 		e.end(ctx, rc, nil, err)
 		return nil, err

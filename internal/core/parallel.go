@@ -38,6 +38,15 @@ func stopCause(ctx context.Context) error {
 	return ErrBudget
 }
 
+// checkpoint is the context check at a phase boundary: a dead context
+// ends the call with ErrTimeout.
+func checkpoint(ctx context.Context) error {
+	if ctx.Err() != nil {
+		return stopCause(ctx)
+	}
+	return nil
+}
+
 // mapSolveErr translates an error from the maxsat layer into the
 // package's typed sentinels so callers can distinguish a wall-clock
 // timeout from a budget stop with errors.Is; unrelated errors pass

@@ -39,9 +39,14 @@ func (e *Engine) witnesses(ctx context.Context, u cq.UCQ, fold bool, groupArity 
 	if fold {
 		safe = e.constraintCtx(ctx, rc).safe
 	}
+	// Evaluation polls ctx before its first candidate: the boundary from
+	// the constraint phase.
 	_, sp := obsv.StartSpan(ctx, "cq.witness")
 	pm := startPhase()
 	bag, folds, err := e.eval.FoldedBagCtx(ctx, u, safe, groupArity)
+	if err == nil {
+		err = ctx.Err() // the boundary to encoding
+	}
 	var groups []cq.WitnessGroup
 	if err == nil {
 		groups = cq.GroupFolded(bag, folds, groupArity)

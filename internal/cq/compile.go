@@ -2,8 +2,6 @@ package cq
 
 import (
 	"context"
-	"encoding/binary"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -21,11 +19,12 @@ import (
 //     condition, a later probe or a within-atom check reads it. The
 //     per-column variables of a wide relation that nothing reads are
 //     never loaded.
-//   - Index probes are []db.Cell. Their hash folds cells (db.HashCell,
-//     the hash the index was built with), and a hit is re-verified by
-//     cell equality, a word compare, since the hash is not injective.
-//     Atom constants are encoded once, at compile time; a string no fact
-//     stores makes the whole program empty.
+//   - Index probes are []db.Cell, looked up in the instance's memoised
+//     partition of the atom's relation on the probed positions
+//     (db.Partition.Lookup): one verified lookup returns exactly the
+//     facts whose cells equal the probe's. Atom constants are encoded
+//     once, at compile time; a string no fact stores makes the whole
+//     program empty.
 //   - Conditions are kernels over cells with Value.Compare semantics
 //     (db.Dict.CompareCells): = and != compare string codes, and
 //     ordered string comparisons compare ranks (db.Ranks), a constant
@@ -69,7 +68,6 @@ type pstep struct {
 	lookupPos   []int
 	lookupSlot  []int     // slot supplying position i's probe cell; -1 = constant
 	lookupConst []db.Cell // probe constant where lookupSlot[i] == -1
-	index       indexKey  // the hash index over lookupPos
 
 	binds  []slotPos // live free positions: the cell at pos binds frame[slot]
 	checks []slotPos // within-atom repeated vars: the cell at pos must Compare-equal frame[slot]
@@ -139,7 +137,6 @@ func compileCQ(in *db.Instance, q CQ) *program {
 				}
 			}
 		}
-		st.index = newIndexKey(rel, st.lookupPos)
 		for _, ci := range pl.condsAfter[step] {
 			st.conds = append(st.conds, compileCond(d, q.Conds[ci], slotOf, strVar))
 		}
@@ -346,154 +343,13 @@ func (e *Evaluator) program(q CQ) *program {
 	return p
 }
 
-// indexKey names a hash index: a relation and the exact list of its
-// positions the index is built on.
-type indexKey struct {
-	rel db.RelID
-	pos string // the positions, uvarint-encoded back to back
-}
-
-func newIndexKey(rel db.RelID, positions []int) indexKey {
-	var b []byte
-	for _, p := range positions {
-		b = binary.AppendUvarint(b, uint64(p))
-	}
-	return indexKey{rel: rel, pos: string(b)}
-}
-
-// hashIndex returns (building on demand) the index of key.rel on the
-// given positions, which key encodes.
-func (e *Evaluator) hashIndex(key indexKey, positions []int) *hashIndex {
-	e.mu.RLock()
-	idx, ok := e.hashIdx[key]
-	e.mu.RUnlock()
-	if ok {
-		return idx
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if idx, ok := e.hashIdx[key]; ok {
-		return idx
-	}
-	idx = buildHashIndex(e.in, key.rel, positions)
-	e.hashIdx[key] = idx
-	return idx
-}
-
-// hashIndex is a pointer-free index of one relation on a set of
-// positions: open-addressing slots keyed by the positions' 64-bit hash,
-// each naming a run of one shared fact array. Facts keep their
-// relation order inside a run. A table of flat words costs the garbage
-// collector nothing to scan, unlike a map of per-key slices.
-type hashIndex struct {
-	slots []idxSlot // power-of-two length, linear probing; n == 0 is empty
-	shift uint      // 64 − log2(len(slots))
-	facts []db.FactID
-}
-
-type idxSlot struct {
-	h     uint64
-	lo, n uint32 // the run facts[lo : lo+n]
-}
-
-// indexScratch pools what buildHashIndex needs only while it builds:
-// the facts' hashes and a counting table sized for every fact distinct.
-// An index is built once per evaluator, and an evaluator per engine, so
-// without the pool every data refresh would leave them as garbage.
-var indexScratch sync.Pool
-
-type indexBuild struct {
-	hs    []uint64
-	count []idxSlot
-}
-
-// tableShift is the hashIndex shift of a power-of-two table of at
-// least 2n slots.
-func tableShift(n int) uint {
-	shift := uint(64)
-	for 1<<(64-shift) < 2*n {
-		shift--
-	}
-	return shift
-}
-
-// buildHashIndex counts the facts per hash in a pooled table, then lays
-// the runs out in a kept table sized for the distinct hashes only: an
-// index on a column with few values (a foreign key) keeps a few slots,
-// not two per fact.
-func buildHashIndex(in *db.Instance, rel db.RelID, positions []int) *hashIndex {
-	ids := in.RelFactsByID(rel)
-	b, _ := indexScratch.Get().(*indexBuild)
-	if b == nil {
-		b = &indexBuild{}
-	}
-	defer indexScratch.Put(b)
-	counting := &hashIndex{shift: tableShift(len(ids))}
-	n := 1 << (64 - counting.shift)
-	b.count = slices.Grow(b.count[:0], n)[:n]
-	clear(b.count)
-	counting.slots = b.count
-	// HashRowOn folds each position's cell (db.HashCell), as the probe
-	// side does, so both sides of the index agree.
-	b.hs = slices.Grow(b.hs[:0], len(ids))[:len(ids)]
-	hs := b.hs
-	distinct := 0
-	for i, id := range ids {
-		hs[i] = in.HashRowOn(id, positions, db.HashSeed)
-		s := &counting.slots[counting.find(hs[i])]
-		if s.n == 0 {
-			distinct++
-		}
-		s.h = hs[i]
-		s.n++
-	}
-	x := &hashIndex{shift: tableShift(distinct)}
-	x.slots = make([]idxSlot, 1<<(64-x.shift))
-	for _, s := range counting.slots {
-		if s.n != 0 {
-			x.slots[x.find(s.h)] = s
-		}
-	}
-	// Each run's lo starts at its end and counts down as the facts are
-	// placed back to front, which keeps relation order within a run.
-	var end uint32
-	for i := range x.slots {
-		end += x.slots[i].n
-		x.slots[i].lo = end
-	}
-	x.facts = make([]db.FactID, len(ids))
-	for i := len(ids) - 1; i >= 0; i-- {
-		s := &x.slots[x.find(hs[i])]
-		s.lo--
-		x.facts[s.lo] = ids[i]
-	}
-	return x
-}
-
-// find returns the slot holding h, or the empty slot where h belongs.
-func (x *hashIndex) find(h uint64) int {
-	mask := len(x.slots) - 1
-	i := int((h * 0x9e3779b97f4a7c15) >> x.shift & uint64(mask))
-	for x.slots[i].n != 0 && x.slots[i].h != h {
-		i = (i + 1) & mask
-	}
-	return i
-}
-
-// lookup returns the facts whose indexed positions hash to h (capped,
-// so an append by the caller cannot write into the next run).
-func (x *hashIndex) lookup(h uint64) []db.FactID {
-	s := x.slots[x.find(h)]
-	return x.facts[s.lo : s.lo+s.n : s.lo+s.n]
-}
-
 const (
 	// parallelEvalThreshold is the minimum number of first-step
 	// candidates before EvalCtx fans out across workers; below it the
 	// goroutine setup costs more than the scan.
 	parallelEvalThreshold = 256
-	// evalCancelStride is how many first-step candidates are processed
-	// between ctx polls.
+	// evalCancelStride is how many candidates, counted at every step,
+	// are processed between ctx polls.
 	evalCancelStride = 256
 	// maxSlab caps the row slabs progRun carves heads and fact sets from;
 	// slabs start small and double up to it.
@@ -533,15 +389,15 @@ func (e *Evaluator) runProgram(ctx context.Context, p *program, fs *foldSpec) (r
 	// Step 0 has no prior bindings: its probe cells are all constants.
 	cands := r.candidates(0)
 	if e.par <= 1 || len(cands) < parallelEvalThreshold {
-		if err := r.runChunk(ctx, cands, r.probes[0]); err != nil {
+		if err := r.runChunk(ctx, cands); err != nil {
 			return runResult{}, err
 		}
 		return r.out, nil
 	}
-	return e.runParallel(ctx, p, fs, cands, r.probes[0])
+	return e.runParallel(ctx, p, fs, cands)
 }
 
-func (e *Evaluator) runParallel(ctx context.Context, p *program, fs *foldSpec, cands []db.FactID, probe0 []db.Cell) (runResult, error) {
+func (e *Evaluator) runParallel(ctx context.Context, p *program, fs *foldSpec, cands []db.FactID) (runResult, error) {
 	workers := e.par
 	// Oversplit so one skewed chunk doesn't serialize the tail; the
 	// per-chunk result slots make the merge deterministic.
@@ -571,7 +427,7 @@ func (e *Evaluator) runParallel(ctx context.Context, p *program, fs *foldSpec, c
 				hi := (ci + 1) * len(cands) / chunks
 				r.out = runResult{}
 				// runChunk only fails when cctx fired; nothing to record.
-				if err := r.runChunk(cctx, cands[lo:hi], probe0); err != nil {
+				if err := r.runChunk(cctx, cands[lo:hi]); err != nil {
 					return
 				}
 				results[ci] = r.out
@@ -609,7 +465,8 @@ func mergeResults(d *db.Dict, results []runResult) runResult {
 // progRun is the per-goroutine execution state of one program: the slot
 // frame, the fact stack, per-step probe scratch (per step, not shared,
 // because deeper recursion levels probe concurrently with an outer
-// level's candidate loop) and the steps' hash indexes, fetched once.
+// level's candidate loop), the steps' partitions, fetched once, and the
+// cancellation countdown.
 type progRun struct {
 	e      *Evaluator
 	d      *db.Dict
@@ -617,8 +474,14 @@ type progRun struct {
 	frame  []db.Cell
 	facts  []db.FactID
 	probes [][]db.Cell
-	idx    []*hashIndex
+	parts  []*db.Partition
 	out    runResult
+
+	// Every candidate, at any step, decrements countdown; at zero the
+	// run polls ctx, and err stops it at every depth.
+	ctx       context.Context
+	countdown int
+	err       error
 
 	fold *foldSpec
 	key  []db.Cell // group-key scratch of a folded assignment
@@ -638,7 +501,7 @@ func newProgRun(e *Evaluator, p *program, fs *foldSpec) *progRun {
 		frame:  make([]db.Cell, p.numSlots),
 		facts:  make([]db.FactID, 0, len(p.steps)),
 		probes: make([][]db.Cell, len(p.steps)),
-		idx:    make([]*hashIndex, len(p.steps)),
+		parts:  make([]*db.Partition, len(p.steps)),
 		fold:   fs,
 	}
 	for i := range p.steps {
@@ -650,46 +513,38 @@ func newProgRun(e *Evaluator, p *program, fs *foldSpec) *progRun {
 	return r
 }
 
-// runChunk drives step 0 over a slice of its candidates, polling ctx
-// every evalCancelStride candidates.
-func (r *progRun) runChunk(ctx context.Context, cands []db.FactID, probe0 []db.Cell) error {
-	st0 := &r.p.steps[0]
-	for i, id := range cands {
-		if i%evalCancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+// runChunk drives step 0 over a slice of its candidates.
+func (r *progRun) runChunk(ctx context.Context, cands []db.FactID) error {
+	r.ctx, r.countdown, r.err = ctx, evalCancelStride, ctx.Err()
+	for _, id := range cands {
+		if r.err != nil {
+			break
 		}
-		r.candidate(st0, 0, id, probe0)
+		r.candidate(&r.p.steps[0], 0, id)
 	}
-	return nil
+	return r.err
 }
 
 // candidates fills the step's probe scratch with its probe cells
 // (constants, or slots bound by earlier steps) and returns the facts
-// that may match them: an index hit list, or the whole relation when
-// the step probes nothing.
+// that match them: a partition group, or the whole relation when the
+// step probes nothing.
 func (r *progRun) candidates(step int) []db.FactID {
 	st := &r.p.steps[step]
 	if len(st.lookupPos) == 0 {
 		return r.e.in.RelFactsByID(st.rel)
 	}
 	probe := r.probes[step]
-	h := db.HashSeed
 	for i, s := range st.lookupSlot {
-		c := st.lookupConst[i]
+		probe[i] = st.lookupConst[i]
 		if s >= 0 {
-			c = r.frame[s]
+			probe[i] = r.frame[s]
 		}
-		probe[i] = c
-		h = db.HashCell(h, c)
 	}
-	x := r.idx[step]
-	if x == nil {
-		x = r.e.hashIndex(st.index, st.lookupPos)
-		r.idx[step] = x
+	if r.parts[step] == nil {
+		r.parts[step] = r.e.in.Partition(st.rel, st.lookupPos)
 	}
-	return x.lookup(h)
+	return r.parts[step].Lookup(probe)
 }
 
 // run matches steps 1..n recursively (step 0's candidates come from
@@ -700,23 +555,25 @@ func (r *progRun) run(step int) {
 		return
 	}
 	st := &r.p.steps[step]
-	probe := r.probes[step]
 	for _, id := range r.candidates(step) {
-		r.candidate(st, step, id, probe)
+		if r.err != nil {
+			return
+		}
+		r.candidate(st, step, id)
 	}
 }
 
-// candidate runs one fact through a step's probe verification,
-// bindings, repeated-variable checks, and conditions, recursing deeper
-// on success.
-func (r *progRun) candidate(st *pstep, step int, id db.FactID, probe []db.Cell) {
-	row := r.e.in.Row(id)
-	// Re-verify the probe columns exactly: hash buckets may collide.
-	for i, p := range st.lookupPos {
-		if row.Cell(p) != probe[i] {
+// candidate runs one fact through a step's bindings, repeated-variable
+// checks, and conditions, recursing deeper on success. The fact already
+// matches the step's probe: partition groups are exact.
+func (r *progRun) candidate(st *pstep, step int, id db.FactID) {
+	if r.countdown--; r.countdown == 0 {
+		r.countdown = evalCancelStride
+		if r.err = r.ctx.Err(); r.err != nil {
 			return
 		}
 	}
+	row := r.e.in.Row(id)
 	for _, b := range st.binds {
 		r.frame[b.slot] = row.Cell(b.pos)
 	}

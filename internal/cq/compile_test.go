@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"aggcavsat/internal/db"
 	"aggcavsat/internal/xrand"
@@ -244,6 +245,107 @@ func TestWitnessBagConcurrentShared(t *testing.T) {
 	close(errs)
 	for msg := range errs {
 		t.Fatal(msg)
+	}
+}
+
+// TestEvalParallelSharedMemo: goroutines with their own parallel
+// evaluators over one fresh instance race to build and read its
+// memoised partitions (run under -race: make race); each must return
+// the rows of a sequential evaluator over an identical instance, in the
+// same order. The queries probe R and S on their keys, on a string, on
+// a constant and on a non-key INT.
+func TestEvalParallelSharedMemo(t *testing.T) {
+	queries := []CQ{
+		{Head: []string{"x", "w"}, Atoms: []Atom{
+			{Rel: "R", Args: []Term{V("x"), V("g"), V("v")}},
+			{Rel: "S", Args: []Term{V("x"), V("w")}},
+		}},
+		{Head: []string{"g"}, Atoms: []Atom{
+			{Rel: "S", Args: []Term{V("x"), V("w")}},
+			{Rel: "R", Args: []Term{V("x"), V("g"), V("v")}},
+		}, Conds: []Condition{{Left: V("v"), Op: OpGE, Right: C(db.Int(1))}}},
+		{Head: []string{"x", "y"}, Atoms: []Atom{
+			{Rel: "R", Args: []Term{V("x"), V("g"), V("v")}},
+			{Rel: "R", Args: []Term{V("y"), V("g"), V("u")}},
+		}, Conds: []Condition{{Left: V("x"), Op: OpNE, Right: V("y")}}},
+		{Head: []string{"w"}, Atoms: []Atom{
+			{Rel: "R", Args: []Term{V("x"), C(db.Str("g1")), V("v")}},
+			{Rel: "S", Args: []Term{V("x"), V("w")}},
+		}},
+		{Head: []string{"x", "y"}, Atoms: []Atom{
+			{Rel: "S", Args: []Term{V("x"), V("w")}},
+			{Rel: "S", Args: []Term{V("y"), V("w")}},
+		}, Conds: []Condition{{Left: V("x"), Op: OpLT, Right: V("y")}}},
+	}
+	for seed := uint64(1); seed <= 6; seed++ {
+		n := 300 + int(seed)*50 // past parallelEvalThreshold
+		in := randomEvalInstance(xrand.New(seed), n)
+		ref := NewEvaluator(randomEvalInstance(xrand.New(seed), n))
+		want := make([][]Row, len(queries))
+		for i, q := range queries {
+			want[i] = ref.Eval(q)
+		}
+		var wg sync.WaitGroup
+		errs := make(chan string, 4)
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				e := NewEvaluator(in)
+				e.SetParallelism(4)
+				for i := range queries {
+					j := (i + g) % len(queries)
+					if got := e.Eval(queries[j]); !rowsEqual(got, want[j]) {
+						errs <- fmt.Sprintf("seed %d goroutine %d query %d: %d rows, sequential %d", seed, g, j, len(got), len(want[j]))
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for msg := range errs {
+			t.Fatal(msg)
+		}
+	}
+}
+
+// TestEvalDeadlineAtDepth: a deadline is observed inside the join, not
+// only between first-step candidates. The first step has one candidate
+// and the two inner steps a 4,000 × 4,000 product whose condition never
+// holds; both the sequential and the parallel runner must return
+// context.DeadlineExceeded within 100 ms of the deadline.
+func TestEvalDeadlineAtDepth(t *testing.T) {
+	s := db.NewSchema()
+	for _, name := range []string{"A", "B", "C"} {
+		s.MustAddRelation(&db.RelationSchema{Name: name, Attrs: []db.Attribute{{Name: "x", Kind: db.KindInt}}})
+	}
+	in := db.NewInstance(s)
+	in.MustInsert("A", db.Int(0))
+	for i := 0; i < 4000; i++ {
+		in.MustInsert("B", db.Int(0))
+		in.MustInsert("C", db.Int(1))
+	}
+	q := CQ{Head: []string{"a"}, Atoms: []Atom{
+		{Rel: "A", Args: []Term{V("a")}},
+		{Rel: "B", Args: []Term{V("b")}},
+		{Rel: "C", Args: []Term{V("c")}},
+	}, Conds: []Condition{{Left: V("b"), Op: OpGT, Right: V("c")}}}
+	const deadline = 50 * time.Millisecond
+	for _, par := range []int{0, 4} {
+		e := NewEvaluator(in)
+		e.SetParallelism(par)
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		start := time.Now()
+		_, err := e.EvalCtx(ctx, q)
+		took := time.Since(start)
+		cancel()
+		if err != context.DeadlineExceeded {
+			t.Fatalf("par=%d: EvalCtx = %v after %v, want context.DeadlineExceeded", par, err, took)
+		}
+		if took > deadline+100*time.Millisecond {
+			t.Errorf("par=%d: returned %v after a %v deadline", par, took, deadline)
+		}
 	}
 }
 

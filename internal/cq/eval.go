@@ -16,17 +16,16 @@ type Row struct {
 }
 
 // Evaluator evaluates conjunctive queries over a fixed instance, caching
-// compiled plans and hash indexes across queries. It is safe for
-// concurrent use: the lazy caches are guarded by mutexes
-// (double-checked), and a built index or plan is immutable thereafter,
-// so engine worker pools may evaluate queries on one shared evaluator.
+// compiled plans across queries; its join probes read the instance's
+// memoised partitions (db.Instance.Partition), so every evaluator of an
+// instance shares them. It is safe for concurrent use: the plan cache
+// is guarded by a mutex (double-checked), and a built plan is immutable
+// thereafter, so engine worker pools may evaluate queries on one shared
+// evaluator.
 //
 // Queries run through a compiled slot-based program (see compile.go).
 type Evaluator struct {
 	in *db.Instance
-
-	mu      sync.RWMutex
-	hashIdx map[indexKey]*hashIndex
 
 	planMu sync.RWMutex
 	plans  map[string]*program
@@ -36,22 +35,11 @@ type Evaluator struct {
 
 // NewEvaluator creates an evaluator over the instance.
 func NewEvaluator(in *db.Instance) *Evaluator {
-	return &Evaluator{
-		in:      in,
-		hashIdx: make(map[indexKey]*hashIndex),
-		plans:   make(map[string]*program),
-	}
+	return &Evaluator{in: in, plans: make(map[string]*program)}
 }
 
 // Instance returns the instance being evaluated.
 func (e *Evaluator) Instance() *db.Instance { return e.in }
-
-// NumIndexes returns the number of hash indexes the evaluator has built.
-func (e *Evaluator) NumIndexes() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.hashIdx)
-}
 
 // SetParallelism sets the worker budget for partitioning the first
 // atom's candidate list across goroutines (0 or 1 = sequential). It
@@ -66,10 +54,10 @@ func (e *Evaluator) Eval(q CQ) []Row {
 	return rows
 }
 
-// EvalCtx is Eval with cooperative cancellation: the parallel and
-// sequential compiled runners poll ctx between first-atom candidates
-// and return ctx.Err() when it fires. The row order is deterministic
-// and independent of the parallelism setting.
+// EvalCtx is Eval with cooperative cancellation: the compiled runners
+// poll ctx once per evalCancelStride candidates, counted at every join
+// depth, and return ctx.Err() when it fires. The row order is
+// deterministic and independent of the parallelism setting.
 func (e *Evaluator) EvalCtx(ctx context.Context, q CQ) ([]Row, error) {
 	return e.EvalUCQCtx(ctx, Single(q))
 }

@@ -70,16 +70,10 @@ func (d *Dict) CellValue(c Cell) Value {
 	}
 }
 
-// HashCell folds c into h: the kind tag, then (unless NULL) the payload
-// word. For INT, FLOAT and NULL this is Value.HashExact; strings fold
-// their dictionary code instead of their bytes.
-func HashCell(h uint64, c Cell) uint64 {
-	h = hashByte(h, byte(c.kind))
-	if c.kind == KindNull {
-		return h
-	}
-	return hashUint64(h, c.bits)
-}
+// HashCell folds c into h: its payload word under its kind (NULL's
+// payload is 0). For INT, FLOAT and NULL this is Value.HashExact;
+// strings fold their dictionary code instead of their bytes.
+func HashCell(h uint64, c Cell) uint64 { return hashWord(h, c.kind, c.bits) }
 
 // CompareCells is Value.Compare on the values a and b encode: NULL <
 // numbers < strings, INT against INT exactly, other numeric pairs as

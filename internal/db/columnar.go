@@ -102,24 +102,23 @@ func (c *column) value(d *Dict, row int) Value {
 	}
 }
 
-// hashRow folds row `row` into h: HashCell(h, c.cell(row)), the columnar
-// twin of Value.HashExact that folds a string's 4-byte dict code
-// instead of walking the bytes, computed without the intermediate Cell.
-// Probe sides hash cells (HashCell) so both sides of an index agree.
+// hashRow folds row `row` into h: HashCell(h, c.cell(row)) computed
+// without the intermediate Cell (a string folds its dictionary code).
+// Probe sides hash cells (HashCell) so both sides of a partition agree.
 func (c *column) hashRow(h uint64, row int) uint64 {
 	if c.nulls.get(row) {
-		return hashByte(h, byte(KindNull))
+		return hashWord(h, KindNull, 0)
 	}
 	switch c.kind {
 	case KindInt:
-		return hashUint64(hashByte(h, byte(KindInt)), uint64(c.ints[row]))
+		return hashWord(h, KindInt, uint64(c.ints[row]))
 	case KindFloat:
 		if c.intRows.get(row) {
-			return hashUint64(hashByte(h, byte(KindInt)), c.raw[row])
+			return hashWord(h, KindInt, c.raw[row])
 		}
-		return hashUint64(hashByte(h, byte(KindFloat)), c.raw[row])
+		return hashWord(h, KindFloat, c.raw[row])
 	default:
-		return hashUint64(hashByte(h, byte(KindString)), uint64(c.codes[row]))
+		return hashWord(h, KindString, uint64(c.codes[row]))
 	}
 }
 
@@ -138,6 +137,24 @@ func cmpInt64(a, b int64) int {
 type relColumns struct {
 	ids  []FactID
 	cols []column
+}
+
+// hashRowOn folds row `row`'s cells at positions into h.
+func (rc *relColumns) hashRowOn(row int, positions []int, h uint64) uint64 {
+	for _, p := range positions {
+		h = rc.cols[p].hashRow(h, row)
+	}
+	return h
+}
+
+// equalRowsOn reports whether rows a and b hold equal cells at positions.
+func (rc *relColumns) equalRowsOn(a, b int, positions []int) bool {
+	for _, p := range positions {
+		if rc.cols[p].cell(a) != rc.cols[p].cell(b) {
+			return false
+		}
+	}
+	return true
 }
 
 func newRelColumns(rs *RelationSchema) *relColumns {

@@ -155,9 +155,6 @@ func requireMatchesRef(t *testing.T, in *Instance, ref []refFact) {
 		if h != want {
 			t.Fatalf("fact %d: probe hash %x != row hash %x", id, h, want)
 		}
-		if got := in.HashRowAll(id, HashSeed); got != want {
-			t.Fatalf("fact %d: HashRowAll %x != HashRowOn(all) %x", id, got, want)
-		}
 	}
 	for _, rs := range in.Schema().Relations() {
 		got, want := in.RelFacts(rs.Name), byRel[rs.canon]

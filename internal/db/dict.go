@@ -157,11 +157,10 @@ func (d *Dict) rebuildTable(size int) {
 // last byte; 4–8 byte tails the first and last four bytes). It is
 // fixed: snapshots store tables laid out by it.
 func dictHash(s string) uint64 {
-	const m1, m2 = 0xa0761d6478bd642f, 0xe7037ed1a0b428db
 	n := uint64(len(s))
-	h := n ^ m1
+	h := n ^ mixK1
 	for len(s) > 8 {
-		h = mix64(h^le64(s), m2)
+		h = mix64(h^le64(s), mixK2)
 		s = s[8:]
 	}
 	var t uint64
@@ -171,7 +170,7 @@ func dictHash(s string) uint64 {
 	case len(s) > 0:
 		t = uint64(s[0])<<16 | uint64(s[len(s)>>1])<<8 | uint64(s[len(s)-1])
 	}
-	return mix64(h^t, m1^n)
+	return mix64(h^t, mixK1^n)
 }
 
 // le64 and le32 read the first 8 and 4 bytes of s little-endian (the

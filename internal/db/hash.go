@@ -2,38 +2,34 @@ package db
 
 import "math"
 
-// 64-bit FNV-1a. The front end (internal/cq, internal/constraints) keys
-// its hot maps — join indexes, witness-bag grouping, violation dedup,
-// key-equal grouping — by these hashes instead of the materialized
-// strings Tuple.Key builds, trading the allocation per probe for a
-// cheap integer fold. Hashes are not injective: every consumer keeps
-// bucket lists and verifies candidates with the Equal* predicates
-// below, so a collision costs a comparison, never correctness.
+// Streaming 64-bit hashes. The front end (internal/cq, internal/constraints,
+// internal/core) keys its hot maps — witness-bag grouping, violation
+// dedup, fact-set dedup — and the partition kernel (partition.go) its
+// table by these hashes instead of the materialized strings Tuple.Key
+// builds, trading the allocation per probe for a cheap integer fold.
+// A cell is one word, folded with one 64×64→128-bit multiply (mix64,
+// the mix of dictHash). Hashes are not injective: every consumer
+// verifies candidates with the Equal* predicates below, so a collision
+// costs a comparison, never correctness.
 
 // HashSeed is the initial accumulator for the streaming hash helpers
-// (the FNV-1a offset basis).
+// (the FNV-1a offset basis; the snapshot's data version starts there).
 const HashSeed uint64 = 0xcbf29ce484222325
 
-const fnvPrime64 = 0x100000001b3
+// mixK1 and mixK2 are the multipliers of dictHash and hashWord.
+const mixK1, mixK2 = 0xa0761d6478bd642f, 0xe7037ed1a0b428db
 
-func hashByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
-
-func hashUint64(h uint64, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = hashByte(h, byte(v))
-		v >>= 8
-	}
-	return h
+// hashWord folds the payload word v of a value of kind k into h. The
+// kind perturbs the multiplier, so equal payloads of different kinds
+// (NULL and Int(0), Int(1) and the FLOAT whose bits are 1) part.
+func hashWord(h uint64, k Kind, v uint64) uint64 {
+	return mix64(h^v, mixK2^uint64(k)<<32)
 }
 
-func hashString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = hashByte(h, s[i])
-	}
-	// Terminator, mirroring the 0x1f separator of Tuple.Key: without it
-	// adjacent strings could merge ("ab","c" vs "a","bc").
-	return hashByte(h, 0x1f)
-}
+// hashByte is one byte-wise FNV-1a round. Only the snapshot's data
+// version uses it: the version is stored in the file, so its hash is
+// part of the format.
+func hashByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * 0x100000001b3 }
 
 // HashFactSet folds a fact-ID slice into a 64-bit key. Callers must
 // pass the IDs sorted ascending (witness fact sets and violations are
@@ -41,7 +37,7 @@ func hashString(h uint64, s string) uint64 {
 func HashFactSet(ids []FactID) uint64 {
 	h := HashSeed
 	for _, f := range ids {
-		h = hashUint64(h, uint64(uint32(f)))
+		h = hashWord(h, KindInt, uint64(uint32(f)))
 	}
 	return h
 }
@@ -49,18 +45,18 @@ func HashFactSet(ids []FactID) uint64 {
 // HashExact folds the value into h, distinguishing exactly what
 // EqualExact distinguishes: the kind and the raw payload. In particular
 // Int(1) and Float(1) hash differently (they are Compare-equal but not
-// key-equal), matching the kind-tagged encoding of Tuple.Key.
+// key-equal), matching the kind-tagged encoding of Tuple.Key. A string
+// folds its dictHash.
 func (v Value) HashExact(h uint64) uint64 {
-	h = hashByte(h, byte(v.kind))
 	switch v.kind {
 	case KindInt:
-		return hashUint64(h, uint64(v.i))
+		return hashWord(h, KindInt, uint64(v.i))
 	case KindFloat:
-		return hashUint64(h, math.Float64bits(v.f))
+		return hashWord(h, KindFloat, math.Float64bits(v.f))
 	case KindString:
-		return hashString(h, v.s)
-	default: // NULL: the kind tag is the payload
-		return h
+		return hashWord(h, KindString, dictHash(v.s))
+	default: // NULL: the kind is the payload
+		return hashWord(h, KindNull, 0)
 	}
 }
 

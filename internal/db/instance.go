@@ -44,6 +44,12 @@ type Instance struct {
 	// grouping, and an Insert invalidates the memo.
 	groupMu  sync.Mutex
 	keyIndex *KeyIndex
+
+	// partMu guards the Partition memo: per relation, the partitions
+	// built at fact count partsAt.
+	partMu  sync.Mutex
+	parts   [][]*Partition
+	partsAt int
 }
 
 // NewInstance creates an empty instance over the given schema.
@@ -111,22 +117,7 @@ func (in *Instance) RelSize(rel string) int { return len(in.RelFacts(rel)) }
 // pair them with HashCell over the same instance's cells on the probe
 // side.
 func (in *Instance) HashRowOn(id FactID, positions []int, h uint64) uint64 {
-	rc := in.rels[in.factRel[id]]
-	row := int(in.factRow[id])
-	for _, p := range positions {
-		h = rc.cols[p].hashRow(h, row)
-	}
-	return h
-}
-
-// HashRowAll is HashRowOn over every attribute position.
-func (in *Instance) HashRowAll(id FactID, h uint64) uint64 {
-	rc := in.rels[in.factRel[id]]
-	row := int(in.factRow[id])
-	for i := range rc.cols {
-		h = rc.cols[i].hashRow(h, row)
-	}
-	return h
+	return in.rels[in.factRel[id]].hashRowOn(int(in.factRow[id]), positions, h)
 }
 
 // EqualRowsOn reports EqualExact of two facts' projections onto the

@@ -1,10 +1,13 @@
 package db_test
 
 import (
+	"math/bits"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"aggcavsat/internal/db"
+	"aggcavsat/internal/medigap"
 	"aggcavsat/internal/tpch"
 )
 
@@ -61,5 +64,66 @@ func BenchmarkOpenSnapshotAdopt(b *testing.B) {
 		}
 		snap.Instance().KeyEqualGroups()
 		snap.Close()
+	}
+}
+
+// partitionBytesPerFact bounds the bytes one partition build allocates
+// per fact of the partitioned relation: the 4-byte group of each fact,
+// 8-byte members, 4-byte offsets, and a table of at most four 8-byte
+// slots per fact with the smaller ones it grew from or shrinks to.
+const partitionBytesPerFact = 80
+
+// TestPartitionAllocsScaleWithRelation is the allocation gate of the
+// kernel: a partition of Medigap's OBS relation (scale 0.5, 1,936 of
+// the instance's 30,637 facts) on orgID makes a fixed handful of
+// allocations plus one per table growth, stays under
+// partitionBytesPerFact per OBS fact, and allocates as much as the same
+// partition in an instance that holds OBS alone.
+func TestPartitionAllocsScaleWithRelation(t *testing.T) {
+	full, err := medigap.Generate(0.5, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs, _ := full.Schema().RelID("OBS")
+	alone := full.Subset(func(f db.FactID) bool { return full.RelOf(f) == obs })
+	m := len(full.RelFactsByID(obs))
+	measure := func(in *db.Instance) (allocs float64, bytes uint64) {
+		allocs = testing.AllocsPerRun(5, func() { in.BuildPartition(obs, []int{0}) })
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 10
+		for i := 0; i < runs; i++ {
+			in.BuildPartition(obs, []int{0})
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	allocs, bytes := measure(full)
+	_, aloneBytes := measure(alone)
+	t.Logf("OBS partition: %d facts of %d, %.0f allocs, %d bytes (%d with OBS alone)", m, full.NumFacts(), allocs, bytes, aloneBytes)
+	if bound := 6 + bits.Len(uint(m)); allocs > float64(bound) {
+		t.Errorf("%.0f allocs per partition build, want at most %d", allocs, bound)
+	}
+	if bytes > uint64(partitionBytesPerFact*m) {
+		t.Errorf("%d bytes per partition build, bound %d (%d B per OBS fact)", bytes, partitionBytesPerFact*m, partitionBytesPerFact)
+	}
+	// An array sized by the instance would add 4 bytes or more for each
+	// of the 28,701 facts of other relations; a KiB absorbs the runtime's
+	// own allocations during the measurement.
+	if max(bytes, aloneBytes)-min(bytes, aloneBytes) > 1<<10 {
+		t.Errorf("%d bytes in the Medigap instance, %d with OBS alone: allocation depends on the other relations", bytes, aloneBytes)
+	}
+}
+
+// BenchmarkPartition: the kernel alone, a cold partition of the sf 0.01
+// demo instance's lineitem (65,082 facts) on l_orderkey, a join column
+// of 14,962 values.
+func BenchmarkPartition(b *testing.B) {
+	in := demoInstance(b)
+	rel, _ := in.Schema().RelID("lineitem")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in.BuildPartition(rel, []int{0})
 	}
 }

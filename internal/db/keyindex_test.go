@@ -114,9 +114,71 @@ func TestKeyIndexMatchesNaivePartition(t *testing.T) {
 		want := refKeyEqualGroups(in.Schema(), refOf(in))
 		requireIndexMatches(t, in, in.KeyEqualGroups(), want)
 		for _, mask := range []uint64{0, 3} {
-			requireIndexMatches(t, in, in.buildKeyIndex(mask), want)
+			x := in.buildKeyIndex(func(rel RelID, key []int) *Partition { return in.buildPartition(rel, key, mask) })
+			requireIndexMatches(t, in, x, want)
 		}
 	}
+}
+
+// TestPartitionMatchesNaive: the kernel's full partition of every
+// relation on several position lists equals a map[string][]FactID
+// grouping by Tuple.Key (groups in first-seen order, members
+// ascending), and a probe with each group's cells, and with cells no
+// fact holds, finds what the map finds — with the full hash and with
+// the hash narrowed to zero and two bits, where every probe walks
+// colliding tags.
+func TestPartitionMatchesNaive(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		in := randomGroupInstance(seed, int(seed*11%400))
+		ref := refOf(in)
+		for _, rs := range in.Schema().Relations() {
+			for _, pos := range [][]int{{0}, {1}, {0, 1}, {1, 0}, {}} {
+				var order []string
+				byKey := map[string][]FactID{}
+				for _, f := range in.RelFactsByID(rs.ID()) {
+					k := ref[f].t.Key(pos)
+					if _, ok := byKey[k]; !ok {
+						order = append(order, k)
+					}
+					byKey[k] = append(byKey[k], f)
+				}
+				for _, mask := range []uint64{^uint64(0), 0, 3} {
+					p := in.buildPartition(rs.ID(), pos, mask)
+					if p.NumGroups() != len(order) {
+						t.Fatalf("seed %d %s%v mask %x: %d groups, want %d", seed, rs.Name, pos, mask, p.NumGroups(), len(order))
+					}
+					for g, k := range order {
+						got := p.Members(g)
+						if !slices.Equal(got, byKey[k]) {
+							t.Fatalf("seed %d %s%v mask %x: group %d = %v, want %v", seed, rs.Name, pos, mask, g, got, byKey[k])
+						}
+						if hit := p.Lookup(cellsOf(in, got[0], pos)); !slices.Equal(hit, got) {
+							t.Fatalf("seed %d %s%v mask %x: probe of group %d = %v", seed, rs.Name, pos, mask, g, hit)
+						}
+					}
+					// A projection no fact holds: an INT absent from
+					// every domain (the generator stays below 30).
+					if len(pos) > 0 {
+						miss := make([]Cell, len(pos))
+						for i := range miss {
+							miss[i] = Cell{bits: 1 << 40, kind: KindInt}
+						}
+						if hit := p.Lookup(miss); hit != nil {
+							t.Fatalf("seed %d %s%v mask %x: probe of an absent projection = %v", seed, rs.Name, pos, mask, hit)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func cellsOf(in *Instance, f FactID, pos []int) []Cell {
+	out := make([]Cell, len(pos))
+	for i, p := range pos {
+		out[i] = in.Row(f).Cell(p)
+	}
+	return out
 }
 
 // TestKeyIndexEmpty: an instance without facts has an empty index.

@@ -660,7 +660,7 @@ func VerifySnapshot(b []byte) error {
 	if h != in.dataVersion {
 		return errSection("body", "hashes to %x, header says %x", h, in.dataVersion)
 	}
-	stored, fresh := in.keyIndex, in.buildKeyIndex(^uint64(0))
+	stored, fresh := in.keyIndex, in.buildKeyIndex(in.Partition)
 	if !slices.Equal(stored.offsets, fresh.offsets) || !slices.Equal(stored.members, fresh.members) {
 		return errKeyIndex("stored %d groups over %d facts, the partition has %d over %d",
 			stored.NumGroups(), len(stored.members), fresh.NumGroups(), len(fresh.members))
