@@ -39,7 +39,9 @@ race:
 # component solve on a single-group and a coupled width-2 component
 # (BenchmarkComponentSolve), the compiled evaluation
 # (BenchmarkEvalWideJoin: a join into a 14-column relation that reads
-# two columns), Medigap's violation step on a freshly opened snapshot,
+# two columns) and the witness bag it builds (BenchmarkWitnessBag:
+# ungrouped, and grouped with a fold as the engine asks for it),
+# Medigap's violation step on a freshly opened snapshot,
 # FD partitions vs generic self-joins (BenchmarkMinimalViolations/
 # partition and /generic in constraints), the rewriting executor over
 # the instance's memoised key partitions in conquer (the planner fast
@@ -62,8 +64,11 @@ bench:
 # declining exactly the components whose largest table exceeds it; on
 # the same cases the consistency filter and the MIN/MAX probes, by
 # elimination and with lowered budgets on SAT, ≡ enumeration) and
-# of the evaluator fuzzer (compiled CQ evaluation ≡
-# brute-force reference, folded + materialized ≡ unfolded bag) and of
+# of the evaluator fuzzer (the compiled CQ evaluator's witness bag —
+# fact sets, answers and multiplicities — ≡ the brute-force reference's,
+# sequential and, on a self-join whose duplicates meet across chunks,
+# at parallelism 4; its groups' witnesses and folds ≡ the reference bag
+# split by key and by safety) and of
 # the snapshot loader fuzzer (no byte string panics the loader; what it
 # accepts passes or fails VerifySnapshot with a typed error, reads back,
 # looks its strings up and answers key index lookups), and of the parsers

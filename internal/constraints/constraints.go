@@ -162,8 +162,8 @@ func MinimalViolations(e *cq.Evaluator, dcs []DC) []Violation {
 		fdViolations(in, part, dedup.add)
 	}
 	for _, dc := range generic {
-		for _, r := range e.Eval(dc.Body()) {
-			dedup.add(r.Facts)
+		for _, w := range e.WitnessBag(cq.Single(dc.Body())) {
+			dedup.add(w.Facts)
 		}
 	}
 	return sortedMinimal(dedup.all)
@@ -289,7 +289,7 @@ func (idx *NearViolationIndex) Safe(f db.FactID) bool {
 func CheckConsistent(in *db.Instance, dcs []DC) bool {
 	e := cq.NewEvaluator(in)
 	for _, dc := range dcs {
-		if len(e.Eval(dc.Body())) > 0 {
+		if len(e.WitnessBag(cq.Single(dc.Body()))) > 0 {
 			return false
 		}
 	}

@@ -59,8 +59,8 @@ func randomConsInstance(rng *xrand.Rand, n int) *db.Instance {
 func MinimalViolationsGeneric(e *cq.Evaluator, dcs []DC) []Violation {
 	dedup := newVioDedup()
 	for _, dc := range dcs {
-		for _, r := range e.Eval(dc.Body()) {
-			dedup.add(r.Facts)
+		for _, w := range e.WitnessBag(cq.Single(dc.Body())) {
+			dedup.add(w.Facts)
 		}
 	}
 	return sortedMinimal(dedup.all)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"aggcavsat/internal/medigap"
+	"aggcavsat/internal/tpch"
 )
 
 // q12mAllocBound caps the allocations of one warm Medigap Q12m call
@@ -52,5 +53,57 @@ func TestWarmStatementAllocs(t *testing.T) {
 	t.Logf("Q12m: %d groups, %d folded assignments, %.0f allocs per warm call", len(rep.Answers), rep.Stats.FoldedAssignments, allocs)
 	if allocs > q12mAllocBound {
 		t.Errorf("warm Q12m call: %.0f allocs, bound %d", allocs, q12mAllocBound)
+	}
+}
+
+// scalarAllocGrowth caps how the allocations of one warm scalar call
+// grow with the data: a TPC-H scalar query at sf 0.01 may make at most
+// this many times the allocations of the same call at sf 0.001, while
+// its witnesses grow 10–14×. The witness bag, its groups and the
+// component split are flat arrays, so only their doublings and slabs
+// grow with the witness count.
+const scalarAllocGrowth = 2
+
+// TestWarmScalarAllocsScale is the allocation gate over data size: with
+// the engine warm and sequential, a Q1′ and a Q3′ call (keys mode, 10%
+// inconsistency) at sf 0.01 stay within scalarAllocGrowth times their
+// allocations at sf 0.001.
+func TestWarmScalarAllocsScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds an sf 0.01 instance")
+	}
+	warmAllocs := func(sf float64, name string) float64 {
+		in, err := tpch.DemoInstance(sf, 10, 2022)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tq, err := tpch.QueryByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := tq.Translate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := tr.Aggs[0].Query
+		eng, err := New(in, Options{Mode: KeysMode, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.RangeAnswers(q); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := eng.RangeAnswers(q); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, name := range []string{"Q1'", "Q3'"} {
+		small, large := warmAllocs(0.001, name), warmAllocs(0.01, name)
+		t.Logf("%s: %.0f allocs per warm call at sf 0.001, %.0f at sf 0.01 (%.2f×)", name, small, large, large/small)
+		if large > scalarAllocGrowth*small {
+			t.Errorf("%s: %.0f allocs at sf 0.01, more than %d× the %.0f at sf 0.001", name, large, scalarAllocGrowth, small)
+		}
 	}
 }

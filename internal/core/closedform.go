@@ -32,25 +32,26 @@ const elimTableBudget = 1 << 20
 // with one locked add. It returns their summed minimum and maximum
 // falsified weights and the components left to the solver (every
 // component in DC mode).
-func (e *Engine) eliminateComponents(cc *constraintContext, split *componentSplit, ws []weightedWitness, rc *recorder) (minF, maxF int64, solve []int) {
+func (e *Engine) eliminateComponents(cc *constraintContext, split componentSplit, b weightedBag, rc *recorder) (minF, maxF int64, solve []int) {
 	if cc.mode != KeysMode {
-		solve = make([]int, len(split.groups))
+		solve = make([]int, split.count())
 		for ci := range solve {
 			solve[ci] = ci
 		}
 		return 0, 0, solve
 	}
-	el := eliminator{cc: cc, ws: ws, budget: e.elimBudget}
+	el := eliminator{cc: cc, bag: b, budget: e.elimBudget}
 	var tally closedFormTally
-	for ci, idx := range split.groups {
-		lo, hi, shape, ok := el.solve(split.facts[ci], idx)
+	for ci := range split.count() {
+		facts, idx := split.component(ci)
+		lo, hi, shape, ok := el.solve(facts, idx)
 		if !ok {
 			solve = append(solve, ci)
 			continue
 		}
 		minF += lo
 		maxF += hi
-		tally.add(reductionSize(cc, split.facts[ci], ws, idx), len(split.facts[ci]), len(idx), shape, rc.explain)
+		tally.add(reductionSize(cc, facts, b, idx), len(facts), len(idx), shape, rc.explain)
 	}
 	rc.closedForm(&tally)
 	return minF, maxF, solve
@@ -71,7 +72,7 @@ func (s elimShape) widest(o elimShape) elimShape {
 // the components of one solve unit.
 type eliminator struct {
 	cc     *constraintContext
-	ws     []weightedWitness
+	bag    weightedBag
 	budget int
 	// minOnly skips the max tables: solve then returns the minimum alone,
 	// as the consistency filter and the MIN/MAX probes need.
@@ -139,7 +140,7 @@ type elimFactor struct {
 }
 
 // solve answers the component over facts (sorted, whole key-equal
-// groups) holding the witnesses idx of ws. It returns the minimum and
+// groups) holding the witnesses idx of the bag. It returns the minimum and
 // maximum falsified weight of the component's Reduction IV.1 instance:
 // a positive witness is falsified when present, a negative one when
 // absent. A witness is present iff each of its facts in a violating
@@ -153,7 +154,7 @@ type elimFactor struct {
 // Every table entry, message and partial sum below is a sum over
 // distinct witnesses of at most their weight each in absolute value, so
 // all stay within it.
-func (el *eliminator) solve(facts []db.FactID, idx []int) (minF, maxF int64, shape elimShape, ok bool) {
+func (el *eliminator) solve(facts []db.FactID, idx []int32) (minF, maxF int64, shape elimShape, ok bool) {
 	always := el.index(facts, idx)
 	if shape, ok = el.plan(); !ok {
 		return 0, 0, shape, false
@@ -174,7 +175,7 @@ func (el *eliminator) solve(facts []db.FactID, idx []int) (minF, maxF int64, sha
 // A fact's variable is read from a pooled group → variable table (every
 // entry -1 at rest, restored before index returns) and its member index
 // from the constraint context, so each lookup is O(1).
-func (el *eliminator) index(facts []db.FactID, idx []int) (always int64) {
+func (el *eliminator) index(facts []db.FactID, idx []int32) (always int64) {
 	cc := el.cc
 	pooled := cc.groupNodes()
 	node := pooled.group
@@ -193,10 +194,10 @@ func (el *eliminator) index(facts []db.FactID, idx []int) (always int64) {
 
 	el.ents, el.ev, el.coupled = el.ents[:0], el.ev[:0], false
 	for _, wi := range idx {
-		w := &el.ws[wi]
+		w := el.bag.wt[wi]
 		off := len(el.ev)
 		never := false
-		for _, f := range w.facts {
+		for _, f := range el.bag.ws[wi].Facts {
 			gi := cc.keys.GroupOf(f)
 			if gi < 0 {
 				continue
@@ -637,12 +638,12 @@ func keysHardSize(cc *constraintContext, seed []db.FactID) (size formulaSize) {
 
 // reductionSize counts the variables and clauses of the Reduction IV.1
 // formula the encoder builds for one keys-mode component (facts, sorted
-// and made of whole key-equal groups, holding the witnesses idx of ws)
+// and made of whole key-equal groups, holding the witnesses idx of b)
 // without building it: one variable per fact, per group an at-least-one
 // clause and the pairwise at-most-one clauses, one soft clause per
 // witness, and a defined presence variable with its clauses per
 // negative witness of several facts.
-func reductionSize(cc *constraintContext, facts []db.FactID, ws []weightedWitness, idx []int) formulaSize {
+func reductionSize(cc *constraintContext, facts []db.FactID, b weightedBag, idx []int32) formulaSize {
 	vars, hard := len(facts), 0
 	for _, f := range facts {
 		if gi := cc.keys.GroupOf(f); gi < 0 {
@@ -653,7 +654,7 @@ func reductionSize(cc *constraintContext, facts []db.FactID, ws []weightedWitnes
 		}
 	}
 	for _, wi := range idx {
-		if n := len(ws[wi].facts); ws[wi].negative && n > 1 {
+		if n := len(b.ws[wi].Facts); b.wt[wi].negative && n > 1 {
 			vars++
 			hard += n + 1
 		}

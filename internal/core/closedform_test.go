@@ -115,6 +115,23 @@ func repairRange(t *testing.T, in *db.Instance, value func(keep []bool) int64) (
 	return lo, hi
 }
 
+// groupByAnswer groups a case's bag by its one answer value, as
+// WitnessGroups with arity 1 groups an evaluated bag: groups ordered by
+// key, each witness's answer cut to the empty suffix.
+func groupByAnswer(bag []cq.Witness) []cq.WitnessGroup {
+	var groups []cq.WitnessGroup
+	for _, w := range bag {
+		i := slices.IndexFunc(groups, func(g cq.WitnessGroup) bool { return g.Key.EqualExact(w.Answer) })
+		if i < 0 {
+			i = len(groups)
+			groups = append(groups, cq.WitnessGroup{Key: w.Answer})
+		}
+		groups[i].Witnesses = append(groups[i].Witnesses, cq.Witness{Facts: w.Facts, Answer: w.Answer[1:], Mult: w.Mult})
+	}
+	slices.SortStableFunc(groups, func(a, b cq.WitnessGroup) int { return a.Key.Compare(b.Key) })
+	return groups
+}
+
 func present(keep []bool, facts []db.FactID) bool {
 	for _, f := range facts {
 		if !keep[f] {
@@ -152,23 +169,19 @@ func checkClosedForm(t *testing.T, label string, c closedFormCase, tally *elimTa
 	if err != nil {
 		t.Fatal(err)
 	}
-	witnessFacts := make([][]db.FactID, len(ws))
-	for i, w := range ws {
-		witnessFacts[i] = w.facts
-	}
-	split := splitComponents(cc, witnessFacts)
+	split := splitComponents(cc, ws)
 	// One kernel per budget, its scratch reused across the components
 	// as in a solve unit.
-	full := eliminator{cc: cc, ws: ws, budget: elimTableBudget}
-	lowered := eliminator{cc: cc, ws: ws, budget: c.budget}
-	for ci, idx := range split.groups {
-		facts := split.facts[ci]
+	full := eliminator{cc: cc, bag: ws, budget: elimTableBudget}
+	lowered := eliminator{cc: cc, bag: ws, budget: c.budget}
+	for ci := range split.count() {
+		facts, idx := split.component(ci)
 		where := fmt.Sprintf("%s component %d (facts %v, witnesses %v)", label, ci, facts, idx)
 		wantMin, wantMax := repairRange(t, c.in, func(keep []bool) int64 {
 			var f int64
 			for _, wi := range idx {
-				if present(keep, ws[wi].facts) != ws[wi].negative {
-					f += ws[wi].weight
+				if present(keep, ws.ws[wi].Facts) != ws.wt[wi].negative {
+					f += ws.wt[wi].weight
 				}
 			}
 			return f
@@ -188,7 +201,7 @@ func checkClosedForm(t *testing.T, label string, c closedFormCase, tally *elimTa
 		// The budget boundary: the largest table fits exactly, one entry
 		// less declines (a component of safe facts only builds none).
 		for _, b := range []int{shape.table, max(shape.table-1, 0)} {
-			edge := eliminator{cc: cc, ws: ws, budget: b}
+			edge := eliminator{cc: cc, bag: ws, budget: b}
 			if _, _, _, ok := edge.solve(facts, idx); ok != (shape.table <= b) {
 				t.Fatalf("%s: budget %d, largest table %d: ok = %v", where, b, shape.table, ok)
 			}
@@ -244,8 +257,9 @@ func checkClosedForm(t *testing.T, label string, c closedFormCase, tally *elimTa
 
 // splitByClosure is the keys-mode split computed over the closure's
 // fact positions: witness co-occurrence and key-equal groups unioned,
-// components numbered in closure order. splitKeys must reproduce it.
-func splitByClosure(cc *constraintContext, witnessFacts [][]db.FactID) *componentSplit {
+// components numbered in closure order, each component's facts and
+// witnesses listed. splitKeys must reproduce it.
+func splitByClosure(cc *constraintContext, witnessFacts [][]db.FactID) (compFacts [][]db.FactID, compWits [][]int32) {
 	var seed []db.FactID
 	for _, fs := range witnessFacts {
 		seed = append(seed, fs...)
@@ -266,26 +280,25 @@ func splitByClosure(cc *constraintContext, witnessFacts [][]db.FactID) *componen
 			uf.union(int32(i), pos(cc.keys.Members(gi)[0]))
 		}
 	}
-	split := &componentSplit{}
 	comp := map[int32]int{}
 	for i, f := range facts {
 		r := uf.find(int32(i))
 		ci, ok := comp[r]
 		if !ok {
-			ci = len(split.facts)
+			ci = len(compFacts)
 			comp[r] = ci
-			split.facts = append(split.facts, nil)
-			split.groups = append(split.groups, nil)
+			compFacts = append(compFacts, nil)
+			compWits = append(compWits, nil)
 		}
-		split.facts[ci] = append(split.facts[ci], f)
+		compFacts[ci] = append(compFacts[ci], f)
 	}
 	for wi, fs := range witnessFacts {
 		if len(fs) > 0 {
 			ci := comp[uf.find(pos(fs[0]))]
-			split.groups[ci] = append(split.groups[ci], wi)
+			compWits[ci] = append(compWits[ci], int32(wi))
 		}
 	}
-	return split
+	return compFacts, compWits
 }
 
 // TestSplitKeysOrder: the keys-mode split on group ids gives the
@@ -308,6 +321,7 @@ func TestSplitKeysOrder(t *testing.T) {
 			in.MustInsert("R", db.Int(int64(r.next(8))), db.Int(int64(i)))
 		}
 		var witnessFacts [][]db.FactID
+		var bag []cq.Witness
 		for range r.next(10) {
 			var fs []db.FactID
 			for range 1 + r.next(3) {
@@ -315,6 +329,7 @@ func TestSplitKeysOrder(t *testing.T) {
 			}
 			slices.Sort(fs)
 			witnessFacts = append(witnessFacts, slices.Compact(fs))
+			bag = append(bag, cq.Witness{Facts: witnessFacts[len(witnessFacts)-1]})
 		}
 		e, err := New(in, Options{Mode: KeysMode})
 		if err != nil {
@@ -324,9 +339,17 @@ func TestSplitKeysOrder(t *testing.T) {
 		cc := e.constraintCtx(ctx, rc)
 		// Twice: the second split reuses the pooled group table.
 		for range 2 {
-			got, want := splitKeys(cc, witnessFacts), splitByClosure(cc, witnessFacts)
-			if !slices.EqualFunc(got.facts, want.facts, slices.Equal) || !slices.EqualFunc(got.groups, want.groups, slices.Equal) {
-				t.Fatalf("seed %d: split %v / %v, by closure %v / %v", seed, got.facts, got.groups, want.facts, want.groups)
+			split := splitKeys(cc, weightedBag{ws: bag})
+			var gotFacts [][]db.FactID
+			var gotWits [][]int32
+			for c := range split.count() {
+				facts, idx := split.component(c)
+				gotFacts = append(gotFacts, facts)
+				gotWits = append(gotWits, idx)
+			}
+			wantFacts, wantWits := splitByClosure(cc, witnessFacts)
+			if !slices.EqualFunc(gotFacts, wantFacts, slices.Equal) || !slices.EqualFunc(gotWits, wantWits, slices.Equal) {
+				t.Fatalf("seed %d: split %v / %v, by closure %v / %v", seed, gotFacts, gotWits, wantFacts, wantWits)
 			}
 		}
 	}
@@ -352,7 +375,7 @@ func checkChecks(t *testing.T, label string, c closedFormCase, tally *checkTally
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := cq.GroupWitnesses(c.bag, 1)
+	groups := groupByAnswer(c.bag)
 	var wantCons []bool
 	for _, g := range groups {
 		cons := true
@@ -598,14 +621,14 @@ func BenchmarkComponentSolve(b *testing.B) {
 			b.Fatal(err)
 		}
 		var seed []db.FactID
-		idx := make([]int, len(ws))
-		for i, w := range ws {
-			seed = append(seed, w.facts...)
-			idx[i] = i
+		idx := make([]int32, len(bc.bag))
+		for i, w := range bc.bag {
+			seed = append(seed, w.Facts...)
+			idx[i] = int32(i)
 		}
 		facts := cc.closure(seed)
 		b.Run(bc.name+"/elimination", func(b *testing.B) {
-			el := eliminator{cc: cc, ws: ws, budget: elimTableBudget}
+			el := eliminator{cc: cc, bag: ws, budget: elimTableBudget}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, shape, ok := el.solve(facts, idx); !ok || shape.width != bc.width {

@@ -8,36 +8,65 @@ import (
 	"aggcavsat/internal/db"
 )
 
-// componentSplit partitions a set of witness-like fact groups into the
-// connected components of the repair-entanglement graph: two facts are
-// entangled when they share a witness, a key-equal group, or a minimal
-// violation. The WPMaxSAT instance of Reduction IV.1 is a disjoint union
-// over these components, so each component can be encoded and solved
+// componentSplit partitions a weighted bag into the connected
+// components of the repair-entanglement graph: two facts are entangled
+// when they share a witness, a key-equal group, or a minimal violation.
+// The WPMaxSAT instance of Reduction IV.1 is a disjoint union over
+// these components, so each component can be encoded and solved
 // independently and the falsified weights summed — a large practical
 // win for core-guided MaxSAT (the paper's MaxHS exploits the same
 // structure internally through its hitting-set decomposition).
+//
+// The split is two compressed rows, like db.Partition: component c's
+// witnesses (indexes into the bag, ascending) are wits[witOff[c]:
+// witOff[c+1]], and its closure facts (sorted) are facts[factOff[c]:
+// factOff[c+1]].
 type componentSplit struct {
-	// groups[i] lists the indexes (into the caller's witness slice)
-	// belonging to component i.
-	groups [][]int
-	// facts[i] is the closure fact set of component i, sorted.
-	facts [][]db.FactID
+	witOff, factOff []int32
+	wits            []int32
+	facts           []db.FactID
 }
 
-// splitComponents computes the component partition for the given
-// witness fact sets. The ctx closure expansion (key-equal siblings or
-// violation neighbours) is applied transitively. Components come in
-// the order of their smallest fact, and each lists its witnesses in
-// ascending order.
-func splitComponents(ctx *constraintContext, witnessFacts [][]db.FactID) *componentSplit {
-	if ctx.mode == KeysMode {
-		return splitKeys(ctx, witnessFacts)
+// count returns the number of components.
+func (s *componentSplit) count() int { return len(s.witOff) - 1 }
+
+// newSplit allocates the offsets of n components and the witness rows
+// of the bag's kept witnesses in one array.
+func newSplit(n int, b weightedBag) componentSplit {
+	kept := 0
+	for i := range b.ws {
+		if b.kept(i) {
+			kept++
+		}
+	}
+	ints := make([]int32, 2*(n+1)+kept)
+	return componentSplit{factOff: ints[:n+1], witOff: ints[n+1 : 2*(n+1)], wits: ints[2*(n+1):]}
+}
+
+// component returns component c's closure facts and witness indexes.
+// Both slices are capped.
+func (s *componentSplit) component(c int) ([]db.FactID, []int32) {
+	flo, fhi := s.factOff[c], s.factOff[c+1]
+	wlo, whi := s.witOff[c], s.witOff[c+1]
+	return s.facts[flo:fhi:fhi], s.wits[wlo:whi:whi]
+}
+
+// splitComponents computes the component partition of the bag's kept
+// witnesses (weighted, with a fact). The closure expansion (key-equal
+// siblings or violation neighbours) is applied transitively.
+// Components come in the order of their smallest fact, and each lists
+// its witnesses in ascending order.
+func splitComponents(cc *constraintContext, b weightedBag) componentSplit {
+	if cc.mode == KeysMode {
+		return splitKeys(cc, b)
 	}
 	var seed []db.FactID
-	for _, fs := range witnessFacts {
-		seed = append(seed, fs...)
+	for i, w := range b.ws {
+		if b.kept(i) {
+			seed = append(seed, w.Facts...)
+		}
 	}
-	facts := ctx.closure(seed)
+	facts := cc.closure(seed)
 
 	// Union-find over the closure facts' positions, seeded by witness
 	// co-occurrence and linked through violations.
@@ -46,38 +75,45 @@ func splitComponents(ctx *constraintContext, witnessFacts [][]db.FactID) *compon
 		return int32(i)
 	}
 	uf := newUnionFind(len(facts))
-	for _, fs := range witnessFacts {
-		for i := 1; i < len(fs); i++ {
-			uf.union(pos(fs[0]), pos(fs[i]))
+	for i, w := range b.ws {
+		if b.kept(i) {
+			for _, f := range w.Facts[1:] {
+				uf.union(pos(w.Facts[0]), pos(f))
+			}
 		}
 	}
 	for i, f := range facts {
-		for _, g := range ctx.nearIdx.Neighbours(f) {
+		for _, g := range cc.nearIdx.Neighbours(f) {
 			uf.union(int32(i), pos(g))
 		}
 	}
 
-	// Collect components in closure order.
-	compOf := make([]int32, len(facts)) // root position → component + 1
-	split := &componentSplit{}
-	for i, f := range facts {
-		root := uf.find(int32(i))
-		if compOf[root] == 0 {
-			split.facts = append(split.facts, nil)
-			split.groups = append(split.groups, nil)
-			compOf[root] = int32(len(split.facts))
+	// Number the components in closure order, which is by smallest fact.
+	comp := make([]int32, len(facts)) // position → root's component + 1, then its component
+	n := int32(0)
+	for i := range facts {
+		if root := uf.find(int32(i)); comp[root] == 0 {
+			n++
+			comp[root] = n
 		}
-		ci := compOf[root] - 1
-		split.facts[ci] = append(split.facts[ci], f)
 	}
-	for wi, fs := range witnessFacts {
-		if len(fs) == 0 {
-			continue
-		}
-		ci := compOf[uf.find(pos(fs[0]))] - 1
-		split.groups[ci] = append(split.groups[ci], wi)
+	for i := range facts {
+		comp[i] = comp[uf.find(int32(i))]
 	}
-	return split
+	// The closure is sorted, so laying it out in order keeps each
+	// component's facts sorted.
+	s := newSplit(int(n), b)
+	s.facts = make([]db.FactID, len(facts))
+	for _, c := range comp {
+		s.factOff[c]++ // comp holds the component plus one
+	}
+	prefixStarts(s.factOff)
+	for i, c := range comp {
+		s.facts[s.factOff[c]] = facts[i]
+		s.factOff[c]++
+	}
+	s.layoutWitnesses(b, func(f db.FactID) int32 { return comp[pos(f)] - 1 })
+	return s
 }
 
 // splitKeys is splitComponents in keys mode, where the closure is a
@@ -85,13 +121,15 @@ func splitComponents(ctx *constraintContext, witnessFacts [][]db.FactID) *compon
 // the witnesses touch — violating groups numbered through the key index
 // and a pooled dense group → node table, safe facts (singleton groups)
 // through the table's safe map — so no fact is searched for.
-func splitKeys(ctx *constraintContext, witnessFacts [][]db.FactID) *componentSplit {
-	keys := ctx.keys
-	pooled := ctx.groupNodes()
+func splitKeys(cc *constraintContext, b weightedBag) componentSplit {
+	keys := cc.keys
+	pooled := cc.groupNodes()
 	node := pooled.group
 	// units maps each node to its group: a violating group's number, or
-	// -1-f for the safe fact f.
-	var units []int
+	// -1-f for the safe fact f. The scratch slices go back to the pool
+	// with the table.
+	units, uf := pooled.units[:0], unionFind{parent: pooled.parent[:0]}
+	first, roots, comp := pooled.first[:0], pooled.roots[:0], pooled.comp[:0]
 	defer func() {
 		for _, u := range units {
 			if u >= 0 {
@@ -99,9 +137,10 @@ func splitKeys(ctx *constraintContext, witnessFacts [][]db.FactID) *componentSpl
 			}
 		}
 		pooled.resetSafe()
-		ctx.nodes.Put(pooled)
+		pooled.units, pooled.parent = units, uf.parent
+		pooled.first, pooled.roots, pooled.comp = first, roots, comp
+		cc.nodes.Put(pooled)
 	}()
-	uf := unionFind{}
 	nodeOf := func(f db.FactID) int32 {
 		gi := keys.GroupOf(f)
 		if gi < 0 {
@@ -126,24 +165,18 @@ func splitKeys(ctx *constraintContext, witnessFacts [][]db.FactID) *componentSpl
 		}
 		return keys.Members(u)[0]
 	}
-	for _, fs := range witnessFacts {
-		if len(fs) == 0 {
-			continue
-		}
-		a := nodeOf(fs[0])
-		for _, f := range fs[1:] {
-			uf.union(a, nodeOf(f))
+	for i, w := range b.ws {
+		if b.kept(i) {
+			a := nodeOf(w.Facts[0])
+			for _, f := range w.Facts[1:] {
+				uf.union(a, nodeOf(f))
+			}
 		}
 	}
 
 	// Number the components by their smallest fact, as the closure
 	// order would.
-	type root struct {
-		first db.FactID
-		node  int32
-	}
-	var roots []root
-	first := make([]db.FactID, len(units)) // root node → smallest fact
+	first = slices.Grow(first, len(units))[:len(units)] // root node → smallest fact
 	for n := range first {
 		first[n] = math.MaxInt
 	}
@@ -151,54 +184,75 @@ func splitKeys(ctx *constraintContext, witnessFacts [][]db.FactID) *componentSpl
 		r := uf.find(int32(n))
 		first[r] = min(first[r], firstOf(u))
 		if int32(n) == r {
-			roots = append(roots, root{node: r})
+			roots = append(roots, r)
 		}
 	}
-	for i := range roots {
-		roots[i].first = first[roots[i].node]
+	slices.SortFunc(roots, func(a, b int32) int { return cmp.Compare(first[a], first[b]) })
+	comp = slices.Grow(comp, len(units))[:len(units)] // root node → component, then node → component
+	for c, r := range roots {
+		comp[r] = int32(c)
 	}
-	slices.SortFunc(roots, func(a, b root) int { return cmp.Compare(a.first, b.first) })
-	compOf := make([]int32, len(units)) // root node → component
-	for ci, r := range roots {
-		compOf[r.node] = int32(ci)
+	for n := range units {
+		comp[n] = comp[uf.find(int32(n))]
 	}
-	split := &componentSplit{facts: make([][]db.FactID, len(roots)), groups: make([][]int, len(roots))}
-	// own marks the components whose fact list is their own slice (and
-	// must be sorted): the others alias one violating group's members.
-	own := make([]bool, len(roots))
-	for n, u := range units {
-		ci := compOf[uf.find(int32(n))]
-		if u < 0 {
-			// The members are capped, so this append never writes into
-			// the key index.
-			split.facts[ci] = append(split.facts[ci], firstOf(u))
-			own[ci] = true
-			continue
-		}
-		members := keys.Members(u)
-		if split.facts[ci] == nil {
-			split.facts[ci] = members
-			continue
-		}
-		if !own[ci] {
-			split.facts[ci] = slices.Clone(split.facts[ci])
-			own[ci] = true
-		}
-		split.facts[ci] = append(split.facts[ci], members...)
-	}
-	for ci, o := range own {
-		if o {
-			sortFactIDs(split.facts[ci])
+
+	// Lay the units' facts out by component, then sort each component's.
+	n := len(roots)
+	s := newSplit(n, b)
+	for u, unit := range units {
+		if unit < 0 {
+			s.factOff[comp[u]+1]++
+		} else {
+			s.factOff[comp[u]+1] += int32(len(keys.Members(unit)))
 		}
 	}
-	for wi, fs := range witnessFacts {
-		if len(fs) == 0 {
-			continue
+	s.facts = make([]db.FactID, prefixStarts(s.factOff))
+	for u, unit := range units {
+		at := &s.factOff[comp[u]+1]
+		if unit < 0 {
+			s.facts[*at] = db.FactID(-1 - unit)
+			*at++
+		} else {
+			*at += int32(copy(s.facts[*at:], keys.Members(unit)))
 		}
-		ci := compOf[uf.find(nodeOf(fs[0]))]
-		split.groups[ci] = append(split.groups[ci], wi)
 	}
-	return split
+	for c := range n {
+		if fs := s.facts[s.factOff[c]:s.factOff[c+1]]; !slices.IsSorted(fs) {
+			sortFactIDs(fs)
+		}
+	}
+	s.layoutWitnesses(b, func(f db.FactID) int32 { return comp[nodeOf(f)] })
+	return s
+}
+
+// layoutWitnesses lays the bag's kept witnesses out by component, in
+// ascending order; compOf is the component of a witness's fact.
+func (s *componentSplit) layoutWitnesses(b weightedBag, compOf func(db.FactID) int32) {
+	for i, w := range b.ws {
+		if b.kept(i) {
+			s.witOff[compOf(w.Facts[0])+1]++
+		}
+	}
+	prefixStarts(s.witOff)
+	for i, w := range b.ws {
+		if b.kept(i) {
+			at := &s.witOff[compOf(w.Facts[0])+1]
+			s.wits[*at] = int32(i)
+			*at++
+		}
+	}
+}
+
+// prefixStarts turns compressed-row counts into starts: off[c+1] holds
+// component c's count on entry and its start on return, so placing
+// each item of c at off[c+1] and bumping it leaves off[c+1] at c's end,
+// which is c+1's start (db.Partition's layout). It returns the total.
+func prefixStarts(off []int32) int32 {
+	var sum int32
+	for c := 1; c < len(off); c++ {
+		off[c], sum = sum, sum+off[c]
+	}
+	return sum
 }
 
 // unionFind is a disjoint-set forest with path halving.

@@ -93,11 +93,11 @@ func (e *Engine) consistentGroups(ctx context.Context, groups []cq.WitnessGroup,
 	var seed []db.FactID
 	for i, g := range groups {
 		safe := g.Fold.Rows > 0
-		var sets [][]db.FactID
+		var sets weightedBag
 		if !safe {
 			sets = dedupFactSets(g.Witnesses)
-			for _, fs := range sets {
-				if cc.allSafe(fs) {
+			for j, w := range sets.ws {
+				if sets.wt[j].weight != 0 && cc.allSafe(w.Facts) {
 					safe = true
 					break
 				}
@@ -108,9 +108,11 @@ func (e *Engine) consistentGroups(ctx context.Context, groups []cq.WitnessGroup,
 			rc.skip()
 			continue
 		}
-		todo = append(todo, consCandidate{index: i, factSets: sets})
-		for _, fs := range sets {
-			seed = append(seed, fs...)
+		todo = append(todo, consCandidate{index: i, sets: sets})
+		for j, w := range sets.ws {
+			if sets.wt[j].weight != 0 {
+				seed = append(seed, w.Facts...)
+			}
 		}
 	}
 	if len(todo) == 0 {
@@ -197,22 +199,17 @@ func (e *Engine) eliminateCandidates(ctx context.Context, cc *constraintContext,
 	shapes := make([]elimShape, shards)
 	err = forEach(ctx, shards, shards, func(ctx context.Context, w int) error {
 		el := eliminator{cc: cc, budget: e.elimBudget, minOnly: true}
-		var ws []weightedWitness
 		for i, p := range todo[min(w*per, len(todo)):min((w+1)*per, len(todo))] {
 			if i%64 == 63 {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
-			ws = ws[:0]
-			for _, fs := range p.factSets {
-				ws = append(ws, weightedWitness{facts: fs, weight: 1})
-			}
-			el.ws = ws
-			split := splitComponents(cc, p.factSets)
+			el.bag = p.sets
+			split := splitComponents(cc, p.sets)
 			consistent, declined := false, false
-			for ci, idx := range split.groups {
-				minF, _, sh, ok := el.solve(split.facts[ci], idx)
+			for ci := range split.count() {
+				minF, _, sh, ok := el.solve(split.component(ci))
 				if !ok {
 					declined = true
 					continue
@@ -240,10 +237,11 @@ func (e *Engine) eliminateCandidates(ctx context.Context, cc *constraintContext,
 }
 
 // consCandidate is one not-obviously-consistent answer of the underlying
-// query, awaiting its Algorithm-2 check.
+// query, awaiting its Algorithm-2 check: its group's witnesses, each
+// distinct fact set weighing 1 once.
 type consCandidate struct {
-	index    int
-	factSets [][]db.FactID
+	index int
+	sets  weightedBag
 }
 
 // checkCandidates runs the consistency check for a slice of candidates
@@ -263,10 +261,13 @@ func (e *Engine) checkCandidates(ctx context.Context, enc *encoder, todo []consC
 	for ti, p := range todo {
 		a := cnf.Lit(solver.NewVar())
 		acts[ti] = a
-		for _, fs := range p.factSets {
-			clause := make([]cnf.Lit, 0, len(fs)+1)
+		for j, w := range p.sets.ws {
+			if p.sets.wt[j].weight == 0 {
+				continue
+			}
+			clause := make([]cnf.Lit, 0, len(w.Facts)+1)
 			clause = append(clause, a.Neg())
-			for _, f := range fs {
+			for _, f := range w.Facts {
 				clause = append(clause, enc.lit(f).Neg())
 			}
 			solver.AddClause(clause...)
@@ -288,37 +289,18 @@ func (e *Engine) checkCandidates(ctx context.Context, enc *encoder, todo []consC
 	return nil
 }
 
-// dedupFactSets drops witnesses repeating an already-seen fact set.
-// Sets are bucketed by HashFactSet and verified element-wise inside each
-// bucket, so a hash collision costs a comparison, never a lost candidate
-// clause. The evaluator emits fact sets sorted, so they are hashed in
-// place; only an unsorted set is sorted, on a copy.
-func dedupFactSets(ws []cq.Witness) [][]db.FactID {
-	byHash := make(map[uint64][]int, len(ws)) // hash → indexes into sorted
-	var out [][]db.FactID
-	var sorted [][]db.FactID // sorted views, aligned with out
-	for _, w := range ws {
-		s := w.Facts
-		if !slices.IsSorted(s) {
-			s = slices.Clone(s)
-			slices.Sort(s)
+// dedupFactSets weighs each distinct fact set of a group's witnesses
+// once: weight 1 at the first witness of each run of equal fact sets,
+// 0 at the repeats. The group is sorted by fact set, so equal sets are
+// adjacent.
+func dedupFactSets(ws []cq.Witness) weightedBag {
+	b := weightedBag{ws: ws, wt: make([]witnessWeight, len(ws))}
+	for i, w := range ws {
+		if i == 0 || !slices.Equal(ws[i-1].Facts, w.Facts) {
+			b.wt[i].weight = 1
 		}
-		h := db.HashFactSet(s)
-		dup := false
-		for _, i := range byHash[h] {
-			if slices.Equal(sorted[i], s) {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		byHash[h] = append(byHash[h], len(out))
-		out = append(out, w.Facts)
-		sorted = append(sorted, s)
 	}
-	return out
+	return b
 }
 
 // hardSolver returns a fresh SAT solver loaded with f's hard clauses,

@@ -388,11 +388,16 @@ func (ctx *constraintContext) safe(f db.FactID) bool {
 // each violating group, safe each safe fact (its own singleton group),
 // to a dense node; safeFacts lists safe's keys. At rest every group
 // entry is -1 and safe is empty: a caller resets the group entries it
-// set and calls resetSafe before putting the table back.
+// set and calls resetSafe before putting the table back. The rest is
+// splitKeys's per-node scratch, reused across calls.
 type nodeTable struct {
 	group     []int32
 	safe      map[db.FactID]int32
 	safeFacts []db.FactID
+
+	units               []int
+	parent, roots, comp []int32
+	first               []db.FactID
 }
 
 // safeNode returns the node of a safe fact, numbering it next if new.

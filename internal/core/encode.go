@@ -128,18 +128,18 @@ func (enc *encoder) encodeDCs(ctx *constraintContext, facts []db.FactID) {
 }
 
 // addWitnesses adds the soft clauses of steps 2a/2b for the witnesses
-// idx of ws: β_j = (⋁ ¬x_i, w_j) for a positive value, falsified iff
+// idx of b: β_j = (⋁ ¬x_i, w_j) for a positive value, falsified iff
 // the witness is present; for a negative value β_j = (y_j, w_j) with
 // y_j ↔ witness present, falsified iff the witness is absent.
-func (enc *encoder) addWitnesses(ws []weightedWitness, idx []int) {
+func (enc *encoder) addWitnesses(b weightedBag, idx []int32) {
 	for _, wi := range idx {
-		w := ws[wi]
+		w, facts := b.wt[wi], b.ws[wi].Facts
 		if w.negative {
-			enc.formula.AddSoft(w.weight, enc.presentLit(w.facts))
+			enc.formula.AddSoft(w.weight, enc.presentLit(facts))
 			continue
 		}
-		lits := make([]cnf.Lit, len(w.facts))
-		for i, f := range w.facts {
+		lits := make([]cnf.Lit, len(facts))
+		for i, f := range facts {
 			lits[i] = enc.lit(f).Neg()
 		}
 		enc.formula.AddSoft(w.weight, lits...)

@@ -201,7 +201,7 @@ func exhaustiveConsWith(t *testing.T, in *db.Instance, u cq.UCQ, ex exhaustive.O
 		return exhaustiveCons(t, in, u)
 	}
 	e := cq.NewEvaluator(in)
-	rows := e.EvalUCQ(u)
+	rows := e.WitnessBag(u)
 	var inter map[string]db.Tuple
 	err := exhaustive.RepairsDCs(in, constraints.MinimalViolations(e, ex.DCs), func(keep []bool) bool {
 		local := map[string]db.Tuple{}
@@ -211,7 +211,7 @@ func exhaustiveConsWith(t *testing.T, in *db.Instance, u cq.UCQ, ex exhaustive.O
 				alive = alive && keep[f]
 			}
 			if alive {
-				local[row.Head.Key([]int{0})] = row.Head
+				local[row.Answer.Key([]int{0})] = row.Answer
 			}
 		}
 		if inter == nil {

@@ -41,7 +41,7 @@ var (
 // hardComponent builds the case's instance and returns a keys-mode
 // engine over it, the query, and the largest component of its SAT
 // route with the weighted witnesses it indexes.
-func hardComponent(t *testing.T, hc hardCase) (e *Engine, q cq.AggQuery, cc *constraintContext, ws []weightedWitness, facts []db.FactID, idx []int) {
+func hardComponent(t *testing.T, hc hardCase) (e *Engine, q cq.AggQuery, cc *constraintContext, ws weightedBag, facts []db.FactID, idx []int32) {
 	t.Helper()
 	in, err := hc.build()
 	if err != nil {
@@ -70,15 +70,11 @@ func hardComponent(t *testing.T, hc hardCase) (e *Engine, q cq.AggQuery, cc *con
 	if ws, err = prepareWitnesses(q.Op, groups[0].Witnesses); err != nil {
 		t.Fatal(err)
 	}
-	witnessFacts := make([][]db.FactID, len(ws))
-	for i, w := range ws {
-		witnessFacts[i] = w.facts
-	}
 	cc = e.constraintCtx(ctx, rc)
-	split := splitComponents(cc, witnessFacts)
-	for ci, f := range split.facts {
-		if len(f) > len(facts) {
-			facts, idx = f, split.groups[ci]
+	split := splitComponents(cc, ws)
+	for ci := range split.count() {
+		if f, wi := split.component(ci); len(f) > len(facts) {
+			facts, idx = f, wi
 		}
 	}
 	return e, q, cc, ws, facts, idx
@@ -97,7 +93,7 @@ func TestHardCases(t *testing.T) {
 	t.Run("Q10'", func(t *testing.T) {
 		e, q, cc, ws, facts, idx := hardComponent(t, hardQ10)
 		checkFixture(t, hardQ10, cc, ws, facts, idx)
-		el := eliminator{cc: cc, ws: ws, budget: elimTableBudget}
+		el := eliminator{cc: cc, bag: ws, budget: elimTableBudget}
 		minF, maxF, shape, ok := el.solve(facts, idx)
 		if !ok || shape != (elimShape{width: 2, table: 108}) {
 			t.Errorf("component: ok %v, %+v; want width 2, largest table 108", ok, shape)
@@ -131,7 +127,7 @@ func TestHardCases(t *testing.T) {
 	t.Run("Q5'", func(t *testing.T) {
 		_, _, cc, ws, facts, idx := hardComponent(t, hardQ5)
 		checkFixture(t, hardQ5, cc, ws, facts, idx)
-		el := eliminator{cc: cc, ws: ws, budget: elimTableBudget}
+		el := eliminator{cc: cc, bag: ws, budget: elimTableBudget}
 		minF, maxF, shape, ok := el.solve(facts, idx)
 		if !ok || shape != (elimShape{width: 2, table: 17576}) {
 			t.Fatalf("default budget: ok %v, %+v; want width 2, largest table 17576", ok, shape)
@@ -142,7 +138,7 @@ func TestHardCases(t *testing.T) {
 			t.Errorf("falsified weight [%d, %d], want [0, 511094426]", minF, maxF)
 		}
 		t.Logf("component: %d facts, %d witnesses, %d violating groups of up to %d facts", len(facts), len(idx), len(el.dom), slices.Max(el.dom))
-		el = eliminator{cc: cc, ws: ws, budget: shape.table - 1}
+		el = eliminator{cc: cc, bag: ws, budget: shape.table - 1}
 		if _, _, _, ok := el.solve(facts, idx); ok {
 			t.Errorf("budget %d below the largest table %d: component not declined", shape.table-1, shape.table)
 		}
@@ -151,7 +147,7 @@ func TestHardCases(t *testing.T) {
 
 // checkFixture compares the component's Reduction IV.1 encoding with
 // the committed WCNF fixture, writing the fixture when it is missing.
-func checkFixture(t *testing.T, hc hardCase, cc *constraintContext, ws []weightedWitness, facts []db.FactID, idx []int) {
+func checkFixture(t *testing.T, hc hardCase, cc *constraintContext, ws weightedBag, facts []db.FactID, idx []int32) {
 	t.Helper()
 	enc := newEncoder(cc, facts)
 	enc.addWitnesses(ws, idx)

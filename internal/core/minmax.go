@@ -181,24 +181,22 @@ func runProbes(op cq.AggOp, values []*valueGroup, probe probeFunc) (res Range, p
 // The weighted total stays below (w+1)², w the number of witnesses,
 // far inside an int64.
 func eliminateProbes(cc *constraintContext, budget int, op cq.AggOp, values []*valueGroup) (res Range, shape elimShape, ok bool) {
-	var sets [][]db.FactID
+	var sets []cq.Witness
 	var valueOf []int
 	for vi, g := range values {
 		for _, fs := range g.factSets {
 			if len(fs) == 0 {
 				return Range{}, shape, false
 			}
-			sets = append(sets, fs)
+			sets = append(sets, cq.Witness{Facts: fs})
 			valueOf = append(valueOf, vi)
 		}
 	}
-	ws := make([]weightedWitness, len(sets))
-	for i, fs := range sets {
-		ws[i].facts = fs
-	}
-	split := splitComponents(cc, sets)
-	el := eliminator{cc: cc, ws: ws, budget: budget, minOnly: true}
-	var idx []int
+	split := splitComponents(cc, weightedBag{ws: sets})
+	// Each probe weighs the witnesses it asks about.
+	b := weightedBag{ws: sets, wt: make([]witnessWeight, len(sets))}
+	el := eliminator{cc: cc, bag: b, budget: budget, minOnly: true}
+	var idx []int32
 	declined := errString("declined")
 	res, _, err := runProbes(op, values, func(keep, lo, hi int) (bool, error) {
 		var kept int64
@@ -206,16 +204,17 @@ func eliminateProbes(cc *constraintContext, budget int, op cq.AggOp, values []*v
 			kept = int64(len(values[keep].factSets))
 		}
 		var best int64
-		for ci, all := range split.groups {
+		for ci := range split.count() {
+			facts, all := split.component(ci)
 			idx = idx[:0]
 			var keptHere int64
 			for _, wi := range all {
 				switch v := valueOf[wi]; {
 				case v == keep:
-					ws[wi].weight, ws[wi].negative = 1, true
+					b.wt[wi] = witnessWeight{weight: 1, negative: true}
 					keptHere++
 				case lo <= v && v < hi:
-					ws[wi].weight, ws[wi].negative = kept+1, false
+					b.wt[wi] = witnessWeight{weight: kept + 1}
 				default:
 					continue
 				}
@@ -224,7 +223,7 @@ func eliminateProbes(cc *constraintContext, budget int, op cq.AggOp, values []*v
 			if len(idx) == 0 {
 				continue
 			}
-			minF, _, sh, ok := el.solve(split.facts[ci], idx)
+			minF, _, sh, ok := el.solve(facts, idx)
 			if !ok {
 				return false, declined
 			}

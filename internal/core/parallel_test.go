@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -221,14 +222,23 @@ func TestConsistentAnswersTimeout(t *testing.T) {
 	}
 }
 
-func TestDedupFactSetsPermutedDuplicates(t *testing.T) {
+// TestDedupFactSetsRuns: a group is sorted by fact set, so each run of
+// equal fact sets weighs 1 once, at its first witness, whatever the
+// witnesses' answers.
+func TestDedupFactSetsRuns(t *testing.T) {
 	ws := []cq.Witness{
-		{Facts: []db.FactID{1, 2}},
-		{Facts: []db.FactID{2, 1}},
-		{Facts: []db.FactID{2, 3}},
+		{Facts: []db.FactID{1, 2}, Answer: db.Tuple{db.Int(1)}},
+		{Facts: []db.FactID{1, 2}, Answer: db.Tuple{db.Int(2)}},
+		{Facts: []db.FactID{2, 3}, Answer: db.Tuple{db.Int(1)}},
+		{Facts: []db.FactID{2, 3}, Answer: db.Tuple{db.Float(1)}},
+		{Facts: []db.FactID{4}},
 	}
 	out := dedupFactSets(ws)
-	if len(out) != 2 {
-		t.Fatalf("dedup kept %d sets, want 2 ({1,2} in either order is one set)", len(out))
+	var got []int64
+	for _, w := range out.wt {
+		got = append(got, w.weight)
+	}
+	if want := []int64{1, 0, 1, 0, 1}; !slices.Equal(got, want) {
+		t.Fatalf("dedup weights %v, want %v", got, want)
 	}
 }

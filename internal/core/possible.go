@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"time"
 
 	"aggcavsat/internal/cq"
@@ -27,15 +28,13 @@ func (e *Engine) PossibleAnswers(u cq.UCQ) ([]db.Tuple, Stats, error) {
 		stats.ConstraintTime = ctx.buildTime
 	}
 
+	// One group per answer: the whole head is the group key.
 	start := time.Now()
-	bag := e.eval.WitnessBag(u)
+	groups, err := e.eval.WitnessGroups(context.Background(), u, len(u.Disjuncts[0].Head), nil)
 	stats.WitnessTime += time.Since(start)
-
-	arity := 0
-	if len(bag) > 0 {
-		arity = len(bag[0].Answer)
+	if err != nil {
+		return nil, stats, err
 	}
-	groups := cq.GroupWitnesses(bag, arity)
 	var out []db.Tuple
 	encodeStart := time.Now()
 	for _, g := range groups {

@@ -148,7 +148,7 @@ func TestPossibleAnswers(t *testing.T) {
 		// Exhaustive: union of answers across repairs.
 		want := map[string]bool{}
 		e := cq.NewEvaluator(in)
-		rows := e.EvalUCQ(u)
+		rows := e.WitnessBag(u)
 		err = exhaustive.RepairsKeys(in, func(keep []bool) bool {
 			for _, row := range rows {
 				alive := true
@@ -159,7 +159,7 @@ func TestPossibleAnswers(t *testing.T) {
 					}
 				}
 				if alive {
-					want[row.Head.Key([]int{0})] = true
+					want[row.Answer.Key([]int{0})] = true
 				}
 			}
 			return true

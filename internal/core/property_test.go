@@ -352,7 +352,7 @@ func exhaustiveCons(t *testing.T, in *db.Instance, u cq.UCQ) map[string]db.Tuple
 	t.Helper()
 	first := true
 	inter := map[string]db.Tuple{}
-	rows := cq.NewEvaluator(in).EvalUCQ(u)
+	rows := cq.NewEvaluator(in).WitnessBag(u)
 	err := exhaustive.RepairsKeys(in, func(keep []bool) bool {
 		local := map[string]db.Tuple{}
 		for _, row := range rows {
@@ -364,7 +364,7 @@ func exhaustiveCons(t *testing.T, in *db.Instance, u cq.UCQ) map[string]db.Tuple
 				}
 			}
 			if alive {
-				local[row.Head.Key([]int{0})] = row.Head
+				local[row.Answer.Key([]int{0})] = row.Answer
 			}
 		}
 		if first {

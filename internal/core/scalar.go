@@ -28,11 +28,11 @@ func (e *Engine) scalarRange(ctx context.Context, q cq.AggQuery, rc *recorder) (
 	return e.groupRange(ctx, q.Op, g, rc)
 }
 
-// witnesses evaluates the underlying query as the call's witness phase
-// and partitions the witnesses by their first groupArity head values
-// (cq.GroupFolded) inside the same phase. With fold, every witness made
-// only of safe facts is folded into its group instead of materialized.
-// The constraint context is built before the phase starts, so its
+// witnesses evaluates the underlying query as the call's witness phase:
+// its witness bag, grouped by the first groupArity head values
+// (cq.Evaluator.WitnessGroups). With fold, every witness made only of
+// safe facts is folded into its group instead of materialized. The
+// constraint context is built before the phase starts, so its
 // allocations are not counted as the witness phase's.
 func (e *Engine) witnesses(ctx context.Context, u cq.UCQ, fold bool, groupArity int, rc *recorder) ([]cq.WitnessGroup, error) {
 	var safe func(db.FactID) bool
@@ -43,21 +43,19 @@ func (e *Engine) witnesses(ctx context.Context, u cq.UCQ, fold bool, groupArity 
 	// the constraint phase.
 	_, sp := obsv.StartSpan(ctx, "cq.witness")
 	pm := startPhase()
-	bag, folds, err := e.eval.FoldedBagCtx(ctx, u, safe, groupArity)
+	groups, err := e.eval.WitnessGroups(ctx, u, groupArity, safe)
 	if err == nil {
 		err = ctx.Err() // the boundary to encoding
 	}
-	var groups []cq.WitnessGroup
-	if err == nil {
-		groups = cq.GroupFolded(bag, folds, groupArity)
-	}
+	var materialized int
 	var folded int64
-	for _, gf := range folds {
-		folded += gf.Rows
+	for _, g := range groups {
+		materialized += len(g.Witnesses)
+		folded += g.Fold.Rows
 	}
-	rc.evaluated(pm, len(bag), folded)
+	rc.evaluated(pm, materialized, folded)
 	if sp != nil {
-		sp.SetInt("witnesses", int64(len(bag)))
+		sp.SetInt("witnesses", int64(materialized))
 		sp.SetInt("folded", folded)
 		sp.End()
 	}
@@ -91,60 +89,65 @@ func (e *Engine) groupRange(ctx context.Context, op cq.AggOp, g cq.WitnessGroup,
 	}
 }
 
-// weightedWitness is a witness prepared for Reduction IV.1: the clause
-// weight w_j = m_j · |q*(W_j)| and the sign of the aggregated value.
-type weightedWitness struct {
-	facts    []db.FactID
+// weightedBag is a group's witnesses with the soft clauses of
+// Reduction IV.1 aligned with them: wt[i] is witness i's weight and
+// sign. A witness of weight 0 or with no fact is dropped; a nil wt
+// keeps every witness with a fact.
+type weightedBag struct {
+	ws []cq.Witness
+	wt []witnessWeight
+}
+
+// witnessWeight is one witness's clause weight w_j = m_j · |q*(W_j)|
+// and the sign of its aggregated value.
+type witnessWeight struct {
 	weight   int64
 	negative bool
 }
 
-// prepareWitnesses turns the witness bag into weighted witnesses for
-// COUNT(*) (weight = multiplicity), COUNT(A) (multiplicity of non-NULL
-// answers) or SUM(A) (m_j · |value|, sign split; zero values dropped).
-func prepareWitnesses(op cq.AggOp, bag []cq.Witness) ([]weightedWitness, error) {
-	out := make([]weightedWitness, 0, len(bag))
-	for _, w := range bag {
-		switch op {
-		case cq.CountStar:
-			out = append(out, weightedWitness{facts: w.Facts, weight: w.Mult})
-		case cq.Count:
-			if len(w.Answer) != 1 {
-				return nil, fmt.Errorf("core: COUNT(A) witness with %d answer values", len(w.Answer))
-			}
-			if w.Answer[0].IsNull() {
-				continue
-			}
-			out = append(out, weightedWitness{facts: w.Facts, weight: w.Mult})
-		case cq.Sum:
-			if len(w.Answer) != 1 {
-				return nil, fmt.Errorf("core: SUM(A) witness with %d answer values", len(w.Answer))
-			}
-			v := w.Answer[0]
-			if v.IsNull() {
-				continue
-			}
-			if v.Kind() != db.KindInt {
-				return nil, errNonIntSum(v)
-			}
+// kept reports whether witness i takes part in the reduction.
+func (b weightedBag) kept(i int) bool {
+	return len(b.ws[i].Facts) > 0 && (b.wt == nil || b.wt[i].weight != 0)
+}
+
+// prepareWitnesses weighs a group's witnesses, aligned with them and
+// without copying them: COUNT(*) by multiplicity, COUNT(A) by the multiplicity of a non-NULL
+// answer, SUM(A) by m_j · |value| with the sign split. A NULL answer
+// (COUNT(A), SUM(A)) and a zero value (SUM(A)) get weight 0.
+func prepareWitnesses(op cq.AggOp, ws []cq.Witness) (weightedBag, error) {
+	b := weightedBag{ws: ws, wt: make([]witnessWeight, len(ws))}
+	for i, w := range ws {
+		if op == cq.CountStar {
+			b.wt[i].weight = w.Mult
+			continue
+		}
+		if op != cq.Count && op != cq.Sum {
+			return weightedBag{}, fmt.Errorf("core: prepareWitnesses on %s", op)
+		}
+		if len(w.Answer) != 1 {
+			return weightedBag{}, fmt.Errorf("core: %s witness with %d answer values", op, len(w.Answer))
+		}
+		v := w.Answer[0]
+		switch {
+		case v.IsNull():
+		case op == cq.Count:
+			b.wt[i].weight = w.Mult
+		case v.Kind() != db.KindInt:
+			return weightedBag{}, errNonIntSum(v)
+		default:
 			a := v.AsInt()
-			if a == 0 {
-				continue
-			}
 			mag := a
 			if a < 0 {
 				mag = -a // stays negative for MinInt64
 			}
 			weight, ok := cq.MulInt64(w.Mult, mag)
 			if !ok || weight < 0 {
-				return nil, errOverflow(op, "witness weight")
+				return weightedBag{}, errOverflow(op, "witness weight")
 			}
-			out = append(out, weightedWitness{facts: w.Facts, weight: weight, negative: a < 0})
-		default:
-			return nil, fmt.Errorf("core: prepareWitnesses on %s", op)
+			b.wt[i] = witnessWeight{weight: weight, negative: a < 0}
 		}
 	}
-	return out, nil
+	return b, nil
 }
 
 // foldedBase is the constant the group's folded (all-safe)
@@ -201,7 +204,7 @@ func (e *Engine) sumCountFromGroup(ctx context.Context, op cq.AggOp, g cq.Witnes
 	// Every falsified weight and offset below lies between 0 and the
 	// total soft weight, so once the total fits in an int64 they all do.
 	var total, negOffset int64
-	for _, w := range unsafe {
+	for _, w := range unsafe.wt {
 		var ok bool
 		if total, ok = cq.AddInt64(total, w.weight); !ok {
 			return Range{}, errOverflow(op, "total soft weight")
@@ -211,7 +214,7 @@ func (e *Engine) sumCountFromGroup(ctx context.Context, op cq.AggOp, g cq.Witnes
 		}
 	}
 
-	if len(unsafe) == 0 {
+	if total == 0 {
 		rc.endPhase(phaseEncode, encodeMark)
 		rc.skip()
 		return Range{GLB: db.Int(base), LUB: db.Int(base), FromConsistentPart: true}, nil
@@ -220,11 +223,7 @@ func (e *Engine) sumCountFromGroup(ctx context.Context, op cq.AggOp, g cq.Witnes
 	// The hard-clause graph decomposes into independent components
 	// (disjoint key-equal groups / violation clusters); answer each
 	// separately and sum the falsified weights.
-	witnessFacts := make([][]db.FactID, len(unsafe))
-	for i, w := range unsafe {
-		witnessFacts[i] = w.facts
-	}
-	split := splitComponents(cc, witnessFacts)
+	split := splitComponents(cc, unsafe)
 	minFTotal, maxFTotal, solve := e.eliminateComponents(cc, split, unsafe, rc)
 	rc.endPhase(phaseEncode, encodeMark)
 
@@ -235,8 +234,8 @@ func (e *Engine) sumCountFromGroup(ctx context.Context, op cq.AggOp, g cq.Witnes
 	type compResult struct{ minF, maxF int64 }
 	results := make([]compResult, len(solve))
 	err = forEach(ctx, e.parallelism(), len(solve), func(ctx context.Context, si int) error {
-		ci := solve[si]
-		minF, maxF, err := e.solveComponent(ctx, cc, split.facts[ci], unsafe, split.groups[ci], rc)
+		facts, idx := split.component(solve[si])
+		minF, maxF, err := e.solveComponent(ctx, cc, facts, unsafe, idx, rc)
 		results[si] = compResult{minF: minF, maxF: maxF}
 		return err
 	})
@@ -260,13 +259,13 @@ func (e *Engine) sumCountFromGroup(ctx context.Context, op cq.AggOp, g cq.Witnes
 
 // solveComponent encodes one component of Reduction IV.1 — the hard
 // clauses over its closure facts and the soft clauses of the witnesses
-// idx of ws — and solves it in both directions, returning the minimum
+// idx of b — and solves it in both directions, returning the minimum
 // and maximum falsified weight.
-func (e *Engine) solveComponent(ctx context.Context, cc *constraintContext, facts []db.FactID, ws []weightedWitness, idx []int, rc *recorder) (minF, maxF int64, err error) {
+func (e *Engine) solveComponent(ctx context.Context, cc *constraintContext, facts []db.FactID, b weightedBag, idx []int32, rc *recorder) (minF, maxF int64, err error) {
 	encodeMark := startPhase()
 	_, esp := obsv.StartSpan(ctx, "core.encode")
 	enc := newEncoder(cc, facts)
-	enc.addWitnesses(ws, idx)
+	enc.addWitnesses(b, idx)
 	ce := rc.component(encodeMark, esp, enc.formula, len(facts), len(idx))
 	return e.solveBothDirections(ctx, enc.formula, rc, ce)
 }
@@ -338,25 +337,26 @@ func (e *Engine) distinctFromBag(ctx context.Context, op cq.AggOp, bag []cq.Witn
 
 	// Component decomposition: all witnesses of one answer are coupled
 	// by its v^b variable, so union their facts before splitting.
-	answerFacts := make([][]db.FactID, len(uncertain))
+	answers := make([]cq.Witness, len(uncertain))
 	for i, g := range uncertain {
 		for _, facts := range g.witnesses {
-			answerFacts[i] = append(answerFacts[i], facts...)
+			answers[i].Facts = append(answers[i].Facts, facts...)
 		}
 	}
-	split := splitComponents(cc, answerFacts)
+	split := splitComponents(cc, weightedBag{ws: answers})
 	rc.endPhase(phaseEncode, encodeMark)
 
-	// As in sumCountFromBag: one independent WPMaxSAT instance per
+	// As in sumCountFromGroup: one independent WPMaxSAT instance per
 	// component, fanned out and merged by component index.
 	type compResult struct{ minF, maxF, negOffset int64 }
-	results := make([]compResult, len(split.groups))
-	err := forEach(ctx, e.parallelism(), len(split.groups), func(ctx context.Context, ci int) error {
+	results := make([]compResult, split.count())
+	err := forEach(ctx, e.parallelism(), split.count(), func(ctx context.Context, ci int) error {
 		encodeMark := startPhase()
 		_, esp := obsv.StartSpan(ctx, "core.encode")
-		enc := newEncoder(cc, split.facts[ci])
+		facts, idx := split.component(ci)
+		enc := newEncoder(cc, facts)
 		var negOffset int64
-		for _, ui := range split.groups[ci] {
+		for _, ui := range idx {
 			g := uncertain[ui]
 			// v^b ↔ ⋀_j z_j^b where z_j^b ↔ witness j broken.
 			zs := make([]cnf.Lit, len(g.witnesses))
@@ -389,7 +389,7 @@ func (e *Engine) distinctFromBag(ctx context.Context, op cq.AggOp, bag []cq.Witn
 				negOffset += w
 			}
 		}
-		ce := rc.component(encodeMark, esp, enc.formula, len(split.facts[ci]), len(split.groups[ci]))
+		ce := rc.component(encodeMark, esp, enc.formula, len(facts), len(idx))
 
 		minF, maxF, err := e.solveBothDirections(ctx, enc.formula, rc, ce)
 		if err != nil {

@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -164,44 +165,33 @@ func EvalAgg(e *Evaluator, q AggQuery) ([]GroupValue, error) {
 	if err := q.Validate(e.Instance().Schema()); err != nil {
 		return nil, err
 	}
-	rows := e.EvalUCQ(q.Underlying)
-	groups := map[string]*aggState{}
-	var order []string
-	positions := make([]int, len(q.GroupBy))
-	for i := range positions {
-		positions[i] = i
+	groups, err := e.WitnessGroups(context.Background(), q.Underlying, len(q.GroupBy), nil)
+	if err != nil {
+		return nil, err
 	}
-	for _, r := range rows {
-		key := r.Head[:len(q.GroupBy)]
-		k := key.Key(positions)
-		st, ok := groups[k]
-		if !ok {
-			st = &aggState{key: key.Clone(), distinct: map[string]bool{}}
-			groups[k] = st
-			order = append(order, k)
+	out := make([]GroupValue, 0, max(len(groups), 1))
+	for _, g := range groups {
+		st := aggState{distinct: map[string]bool{}}
+		for _, w := range g.Witnesses {
+			var aggVal db.Value
+			if q.Op.NeedsVar() {
+				aggVal = w.Answer[0]
+			}
+			// A witness stands for Mult assignments.
+			for range w.Mult {
+				st.add(q.Op, aggVal)
+			}
 		}
-		var aggVal db.Value
-		if q.Op.NeedsVar() {
-			aggVal = r.Head[len(q.GroupBy)]
-		}
-		st.add(q.Op, aggVal)
+		out = append(out, GroupValue{Key: g.Key, Value: st.value(q.Op)})
 	}
-	if q.Scalar() && len(groups) == 0 {
-		st := &aggState{key: db.Tuple{}, distinct: map[string]bool{}}
-		groups[""] = st
-		order = append(order, "")
+	if q.Scalar() && len(out) == 0 {
+		st := aggState{distinct: map[string]bool{}}
+		out = append(out, GroupValue{Key: db.Tuple{}, Value: st.value(q.Op)})
 	}
-	out := make([]GroupValue, 0, len(groups))
-	for _, k := range order {
-		st := groups[k]
-		out = append(out, GroupValue{Key: st.key, Value: st.value(q.Op)})
-	}
-	sortGroupValues(out)
 	return out, nil
 }
 
 type aggState struct {
-	key      db.Tuple
 	count    int64
 	sum      int64
 	fsum     float64
@@ -298,12 +288,4 @@ func (st *aggState) value(op AggOp) db.Value {
 
 func valueKey(v db.Value) string {
 	return db.Tuple{v}.Key([]int{0})
-}
-
-func sortGroupValues(out []GroupValue) {
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Key.Compare(out[j-1].Key) < 0; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
 }

@@ -30,13 +30,15 @@ import (
 //     ordered string comparisons compare ranks (db.Ranks), a constant
 //     no fact stores ranking between its neighbours. LIKE-prefix
 //     decodes the cells and uses CmpOp.Apply.
-//   - db.Values are built only where rows leave the evaluator: emitted
-//     heads and fold keys and values.
+//   - Emitted assignments are deduplicated and grouped by their cells
+//     (see bag in witness.go); db.Values are built only where witnesses
+//     leave the evaluator: a new witness's answer, a new group's key and
+//     a folded value.
 //
 // The plan — atom order and condition attachment — is planCQ's, and
-// candidates are visited in insertion order, so the row order is
-// deterministic; the row bag is checked against a brute-force reference
-// evaluator by the property tests in compile_test.go and
+// candidates are visited in insertion order, so the enumeration is
+// deterministic; the witness bag is checked against a brute-force
+// reference evaluator by the property tests in compile_test.go and
 // reference_test.go.
 //
 // Semantics note: a position whose variable is bound by an earlier
@@ -330,7 +332,7 @@ func (e *Evaluator) program(q CQ) *program {
 		return p
 	}
 	if err := q.Validate(e.in.Schema()); err != nil {
-		panic("cq: Eval on invalid query: " + err.Error())
+		panic("cq: evaluating an invalid query: " + err.Error())
 	}
 	p = compileCQ(e.in, q)
 	e.planMu.Lock()
@@ -345,62 +347,54 @@ func (e *Evaluator) program(q CQ) *program {
 
 const (
 	// parallelEvalThreshold is the minimum number of first-step
-	// candidates before EvalCtx fans out across workers; below it the
+	// candidates before a run fans out across workers; below it the
 	// goroutine setup costs more than the scan.
 	parallelEvalThreshold = 256
 	// evalCancelStride is how many candidates, counted at every step,
 	// are processed between ctx polls.
 	evalCancelStride = 256
-	// maxSlab caps the row slabs progRun carves heads and fact sets from;
-	// slabs start small and double up to it.
+	// maxSlab caps the slabs answers, fact sets and group keys are
+	// carved from; slabs start small and double up to it.
 	maxSlab = 4096
 )
 
-// foldSpec asks a run to fold, instead of emit, every assignment whose
-// facts all pass safe: such assignments are aggregated per group (the
-// first arity head values) into a Fold.
+// foldSpec tells a run how to record an assignment: its group is the
+// first arity head values, and, when safe is non-nil, an assignment
+// whose facts all pass safe is folded into its group instead of
+// entering the bag.
 type foldSpec struct {
 	safe  func(db.FactID) bool
 	arity int
 }
 
-// runResult is what a run, or one chunk of it, produced: the emitted
-// rows and the folds, each in enumeration order.
-type runResult struct {
-	rows  []Row
-	folds foldSet
-}
-
-// runProgram executes a compiled program, fanning the first atom's
-// candidate list across e.par workers when it is large enough. Chunks
-// are merged by index, so the parallel row and fold order equals the
-// sequential order. fs, when non-nil, folds the all-safe assignments.
-func (e *Evaluator) runProgram(ctx context.Context, p *program, fs *foldSpec) (runResult, error) {
+// runProgram executes a compiled program into b, fanning the first
+// atom's candidate list across e.par workers when it is large enough.
+// Chunks are merged into b by index, so the parallel groups, folds and
+// witnesses equal the sequential ones.
+func (e *Evaluator) runProgram(ctx context.Context, p *program, b *bag, fs foldSpec) error {
 	if p.empty {
-		return runResult{}, nil
+		return nil
 	}
 	r := newProgRun(e, p, fs)
+	r.out = b
 	if len(p.steps) == 0 {
 		// A query with no atoms has exactly one (empty) witnessing
 		// assignment.
 		r.emit()
-		return r.out, nil
+		return nil
 	}
 	// Step 0 has no prior bindings: its probe cells are all constants.
 	cands := r.candidates(0)
 	if e.par <= 1 || len(cands) < parallelEvalThreshold {
-		if err := r.runChunk(ctx, cands); err != nil {
-			return runResult{}, err
-		}
-		return r.out, nil
+		return r.runChunk(ctx, cands)
 	}
-	return e.runParallel(ctx, p, fs, cands)
+	return e.runParallel(ctx, p, b, fs, cands)
 }
 
-func (e *Evaluator) runParallel(ctx context.Context, p *program, fs *foldSpec, cands []db.FactID) (runResult, error) {
+func (e *Evaluator) runParallel(ctx context.Context, p *program, b *bag, fs foldSpec, cands []db.FactID) error {
 	workers := e.par
 	// Oversplit so one skewed chunk doesn't serialize the tail; the
-	// per-chunk result slots make the merge deterministic.
+	// per-chunk bags make the merge deterministic.
 	chunks := workers * 4
 	if chunks > len(cands) {
 		chunks = len(cands)
@@ -410,7 +404,7 @@ func (e *Evaluator) runParallel(ctx context.Context, p *program, fs *foldSpec, c
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	results := make([]runResult, chunks)
+	results := make([]bag, chunks)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -425,41 +419,27 @@ func (e *Evaluator) runParallel(ctx context.Context, p *program, fs *foldSpec, c
 				}
 				lo := ci * len(cands) / chunks
 				hi := (ci + 1) * len(cands) / chunks
-				r.out = runResult{}
+				r.out = &results[ci]
 				// runChunk only fails when cctx fired; nothing to record.
 				if err := r.runChunk(cctx, cands[lo:hi]); err != nil {
 					return
 				}
-				results[ci] = r.out
 			}
 		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return runResult{}, err
+		return err
 	}
-	return mergeResults(e.in.Dict(), results), nil
-}
-
-// mergeResults concatenates results in order: rows appended, folds of
-// one group summed.
-func mergeResults(d *db.Dict, results []runResult) runResult {
-	if len(results) == 1 {
-		return results[0]
+	n := 0
+	for ci := range results {
+		n += len(results[ci].ws)
 	}
-	total := 0
-	for _, res := range results {
-		total += len(res.rows)
+	b.reserve(n)
+	for ci := range results {
+		b.merge(e.in.Dict(), &results[ci], fs.arity)
 	}
-	out := runResult{rows: make([]Row, 0, total)}
-	for _, res := range results {
-		out.rows = append(out.rows, res.rows...)
-		for i, gf := range res.folds.list {
-			n := len(gf.Key)
-			out.folds.atCells(d, res.folds.cells[i*n:(i+1)*n]).merge(gf.Fold)
-		}
-	}
-	return out
+	return nil
 }
 
 // progRun is the per-goroutine execution state of one program: the slot
@@ -475,7 +455,7 @@ type progRun struct {
 	facts  []db.FactID
 	probes [][]db.Cell
 	parts  []*db.Partition
-	out    runResult
+	out    *bag
 
 	// Every candidate, at any step, decrements countdown; at zero the
 	// run polls ctx, and err stops it at every depth.
@@ -483,17 +463,18 @@ type progRun struct {
 	countdown int
 	err       error
 
-	fold *foldSpec
-	key  []db.Cell // group-key scratch of a folded assignment
+	fold foldSpec
+	// Scratch of one emitted assignment: its head cells and its sorted,
+	// deduplicated fact set.
+	head []db.Cell
+	set  []db.FactID
 
-	// Slabs the emitted heads and fact sets are carved from; a carved
-	// slice is capped at its own length, so appending to one row's
-	// slice never writes into the next row's.
+	// Slabs a new witness's answer and fact set are carved from.
 	vals []db.Value
 	ids  []db.FactID
 }
 
-func newProgRun(e *Evaluator, p *program, fs *foldSpec) *progRun {
+func newProgRun(e *Evaluator, p *program, fs foldSpec) *progRun {
 	r := &progRun{
 		e:      e,
 		d:      e.in.Dict(),
@@ -503,12 +484,11 @@ func newProgRun(e *Evaluator, p *program, fs *foldSpec) *progRun {
 		probes: make([][]db.Cell, len(p.steps)),
 		parts:  make([]*db.Partition, len(p.steps)),
 		fold:   fs,
+		head:   make([]db.Cell, len(p.headSlots)),
+		set:    make([]db.FactID, 0, len(p.steps)),
 	}
 	for i := range p.steps {
 		r.probes[i] = make([]db.Cell, len(p.steps[i].lookupPos))
-	}
-	if fs != nil {
-		r.key = make([]db.Cell, fs.arity)
 	}
 	return r
 }
@@ -592,53 +572,74 @@ func (r *progRun) candidate(st *pstep, step int, id db.FactID) {
 	r.facts = r.facts[:len(r.facts)-1]
 }
 
-// emit records the current assignment: folded into its group when every
-// fact is safe under the run's foldSpec, else materialized as a Row
-// with the fact set sorted and deduplicated.
+// emit records the current assignment: folded into its group when the
+// run folds and every fact is safe, else added to the bag as its fact
+// set (sorted, deduplicated) and head. A repeat only bumps the
+// witness's multiplicity; a new witness's answer and fact set are
+// carved from the slabs.
 func (r *progRun) emit() {
-	if r.fold != nil && r.allSafe() {
-		r.foldAssignment()
+	for i, s := range r.p.headSlots {
+		r.head[i] = r.frame[s]
+	}
+	arity := r.fold.arity
+	if r.fold.safe != nil && r.allSafe() {
+		f := &r.out.groups[r.out.groupAt(r.d, r.head[:arity], nil)].Fold
+		f.Rows++
+		if len(r.head) > arity {
+			f.addValue(r.d.CellValue(r.head[arity]))
+		}
 		return
 	}
-	head := db.Tuple{}
-	if nh := len(r.p.headSlots); nh > 0 {
-		if len(r.vals)+nh > cap(r.vals) {
-			r.vals = make([]db.Value, 0, slabSize(cap(r.vals), nh))
-		}
-		head = r.vals[len(r.vals) : len(r.vals)+nh : len(r.vals)+nh]
-		r.vals = r.vals[:len(r.vals)+nh]
-		for i, s := range r.p.headSlots {
-			head[i] = r.d.CellValue(r.frame[s])
-		}
-	}
-	var facts []db.FactID
-	if nf := len(r.facts); nf > 0 {
-		if len(r.ids)+nf > cap(r.ids) {
-			r.ids = make([]db.FactID, 0, slabSize(cap(r.ids), nf))
-		}
-		facts = r.ids[len(r.ids) : len(r.ids)+nf : len(r.ids)+nf]
-		r.ids = r.ids[:len(r.ids)+nf]
-		copy(facts, r.facts)
-	}
+	set := append(r.set[:0], r.facts...)
 	// Insertion sort: fact stacks are at most a handful of atoms deep.
-	for i := 1; i < len(facts); i++ {
-		for j := i; j > 0 && facts[j] < facts[j-1]; j-- {
-			facts[j], facts[j-1] = facts[j-1], facts[j]
+	for i := 1; i < len(set); i++ {
+		for j := i; j > 0 && set[j] < set[j-1]; j-- {
+			set[j], set[j-1] = set[j-1], set[j]
 		}
 	}
-	dedup := facts[:0]
-	for i, f := range facts {
-		if i == 0 || f != facts[i-1] {
+	dedup := set[:0]
+	for i, f := range set {
+		if i == 0 || f != set[i-1] {
 			dedup = append(dedup, f)
 		}
 	}
-	r.out.rows = append(r.out.rows, Row{Head: head, Facts: dedup})
+	r.set = set
+	i, isNew := r.out.add(r.d, dedup, r.head, arity)
+	w := &r.out.ws[i]
+	w.Mult++
+	if !isNew {
+		return
+	}
+	w.Answer = decode(r.d, &r.vals, r.head)
+	if len(dedup) > 0 {
+		w.Facts = carve(&r.ids, len(dedup))
+		copy(w.Facts, dedup)
+	}
 }
 
-// slabSize is the capacity of the slab following one of capacity prev
-// that must hold at least need elements.
-func slabSize(prev, need int) int {
-	return max(min(2*prev, maxSlab), 64, need)
+// carve returns n elements of the slab, capped at their own length so
+// that appending to one carved slice never writes into the next; a full
+// slab is replaced by a new one, twice as large up to maxSlab.
+func carve[T any](slab *[]T, n int) []T {
+	s := *slab
+	if len(s)+n > cap(s) {
+		s = make([]T, 0, max(min(2*cap(s), maxSlab), 64, n))
+	}
+	*slab = s[:len(s)+n]
+	return s[len(s) : len(s)+n : len(s)+n]
+}
+
+// decode returns the values of cells, carved from the slab (an empty
+// tuple for no cells).
+func decode(d *db.Dict, slab *[]db.Value, cells []db.Cell) db.Tuple {
+	if len(cells) == 0 {
+		return db.Tuple{}
+	}
+	t := carve(slab, len(cells))
+	for i, c := range cells {
+		t[i] = d.CellValue(c)
+	}
+	return t
 }
 
 func (r *progRun) allSafe() bool {
@@ -648,18 +649,4 @@ func (r *progRun) allSafe() bool {
 		}
 	}
 	return true
-}
-
-// foldAssignment adds the current (all-safe) assignment to its group's
-// fold; the aggregated value, when the head has one, follows the group
-// key.
-func (r *progRun) foldAssignment() {
-	for i := range r.key {
-		r.key[i] = r.frame[r.p.headSlots[i]]
-	}
-	f := r.out.folds.atCells(r.d, r.key)
-	f.Rows++
-	if len(r.p.headSlots) > len(r.key) {
-		f.addValue(r.d.CellValue(r.frame[r.p.headSlots[len(r.key)]]))
-	}
 }

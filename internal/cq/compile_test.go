@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,22 +14,13 @@ import (
 	"aggcavsat/internal/xrand"
 )
 
-// rowsEqual compares two row lists exactly: same order, kind-exact head
-// values, identical fact sets — the row-order determinism the parallel
-// runner promises against the sequential one.
-func rowsEqual(a, b []Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].Head.EqualExact(b[i].Head) {
-			return false
-		}
-		if compareFactSets(a[i].Facts, b[i].Facts) != 0 {
-			return false
-		}
-	}
-	return true
+// bagsEqual compares two witness bags exactly: same order, kind-exact
+// answers, identical fact sets and multiplicities — the determinism the
+// parallel runner promises against the sequential one.
+func bagsEqual(a, b []Witness) bool {
+	return slices.EqualFunc(a, b, func(x, y Witness) bool {
+		return x.Mult == y.Mult && x.Answer.EqualExact(y.Answer) && slices.Equal(x.Facts, y.Facts)
+	})
 }
 
 // randomEvalInstance builds an instance with skew (repeated join keys,
@@ -180,7 +173,8 @@ func randomCQ(rng *xrand.Rand) CQ {
 }
 
 // TestParallelEvalMatchesSequential checks that partitioned first-atom
-// enumeration preserves the sequential row order exactly.
+// enumeration gives the sequential bag exactly, witness order and
+// multiplicities included, and the same groups and folds.
 func TestParallelEvalMatchesSequential(t *testing.T) {
 	rng := xrand.New(99)
 	in := randomEvalInstance(rng, 1200) // well past parallelEvalThreshold
@@ -192,15 +186,33 @@ func TestParallelEvalMatchesSequential(t *testing.T) {
 		}},
 		{Head: []string{"g"}, Atoms: []Atom{{Rel: "R", Args: []Term{V("x"), V("g"), V("v")}}},
 			Conds: []Condition{{Left: V("v"), Op: OpGE, Right: C(db.Int(1))}}},
+		// Self-join: the two orders of a pair are two assignments of one
+		// fact set, which different chunks emit.
+		{Head: []string{"g", "v"}, Atoms: []Atom{
+			{Rel: "R", Args: []Term{V("x"), V("g"), V("v")}},
+			{Rel: "R", Args: []Term{V("y"), V("g"), V("u")}},
+		}, Conds: []Condition{{Left: V("u"), Op: OpGE, Right: C(db.Int(3))}}},
 	}
+	safe := func(f db.FactID) bool { return f%3 != 0 }
 	for _, par := range []int{2, 4, 8} {
 		pe := NewEvaluator(in)
 		pe.SetParallelism(par)
 		for i, q := range queries {
-			want := seq.Eval(q)
-			got := pe.Eval(q)
-			if !rowsEqual(got, want) {
-				t.Fatalf("par=%d query %d: parallel rows differ (%d vs %d)", par, i, len(got), len(want))
+			want := evalBag(seq, q)
+			got := evalBag(pe, q)
+			if !bagsEqual(got, want) {
+				t.Fatalf("par=%d query %d: parallel bag differs (%d vs %d)", par, i, len(got), len(want))
+			}
+			wantGroups, err := seq.WitnessGroups(context.Background(), Single(q), 1, safe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotGroups, err := pe.WitnessGroups(context.Background(), Single(q), 1, safe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotGroups, wantGroups) {
+				t.Fatalf("par=%d query %d: parallel groups differ (%d vs %d)", par, i, len(gotGroups), len(wantGroups))
 			}
 		}
 	}
@@ -251,8 +263,8 @@ func TestWitnessBagConcurrentShared(t *testing.T) {
 // TestEvalParallelSharedMemo: goroutines with their own parallel
 // evaluators over one fresh instance race to build and read its
 // memoised partitions (run under -race: make race); each must return
-// the rows of a sequential evaluator over an identical instance, in the
-// same order. The queries probe R and S on their keys, on a string, on
+// the witness bag of a sequential evaluator over an identical instance,
+// in the same order. The queries probe R and S on their keys, on a string, on
 // a constant and on a non-key INT.
 func TestEvalParallelSharedMemo(t *testing.T) {
 	queries := []CQ{
@@ -281,9 +293,9 @@ func TestEvalParallelSharedMemo(t *testing.T) {
 		n := 300 + int(seed)*50 // past parallelEvalThreshold
 		in := randomEvalInstance(xrand.New(seed), n)
 		ref := NewEvaluator(randomEvalInstance(xrand.New(seed), n))
-		want := make([][]Row, len(queries))
+		want := make([][]Witness, len(queries))
 		for i, q := range queries {
-			want[i] = ref.Eval(q)
+			want[i] = evalBag(ref, q)
 		}
 		var wg sync.WaitGroup
 		errs := make(chan string, 4)
@@ -295,8 +307,8 @@ func TestEvalParallelSharedMemo(t *testing.T) {
 				e.SetParallelism(4)
 				for i := range queries {
 					j := (i + g) % len(queries)
-					if got := e.Eval(queries[j]); !rowsEqual(got, want[j]) {
-						errs <- fmt.Sprintf("seed %d goroutine %d query %d: %d rows, sequential %d", seed, g, j, len(got), len(want[j]))
+					if got := evalBag(e, queries[j]); !bagsEqual(got, want[j]) {
+						errs <- fmt.Sprintf("seed %d goroutine %d query %d: %d witnesses, sequential %d", seed, g, j, len(got), len(want[j]))
 						return
 					}
 				}
@@ -337,11 +349,11 @@ func TestEvalDeadlineAtDepth(t *testing.T) {
 		e.SetParallelism(par)
 		ctx, cancel := context.WithTimeout(context.Background(), deadline)
 		start := time.Now()
-		_, err := e.EvalCtx(ctx, q)
+		_, err := e.WitnessBagCtx(ctx, Single(q))
 		took := time.Since(start)
 		cancel()
 		if err != context.DeadlineExceeded {
-			t.Fatalf("par=%d: EvalCtx = %v after %v, want context.DeadlineExceeded", par, err, took)
+			t.Fatalf("par=%d: WitnessBagCtx = %v after %v, want context.DeadlineExceeded", par, err, took)
 		}
 		if took > deadline+100*time.Millisecond {
 			t.Errorf("par=%d: returned %v after a %v deadline", par, took, deadline)
@@ -360,8 +372,8 @@ func TestEvalCtxCancel(t *testing.T) {
 		e.SetParallelism(par)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := e.EvalCtx(ctx, q); err != context.Canceled {
-			t.Errorf("par=%d: EvalCtx on canceled ctx = %v, want context.Canceled", par, err)
+		if _, err := e.WitnessBagCtx(ctx, Single(q)); err != context.Canceled {
+			t.Errorf("par=%d: WitnessBagCtx on canceled ctx = %v, want context.Canceled", par, err)
 		}
 	}
 }
@@ -376,25 +388,29 @@ func benchEvalInstance() (*db.Instance, CQ) {
 	return in, q
 }
 
-func BenchmarkEvalCompiled(b *testing.B) {
-	in, q := benchEvalInstance()
-	e := NewEvaluator(in)
-	e.Eval(q) // warm plan + index caches
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Eval(q)
-	}
-}
-
+// BenchmarkWitnessBag measures one warm evaluation into the witness
+// bag: ungrouped and unfolded (WitnessBag), and as the engine calls it,
+// grouped on the first head value with a third of the facts unsafe.
 func BenchmarkWitnessBag(b *testing.B) {
 	in, q := benchEvalInstance()
 	e := NewEvaluator(in)
 	u := Single(q)
-	e.WitnessBag(u)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.WitnessBag(u)
-	}
+	safe := func(f db.FactID) bool { return f%3 != 0 }
+	b.Run("bag", func(b *testing.B) {
+		e.WitnessBag(u) // warm plan + partitions
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e.WitnessBag(u)
+		}
+	})
+	b.Run("grouped-folded", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := e.WitnessGroups(context.Background(), u, 1, safe); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestWideRelationIndexKeys: hash indexes are cached per exact probe
@@ -436,15 +452,15 @@ func TestWideRelationIndexKeys(t *testing.T) {
 	onKeyAnd64 := CQ{Head: []string{"x"}, Atoms: []Atom{{Rel: "P", Args: []Term{V("x"), V("y")}}, wAtom("y")}}
 
 	e := NewEvaluator(in)
-	if got := len(e.Eval(onKey)); got != 1 {
-		t.Fatalf("probe on {0}: %d rows, want 1", got)
+	if got := len(evalBag(e, onKey)); got != 1 {
+		t.Fatalf("probe on {0}: %d witnesses, want 1", got)
 	}
 	want := naiveEval(in, onKeyAnd64)
 	if len(want) != 1 {
-		t.Fatalf("reference: %d rows, want 1", len(want))
+		t.Fatalf("reference: %d witnesses, want 1", len(want))
 	}
-	if got := e.Eval(onKeyAnd64); bagDiff(got, want) != "" {
-		t.Fatalf("probe on {0, 64} after {0}: %d rows, want %d", len(got), len(want))
+	if got := evalBag(e, onKeyAnd64); bagDiff(got, want) != "" {
+		t.Fatalf("probe on {0, 64} after {0}: %d witnesses, want %d", len(got), len(want))
 	}
 }
 
@@ -506,9 +522,9 @@ func benchWideInstance() (*db.Instance, CQ) {
 func BenchmarkEvalWideJoin(b *testing.B) {
 	in, q := benchWideInstance()
 	e := NewEvaluator(in)
-	e.Eval(q) // warm plan + index caches
+	evalBag(e, q) // warm plan + index caches
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Eval(q)
+		evalBag(e, q)
 	}
 }

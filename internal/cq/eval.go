@@ -1,19 +1,10 @@
 package cq
 
 import (
-	"context"
-	"sort"
 	"sync"
 
 	"aggcavsat/internal/db"
 )
-
-// Row is one witnessing assignment of a conjunctive query: the values of
-// the head variables and the (sorted, deduplicated) set of facts used.
-type Row struct {
-	Head  db.Tuple
-	Facts []db.FactID
-}
 
 // Evaluator evaluates conjunctive queries over a fixed instance, caching
 // compiled plans across queries; its join probes read the instance's
@@ -45,52 +36,6 @@ func (e *Evaluator) Instance() *db.Instance { return e.in }
 // atom's candidate list across goroutines (0 or 1 = sequential). It
 // must be called before the evaluator is shared across goroutines.
 func (e *Evaluator) SetParallelism(n int) { e.par = n }
-
-// Eval returns all witnessing assignments of q on the instance, one Row
-// per assignment (a bag: rows may repeat with identical head values and
-// even identical fact sets).
-func (e *Evaluator) Eval(q CQ) []Row {
-	rows, _ := e.EvalCtx(context.Background(), q) // Background never cancels
-	return rows
-}
-
-// EvalCtx is Eval with cooperative cancellation: the compiled runners
-// poll ctx once per evalCancelStride candidates, counted at every join
-// depth, and return ctx.Err() when it fires. The row order is
-// deterministic and independent of the parallelism setting.
-func (e *Evaluator) EvalCtx(ctx context.Context, q CQ) ([]Row, error) {
-	return e.EvalUCQCtx(ctx, Single(q))
-}
-
-// EvalUCQ evaluates a union of conjunctive queries, concatenating the
-// witnessing assignments of all disjuncts (bag union).
-func (e *Evaluator) EvalUCQ(u UCQ) []Row {
-	rows, _ := e.EvalUCQCtx(context.Background(), u)
-	return rows
-}
-
-// EvalUCQCtx is EvalUCQ with cooperative cancellation.
-func (e *Evaluator) EvalUCQCtx(ctx context.Context, u UCQ) ([]Row, error) {
-	res, err := e.runUCQ(ctx, u, nil)
-	return res.rows, err
-}
-
-// runUCQ runs every disjunct and merges their results in disjunct
-// order (bag union); fs, when non-nil, folds the all-safe assignments.
-func (e *Evaluator) runUCQ(ctx context.Context, u UCQ, fs *foldSpec) (runResult, error) {
-	per := make([]runResult, len(u.Disjuncts))
-	for i, q := range u.Disjuncts {
-		if err := ctx.Err(); err != nil {
-			return runResult{}, err
-		}
-		res, err := e.runProgram(ctx, e.program(q), fs)
-		if err != nil {
-			return runResult{}, err
-		}
-		per[i] = res
-	}
-	return mergeResults(e.in.Dict(), per), nil
-}
 
 // plan describes the atom evaluation order plus, for each step, the
 // conditions that become fully bound after binding that atom.
@@ -161,29 +106,4 @@ func planCQ(in *db.Instance, q CQ) plan {
 		}
 	}
 	return plan{order: order, condsAfter: condsAfter}
-}
-
-// DistinctAnswers deduplicates the head tuples of rows, returning them in
-// a deterministic (sorted) order.
-func DistinctAnswers(rows []Row) []db.Tuple {
-	seen := map[string]db.Tuple{}
-	positions := []int{}
-	for _, r := range rows {
-		if len(positions) != len(r.Head) {
-			positions = positions[:0]
-			for i := range r.Head {
-				positions = append(positions, i)
-			}
-		}
-		k := r.Head.Key(positions)
-		if _, ok := seen[k]; !ok {
-			seen[k] = r.Head
-		}
-	}
-	out := make([]db.Tuple, 0, len(seen))
-	for _, t := range seen {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
 }

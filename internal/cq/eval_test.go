@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -143,13 +144,13 @@ func TestEvalSimpleScan(t *testing.T) {
 		Head:  []string{"cid", "name"},
 		Atoms: []Atom{{Rel: "Cust", Args: []Term{V("cid"), V("name"), V("city")}}},
 	}
-	rows := e.Eval(q)
-	if len(rows) != 5 {
-		t.Fatalf("got %d rows, want 5", len(rows))
+	bag := evalBag(e, q)
+	if len(bag) != 5 {
+		t.Fatalf("got %d witnesses, want 5", len(bag))
 	}
-	for _, r := range rows {
-		if len(r.Facts) != 1 {
-			t.Errorf("single-atom witness size = %d", len(r.Facts))
+	for _, w := range bag {
+		if len(w.Facts) != 1 {
+			t.Errorf("single-atom witness size = %d", len(w.Facts))
 		}
 	}
 }
@@ -161,13 +162,13 @@ func TestEvalConstantSelection(t *testing.T) {
 		Head:  []string{"city"},
 		Atoms: []Atom{{Rel: "Cust", Args: []Term{V("cid"), C(db.Str("Mary")), V("city")}}},
 	}
-	rows := e.Eval(q)
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want 2 (Mary twice)", len(rows))
+	bag := evalBag(e, q)
+	if len(bag) != 2 {
+		t.Fatalf("got %d witnesses, want 2 (Mary twice)", len(bag))
 	}
 	cities := map[string]bool{}
-	for _, r := range rows {
-		cities[r.Head[0].AsString()] = true
+	for _, w := range bag {
+		cities[w.Answer[0].AsString()] = true
 	}
 	if !cities["LA"] || !cities["SF"] {
 		t.Errorf("cities = %v", cities)
@@ -177,17 +178,17 @@ func TestEvalConstantSelection(t *testing.T) {
 func TestEvalJoin(t *testing.T) {
 	in := bank()
 	e := NewEvaluator(in)
-	rows := e.Eval(maryBalances())
+	bag := evalBag(e, maryBalances())
 	// Mary appears twice (f2, f3); she owns A2 and A3; A3 has two
 	// variants. Balances: via f2 and f3 each: A2→1000, A3→1200, A3→-100.
-	if len(rows) != 6 {
-		t.Fatalf("got %d rows, want 6", len(rows))
+	if len(bag) != 6 {
+		t.Fatalf("got %d witnesses, want 6", len(bag))
 	}
 	counts := map[int64]int{}
-	for _, r := range rows {
-		counts[r.Head[0].AsInt()]++
-		if len(r.Facts) != 3 {
-			t.Errorf("witness should have 3 facts, got %v", r.Facts)
+	for _, w := range bag {
+		counts[w.Answer[0].AsInt()]++
+		if len(w.Facts) != 3 {
+			t.Errorf("witness should have 3 facts, got %v", w.Facts)
 		}
 	}
 	if counts[1000] != 2 || counts[1200] != 2 || counts[-100] != 2 {
@@ -199,21 +200,21 @@ func TestEvalRepeatedVariableJoin(t *testing.T) {
 	// sameCity joins Cust.CITY with Acc.CITY through the shared variable.
 	in := bank()
 	e := NewEvaluator(in)
-	rows := e.Eval(sameCity())
+	bag := evalBag(e, sameCity())
 	// Witnesses (from the paper's Example IV.1): {f1,f6,f11}, {f2,f7,f12},
 	// {f3,f9,f13}.
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(rows))
+	if len(bag) != 3 {
+		t.Fatalf("got %d witnesses, want 3", len(bag))
 	}
 	want := map[string]bool{
 		"[0 5 10]": true, // f1, f6, f11
 		"[1 6 11]": true, // f2, f7, f12
 		"[2 8 12]": true, // f3, f9, f13
 	}
-	for _, r := range rows {
-		k := fmt.Sprint(r.Facts)
+	for _, w := range bag {
+		k := fmt.Sprint(w.Facts)
 		if !want[k] {
-			t.Errorf("unexpected witness %v", r.Facts)
+			t.Errorf("unexpected witness %v", w.Facts)
 		}
 	}
 }
@@ -233,15 +234,15 @@ func TestEvalSelfJoin(t *testing.T) {
 	if q.SelfJoinFree() {
 		t.Error("SelfJoinFree misreports")
 	}
-	rows := e.Eval(q)
+	bag := evalBag(e, q)
 	// LA: C1,C2(f2),C4 -> pairs (C1,C2),(C1,C4),(C2,C4) = 3
 	// SF: C2(f3),C3 -> 1 pair. Total 4.
-	if len(rows) != 4 {
-		t.Fatalf("got %d rows, want 4", len(rows))
+	if len(bag) != 4 {
+		t.Fatalf("got %d witnesses, want 4", len(bag))
 	}
-	for _, r := range rows {
-		if len(r.Facts) != 2 {
-			t.Errorf("self-join witness = %v", r.Facts)
+	for _, w := range bag {
+		if len(w.Facts) != 2 {
+			t.Errorf("self-join witness = %v", w.Facts)
 		}
 	}
 }
@@ -258,9 +259,9 @@ func TestEvalIntraAtomRepeatedVar(t *testing.T) {
 	in.MustInsert("R", db.Int(1), db.Int(2))
 	in.MustInsert("R", db.Int(3), db.Int(3))
 	e := NewEvaluator(in)
-	rows := e.Eval(CQ{Head: []string{"x"}, Atoms: []Atom{{Rel: "R", Args: []Term{V("x"), V("x")}}}})
-	if len(rows) != 2 {
-		t.Fatalf("R(x,x) matched %d rows, want 2", len(rows))
+	bag := evalBag(e, CQ{Head: []string{"x"}, Atoms: []Atom{{Rel: "R", Args: []Term{V("x"), V("x")}}}})
+	if len(bag) != 2 {
+		t.Fatalf("R(x,x) matched %d witnesses, want 2", len(bag))
 	}
 }
 
@@ -275,9 +276,9 @@ func TestEvalConditions(t *testing.T) {
 			{Left: V("type"), Op: OpLikePrefix, Right: C(db.Str("Check"))},
 		},
 	}
-	rows := e.Eval(q)
-	if len(rows) != 2 { // A1 (900), A2 (1000)
-		t.Fatalf("got %d rows, want 2", len(rows))
+	bag := evalBag(e, q)
+	if len(bag) != 2 { // A1 (900), A2 (1000)
+		t.Fatalf("got %d witnesses, want 2", len(bag))
 	}
 }
 
@@ -314,8 +315,8 @@ func TestEvalEmptyResult(t *testing.T) {
 		Head:  []string{"cid"},
 		Atoms: []Atom{{Rel: "Cust", Args: []Term{V("cid"), C(db.Str("Nobody")), V("city")}}},
 	}
-	if rows := e.Eval(q); len(rows) != 0 {
-		t.Errorf("got %d rows, want 0", len(rows))
+	if bag := evalBag(e, q); len(bag) != 0 {
+		t.Errorf("got %d witnesses, want 0", len(bag))
 	}
 }
 
@@ -326,25 +327,17 @@ func TestEvalUCQ(t *testing.T) {
 		{Head: []string{"cid"}, Atoms: []Atom{{Rel: "Cust", Args: []Term{V("cid"), C(db.Str("Mary")), V("c")}}}},
 		{Head: []string{"cid"}, Atoms: []Atom{{Rel: "Cust", Args: []Term{V("cid"), C(db.Str("John")), V("c")}}}},
 	}}
-	rows := e.EvalUCQ(u)
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(rows))
+	bag := e.WitnessBag(u)
+	if len(bag) != 3 {
+		t.Fatalf("got %d witnesses, want 3", len(bag))
 	}
-	answers := DistinctAnswers(rows)
-	if len(answers) != 2 {
-		t.Fatalf("distinct answers = %v", answers)
+	// Grouped by the whole head: one group per distinct answer, sorted.
+	groups, err := e.WitnessGroups(context.Background(), u, 1, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestDistinctAnswersOrdering(t *testing.T) {
-	rows := []Row{
-		{Head: db.Tuple{db.Str("b")}},
-		{Head: db.Tuple{db.Str("a")}},
-		{Head: db.Tuple{db.Str("b")}},
-	}
-	answers := DistinctAnswers(rows)
-	if len(answers) != 2 || answers[0][0].AsString() != "a" || answers[1][0].AsString() != "b" {
-		t.Errorf("answers = %v", answers)
+	if len(groups) != 2 || groups[0].Key.Compare(groups[1].Key) >= 0 {
+		t.Fatalf("distinct answers = %+v", groups)
 	}
 }
 
@@ -376,9 +369,9 @@ func TestPlanPrefersBoundAtoms(t *testing.T) {
 			{Rel: "Cust", Args: []Term{V("cid"), C(db.Str("Mary")), V("city")}},
 		},
 	}
-	rows := e.Eval(q)
-	if len(rows) != 6 {
-		t.Fatalf("got %d rows, want 6", len(rows))
+	bag := evalBag(e, q)
+	if len(bag) != 6 {
+		t.Fatalf("got %d witnesses, want 6", len(bag))
 	}
 	p := planCQ(in, q)
 	if p.order[0] != 2 {
@@ -391,10 +384,10 @@ func TestEvalPanicsOnInvalidQuery(t *testing.T) {
 	e := NewEvaluator(in)
 	defer func() {
 		if recover() == nil {
-			t.Error("Eval on invalid query should panic")
+			t.Error("evaluating an invalid query should panic")
 		}
 	}()
-	e.Eval(CQ{Head: []string{"x"}, Atoms: []Atom{{Rel: "Missing", Args: []Term{V("x")}}}})
+	evalBag(e, CQ{Head: []string{"x"}, Atoms: []Atom{{Rel: "Missing", Args: []Term{V("x")}}}})
 }
 
 func TestQueryStringers(t *testing.T) {
@@ -430,11 +423,11 @@ func TestVarsSorted(t *testing.T) {
 
 // TestEvaluatorConcurrentEval exercises the lazy index cache from many
 // goroutines at once (run under -race): concurrent Eval calls must
-// build each index exactly once semantically and return identical rows.
+// build each index exactly once semantically and return identical bags.
 func TestEvaluatorConcurrentEval(t *testing.T) {
 	in := bank()
 	e := NewEvaluator(in)
-	want := e.Eval(maryBalances())
+	want := evalBag(e, maryBalances())
 	queries := []CQ{maryBalances(), sameCity()}
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
@@ -444,9 +437,9 @@ func TestEvaluatorConcurrentEval(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 20; rep++ {
 				q := queries[(g+rep)%len(queries)]
-				rows := e.Eval(q)
-				if q.Head != nil && len(q.Head) == 1 && len(rows) != len(want) {
-					errs <- "row count drifted under concurrency"
+				bag := evalBag(e, q)
+				if q.Head != nil && len(q.Head) == 1 && len(bag) != len(want) {
+					errs <- "witness count drifted under concurrency"
 					return
 				}
 			}

@@ -3,6 +3,7 @@ package cq
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -17,51 +18,63 @@ import (
 // compile.go: walking the atoms in planCQ's order, a constant or a
 // variable bound by an earlier atom matches kind-exactly (EqualExact),
 // while a variable repeated within one atom matches with Value.Equal
-// (the two differ only where a FLOAT column stores INT values). The
-// evaluator must produce exactly the same bag of rows.
-func naiveEval(in *db.Instance, q CQ) []Row {
+// (the two differ only where a FLOAT column stores INT values). It
+// returns the witness bag, each (fact set, answer) with the number of
+// assignments producing it, in first-assignment order; the evaluator
+// must produce exactly the same bag.
+func naiveEval(in *db.Instance, q CQ) []Witness {
 	order := planCQ(in, q).order
-	var rows []Row
+	var bag []Witness
+	at := map[string]int{}
 	choice := make([]db.FactID, len(q.Atoms))
+	tuples := map[db.FactID]db.Tuple{}
+	bindings := map[string]db.Value{}
+	own := map[string]bool{} // variables first bound by the current atom
+	match := func() bool {
+		clear(bindings)
+		for _, ai := range order {
+			atom := q.Atoms[ai]
+			tuple := tuples[choice[ai]]
+			clear(own)
+			for pos, term := range atom.Args {
+				if term.IsConst {
+					if !term.Const.EqualExact(tuple[pos]) {
+						return false
+					}
+					continue
+				}
+				if v, ok := bindings[term.Var]; ok {
+					match := v.EqualExact(tuple[pos])
+					if own[term.Var] {
+						match = v.Equal(tuple[pos])
+					}
+					if !match {
+						return false
+					}
+					continue
+				}
+				bindings[term.Var] = tuple[pos]
+				own[term.Var] = true
+			}
+		}
+		for _, c := range q.Conds {
+			val := func(t Term) db.Value {
+				if t.IsConst {
+					return t.Const
+				}
+				return bindings[t.Var]
+			}
+			if !c.Op.Apply(val(c.Left), val(c.Right)) {
+				return false
+			}
+		}
+		return true
+	}
 	var rec func(i int)
 	rec = func(i int) {
 		if i == len(q.Atoms) {
-			bindings := map[string]db.Value{}
-			for _, ai := range order {
-				atom := q.Atoms[ai]
-				tuple := tupleOf(in, choice[ai])
-				own := map[string]bool{} // variables first bound by this atom
-				for pos, term := range atom.Args {
-					if term.IsConst {
-						if !term.Const.EqualExact(tuple[pos]) {
-							return
-						}
-						continue
-					}
-					if v, ok := bindings[term.Var]; ok {
-						match := v.EqualExact(tuple[pos])
-						if own[term.Var] {
-							match = v.Equal(tuple[pos])
-						}
-						if !match {
-							return
-						}
-						continue
-					}
-					bindings[term.Var] = tuple[pos]
-					own[term.Var] = true
-				}
-			}
-			for _, c := range q.Conds {
-				val := func(t Term) db.Value {
-					if t.IsConst {
-						return t.Const
-					}
-					return bindings[t.Var]
-				}
-				if !c.Op.Apply(val(c.Left), val(c.Right)) {
-					return
-				}
+			if !match() {
+				return
 			}
 			head := make(db.Tuple, len(q.Head))
 			for i, h := range q.Head {
@@ -69,59 +82,50 @@ func naiveEval(in *db.Instance, q CQ) []Row {
 			}
 			facts := append([]db.FactID(nil), choice...)
 			sort.Slice(facts, func(a, b int) bool { return facts[a] < facts[b] })
-			dedup := facts[:0]
-			for i, f := range facts {
-				if i == 0 || f != facts[i-1] {
-					dedup = append(dedup, f)
-				}
+			facts = slices.Compact(facts)
+			k := witnessKey(Witness{Facts: facts, Answer: head})
+			if j, ok := at[k]; ok {
+				bag[j].Mult++
+				return
 			}
-			rows = append(rows, Row{Head: head, Facts: dedup})
+			at[k] = len(bag)
+			bag = append(bag, Witness{Facts: facts, Answer: head, Mult: 1})
 			return
 		}
 		for _, f := range in.RelFacts(q.Atoms[i].Rel) {
+			if tuples[f] == nil {
+				tuples[f] = tupleOf(in, f)
+			}
 			choice[i] = f
 			rec(i + 1)
 		}
 	}
 	rec(0)
-	return rows
+	return bag
 }
 
-// rowKey canonicalizes a row for multiset comparison.
-func rowKey(r Row) string {
-	positions := make([]int, len(r.Head))
-	for i := range positions {
-		positions[i] = i
-	}
-	return fmt.Sprintf("%s|%v", r.Head.Key(positions), r.Facts)
+// witnessKey renders a witness's fact set and answer (kind-exact) for
+// multiset comparison.
+func witnessKey(w Witness) string {
+	return fmt.Sprintf("%s|%v", w.Answer.Key(headPositions(len(w.Answer))), w.Facts)
 }
 
-// bagDiff compares two row lists as multisets (order-insensitive,
-// kind-exact on head values) and returns the first row key whose
-// multiplicity differs, or "" when the bags are equal.
-func bagDiff(got, want []Row) string {
-	key := func(rows []Row) []string {
-		out := make([]string, len(rows))
-		for i, r := range rows {
-			out[i] = rowKey(r)
-		}
-		return out
-	}
-	return multisetDiff(key(got), key(want))
-}
-
-// witnessBagDiff compares two witness bags as multisets of (fact set,
-// answer, multiplicity); "" means equal.
-func witnessBagDiff(got, want []Witness) string {
+// bagDiff compares two witness bags as multisets of (fact set, answer,
+// multiplicity) and returns the first key whose count differs, or ""
+// when the bags are equal.
+func bagDiff(got, want []Witness) string {
 	key := func(ws []Witness) []string {
 		out := make([]string, len(ws))
 		for i, w := range ws {
-			out[i] = fmt.Sprintf("%s|%d", rowKey(Row{Head: w.Answer, Facts: w.Facts}), w.Mult)
+			out[i] = fmt.Sprintf("%s|%d", witnessKey(w), w.Mult)
 		}
 		return out
 	}
 	return multisetDiff(key(got), key(want))
 }
+
+// evalBag is the evaluator's witness bag of one CQ.
+func evalBag(e *Evaluator, q CQ) []Witness { return e.WitnessBag(Single(q)) }
 
 // multisetDiff returns the first key whose count differs between got
 // and want, with the signed surplus, or "" when they are equal.
@@ -240,13 +244,13 @@ func TestEvalAgainstNaive(t *testing.T) {
 			continue // a constant landed on a mistyped position; skip
 		}
 
-		got := NewEvaluator(in).Eval(q)
+		got := evalBag(NewEvaluator(in), q)
 		want := naiveEval(in, q)
 		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d rows vs naive %d\nquery: %s", seed, len(got), len(want), q)
+			t.Fatalf("seed %d: %d witnesses vs naive %d\nquery: %s", seed, len(got), len(want), q)
 		}
 		if d := bagDiff(got, want); d != "" {
-			t.Fatalf("seed %d: row multiset mismatch at %s\nquery: %s", seed, d, q)
+			t.Fatalf("seed %d: witness bag mismatch at %s\nquery: %s", seed, d, q)
 		}
 	}
 }
@@ -271,13 +275,13 @@ func TestCompiledMatchesInterpreterFixtures(t *testing.T) {
 	}
 	for i, q := range queries {
 		want := naiveEval(in, q)
-		got := compiled.Eval(q)
+		got := evalBag(compiled, q)
 		if len(got) != len(want) {
-			t.Errorf("query %d (%s): %d rows, naive %d", i, q, len(got), len(want))
+			t.Errorf("query %d (%s): %d witnesses, naive %d", i, q, len(got), len(want))
 			continue
 		}
 		if d := bagDiff(got, want); d != "" {
-			t.Errorf("query %d (%s): compiled rows differ at %s\n got: %v\nwant: %v", i, q, d, got, want)
+			t.Errorf("query %d (%s): compiled witnesses differ at %s\n got: %v\nwant: %v", i, q, d, got, want)
 		}
 	}
 }
@@ -295,17 +299,13 @@ func TestCompiledMatchesInterpreterRandom(t *testing.T) {
 		for qi := 0; qi < 8; qi++ {
 			q := randomCQ(rng)
 			want := naiveEval(in, q)
-			got := compiled.Eval(q)
+			got := evalBag(compiled, q)
 			if len(got) != len(want) {
-				t.Fatalf("trial %d query %d (%s): %d rows, naive %d", trial, qi, q, len(got), len(want))
+				t.Fatalf("trial %d query %d (%s): %d witnesses, naive %d", trial, qi, q, len(got), len(want))
 			}
 			if d := bagDiff(got, want); d != "" {
-				t.Fatalf("trial %d query %d (%s): compiled rows differ at %s\n got: %v\nwant: %v",
+				t.Fatalf("trial %d query %d (%s): compiled witnesses differ at %s\n got: %v\nwant: %v",
 					trial, qi, q, d, got, want)
-			}
-			// Witness bags built from either row stream must agree too.
-			if d := witnessBagDiff(CollectWitnesses(got), CollectWitnesses(want)); d != "" {
-				t.Fatalf("trial %d query %d: witness bags differ at %s", trial, qi, d)
 			}
 		}
 	}
@@ -317,7 +317,7 @@ func TestTriviallyTrueQuery(t *testing.T) {
 	in := bank()
 	q := CQ{}
 	want := naiveEval(in, q)
-	got := NewEvaluator(in).Eval(q)
+	got := evalBag(NewEvaluator(in), q)
 	if len(want) != 1 || len(got) != 1 || bagDiff(got, want) != "" {
 		t.Fatalf("zero-atom query: got %v, want %v", got, want)
 	}
@@ -333,11 +333,15 @@ func tupleOf(in *db.Instance, id db.FactID) db.Tuple {
 }
 
 // FuzzEvalAgainstNaive drives randomEvalInstance and randomCQ from a
-// fuzzed seed. Every query's compiled rows must equal naiveEval's bag,
-// and FoldedBagCtx under a random safe-fact set and group arity must
-// partition the unfolded witness bag: the witnesses touching an unsafe
-// fact stay materialized, and the all-safe rest is
-// aggregated per exactly equal group key.
+// fuzzed seed. Every query's witness bag — fact sets, answers and
+// multiplicities — must equal naiveEval's, and WitnessGroups under a
+// random safe-fact set and group arity must split naiveEval's bag: the
+// witnesses touching an unsafe fact stay in their group's bag, and the
+// all-safe rest is aggregated into the fold of its exactly equal group
+// key. One input in four also runs a self-join of R with itself over
+// at least parallelEvalThreshold facts at parallelism 4, where the two
+// orders of a pair of facts are two assignments of one fact set that
+// different chunks emit.
 func FuzzEvalAgainstNaive(f *testing.F) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		f.Add(seed)
@@ -348,70 +352,99 @@ func FuzzEvalAgainstNaive(f *testing.F) {
 		e := NewEvaluator(in)
 		for qi := 0; qi < 6; qi++ {
 			q := randomCQ(rng)
-			got, want := e.Eval(q), naiveEval(in, q)
+			got, want := evalBag(e, q), naiveEval(in, q)
 			if d := bagDiff(got, want); d != "" || len(got) != len(want) {
-				t.Fatalf("query %d (%s): %d rows, naive %d; first difference %s", qi, q, len(got), len(want), d)
+				t.Fatalf("query %d (%s): %d witnesses, naive %d; first difference %s", qi, q, len(got), len(want), d)
 			}
 			mod := db.FactID(2 + rng.Intn(4))
 			safe := func(f db.FactID) bool { return f%mod != 0 }
-			checkFolded(t, e, Single(q), safe, rng.Intn(len(q.Head)+1))
+			checkFolded(t, e, q, want, safe, rng.Intn(len(q.Head)+1))
 		}
+		if rng.Intn(4) != 0 {
+			return
+		}
+		big := randomEvalInstance(rng, parallelEvalThreshold+rng.Intn(32))
+		par := NewEvaluator(big)
+		par.SetParallelism(4)
+		heads := [][]string{{"g"}, {}, {"g", "v"}, {"x", "g"}}
+		q := CQ{Head: heads[rng.Intn(len(heads))], Atoms: []Atom{
+			{Rel: "R", Args: []Term{V("x"), V("g"), V("v")}},
+			{Rel: "R", Args: []Term{V("y"), V("g"), V("u")}},
+		}}
+		want := naiveEval(big, q)
+		if got := evalBag(par, q); bagDiff(got, want) != "" || len(got) != len(want) {
+			t.Fatalf("self-join %s at parallelism 4: %d witnesses, naive %d; first difference %s", q, len(got), len(want), bagDiff(got, want))
+		}
+		mod := db.FactID(2 + rng.Intn(4))
+		checkFolded(t, par, q, want, func(f db.FactID) bool { return f%mod != 0 }, rng.Intn(len(q.Head)+1))
 	})
 }
 
-// checkFolded checks FoldedBagCtx(u, safe, arity) against the unfolded
-// witness bag of u.
-func checkFolded(t *testing.T, e *Evaluator, u UCQ, safe func(db.FactID) bool, arity int) {
+// checkFolded checks WitnessGroups(q, arity, safe) against want, the
+// naive witness bag of q: each group holds exactly the witnesses of its
+// key that touch an unsafe fact, with their answers cut to the suffix,
+// and the fold of the all-safe ones.
+func checkFolded(t *testing.T, e *Evaluator, q CQ, want []Witness, safe func(db.FactID) bool, arity int) {
 	t.Helper()
-	full := e.WitnessBag(u)
-	bag, folds, err := e.FoldedBagCtx(context.Background(), u, safe, arity)
+	groups, err := e.WitnessGroups(context.Background(), Single(q), arity, safe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wantBag []Witness
-	want := map[string]*Fold{}
-	var order []string
-	for _, w := range full {
+	type group struct {
+		bag  []Witness
+		fold Fold
+	}
+	wantGroups := map[string]*group{}
+	for _, w := range want {
+		k := w.Answer[:arity].Key(headPositions(arity))
+		g := wantGroups[k]
+		if g == nil {
+			g = &group{}
+			wantGroups[k] = g
+		}
 		allSafe := true
 		for _, f := range w.Facts {
 			allSafe = allSafe && safe(f)
 		}
 		if !allSafe {
-			wantBag = append(wantBag, w)
+			g.bag = append(g.bag, Witness{Facts: w.Facts, Answer: w.Answer[arity:], Mult: w.Mult})
 			continue
 		}
-		k := w.Answer[:arity].Key(headPositions(arity))
-		fd := want[k]
-		if fd == nil {
-			fd = &Fold{}
-			want[k] = fd
-			order = append(order, k)
-		}
-		fd.Rows += w.Mult
+		g.fold.Rows += w.Mult
 		if len(w.Answer) > arity {
 			if v := w.Answer[arity]; !v.IsNull() {
-				fd.NonNull += w.Mult
+				g.fold.NonNull += w.Mult
 				if v.Kind() == db.KindInt {
-					fd.Sum += w.Mult * v.AsInt()
+					g.fold.Sum += w.Mult * v.AsInt()
 				} else {
-					fd.NonInt = v // presence only: enumeration order differs
+					g.fold.NonInt = v // presence only: enumeration order differs
 				}
 			}
 		}
 	}
-	// Compared as bags: witnesses with one fact set whose answers are
-	// Compare-equal but not exactly equal (Int(1), Float(1)) have no
-	// fixed relative order.
-	if d := witnessBagDiff(bag, wantBag); d != "" || len(bag) != len(wantBag) {
-		t.Fatalf("%s arity %d: %d materialized witnesses, want %d; first difference %s", u, arity, len(bag), len(wantBag), d)
+	if len(groups) != len(wantGroups) {
+		t.Fatalf("%s arity %d: %d groups, want %d", q, arity, len(groups), len(wantGroups))
 	}
-	if len(folds) != len(order) {
-		t.Fatalf("%s arity %d: %d folds, want %d", u, arity, len(folds), len(order))
-	}
-	for _, gf := range folds {
-		w := want[gf.Key.Key(headPositions(arity))]
-		if w == nil || gf.Rows != w.Rows || gf.NonNull != w.NonNull || gf.Sum != w.Sum || gf.NonInt.IsNull() != w.NonInt.IsNull() {
-			t.Fatalf("%s arity %d: fold %v = %+v, want %+v", u, arity, gf.Key, gf.Fold, w)
+	for i, g := range groups {
+		if i > 0 && compareExact(groups[i-1].Key, g.Key) >= 0 {
+			t.Fatalf("%s arity %d: groups %v, %v out of order", q, arity, groups[i-1].Key, g.Key)
+		}
+		w := wantGroups[g.Key.Key(headPositions(arity))]
+		if w == nil {
+			t.Fatalf("%s arity %d: unexpected group %v", q, arity, g.Key)
+		}
+		if d := bagDiff(g.Witnesses, w.bag); d != "" || len(g.Witnesses) != len(w.bag) {
+			t.Fatalf("%s arity %d group %v: %d witnesses, want %d; first difference %s", q, arity, g.Key, len(g.Witnesses), len(w.bag), d)
+		}
+		for j := 1; j < len(g.Witnesses); j++ {
+			a, b := g.Witnesses[j-1], g.Witnesses[j]
+			if c := compareFactSets(a.Facts, b.Facts); c > 0 || c == 0 && compareExact(a.Answer, b.Answer) >= 0 {
+				t.Fatalf("%s arity %d group %v: witnesses %v, %v out of order", q, arity, g.Key, a, b)
+			}
+		}
+		f := g.Fold
+		if f.Rows != w.fold.Rows || f.NonNull != w.fold.NonNull || f.Sum != w.fold.Sum || f.NonInt.IsNull() != w.fold.NonInt.IsNull() {
+			t.Fatalf("%s arity %d: group %v fold %+v, want %+v", q, arity, g.Key, f, w.fold)
 		}
 	}
 }

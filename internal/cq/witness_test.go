@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"context"
 	"testing"
 
 	"aggcavsat/internal/db"
@@ -131,34 +132,48 @@ func TestIsSubset(t *testing.T) {
 }
 
 func TestGroupWitnesses(t *testing.T) {
-	bag := []Witness{
-		{Facts: []db.FactID{1}, Answer: db.Tuple{db.Str("LA"), db.Int(10)}, Mult: 1},
-		{Facts: []db.FactID{2}, Answer: db.Tuple{db.Str("SF"), db.Int(20)}, Mult: 2},
-		{Facts: []db.FactID{3}, Answer: db.Tuple{db.Str("LA"), db.Int(30)}, Mult: 1},
+	s := db.NewSchema()
+	s.MustAddRelation(&db.RelationSchema{
+		Name:  "R",
+		Attrs: []db.Attribute{{Name: "city", Kind: db.KindString}, {Name: "v", Kind: db.KindInt}},
+	})
+	in := db.NewInstance(s)
+	in.MustInsert("R", db.Str("SF"), db.Int(20))
+	in.MustInsert("R", db.Str("LA"), db.Int(30))
+	in.MustInsert("R", db.Str("LA"), db.Int(10))
+	q := CQ{Head: []string{"c", "v"}, Atoms: []Atom{{Rel: "R", Args: []Term{V("c"), V("v")}}}}
+	groups, err := NewEvaluator(in).WitnessGroups(context.Background(), Single(q), 1, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	groups := GroupWitnesses(bag, 1)
 	if len(groups) != 2 {
 		t.Fatalf("groups = %d, want 2", len(groups))
 	}
 	if groups[0].Key[0].AsString() != "LA" || len(groups[0].Witnesses) != 2 {
 		t.Errorf("LA group wrong: %+v", groups[0])
 	}
-	if groups[1].Key[0].AsString() != "SF" || groups[1].Witnesses[0].Mult != 2 {
+	if groups[1].Key[0].AsString() != "SF" || groups[1].Witnesses[0].Mult != 1 {
 		t.Errorf("SF group wrong: %+v", groups[1])
 	}
-	// Group-arity suffix stays in the witness answers.
-	if groups[0].Witnesses[0].Answer[0].AsInt() != 10 {
-		t.Error("aggregation value lost in grouping")
+	// The group-arity suffix stays in the witness answers, and the
+	// witnesses come by fact set: LA's 30 (fact 1) before its 10.
+	if got := groups[0].Witnesses; got[0].Answer[0].AsInt() != 30 || got[1].Answer[0].AsInt() != 10 {
+		t.Errorf("LA witnesses %+v: aggregation values lost or out of fact order", got)
 	}
 }
 
 func TestGroupWitnessesFullArity(t *testing.T) {
-	// groupArity == len(Answer): suffix answers become empty tuples.
-	bag := []Witness{
-		{Facts: []db.FactID{1}, Answer: db.Tuple{db.Str("x")}, Mult: 1},
+	// groupArity == len(head): suffix answers become empty tuples.
+	s := db.NewSchema()
+	s.MustAddRelation(&db.RelationSchema{Name: "R", Attrs: []db.Attribute{{Name: "a", Kind: db.KindString}}})
+	in := db.NewInstance(s)
+	in.MustInsert("R", db.Str("x"))
+	q := Single(CQ{Head: []string{"a"}, Atoms: []Atom{{Rel: "R", Args: []Term{V("a")}}}})
+	groups, err := NewEvaluator(in).WitnessGroups(context.Background(), q, 1, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	groups := GroupWitnesses(bag, 1)
-	if len(groups) != 1 || len(groups[0].Witnesses[0].Answer) != 0 {
+	if len(groups) != 1 || len(groups[0].Witnesses) != 1 || len(groups[0].Witnesses[0].Answer) != 0 {
 		t.Errorf("%+v", groups)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"aggcavsat/internal/db"
 	"aggcavsat/internal/medigap"
 	"aggcavsat/internal/tpch"
+	"aggcavsat/internal/xrand"
 )
 
 // keyIndexAllocBound caps the allocations of one cold key index build
@@ -112,6 +113,41 @@ func TestPartitionAllocsScaleWithRelation(t *testing.T) {
 	// own allocations during the measurement.
 	if max(bytes, aloneBytes)-min(bytes, aloneBytes) > 1<<10 {
 		t.Errorf("%d bytes in the Medigap instance, %d with OBS alone: allocation depends on the other relations", bytes, aloneBytes)
+	}
+}
+
+// TestPartitionManyValuesNoRelationTable: a partition on a column of
+// many repeated values — 100,000 facts over 25,000 random INT values —
+// doubles its table as the groups fill it and never allocates one sized
+// for the relation, which a key column of the same relation does at its
+// first growth. Its build must allocate clearly less than the key
+// column's: a relation-sized table alone is over half of the latter.
+func TestPartitionManyValuesNoRelationTable(t *testing.T) {
+	const n = 100_000
+	s := db.NewSchema()
+	s.MustAddRelation(&db.RelationSchema{Name: "R", Attrs: []db.Attribute{
+		{Name: "k", Kind: db.KindInt}, {Name: "a", Kind: db.KindInt},
+	}, Key: []int{0}})
+	in := db.NewInstance(s)
+	rng := xrand.New(48)
+	for i := range n {
+		in.MustInsert("R", db.Int(int64(i)), db.Int(int64(rng.Intn(n/4))))
+	}
+	rel, _ := in.Schema().RelID("R")
+	bytes := func(pos int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 3
+		for range runs {
+			in.BuildPartition(rel, []int{pos})
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	key, random := bytes(0), bytes(1)
+	t.Logf("%d facts: key column %d bytes, random column (%d groups) %d bytes per build", n, key, in.BuildPartition(rel, []int{1}).NumGroups(), random)
+	if 4*random > 3*key {
+		t.Errorf("random column: %d bytes per build, over 3/4 of the key column's %d: a relation-sized table was allocated", random, key)
 	}
 }
 

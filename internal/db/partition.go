@@ -118,9 +118,10 @@ func (in *Instance) NumPartitions() int {
 // its slot naming the fact that opened it, against which every later
 // tag hit is verified by cell equality. The table starts small and
 // doubles when the groups fill half of it, except that a projection
-// nearly unique so far (a key) grows to the relation's size at once: a
-// key re-homes once, and a join column of few values never allocates a
-// table sized for the facts. A count, a prefix sum and a second pass
+// unique so far (every fact opened its own group: a key) grows to the
+// relation's size at once: a key re-homes once, and a column with
+// repeats — a join column, or a random one of many values — never
+// allocates a table sized for the facts. A count, a prefix sum and a second pass
 // lay the members out; last, the slots are renamed to groups, in a
 // table cut to the groups' size when a key guess overshot. hashMask is
 // applied to every hash (all ones in production; tests narrow it to
@@ -141,10 +142,10 @@ func (in *Instance) buildPartition(rel RelID, positions []int, hashMask uint64) 
 				table[s] = h>>32<<32 | uint64(i+1)
 				groupOf[i] = groups
 				if groups++; 2*int(groups) > len(table) {
-					// A projection nearly unique so far (a key) grows to
-					// its final size at once; any other doubles.
+					// A projection unique so far (a key) grows to its
+					// final size at once; any other doubles.
 					bits++
-					if 4*int(groups) > 3*(i+1) {
+					if int(groups) == i+1 {
 						bits = uint(tableBits(len(ids)))
 					}
 					table = rehome(table, bits)

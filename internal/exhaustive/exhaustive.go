@@ -6,8 +6,8 @@
 package exhaustive
 
 import (
+	"context"
 	"fmt"
-	"sort"
 
 	"aggcavsat/internal/constraints"
 	"aggcavsat/internal/cq"
@@ -172,83 +172,75 @@ func RangeAnswers(in *db.Instance, q cq.AggQuery, opts Options) ([]GroupRange, e
 		return nil, err
 	}
 	e := cq.NewEvaluator(in)
-	rows := e.EvalUCQ(q.Underlying)
-
+	groups, err := e.WitnessGroups(context.Background(), q.Underlying, len(q.GroupBy), nil)
+	if err != nil {
+		return nil, err
+	}
+	if q.Scalar() && len(groups) == 0 {
+		// Scalar queries always produce one row per repair.
+		groups = []cq.WitnessGroup{{Key: db.Tuple{}}}
+	}
+	// Per group: the number of repairs it appears in and its range.
 	type groupAgg struct {
-		key           db.Tuple
-		seenIn        int64 // number of repairs the group appears in
+		seenIn        int64
 		glb           db.Value
 		lub           db.Value
 		emptyPossible bool
 	}
-	groups := map[string]*groupAgg{}
+	aggs := make([]groupAgg, len(groups))
 	var repairCount int64
-
-	positions := make([]int, len(q.GroupBy))
-	for i := range positions {
-		positions[i] = i
-	}
 
 	visit := func(keep []bool) bool {
 		repairCount++
-		// Aggregate the surviving rows per group.
-		local := map[string]*localAgg{}
-		var order []string
-		for _, r := range rows {
-			alive := true
-			for _, f := range r.Facts {
-				if !keep[f] {
-					alive = false
-					break
+		for gi, g := range groups {
+			// Aggregate the group's surviving witnesses, each standing
+			// for Mult assignments.
+			st := localAgg{distinct: map[string]bool{}}
+			present := q.Scalar()
+			for _, w := range g.Witnesses {
+				alive := true
+				for _, f := range w.Facts {
+					if !keep[f] {
+						alive = false
+						break
+					}
+				}
+				if !alive {
+					continue
+				}
+				present = true
+				var v db.Value
+				if q.Op.NeedsVar() {
+					v = w.Answer[0]
+				}
+				for range w.Mult {
+					st.add(q.Op, v)
 				}
 			}
-			if !alive {
+			if !present {
 				continue
 			}
-			key := r.Head[:len(q.GroupBy)]
-			k := key.Key(positions)
-			st, ok := local[k]
-			if !ok {
-				st = &localAgg{key: key.Clone(), distinct: map[string]bool{}}
-				local[k] = st
-				order = append(order, k)
-			}
-			var v db.Value
-			if q.Op.NeedsVar() {
-				v = r.Head[len(q.GroupBy)]
-			}
-			st.add(q.Op, v)
-		}
-		if q.Scalar() && len(local) == 0 {
-			// Scalar queries always produce one row per repair.
-			local[""] = &localAgg{key: db.Tuple{}, distinct: map[string]bool{}}
-			order = append(order, "")
-		}
-		for _, k := range order {
-			st := local[k]
 			v := st.value(q.Op)
-			g, ok := groups[k]
-			if !ok {
-				g = &groupAgg{key: st.key, glb: v, lub: v}
-				groups[k] = g
+			a := &aggs[gi]
+			if a.seenIn == 0 {
+				a.glb, a.lub = v, v
 			}
-			g.seenIn++
+			a.seenIn++
 			if v.IsNull() {
 				// A repair with an empty result (MIN/MAX over nothing).
-				g.emptyPossible = true
+				a.emptyPossible = true
 			} else {
-				if g.glb.IsNull() || v.Compare(g.glb) < 0 {
-					g.glb = v
+				if a.glb.IsNull() || v.Compare(a.glb) < 0 {
+					a.glb = v
 				}
-				if g.lub.IsNull() || v.Compare(g.lub) > 0 {
-					g.lub = v
+				if a.lub.IsNull() || v.Compare(a.lub) > 0 {
+					a.lub = v
 				}
 			}
 		}
 		return true
 	}
 
-	var err error
 	switch opts.Mode {
 	case ModeKeys:
 		err = RepairsKeys(in, visit)
@@ -263,18 +255,16 @@ func RangeAnswers(in *db.Instance, q cq.AggQuery, opts Options) ([]GroupRange, e
 	}
 
 	var out []GroupRange
-	for _, g := range groups {
-		if g.seenIn == repairCount { // consistent group: present in every repair
-			out = append(out, GroupRange{Key: g.key, GLB: g.glb, LUB: g.lub, EmptyPossible: g.emptyPossible})
+	for gi, a := range aggs {
+		if a.seenIn == repairCount { // consistent group: present in every repair
+			out = append(out, GroupRange{Key: groups[gi].Key, GLB: a.glb, LUB: a.lub, EmptyPossible: a.emptyPossible})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.Compare(out[j].Key) < 0 })
 	return out, nil
 }
 
 // localAgg mirrors cq's aggregation state for one repair.
 type localAgg struct {
-	key      db.Tuple
 	count    int64
 	sum      int64
 	fsum     float64
