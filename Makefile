@@ -20,8 +20,8 @@ vet:
 # Race-hammers the concurrency-sensitive packages: the metrics registry
 # and the debug HTTP handler (live /metrics + /debug/trace scrapes racing
 # the instrumentation writers), the SAT solver (progress callbacks and
-# cooperative interrupts fire from inside the search), MaxHS and its RC2
-# fallback under cancellation, the shared worker pool and the engine
+# cooperative interrupts fire from inside the search), the RC2 MaxSAT
+# solver under cancellation, the shared worker pool and the engine
 # running on it (parallel groups/components/candidate shards), the
 # parallel witness enumerator (shared evaluator, plan/index caches), the
 # bench harness, the facade (one System hammered by concurrent
@@ -35,9 +35,11 @@ vet:
 race:
 	$(GO) test -race -short . ./internal/obsv/... ./internal/sat/... ./internal/maxsat/... ./internal/core/... ./internal/cq/... ./internal/bench/... ./internal/server/... ./internal/planner/... ./internal/conquer/... ./internal/db/... ./internal/workpool/... ./cmd/...
 
-# Micro-benchmarks: core's group elimination vs encode + MaxHS
+# Micro-benchmarks: core's group elimination vs encode + MaxSAT
 # component solve on a single-group and a coupled width-2 component
-# (BenchmarkComponentSolve), the compiled evaluation
+# (BenchmarkComponentSolve), the RC2 solver on the committed
+# price-weighted fixtures of internal/maxsat/testdata
+# (BenchmarkHardFixtures, which also reports SAT calls), the compiled evaluation
 # (BenchmarkEvalWideJoin: a join into a 14-column relation that reads
 # two columns) and the witness bag it builds (BenchmarkWitnessBag:
 # ungrouped, and grouped with a fold as the engine asks for it),
@@ -53,13 +55,13 @@ race:
 # the end-to-end harness benchmarks. Pipe two runs through benchstat
 # to compare.
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ ./internal/core/ ./internal/cq/ ./internal/constraints/ ./internal/conquer/ ./internal/db/ ./internal/bench/
+	$(GO) test -bench=. -benchmem -run=^$$ ./internal/core/ ./internal/maxsat/ ./internal/cq/ ./internal/constraints/ ./internal/conquer/ ./internal/db/ ./internal/bench/
 
 # Fuzz smoke: a bounded run of the planner equivalence fuzzer
 # (planner-auto ≡ forced-rewrite, wherever the rewriting answers, ≡
 # exhaustive repair enumeration on random instances), of the
 # group-elimination fuzzer (elimination ≡
-# encode + MaxHS ≡ exhaustive repair enumeration on random keys-mode
+# encode + MaxSAT ≡ exhaustive repair enumeration on random keys-mode
 # components coupling up to six groups, and a lowered table budget
 # declining exactly the components whose largest table exceeds it; on
 # the same cases the consistency filter and the MIN/MAX probes, by

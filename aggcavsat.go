@@ -183,9 +183,8 @@ type Options struct {
 	// denial-constraint set (Reduction V.1).
 	DenialConstraints []DenialConstraint
 	// ExternalSolverPath, when non-empty, selects an external
-	// MaxHS-compatible MaxSAT binary in place of the built-in MaxHS
-	// (which degrades to core-guided RC2 search on its own when an exact
-	// hitting-set search exhausts its node budget).
+	// MaxHS-compatible MaxSAT binary in place of the built-in RC2
+	// solver.
 	ExternalSolverPath string
 	// Parallelism bounds the worker pool that solves independent
 	// groups/components concurrently; 0 means GOMAXPROCS, 1 forces

@@ -221,10 +221,10 @@ func TestDenialConstraintMode(t *testing.T) {
 	}
 }
 
-// TestDefaultSolverIsMaxHS: the zero Options value solves with MaxHS,
-// as the explain report's solver names show (a DISTINCT aggregate
-// always reaches the solver).
-func TestDefaultSolverIsMaxHS(t *testing.T) {
+// TestDefaultSolverIsRC2: the zero Options value solves with the
+// built-in RC2 solver, as the explain report's solver names show (a
+// DISTINCT aggregate always reaches the solver).
+func TestDefaultSolverIsRC2(t *testing.T) {
 	sys, err := Open(bank(t), Options{Explain: true})
 	if err != nil {
 		t.Fatal(err)
@@ -239,15 +239,15 @@ func TestDefaultSolverIsMaxHS(t *testing.T) {
 		t.Fatalf("explains = %d, want 1", len(res.Explains))
 	}
 	ex := res.Explains[0]
-	if ex.Options.Algorithm != "maxhs" {
-		t.Errorf("default solver = %q, want maxhs", ex.Options.Algorithm)
+	if ex.Options.Algorithm != "rc2" {
+		t.Errorf("default solver = %q, want rc2", ex.Options.Algorithm)
 	}
 	passes := 0
 	for _, c := range ex.Components {
 		for _, d := range c.Directions {
 			passes++
-			if d.Algorithm != "maxhs" {
-				t.Errorf("component %d %s pass solved with %q, want maxhs", c.Index, d.Direction, d.Algorithm)
+			if d.Algorithm != "rc2" {
+				t.Errorf("component %d %s pass solved with %q, want rc2", c.Index, d.Direction, d.Algorithm)
 			}
 		}
 	}

@@ -150,9 +150,9 @@ func BenchmarkReductionV1Medigap(b *testing.B) {
 	}
 }
 
-// BenchmarkSolverMaxHS times the engine's WPMaxSAT path (MaxHS with its
-// RC2 fallback) end to end on one scalar query.
-func BenchmarkSolverMaxHS(b *testing.B) {
+// BenchmarkSolverRC2 times the engine's WPMaxSAT path (the built-in RC2
+// solver) end to end on one scalar query.
+func BenchmarkSolverRC2(b *testing.B) {
 	in := benchInstance(b)
 	q, err := tpch.QueryByName("Q12'")
 	if err != nil {

@@ -41,7 +41,7 @@ func TestRunFigure9Golden(t *testing.T) {
 			got.WriteString(f[0] + " " + f[6] + " " + f[7] + "\n")
 		}
 	}
-	const want = "Q1m 0 1\nQ2m 0 1\nQ3m 0 1\nQ4m 0 1\nQ5m 0 1\nQ6m 0 1\nQ7m 0 2\nQ8m 0 12\nQ9m 14 12\nQ10m 0 8\nQ11m 0 7\nQ12m 0 6\n"
+	const want = "Q1m 0 1\nQ2m 0 1\nQ3m 0 1\nQ4m 0 1\nQ5m 0 1\nQ6m 0 1\nQ7m 0 2\nQ8m 0 12\nQ9m 8 12\nQ10m 0 8\nQ11m 0 7\nQ12m 0 6\n"
 	if got.String() != want {
 		t.Errorf("Figure 9 (query satcalls groups) =\n%s\nwant\n%s\nfull output:\n%s", got.String(), want, stdout.String())
 	}

@@ -63,8 +63,7 @@
 //
 //	-external-solver P  hand each WPMaxSAT instance to the
 //	                  MaxHS-compatible binary P (one WCNF file per run)
-//	                  instead of the built-in MaxHS-style solver, which
-//	                  falls back to core-guided RC2 search on its own
+//	                  instead of the built-in RC2 solver
 //
 // Concurrency and timeouts:
 //

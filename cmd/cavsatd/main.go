@@ -77,9 +77,8 @@
 // route, and cavsatd_coalesced_total counts it).
 //
 // A SAT-route component that group elimination declines runs the
-// built-in MaxHS-style solver (with its RC2 fallback); -external-solver
-// path hands those WPMaxSAT instances to a MaxHS-compatible binary
-// instead.
+// built-in RC2 solver; -external-solver path hands those WPMaxSAT
+// instances to a MaxHS-compatible binary instead.
 //
 // Every tenant — -data directories, the -dbgen demo and hot attaches —
 // is built with the same engine options (-planner, -parallel,

@@ -4,9 +4,8 @@
 //
 //	wcnfsolve [-progress] [-timeout 30s] problem.wcnf
 //
-// It runs the built-in MaxHS-style solver through maxsat.SolveContext,
-// the path the engine takes too; when an exact hitting-set search
-// exhausts its node budget the solve falls back to RC2.
+// It runs the built-in RC2 solver through maxsat.SolveContext, the path
+// the engine takes too.
 //
 // It doubles as a drop-in "external solver" for aggcavsat itself
 // (Options.ExternalSolverPath), which closes the loop on the paper's
@@ -81,7 +80,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stdout, "s UNSATISFIABLE")
 		return exitUnsat
 	}
-	fmt.Fprintf(stdout, "c solver: %v, sat calls: %d, conflicts: %d\n", res.Algorithm, res.SATCalls, res.Conflicts)
+	fmt.Fprintf(stdout, "c solver: %v, sat calls: %d, conflicts: %d\n", opts.Algorithm(), res.SATCalls, res.Conflicts)
 	fmt.Fprintf(stdout, "o %d\n", res.FalsifiedWeight)
 	fmt.Fprintln(stdout, "s OPTIMUM FOUND")
 	var sb strings.Builder

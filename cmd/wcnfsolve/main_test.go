@@ -32,7 +32,7 @@ func TestRunGolden(t *testing.T) {
 		{
 			name: "optimum",
 			wcnf: "p wcnf 2 3 100\n100 1 2 0\n3 -1 0\n5 -2 0\n",
-			want: "c solver: maxhs, sat calls: 5, conflicts: 0\no 3\ns OPTIMUM FOUND\nv 1 -2 0\n",
+			want: "c solver: rc2, sat calls: 3, conflicts: 0\no 3\ns OPTIMUM FOUND\nv 1 -2 0\n",
 			code: 30,
 		},
 		{

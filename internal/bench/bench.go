@@ -65,7 +65,7 @@ type Config struct {
 }
 
 // DefaultConfig returns the calibration used by EXPERIMENTS.md. The
-// solver budgets bound each query: a handful of (instance, query)
+// conflict budget bounds each MaxSAT solve: a handful of (instance, query)
 // pairs in the hardest settings (PDBench instance 4, 35 %
 // inconsistency) hit combinatorial blow-ups — exactly where the paper
 // reports its own solver struggling — and are reported as "t/o"
@@ -77,10 +77,7 @@ func DefaultConfig() Config {
 		SFLarge:      0.005,
 		MedigapScale: 0.25,
 		Seed:         tpch.DemoSeed,
-		Solver: maxsat.Options{
-			ConflictBudget: 400_000,
-			HSNodeBudget:   2_000_000,
-		},
+		Solver:       maxsat.Options{ConflictBudget: 400_000},
 	}
 }
 

@@ -73,7 +73,7 @@ func (f *Flags) Register(fs *flag.FlagSet, names ...string) {
 		case Timeout:
 			fs.DurationVar(&f.Timeout, name, f.Timeout, "wall-clock bound per query or solve, e.g. 30s (0 = none)")
 		case ExternalSolver:
-			fs.StringVar(&f.ExternalSolver, name, f.ExternalSolver, "path to a MaxHS-compatible MaxSAT binary to use instead of the built-in MaxHS")
+			fs.StringVar(&f.ExternalSolver, name, f.ExternalSolver, "path to a MaxHS-compatible MaxSAT binary to use instead of the built-in RC2 solver")
 		case Journal:
 			fs.StringVar(&f.Journal, name, f.Journal, "append one wide-event JSON line per engine call to this file")
 		case Trace:

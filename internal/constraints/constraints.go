@@ -7,7 +7,6 @@ package constraints
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"aggcavsat/internal/cq"
@@ -153,33 +152,41 @@ type Violation []db.FactID
 // FD-shaped DCs skip the generic self-join and read their violating
 // pairs off one partition per (relation, left-hand side) (see
 // fastpath.go); the remaining DCs evaluate generically, and both
-// streams merge through one dedup + minimality filter.
+// streams merge through one sort + minimality filter.
 func MinimalViolations(e *cq.Evaluator, dcs []DC) []Violation {
 	in := e.Instance()
-	dedup := newVioDedup()
+	var all []Violation
 	parts, generic := splitFDs(in.Schema(), dcs)
 	for _, part := range parts {
-		fdViolations(in, part, dedup.add)
+		fdViolations(in, part, func(facts []db.FactID) { all = append(all, facts) })
 	}
-	for _, dc := range generic {
-		for _, w := range e.WitnessBag(cq.Single(dc.Body())) {
-			dedup.add(w.Facts)
-		}
-	}
-	return sortedMinimal(dedup.all)
+	return sortedMinimal(appendBags(e, all, generic))
 }
 
-// sortedMinimal orders deduplicated candidate violations by size, then
-// lexicographically, and keeps only the minimal sets: any superset
-// comes after its subsets in that order.
-func sortedMinimal(all []Violation) []Violation {
-	sort.Slice(all, func(i, j int) bool {
-		if len(all[i]) != len(all[j]) {
-			return len(all[i]) < len(all[j])
+// appendBags appends the fact sets of each DC body's witness bag to
+// all; sortedMinimal drops the duplicates, such as a set two DCs
+// share.
+func appendBags(e *cq.Evaluator, all []Violation, dcs []DC) []Violation {
+	for _, dc := range dcs {
+		for _, w := range e.WitnessBag(cq.Single(dc.Body())) {
+			all = append(all, w.Facts)
 		}
-		return compareIDs(all[i], all[j]) < 0
+	}
+	return all
+}
+
+// sortedMinimal orders candidate violations by size, then
+// lexicographically, drops the duplicates (adjacent in that order) and
+// keeps only the minimal sets: any superset comes after its subsets in
+// that order.
+func sortedMinimal(all []Violation) []Violation {
+	slices.SortFunc(all, func(a, b Violation) int {
+		if len(a) != len(b) {
+			return len(a) - len(b)
+		}
+		return compareIDs(a, b)
 	})
-	return minimalFilter(all)
+	return minimalFilter(slices.CompactFunc(all, slices.Equal[Violation]))
 }
 
 // NearViolationIndex holds, for every fact f, the near-violations

@@ -21,7 +21,7 @@ import (
 // sharing (R, L) are read off one partition together: a pair violates
 // one of them iff it differs at one of their positions p. Every other
 // DC keeps the generic path, and both candidate streams merge through
-// one dedup + minimality filter, so the result is the all-generic one
+// one sort + minimality filter, so the result is the all-generic one
 // (see fastpath_test.go).
 
 // fdPart is one (relation, left-hand side) partition and the positions
@@ -149,31 +149,8 @@ func fdViolations(in *db.Instance, part fdPart, add func([]db.FactID)) {
 	}
 }
 
-// vioDedup deduplicates candidate violations by a uint64 hash of the
-// sorted fact set, verifying exact equality inside each bucket.
-type vioDedup struct {
-	byHash map[uint64][]int // hash → indexes into all
-	all    []Violation
-}
-
-func newVioDedup() *vioDedup {
-	return &vioDedup{byHash: make(map[uint64][]int)}
-}
-
-// add records the sorted fact set if unseen. The slice is retained.
-func (d *vioDedup) add(facts []db.FactID) {
-	h := db.HashFactSet(facts)
-	for _, i := range d.byHash[h] {
-		if compareIDs(d.all[i], facts) == 0 {
-			return
-		}
-	}
-	d.byHash[h] = append(d.byHash[h], len(d.all))
-	d.all = append(d.all, Violation(facts))
-}
-
 // minimalFilter keeps the candidates with no accepted strictly smaller
-// subset. Candidates must arrive sorted by (size, lex) and deduplicated.
+// subset. Candidates must arrive sorted by (size, lex) and distinct.
 // Instead of scanning every accepted set per candidate (quadratic), an
 // inverted fact→accepted-sets index is walked: an accepted set m ⊂ v
 // iff every fact of m hits v, detected by epoch-stamped hit counters in

@@ -57,13 +57,7 @@ func randomConsInstance(rng *xrand.Rand, n int) *db.Instance {
 // semantic reference the fast path is checked against (exported for the
 // package's external tests too).
 func MinimalViolationsGeneric(e *cq.Evaluator, dcs []DC) []Violation {
-	dedup := newVioDedup()
-	for _, dc := range dcs {
-		for _, w := range e.WitnessBag(cq.Single(dc.Body())) {
-			dedup.add(w.Facts)
-		}
-	}
-	return sortedMinimal(dedup.all)
+	return sortedMinimal(appendBags(e, nil, dcs))
 }
 
 func violationsEqual(a, b []Violation) bool {

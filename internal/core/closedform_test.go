@@ -150,7 +150,7 @@ type elimTally struct {
 }
 
 // checkClosedForm checks one case component by component — group
-// elimination, the encoded Reduction IV.1 instance solved by MaxHS, and
+// elimination, the encoded Reduction IV.1 instance solved by MaxSAT, and
 // the repair enumeration agree on the falsified-weight range; under a
 // lowered budget the kernel declines exactly the components whose
 // largest table exceeds it; and the counted reduction size is the built
@@ -191,7 +191,7 @@ func checkClosedForm(t *testing.T, label string, c closedFormCase, tally *elimTa
 			t.Fatalf("%s: %v", where, err)
 		}
 		if satMin != wantMin || satMax != wantMax {
-			t.Fatalf("%s: MaxHS [%d, %d], repairs [%d, %d]", where, satMin, satMax, wantMin, wantMax)
+			t.Fatalf("%s: MaxSAT [%d, %d], repairs [%d, %d]", where, satMin, satMax, wantMin, wantMax)
 		}
 		elMin, elMax, shape, ok := full.solve(facts, idx)
 		if !ok || elMin != wantMin || elMax != wantMax {
@@ -506,7 +506,7 @@ func sameRange(a, b Range) bool {
 }
 
 // TestClosedFormOracle is the kernel's property test over seeded random
-// components: elimination ≡ encode + MaxHS ≡ repair enumeration, with
+// components: elimination ≡ encode + MaxSAT ≡ repair enumeration, with
 // every width from 0 to 3 reached, and for the consistency filter and
 // the MIN/MAX probes elimination ≡ SAT checks ≡ repair enumeration.
 func TestClosedFormOracle(t *testing.T) {
@@ -574,7 +574,7 @@ func TestClosedFormOverflow(t *testing.T) {
 }
 
 // BenchmarkComponentSolve answers one component by group elimination
-// and by encoding Reduction IV.1 and solving both directions with MaxHS.
+// and by encoding Reduction IV.1 and solving both directions with MaxSAT.
 // single-group is a key-equal group of
 // five facts with one SUM witness per fact, two of them negative (width
 // 0); coupled is three groups of four facts pairwise coupled by SUM
@@ -636,7 +636,7 @@ func BenchmarkComponentSolve(b *testing.B) {
 				}
 			}
 		})
-		b.Run(bc.name+"/encode+maxhs", func(b *testing.B) {
+		b.Run(bc.name+"/encode+maxsat", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := e.solveComponent(ctx, cc, facts, ws, idx, rc); err != nil {

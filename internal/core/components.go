@@ -14,8 +14,7 @@ import (
 // The WPMaxSAT instance of Reduction IV.1 is a disjoint union over
 // these components, so each component can be encoded and solved
 // independently and the falsified weights summed — a large practical
-// win for core-guided MaxSAT (the paper's MaxHS exploits the same
-// structure internally through its hitting-set decomposition).
+// win for core-guided MaxSAT.
 //
 // The split is two compressed rows, like db.Partition: component c's
 // witnesses (indexes into the bag, ascending) are wits[witOff[c]:

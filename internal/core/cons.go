@@ -304,7 +304,8 @@ func dedupFactSets(ws []cq.Witness) weightedBag {
 }
 
 // hardSolver returns a fresh SAT solver loaded with f's hard clauses,
-// under the engine's conflict budget.
+// under the engine's conflict budget, which bounds all of its calls
+// together.
 func (e *Engine) hardSolver(f *cnf.Formula) (*sat.Solver, error) {
 	s := sat.New()
 	if !s.AddFormulaHard(f) {

@@ -94,7 +94,7 @@ func TestExplainReconcilesWithStats(t *testing.T) {
 		t.Fatal("Explain missing despite Options.Explain")
 	}
 	checkLineStats(t, "solved", *ex, rep.Stats)
-	if ex.Op != "range_answers/SUM" || ex.Options.Mode != "keys" || ex.Options.Algorithm != "maxhs" {
+	if ex.Op != "range_answers/SUM" || ex.Options.Mode != "keys" || ex.Options.Algorithm != "rc2" {
 		t.Errorf("explain identity = op %q mode %q alg %q", ex.Op, ex.Options.Mode, ex.Options.Algorithm)
 	}
 	if len(ex.Components) == 0 {
@@ -108,9 +108,8 @@ func TestExplainReconcilesWithStats(t *testing.T) {
 		for _, d := range ce.Directions {
 			dirs[d.Direction] = true
 			satCalls += d.SATCalls
-			// Default budgets: MaxHS answers without its RC2 fallback.
-			if d.Algorithm != "maxhs" {
-				t.Errorf("component %d %s pass answered by %q, want maxhs", ce.Index, d.Direction, d.Algorithm)
+			if d.Algorithm != "rc2" {
+				t.Errorf("component %d %s pass answered by %q, want rc2", ce.Index, d.Direction, d.Algorithm)
 			}
 		}
 	}
@@ -225,7 +224,7 @@ func TestExplainWriteTableAndJSON(t *testing.T) {
 	tc0 := obsv.NewTraceContext()
 	traced := obsv.WithTraceContext(context.Background(), tc0)
 	common := []string{"phase", "time", "alloc", "witness", "constraint", "encode", "solve", "total",
-		"component", "solver", "maxhs", "parallelism", "constraint cache", "route", "sat (" + planner.ReasonAuto + ")"}
+		"component", "solver", "rc2", "parallelism", "constraint cache", "route", "sat (" + planner.ReasonAuto + ")"}
 	for _, tc := range []struct {
 		e      *Engine
 		ctx    context.Context

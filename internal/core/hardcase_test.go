@@ -18,8 +18,8 @@ import (
 )
 
 // hardCase is the largest Reduction IV.1 component of one TPC-H query's
-// SAT route at sf 0.01: a component MaxHS does not answer within the
-// bench budgets, committed as a WCNF fixture for the solver fallback.
+// SAT route at sf 0.01, committed as a WCNF fixture of price-weighted
+// SUM components for the MaxSAT solver's tests.
 type hardCase struct {
 	fixture string // file name under internal/maxsat/testdata
 	query   string // tpch query name
@@ -98,8 +98,8 @@ func TestHardCases(t *testing.T) {
 		if !ok || shape != (elimShape{width: 2, table: 108}) {
 			t.Errorf("component: ok %v, %+v; want width 2, largest table 108", ok, shape)
 		}
-		// MaxHS reaches the same minimum on the fixture; its maximum (the
-		// lub direction) exhausts the hitting-set budget.
+		// The MaxSAT solver reaches the same minimum on the fixture; its
+		// maximum (the lub direction) it does not finish.
 		if minF != 263358665 || maxF != 815972972 {
 			t.Errorf("falsified weight [%d, %d], want [263358665, 815972972]", minF, maxF)
 		}

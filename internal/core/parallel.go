@@ -17,9 +17,9 @@ import (
 // budget (not wall clock) ran out. Match with errors.Is.
 var ErrTimeout = errors.New("core: solve cancelled or timed out")
 
-// ErrBudget is returned when a solver budget (the SAT conflict budget of
-// Options.MaxSAT.ConflictBudget, or the MaxHS hitting-set node budget)
-// was exhausted before the solve finished. Match with errors.Is.
+// ErrBudget is returned when the solver budget (the SAT conflict budget
+// of Options.MaxSAT.ConflictBudget) was exhausted before the solve
+// finished. Match with errors.Is.
 var ErrBudget = errors.New("core: solver budget exhausted")
 
 // ErrOverflow is returned when a SUM (or a weight, offset or bound of

@@ -446,7 +446,7 @@ func (e *Engine) runMaxSAT(ctx context.Context, f *cnf.Formula, rc *recorder, ce
 	res, err := maxsat.SolveContext(ctx, f, e.opts.MaxSAT)
 	d := rc.endPhase(phaseSolve, pm)
 	rc.solved(res.SATCalls, err == nil)
-	ce.AddDirection(dir, res.Algorithm.String(), res.SATCalls, res.Conflicts, d)
+	ce.AddDirection(dir, e.opts.MaxSAT.Algorithm().String(), res.SATCalls, res.Conflicts, d)
 	if err != nil {
 		return res, mapSolveErr(err)
 	}

@@ -17,13 +17,12 @@ import (
 // direction its NegateSoft copy, through maxsat.SolveContext — to
 // brute-force repair enumeration (internal/exhaustive) on random
 // inconsistent instances, for every operator, scalar and grouped, with
-// a sequential and a parallel worker pool. The legs are MaxHS with
-// default budgets, MaxHS with the RC2 fallback forced (a hitting-set
-// node budget of 1), and the external-solver interface driving
-// cmd/wcnfsolve (skipped when the binary cannot be built). Every leg
-// must also report the same ranges and the same Stats.Vars/Clauses as
-// the sequential MaxHS run. Group elimination is off, so the COUNT/SUM
-// components take the solver path too.
+// a sequential and a parallel worker pool. The legs are the built-in
+// RC2 solver and the external-solver interface driving cmd/wcnfsolve
+// (skipped when the binary cannot be built). Every leg must also report
+// the same ranges and the same Stats.Vars/Clauses as the sequential
+// built-in run. Group elimination is off, so the COUNT/SUM components
+// take the solver path too.
 func TestSolvePathMatchesExhaustive(t *testing.T) {
 	ops := []cq.AggOp{cq.CountStar, cq.Count, cq.Sum, cq.CountDistinct, cq.SumDistinct, cq.Min, cq.Max}
 	trials := 25
@@ -52,18 +51,11 @@ func TestSolvePathMatchesExhaustive(t *testing.T) {
 		trialsIn[i] = trial{in, want}
 	}
 
-	ref := map[string]*Report{} // the sequential MaxHS report of each case
-	for _, leg := range []struct {
-		name string
-		opts maxsat.Options
-	}{
-		{"maxhs", maxsat.Options{}},
-		{"maxhs→rc2", maxsat.Options{HSNodeBudget: 1}},
-		{"external", maxsat.Options{}},
-	} {
-		t.Run(leg.name, func(t *testing.T) {
-			opts := leg.opts
-			if leg.name == "external" {
+	ref := map[string]*Report{} // the sequential built-in report of each case
+	for _, leg := range []string{"rc2", "external"} {
+		t.Run(leg, func(t *testing.T) {
+			var opts maxsat.Options
+			if leg == "external" {
 				opts.SolverPath = buildWCNFSolve(t)
 			}
 			runs := 0
@@ -76,7 +68,7 @@ func TestSolvePathMatchesExhaustive(t *testing.T) {
 					noElimination(eng)
 					for _, op := range ops {
 						for _, grouped := range []bool{false, true} {
-							label := fmt.Sprintf("seed %d %s par %d op %v grouped %v", i+1, leg.name, par, op, grouped)
+							label := fmt.Sprintf("seed %d %s par %d op %v grouped %v", i+1, leg, par, op, grouped)
 							got, err := eng.RangeAnswers(joinQuery(op, grouped))
 							if err != nil {
 								t.Fatalf("%s: %v", label, err)
@@ -92,11 +84,11 @@ func TestSolvePathMatchesExhaustive(t *testing.T) {
 							for a := range got.Answers {
 								g, w := got.Answers[a].Range, want.Answers[a].Range
 								if !valuesMatch(g.GLB, w.GLB) || !valuesMatch(g.LUB, w.LUB) {
-									t.Fatalf("%s: answer %d range [%v, %v], sequential MaxHS [%v, %v]", label, a, g.GLB, g.LUB, w.GLB, w.LUB)
+									t.Fatalf("%s: answer %d range [%v, %v], sequential built-in [%v, %v]", label, a, g.GLB, g.LUB, w.GLB, w.LUB)
 								}
 							}
 							if got.Stats.Vars != want.Stats.Vars || got.Stats.Clauses != want.Stats.Clauses {
-								t.Fatalf("%s: CNF %d vars / %d clauses, sequential MaxHS %d / %d",
+								t.Fatalf("%s: CNF %d vars / %d clauses, sequential built-in %d / %d",
 									label, got.Stats.Vars, got.Stats.Clauses, want.Stats.Vars, want.Stats.Clauses)
 							}
 						}

@@ -1,7 +1,6 @@
 package maxsat
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -34,41 +33,20 @@ func bruteForceOptimum(f *cnf.Formula) (opt int64, ok bool) {
 	return opt, true
 }
 
-// builtin is one in-tree strategy, called directly: the table tests
-// pin RC2 against brute force on its own, not only behind a MaxHS
-// hitting-set budget fallback.
-type builtin struct {
-	alg   Algorithm
-	solve func(context.Context, *problem, Options, *tracker) (Result, error)
-}
-
-func (b builtin) String() string { return b.alg.String() }
-
-var rc2Alone = builtin{AlgRC2, solveRC2}
-
-func algorithms() []builtin { return []builtin{{AlgMaxHS, solveMaxHS}, rc2Alone} }
-
-// solveWith runs one built-in on the one-shot formula path.
-func solveWith(ctx context.Context, b builtin, f *cnf.Formula, opts Options) (Result, error) {
-	return b.solve(ctx, formulaProblem(f), opts, newTracker(opts, nil))
-}
-
 func TestSimpleWeighted(t *testing.T) {
 	// (x1, 3) and (¬x1, 5) conflict: optimum keeps the heavier one.
 	f := cnf.New(1)
 	f.AddSoft(3, 1)
 	f.AddSoft(5, -1)
-	for _, alg := range algorithms() {
-		res, err := solveWith(context.Background(), alg, f, Options{})
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		if !res.Satisfiable || res.Optimum != 5 || res.FalsifiedWeight != 3 {
-			t.Errorf("%v: %+v", alg, res)
-		}
-		if res.Model[1] {
-			t.Errorf("%v: model should set x1 false", alg)
-		}
+	res, err := Solve(f, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Satisfiable || res.Optimum != 5 || res.FalsifiedWeight != 3 {
+		t.Errorf("%+v", res)
+	}
+	if res.Model[1] {
+		t.Error("model should set x1 false")
 	}
 }
 
@@ -77,14 +55,12 @@ func TestAllSoftSatisfiable(t *testing.T) {
 	f.AddHard(1, 2)
 	f.AddSoft(2, 1)
 	f.AddSoft(2, 3)
-	for _, alg := range algorithms() {
-		res, err := solveWith(context.Background(), alg, f, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Optimum != 4 || res.FalsifiedWeight != 0 {
-			t.Errorf("%v: %+v", alg, res)
-		}
+	res, err := Solve(f, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Optimum != 4 || res.FalsifiedWeight != 0 {
+		t.Errorf("%+v", res)
 	}
 }
 
@@ -95,18 +71,9 @@ func TestHardUnsat(t *testing.T) {
 	f.AddHard(1)
 	f.AddHard(-1)
 	f.AddSoft(9, 1)
-	for _, g := range []*cnf.Formula{f, f.NegateSoft()} {
-		for _, alg := range algorithms() {
-			res, err := solveWith(context.Background(), alg, g, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Satisfiable {
-				t.Errorf("%v: unsat hard clauses not detected", alg)
-			}
-		}
-		if res, err := SolveContext(context.Background(), g, Options{}); err != nil || res.Satisfiable {
-			t.Errorf("SolveContext: res=%+v err=%v", res, err)
+	for dir, g := range []*cnf.Formula{f, f.NegateSoft()} {
+		if res, err := Solve(g, Options{}); err != nil || res.Satisfiable {
+			t.Errorf("dir %d: res=%+v err=%v", dir, res, err)
 		}
 	}
 }
@@ -114,14 +81,12 @@ func TestHardUnsat(t *testing.T) {
 func TestNoSoftClauses(t *testing.T) {
 	f := cnf.New(2)
 	f.AddHard(1, 2)
-	for _, alg := range algorithms() {
-		res, err := solveWith(context.Background(), alg, f, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Satisfiable || res.Optimum != 0 {
-			t.Errorf("%v: %+v", alg, res)
-		}
+	res, err := Solve(f, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Satisfiable || res.Optimum != 0 {
+		t.Errorf("%+v", res)
 	}
 }
 
@@ -136,14 +101,12 @@ func TestNonUnitSoftClauses(t *testing.T) {
 	f.AddSoft(3, 2, 3) // satisfied unless x1 chosen
 	f.AddSoft(2, -2)   // falsified iff x2 chosen
 	want, _ := bruteForceOptimum(f)
-	for _, alg := range algorithms() {
-		res, err := solveWith(context.Background(), alg, f, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Optimum != want {
-			t.Errorf("%v: optimum = %d, want %d", alg, res.Optimum, want)
-		}
+	res, err := Solve(f, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Optimum != want {
+		t.Errorf("optimum = %d, want %d", res.Optimum, want)
 	}
 }
 
@@ -153,14 +116,12 @@ func TestDuplicateSoftMerge(t *testing.T) {
 	f.AddSoft(2, 1)
 	f.AddSoft(2, 1)
 	f.AddSoft(3, -1)
-	for _, alg := range algorithms() {
-		res, err := solveWith(context.Background(), alg, f, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Optimum != 4 {
-			t.Errorf("%v: optimum = %d, want 4", alg, res.Optimum)
-		}
+	res, err := Solve(f, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Optimum != 4 {
+		t.Errorf("optimum = %d, want 4", res.Optimum)
 	}
 }
 
@@ -177,14 +138,12 @@ func TestCardinalityChain(t *testing.T) {
 		f.AddSoft(1, cnf.Lit(v))
 	}
 	want, _ := bruteForceOptimum(f)
-	for _, alg := range algorithms() {
-		res, err := solveWith(context.Background(), alg, f, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Optimum != want {
-			t.Errorf("%v: optimum = %d, want %d", alg, res.Optimum, want)
-		}
+	res, err := Solve(f, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Optimum != want {
+		t.Errorf("optimum = %d, want %d", res.Optimum, want)
 	}
 }
 
@@ -196,18 +155,16 @@ func TestModelAchievesOptimum(t *testing.T) {
 	f.AddSoft(4, -2)
 	f.AddSoft(3, 3)
 	f.AddSoft(2, -4)
-	for _, alg := range algorithms() {
-		res, err := solveWith(context.Background(), alg, f, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hardOK, satW, _ := f.Eval(res.Model)
-		if !hardOK {
-			t.Fatalf("%v: model violates hard clauses", alg)
-		}
-		if satW != res.Optimum {
-			t.Errorf("%v: model achieves %d, reported %d", alg, satW, res.Optimum)
-		}
+	res, err := Solve(f, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hardOK, satW, _ := f.Eval(res.Model)
+	if !hardOK {
+		t.Fatal("model violates hard clauses")
+	}
+	if satW != res.Optimum {
+		t.Errorf("model achieves %d, reported %d", satW, res.Optimum)
 	}
 }
 
@@ -247,39 +204,30 @@ func randomWCNF(seed uint64) *cnf.Formula {
 	return f
 }
 
-// TestRandomAgainstBruteForce cross-checks both algorithms on random
+// TestRandomAgainstBruteForce cross-checks the solver on random
 // weighted partial formulas.
 func TestRandomAgainstBruteForce(t *testing.T) {
 	fn := func(seed uint64) bool {
 		f := randomWCNF(seed)
 		want, wantOK := bruteForceOptimum(f)
-		for _, alg := range algorithms() {
-			res, err := solveWith(context.Background(), alg, f, Options{})
-			if err != nil {
-				return false
-			}
-			if res.Satisfiable != wantOK {
-				return false
-			}
-			if wantOK && res.Optimum != want {
-				return false
-			}
+		res, err := Solve(f, Options{})
+		if err != nil || res.Satisfiable != wantOK {
+			return false
 		}
-		return true
+		return !wantOK || res.Optimum == want
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
-// checkBothDirections runs solve on f (the glb direction: maximum
-// satisfied weight) and on f.NegateSoft() (the lub direction: maximum
-// falsified weight of f) and compares each optimum to brute force. Each
+// checkBothDirections solves f (the glb direction: maximum satisfied
+// weight) and f.NegateSoft() (the lub direction: maximum falsified
+// weight of f) with opts and compares each optimum to brute force. Each
 // returned model must achieve its optimum on f. It reports whether both
-// directions agreed and how many solves ended on RC2.
-func checkBothDirections(t *testing.T, seed uint64, solve func(*cnf.Formula) (Result, error)) (ok bool, onRC2 int) {
+// directions agreed.
+func checkBothDirections(t *testing.T, f *cnf.Formula, opts Options) bool {
 	t.Helper()
-	f := randomWCNF(seed)
 	n := f.NumVars()
 	wantSat, wantFals := int64(-1), int64(-1)
 	for m := 0; m < 1<<n; m++ {
@@ -292,91 +240,64 @@ func checkBothDirections(t *testing.T, seed uint64, solve func(*cnf.Formula) (Re
 		}
 	}
 	for dir, g := range []*cnf.Formula{f, f.NegateSoft()} {
-		res, err := solve(g)
+		res, err := Solve(g, opts)
 		if err != nil {
-			t.Fatalf("seed %#x dir %d: %v", seed, dir, err)
-		}
-		if res.Algorithm == AlgRC2 {
-			onRC2++
+			t.Fatalf("dir %d: %v", dir, err)
 		}
 		want := []int64{wantSat, wantFals}[dir]
 		if res.Satisfiable != (want >= 0) || (want >= 0 && res.Optimum != want) {
-			t.Logf("seed %#x dir %d: %+v, brute force %d", seed, dir, res, want)
-			return false, onRC2
+			t.Logf("dir %d: %+v, brute force %d", dir, res, want)
+			return false
 		}
 		if !res.Satisfiable {
 			continue
 		}
 		hardOK, satW, falsW := f.Eval(res.Model[:n+1])
 		if got := []int64{satW, falsW}[dir]; !hardOK || got != want {
-			t.Logf("seed %#x dir %d: model achieves %d (hard %v), optimum %d", seed, dir, got, hardOK, want)
-			return false, onRC2
+			t.Logf("dir %d: model achieves %d (hard %v), optimum %d", dir, got, hardOK, want)
+			return false
 		}
 	}
-	return true, onRC2
+	return true
 }
 
 // TestSolveContextBothDirections pins the one solve path the reductions
 // take: SolveContext on f and on f.NegateSoft() agrees with brute force
-// in both directions.
+// in both directions, optima and models.
 func TestSolveContextBothDirections(t *testing.T) {
-	fn := func(seed uint64) bool {
-		ok, _ := checkBothDirections(t, seed, func(g *cnf.Formula) (Result, error) {
-			return SolveContext(context.Background(), g, Options{})
-		})
-		return ok
-	}
+	fn := func(seed uint64) bool { return checkBothDirections(t, randomWCNF(seed), Options{}) }
 	if err := quick.Check(fn, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestInstanceMatchesLegacyRandom runs each built-in directly (MaxHS
-// and RC2, no fallback) on the two-formula path, f for the glb
-// direction and f.NegateSoft() for the lub direction, and checks both
-// optima and models against brute force.
+// TestInstanceMatchesLegacyRandom checks the built-in algorithm in both
+// directions against the brute-force reference while it is observed and
+// bounded: a ProgressFunc reporting at every conflict (the kind of
+// consumer `cavsat -v` installs) and a conflict budget too large to
+// bind. Neither may change the optima or the models.
 func TestInstanceMatchesLegacyRandom(t *testing.T) {
-	for _, alg := range algorithms() {
-		t.Run(alg.String(), func(t *testing.T) {
-			fn := func(seed uint64) bool {
-				ok, _ := checkBothDirections(t, seed, func(g *cnf.Formula) (Result, error) {
-					return solveWith(context.Background(), alg, g, Options{})
-				})
-				return ok
-			}
-			if err := quick.Check(fn, &quick.Config{MaxCount: 120}); err != nil {
-				t.Error(err)
-			}
-		})
-	}
+	t.Run(AlgRC2.String(), func(t *testing.T) {
+		reports := 0
+		opts := Options{
+			ConflictBudget: 1 << 40,
+			Progress:       func(ProgressInfo) { reports++ },
+			ProgressEvery:  1,
+		}
+		fn := func(seed uint64) bool { return checkBothDirections(t, randomWCNF(seed), opts) }
+		if err := quick.Check(fn, &quick.Config{MaxCount: 120}); err != nil {
+			t.Error(err)
+		}
+		if reports == 0 {
+			t.Error("no progress report reached the ProgressFunc")
+		}
+	})
 }
 
-// TestInstanceFallbackMatchesLegacy drives the MaxHS→RC2 fallback
-// through SolveContext (a hitting-set node budget of 1 aborts every
-// exact hitting-set solve) and checks both directions against brute
-// force; at least one solve must actually have fallen back.
-func TestInstanceFallbackMatchesLegacy(t *testing.T) {
-	onRC2 := 0
-	fn := func(seed uint64) bool {
-		ok, n := checkBothDirections(t, seed, func(g *cnf.Formula) (Result, error) {
-			return SolveContext(context.Background(), g, Options{HSNodeBudget: 1})
-		})
-		onRC2 += n
-		return ok
-	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-	if onRC2 == 0 {
-		t.Error("no solve fell back to RC2")
-	}
-}
-
-// TestInstanceHardUnsat: hard clauses that are unsatisfiable only
+// TestJointlyUnsatHardClauses: hard clauses that are unsatisfiable only
 // together (every two of them are satisfiable) surface as Satisfiable ==
-// false in both directions, with non-unit soft clauses present, on each
-// built-in and on SolveContext with and without the forced fallback.
-func TestInstanceHardUnsat(t *testing.T) {
+// false in both directions, with non-unit soft clauses present.
+func TestJointlyUnsatHardClauses(t *testing.T) {
 	f := cnf.New(2)
 	f.AddHard(1, 2)
 	f.AddHard(-1, 2)
@@ -384,30 +305,27 @@ func TestInstanceHardUnsat(t *testing.T) {
 	f.AddHard(-1, -2)
 	f.AddSoft(3, 1, 2)
 	f.AddSoft(4, -1)
-	ctx := context.Background()
-	for dir, g := range []*cnf.Formula{f, f.NegateSoft()} {
-		for _, alg := range algorithms() {
-			if res, err := solveWith(ctx, alg, g, Options{}); err != nil || res.Satisfiable {
-				t.Errorf("dir %d %v: res=%+v err=%v", dir, alg, res, err)
-			}
-		}
-		for _, opts := range []Options{{}, {HSNodeBudget: 1}} {
-			if res, err := SolveContext(ctx, g, opts); err != nil || res.Satisfiable {
-				t.Errorf("dir %d SolveContext%+v: res=%+v err=%v", dir, opts, res, err)
-			}
-		}
+	if !checkBothDirections(t, f, Options{}) {
+		t.Error("jointly unsat hard clauses not reported as unsatisfiable")
 	}
 }
 
-// TestInstanceKuegelNegation pins the lub direction on the
-// KuegelNegationMinSAT example: each built-in on f.NegateSoft() must
-// report the brute-force maximum falsified weight of f.
-func TestInstanceKuegelNegation(t *testing.T) {
+// kuegelFormula is the KuegelNegationMinSAT example: one hard clause
+// over three variables and three soft clauses.
+func kuegelFormula() *cnf.Formula {
 	f := cnf.New(3)
 	f.AddHard(1, 2, 3)
 	f.AddSoft(2, 1, 2)
 	f.AddSoft(3, 2, 3)
 	f.AddSoft(1, -1)
+	return f
+}
+
+// TestKuegelNegationMaxFalsified pins the lub direction on the
+// KuegelNegationMinSAT example: the solve of f.NegateSoft() must report
+// the brute-force maximum falsified weight of f.
+func TestKuegelNegationMaxFalsified(t *testing.T) {
+	f := kuegelFormula()
 	var maxFals int64 = -1
 	for m := 0; m < 8; m++ {
 		assign := []bool{false, m&1 != 0, m&2 != 0, m&4 != 0}
@@ -416,26 +334,19 @@ func TestInstanceKuegelNegation(t *testing.T) {
 			maxFals = falsW
 		}
 	}
-	neg := f.NegateSoft()
-	for _, alg := range algorithms() {
-		res, err := solveWith(context.Background(), alg, neg, Options{})
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		if !res.Satisfiable || res.Optimum != maxFals {
-			t.Fatalf("%v: Optimum=%d want %d", alg, res.Optimum, maxFals)
-		}
+	res, err := Solve(f.NegateSoft(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Satisfiable || res.Optimum != maxFals {
+		t.Fatalf("Optimum=%d want %d", res.Optimum, maxFals)
 	}
 }
 
 // TestKuegelNegationMinSAT checks the paper's lub pipeline end to end at
 // the MaxSAT level: minimizing satisfied soft weight via NegateSoft.
 func TestKuegelNegationMinSAT(t *testing.T) {
-	f := cnf.New(3)
-	f.AddHard(1, 2, 3)
-	f.AddSoft(2, 1, 2)
-	f.AddSoft(3, 2, 3)
-	f.AddSoft(1, -1)
+	f := kuegelFormula()
 
 	// Brute-force minimum satisfied soft weight subject to hard clauses.
 	minSat := int64(1 << 62)
@@ -446,16 +357,12 @@ func TestKuegelNegationMinSAT(t *testing.T) {
 			minSat = satW
 		}
 	}
-	neg := f.NegateSoft()
-	for _, alg := range algorithms() {
-		res, err := solveWith(context.Background(), alg, neg, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := f.TotalSoftWeight() - res.Optimum
-		if got != minSat {
-			t.Errorf("%v: min satisfied = %d, want %d", alg, got, minSat)
-		}
+	res, err := Solve(f.NegateSoft(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.TotalSoftWeight() - res.Optimum; got != minSat {
+		t.Errorf("min satisfied = %d, want %d", got, minSat)
 	}
 }
 
@@ -549,13 +456,13 @@ func TestParseSolverOutputErrors(t *testing.T) {
 }
 
 // TestExternalViaFakeSolver runs the full external pipeline against a
-// tiny shell script standing in for MaxHS.
+// tiny shell script standing in for an external MaxSAT binary.
 func TestExternalViaFakeSolver(t *testing.T) {
 	if runtime.GOOS == "windows" {
 		t.Skip("shell-script fake solver")
 	}
 	dir := t.TempDir()
-	script := filepath.Join(dir, "fakemaxhs.sh")
+	script := filepath.Join(dir, "fakesolver.sh")
 	// The fake solver ignores its input and prints a fixed optimum for
 	// the specific formula below (x1 false satisfies the weight-5 soft).
 	body := "#!/bin/sh\necho 's OPTIMUM FOUND'\necho 'o 3'\necho 'v -1 0'\n"
@@ -605,7 +512,7 @@ func TestConflictBudgetExhaustion(t *testing.T) {
 		}
 	}
 	f.AddSoft(1, 1)
-	if _, err := solveWith(context.Background(), rc2Alone, f, Options{ConflictBudget: 3}); err == nil {
+	if _, err := Solve(f, Options{ConflictBudget: 3}); err == nil {
 		t.Error("budget exhaustion should surface as an error")
 	}
 }

@@ -17,13 +17,13 @@ const DefaultProgressEvery = 10_000
 // from inside the CDCL loop; the other phases mark algorithm milestones
 // (one report each time the bound trajectory can move).
 type ProgressInfo struct {
+	// Algorithm is the built-in solver, AlgRC2.
 	Algorithm Algorithm
 	// Phase is "search" (periodic, inside a SAT call), "model" (a new
-	// incumbent model), "core" (an unsat core was extracted), "stratum"
-	// (RC2 descended a stratification level), or "hitting-set" (MaxHS
-	// computed a new hitting set).
+	// incumbent model), "core" (an unsat core was extracted), or
+	// "stratum" (RC2 descended a stratification level).
 	Phase string
-	// Iteration counts main-loop iterations of the algorithm.
+	// Iteration counts main-loop iterations of the solver.
 	Iteration int64
 	// SATCalls and Conflicts are cumulative across the solve.
 	SATCalls  int64
@@ -45,13 +45,12 @@ type ProgressFunc func(ProgressInfo)
 // tracker carries the bound trajectory of one solve: it forwards
 // progress to the user's ProgressFunc and keeps the last bracket, which
 // SolveContext stamps on the "maxsat.solve" span. All methods are
-// nil-receiver-safe so the algorithms call them unconditionally; with
+// nil-receiver-safe so the solver calls them unconditionally; with
 // neither Progress nor a span there is no tracker and the cost is one
 // nil check per milestone.
 type tracker struct {
 	fn    ProgressFunc
 	every int64
-	alg   Algorithm
 	s     *sat.Solver
 	iter  int64
 	lb    int64
@@ -71,15 +70,14 @@ func newTracker(opts Options, sp *obsv.Span) *tracker {
 	return &tracker{fn: opts.Progress, every: every, lb: -1, ub: -1}
 }
 
-// attach points the tracker at the algorithm now running on s (MaxHS,
-// or the RC2 fallback after it) and restarts the bracket and iteration
-// count, wiring periodic "search" reports every ProgressEvery conflicts
-// when a ProgressFunc consumes them.
-func (t *tracker) attach(alg Algorithm, s *sat.Solver) {
+// attach points the tracker at the solver s, wiring periodic "search"
+// reports every ProgressEvery conflicts when a ProgressFunc consumes
+// them.
+func (t *tracker) attach(s *sat.Solver) {
 	if t == nil {
 		return
 	}
-	t.alg, t.s, t.iter, t.lb, t.ub = alg, s, 0, -1, -1
+	t.s = s
 	if t.fn != nil {
 		s.SetProgress(t.every, func(p sat.Progress) { t.report("search", p) })
 	}
@@ -88,7 +86,7 @@ func (t *tracker) attach(alg Algorithm, s *sat.Solver) {
 // report hands one progress observation to the ProgressFunc.
 func (t *tracker) report(phase string, p sat.Progress) {
 	t.fn(ProgressInfo{
-		Algorithm:  t.alg,
+		Algorithm:  AlgRC2,
 		Phase:      phase,
 		Iteration:  t.iter,
 		SATCalls:   p.Solves,
@@ -142,8 +140,8 @@ func (t *tracker) stamp(sp *obsv.Span) {
 // satSolve runs one SAT call under a "sat.solve" span carrying the
 // algorithm, assumption count, outcome and the conflicts spent in this
 // call. With no tracer on ctx the span path is a nil check.
-func satSolve(ctx context.Context, s *sat.Solver, alg Algorithm, assumptions ...cnf.Lit) sat.Status {
-	_, sp := obsv.StartSpan(ctx, "sat.solve", obsv.String("alg", alg.String()))
+func satSolve(ctx context.Context, s *sat.Solver, assumptions ...cnf.Lit) sat.Status {
+	_, sp := obsv.StartSpan(ctx, "sat.solve", obsv.String("alg", AlgRC2.String()))
 	before := s.Stats.Conflicts
 	st := s.Solve(assumptions...)
 	if sp != nil {

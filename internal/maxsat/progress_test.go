@@ -11,7 +11,7 @@ import (
 // progressFormula has optimum falsified weight 5: the hard clauses force
 // exactly one of x1/x2 (falsifying soft weight 3 or 5), and the x3
 // conflict pair falsifies at least weight 2 — enough structure that
-// every algorithm moves its bounds before converging.
+// the solver moves its bounds before converging.
 func progressFormula() *cnf.Formula {
 	f := cnf.New(3)
 	f.AddHard(1, 2)
@@ -24,62 +24,60 @@ func progressFormula() *cnf.Formula {
 }
 
 func TestProgressBoundsBracketOptimum(t *testing.T) {
-	for _, alg := range algorithms() {
-		var reports []ProgressInfo
-		res, err := solveWith(context.Background(), alg, progressFormula(), Options{
-			ProgressEvery: 1,
-			Progress:      func(p ProgressInfo) { reports = append(reports, p) },
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
+	var reports []ProgressInfo
+	res, err := Solve(progressFormula(), Options{
+		ProgressEvery: 1,
+		Progress:      func(p ProgressInfo) { reports = append(reports, p) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Satisfiable {
+		t.Fatal("unsatisfiable")
+	}
+	if len(reports) == 0 {
+		t.Fatal("no progress reports")
+	}
+	opt := res.FalsifiedWeight
+	var prevLB, prevUB int64 = -1, -1
+	sawMilestone := false
+	for i, p := range reports {
+		if p.Algorithm != AlgRC2 {
+			t.Fatalf("report %d labeled %v", i, p.Algorithm)
 		}
-		if !res.Satisfiable {
-			t.Fatalf("%v: unsatisfiable", alg)
+		switch p.Phase {
+		case "search":
+		case "model", "core", "stratum":
+			sawMilestone = true
+		default:
+			t.Fatalf("report %d has unknown phase %q", i, p.Phase)
 		}
-		if len(reports) == 0 {
-			t.Fatalf("%v: no progress reports", alg)
-		}
-		opt := res.FalsifiedWeight
-		var prevLB, prevUB int64 = -1, -1
-		sawMilestone := false
-		for i, p := range reports {
-			if p.Algorithm != alg.alg {
-				t.Fatalf("%v: report %d labeled %v", alg, i, p.Algorithm)
+		// Any published bound must bracket the optimum falsified
+		// weight, and the bracket only tightens.
+		if p.LowerBound >= 0 {
+			if p.LowerBound > opt {
+				t.Fatalf("report %d lb %d > optimum %d", i, p.LowerBound, opt)
 			}
-			switch p.Phase {
-			case "search":
-			case "model", "core", "stratum", "hitting-set":
-				sawMilestone = true
-			default:
-				t.Fatalf("%v: report %d has unknown phase %q", alg, i, p.Phase)
+			if p.LowerBound < prevLB {
+				t.Fatalf("report %d lb regressed %d -> %d", i, prevLB, p.LowerBound)
 			}
-			// Any published bound must bracket the optimum falsified
-			// weight, and the bracket only tightens.
-			if p.LowerBound >= 0 {
-				if p.LowerBound > opt {
-					t.Fatalf("%v: report %d lb %d > optimum %d", alg, i, p.LowerBound, opt)
-				}
-				if p.LowerBound < prevLB {
-					t.Fatalf("%v: report %d lb regressed %d -> %d", alg, i, prevLB, p.LowerBound)
-				}
-				prevLB = p.LowerBound
+			prevLB = p.LowerBound
+		}
+		if p.UpperBound >= 0 {
+			if p.UpperBound < opt {
+				t.Fatalf("report %d ub %d < optimum %d", i, p.UpperBound, opt)
 			}
-			if p.UpperBound >= 0 {
-				if p.UpperBound < opt {
-					t.Fatalf("%v: report %d ub %d < optimum %d", alg, i, p.UpperBound, opt)
-				}
-				if prevUB >= 0 && p.UpperBound > prevUB {
-					t.Fatalf("%v: report %d ub regressed %d -> %d", alg, i, prevUB, p.UpperBound)
-				}
-				prevUB = p.UpperBound
+			if prevUB >= 0 && p.UpperBound > prevUB {
+				t.Fatalf("report %d ub regressed %d -> %d", i, prevUB, p.UpperBound)
 			}
+			prevUB = p.UpperBound
 		}
-		if !sawMilestone {
-			t.Errorf("%v: only periodic reports, no milestone events", alg)
-		}
-		if prevUB != opt {
-			t.Errorf("%v: final ub %d, want optimum %d", alg, prevUB, opt)
-		}
+	}
+	if !sawMilestone {
+		t.Error("only periodic reports, no milestone events")
+	}
+	if prevUB != opt {
+		t.Errorf("final ub %d, want optimum %d", prevUB, opt)
 	}
 }
 
@@ -106,8 +104,8 @@ func TestSolveContextRecordsSpans(t *testing.T) {
 			}
 		}
 	}
-	if alg != "maxhs" {
-		t.Errorf("maxsat.solve alg = %q, want maxhs", alg)
+	if alg != "rc2" {
+		t.Errorf("maxsat.solve alg = %q, want rc2", alg)
 	}
 	if names["maxsat.solve"] != 1 {
 		t.Fatalf("maxsat.solve spans = %d, want 1", names["maxsat.solve"])

@@ -2,8 +2,7 @@ package maxsat
 
 import (
 	"context"
-	"fmt"
-	"os"
+	"errors"
 	"sort"
 
 	"aggcavsat/internal/cnf"
@@ -25,11 +24,14 @@ import (
 //     selector "¬(≥2 violated)"; the next bound's selector is added only
 //     when the current one exhausts its weight.
 //
-// The solver comes from p.fork(); RC2 extends its clause set
-// (totalizers, hardening) and consumes the selector weights
-// destructively, so it works on a private copy.
-func solveRC2(ctx context.Context, p *problem, opts Options, tr *tracker) (Result, error) {
-	s := p.fork()
+// The solver is loaded with f's hard clauses and the selector
+// relaxation; RC2 extends its clause set (totalizers, hardening) and
+// consumes the selector weights as cores are found.
+func solveRC2(ctx context.Context, f *cnf.Formula, opts Options, tr *tracker) (Result, error) {
+	s := sat.New()
+	s.AddFormulaHard(f)
+	s.EnsureVars(f.NumVars())
+	weights := selectors(s, f)
 	if !s.Okay() {
 		return Result{Satisfiable: false}, nil
 	}
@@ -38,8 +40,8 @@ func solveRC2(ctx context.Context, p *problem, opts Options, tr *tracker) (Resul
 	}
 	release := sat.StopOnDone(ctx, s)
 	defer release()
-	weights := p.weightsCopy()
-	tr.attach(AlgRC2, s)
+	tr.attach(s)
+	total := f.TotalSoftWeight()
 
 	// totInfo tracks a lazily-bounded totalizer: outputs[bound] is the
 	// output literal whose negation is the currently active selector.
@@ -54,8 +56,6 @@ func solveRC2(ctx context.Context, p *problem, opts Options, tr *tracker) (Resul
 	// with weight >= threshold are assumed.
 	threshold := maxWeight(weights)
 
-	debug := os.Getenv("RC2_DEBUG") != ""
-	var iter int
 	var cost int64
 	bestUB := int64(-1) // falsified weight of the best model seen
 	var bestModel []bool
@@ -67,17 +67,12 @@ func solveRC2(ctx context.Context, p *problem, opts Options, tr *tracker) (Resul
 	// hardening rule; it is what stops weight splitting from
 	// degenerating on wide weight ranges).
 	harden := func() {
-		if bestUB < 0 || os.Getenv("RC2_NOHARDEN") != "" {
+		if bestUB < 0 {
 			return
 		}
-		gap := bestUB - cost
-		var toHarden []cnf.Lit
-		for l, w := range weights {
-			if w > gap {
-				toHarden = append(toHarden, l)
-			}
-		}
-		for _, l := range toHarden {
+		// In selector order, not map order, so the unit clauses (and the
+		// SAT calls that follow) do not depend on map iteration.
+		for _, l := range activeSelectors(weights, bestUB-cost+1) {
 			delete(weights, l)
 			delete(tots, l) // a hardened totalizer bound never advances
 			s.AddClause(l)
@@ -89,29 +84,25 @@ func solveRC2(ctx context.Context, p *problem, opts Options, tr *tracker) (Resul
 			return statsOf(s), err
 		}
 		assumptions := activeSelectors(weights, threshold)
-		iter++
 		tr.step()
-		if debug && iter%200 == 0 {
-			fmt.Fprintf(os.Stderr, "rc2 iter=%d cost=%d thr=%d assumptions=%d conflicts=%d learnt=%d clauses=%d\n",
-				iter, cost, threshold, len(assumptions), s.Stats.Conflicts, s.Stats.Learnt, s.NumClauses())
-		}
-		st := satSolve(ctx, s, AlgRC2, assumptions...)
+		st := satSolve(ctx, s, assumptions...)
 		switch st {
 		case sat.Unknown:
-			if err := interrupted(ctx); err != nil {
-				return statsOf(s), err
-			}
-			return statsOf(s), fmt.Errorf("%w: conflicts (rc2)", ErrBudget)
+			return statsOf(s), stopped(ctx)
 		case sat.Sat:
 			// Every stratum model is an upper bound; keep the incumbent
 			// best and harden against it. The incumbent, not the current
 			// model, is returned at termination: hardening can retire
 			// below-threshold selectors that the current model violates.
 			model := s.Model()
-			opt := p.score(model)
-			if fals := p.total - opt; bestUB < 0 || fals < bestUB {
+			opt, err := evalModel(f, model)
+			if err != nil {
+				panic("maxsat: optimal model violates a hard clause")
+			}
+			if fals := total - opt; bestUB < 0 || fals < bestUB {
 				bestUB = fals
-				bestModel = p.trim(model)
+				bestModel = make([]bool, f.NumVars()+1)
+				copy(bestModel, model)
 			}
 			tr.bounds(cost, bestUB)
 			tr.event("model")
@@ -125,7 +116,7 @@ func solveRC2(ctx context.Context, p *problem, opts Options, tr *tracker) (Resul
 			if next == 0 {
 				return Result{
 					Satisfiable:     true,
-					Optimum:         p.total - bestUB,
+					Optimum:         total - bestUB,
 					FalsifiedWeight: bestUB,
 					Model:           bestModel,
 					SATCalls:        s.Stats.Solves,
@@ -142,12 +133,11 @@ func solveRC2(ctx context.Context, p *problem, opts Options, tr *tracker) (Resul
 			}
 			// Trim: re-solving against the core alone usually shrinks it.
 			for rounds := 0; rounds < 5 && len(core) > 1; rounds++ {
-				st := satSolve(ctx, s, AlgRC2, core...)
-				if st != sat.Unsat {
-					if err := interrupted(ctx); err != nil {
-						return statsOf(s), err
-					}
-					return statsOf(s), fmt.Errorf("maxsat: core no longer unsat during trimming (%v)", st)
+				switch satSolve(ctx, s, core...) {
+				case sat.Unknown:
+					return statsOf(s), stopped(ctx)
+				case sat.Sat:
+					return statsOf(s), errors.New("maxsat: core no longer unsat during trimming")
 				}
 				trimmed := s.Core()
 				if len(trimmed) >= len(core) {
@@ -256,9 +246,4 @@ func activeSelectors(weights map[cnf.Lit]int64, threshold int64) []cnf.Lit {
 		return out[i] < out[j]
 	})
 	return out
-}
-
-// sortedSelectors returns all selectors in deterministic order.
-func sortedSelectors(weights map[cnf.Lit]int64) []cnf.Lit {
-	return activeSelectors(weights, 0)
 }

@@ -1,15 +1,15 @@
 package maxsat
 
 import (
-	"context"
 	"testing"
+
+	"aggcavsat/internal/cnf"
 )
-import "aggcavsat/internal/cnf"
 
 // TestWideWeightsAgainstBruteForce is a regression test for the
-// incumbent-model bug in RC2's hardening and for MaxHS weight handling:
-// random instances with weights up to 1000 exercise stratification,
-// hardening and hitting-set search much harder than small weights do.
+// incumbent-model bug in RC2's hardening: random instances with weights
+// up to 1000 exercise stratification and hardening much harder than
+// small weights do.
 func TestWideWeightsAgainstBruteForce(t *testing.T) {
 	fails := 0
 	for seed := uint64(1); seed <= 400; seed++ {
@@ -51,7 +51,7 @@ func TestWideWeightsAgainstBruteForce(t *testing.T) {
 			f.AddSoft(int64(1+next(1000)), lits...) // wide weights
 		}
 		want, wantOK := bruteForceOptimum(f)
-		res, err := solveWith(context.Background(), rc2Alone, f, Options{})
+		res, err := Solve(f, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@ import (
 type DirectionExplain struct {
 	Direction string `json:"direction"`
 	// Algorithm is the strategy that answered the pass: the MaxSAT
-	// solver that ran ("maxhs", "rc2", "external"), "sat" for plain
+	// solver that ran ("rc2" or "external"), "sat" for plain
 	// probe/consistency passes that never build a MaxSAT instance, or
 	// "elimination" for passes group elimination answered.
 	Algorithm string `json:"algorithm"`

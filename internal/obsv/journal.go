@@ -24,7 +24,7 @@ const DefaultJournalQueue = 1024
 // configuration that answered the query — the knobs that change which
 // code path ran, so a slow line can be attributed without rerunning.
 type JournalOptions struct {
-	// Algorithm is the configured MaxSAT solver: "maxhs" (built in) or
+	// Algorithm is the configured MaxSAT solver: "rc2" (built in) or
 	// "external" (a binary, one WCNF file per run).
 	Algorithm string `json:"alg"`
 	// Mode is the constraint mode: "keys" or "dc".

@@ -22,7 +22,7 @@ func TestJournalRoundTrip(t *testing.T) {
 			Op:       "range_answers/SUM",
 			TotalMS:  float64(i),
 			SATCalls: int64(i * 3),
-			Options:  JournalOptions{Algorithm: "maxhs", Mode: "keys"},
+			Options:  JournalOptions{Algorithm: "rc2", Mode: "keys"},
 		})
 	}
 	if err := j.Close(); err != nil {
@@ -48,7 +48,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		if e.Time.IsZero() {
 			t.Errorf("entry %d missing timestamp", i)
 		}
-		if e.Options.Algorithm != "maxhs" || e.Options.Mode != "keys" {
+		if e.Options.Algorithm != "rc2" || e.Options.Mode != "keys" {
 			t.Errorf("entry %d options = %+v", i, e.Options)
 		}
 	}

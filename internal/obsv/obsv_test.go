@@ -151,7 +151,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	tr := NewTracer()
 	ctx := WithTracer(context.Background(), tr)
 	ctx1, root := StartSpan(ctx, "query")
-	_, c := StartSpan(ctx1, "maxsat.solve", String("alg", "maxhs"))
+	_, c := StartSpan(ctx1, "maxsat.solve", String("alg", "rc2"))
 	c.End()
 	root.End()
 
@@ -190,7 +190,7 @@ func TestWriteChromeTrace(t *testing.T) {
 		t.Errorf("child [%f,%f] not nested in root [%f,%f]",
 			childEv.Ts, childEv.Ts+childEv.Dur, rootEv.Ts, rootEv.Ts+rootEv.Dur)
 	}
-	if childEv.Cat != "maxsat" || childEv.Args["alg"] != "maxhs" {
+	if childEv.Cat != "maxsat" || childEv.Args["alg"] != "rc2" {
 		t.Errorf("child cat/args: %q %v", childEv.Cat, childEv.Args)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // nine scalar Q′ and the six grouped queries, Q10′ included) at sf 0.01
 // under auto and under force-rewrite. auto must answer each on the
 // solver route without a single MaxSAT run, so no component reaches
-// the MaxHS fallback (whose lub direction exhausts its budget on Q10′'s
+// the MaxSAT solver (which does not finish the lub direction of Q10′'s
 // largest component), and its answer digest must equal the rewriting's
 // wherever the rewriting answers. A variant is one DBGen instance at
 // 10 % inconsistency: -short runs the demo seed only, the full run two

@@ -169,7 +169,7 @@ type Solver struct {
 	lbdSeen  []uint64
 	lbdStamp uint64
 
-	budgetConflicts int64 // <=0 means unlimited
+	budgetEnd int64 // Stats.Conflicts at which the budget runs out; 0 means unlimited
 
 	stop atomic.Bool // cooperative interrupt, set from other goroutines
 
@@ -193,9 +193,21 @@ func New() *Solver {
 	}
 }
 
-// SetConflictBudget bounds the number of conflicts per Solve call;
-// exceeding it returns Unknown. Zero or negative means unlimited.
-func (s *Solver) SetConflictBudget(n int64) { s.budgetConflicts = n }
+// SetConflictBudget bounds the conflicts of all later Solve calls
+// together, counted from this call: once n more conflicts have been
+// spent, Solve returns Unknown (checked at restarts and at the start of
+// each call). Zero or negative means unlimited.
+func (s *Solver) SetConflictBudget(n int64) {
+	s.budgetEnd = 0
+	if n > 0 {
+		s.budgetEnd = s.Stats.Conflicts + n
+	}
+}
+
+// budgetSpent reports whether the conflict budget has run out.
+func (s *Solver) budgetSpent() bool {
+	return s.budgetEnd > 0 && s.Stats.Conflicts >= s.budgetEnd
+}
 
 // Interrupt requests a cooperative stop: the current (or next) Solve
 // call returns Unknown as soon as the search loop observes the flag.
@@ -680,7 +692,7 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 		s.conflictSet = nil
 		return Unsat
 	}
-	if s.stop.Load() {
+	if s.stop.Load() || s.budgetSpent() {
 		s.conflictSet = nil
 		return Unknown
 	}
@@ -700,7 +712,6 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 	}
 	defer s.cancelUntil(0)
 
-	conflictsAtStart := s.Stats.Conflicts
 	for {
 		restartBudget := luby(s.lubyIndex) * 100
 		s.lubyIndex++
@@ -712,7 +723,7 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) Status {
 			return Unknown
 		}
 		s.Stats.Restarts++
-		if s.budgetConflicts > 0 && s.Stats.Conflicts-conflictsAtStart >= s.budgetConflicts {
+		if s.budgetSpent() {
 			return Unknown
 		}
 	}

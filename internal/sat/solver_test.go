@@ -230,6 +230,13 @@ func TestConflictBudget(t *testing.T) {
 	if st := s.Solve(); st != Unknown {
 		t.Fatalf("budgeted solve = %v, want Unknown", st)
 	}
+	// The budget spans calls: the next solve finds it spent and stops
+	// before any conflict of its own.
+	spent := s.Stats.Conflicts
+	if st := s.Solve(); st != Unknown || s.Stats.Conflicts != spent {
+		t.Fatalf("second budgeted solve = %v after %d more conflicts, want Unknown after 0",
+			st, s.Stats.Conflicts-spent)
+	}
 	s.SetConflictBudget(0)
 	if st := s.Solve(); st != Unsat {
 		t.Fatalf("unbudgeted solve = %v, want Unsat", st)
